@@ -13,6 +13,12 @@ Each jet tracks `valid`, the truncation order up to which its coefficients are
 trustworthy. Differentiation lowers it by one; binary operations take the
 minimum. Coefficients above `valid` are kept at exactly zero, and extraction
 beyond `valid` raises instead of returning silently wrong numbers.
+
+Products compute only up to their valid order. Coefficients are stored in
+graded order, so those of degree <= v form a prefix, and the coefficient
+pairs that multiply into that prefix form a prefix of the target-sorted pair
+table. A product of jets valid to v sums only those pairs and writes zeros
+above the prefix; the storage shape stays `ncoeff` whatever v is.
 """
 
 from __future__ import annotations
@@ -99,10 +105,16 @@ class JetSpace:
                 pi.append(i)
                 pj.append(j)
                 w.append(0.5 if i == j else 1.0)
-        self._pi = np.array(pi)
-        self._pj = np.array(pj)
-        self._pw = np.array(w)
-        self._pstarts = np.array(starts)
+        starts.append(len(pi))
+        pi, pj, w = np.array(pi), np.array(pj), np.array(w)
+        # The table truncated at each valid order v: the first n targets are
+        # those of degree <= v, and their pairs come first. Entry v holds
+        # (pi, pj, weights, segment starts, n).
+        self._pairs_le = []
+        for v in range(self.order + 1):
+            n = int(self.mask_le[v].sum())
+            k = starts[n]
+            self._pairs_le.append((pi[:k], pj[:k], w[:k], np.array(starts[:n]), n))
 
     def _build_derivative_table(self) -> None:
         # (d_a f)_alpha = (alpha_a + 1) * f_{alpha + e_a}
@@ -156,6 +168,15 @@ def _trim(space: JetSpace, coeffs: np.ndarray, valid: int) -> np.ndarray:
     if valid < space.order:
         coeffs = coeffs * space.mask_le[valid]
     return coeffs
+
+
+def _pad(space: JetSpace, low: np.ndarray, n: int) -> np.ndarray:
+    """Full coefficient array from its first n coefficients; the rest zero."""
+    if n == space.ncoeff:
+        return low
+    out = np.zeros(low.shape[:-1] + (space.ncoeff,))
+    out[..., :n] = low
+    return out
 
 
 class Jet:
@@ -234,12 +255,10 @@ class Jet:
         o = self._coerce(other)
         sp = self.space
         v = min(self.valid, o.valid)
-        prod = sp._pw * (
-            self.coeffs[..., sp._pi] * o.coeffs[..., sp._pj]
-            + self.coeffs[..., sp._pj] * o.coeffs[..., sp._pi]
-        )
-        out = np.add.reduceat(prod, sp._pstarts, axis=-1)
-        return Jet(sp, _trim(sp, out, v), v)
+        pi, pj, pw, starts, n = sp._pairs_le[v]
+        a, b = self.coeffs, o.coeffs
+        prod = pw * (a[..., pi] * b[..., pj] + a[..., pj] * b[..., pi])
+        return Jet(sp, _pad(sp, np.add.reduceat(prod, starts, axis=-1), n), v)
 
     __rmul__ = __mul__
 
@@ -319,18 +338,11 @@ def jet_einsum(sub: str, a, b) -> Jet:
             raise ValueError("jets from different spaces")
         sp = a.space
         v = min(a.valid, b.valid)
-        prod = sp._pw * np.einsum(
-            f"{sa}P,{sb}P->{rhs}P",
-            a.coeffs[..., sp._pi],
-            b.coeffs[..., sp._pj],
-        )
-        prod += sp._pw * np.einsum(
-            f"{sa}P,{sb}P->{rhs}P",
-            a.coeffs[..., sp._pj],
-            b.coeffs[..., sp._pi],
-        )
-        out = np.add.reduceat(prod, sp._pstarts, axis=-1)
-        return Jet(sp, _trim(sp, out, v), v)
+        pi, pj, pw, starts, n = sp._pairs_le[v]
+        pair_sub = f"{sa}P,{sb}P->{rhs}P"
+        prod = pw * np.einsum(pair_sub, a.coeffs[..., pi], b.coeffs[..., pj])
+        prod += pw * np.einsum(pair_sub, a.coeffs[..., pj], b.coeffs[..., pi])
+        return Jet(sp, _pad(sp, np.add.reduceat(prod, starts, axis=-1), n), v)
     if isinstance(a, Jet):
         out = np.einsum(f"{sa}P,{sb}->{rhs}P", a.coeffs, np.asarray(b, dtype=float))
         return Jet(a.space, out, a.valid)

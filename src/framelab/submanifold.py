@@ -12,15 +12,17 @@ by largest-residual pivoting, and then frozen. The frame field is therefore
 smooth across the whole chart (or the construction fails loudly when a
 residual drops below the breakdown threshold).
 
-FramePointData is the workhorse: one instance bundles every jet the rest of
+FramePointData is the workhorse: one instance gives every jet the rest of
 the package needs at a single parameter point (frame, connection forms, the
 skew tensor field S, the deformed metric, its Levi-Civita data, and the
-curvature in frame components). Downstream modules consume it directly.
+curvature in frame components), each built when it is first read.
+Downstream modules consume it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -216,13 +218,20 @@ class FramePointData:
     Rfr         (d,d,d,d)  Rfr[i,j,k,l] = g(R(e_k,e_l) e_j, e_i), valid 1
     ==========  =========  ==================================================
 
+    `phi`, `J`, `G` and `E` are built in the constructor, so an immersion,
+    metric or frame that fails raises from `frame_data` at once. Every other
+    attribute in the table is built on first use and then kept; many
+    callers read only a few of them (a finite-difference oracle reads just
+    `g_chart` or `gt_chart` at its shifted points). Each one depends only on
+    the eager jets and on other attributes, so the values do not depend on
+    the order in which they are read.
+
     The frame-block masks `hmask`/`mmask` select the diagonal/off-diagonal
     blocks of a (d, d) frame matrix with respect to the tangent/normal split.
     """
 
     def __init__(self, sub: ImmersedSubmanifold, u0: np.ndarray):
         p, d = sub.p, sub.ambient.dim
-        self.sub = sub
         self.u0 = u0.copy()
         self.p, self.n, self.d = p, sub.n, d
         uspace = get_space(p, 4)
@@ -235,10 +244,8 @@ class FramePointData:
         self.x0 = phi.val.copy()
         self.J = jstack([phi.d(a) for a in range(p)], axis=-1)
 
-        Gx, Gammax, Rx = sub.ambient.geometry_jets(self.x0, 3)
-        self.G = jet_pullback(Gx, phi, self.x0)
-        self.Gam = jet_pullback(Gammax, phi, self.x0)
-        self.R = jet_pullback(Rx, phi, self.x0)
+        self._Gx = sub.ambient.metric_jets(self.x0, 3)
+        self.G = jet_pullback(self._Gx, phi, self.x0)
 
         cols = [self.J[:, a] for a in range(p)]
         for ax in sub.pivots:
@@ -246,49 +253,101 @@ class FramePointData:
             onehot[ax] = 1.0
             cols.append(uspace.constant(onehot))
         self.E = gram_schmidt_jets(cols, self.G, n_given=p)
-        self.Einv = jet_einsum("ji,jk->ik", self.E, self.G)
-
-        omegas = []
-        for a in range(p):
-            covE = self.E.d(a) + jet_einsum(
-                "il,lj->ij", jet_einsum("ikl,k->il", self.Gam, self.J[:, a]), self.E
-            )
-            omegas.append(jet_einsum("ij,jk->ik", self.Einv, covE))
-        self.omega = jstack(omegas, axis=0)
-
-        JtG = jet_einsum("ka,kl->al", self.J, self.G)
-        self.g_chart = jet_einsum("al,lb->ab", JtG, self.J)
-        E_tan = self.E[:, :p]
-        self.C = jet_solve(self.g_chart, jet_einsum("al,lB->aB", JtG, E_tan))
-        self.Dmat = jet_inv(self.C)
 
         self.hmask = np.zeros((d, d))
         self.hmask[:p, :p] = 1.0
         self.hmask[p:, p:] = 1.0
         self.mmask = 1.0 - self.hmask
 
-        varpi = jet_einsum("aA,aij->Aij", self.C, self.omega)
-        self.varpi = varpi
-        self.Smats = varpi * self.mmask
+    # -- ambient geometry, x-space jets then pulled back along phi -------------
 
+    @cached_property
+    def _Gamx(self) -> Jet:
+        return christoffel_jets(self._Gx)
+
+    @cached_property
+    def Gam(self) -> Jet:
+        return jet_pullback(self._Gamx, self.phi, self.x0)
+
+    @cached_property
+    def R(self) -> Jet:
+        return jet_pullback(curvature_jets(self._Gamx), self.phi, self.x0)
+
+    # -- frame data, built on first use ---------------------------------------
+
+    @cached_property
+    def Einv(self) -> Jet:
+        return jet_einsum("ji,jk->ik", self.E, self.G)
+
+    @cached_property
+    def omega(self) -> Jet:
+        omegas = []
+        for a in range(self.p):
+            covE = self.E.d(a) + jet_einsum(
+                "il,lj->ij", jet_einsum("ikl,k->il", self.Gam, self.J[:, a]), self.E
+            )
+            omegas.append(jet_einsum("ij,jk->ik", self.Einv, covE))
+        return jstack(omegas, axis=0)
+
+    @cached_property
+    def _JtG(self) -> Jet:
+        return jet_einsum("ka,kl->al", self.J, self.G)
+
+    @cached_property
+    def g_chart(self) -> Jet:
+        return jet_einsum("al,lb->ab", self._JtG, self.J)
+
+    @cached_property
+    def C(self) -> Jet:
+        E_tan = self.E[:, : self.p]
+        return jet_solve(self.g_chart, jet_einsum("al,lB->aB", self._JtG, E_tan))
+
+    @cached_property
+    def Dmat(self) -> Jet:
+        return jet_inv(self.C)
+
+    @cached_property
+    def Smats(self) -> Jet:
+        return jet_einsum("aA,aij->Aij", self.C, self.omega) * self.mmask
+
+    @cached_property
+    def Pfr(self) -> Jet:
+        p = self.p
         S2 = jet_einsum("Aij,Ajk->ik", self.Smats, self.Smats)
-        self.Pfr = uspace.constant(np.eye(p)) - 2.0 * S2[:p, :p]
+        return self.uspace.constant(np.eye(p)) - 2.0 * S2[:p, :p]
 
-        self.Gam_chart = christoffel_jets(self.g_chart)
+    @cached_property
+    def Gam_chart(self) -> Jet:
+        return christoffel_jets(self.g_chart)
 
+    @cached_property
+    def gt_chart(self) -> Jet:
         t = jet_einsum("Aa,AB->aB", self.Dmat, self.Pfr)
-        self.gt_chart = jet_einsum("aB,Bb->ab", t, self.Dmat)
-        self.Gamt = christoffel_jets(self.gt_chart)
-        self.Rt_chart = curvature_jets(self.Gamt)
+        return jet_einsum("aB,Bb->ab", t, self.Dmat)
 
-        units = [uspace.constant(np.eye(p)[:, k]) for k in range(p)]
-        self.W = gram_schmidt_jets(units, self.Pfr)
-        self.Wchart = jet_einsum("aA,AB->aB", self.C, self.W)
+    @cached_property
+    def Gamt(self) -> Jet:
+        return christoffel_jets(self.gt_chart)
 
+    @cached_property
+    def Rt_chart(self) -> Jet:
+        return curvature_jets(self.Gamt)
+
+    @cached_property
+    def W(self) -> Jet:
+        units = [self.uspace.constant(np.eye(self.p)[:, k]) for k in range(self.p)]
+        return gram_schmidt_jets(units, self.Pfr)
+
+    @cached_property
+    def Wchart(self) -> Jet:
+        return jet_einsum("aA,AB->aB", self.C, self.W)
+
+    @cached_property
+    def Rfr(self) -> Jet:
         t = jet_einsum("mnqr,nj->mjqr", self.R, self.E)
         t = jet_einsum("mjqr,qk->mjkr", t, self.E)
         t = jet_einsum("mjkr,rl->mjkl", t, self.E)
-        self.Rfr = jet_einsum("im,mjkl->ijkl", self.Einv, t)
+        return jet_einsum("im,mjkl->ijkl", self.Einv, t)
 
     # -- numeric helpers -----------------------------------------------------
 

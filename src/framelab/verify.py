@@ -25,6 +25,7 @@ from . import frame_bundle as fb
 from . import gauss_map as gm
 from . import omn_geometry as og
 from . import operators as ops
+from .ambient import metric_at
 from .frame_bundle import (
     _ambient_deriv_frame,
     _curvature_matrix,
@@ -87,7 +88,7 @@ def _affine_field(fd, rng):
     """Tangent chart field, affine in u, unit g-norm at the base point."""
     a = rng.standard_normal(fd.p)
     b = 0.4 * rng.standard_normal((fd.p, fd.p))
-    j = fd.uspace.constant(a) + jet_einsum("ab,b->a", b, fd.uv)
+    j = fd.uspace.constant(a) + jet_einsum("ab,b->a", b, jstack(fd.uv, axis=0))
     n = float(np.sqrt(j.val @ fd.g_chart.val @ j.val))
     if n < 1e-8:
         return _affine_field(fd, rng)
@@ -1066,7 +1067,7 @@ def _christoffels_fd(gfun, u, h, p):
 
 def _ambient_metric_fun(M):
     amb = M.ambient
-    return lambda x: amb.metric_at(np.asarray(x, dtype=float))
+    return lambda x: metric_at(amb, np.asarray(x, dtype=float))
 
 
 def _ambient_christoffels_fd(M, x, h):
@@ -1144,7 +1145,7 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u, step: float = None, Xf=N
             up[a] += h
             um[a] -= h
             dY = dY + x0[a] * (yamb(up) - yamb(um)) / (2.0 * h)
-        gam = _ambient_christoffels_fd(M, fd0.x, h)
+        gam = _ambient_christoffels_fd(M, fd0.x0, h)
         xa = fd0.J.val @ x0
         return dY + np.einsum("ijk,j,k->i", gam, xa, yamb(u))
     if quantity == "curvature_ambient":
@@ -1152,8 +1153,8 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u, step: float = None, Xf=N
         fd0 = M.frame_data(u)
         d = M.ambient.dim
         gamfun = lambda x: _ambient_christoffels_fd(M, x, h)
-        Rup = _curvature_from_christoffels(gamfun, fd0.x, h, d)
-        G0 = _ambient_metric_fun(M)(fd0.x)
+        Rup = _curvature_from_christoffels(gamfun, fd0.x0, h, d)
+        G0 = _ambient_metric_fun(M)(fd0.x0)
         E = fd0.E.val
         low = np.einsum("im,mjkl->ijkl", G0, Rup)
         return np.einsum("ijkl,ia,jb,kc,ld->abcd", low, E, E, E, E)

@@ -9,6 +9,7 @@ from framelab.jets import (
     jcos,
     jcosh,
     jet_dot,
+    jet_einsum,
     jet_inv,
     jet_matmul,
     jet_matvec,
@@ -86,6 +87,31 @@ def test_product_commutes_bitwise():
         a = Jet(sp, rng.standard_normal(sp.ncoeff), sp.order)
         b = Jet(sp, rng.standard_normal(sp.ncoeff), sp.order)
         assert np.array_equal((a * b).coeffs, (b * a).coeffs)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_truncated_product_matches_full_product(nvars):
+    # A product of jets valid to v sums only the pairs that reach degree v.
+    # On degrees <= v it must equal the product over the whole pair table
+    # bitwise, and above v it must be exactly zero.
+    rng = np.random.default_rng(11)
+    sp = get_space(nvars, 4)
+    for va in range(sp.order + 1):
+        for vb in range(sp.order + 1):
+            v = min(va, vb)
+            low = sp.mask_le[v]
+            ca = rng.standard_normal((2, 3, sp.ncoeff)) * sp.mask_le[va]
+            cb = rng.standard_normal((3, 2, sp.ncoeff)) * sp.mask_le[vb]
+            a, b = Jet(sp, ca, va), Jet(sp, cb, vb)
+            a_full, b_full = Jet(sp, ca, sp.order), Jet(sp, cb, sp.order)
+            pairs = [
+                (a[:, 0] * b[0, :], a_full[:, 0] * b_full[0, :]),
+                (jet_einsum("ik,kj->ij", a, b), jet_einsum("ik,kj->ij", a_full, b_full)),
+            ]
+            for cut, full in pairs:
+                assert cut.valid == v
+                assert np.array_equal(cut.coeffs[..., low], full.coeffs[..., low])
+                assert not np.any(cut.coeffs[..., ~low])
 
 
 def test_derivative_lowers_valid_and_extraction_guards():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,59 @@ def test_out_of_domain_rejected():
     M = builtin_submanifold("circle")
     with pytest.raises(FrameError, match="outside"):
         M.frame_data([2.0])
+
+
+def test_pivot_breakdown_away_from_centre_raises_on_call():
+    # Pivots are frozen at u = 0, where the tangent is e_2 and the pivot is
+    # e_1; at u = pi/2 the tangent is parallel to e_1.
+    M = ImmersedSubmanifold(1, [[-1.6, 1.6]], ["cos(u1)", "sin(u1)"], euclidean(2))
+    M.frame_data([0.0])
+    with pytest.raises(FrameError, match="pivot failure"):
+        M.frame_data([np.pi / 2])
+
+
+# Attributes of FramePointData that are built on first use.
+LAZY_ATTRIBUTES = (
+    "Gam", "R", "Einv", "omega", "g_chart", "C", "Dmat", "Smats", "Pfr",
+    "Gam_chart", "gt_chart", "Gamt", "Rt_chart", "W", "Wchart", "Rfr",
+)
+
+
+def test_frame_attributes_built_on_first_use():
+    fd = builtin_submanifold("sphere2").frame_data([1.1, 0.2])
+    assert not set(LAZY_ATTRIBUTES) & set(vars(fd))
+    fd.g_chart
+    assert "g_chart" in vars(fd)
+    for name in ("Rfr", "Rt_chart", "W", "Gam", "R", "omega", "gt_chart"):
+        assert name not in vars(fd)
+
+
+@pytest.mark.parametrize("name", ["circle", "sphere2", "great2(0.5)", "clifford"])
+def test_frame_attributes_independent_of_read_order(name):
+    M = builtin_submanifold(name)
+    u = sample_points(M, 1, seed=3)[0]
+    forward = builtin_submanifold(name).frame_data(u)
+    backward = M.frame_data(u)
+    for attr in LAZY_ATTRIBUTES[::-1]:
+        getattr(backward, attr)
+    for attr in LAZY_ATTRIBUTES:
+        assert np.array_equal(getattr(forward, attr).coeffs, getattr(backward, attr).coeffs), attr
+
+
+def test_manifold_freed_without_cycle_collector():
+    # The frame cache must not refer back to its manifold, or a dropped
+    # manifold would wait for the cyclic garbage collector.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        M = builtin_submanifold("clifford")
+        M.frame_data([0.3, -0.5]).Rfr
+        ref = weakref.ref(M)
+        del M
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_plane_second_fundamental_form_vanishes():

@@ -1,0 +1,67 @@
+import numpy as np
+import pytest
+
+from framelab import verify
+from framelab.omn_geometry import domain_samples
+from framelab.submanifold import builtin_submanifold
+
+# Cases whose witness on the Clifford torus stays below WITNESS_FLOOR. The
+# torus is flat with constant P, so the quantities these cases need to be
+# nonzero vanish there. Each is reported as a failing "vacuous" row; the
+# list is exact, so both a new failure and a fixed witness change it.
+VACUOUS_ON_CLIFFORD = (
+    "deformed-connection-via-leibniz",
+    "gil-medrano-pairing",
+    "q-operator-deformed-skewness",
+    "sectional-horizontal-vs-curvature",
+    "sectional-mixed-vs-curvature",
+    "mixed-vertical-sectional-nonnegative",
+    "christoffel-jets-vs-fd",
+)
+
+# Largest relative error accepted from fd_relative_error: 100 h^2 for the
+# oracle's default central-difference step h (1e-4 for quantities of first
+# derivatives of the metric, 1e-3 for curvatures). The benchmark's fd_check
+# workload (perfbench/workload.py, FD_TOL) accepts the same.
+FD_TOL = {
+    "gamma_chart": 1e-6,
+    "gamma_tilde": 1e-6,
+    "nabla_vec": 1e-6,
+    "nabla_prime_vec": 1e-6,
+    "nabla_tilde_vec": 1e-6,
+    "curvature_ambient": 1e-4,
+    "curvature_prime": 1e-4,
+}
+
+
+@pytest.fixture(scope="module")
+def report():
+    return verify.run_suite(builtins=verify.DEFAULT_BUILTINS, samples=5)
+
+
+def test_every_row_completes(report):
+    crashed = [(r.case_id, r.builtin, r.point, r.error) for r in report.results if r.residual is None]
+    assert crashed == []
+
+
+def test_only_known_vacuous_witnesses_fail(report):
+    assert verify.WITNESS_FLOOR == 1e-6
+    failing = sorted((r.case_id, r.builtin, r.error) for r in report.results if not r.passed)
+    vacuous = "vacuous check: witness magnitude below floor"
+    assert failing == sorted((cid, "clifford", vacuous) for cid in VACUOUS_ON_CLIFFORD)
+
+
+def test_fd_tolerances_cover_every_quantity():
+    assert set(FD_TOL) == set(verify.FD_QUANTITIES)
+
+
+@pytest.mark.parametrize("name", verify.DEFAULT_BUILTINS)
+def test_fd_oracles_agree_with_jets(name):
+    M = builtin_submanifold(name)
+    over = []
+    for u in domain_samples(M, 5, seed=0):
+        for q, tol in FD_TOL.items():
+            err = verify.fd_relative_error(M, q, u)
+            if not err < tol:
+                over.append((q, np.round(u, 6).tolist(), err))
+    assert over == []
