@@ -4,7 +4,7 @@ Expressions are parsed from text into an immutable AST and evaluated as
 truncated Taylor jets, so every partial derivative up to the requested order
 is exact (no finite differencing anywhere in this path).
 
-Grammar (see docs/expression-grammar.md for the EBNF):
+Grammar:
 
     expr   : term (("+" | "-") term)*          left associative
     term   : unary (("*" | "/") unary)*        left associative

@@ -16,21 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, jet_einsum, jstack
+from .jets import jet_einsum
 from . import operators as ops
-from .operators import OperatorError, SkewEndo, hm_split_mat, skew_inner
+from .operators import SkewEndo, hm_split_mat, skew_inner
 from .submanifold import (
     AdaptedFrame,
     FramePointData,
     ImmersedSubmanifold,
-    TangentVectorM,
     adapted_frame_at,
+    as_ambient,
 )
 
 __all__ = [
     "FrameBundleError",
     "LiftedVector",
-    "VerticalComponents",
     "lifted",
     "sasaki_mok_inner",
     "vertical_from_tensor",
@@ -40,7 +39,6 @@ __all__ = [
     "nabla_ON",
     "nabla_ON_primed",
     "nabla_ON_section",
-    "section_velocity",
     "decompose_OMN",
     "tangent_generators",
     "normal_generators",
@@ -49,13 +47,6 @@ __all__ = [
 
 class FrameBundleError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class VerticalComponents:
-    """Frame components u^{-1} T u of an endomorphism T at the frame u."""
-
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -139,54 +130,18 @@ def vertical_from_frame_matrix(M: ImmersedSubmanifold, u, mat) -> LiftedVector:
 
 def horizontal_lift(M: ImmersedSubmanifold, u, X) -> LiftedVector:
     """X^h: horizontal part X, zero vertical part."""
-    return lifted(M, u, horizontal=_amb(X))
+    return lifted(M, u, horizontal=as_ambient(X))
 
 
 def horizontal_lift_prime(M: ImmersedSubmanifold, u, X) -> LiftedVector:
     """X^{h'} = X^h + bar(S_X) for X tangent to M."""
     fd = M.frame_data(np.asarray(u, dtype=float))
-    Xa = _amb(X)
+    Xa = as_ambient(X)
     xc = fd.chart_of_tangent(Xa)
     if np.max(np.abs(fd.J.val @ xc - Xa)) > 1e-8:
         raise FrameBundleError("horizontal_lift_prime needs a tangent vector")
     smat = ops.s_field_matrix(fd, fd.uspace.constant(xc)).val
     return lifted(M, u, horizontal=Xa, vertical=smat)
-
-
-def _amb(X) -> np.ndarray:
-    if isinstance(X, TangentVectorM):
-        return X.ambient
-    return np.asarray(X, dtype=float)
-
-
-def _endo_jet(fd: FramePointData, T) -> Jet:
-    """Normalize an endo-field spec to a (d, d) frame-component jet."""
-    if callable(T):
-        return T(fd)
-    if isinstance(T, SkewEndo):
-        return fd.uspace.constant(T.mat)
-    return fd.uspace.constant(np.asarray(T, dtype=float))
-
-
-def _full_frame_field(fd: FramePointData, Xc: Jet) -> Jet:
-    """Frame components (length d) of a tangent chart-coefficient field."""
-    xfr = jet_einsum("Aa,a->A", fd.Dmat, Xc)
-    zeros = fd.uspace.constant(np.zeros(fd.d - fd.p))
-    return jstack([xfr[i] for i in range(fd.p)] + [zeros[i] for i in range(fd.d - fd.p)], axis=0)
-
-
-def _ambient_deriv_frame(fd: FramePointData, Xc: Jet, yF: Jet) -> Jet:
-    """Frame components of nabla_X Y for a full frame-component field yF."""
-    terms = [Xc[a] * (yF.d(a) + jet_einsum("ij,j->i", fd.omega[a], yF)) for a in range(fd.p)]
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
-
-
-def _curvature_matrix(fd: FramePointData, xF: Jet, yF: Jet) -> Jet:
-    """Frame matrix of R(X, Y) for full frame-component vectors."""
-    return jet_einsum("ijl,l->ij", jet_einsum("ijkl,k->ijl", fd.Rfr, xF), yF)
 
 
 def nabla_ON(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
@@ -205,30 +160,30 @@ def nabla_ON(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
         Xf, Yf = args
         Xc = ops.as_chart_field(fd, Xf)
         Yc = ops.as_chart_field(fd, Yf)
-        xF = _full_frame_field(fd, Xc)
-        yF = _full_frame_field(fd, Yc)
-        dy = _ambient_deriv_frame(fd, Xc, yF).val
-        Rm = _curvature_matrix(fd, xF, yF).val
+        xF = ops.full_frame_field(fd, Xc)
+        yF = ops.full_frame_field(fd, Yc)
+        dy = ops.ambient_deriv_frame(fd, Xc, yF).val
+        Rm = ops.curvature_matrix(fd, xF, yF).val
         return lifted(M, u, horizontal=fd.ambient_components(dy), vertical=-0.5 * Rm)
     if case == "vh":
         T, Xf = args
-        Tj = _endo_jet(fd, T)
+        Tj = ops.as_endo_field(fd, T)
         Xc = ops.as_chart_field(fd, Xf)
-        xF = _full_frame_field(fd, Xc).val
+        xF = ops.full_frame_field(fd, Xc).val
         RT = ops.rt_matrix_jet(fd, Tj).val
         return lifted(M, u, horizontal=fd.ambient_components(0.5 * RT @ xF))
     if case == "hv":
         Xf, T = args
         Xc = ops.as_chart_field(fd, Xf)
-        Tj = _endo_jet(fd, T)
-        xF = _full_frame_field(fd, Xc).val
+        Tj = ops.as_endo_field(fd, T)
+        xF = ops.full_frame_field(fd, Xc).val
         RT = ops.rt_matrix_jet(fd, Tj).val
         dT = ops.nabla_t_field_jet(fd, Tj, Xc, "ambient").val
         return lifted(M, u, horizontal=fd.ambient_components(0.5 * RT @ xF), vertical=dT)
     if case == "vv":
         T, Tp = args
-        A = _endo_jet(fd, T).val
-        B = _endo_jet(fd, Tp).val
+        A = ops.as_endo_field(fd, T).val
+        B = ops.as_endo_field(fd, Tp).val
         return lifted(M, u, vertical=0.5 * (B @ A - A @ B))
     raise FrameBundleError(f"unknown case {case!r}")
 
@@ -260,15 +215,6 @@ def nabla_ON_primed(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector
     raise FrameBundleError(f"unknown case {case!r}")
 
 
-def section_velocity(fd: FramePointData, Xc: Jet) -> np.ndarray:
-    """Vertical frame components of the adapted-section velocity over X.
-
-    Moving the base point with X drags the adapted frame; the resulting
-    bundle velocity is X^h + bar(omega_X) with omega_X the connection form.
-    """
-    return jet_einsum("a,aij->ij", Xc, fd.omega).val
-
-
 def nabla_ON_section(M: ImmersedSubmanifold, u, Xf, yframe, endof) -> LiftedVector:
     """Covariant derivative along the adapted section of a lifted field.
 
@@ -279,14 +225,14 @@ def nabla_ON_section(M: ImmersedSubmanifold, u, Xf, yframe, endof) -> LiftedVect
     """
     fd = M.frame_data(np.asarray(u, dtype=float))
     Xc = ops.as_chart_field(fd, Xf)
-    xF = _full_frame_field(fd, Xc)
+    xF = ops.full_frame_field(fd, Xc)
     yF = yframe(fd)
-    Tj = _endo_jet(fd, endof)
+    Tj = ops.as_endo_field(fd, endof)
     omX = jet_einsum("a,aij->ij", Xc, fd.omega)
 
     # horizontal-direction pieces
-    dy = _ambient_deriv_frame(fd, Xc, yF)
-    Rxy = _curvature_matrix(fd, xF, yF)
+    dy = ops.ambient_deriv_frame(fd, Xc, yF)
+    Rxy = ops.curvature_matrix(fd, xF, yF)
     RT = ops.rt_matrix_jet(fd, Tj)
     dT = ops.nabla_t_field_jet(fd, Tj, Xc, "ambient")
     # vertical-direction pieces along bar(omega_X)
@@ -311,10 +257,7 @@ def decompose_OMN(v: LiftedVector) -> tuple[LiftedVector, LiftedVector]:
     p, d = fd.p, fd.d
     hfr = fd.frame_components(v.horizontal)
     Vh, Vm = hm_split_mat(v.vertical.mat, p)
-    svec = 2.0 * np.einsum("Aij,jA->i", fd.Smats.val, Vm[:, :p])[:p]
-    if np.linalg.cond(fd.Pfr.val) > 1e12:
-        raise OperatorError("operator P is numerically singular")
-    xtan = np.linalg.solve(fd.Pfr.val, hfr[:p] - svec)
+    xtan = ops.solve_P(fd, hfr[:p] - ops.s_tm_tangent_jet(fd, Vm).val)
     xc = fd.C.val @ xtan
     SX = ops.s_field_matrix(fd, fd.uspace.constant(xc)).val
     xfull = np.zeros(d)
@@ -355,6 +298,5 @@ def normal_generators(M: ImmersedSubmanifold, u) -> list[LiftedVector]:
     for A in range(p):
         for al in range(p, d):
             Tm = ops.basis_T(d, A, al)
-            svec = 2.0 * np.einsum("Aij,jA->i", fd.Smats.val, Tm[:, :p])
-            out.append(lifted(M, u, horizontal=fd.ambient_components(svec), vertical=Tm))
+            out.append(lifted(M, u, horizontal=ops.S_Tm_vector(M, u, Tm).ambient, vertical=Tm))
     return out

@@ -1,15 +1,18 @@
 """The tangent-plane map into the Grassmann bundle and its tension field.
 
 The map sends a point of M to its tangent space, viewed inside the bundle of
-p-plane subspaces of TN. Tangent vectors of that bundle split into a
-horizontal part (an ambient vector) and an off-diagonal vertical part (a skew
-endomorphism with zero diagonal blocks in the adapted frame); the diagonal
-blocks are quotiented away. The deformed metric on M is exactly the pullback
-of the bundle metric under the map, which is why the tension field is taken
-with respect to it. The module evaluates the pushforward, the bundle
-connection, the tension field in two ways, the three harmonicity residuals,
-the two minimality residuals, and the equivalence between harmonicity and
-minimality of the adapted-frame subbundle.
+p-plane subspaces of TN, the quotient of the frame bundle by the adapted
+rotations. Its tangent vectors are the frame-bundle LiftedVectors whose
+vertical part (a skew endomorphism in the adapted frame) has zero diagonal
+blocks: the diagonal blocks are quotiented away. So the bundle metric is
+sasaki_mok_inner, and the bundle connection is the m-projection of nabla_ON:
+nabla_ON evaluated on off-diagonal ("m"-masked) endomorphism fields, with the
+diagonal blocks of the result's vertical part dropped. The deformed metric
+on M is exactly the pullback of the bundle metric under the map, which is why
+the tension field is taken with respect to it. The module evaluates the
+pushforward, the bundle connection, the tension field in two ways, the three
+harmonicity residuals, the two minimality residuals, and the equivalence
+between harmonicity and minimality of the adapted-frame subbundle.
 """
 
 from __future__ import annotations
@@ -20,16 +23,14 @@ import numpy as np
 
 from . import omn_geometry as og
 from . import operators as ops
-from .frame_bundle import _ambient_deriv_frame, _curvature_matrix, _full_frame_field
+from .frame_bundle import LiftedVector, lifted, nabla_ON
 from .jets import Jet, jet_einsum
-from .operators import SkewEndo, hm_split_mat, skew_inner
-from .submanifold import AdaptedFrame, FramePointData, ImmersedSubmanifold, adapted_frame_at
+from .operators import hm_split_mat, skew_inner
+from .submanifold import FramePointData, ImmersedSubmanifold, as_ambient
 
 __all__ = [
     "GaussMapError",
-    "GrassmannVector",
     "grassmann_vector",
-    "grassmann_inner",
     "grassmann_nabla",
     "gauss_pushforward",
     "tension_field",
@@ -37,6 +38,7 @@ __all__ = [
     "HarmonicityData",
     "harmonicity_residuals",
     "minimality_residuals",
+    "implication_residuals",
     "HarmonicityReport",
     "is_harmonic",
     "TheoremReport",
@@ -48,117 +50,48 @@ class GaussMapError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GrassmannVector:
-    """Tangent vector of the plane bundle at a point of M.
-
-    horizontal: ambient components at the base point.
-    vertical: skew endomorphism in frame components, zero diagonal blocks.
-    """
-
-    sub: ImmersedSubmanifold
-    base: AdaptedFrame
-    horizontal: np.ndarray
-    vertical: SkewEndo
-
-    def __add__(self, other: "GrassmannVector") -> "GrassmannVector":
-        _same_base(self, other)
-        return GrassmannVector(
-            self.sub,
-            self.base,
-            self.horizontal + other.horizontal,
-            SkewEndo(self.base, self.vertical.mat + other.vertical.mat, self.vertical.p),
-        )
-
-    def __sub__(self, other: "GrassmannVector") -> "GrassmannVector":
-        return self + (-1.0) * other
-
-    def __rmul__(self, c: float) -> "GrassmannVector":
-        return GrassmannVector(
-            self.sub,
-            self.base,
-            c * self.horizontal,
-            SkewEndo(self.base, c * self.vertical.mat, self.vertical.p),
-        )
-
-    def norm(self) -> float:
-        return float(np.sqrt(max(grassmann_inner(self, self), 0.0)))
-
-
-def _same_base(v: GrassmannVector, w: GrassmannVector):
-    if v.sub is not w.sub or not np.array_equal(v.base.u, w.base.u):
-        raise GaussMapError("vectors live over different points")
-
-
-def grassmann_vector(M: ImmersedSubmanifold, u, horizontal=None, vertical=None) -> GrassmannVector:
+def grassmann_vector(M: ImmersedSubmanifold, u, horizontal=None, vertical=None) -> LiftedVector:
     """Assemble a vector; the vertical matrix must have zero diagonal blocks."""
     fd = M.frame_data(np.asarray(u, dtype=float))
-    fr = adapted_frame_at(M, u)
-    h = np.zeros(fd.d) if horizontal is None else np.asarray(horizontal, dtype=float)
     vmat = np.zeros((fd.d, fd.d)) if vertical is None else np.asarray(vertical, dtype=float)
     h_part = hm_split_mat(0.5 * (vmat - vmat.T), fd.p)[0]
     if np.max(np.abs(h_part)) > 1e-10:
         raise GaussMapError("vertical part must have zero diagonal blocks")
-    return GrassmannVector(M, fr, h, SkewEndo(fr, vmat * fd.mmask, fd.p))
-
-
-def grassmann_inner(v: GrassmannVector, w: GrassmannVector) -> float:
-    _same_base(v, w)
-    fd = v.sub.frame_data(v.base.u)
-    hv = fd.frame_components(v.horizontal)
-    hw = fd.frame_components(w.horizontal)
-    return float(hv @ hw) + skew_inner(v.vertical, w.vertical)
+    return lifted(M, u, horizontal=horizontal, vertical=vmat * fd.mmask)
 
 
 # -- connection --------------------------------------------------------------
 
+# Positions of the endomorphism-field arguments in each connection case.
+_ENDO_ARGS = {"hh": (), "hv": (1,), "vh": (0,), "vv": (0, 1)}
 
-def grassmann_nabla(M: ImmersedSubmanifold, u, case: str, *args) -> GrassmannVector:
+
+def grassmann_nabla(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
     """Levi-Civita connection of the plane bundle on lifted fields.
+
+    The m-projection of nabla_ON: nabla_ON on the m-parts of the
+    endomorphism fields, keeping the m-part of the result's vertical part.
 
     case "hh", (Xf, Yf): (nabla_X Y)^{hGr} - 1/2 hat(R(X,Y))
     case "hv", (Xf, T):  hat(nabla'_X T_m) + 1/2 R_{T_m}(X)^{hGr}
     case "vh", (T, Yf):  1/2 R_{T_m}(Y)^{hGr}
     case "vv", (T, Tp):  0
     """
+    if case not in _ENDO_ARGS:
+        raise GaussMapError(f"unknown case {case!r}")
     fd = M.frame_data(np.asarray(u, dtype=float))
-    mm = fd.mmask
-
-    def endo(T) -> Jet:
-        j = T(fd) if callable(T) else fd.uspace.constant(np.asarray(ops._mat(T), dtype=float))
-        return j * mm
-
-    if case == "hh":
-        Xf, Yf = args
-        Xc = ops.as_chart_field(fd, Xf)
-        yF = _full_frame_field(fd, ops.as_chart_field(fd, Yf))
-        xF = _full_frame_field(fd, Xc)
-        dy = _ambient_deriv_frame(fd, Xc, yF).val
-        Rm = _curvature_matrix(fd, xF, yF).val * mm
-        return grassmann_vector(M, u, horizontal=fd.ambient_components(dy), vertical=-0.5 * Rm)
-    if case == "hv":
-        Xf, T = args
-        Xc = ops.as_chart_field(fd, Xf)
-        Tj = endo(T)
-        xF = _full_frame_field(fd, Xc).val
-        RT = ops.rt_matrix_jet(fd, Tj).val
-        dT = ops.nabla_t_field_jet(fd, Tj, Xc, "prime").val * mm
-        return grassmann_vector(M, u, horizontal=fd.ambient_components(0.5 * RT @ xF), vertical=dT)
-    if case == "vh":
-        T, Yf = args
-        Tj = endo(T)
-        yF = _full_frame_field(fd, ops.as_chart_field(fd, Yf)).val
-        RT = ops.rt_matrix_jet(fd, Tj).val
-        return grassmann_vector(M, u, horizontal=fd.ambient_components(0.5 * RT @ yF))
-    if case == "vv":
-        return grassmann_vector(M, u)
-    raise GaussMapError(f"unknown case {case!r}")
+    args = [
+        (lambda q, T=a: ops.as_endo_field(q, T) * q.mmask) if i in _ENDO_ARGS[case] else a
+        for i, a in enumerate(args)
+    ]
+    v = nabla_ON(M, u, case, *args)
+    return grassmann_vector(M, u, horizontal=v.horizontal, vertical=v.vertical.mat * fd.mmask)
 
 
-def gauss_pushforward(M: ImmersedSubmanifold, u, X) -> GrassmannVector:
+def gauss_pushforward(M: ImmersedSubmanifold, u, X) -> LiftedVector:
     """Pushforward of a tangent vector: X^{hGr} + hat(S_X)."""
     fd = M.frame_data(np.asarray(u, dtype=float))
-    Xa = X.ambient if hasattr(X, "ambient") else np.asarray(X, dtype=float)
+    Xa = as_ambient(X)
     if Xa.shape == (fd.p,):
         xc = Xa
         Xa = fd.J.val @ xc
@@ -174,7 +107,7 @@ def gauss_pushforward(M: ImmersedSubmanifold, u, X) -> GrassmannVector:
 
 
 def _tilde_frames(fd: FramePointData, rotation=None) -> list[Jet]:
-    frames = [fd.Wchart[:, A] for A in range(fd.p)]
+    frames = og.tilde_frame_fields(fd)
     if rotation is None:
         return frames
     Q = np.asarray(rotation, dtype=float)
@@ -207,9 +140,9 @@ def _tension_parts(fd: FramePointData, rotation=None):
     prime = zero_p
     dS = zero_mat
     for Ec in _tilde_frames(fd, rotation):
-        EF = _full_frame_field(fd, Ec)
+        EF = ops.full_frame_field(fd, Ec)
         SE = ops.s_field_matrix(fd, Ec)
-        amb = amb + _ambient_deriv_frame(fd, Ec, EF)
+        amb = amb + ops.ambient_deriv_frame(fd, Ec, EF)
         rterm = rterm + jet_einsum("ij,j->i", ops.rt_matrix_jet(fd, SE), EF)
         tilde = tilde + ops.vec_tilde_nabla_jet(fd, Ec, Ec)
         prime = prime + ops.vec_nabla_prime_jet(fd, Ec, Ec)
@@ -217,7 +150,7 @@ def _tension_parts(fd: FramePointData, rotation=None):
     return amb, rterm, tilde, prime, dS
 
 
-def tension_field(M: ImmersedSubmanifold, u, rotation=None) -> GrassmannVector:
+def tension_field(M: ImmersedSubmanifold, u, rotation=None) -> LiftedVector:
     """Closed-form tension of the plane map from (M, deformed metric).
 
     sum over a deformed-orthonormal frame e of
@@ -233,7 +166,7 @@ def tension_field(M: ImmersedSubmanifold, u, rotation=None) -> GrassmannVector:
     return grassmann_vector(M, u, horizontal=fd.ambient_components(horiz), vertical=vert)
 
 
-def tension_field_pullback(M: ImmersedSubmanifold, u) -> GrassmannVector:
+def tension_field_pullback(M: ImmersedSubmanifold, u) -> LiftedVector:
     """Tension assembled from the connection cases and the pushforward.
 
     For each frame field e, the pushforward field splits into a horizontal
@@ -298,7 +231,7 @@ class HarmonicityData:
         return float(np.sqrt(max(skew_inner(self.m2, self.m2), 0.0)))
 
 
-def _residual_data(M: ImmersedSubmanifold, u) -> HarmonicityData:
+def residual_data(M: ImmersedSubmanifold, u) -> HarmonicityData:
     u = np.asarray(u, dtype=float)
     fd = M.frame_data(u)
     p, d = fd.p, fd.d
@@ -319,19 +252,30 @@ def _residual_data(M: ImmersedSubmanifold, u) -> HarmonicityData:
 
 def harmonicity_residuals(M: ImmersedSubmanifold, u) -> tuple[float, float, float]:
     """Norms of the three conditions whose joint vanishing is harmonicity."""
-    data = _residual_data(M, u)
+    data = residual_data(M, u)
     return (data.r_h1, data.r_h2, data.r_h3)
 
 
 def minimality_residuals(M: ImmersedSubmanifold, u) -> tuple[float, float]:
     """Norms of the two conditions equivalent to minimality upstairs; the
     first is the same expression as the first harmonicity condition."""
-    data = _residual_data(M, u)
+    data = residual_data(M, u)
     return (data.r_m1, data.r_m2)
 
 
-def residual_data(M: ImmersedSubmanifold, u) -> HarmonicityData:
-    return _residual_data(M, u)
+def implication_residuals(M: ImmersedSubmanifold, data: HarmonicityData) -> tuple[float, float]:
+    """Max-norm residuals of m2 = h3 - S_{h2} and P(h2) = S_{m2}.
+
+    These two exact identities from the equivalence proof give the two
+    implication directions between the harmonicity and minimality
+    condition sets.
+    """
+    fd = M.frame_data(data.u)
+    h2 = data.h2[: fd.p]
+    s_h2 = ops.s_field_matrix(fd, fd.uspace.constant(fd.C.val @ h2)).val
+    r_m2 = float(np.max(np.abs(data.m2 - (data.h3 - s_h2))))
+    r_h2 = float(np.max(np.abs(fd.Pfr.val @ h2 - ops.s_tm_tangent_jet(fd, data.m2).val)))
+    return r_m2, r_h2
 
 
 @dataclass(frozen=True)
@@ -371,22 +315,16 @@ def theorem_check(M: ImmersedSubmanifold, samples: int = 50, tol: float = 1e-6, 
 
     The two verdicts must agree. The separated flag asks the outcome to be
     decisive: both residual sups below tol, or both at least 1e3 times tol.
-    Two exact identities from the equivalence proof ride along: m2 = h3 -
-    S_{h2} and P(h2) = S_{m2}, which give the two implication directions
-    between the condition sets.
+    The two identities of implication_residuals ride along.
     """
     mrep = og.is_minimal(M, samples=samples, tol=tol, seed=seed)
     hrep = is_harmonic(M, samples=samples, tol=tol, seed=seed)
     id_m2 = 0.0
     id_h2 = 0.0
     for u in og.domain_samples(M, min(samples, 10), seed=seed + 1):
-        fd = M.frame_data(u)
-        data = _residual_data(M, u)
-        s_h2 = ops.s_field_matrix(fd, fd.uspace.constant(fd.C.val @ data.h2[: fd.p])).val
-        id_m2 = max(id_m2, float(np.max(np.abs(data.m2 - (data.h3 - s_h2)))))
-        svec = 2.0 * np.einsum("Aij,jA->i", fd.Smats.val, data.m2[:, : fd.p])
-        lhs = fd.Pfr.val @ data.h2[: fd.p]
-        id_h2 = max(id_h2, float(np.max(np.abs(lhs - svec[: fd.p]))))
+        r_m2, r_h2 = implication_residuals(M, residual_data(M, u))
+        id_m2 = max(id_m2, r_m2)
+        id_h2 = max(id_h2, r_h2)
     lo = min(mrep.max_residual, hrep.max_residual)
     hi = max(mrep.max_residual, hrep.max_residual)
     separated = hi < tol or lo >= 1e3 * tol

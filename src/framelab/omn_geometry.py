@@ -19,8 +19,8 @@ from scipy.stats import qmc
 
 from . import operators as ops
 from .frame_bundle import LiftedVector, lifted, sasaki_mok_inner
-from .jets import Jet, jet_einsum, jet_solve
-from .operators import OperatorError, hm_split_mat, skew_inner
+from .jets import Jet, jet_einsum
+from .operators import hm_split_mat, skew_inner
 from .submanifold import FramePointData, ImmersedSubmanifold
 
 __all__ = [
@@ -67,7 +67,7 @@ def _chart_field(fd: FramePointData, spec) -> Jet:
 def _h_endo_field(fd: FramePointData, spec) -> Jet:
     if spec is None:
         return fd.uspace.constant(np.zeros((fd.d, fd.d)))
-    j = spec(fd) if callable(spec) else fd.uspace.constant(np.asarray(ops._mat(spec), dtype=float))
+    j = ops.as_endo_field(fd, spec)
     m_part = hm_split_mat(j.val, fd.p)[1]
     if np.max(np.abs(m_part)) > 1e-10:
         raise OmnError("vertical field must be block-diagonal (h-type)")
@@ -333,59 +333,44 @@ def sectional_OMN(plane: OmnPlane) -> float:
 # -- second fundamental form --------------------------------------------------------
 
 
-def _sigma_s2(fd, vtan: Jet) -> Jet:
-    """sum_A S_{e_A}^2 applied to a tangent-frame vector: (id - P)/2."""
-    return 0.5 * (vtan - jet_einsum("ij,j->i", fd.Pfr, vtan))
-
-
 def _pi_hh_jets(fd, Xc, Yc):
-    """Horizontal (frame, d) and vertical (d, d) jets of Pi(X^{h'}, Y^{h'})."""
-    p, d = fd.p, fd.d
-    from .frame_bundle import _ambient_deriv_frame, _full_frame_field
+    """Horizontal (frame, d) and vertical (d, d) jets of Pi(X^{h'}, Y^{h'}).
 
-    xF = _full_frame_field(fd, Xc)
-    yF = _full_frame_field(fd, Yc)
+    Pi = ((nabla_X Y)^perp + (R_{S_X} Y + R_{S_Y} X + V + Z)/2)^h
+    + 1/2 bar(m + S_Z), with V = nabla'_X Y + nabla'_Y X,
+    m = nabla'_X S_Y + nabla'_Y S_X and
+    Z = P^{-1}(S_m - (V + R_{S_X} Y + R_{S_Y} X)^top).
+    """
+    p, d = fd.p, fd.d
+    xF = ops.full_frame_field(fd, Xc)
+    yF = ops.full_frame_field(fd, Yc)
     SX = ops.s_field_matrix(fd, Xc)
     SY = ops.s_field_matrix(fd, Yc)
 
     nmask = np.concatenate([np.zeros(p), np.ones(d - p)])
-    embed = np.eye(d)[:, :p]
-    PiXY = _ambient_deriv_frame(fd, Xc, yF) * nmask
-
+    normal = ops.ambient_deriv_frame(fd, Xc, yF) * nmask
     rsum = jet_einsum("ij,j->i", ops.rt_matrix_jet(fd, SX), yF) + jet_einsum(
         "ij,j->i", ops.rt_matrix_jet(fd, SY), xF
     )
-
-    sym = ops.vec_nabla_prime_jet(fd, Xc, Yc) + ops.vec_nabla_prime_jet(fd, Yc, Xc)
-    w = jet_einsum("Aa,a->A", fd.Dmat, sym) + rsum[:p]
-    pinv_w = jet_solve(fd.Pfr, w)
-    S_pinv_w = ops.s_field_matrix(fd, jet_einsum("aA,A->a", fd.C, pinv_w))
-
+    V = ops.vec_nabla_prime_jet(fd, Xc, Yc) + ops.vec_nabla_prime_jet(fd, Yc, Xc)
     m_endo = ops.nabla_t_field_jet(fd, SY, Xc, "prime") + ops.nabla_t_field_jet(
         fd, SX, Yc, "prime"
     )
-    s_m = ops.s_tm_tangent_jet(fd, m_endo)
-    pinv_sm = jet_solve(fd.Pfr, s_m)
-    S_pinv_sm = ops.s_field_matrix(fd, jet_einsum("aA,A->a", fd.C, pinv_sm))
+    rhs = ops.s_tm_tangent_jet(fd, m_endo) - ops.frame_of_chart(fd, V) - rsum[:p]
+    Zc = jet_einsum("aA,A->a", fd.C, ops.solve_P(fd, rhs))
 
-    tan_part = (-1.0) * _sigma_s2(fd, pinv_w) + 0.5 * s_m + _sigma_s2(fd, pinv_sm)
-    horiz = PiXY + 0.5 * rsum * nmask + jet_einsum("iA,A->i", embed, tan_part)
-    vert = (-0.5) * S_pinv_w + 0.5 * m_endo + 0.5 * S_pinv_sm
+    horiz = normal + 0.5 * (rsum + ops.full_frame_field(fd, V + Zc))
+    vert = 0.5 * (m_endo + ops.s_field_matrix(fd, Zc))
     return horiz, vert
 
 
 def _pi_hv_jets(fd, Xc, Tj):
     """Pi(X^{h'}, bar T) = 1/2 (R_T(X) - Q_T(X))^h
     + 1/2 bar((nabla_X T)_m - S_{Q_T(X)})."""
-    p, d = fd.p, fd.d
-    from .frame_bundle import _full_frame_field
-
-    xF = _full_frame_field(fd, Xc)
+    xF = ops.full_frame_field(fd, Xc)
     RTX = jet_einsum("ij,j->i", ops.rt_matrix_jet(fd, Tj), xF)
     q = ops.q_t_chart_jet(fd, Tj, Xc)
-    qfr = jet_einsum("Aa,a->A", fd.Dmat, q)
-    qF = jet_einsum("iA,A->i", np.eye(d)[:, :p], qfr)
-    horiz = 0.5 * (RTX - qF)
+    horiz = 0.5 * (RTX - ops.full_frame_field(fd, q))
     dT_m = ops.nabla_t_field_jet(fd, Tj, Xc, "ambient") * fd.mmask
     vert = 0.5 * (dT_m - ops.s_field_matrix(fd, q))
     return horiz, vert
@@ -458,8 +443,8 @@ def mean_curvature_OMN(M: ImmersedSubmanifold, u) -> MeanCurvatureReport:
     for A in range(p):
         for j, al in enumerate(range(p, d)):
             Tm = ops.basis_T(d, A, al)
-            svec = 2.0 * np.einsum("Bij,jB->i", fd.Smats.val, Tm[:, :p])
-            t[A, j] = skew_inner(vval, Tm) + float(hval @ svec)
+            svec = ops.s_tm_tangent_jet(fd, Tm).val
+            t[A, j] = skew_inner(vval, Tm) + float(hval[:p] @ svec)
     return MeanCurvatureReport(u, H, z, t, H.norm())
 
 

@@ -10,8 +10,18 @@ fields are frame-component jet fields. Covariant derivatives act in frame
 components through the connection matrices omega^a (full ambient connection)
 or their block-diagonal part (the connection preserving the splitting).
 
-Tolerance ladder used by the identity checks downstream: 1e-8 for identities
-with one derivative, 1e-7 with two, 1e-6 with three.
+Public frame-field primitives, all jet-valued at one FramePointData, are
+the single home of their formulas for the frame-bundle modules:
+frame_of_chart and full_frame_field (chart coefficients of a tangent field to
+its p tangent-frame or d frame components), ambient_deriv_frame (nabla_X Y in
+frame components), curvature_matrix (frame matrix of R(X, Y)),
+s_field_matrix (S_X), s_tm_tangent_jet (S_{T_m}), rt_matrix_jet (R_T),
+endo_deriv_jet and nabla_t_field_jet (nabla_X T, full or primed), and
+solve_P (P^{-1}, refusing a numerically singular P). Field specs are
+normalised by as_chart_field (tangent fields) and as_endo_field
+(endomorphism fields); ambient vectors by submanifold.as_ambient.
+
+The tolerance ladder of the identity checks is verify.TOL_LADDER.
 """
 
 from __future__ import annotations
@@ -20,19 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, jet_einsum, jet_inv, jet_solve, jstack
+from .jets import Jet, jet_einsum, jet_solve, jstack
 from .submanifold import (
     AdaptedFrame,
     FramePointData,
     ImmersedSubmanifold,
     TangentVectorM,
     adapted_frame_at,
+    as_ambient,
 )
 
 __all__ = [
-    "TOL_FIRST",
-    "TOL_SECOND",
-    "TOL_THIRD",
     "OperatorError",
     "SkewEndo",
     "skew_inner",
@@ -50,6 +58,7 @@ __all__ = [
     "curvature_prime",
     "s_of_field",
     "as_chart_field",
+    "as_endo_field",
     "rt_matrix_jet",
     "s_field_matrix",
     "s_tm_tangent_jet",
@@ -58,14 +67,12 @@ __all__ = [
     "vec_tilde_nabla_jet",
     "q_t_chart_jet",
     "curvature_prime_jet",
-    "pinv_jet",
     "frame_of_chart",
-    "chart_of_frame",
+    "full_frame_field",
+    "ambient_deriv_frame",
+    "curvature_matrix",
+    "solve_P",
 ]
-
-TOL_FIRST = 1e-8
-TOL_SECOND = 1e-7
-TOL_THIRD = 1e-6
 
 
 class OperatorError(ValueError):
@@ -87,14 +94,11 @@ class SkewEndo:
 
     @property
     def h_part(self) -> np.ndarray:
-        out = np.zeros_like(self.mat)
-        out[: self.p, : self.p] = self.mat[: self.p, : self.p]
-        out[self.p:, self.p:] = self.mat[self.p:, self.p:]
-        return out
+        return hm_split_mat(self.mat, self.p)[0]
 
     @property
     def m_part(self) -> np.ndarray:
-        return self.mat - self.h_part
+        return hm_split_mat(self.mat, self.p)[1]
 
 
 def _mat(T) -> np.ndarray:
@@ -139,8 +143,23 @@ def frame_of_chart(fd: FramePointData, xc) -> Jet:
     return jet_einsum("Aa,a->A", fd.Dmat, xc)
 
 
-def chart_of_frame(fd: FramePointData, xfr) -> Jet:
-    return jet_einsum("aA,A->a", fd.C, xfr)
+def full_frame_field(fd: FramePointData, Xc: Jet) -> Jet:
+    """Frame components (length d, zero normal part) of a tangent chart field."""
+    return jet_einsum("iA,A->i", np.eye(fd.d)[:, : fd.p], frame_of_chart(fd, Xc))
+
+
+def ambient_deriv_frame(fd: FramePointData, Xc: Jet, yF: Jet) -> Jet:
+    """Frame components of nabla_X Y for a full frame-component field yF."""
+    terms = [Xc[a] * (yF.d(a) + jet_einsum("ij,j->i", fd.omega[a], yF)) for a in range(fd.p)]
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
+
+
+def curvature_matrix(fd: FramePointData, xF: Jet, yF: Jet) -> Jet:
+    """Frame matrix of R(X, Y) for full frame-component vectors."""
+    return jet_einsum("ijl,l->ij", jet_einsum("ijkl,k->ijl", fd.Rfr, xF), yF)
 
 
 def as_chart_field(fd: FramePointData, field) -> Jet:
@@ -160,6 +179,17 @@ def as_chart_field(fd: FramePointData, field) -> Jet:
         comps = [eval_expr(parse(c, fd.p, var_prefix="u"), fd.uv, fd.uspace) for c in arr]
         return jstack(comps, axis=-1)
     return fd.uspace.constant(np.asarray(arr, dtype=float))
+
+
+def as_endo_field(fd: FramePointData, spec) -> Jet:
+    """Normalize an endomorphism-field spec to a (d, d) frame-component jet.
+
+    Accepts a callable of FramePointData, a SkewEndo, or a constant frame
+    matrix.
+    """
+    if callable(spec):
+        return spec(fd)
+    return fd.uspace.constant(_mat(spec))
 
 
 def s_field_matrix(fd: FramePointData, Xc: Jet) -> Jet:
@@ -183,36 +213,44 @@ def endo_deriv_jet(fd: FramePointData, Tj: Jet, a: int, which: str = "ambient") 
     return Tj.d(a) + comm
 
 
-def s_tm_tangent_jet(fd: FramePointData, Tm: Jet) -> Jet:
-    """Tangent-frame coefficients of S_{T_m} = 2 sum_A S_{e_A}(T_m e_A)."""
+def s_tm_tangent_jet(fd: FramePointData, Tm) -> Jet:
+    """Tangent-frame coefficients of S_{T_m} = 2 sum_A S_{e_A}(T_m e_A).
+
+    Tm is a (d, d) frame matrix, jet or array; only its m-part is read.
+    """
     vec = 2.0 * jet_einsum("Aij,jA->i", fd.Smats, Tm[:, : fd.p])
     return vec[: fd.p]
 
 
-def pinv_jet(fd: FramePointData) -> Jet:
-    cached = getattr(fd, "_pinv_jet", None)
-    if cached is None:
-        if np.linalg.cond(fd.Pfr.val) > 1e12:
-            raise OperatorError("operator P is numerically singular")
-        cached = jet_inv(fd.Pfr)
-        fd._pinv_jet = cached
-    return cached
+def solve_P(fd: FramePointData, rhs):
+    """P^{-1} rhs for tangent-frame components rhs, a jet or an array.
+
+    Raises OperatorError when P is numerically singular (condition number
+    above 1e12), as on a thin tube where S is huge.
+    """
+    if np.linalg.cond(fd.Pfr.val) > 1e12:
+        raise OperatorError("operator P is numerically singular")
+    if isinstance(rhs, Jet):
+        return jet_solve(fd.Pfr, rhs)
+    return np.linalg.solve(fd.Pfr.val, rhs)
+
+
+def _connection_jet(fd: FramePointData, gam: Jet, Xc: Jet, Yc: Jet) -> Jet:
+    """Chart coefficients of nabla_X Y for the connection with Christoffels gam."""
+    dY = jstack([Yc.d(a) for a in range(fd.p)], axis=0)
+    return jet_einsum("a,ac->c", Xc, dY) + jet_einsum(
+        "cab,ab->c", gam, jet_einsum("a,b->ab", Xc, Yc)
+    )
 
 
 def vec_nabla_prime_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
     """Chart coefficients of nabla'_X Y for tangent fields (jets)."""
-    dY = jstack([Yc.d(a) for a in range(fd.p)], axis=0)
-    return jet_einsum("a,ac->c", Xc, dY) + jet_einsum(
-        "cab,ab->c", fd.Gam_chart, jet_einsum("a,b->ab", Xc, Yc)
-    )
+    return _connection_jet(fd, fd.Gam_chart, Xc, Yc)
 
 
 def vec_tilde_nabla_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
     """Chart coefficients of the deformed-metric connection applied to fields."""
-    dY = jstack([Yc.d(a) for a in range(fd.p)], axis=0)
-    return jet_einsum("a,ac->c", Xc, dY) + jet_einsum(
-        "cab,ab->c", fd.Gamt, jet_einsum("a,b->ab", Xc, Yc)
-    )
+    return _connection_jet(fd, fd.Gamt, Xc, Yc)
 
 
 def bracket_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
@@ -241,10 +279,7 @@ def q_t_chart_jet(fd: FramePointData, Tj: Jet, Xc: Jet) -> Jet:
     rt_top = jet_einsum("AB,B->A", RT[: fd.p, : fd.p], xfr)
     nabT = nabla_t_field_jet(fd, Tj, Xc, "ambient")
     svec = s_tm_tangent_jet(fd, nabT * fd.mmask)
-    if np.linalg.cond(fd.Pfr.val) > 1e12:
-        raise OperatorError("operator P is numerically singular")
-    qfr = jet_solve(fd.Pfr, rt_top - svec)
-    return chart_of_frame(fd, qfr)
+    return jet_einsum("aA,A->a", fd.C, solve_P(fd, rt_top - svec))
 
 
 def curvature_prime_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
@@ -253,8 +288,7 @@ def curvature_prime_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
     RXY = jet_einsum(
         "ijl,l->ij", jet_einsum("ijkl,k->ijl", fd.Rfr[:, :, : fd.p, : fd.p], xfr), yfr
     )
-    Sx = jet_einsum("a,aij->ij", Xc, fd.omega) * fd.mmask
-    Sy = jet_einsum("a,aij->ij", Yc, fd.omega) * fd.mmask
+    Sx, Sy = s_field_matrix(fd, Xc), s_field_matrix(fd, Yc)
     comm = jet_einsum("ik,kj->ij", Sx, Sy) - jet_einsum("ik,kj->ij", Sy, Sx)
     return RXY * fd.hmask - comm
 
@@ -264,6 +298,18 @@ def curvature_prime_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
 
 def _skew_endo_at(M: ImmersedSubmanifold, u, mat: np.ndarray) -> SkewEndo:
     return SkewEndo(adapted_frame_at(M, u), 0.5 * (mat - mat.T), M.p)
+
+
+def _tangent_of_frame(fd: FramePointData, tfr: np.ndarray) -> TangentVectorM:
+    """Tangent vector from its p tangent-frame components."""
+    out = np.zeros(fd.d)
+    out[: fd.p] = tfr
+    amb = fd.ambient_components(out)
+    return TangentVectorM(amb, fd.chart_of_tangent(amb))
+
+
+def _tangent_of_chart(fd: FramePointData, xc: np.ndarray) -> TangentVectorM:
+    return TangentVectorM(fd.J.val @ xc, xc)
 
 
 def R_T(M: ImmersedSubmanifold, u, T, X) -> np.ndarray:
@@ -276,29 +322,19 @@ def R_T(M: ImmersedSubmanifold, u, T, X) -> np.ndarray:
 def S_Tm_vector(M: ImmersedSubmanifold, u, T) -> TangentVectorM:
     fd = M.frame_data(u)
     Tm = hm_split_mat(_mat(T), fd.p)[1]
-    vec = 2.0 * np.einsum("Aij,jA->i", fd.Smats.val, Tm[:, : fd.p])
-    amb = fd.ambient_components(vec)
-    return TangentVectorM(amb, fd.chart_of_tangent(amb))
+    return _tangent_of_frame(fd, s_tm_tangent_jet(fd, Tm).val)
 
 
 def P_op(M: ImmersedSubmanifold, u, X) -> TangentVectorM:
     fd = M.frame_data(u)
     xfr = fd.frame_components(X)[: fd.p]
-    out = np.zeros(fd.d)
-    out[: fd.p] = fd.Pfr.val @ xfr
-    amb = fd.ambient_components(out)
-    return TangentVectorM(amb, fd.chart_of_tangent(amb))
+    return _tangent_of_frame(fd, fd.Pfr.val @ xfr)
 
 
 def P_inverse(M: ImmersedSubmanifold, u, X) -> TangentVectorM:
     fd = M.frame_data(u)
-    if np.linalg.cond(fd.Pfr.val) > 1e12:
-        raise OperatorError("operator P is numerically singular")
     xfr = fd.frame_components(X)[: fd.p]
-    out = np.zeros(fd.d)
-    out[: fd.p] = np.linalg.solve(fd.Pfr.val, xfr)
-    amb = fd.ambient_components(out)
-    return TangentVectorM(amb, fd.chart_of_tangent(amb))
+    return _tangent_of_frame(fd, solve_P(fd, xfr))
 
 
 def modified_metric(M: ImmersedSubmanifold, u, X, Y) -> float:
@@ -329,21 +365,19 @@ def s_of_field(field) -> "callable":
     return endo
 
 
-def tilde_nabla(M: ImmersedSubmanifold, u, Xf, Yf) -> TangentVectorM:
-    """Levi-Civita connection of the deformed metric, via its Christoffels."""
+def _tangent_connection(M: ImmersedSubmanifold, u, Xf, Yf, connection) -> TangentVectorM:
     fd = M.frame_data(u)
     Xc, Yc = as_chart_field(fd, Xf), as_chart_field(fd, Yf)
-    out_c = vec_tilde_nabla_jet(fd, Xc, Yc).val
-    amb = fd.J.val @ out_c
-    return TangentVectorM(amb, out_c)
+    return _tangent_of_chart(fd, connection(fd, Xc, Yc).val)
+
+
+def tilde_nabla(M: ImmersedSubmanifold, u, Xf, Yf) -> TangentVectorM:
+    """Levi-Civita connection of the deformed metric, via its Christoffels."""
+    return _tangent_connection(M, u, Xf, Yf, vec_tilde_nabla_jet)
 
 
 def nabla_prime_tangent(M: ImmersedSubmanifold, u, Xf, Yf) -> TangentVectorM:
-    fd = M.frame_data(u)
-    Xc, Yc = as_chart_field(fd, Xf), as_chart_field(fd, Yf)
-    out_c = vec_nabla_prime_jet(fd, Xc, Yc).val
-    amb = fd.J.val @ out_c
-    return TangentVectorM(amb, out_c)
+    return _tangent_connection(M, u, Xf, Yf, vec_nabla_prime_jet)
 
 
 def L_op(M: ImmersedSubmanifold, u, Xf, Yf) -> TangentVectorM:
@@ -357,32 +391,21 @@ def L_op(M: ImmersedSubmanifold, u, Xf, Yf) -> TangentVectorM:
     Zc = vec_nabla_prime_jet(fd, Xc, Yc) + vec_nabla_prime_jet(fd, Yc, Xc)
     SZ = s_field_matrix(fd, Zc)
     svec = s_tm_tangent_jet(fd, SZ).val
-    q3fr = np.linalg.solve(fd.Pfr.val, svec)
-    q3 = fd.C.val @ q3fr
-    out_c = 0.5 * (q1 + q2 + q3)
-    amb = fd.J.val @ out_c
-    return TangentVectorM(amb, out_c)
+    q3 = fd.C.val @ solve_P(fd, svec)
+    return _tangent_of_chart(fd, 0.5 * (q1 + q2 + q3))
 
 
 def Q_T(M: ImmersedSubmanifold, u, T, X) -> TangentVectorM:
     """Q_T(X) = P^{-1}((R_T X)^T - S_{(nabla_X T)_m}) for an endo field T."""
     fd = M.frame_data(u)
-    Tj = T(fd) if callable(T) else fd.uspace.constant(_mat(T))
-    xc = fd.chart_of_tangent(_amb_of(X))
-    out_c = q_t_chart_jet(fd, Tj, fd.uspace.constant(xc)).val
-    amb = fd.J.val @ out_c
-    return TangentVectorM(amb, out_c)
+    Tj = as_endo_field(fd, T)
+    xc = fd.chart_of_tangent(as_ambient(X))
+    return _tangent_of_chart(fd, q_t_chart_jet(fd, Tj, fd.uspace.constant(xc)).val)
 
 
 def curvature_prime(M: ImmersedSubmanifold, u, X, Y) -> SkewEndo:
     """R'(X, Y) = R(X,Y)_h - [S_X, S_Y] on the splitting-compatible connection."""
     fd = M.frame_data(u)
-    xc = fd.uspace.constant(fd.chart_of_tangent(_amb_of(X)))
-    yc = fd.uspace.constant(fd.chart_of_tangent(_amb_of(Y)))
+    xc = fd.uspace.constant(fd.chart_of_tangent(as_ambient(X)))
+    yc = fd.uspace.constant(fd.chart_of_tangent(as_ambient(Y)))
     return _skew_endo_at(M, u, curvature_prime_jet(fd, xc, yc).val)
-
-
-def _amb_of(v) -> np.ndarray:
-    if isinstance(v, TangentVectorM):
-        return v.ambient
-    return np.asarray(v, dtype=float)

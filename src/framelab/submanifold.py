@@ -48,6 +48,7 @@ __all__ = [
     "NormalVector",
     "FramePointData",
     "adapted_frame_at",
+    "as_ambient",
     "second_fundamental_form",
     "weingarten",
     "tensor_S",
@@ -407,10 +408,9 @@ class NormalVector:
     ambient: np.ndarray
 
 
-def _amb(v) -> np.ndarray:
-    if isinstance(v, TangentVectorM):
-        return v.ambient
-    if isinstance(v, NormalVector):
+def as_ambient(v) -> np.ndarray:
+    """Ambient components of a TangentVectorM, a NormalVector or an array."""
+    if isinstance(v, (TangentVectorM, NormalVector)):
         return v.ambient
     return np.asarray(v, dtype=float)
 
@@ -422,19 +422,19 @@ def adapted_frame_at(M: ImmersedSubmanifold, u) -> AdaptedFrame:
 
 def _tangent_extension(fd: FramePointData, Y) -> Jet:
     """Extend a tangent vector by constant frame coefficients, as a jet."""
-    y = fd.frame_components(_amb(Y))
+    y = fd.frame_components(as_ambient(Y))
     y[fd.p:] = 0.0
     return jet_einsum("iB,B->i", fd.E[:, : fd.p], y[: fd.p])
 
 
 def _normal_extension(fd: FramePointData, V) -> Jet:
-    v = fd.frame_components(_amb(V))
+    v = fd.frame_components(as_ambient(V))
     v[: fd.p] = 0.0
     return jet_einsum("ib,b->i", fd.E[:, fd.p:], v[fd.p:])
 
 
 def _directional_cov(fd: FramePointData, Yj: Jet, X) -> np.ndarray:
-    xc = fd.chart_of_tangent(_amb(X))
+    xc = fd.chart_of_tangent(as_ambient(X))
     out = np.zeros(fd.d)
     for a in range(fd.p):
         out += xc[a] * fd.cov_deriv_chart(Yj, a).val
@@ -461,12 +461,12 @@ def weingarten(M: ImmersedSubmanifold, u, V, X) -> TangentVectorM:
 def tensor_S(M: ImmersedSubmanifold, u, X, Y) -> np.ndarray:
     """S_X Y = Pi(X, Y^T) - A_{Y^perp}(X), ambient components."""
     fd = M.frame_data(u)
-    top, bot = fd.split(_amb(Y))
+    top, bot = fd.split(as_ambient(Y))
     return second_fundamental_form(M, u, X, top).ambient - weingarten(M, u, bot, X).ambient
 
 
 def project(M: ImmersedSubmanifold, u, Y) -> tuple[np.ndarray, np.ndarray]:
-    return M.frame_data(u).split(_amb(Y))
+    return M.frame_data(u).split(as_ambient(Y))
 
 
 def nabla_prime(M: ImmersedSubmanifold, field, u, X) -> np.ndarray:

@@ -27,9 +27,6 @@ from . import omn_geometry as og
 from . import operators as ops
 from .ambient import metric_at
 from .frame_bundle import (
-    _ambient_deriv_frame,
-    _curvature_matrix,
-    _full_frame_field,
     decompose_OMN,
     horizontal_lift_prime,
     lifted,
@@ -240,8 +237,8 @@ def _ev_codazzi_offdiagonal(M, u, rng):
     fd = M.frame_data(u)
     Xc = _affine_field(fd, rng)
     Yc = _affine_field(fd, rng)
-    xF = _full_frame_field(fd, Xc).val
-    yF = _full_frame_field(fd, Yc).val
+    xF = ops.full_frame_field(fd, Xc).val
+    yF = ops.full_frame_field(fd, Yc).val
     Rm = np.einsum("ijkl,k,l->ij", fd.Rfr.val, xF, yF) * fd.mmask
     SY = ops.s_field_matrix(fd, Yc)
     SX = ops.s_field_matrix(fd, Xc)
@@ -253,34 +250,27 @@ def _ev_codazzi_offdiagonal(M, u, rng):
     return float(np.max(np.abs(Rm - rhs))), wit, None
 
 
-def _ev_block_endo_derivative_split(M, u, rng):
-    fd = M.frame_data(u)
-    base = _random_block_skew(fd.p, fd.d, rng)
-    Tf = _scaled_endo_field(fd, base)
-    Xc = _affine_field(fd, rng)
-    Tj = Tf(fd)
-    full = ops.nabla_t_field_jet(fd, Tj, Xc, "ambient").val
-    prime = ops.nabla_t_field_jet(fd, Tj, Xc, "prime").val
-    SX = ops.s_field_matrix(fd, Xc).val
-    comm = SX @ Tj.val - Tj.val @ SX
-    r1 = np.max(np.abs(full * fd.mmask - comm))
-    r2 = np.max(np.abs(full * fd.hmask - prime * fd.hmask))
-    return float(max(r1, r2)), _witness_smax(fd), None
+def _ev_endo_derivative_split(block: str):
+    """Evaluator for a T living in `block` ("h": diagonal blocks, "m":
+    off-diagonal): nabla_X T is [S_X, T] in the other block and nabla'_X T
+    in its own."""
+    random_skew = _random_block_skew if block == "h" else _random_offblock_skew
 
+    def evaluator(M, u, rng):
+        fd = M.frame_data(u)
+        own, other = (fd.hmask, fd.mmask) if block == "h" else (fd.mmask, fd.hmask)
+        Tf = _scaled_endo_field(fd, random_skew(fd.p, fd.d, rng))
+        Xc = _affine_field(fd, rng)
+        Tj = Tf(fd)
+        full = ops.nabla_t_field_jet(fd, Tj, Xc, "ambient").val
+        prime = ops.nabla_t_field_jet(fd, Tj, Xc, "prime").val
+        SX = ops.s_field_matrix(fd, Xc).val
+        comm = SX @ Tj.val - Tj.val @ SX
+        r1 = np.max(np.abs(full * other - comm))
+        r2 = np.max(np.abs(full * own - prime * own))
+        return float(max(r1, r2)), _witness_smax(fd), None
 
-def _ev_offblock_endo_derivative_split(M, u, rng):
-    fd = M.frame_data(u)
-    base = _random_offblock_skew(fd.p, fd.d, rng)
-    Tf = _scaled_endo_field(fd, base)
-    Xc = _affine_field(fd, rng)
-    Tj = Tf(fd)
-    full = ops.nabla_t_field_jet(fd, Tj, Xc, "ambient").val
-    prime = ops.nabla_t_field_jet(fd, Tj, Xc, "prime").val
-    SX = ops.s_field_matrix(fd, Xc).val
-    comm = SX @ Tj.val - Tj.val @ SX
-    r1 = np.max(np.abs(full * fd.hmask - comm))
-    r2 = np.max(np.abs(full * fd.mmask - prime * fd.mmask))
-    return float(max(r1, r2)), _witness_smax(fd), None
+    return evaluator
 
 
 def _ev_bundle_metric_compatibility(M, u, rng):
@@ -292,8 +282,8 @@ def _ev_bundle_metric_compatibility(M, u, rng):
     TY = _random_skew(fd.d, rng)
     TZ = _random_skew(fd.d, rng)
     TYf, TZf = _scaled_endo_field(fd, TY), _scaled_endo_field(fd, TZ)
-    yF = _full_frame_field(fd, Yc)
-    zF = _full_frame_field(fd, Zc)
+    yF = ops.full_frame_field(fd, Yc)
+    zF = ops.full_frame_field(fd, Zc)
     TYj, TZj = TYf(fd), TZf(fd)
     inner = jet_einsum("i,i->", yF, zF) - jet_einsum("ij,ji->", TYj, TZj)
     dinner = jstack([inner.d(a) for a in range(p)], axis=0)
@@ -438,12 +428,8 @@ def _ev_sectional_mixed_vs_curvature(M, u, rng):
 
 
 def _ev_condition_set_implications(M, u, rng):
-    fd = M.frame_data(u)
     data = gm.residual_data(M, u)
-    s_h2 = ops.s_field_matrix(fd, fd.uspace.constant(fd.C.val @ data.h2[: fd.p])).val
-    r1 = np.max(np.abs(data.m2 - (data.h3 - s_h2)))
-    svec = 2.0 * np.einsum("Aij,jA->i", fd.Smats.val, data.m2[:, : fd.p])
-    r2 = np.max(np.abs(fd.Pfr.val @ data.h2[: fd.p] - svec[: fd.p]))
+    r1, r2 = gm.implication_residuals(M, data)
     r3 = abs(data.r_m1 - data.r_h1)
     tau = gm.tension_field(M, u)
     r4 = abs(tau.norm() ** 2 - (data.r_h1**2 + data.r_h2**2 + data.r_h3**2))
@@ -640,7 +626,7 @@ REGISTRY = (
         group="derivative-splits",
         statement="nabla_X T splits as [S_X, T] off-diagonal plus nabla'_X T for block T",
         order=2,
-        evaluator=_ev_block_endo_derivative_split,
+        evaluator=_ev_endo_derivative_split("h"),
         builtins=_NOT_CIRCLE,
         witness_builtins=frozenset({"sphere2", "clifford"}),
     ),
@@ -649,7 +635,7 @@ REGISTRY = (
         group="derivative-splits",
         statement="nabla_X T splits as [S_X, T] block-diagonal plus nabla'_X T for off-diagonal T",
         order=2,
-        evaluator=_ev_offblock_endo_derivative_split,
+        evaluator=_ev_endo_derivative_split("m"),
         witness_builtins=_CURVED_S,
     ),
     IdentityCase(
@@ -923,12 +909,11 @@ def _as_manifold(entry):
     raise VerifyError(f"cannot interpret {entry!r} as a submanifold")
 
 
-def run_suite(builtins=None, samples: int = 25, seed: int = 0, tol_overrides=None, groups=None) -> VerificationReport:
+def run_suite(builtins=None, samples: int = 25, seed: int = 0, groups=None) -> VerificationReport:
     """Evaluate the registered identities over the given submanifolds.
 
     builtins: None for the default set, a name, a submanifold object, or a
     list of either. groups optionally restricts to a subset of case groups.
-    tol_overrides maps case ids to replacement tolerances.
     """
     t0 = time.perf_counter()
     if builtins is None:
@@ -936,10 +921,6 @@ def run_suite(builtins=None, samples: int = 25, seed: int = 0, tol_overrides=Non
     if isinstance(builtins, (str, ImmersedSubmanifold)):
         builtins = [builtins]
     manifolds = [_as_manifold(b) for b in builtins]
-    overrides = dict(tol_overrides or {})
-    unknown = set(overrides) - set(registry_ids())
-    if unknown:
-        raise VerifyError(f"tolerance overrides for unknown cases: {sorted(unknown)}")
     if groups is not None:
         groups = set(groups)
         bad = groups - REQUIRED_GROUPS
@@ -949,18 +930,22 @@ def run_suite(builtins=None, samples: int = 25, seed: int = 0, tol_overrides=Non
     for ci, case in enumerate(REGISTRY):
         if groups is not None and case.group not in groups:
             continue
-        tol = overrides.get(case.id, case.tolerance)
         for bi, (name, M) in enumerate(manifolds):
             if not case.applies_to(name):
                 continue
-            rows = _run_case(case, ci, name, bi, M, samples, seed, tol)
+            rows = _run_case(case, ci, name, bi, M, samples, seed)
             report.results.extend(rows)
     report.runtime_seconds = time.perf_counter() - t0
     report.generated_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return report
 
 
-def _run_case(case, ci, name, bi, M, samples, seed, tol):
+def _crash(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_case(case, ci, name, bi, M, samples, seed):
+    tol = case.tolerance
     rows = []
     max_witness = 0.0
     if case.pointwise:
@@ -968,7 +953,7 @@ def _run_case(case, ci, name, bi, M, samples, seed, tol):
             points = domain_samples(M, samples, seed=seed)
         except Exception as exc:  # noqa: BLE001 - reported, not fatal
             return [
-                CaseResult(case.id, case.group, name, None, None, None, tol, False, error=f"sampling failed: {exc}")
+                CaseResult(case.id, case.group, name, None, None, None, tol, False, error=_crash(exc))
             ]
         for pi, u in enumerate(points):
             rng = np.random.default_rng(np.random.SeedSequence([seed, ci, bi, pi]))
@@ -976,7 +961,7 @@ def _run_case(case, ci, name, bi, M, samples, seed, tol):
                 residual, witness, detail = case.evaluator(M, u, rng)
             except Exception as exc:  # noqa: BLE001 - reported, not fatal
                 rows.append(
-                    CaseResult(case.id, case.group, name, tuple(u), None, None, tol, False, error=str(exc))
+                    CaseResult(case.id, case.group, name, tuple(u), None, None, tol, False, error=_crash(exc))
                 )
                 continue
             max_witness = max(max_witness, witness)
@@ -997,7 +982,7 @@ def _run_case(case, ci, name, bi, M, samples, seed, tol):
                 )
             )
         except Exception as exc:  # noqa: BLE001 - reported, not fatal
-            rows.append(CaseResult(case.id, case.group, name, None, None, None, tol, False, error=str(exc)))
+            rows.append(CaseResult(case.id, case.group, name, None, None, None, tol, False, error=_crash(exc)))
     if name in case.witness_builtins and max_witness < WITNESS_FLOOR:
         rows.append(
             CaseResult(
@@ -1039,12 +1024,9 @@ def _chart_values(M, field, u):
     return ops.as_chart_field(fd, field).val
 
 
-def _g_chart_fun(M):
-    return lambda u: M.frame_data(np.asarray(u, dtype=float)).g_chart.val
-
-
-def _gt_chart_fun(M):
-    return lambda u: M.frame_data(np.asarray(u, dtype=float)).gt_chart.val
+def _chart_metric_fun(M, attr):
+    """u -> the chart metric `attr` ("g_chart" or "gt_chart") at u."""
+    return lambda u: getattr(M.frame_data(np.asarray(u, dtype=float)), attr).val
 
 
 def _christoffels_fd(gfun, u, h, p):
@@ -1115,15 +1097,15 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u, step: float = None, Xf=N
     p = M.p
     if quantity == "gamma_chart":
         h = step or _FD_STEP_FIRST
-        return _christoffels_fd(_g_chart_fun(M), u, h, p)
+        return _christoffels_fd(_chart_metric_fun(M, "g_chart"), u, h, p)
     if quantity == "gamma_tilde":
         h = step or _FD_STEP_FIRST
-        return _christoffels_fd(_gt_chart_fun(M), u, h, p)
+        return _christoffels_fd(_chart_metric_fun(M, "gt_chart"), u, h, p)
     Xf = Xf if Xf is not None else _default_field(M, "x")
     Yf = Yf if Yf is not None else _default_field(M, "y")
     if quantity in ("nabla_prime_vec", "nabla_tilde_vec"):
         h = step or _FD_STEP_FIRST
-        gfun = _g_chart_fun(M) if quantity == "nabla_prime_vec" else _gt_chart_fun(M)
+        gfun = _chart_metric_fun(M, "g_chart" if quantity == "nabla_prime_vec" else "gt_chart")
         gam = _christoffels_fd(gfun, u, h, p)
         x0 = _chart_values(M, Xf, u)
         y0 = _chart_values(M, Yf, u)
@@ -1160,7 +1142,7 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u, step: float = None, Xf=N
         return np.einsum("ijkl,ia,jb,kc,ld->abcd", low, E, E, E, E)
     if quantity == "curvature_prime":
         h = step or _FD_STEP_SECOND
-        gfun = _g_chart_fun(M)
+        gfun = _chart_metric_fun(M, "g_chart")
         gamfun = lambda uu: _christoffels_fd(gfun, uu, h, p)
         return _curvature_from_christoffels(gamfun, u, h, p)
     raise VerifyError(f"unknown finite-difference quantity {quantity!r}")
@@ -1184,8 +1166,8 @@ def jet_value(M: ImmersedSubmanifold, quantity: str, u, Xf=None, Yf=None):
     if quantity == "nabla_tilde_vec":
         return ops.vec_tilde_nabla_jet(fd, Xc, Yc).val
     if quantity == "nabla_vec":
-        yF = _full_frame_field(fd, Yc)
-        return fd.ambient_components(_ambient_deriv_frame(fd, Xc, yF).val)
+        yF = ops.full_frame_field(fd, Yc)
+        return fd.ambient_components(ops.ambient_deriv_frame(fd, Xc, yF).val)
     if quantity == "curvature_ambient":
         return fd.Rfr.val
     if quantity == "curvature_prime":

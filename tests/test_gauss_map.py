@@ -4,11 +4,10 @@ import pytest
 from framelab import gauss_map as gm
 from framelab import omn_geometry as og
 from framelab import operators as ops
-from framelab.frame_bundle import nabla_ON
+from framelab.frame_bundle import FrameBundleError, nabla_ON, sasaki_mok_inner
 from framelab.gauss_map import (
     GaussMapError,
     gauss_pushforward,
-    grassmann_inner,
     grassmann_nabla,
     grassmann_vector,
     harmonicity_residuals,
@@ -40,7 +39,7 @@ CURVED = [
 ]
 
 
-# -- GrassmannVector ----------------------------------------------------------
+# -- grassmann_vector --------------------------------------------------------
 
 
 def test_grassmann_vector_rejects_diagonal_blocks():
@@ -68,7 +67,7 @@ def test_grassmann_inner_vertical_is_trace_form():
     u = np.array([0.1, 0.2, 0.3])
     T = basis_T(4, 1, 3)
     v = grassmann_vector(M, u, vertical=T)
-    assert abs(grassmann_inner(v, v) - 1.0) < 1e-12
+    assert abs(sasaki_mok_inner(v, v) - 1.0) < 1e-12
     assert abs(v.norm() - 1.0) < 1e-12
 
 
@@ -76,8 +75,8 @@ def test_grassmann_inner_rejects_mismatched_points():
     M = builtin_submanifold("plane")
     v = grassmann_vector(M, [0.0, 0.0], horizontal=[1.0, 0.0, 0.0])
     w = grassmann_vector(M, [0.5, 0.0], horizontal=[1.0, 0.0, 0.0])
-    with pytest.raises(GaussMapError):
-        grassmann_inner(v, w)
+    with pytest.raises(FrameBundleError):
+        sasaki_mok_inner(v, w)
 
 
 # -- pushforward --------------------------------------------------------------
@@ -119,7 +118,7 @@ def test_pushforward_is_isometry_onto_deformed_metric(name, u0):
         x = rng.standard_normal(M.p)
         v = gauss_pushforward(M, u, x)
         gt = float(x @ fd.gt_chart.val @ x)
-        assert abs(grassmann_inner(v, v) - gt) < 1e-9
+        assert abs(sasaki_mok_inner(v, v) - gt) < 1e-9
 
 
 # -- connection ---------------------------------------------------------------

@@ -1,0 +1,75 @@
+"""Module layout of the framelab package, read from its source.
+
+A module uses another module's public names only: no `from .mod import
+_name` and no `mod._name` on an imported framelab module. Every name a
+module lists in `__all__` exists.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import framelab
+
+PACKAGE_DIR = Path(framelab.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _is_framelab(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "framelab"
+
+
+def _cross_module_privates(tree: ast.Module) -> list[str]:
+    found = []
+    module_aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_framelab(node):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"line {node.lineno}: from {node.module or '.'} import {alias.name}")
+                if node.module in (None, "framelab"):
+                    module_aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("framelab.") and alias.asname:
+                    module_aliases.add(alias.asname)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in module_aliases
+            and _private(node.attr)
+        ):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_names_across_modules(name):
+    tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text())
+    assert _cross_module_privates(tree) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_resolve(name):
+    mod = importlib.import_module(f"framelab.{name}")
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert missing == []
+
+
+def test_scan_sees_cross_module_privates():
+    src = (
+        "from . import operators as ops\n"
+        "from .frame_bundle import _full_frame_field, lifted\n"
+        "x = ops._mat(1)\n"
+        "y = ops.skew_inner\n"
+        "from . import __version__\n"
+    )
+    found = _cross_module_privates(ast.parse(src))
+    assert found == ["line 2: from frame_bundle import _full_frame_field", "line 3: ops._mat"]

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from framelab import operators as ops
+from framelab.ambient import euclidean
+from framelab.frame_bundle import decompose_OMN, lifted
 from framelab.jets import jet_einsum, jstack
+from framelab.omn_geometry import mean_curvature_OMN, second_fundamental_OMN
 from framelab.operators import (
     L_op,
     OperatorError,
@@ -21,7 +24,7 @@ from framelab.operators import (
     skew_inner,
     tilde_nabla,
 )
-from framelab.submanifold import adapted_frame_at, builtin_submanifold
+from framelab.submanifold import ImmersedSubmanifold, adapted_frame_at, builtin_submanifold
 
 CURVED = [
     ("sphere2", np.array([1.0, 0.5])),
@@ -71,6 +74,32 @@ def test_skew_endo_rejects_non_antisymmetric():
     fr = adapted_frame_at(M, np.array([1.0, 0.5]))
     with pytest.raises(OperatorError):
         SkewEndo(fr, np.eye(3), 2)
+
+
+def _thin_cylinder():
+    """Radius 1e-7, so S is about 1e7 and cond(P) about 2e14."""
+    comps = ["1e-7*cos(u1)", "1e-7*sin(u1)", "u2"]
+    return ImmersedSubmanifold(2, [[-1.0, 1.0], [-1.0, 1.0]], comps, euclidean(3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda M, u, X: L_op(M, u, [1.0, 0.5], [0.2, 1.0]),
+        lambda M, u, X: P_inverse(M, u, X),
+        lambda M, u, X: decompose_OMN(lifted(M, u, horizontal=X)),
+        lambda M, u, X: second_fundamental_OMN(M, u, "hh", [1.0, 0.0], [0.0, 1.0]),
+        lambda M, u, X: mean_curvature_OMN(M, u),
+    ],
+    ids=["L_op", "P_inverse", "decompose_OMN", "second_fundamental_OMN", "mean_curvature_OMN"],
+)
+def test_numerically_singular_P_is_refused(call):
+    M = _thin_cylinder()
+    u = np.array([0.3, -0.2])
+    fd = M.frame_data(u)
+    assert np.linalg.cond(fd.Pfr.val) > 1e12
+    with pytest.raises(OperatorError):
+        call(M, u, tangent_from_chart(fd, [1.0, 0.5]))
 
 
 def test_hm_parts_reconstruct():

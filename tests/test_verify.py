@@ -65,3 +65,18 @@ def test_fd_oracles_agree_with_jets(name):
             if not err < tol:
                 over.append((q, np.round(u, 6).tolist(), err))
     assert over == []
+
+
+def test_crashed_row_names_the_exception_type(monkeypatch):
+    def broken(M, u, rng):
+        raise TypeError("unsupported operand")
+
+    case = verify.IdentityCase(
+        id="always-crashes", group="duality-relations", statement="raises", order=1, evaluator=broken
+    )
+    monkeypatch.setattr(verify, "REGISTRY", (case,))
+    rows = verify.run_suite(builtins="plane", samples=2).results
+    assert len(rows) == 2
+    for row in rows:
+        assert row.residual is None and not row.passed
+        assert row.error == "TypeError: unsupported operand"
