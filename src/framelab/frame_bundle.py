@@ -8,6 +8,18 @@ metric and vertical parts with -tr(V V').
 Everything is evaluated at adapted frames over a submanifold M, where the
 useful lifts are X^h (zero vertical), X^{h'} = X^h + bar(S_X) for tangent X,
 and the invariant vertical fields bar(T).
+
+The Levi-Civita connection is written once, on field pairs: direction
+X^h + bar(A), field Y^h + bar(B),
+
+    nabla_{X^h + bar A}(Y^h + bar B)
+        = (nabla_X Y + 1/2 R_B(X) + 1/2 R_A(Y))^h
+          + bar(nabla_X B - 1/2 R(X,Y) + 1/2 [B, A]).
+
+Its restrictions are the four cases of nabla_ON (one part of each pair,
+chosen by case_pairs), nabla_ON_primed (the same cases on primed lifts, so
+A = S_X and B = S_Y where a tangent part is given) and nabla_ON_section (the
+direction is the section velocity, A = omega_X).
 """
 
 from __future__ import annotations
@@ -33,9 +45,9 @@ __all__ = [
     "lifted",
     "sasaki_mok_inner",
     "vertical_from_tensor",
-    "vertical_from_frame_matrix",
     "horizontal_lift",
     "horizontal_lift_prime",
+    "case_pairs",
     "nabla_ON",
     "nabla_ON_primed",
     "nabla_ON_section",
@@ -123,25 +135,78 @@ def vertical_from_tensor(M: ImmersedSubmanifold, u, T_ambient) -> LiftedVector:
     return lifted(M, u, vertical=comps)
 
 
-def vertical_from_frame_matrix(M: ImmersedSubmanifold, u, mat) -> LiftedVector:
-    """bar(T) for an endomorphism given directly by frame components."""
-    return lifted(M, u, vertical=mat)
-
-
 def horizontal_lift(M: ImmersedSubmanifold, u, X) -> LiftedVector:
     """X^h: horizontal part X, zero vertical part."""
     return lifted(M, u, horizontal=as_ambient(X))
 
 
 def horizontal_lift_prime(M: ImmersedSubmanifold, u, X) -> LiftedVector:
-    """X^{h'} = X^h + bar(S_X) for X tangent to M."""
+    """X^{h'} = X^h + bar(S_X) for X tangent to M.
+
+    X is a tangent vector (ambient components or a TangentVectorM) or its
+    p chart coefficients.
+    """
     fd = M.frame_data(np.asarray(u, dtype=float))
     Xa = as_ambient(X)
-    xc = fd.chart_of_tangent(Xa)
-    if np.max(np.abs(fd.J.val @ xc - Xa)) > 1e-8:
-        raise FrameBundleError("horizontal_lift_prime needs a tangent vector")
+    if Xa.shape == (fd.p,):
+        xc, Xa = Xa, fd.J.val @ Xa
+    else:
+        xc = fd.chart_of_tangent(Xa)
+        if np.max(np.abs(fd.J.val @ xc - Xa)) > 1e-8:
+            raise FrameBundleError("horizontal_lift_prime needs a tangent vector")
     smat = ops.s_field_matrix(fd, fd.uspace.constant(xc)).val
     return lifted(M, u, horizontal=Xa, vertical=smat)
+
+
+def case_pairs(case: str, args) -> tuple:
+    """Field pairs (X, A, Y, B) of a connection case on its two args.
+
+    The direction is X^h + bar(A) and the field Y^h + bar(B); the case's
+    first letter says whether its first arg is X ("h") or A ("v"), the second
+    letter whether its second arg is Y or B. An absent part is None, so the
+    parts that are not None are the args, in order.
+    """
+    if case not in ("hh", "hv", "vh", "vv"):
+        raise FrameBundleError(f"unknown case {case!r}")
+    direction, field = args
+    X, A = (direction, None) if case[0] == "h" else (None, direction)
+    Y, B = (field, None) if case[1] == "h" else (None, field)
+    return X, A, Y, B
+
+
+def _case_jets(fd: FramePointData, case: str, args) -> tuple:
+    """case_pairs normalised to chart jets (X, Y) and frame-matrix jets (A, B)."""
+    X, A, Y, B = case_pairs(case, args)
+    chart = lambda f: None if f is None else ops.as_chart_field(fd, f)
+    endo = lambda T: None if T is None else ops.as_endo_field(fd, T)
+    return chart(X), endo(A), chart(Y), endo(B)
+
+
+def _pair_nabla_ON(M: ImmersedSubmanifold, u, fd: FramePointData, Xc, A, yF, B) -> LiftedVector:
+    """nabla_{X^h + bar A}(Y^h + bar B), the connection on field pairs:
+
+    (nabla_X Y + 1/2 R_B(X) + 1/2 R_A(Y))^h + bar(nabla_X B - 1/2 R(X,Y) + 1/2 [B, A])
+
+    Xc is a chart-coefficient jet, yF a frame-component jet, A and B
+    frame-matrix jets. An absent part is None, and a term is formed only when
+    all its factors are present.
+    """
+    horiz = np.zeros(fd.d)
+    vert = np.zeros((fd.d, fd.d))
+    if Xc is not None:
+        xF = ops.full_frame_field(fd, Xc)
+        if yF is not None:
+            horiz = horiz + ops.ambient_deriv_frame(fd, Xc, yF).val
+            vert = vert - 0.5 * ops.curvature_matrix(fd, xF, yF).val
+        if B is not None:
+            horiz = horiz + 0.5 * ops.rt_matrix_jet(fd, B).val @ xF.val
+            vert = vert + ops.nabla_t_field_jet(fd, B, Xc, "ambient").val
+    if A is not None:
+        if yF is not None:
+            horiz = horiz + 0.5 * ops.rt_matrix_jet(fd, A).val @ yF.val
+        if B is not None:
+            vert = vert + 0.5 * (B.val @ A.val - A.val @ B.val)
+    return lifted(M, u, horizontal=fd.ambient_components(horiz), vertical=vert)
 
 
 def nabla_ON(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
@@ -156,91 +221,41 @@ def nabla_ON(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
     (callables of FramePointData) or constant frame matrices.
     """
     fd = M.frame_data(np.asarray(u, dtype=float))
-    if case == "hh":
-        Xf, Yf = args
-        Xc = ops.as_chart_field(fd, Xf)
-        Yc = ops.as_chart_field(fd, Yf)
-        xF = ops.full_frame_field(fd, Xc)
-        yF = ops.full_frame_field(fd, Yc)
-        dy = ops.ambient_deriv_frame(fd, Xc, yF).val
-        Rm = ops.curvature_matrix(fd, xF, yF).val
-        return lifted(M, u, horizontal=fd.ambient_components(dy), vertical=-0.5 * Rm)
-    if case == "vh":
-        T, Xf = args
-        Tj = ops.as_endo_field(fd, T)
-        Xc = ops.as_chart_field(fd, Xf)
-        xF = ops.full_frame_field(fd, Xc).val
-        RT = ops.rt_matrix_jet(fd, Tj).val
-        return lifted(M, u, horizontal=fd.ambient_components(0.5 * RT @ xF))
-    if case == "hv":
-        Xf, T = args
-        Xc = ops.as_chart_field(fd, Xf)
-        Tj = ops.as_endo_field(fd, T)
-        xF = ops.full_frame_field(fd, Xc).val
-        RT = ops.rt_matrix_jet(fd, Tj).val
-        dT = ops.nabla_t_field_jet(fd, Tj, Xc, "ambient").val
-        return lifted(M, u, horizontal=fd.ambient_components(0.5 * RT @ xF), vertical=dT)
-    if case == "vv":
-        T, Tp = args
-        A = ops.as_endo_field(fd, T).val
-        B = ops.as_endo_field(fd, Tp).val
-        return lifted(M, u, vertical=0.5 * (B @ A - A @ B))
-    raise FrameBundleError(f"unknown case {case!r}")
+    Xc, A, Yc, B = _case_jets(fd, case, args)
+    yF = None if Yc is None else ops.full_frame_field(fd, Yc)
+    return _pair_nabla_ON(M, u, fd, Xc, A, yF, B)
 
 
 def nabla_ON_primed(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
-    """Ambient connection evaluated on primed lifts by bilinear expansion.
+    """Ambient connection on primed lifts X^{h'} = X^h + bar(S_X).
 
-    X^{h'} = X^h + bar(S_X) both as direction and as field, so each case is a
-    sum of the four basic cases. case "hh": (Xf, Yf) differentiates Y^{h'}
-    along X^{h'}; "hv": (Xf, T); "vh": (T, Yf); "vv": (T, Tp).
+    Both as direction and as field, a tangent part X of the case brings the
+    vertical part S_X along. case "hh": (Xf, Yf) differentiates Y^{h'} along
+    X^{h'}; "hv": (Xf, T); "vh": (T, Yf); "vv": (T, Tp).
     """
-    if case == "hh":
-        Xf, Yf = args
-        sx, sy = ops.s_of_field(Xf), ops.s_of_field(Yf)
-        out = nabla_ON(M, u, "hh", Xf, Yf)
-        out = out + nabla_ON(M, u, "hv", Xf, sy)
-        out = out + nabla_ON(M, u, "vh", sx, Yf)
-        return out + nabla_ON(M, u, "vv", sx, sy)
-    if case == "hv":
-        Xf, T = args
-        sx = ops.s_of_field(Xf)
-        return nabla_ON(M, u, "hv", Xf, T) + nabla_ON(M, u, "vv", sx, T)
-    if case == "vh":
-        T, Yf = args
-        sy = ops.s_of_field(Yf)
-        return nabla_ON(M, u, "vh", T, Yf) + nabla_ON(M, u, "vv", T, sy)
-    if case == "vv":
-        return nabla_ON(M, u, "vv", *args)
-    raise FrameBundleError(f"unknown case {case!r}")
+    fd = M.frame_data(np.asarray(u, dtype=float))
+    Xc, A, Yc, B = _case_jets(fd, case, args)
+    yF = None
+    if Xc is not None:
+        A = ops.s_field_matrix(fd, Xc)
+    if Yc is not None:
+        B = ops.s_field_matrix(fd, Yc)
+        yF = ops.full_frame_field(fd, Yc)
+    return _pair_nabla_ON(M, u, fd, Xc, A, yF, B)
 
 
 def nabla_ON_section(M: ImmersedSubmanifold, u, Xf, yframe, endof) -> LiftedVector:
     """Covariant derivative along the adapted section of a lifted field.
 
     The field is V(u) = (sum_i yframe_i(u) e_i(u))^h + bar(T(u)) with yframe a
-    callable of the coordinate jets giving (d,) frame components and endof an
+    callable of FramePointData giving (d,) frame-component jets and endof an
     endo field. The direction is the section velocity over the tangent field
-    Xf. Combines all four connection cases plus the component derivatives.
+    Xf, X^h + bar(omega_X) with omega_X = sum_a X^a omega^a.
     """
     fd = M.frame_data(np.asarray(u, dtype=float))
     Xc = ops.as_chart_field(fd, Xf)
-    xF = ops.full_frame_field(fd, Xc)
-    yF = yframe(fd)
-    Tj = ops.as_endo_field(fd, endof)
     omX = jet_einsum("a,aij->ij", Xc, fd.omega)
-
-    # horizontal-direction pieces
-    dy = ops.ambient_deriv_frame(fd, Xc, yF)
-    Rxy = ops.curvature_matrix(fd, xF, yF)
-    RT = ops.rt_matrix_jet(fd, Tj)
-    dT = ops.nabla_t_field_jet(fd, Tj, Xc, "ambient")
-    # vertical-direction pieces along bar(omega_X)
-    Rom = ops.rt_matrix_jet(fd, omX)
-
-    horiz = dy + 0.5 * jet_einsum("ij,j->i", RT, xF) + 0.5 * jet_einsum("ij,j->i", Rom, yF)
-    vert = dT - 0.5 * Rxy + 0.5 * (jet_einsum("ik,kj->ij", Tj, omX) - jet_einsum("ik,kj->ij", omX, Tj))
-    return lifted(M, u, horizontal=fd.ambient_components(horiz.val), vertical=vert.val)
+    return _pair_nabla_ON(M, u, fd, Xc, omX, yframe(fd), ops.as_endo_field(fd, endof))
 
 
 def decompose_OMN(v: LiftedVector) -> tuple[LiftedVector, LiftedVector]:

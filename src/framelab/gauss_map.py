@@ -7,12 +7,15 @@ vertical part (a skew endomorphism in the adapted frame) has zero diagonal
 blocks: the diagonal blocks are quotiented away. So the bundle metric is
 sasaki_mok_inner, and the bundle connection is the m-projection of nabla_ON:
 nabla_ON evaluated on off-diagonal ("m"-masked) endomorphism fields, with the
-diagonal blocks of the result's vertical part dropped. The deformed metric
-on M is exactly the pullback of the bundle metric under the map, which is why
-the tension field is taken with respect to it. The module evaluates the
-pushforward, the bundle connection, the tension field in two ways, the three
-harmonicity residuals, the two minimality residuals, and the equivalence
-between harmonicity and minimality of the adapted-frame subbundle.
+diagonal blocks of the result's vertical part dropped. The pushforward of a
+tangent vector X is its primed lift X^{h'} = X^h + bar(S_X) of
+frame_bundle.horizontal_lift_prime, whose vertical part S_X has zero diagonal
+blocks already. The deformed metric on M is exactly the pullback of the
+bundle metric under the map, which is why the tension field is taken with
+respect to it. The module evaluates the pushforward, the bundle connection,
+the tension field in two ways, the three harmonicity residuals, the two
+minimality residuals, and the equivalence between harmonicity and minimality
+of the adapted-frame subbundle.
 """
 
 from __future__ import annotations
@@ -23,10 +26,17 @@ import numpy as np
 
 from . import omn_geometry as og
 from . import operators as ops
-from .frame_bundle import LiftedVector, lifted, nabla_ON
+from .frame_bundle import (
+    LiftedVector,
+    case_pairs,
+    horizontal_lift_prime,
+    lifted,
+    nabla_ON,
+    nabla_ON_primed,
+)
 from .jets import Jet, jet_einsum
 from .operators import hm_split_mat, skew_inner
-from .submanifold import FramePointData, ImmersedSubmanifold, as_ambient
+from .submanifold import FramePointData, ImmersedSubmanifold
 
 __all__ = [
     "GaussMapError",
@@ -62,8 +72,11 @@ def grassmann_vector(M: ImmersedSubmanifold, u, horizontal=None, vertical=None) 
 
 # -- connection --------------------------------------------------------------
 
-# Positions of the endomorphism-field arguments in each connection case.
-_ENDO_ARGS = {"hh": (), "hv": (1,), "vh": (0,), "vv": (0, 1)}
+
+def _m_projection(M: ImmersedSubmanifold, u, v: LiftedVector) -> LiftedVector:
+    """The plane-bundle vector of v: its vertical part without the diagonal blocks."""
+    fd = M.frame_data(np.asarray(u, dtype=float))
+    return grassmann_vector(M, u, horizontal=v.horizontal, vertical=v.vertical.mat * fd.mmask)
 
 
 def grassmann_nabla(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
@@ -77,30 +90,16 @@ def grassmann_nabla(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector
     case "vh", (T, Yf):  1/2 R_{T_m}(Y)^{hGr}
     case "vv", (T, Tp):  0
     """
-    if case not in _ENDO_ARGS:
-        raise GaussMapError(f"unknown case {case!r}")
-    fd = M.frame_data(np.asarray(u, dtype=float))
-    args = [
-        (lambda q, T=a: ops.as_endo_field(q, T) * q.mmask) if i in _ENDO_ARGS[case] else a
-        for i, a in enumerate(args)
-    ]
-    v = nabla_ON(M, u, case, *args)
-    return grassmann_vector(M, u, horizontal=v.horizontal, vertical=v.vertical.mat * fd.mmask)
+    X, A, Y, B = case_pairs(case, args)
+    m_part = lambda T: None if T is None else (lambda q: ops.as_endo_field(q, T) * q.mmask)
+    masked = [f for f in (X, m_part(A), Y, m_part(B)) if f is not None]
+    return _m_projection(M, u, nabla_ON(M, u, case, *masked))
 
 
 def gauss_pushforward(M: ImmersedSubmanifold, u, X) -> LiftedVector:
-    """Pushforward of a tangent vector: X^{hGr} + hat(S_X)."""
-    fd = M.frame_data(np.asarray(u, dtype=float))
-    Xa = as_ambient(X)
-    if Xa.shape == (fd.p,):
-        xc = Xa
-        Xa = fd.J.val @ xc
-    else:
-        xc = fd.chart_of_tangent(Xa)
-        if np.max(np.abs(fd.J.val @ xc - Xa)) > 1e-8:
-            raise GaussMapError("pushforward needs a tangent vector")
-    smat = ops.s_field_matrix(fd, fd.uspace.constant(xc)).val
-    return grassmann_vector(M, u, horizontal=Xa, vertical=smat)
+    """Pushforward of a tangent vector (or its chart coefficients): the
+    primed lift X^{h'} = X^{hGr} + hat(S_X)."""
+    return _m_projection(M, u, horizontal_lift_prime(M, u, X))
 
 
 # -- tension field -----------------------------------------------------------
@@ -167,23 +166,18 @@ def tension_field(M: ImmersedSubmanifold, u, rotation=None) -> LiftedVector:
 
 
 def tension_field_pullback(M: ImmersedSubmanifold, u) -> LiftedVector:
-    """Tension assembled from the connection cases and the pushforward.
+    """Tension assembled from the bundle connection and the pushforward.
 
-    For each frame field e, the pushforward field splits into a horizontal
-    lift and a vertical part, so its derivative along the pushforward of e is
-    a sum of the four connection cases. Subtracting the pushforward of
-    tilde_e e leaves the tension summand.
+    For each frame field e the pushforward field is the primed lift e^{h'},
+    so its derivative along the pushforward of e is the m-projection of
+    nabla_ON_primed("hh", e, e). Subtracting the pushforward of tilde_e e
+    leaves the tension summand.
     """
     u = np.asarray(u, dtype=float)
     fd = M.frame_data(u)
     total = grassmann_vector(M, u)
-    for A in range(fd.p):
-        Ec = fd.Wchart[:, A]
-        SE = lambda q, A=A: ops.s_field_matrix(q, q.Wchart[:, A])
-        total = total + grassmann_nabla(M, u, "hh", Ec, Ec)
-        total = total + grassmann_nabla(M, u, "hv", Ec, SE)
-        total = total + grassmann_nabla(M, u, "vh", SE, Ec)
-        total = total + grassmann_nabla(M, u, "vv", SE, SE)
+    for Ec in og.tilde_frame_fields(fd):
+        total = total + _m_projection(M, u, nabla_ON_primed(M, u, "hh", Ec, Ec))
         tl = ops.vec_tilde_nabla_jet(fd, Ec, Ec)
         total = total - gauss_pushforward(M, u, tl.val)
     return total

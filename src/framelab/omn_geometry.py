@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import operators as ops
-from .frame_bundle import LiftedVector, lifted, sasaki_mok_inner
+from .frame_bundle import LiftedVector, case_pairs, horizontal_lift_prime, lifted, sasaki_mok_inner
 from .jets import Jet, jet_einsum
 from .operators import hm_split_mat, skew_inner
 from .submanifold import FramePointData, ImmersedSubmanifold
@@ -74,17 +74,6 @@ def _h_endo_field(fd: FramePointData, spec) -> Jet:
     return j
 
 
-def _as_lifted(M, u, fd, chart_val, vert_val) -> LiftedVector:
-    """(chart)^{h'} + bar(vert) assembled as a bundle vector."""
-    smat = ops.s_field_matrix(fd, fd.uspace.constant(np.asarray(chart_val, float))).val
-    return lifted(
-        M,
-        u,
-        horizontal=fd.J.val @ np.asarray(chart_val, float),
-        vertical=smat + vert_val,
-    )
-
-
 def _pair_nabla(fd, Xc, A, Yc, B):
     """Connection on field pairs: direction (Xc, A), field (Yc, B).
 
@@ -95,7 +84,7 @@ def _pair_nabla(fd, Xc, A, Yc, B):
     chart = chart + 0.5 * ops.q_t_chart_jet(fd, B, Xc) + 0.5 * ops.q_t_chart_jet(fd, A, Yc)
     vert = (-0.5) * ops.curvature_prime_jet(fd, Xc, Yc)
     vert = vert + ops.nabla_t_field_jet(fd, B, Xc, "prime")
-    vert = vert + 0.5 * (jet_einsum("ik,kj->ij", B, A) - jet_einsum("ik,kj->ij", A, B))
+    vert = vert + 0.5 * ops.commutator_jet(B, A)
     return chart, vert
 
 
@@ -110,26 +99,11 @@ def nabla_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
     Vertical specs must be h-type endo fields.
     """
     fd = M.frame_data(np.asarray(u, dtype=float))
-    if case == "hh":
-        Xf, Yf = args
-        dirp = (_chart_field(fd, Xf), _h_endo_field(fd, None))
-        fldp = (_chart_field(fd, Yf), _h_endo_field(fd, None))
-    elif case == "hv":
-        Xf, T = args
-        dirp = (_chart_field(fd, Xf), _h_endo_field(fd, None))
-        fldp = (_chart_field(fd, None), _h_endo_field(fd, T))
-    elif case == "vh":
-        T, Yf = args
-        dirp = (_chart_field(fd, None), _h_endo_field(fd, T))
-        fldp = (_chart_field(fd, Yf), _h_endo_field(fd, None))
-    elif case == "vv":
-        T, Tp = args
-        dirp = (_chart_field(fd, None), _h_endo_field(fd, T))
-        fldp = (_chart_field(fd, None), _h_endo_field(fd, Tp))
-    else:
-        raise OmnError(f"unknown case {case!r}")
-    chart, vert = _pair_nabla(fd, dirp[0], dirp[1], fldp[0], fldp[1])
-    return _as_lifted(M, u, fd, chart.val, vert.val)
+    X, A, Y, B = case_pairs(case, args)
+    chart, vert = _pair_nabla(
+        fd, _chart_field(fd, X), _h_endo_field(fd, A), _chart_field(fd, Y), _h_endo_field(fd, B)
+    )
+    return horizontal_lift_prime(M, u, chart.val) + lifted(M, u, vertical=vert.val)
 
 
 # -- curvature -------------------------------------------------------------------
@@ -183,20 +157,20 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
         )
         chart = chart - 0.25 * q
         vert = -0.5 * (_d_x_r_prime(fd, Xc, Yc, Zc) - _d_x_r_prime(fd, Yc, Xc, Zc))
-        return _as_lifted(M, u, fd, chart.val, vert.val)
+        return horizontal_lift_prime(M, u, chart.val) + lifted(M, u, vertical=vert.val)
     if case == "hhv":
         Xf, Yf, T = args
         Xc, Yc = _chart_field(fd, Xf), _chart_field(fd, Yf)
         Tj = _h_endo_field(fd, T)
         chart = 0.5 * (_d_x_q_t(fd, Xc, Tj, Yc) - _d_x_q_t(fd, Yc, Tj, Xc))
         RXY = ops.curvature_prime_jet(fd, Xc, Yc)
-        vert = 0.5 * (jet_einsum("ik,kj->ij", RXY, Tj) - jet_einsum("ik,kj->ij", Tj, RXY))
+        vert = 0.5 * ops.commutator_jet(RXY, Tj)
         QTX = ops.q_t_chart_jet(fd, Tj, Xc)
         QTY = ops.q_t_chart_jet(fd, Tj, Yc)
         vert = vert - 0.25 * (
             ops.curvature_prime_jet(fd, Xc, QTY) - ops.curvature_prime_jet(fd, Yc, QTX)
         )
-        return _as_lifted(M, u, fd, chart.val, vert.val)
+        return horizontal_lift_prime(M, u, chart.val) + lifted(M, u, vertical=vert.val)
     if case == "hvh":
         Xf, T, Zf = args
         Xc, Zc = _chart_field(fd, Xf), _chart_field(fd, Zf)
@@ -204,29 +178,29 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
         chart = 0.5 * _d_x_q_t(fd, Xc, Tj, Zc)
         QTZ = ops.q_t_chart_jet(fd, Tj, Zc)
         RXZ = ops.curvature_prime_jet(fd, Xc, Zc)
-        comm = jet_einsum("ik,kj->ij", RXZ, Tj) - jet_einsum("ik,kj->ij", Tj, RXZ)
+        comm = ops.commutator_jet(RXZ, Tj)
         vert = -0.25 * (ops.curvature_prime_jet(fd, Xc, QTZ) - comm)
-        return _as_lifted(M, u, fd, chart.val, vert.val)
+        return horizontal_lift_prime(M, u, chart.val) + lifted(M, u, vertical=vert.val)
     if case == "hvv":
         Xf, T, Tp = args
         Xc = _chart_field(fd, Xf)
         Tj, Tpj = _h_endo_field(fd, T), _h_endo_field(fd, Tp)
-        commTT = jet_einsum("ik,kj->ij", Tj, Tpj) - jet_einsum("ik,kj->ij", Tpj, Tj)
+        commTT = ops.commutator_jet(Tj, Tpj)
         chart = -0.25 * (
             ops.q_t_chart_jet(fd, commTT, Xc)
             + ops.q_t_chart_jet(fd, Tj, ops.q_t_chart_jet(fd, Tpj, Xc))
         )
-        return _as_lifted(M, u, fd, chart.val, np.zeros((fd.d, fd.d)))
+        return horizontal_lift_prime(M, u, chart.val)
     if case == "vvh":
         T, Tp, Zf = args
         Zc = _chart_field(fd, Zf)
         Tj, Tpj = _h_endo_field(fd, T), _h_endo_field(fd, Tp)
-        commTT = jet_einsum("ik,kj->ij", Tj, Tpj) - jet_einsum("ik,kj->ij", Tpj, Tj)
+        commTT = ops.commutator_jet(Tj, Tpj)
         chart = 0.25 * (
             ops.q_t_chart_jet(fd, Tj, ops.q_t_chart_jet(fd, Tpj, Zc))
             - ops.q_t_chart_jet(fd, Tpj, ops.q_t_chart_jet(fd, Tj, Zc))
         ) + 0.5 * ops.q_t_chart_jet(fd, commTT, Zc)
-        return _as_lifted(M, u, fd, chart.val, np.zeros((fd.d, fd.d)))
+        return horizontal_lift_prime(M, u, chart.val)
     if case == "vvv":
         T, Tp, Tpp = args
         A = _h_endo_field(fd, T).val
@@ -277,8 +251,8 @@ def omn_plane(M: ImmersedSubmanifold, u, spec1, spec2) -> OmnPlane:
         if ny < 1e-12:
             raise OmnError("plane vectors are linearly dependent")
         y = y / ny
-        v1 = _as_lifted(M, u, fd, x, np.zeros((fd.d, fd.d)))
-        v2 = _as_lifted(M, u, fd, y, np.zeros((fd.d, fd.d)))
+        v1 = horizontal_lift_prime(M, u, x)
+        v2 = horizontal_lift_prime(M, u, y)
         plane = OmnPlane(M, u, "hh", x, y, None, None, v1, v2)
     elif kinds == ("hprime", "vertical"):
         x = np.asarray(spec1[1], dtype=float)
@@ -288,7 +262,7 @@ def omn_plane(M: ImmersedSubmanifold, u, spec1, spec2) -> OmnPlane:
         if nt < 1e-12:
             raise OmnError("vertical direction vanishes")
         T = T / nt
-        v1 = _as_lifted(M, u, fd, x, np.zeros((fd.d, fd.d)))
+        v1 = horizontal_lift_prime(M, u, x)
         v2 = lifted(M, u, vertical=T)
         plane = OmnPlane(M, u, "hv", x, None, T, None, v1, v2)
     elif kinds == ("vertical", "vertical"):

@@ -16,10 +16,12 @@ frame_of_chart and full_frame_field (chart coefficients of a tangent field to
 its p tangent-frame or d frame components), ambient_deriv_frame (nabla_X Y in
 frame components), curvature_matrix (frame matrix of R(X, Y)),
 s_field_matrix (S_X), s_tm_tangent_jet (S_{T_m}), rt_matrix_jet (R_T),
-endo_deriv_jet and nabla_t_field_jet (nabla_X T, full or primed), and
-solve_P (P^{-1}, refusing a numerically singular P). Field specs are
-normalised by as_chart_field (tangent fields) and as_endo_field
-(endomorphism fields); ambient vectors by submanifold.as_ambient.
+endo_deriv_jet and nabla_t_field_jet (nabla_X T, full or primed),
+commutator_jet ([A, B] of frame-matrix jets), and solve_P (P^{-1}, refusing
+a numerically singular P). Field specs are normalised by as_chart_field
+(tangent fields) and as_endo_field (endomorphism fields); ambient vectors by
+submanifold.as_ambient, which every pointwise operation applies to its
+vector arguments.
 
 The tolerance ladder of the identity checks is verify.TOL_LADDER.
 """
@@ -72,6 +74,7 @@ __all__ = [
     "ambient_deriv_frame",
     "curvature_matrix",
     "solve_P",
+    "commutator_jet",
 ]
 
 
@@ -162,6 +165,11 @@ def curvature_matrix(fd: FramePointData, xF: Jet, yF: Jet) -> Jet:
     return jet_einsum("ijl,l->ij", jet_einsum("ijkl,k->ijl", fd.Rfr, xF), yF)
 
 
+def commutator_jet(A, B) -> Jet:
+    """[A, B] = AB - BA for (d, d) frame-matrix jets."""
+    return jet_einsum("ik,kj->ij", A, B) - jet_einsum("ik,kj->ij", B, A)
+
+
 def as_chart_field(fd: FramePointData, field) -> Jet:
     """Normalize a tangent-field spec to a (p,) chart-coefficient jet.
 
@@ -209,8 +217,7 @@ def endo_deriv_jet(fd: FramePointData, Tj: Jet, a: int, which: str = "ambient") 
         om = om * fd.hmask
     elif which != "ambient":
         raise OperatorError(f"unknown connection {which!r}")
-    comm = jet_einsum("ik,kj->ij", om, Tj) - jet_einsum("ik,kj->ij", Tj, om)
-    return Tj.d(a) + comm
+    return Tj.d(a) + commutator_jet(om, Tj)
 
 
 def s_tm_tangent_jet(fd: FramePointData, Tm) -> Jet:
@@ -289,8 +296,7 @@ def curvature_prime_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
         "ijl,l->ij", jet_einsum("ijkl,k->ijl", fd.Rfr[:, :, : fd.p, : fd.p], xfr), yfr
     )
     Sx, Sy = s_field_matrix(fd, Xc), s_field_matrix(fd, Yc)
-    comm = jet_einsum("ik,kj->ij", Sx, Sy) - jet_einsum("ik,kj->ij", Sy, Sx)
-    return RXY * fd.hmask - comm
+    return RXY * fd.hmask - commutator_jet(Sx, Sy)
 
 
 # -- public pointwise operations ------------------------------------------------
@@ -316,7 +322,7 @@ def R_T(M: ImmersedSubmanifold, u, T, X) -> np.ndarray:
     """sum_i R(e_i, T e_i) X, ambient components."""
     fd = M.frame_data(u)
     RT = rt_matrix_jet(fd, fd.uspace.constant(_mat(T))).val
-    return fd.ambient_components(RT @ fd.frame_components(X))
+    return fd.ambient_components(RT @ fd.frame_components(as_ambient(X)))
 
 
 def S_Tm_vector(M: ImmersedSubmanifold, u, T) -> TangentVectorM:
@@ -327,20 +333,20 @@ def S_Tm_vector(M: ImmersedSubmanifold, u, T) -> TangentVectorM:
 
 def P_op(M: ImmersedSubmanifold, u, X) -> TangentVectorM:
     fd = M.frame_data(u)
-    xfr = fd.frame_components(X)[: fd.p]
+    xfr = fd.frame_components(as_ambient(X))[: fd.p]
     return _tangent_of_frame(fd, fd.Pfr.val @ xfr)
 
 
 def P_inverse(M: ImmersedSubmanifold, u, X) -> TangentVectorM:
     fd = M.frame_data(u)
-    xfr = fd.frame_components(X)[: fd.p]
+    xfr = fd.frame_components(as_ambient(X))[: fd.p]
     return _tangent_of_frame(fd, solve_P(fd, xfr))
 
 
 def modified_metric(M: ImmersedSubmanifold, u, X, Y) -> float:
     fd = M.frame_data(u)
-    xfr = fd.frame_components(X)[: fd.p]
-    yfr = fd.frame_components(Y)[: fd.p]
+    xfr = fd.frame_components(as_ambient(X))[: fd.p]
+    yfr = fd.frame_components(as_ambient(Y))[: fd.p]
     return float(xfr @ fd.Pfr.val @ yfr)
 
 
@@ -351,7 +357,7 @@ def nabla_endo(M: ImmersedSubmanifold, T, u, X, which: str = "ambient") -> SkewE
     """
     fd = M.frame_data(u)
     Tj = T(fd)
-    xc = fd.chart_of_tangent(X)
+    xc = fd.chart_of_tangent(as_ambient(X))
     out = sum(xc[a] * endo_deriv_jet(fd, Tj, a, which).val for a in range(fd.p))
     return _skew_endo_at(M, u, out)
 

@@ -71,7 +71,7 @@ DEFAULT_BUILTINS = (
 # designated per case, for the check to count as non-vacuous.
 WITNESS_FLOOR = 1e-6
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 class VerifyError(ValueError):
@@ -149,11 +149,11 @@ def _ev_curvature_endo_duality(M, u, rng):
     x = _unit_chart(fd, rng)
     y = _unit_chart(fd, rng)
     T = _random_skew(fd.d, rng)
-    xF = np.concatenate([fd.Dmat.val @ x, np.zeros(fd.d - fd.p)])
-    yF = np.concatenate([fd.Dmat.val @ y, np.zeros(fd.d - fd.p)])
+    xF = ops.full_frame_field(fd, fd.uspace.constant(x))
+    yF = ops.full_frame_field(fd, fd.uspace.constant(y))
     rt = ops.rt_matrix_jet(fd, fd.uspace.constant(T)).val
-    lhs = float((rt @ xF) @ yF)
-    Rxy = np.einsum("ijkl,k,l->ij", fd.Rfr.val, xF, yF)
+    lhs = float((rt @ xF.val) @ yF.val)
+    Rxy = ops.curvature_matrix(fd, xF, yF).val
     rhs = skew_inner(Rxy, T)
     return abs(lhs - rhs), float(np.max(np.abs(Rxy))), None
 
@@ -215,12 +215,7 @@ def _ev_gauss_tangent_block(M, u, rng):
     worst, wit = 0.0, 0.0
     for a in range(p):
         for b in range(a + 1, p):
-            Fp = (
-                omh[b].d(a)
-                - omh[a].d(b)
-                + jet_einsum("ik,kj->ij", omh[a], omh[b])
-                - jet_einsum("ik,kj->ij", omh[b], omh[a])
-            ).val
+            Fp = (omh[b].d(a) - omh[a].d(b) + ops.commutator_jet(omh[a], omh[b])).val
             ea, eb = np.zeros(p), np.zeros(p)
             ea[a], eb[b] = 1.0, 1.0
             Rp = ops.curvature_prime_jet(
@@ -237,9 +232,9 @@ def _ev_codazzi_offdiagonal(M, u, rng):
     fd = M.frame_data(u)
     Xc = _affine_field(fd, rng)
     Yc = _affine_field(fd, rng)
-    xF = ops.full_frame_field(fd, Xc).val
-    yF = ops.full_frame_field(fd, Yc).val
-    Rm = np.einsum("ijkl,k,l->ij", fd.Rfr.val, xF, yF) * fd.mmask
+    xF = ops.full_frame_field(fd, Xc)
+    yF = ops.full_frame_field(fd, Yc)
+    Rm = ops.curvature_matrix(fd, xF, yF).val * fd.mmask
     SY = ops.s_field_matrix(fd, Yc)
     SX = ops.s_field_matrix(fd, Xc)
     t1 = ops.nabla_t_field_jet(fd, SY, Xc, "prime").val
@@ -312,15 +307,7 @@ def _ev_gil_medrano_pairing(M, u, rng):
     Yc = _affine_field(fd, rng)
     Zc = _affine_field(fd, rng)
     omt = fd.omega[:, :p, :p]
-    DP = jstack(
-        [
-            fd.Pfr.d(a)
-            + jet_einsum("ik,kj->ij", omt[a], fd.Pfr)
-            - jet_einsum("ik,kj->ij", fd.Pfr, omt[a])
-            for a in range(p)
-        ],
-        axis=0,
-    )
+    DP = jstack([fd.Pfr.d(a) + ops.commutator_jet(omt[a], fd.Pfr) for a in range(p)], axis=0)
 
     def dp_pair(Ac, Bc, Cc):
         Da = jet_einsum("a,aij->ij", Ac, DP)
@@ -799,6 +786,14 @@ def registry_ids() -> list[str]:
 
 @dataclass(frozen=True)
 class CaseResult:
+    """One row of a report.
+
+    error_kind says how a failing row failed: "crash" (the evaluator raised;
+    residual is None and error names the exception), "over_tol" (residual at
+    or above tol) or "vacuous" (the witness stayed below WITNESS_FLOOR on a
+    builtin designated to exercise the case). It is None on passing rows.
+    """
+
     case_id: str
     group: str
     builtin: str
@@ -809,6 +804,7 @@ class CaseResult:
     passed: bool
     error: str | None = None
     detail: dict | None = None
+    error_kind: str | None = None
 
 
 @dataclass
@@ -869,6 +865,7 @@ class VerificationReport:
                     "tol": r.tol,
                     "passed": r.passed,
                     "error": r.error,
+                    "error_kind": r.error_kind,
                     "detail": r.detail,
                 }
                 for r in self.results
@@ -940,8 +937,19 @@ def run_suite(builtins=None, samples: int = 25, seed: int = 0, groups=None) -> V
     return report
 
 
-def _crash(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _crash_row(case, name, point, tol, exc: Exception) -> CaseResult:
+    return CaseResult(
+        case.id, case.group, name, point, None, None, tol, False,
+        error=f"{type(exc).__name__}: {exc}", error_kind="crash",
+    )
+
+
+def _measured_row(case, name, point, tol, residual, witness, detail) -> CaseResult:
+    passed = bool(residual < tol)
+    return CaseResult(
+        case.id, case.group, name, point, float(residual), float(witness),
+        tol, passed, detail=detail, error_kind=None if passed else "over_tol",
+    )
 
 
 def _run_case(case, ci, name, bi, M, samples, seed):
@@ -952,42 +960,28 @@ def _run_case(case, ci, name, bi, M, samples, seed):
         try:
             points = domain_samples(M, samples, seed=seed)
         except Exception as exc:  # noqa: BLE001 - reported, not fatal
-            return [
-                CaseResult(case.id, case.group, name, None, None, None, tol, False, error=_crash(exc))
-            ]
+            return [_crash_row(case, name, None, tol, exc)]
         for pi, u in enumerate(points):
             rng = np.random.default_rng(np.random.SeedSequence([seed, ci, bi, pi]))
             try:
                 residual, witness, detail = case.evaluator(M, u, rng)
             except Exception as exc:  # noqa: BLE001 - reported, not fatal
-                rows.append(
-                    CaseResult(case.id, case.group, name, tuple(u), None, None, tol, False, error=_crash(exc))
-                )
+                rows.append(_crash_row(case, name, tuple(u), tol, exc))
                 continue
             max_witness = max(max_witness, witness)
-            rows.append(
-                CaseResult(
-                    case.id, case.group, name, tuple(u), float(residual), float(witness),
-                    tol, bool(residual < tol), detail=detail,
-                )
-            )
+            rows.append(_measured_row(case, name, tuple(u), tol, residual, witness, detail))
     else:
         try:
             residual, witness, detail = case.evaluator(M, samples, seed)
             max_witness = witness
-            rows.append(
-                CaseResult(
-                    case.id, case.group, name, None, float(residual), float(witness),
-                    tol, bool(residual < tol), detail=detail,
-                )
-            )
+            rows.append(_measured_row(case, name, None, tol, residual, witness, detail))
         except Exception as exc:  # noqa: BLE001 - reported, not fatal
-            rows.append(CaseResult(case.id, case.group, name, None, None, None, tol, False, error=_crash(exc)))
+            rows.append(_crash_row(case, name, None, tol, exc))
     if name in case.witness_builtins and max_witness < WITNESS_FLOOR:
         rows.append(
             CaseResult(
                 case.id, case.group, name, None, float(max_witness), float(max_witness),
-                tol, False, error="vacuous check: witness magnitude below floor",
+                tol, False, error="vacuous check: witness magnitude below floor", error_kind="vacuous",
             )
         )
     return rows
@@ -1029,22 +1023,23 @@ def _chart_metric_fun(M, attr):
     return lambda u: getattr(M.frame_data(np.asarray(u, dtype=float)), attr).val
 
 
-def _christoffels_fd(gfun, u, h, p):
-    """Levi-Civita Christoffels from central differences of the metric."""
+def _central_diff(f, u, h):
+    """Central differences of f at u along each coordinate, stacked on axis 0."""
     u = np.asarray(u, dtype=float)
-    g0 = gfun(u)
-    dg = np.empty((p, p, p))
-    for a in range(p):
+    out = []
+    for a in range(u.size):
         up, um = u.copy(), u.copy()
         up[a] += h
         um[a] -= h
-        dg[a] = (gfun(up) - gfun(um)) / (2.0 * h)
-    low = np.empty((p, p, p))
-    for c in range(p):
-        for a in range(p):
-            for b in range(p):
-                low[c, a, b] = 0.5 * (dg[a][b, c] + dg[b][a, c] - dg[c][a, b])
-    return np.einsum("dc,cab->dab", np.linalg.inv(g0), low)
+        out.append((f(up) - f(um)) / (2.0 * h))
+    return np.stack(out)
+
+
+def _christoffels_fd(gfun, u, h):
+    """Levi-Civita Christoffels from central differences of the metric."""
+    dg = _central_diff(gfun, u, h)  # dg[a, b, c] = d_a g_bc
+    low = 0.5 * (dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg)  # Gamma_{cab}
+    return np.einsum("dc,cab->dab", np.linalg.inv(gfun(np.asarray(u, dtype=float))), low)
 
 
 def _ambient_metric_fun(M):
@@ -1053,33 +1048,15 @@ def _ambient_metric_fun(M):
 
 
 def _ambient_christoffels_fd(M, x, h):
-    gfun = _ambient_metric_fun(M)
-    d = M.ambient.dim
-    return _christoffels_fd(gfun, np.asarray(x, dtype=float), h, d)
+    return _christoffels_fd(_ambient_metric_fun(M), x, h)
 
 
-def _curvature_from_christoffels(gamfun, x, h, n):
+def _curvature_from_christoffels(gamfun, x, h):
     """R^i_jkl = d_k Gam^i_lj - d_l Gam^i_kj + Gam Gam - Gam Gam."""
-    x = np.asarray(x, dtype=float)
-    g0 = gamfun(x)
-    dG = np.empty((n, n, n, n))
-    for k in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[k] += h
-        xm[k] -= h
-        dG[k] = (gamfun(xp) - gamfun(xm)) / (2.0 * h)
-    R = np.empty((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    R[i, j, k, l] = (
-                        dG[k][i, l, j]
-                        - dG[l][i, k, j]
-                        + g0[i, k, :] @ g0[:, l, j]
-                        - g0[i, l, :] @ g0[:, k, j]
-                    )
-    return R
+    g0 = gamfun(np.asarray(x, dtype=float))
+    dG = _central_diff(gamfun, x, h)  # dG[k, i, l, j] = d_k Gam^i_lj
+    GG = np.einsum("ikm,mlj->ijkl", g0, g0)  # Gam^i_km Gam^m_lj
+    return dG.transpose(1, 3, 0, 2) - dG.transpose(1, 3, 2, 0) + GG - GG.transpose(0, 1, 3, 2)
 
 
 def fd_oracle(M: ImmersedSubmanifold, quantity: str, u, step: float = None, Xf=None, Yf=None):
@@ -1094,48 +1071,36 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u, step: float = None, Xf=N
     metric, compared against the block-splitting route on the jet side.
     """
     u = np.asarray(u, dtype=float)
-    p = M.p
     if quantity == "gamma_chart":
         h = step or _FD_STEP_FIRST
-        return _christoffels_fd(_chart_metric_fun(M, "g_chart"), u, h, p)
+        return _christoffels_fd(_chart_metric_fun(M, "g_chart"), u, h)
     if quantity == "gamma_tilde":
         h = step or _FD_STEP_FIRST
-        return _christoffels_fd(_chart_metric_fun(M, "gt_chart"), u, h, p)
+        return _christoffels_fd(_chart_metric_fun(M, "gt_chart"), u, h)
     Xf = Xf if Xf is not None else _default_field(M, "x")
     Yf = Yf if Yf is not None else _default_field(M, "y")
     if quantity in ("nabla_prime_vec", "nabla_tilde_vec"):
         h = step or _FD_STEP_FIRST
         gfun = _chart_metric_fun(M, "g_chart" if quantity == "nabla_prime_vec" else "gt_chart")
-        gam = _christoffels_fd(gfun, u, h, p)
+        gam = _christoffels_fd(gfun, u, h)
         x0 = _chart_values(M, Xf, u)
         y0 = _chart_values(M, Yf, u)
-        dY = np.empty((p, p))
-        for a in range(p):
-            up, um = u.copy(), u.copy()
-            up[a] += h
-            um[a] -= h
-            dY[a] = (_chart_values(M, Yf, up) - _chart_values(M, Yf, um)) / (2.0 * h)
+        dY = _central_diff(lambda uu: _chart_values(M, Yf, uu), u, h)
         return np.einsum("a,ac->c", x0, dY) + np.einsum("cab,a,b->c", gam, x0, y0)
     if quantity == "nabla_vec":
         h = step or _FD_STEP_FIRST
         fd0 = M.frame_data(u)
         x0 = _chart_values(M, Xf, u)
         yamb = lambda uu: M.frame_data(np.asarray(uu, dtype=float)).J.val @ _chart_values(M, Yf, uu)
-        dY = np.zeros(M.ambient.dim)
-        for a in range(p):
-            up, um = u.copy(), u.copy()
-            up[a] += h
-            um[a] -= h
-            dY = dY + x0[a] * (yamb(up) - yamb(um)) / (2.0 * h)
+        dY = x0 @ _central_diff(yamb, u, h)
         gam = _ambient_christoffels_fd(M, fd0.x0, h)
         xa = fd0.J.val @ x0
         return dY + np.einsum("ijk,j,k->i", gam, xa, yamb(u))
     if quantity == "curvature_ambient":
         h = step or _FD_STEP_SECOND
         fd0 = M.frame_data(u)
-        d = M.ambient.dim
         gamfun = lambda x: _ambient_christoffels_fd(M, x, h)
-        Rup = _curvature_from_christoffels(gamfun, fd0.x0, h, d)
+        Rup = _curvature_from_christoffels(gamfun, fd0.x0, h)
         G0 = _ambient_metric_fun(M)(fd0.x0)
         E = fd0.E.val
         low = np.einsum("im,mjkl->ijkl", G0, Rup)
@@ -1143,8 +1108,8 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u, step: float = None, Xf=N
     if quantity == "curvature_prime":
         h = step or _FD_STEP_SECOND
         gfun = _chart_metric_fun(M, "g_chart")
-        gamfun = lambda uu: _christoffels_fd(gfun, uu, h, p)
-        return _curvature_from_christoffels(gamfun, u, h, p)
+        gamfun = lambda uu: _christoffels_fd(gfun, uu, h)
+        return _curvature_from_christoffels(gamfun, u, h)
     raise VerifyError(f"unknown finite-difference quantity {quantity!r}")
 
 

@@ -5,19 +5,22 @@ from framelab import operators as ops
 from framelab.expr import eval_expr, parse
 from framelab.frame_bundle import (
     FrameBundleError,
+    case_pairs,
     decompose_OMN,
     horizontal_lift,
     horizontal_lift_prime,
     lifted,
     nabla_ON,
+    nabla_ON_primed,
     nabla_ON_section,
     normal_generators,
     sasaki_mok_inner,
     tangent_generators,
-    vertical_from_frame_matrix,
     vertical_from_tensor,
 )
-from framelab.jets import jstack
+from framelab.gauss_map import grassmann_nabla
+from framelab.jets import jet_einsum, jstack
+from framelab.omn_geometry import nabla_OMN
 from framelab.operators import basis_T, modified_metric, skew_inner
 from framelab.submanifold import adapted_frame_at, builtin_submanifold
 
@@ -245,6 +248,71 @@ def test_nabla_ON_metric_compatibility(name, u):
     assert abs(lhs - rhs) < 1e-7
 
 
+def primed_by_expansion(M, u, case, *args):
+    """nabla_ON_primed expanded bilinearly into nabla_ON cases, with
+    X^{h'} = X^h + bar(S_X) both as direction and as field (reference)."""
+    if case == "hh":
+        Xf, Yf = args
+        sx, sy = ops.s_of_field(Xf), ops.s_of_field(Yf)
+        out = nabla_ON(M, u, "hh", Xf, Yf)
+        out = out + nabla_ON(M, u, "hv", Xf, sy)
+        out = out + nabla_ON(M, u, "vh", sx, Yf)
+        return out + nabla_ON(M, u, "vv", sx, sy)
+    if case == "hv":
+        Xf, T = args
+        return nabla_ON(M, u, "hv", Xf, T) + nabla_ON(M, u, "vv", ops.s_of_field(Xf), T)
+    if case == "vh":
+        T, Yf = args
+        return nabla_ON(M, u, "vh", T, Yf) + nabla_ON(M, u, "vv", T, ops.s_of_field(Yf))
+    return nabla_ON(M, u, "vv", *args)
+
+
+@pytest.mark.parametrize("name,u", ALL_BUILTINS)
+def test_nabla_ON_primed_is_its_bilinear_expansion(name, u):
+    rng = np.random.default_rng(7)
+    M = builtin_submanifold(name)
+    p, d = M.p, M.frame_data(u).d
+    Xf = ["0.7+0.3*u1", "u2-0.4", "0.5*u1"][:p]
+    Yf = ["u1*u1-0.2", "0.6", "u2+0.1*u1"][:p]
+    T = varying_skew_field(random_skew(rng, d))
+    Tp = varying_skew_field(random_skew(rng, d))
+    for case, args in [("hh", (Xf, Yf)), ("hv", (Xf, T)), ("vh", (T, Yf)), ("vv", (T, Tp))]:
+        got = nabla_ON_primed(M, u, case, *args)
+        want = primed_by_expansion(M, u, case, *args)
+        assert (got - want).norm() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "name,u",
+    [("great2(0.5)", np.array([0.2, -0.4])), ("clifford", np.array([0.4, -0.7]))],
+)
+def test_nabla_ON_section_is_the_four_cases(name, u):
+    """Along the section velocity X^h + bar(omega_X) the derivative of
+    Y^h + bar(T) is the sum of the four connection cases."""
+    rng = np.random.default_rng(8)
+    M = builtin_submanifold(name)
+    fd = M.frame_data(u)
+    Xf, Yf = ["u2", "1-u1"], ["u1*u2", "u1"]
+    T = varying_skew_field(random_skew(rng, fd.d))
+    yframe = lambda q: ops.full_frame_field(q, ops.as_chart_field(q, Yf))
+    got = nabla_ON_section(M, u, Xf, yframe, T)
+    omX = jet_einsum("a,aij->ij", ops.as_chart_field(fd, Xf), fd.omega).val
+    want = nabla_ON(M, u, "hh", Xf, Yf) + nabla_ON(M, u, "hv", Xf, T)
+    want = want + nabla_ON(M, u, "vh", omX, Yf) + nabla_ON(M, u, "vv", omX, T)
+    assert (got - want).norm() < 1e-13
+    assert got.norm() > 1e-2
+
+
+def test_unknown_case_is_refused():
+    M = builtin_submanifold("sphere2")
+    u = np.array([1.1, 0.6])
+    with pytest.raises(FrameBundleError):
+        case_pairs("hx", (["1.0", "0.0"], ["0.0", "1.0"]))
+    for connection in (nabla_ON, nabla_ON_primed, grassmann_nabla, nabla_OMN):
+        with pytest.raises(FrameBundleError):
+            connection(M, u, "hx", ["1.0", "0.0"], ["0.0", "1.0"])
+
+
 # -- decomposition ---------------------------------------------------------------
 
 
@@ -277,7 +345,7 @@ def test_decompose_circle_horizontal_lift():
 def test_decompose_h_type_vertical_is_tangent():
     M = builtin_submanifold("plane3")
     u = np.array([0.2, 0.1, -0.4])
-    v = vertical_from_frame_matrix(M, u, basis_T(4, 0, 1))
+    v = lifted(M, u, vertical=basis_T(4, 0, 1))
     t, n = decompose_OMN(v)
     assert np.max(np.abs(t.vertical.mat - v.vertical.mat)) < 1e-12
     assert np.max(np.abs(n.vertical.mat)) < 1e-12

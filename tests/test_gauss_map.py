@@ -105,7 +105,7 @@ def test_pushforward_rejects_normal_vectors():
     u = np.array([1.0, 0.5])
     fd = M.frame_data(u)
     normal = fd.ambient_components(np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(GaussMapError):
+    with pytest.raises(FrameBundleError):
         gauss_pushforward(M, u, normal)
 
 

@@ -1,8 +1,8 @@
 """Module layout of the framelab package, read from its source.
 
-A module uses another module's public names only: no `from .mod import
-_name` and no `mod._name` on an imported framelab module. Every name a
-module lists in `__all__` exists.
+A module, and a test module, uses a framelab module's public names only: no
+`from .mod import _name` and no `mod._name` on an imported framelab module.
+Every name a module lists in `__all__` exists.
 """
 
 import ast
@@ -15,6 +15,10 @@ import framelab
 
 PACKAGE_DIR = Path(framelab.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+TESTS_DIR = Path(__file__).parent
+# Test modules are scanned too: they use the package's public names only.
+SOURCES = {name: PACKAGE_DIR / f"{name}.py" for name in MODULES}
+SOURCES.update({p.stem: p for p in sorted(TESTS_DIR.glob("*.py"))})
 
 
 def _private(name: str) -> bool:
@@ -50,9 +54,9 @@ def _cross_module_privates(tree: ast.Module) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", SOURCES)
 def test_no_private_names_across_modules(name):
-    tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text())
+    tree = ast.parse(SOURCES[name].read_text())
     assert _cross_module_privates(tree) == []
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from framelab import omn_geometry as og
 from framelab import operators as ops
 from framelab.frame_bundle import (
     decompose_OMN,
+    horizontal_lift_prime,
     nabla_ON_primed,
     normal_generators,
     sasaki_mok_inner,
@@ -109,8 +109,7 @@ def test_nabla_omn_plane_is_flat_derivative():
     u = np.array([0.3, -0.4])
     got = nabla_OMN(M, u, "hh", ["1.0", "0.0"], ["u2", "u1*u1"])
     # d/du1 of (u2, u1^2) along (1,0) is (0, 2 u1)
-    fd = M.frame_data(u)
-    want = og._as_lifted(M, u, fd, np.array([0.0, 2.0 * u[0]]), np.zeros((3, 3)))
+    want = horizontal_lift_prime(M, u, np.array([0.0, 2.0 * u[0]]))
     assert (got - want).norm() < 1e-12
 
 
@@ -190,7 +189,7 @@ def test_curvature_great2_space_form_closed_form():
     gt = fd.gt_chart.val
     coef = kap - 1.5 * kap * kap
     chart = coef * ((Yc @ gt @ Zc) * Xc - (Xc @ gt @ Zc) * Yc)
-    want = og._as_lifted(M, u, fd, chart, np.zeros((3, 3)))
+    want = horizontal_lift_prime(M, u, chart)
     assert (got - want).norm() < 1e-6
     assert got.norm() > 1e-2
 

@@ -283,6 +283,25 @@ def test_P_symmetric_positive_and_inverse(name, u):
     assert np.max(np.abs(back.ambient - X)) < 1e-10
 
 
+def test_pointwise_operators_accept_their_own_output():
+    """P_op returns a TangentVectorM; P_inverse and the other pointwise
+    operations take it as they take its ambient components."""
+    M = builtin_submanifold("sphere2")
+    u = np.array([1.0, 0.5])
+    fd = M.frame_data(u)
+    X = tangent_from_chart(fd, [0.4, -1.1])
+    PX = P_op(M, u, X)
+    assert np.max(np.abs(P_inverse(M, u, PX).ambient - X)) < 1e-12
+    T = basis_T(3, 0, 2)
+    amb = PX.ambient
+    assert np.array_equal(R_T(M, u, T, PX), R_T(M, u, T, amb))
+    assert np.array_equal(P_op(M, u, PX).ambient, P_op(M, u, amb).ambient)
+    assert np.array_equal(P_inverse(M, u, PX).ambient, P_inverse(M, u, amb).ambient)
+    assert modified_metric(M, u, PX, PX) == modified_metric(M, u, amb, amb)
+    field = varying_endo(T)
+    assert np.array_equal(nabla_endo(M, field, u, PX).mat, nabla_endo(M, field, u, amb).mat)
+
+
 def test_modified_metric_scaling():
     rng = np.random.default_rng(11)
     M = builtin_submanifold("sphere2")

@@ -67,6 +67,35 @@ def test_fd_oracles_agree_with_jets(name):
     assert over == []
 
 
+def test_rows_say_how_they_failed(report):
+    kinds = {(r.passed, r.error_kind) for r in report.results}
+    assert kinds == {(True, None), (False, "vacuous")}
+    vacuous = sorted(r.case_id for r in report.results if r.error_kind == "vacuous")
+    assert vacuous == sorted(VACUOUS_ON_CLIFFORD)
+    assert '"error_kind": "vacuous"' in report.canonical_json()
+
+
+def test_crash_and_over_tolerance_rows(monkeypatch):
+    def broken(M, u, rng):
+        raise TypeError("unsupported operand")
+
+    def off(M, u, rng):
+        return 1.0, 1.0, None
+
+    cases = tuple(
+        verify.IdentityCase(id=cid, group="duality-relations", statement=cid, order=1, evaluator=ev)
+        for cid, ev in (("always-crashes", broken), ("always-off", off))
+    )
+    monkeypatch.setattr(verify, "REGISTRY", cases)
+    rows = verify.run_suite(builtins="plane", samples=2).results
+    assert [(r.case_id, r.passed, r.error_kind) for r in rows] == [
+        ("always-crashes", False, "crash"),
+        ("always-crashes", False, "crash"),
+        ("always-off", False, "over_tol"),
+        ("always-off", False, "over_tol"),
+    ]
+
+
 def test_crashed_row_names_the_exception_type(monkeypatch):
     def broken(M, u, rng):
         raise TypeError("unsupported operand")
