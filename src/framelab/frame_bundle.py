@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import jet_einsum
 from . import operators as ops
 from .operators import SkewEndo, hm_split_mat, skew_inner
 from .submanifold import (
@@ -154,7 +153,7 @@ def horizontal_lift_prime(M: ImmersedSubmanifold, u, X) -> LiftedVector:
         xc = fd.chart_of_tangent(Xa)
         if np.max(np.abs(fd.J.val @ xc - Xa)) > 1e-8:
             raise FrameBundleError("horizontal_lift_prime needs a tangent vector")
-    smat = ops.s_field_matrix(fd, fd.uspace.constant(xc)).val
+    smat = ops.s_field_matrix(fd, xc).val
     return lifted(M, u, horizontal=Xa, vertical=smat)
 
 
@@ -254,7 +253,7 @@ def nabla_ON_section(M: ImmersedSubmanifold, u, Xf, yframe, endof) -> LiftedVect
     """
     fd = M.frame_data(np.asarray(u, dtype=float))
     Xc = ops.as_chart_field(fd, Xf)
-    omX = jet_einsum("a,aij->ij", Xc, fd.omega)
+    omX = ops.omega_along(fd, Xc)
     return _pair_nabla_ON(M, u, fd, Xc, omX, yframe(fd), ops.as_endo_field(fd, endof))
 
 
@@ -274,7 +273,7 @@ def decompose_OMN(v: LiftedVector) -> tuple[LiftedVector, LiftedVector]:
     Vh, Vm = hm_split_mat(v.vertical.mat, p)
     xtan = ops.solve_P(fd, hfr[:p] - ops.s_tm_tangent_jet(fd, Vm).val)
     xc = fd.C.val @ xtan
-    SX = ops.s_field_matrix(fd, fd.uspace.constant(xc)).val
+    SX = ops.s_field_matrix(fd, xc).val
     xfull = np.zeros(d)
     xfull[:p] = xtan
     tangent = lifted(M, u, horizontal=fd.ambient_components(xfull), vertical=SX + Vh)

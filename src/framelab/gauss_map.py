@@ -159,9 +159,8 @@ def tension_field(M: ImmersedSubmanifold, u, rotation=None) -> LiftedVector:
     u = np.asarray(u, dtype=float)
     fd = M.frame_data(u)
     amb, rterm, tilde, _, dS = _tension_parts(fd, rotation)
-    tilde_fr = np.concatenate([fd.Dmat.val @ tilde.val, np.zeros(fd.d - fd.p)])
-    horiz = amb.val - tilde_fr + rterm.val
-    vert = dS.val * fd.mmask - ops.s_field_matrix(fd, tilde).val
+    horiz = amb.val - ops.full_frame_field(fd, tilde.val).val + rterm.val
+    vert = dS.val * fd.mmask - ops.s_field_matrix(fd, tilde.val).val
     return grassmann_vector(M, u, horizontal=fd.ambient_components(horiz), vertical=vert)
 
 
@@ -237,7 +236,7 @@ def residual_data(M: ImmersedSubmanifold, u) -> HarmonicityData:
     tilde_fr = fd.Dmat.val @ tilde.val
     prime_fr = fd.Dmat.val @ prime.val
     h2 = np.concatenate([prime_fr - tilde_fr + rv[:p], np.zeros(d - p)])
-    s_of = lambda vec_chart: ops.s_field_matrix(fd, fd.uspace.constant(vec_chart)).val
+    s_of = lambda vec_chart: ops.s_field_matrix(fd, vec_chart).val
     h3 = dS.val * fd.mmask - s_of(tilde.val)
     rtop_chart = fd.C.val @ rv[:p]
     m2 = dS.val * fd.mmask - s_of(prime.val) - s_of(rtop_chart)
@@ -266,7 +265,7 @@ def implication_residuals(M: ImmersedSubmanifold, data: HarmonicityData) -> tupl
     """
     fd = M.frame_data(data.u)
     h2 = data.h2[: fd.p]
-    s_h2 = ops.s_field_matrix(fd, fd.uspace.constant(fd.C.val @ h2)).val
+    s_h2 = ops.s_field_matrix(fd, fd.C.val @ h2).val
     r_m2 = float(np.max(np.abs(data.m2 - (data.h3 - s_h2))))
     r_h2 = float(np.max(np.abs(fd.Pfr.val @ h2 - ops.s_tm_tangent_jet(fd, data.m2).val)))
     return r_m2, r_h2

@@ -35,6 +35,7 @@ __all__ = [
     "get_space",
     "jstack",
     "jet_einsum",
+    "jet_along",
     "jet_matmul",
     "jet_matvec",
     "jet_dot",
@@ -280,10 +281,6 @@ class Jet:
         v = self.valid - 1
         return Jet(sp, _trim(sp, out, v), v)
 
-    def grad(self) -> Jet:
-        """Stack of all first derivatives along a new trailing tensor axis."""
-        return jstack([self.d(a) for a in range(self.space.nvars)], axis=-1)
-
     # -- structure ---------------------------------------------------------
 
     def __getitem__(self, idx) -> Jet:
@@ -350,6 +347,17 @@ def jet_einsum(sub: str, a, b) -> Jet:
         out = np.einsum(f"{sa},{sb}P->{rhs}P", np.asarray(a, dtype=float), b.coeffs)
         return Jet(b.space, out, b.valid)
     raise TypeError("at least one operand must be a Jet")
+
+
+def jet_along(X, F: Jet) -> Jet:
+    """Directional derivative sum_a X^a d_a F of any jet F.
+
+    X holds one coefficient per variable: a jet field, or a plain (nvars,)
+    array for a constant direction (then the product is jet-by-array). The
+    result is valid to min(X.valid, F.valid - 1), or F.valid - 1 for an array.
+    """
+    dF = jstack([F.d(a) for a in range(F.space.nvars)], axis=0)
+    return jet_einsum("a,a...->...", X, dF)
 
 
 def jet_matmul(a, b) -> Jet:

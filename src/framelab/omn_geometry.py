@@ -58,15 +58,7 @@ def domain_samples(M: ImmersedSubmanifold, n: int, seed: int = 0, pad: float = 0
 # -- field-pair plumbing --------------------------------------------------------
 
 
-def _chart_field(fd: FramePointData, spec) -> Jet:
-    if spec is None:
-        return fd.uspace.constant(np.zeros(fd.p))
-    return ops.as_chart_field(fd, spec)
-
-
 def _h_endo_field(fd: FramePointData, spec) -> Jet:
-    if spec is None:
-        return fd.uspace.constant(np.zeros((fd.d, fd.d)))
     j = ops.as_endo_field(fd, spec)
     m_part = hm_split_mat(j.val, fd.p)[1]
     if np.max(np.abs(m_part)) > 1e-10:
@@ -79,12 +71,24 @@ def _pair_nabla(fd, Xc, A, Yc, B):
 
     chart part: tilde_nabla_X Y + (Q_B(X) + Q_A(Y))/2
     vertical (h) part: -R'(X,Y)/2 + nabla'_X B + [B, A]/2
+
+    Returns the values of both parts. An absent part is None, and a term is
+    formed only when all its factors are present.
     """
-    chart = ops.vec_tilde_nabla_jet(fd, Xc, Yc)
-    chart = chart + 0.5 * ops.q_t_chart_jet(fd, B, Xc) + 0.5 * ops.q_t_chart_jet(fd, A, Yc)
-    vert = (-0.5) * ops.curvature_prime_jet(fd, Xc, Yc)
-    vert = vert + ops.nabla_t_field_jet(fd, B, Xc, "prime")
-    vert = vert + 0.5 * ops.commutator_jet(B, A)
+    chart = np.zeros(fd.p)
+    vert = np.zeros((fd.d, fd.d))
+    if Xc is not None:
+        if Yc is not None:
+            chart = chart + ops.vec_tilde_nabla_jet(fd, Xc, Yc).val
+            vert = vert - 0.5 * ops.curvature_prime_jet(fd, Xc, Yc).val
+        if B is not None:
+            chart = chart + 0.5 * ops.q_t_chart_jet(fd, B, Xc).val
+            vert = vert + ops.nabla_t_field_jet(fd, B, Xc, "prime").val
+    if A is not None:
+        if Yc is not None:
+            chart = chart + 0.5 * ops.q_t_chart_jet(fd, A, Yc).val
+        if B is not None:
+            vert = vert + 0.5 * (B.val @ A.val - A.val @ B.val)
     return chart, vert
 
 
@@ -100,10 +104,10 @@ def nabla_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
     """
     fd = M.frame_data(np.asarray(u, dtype=float))
     X, A, Y, B = case_pairs(case, args)
-    chart, vert = _pair_nabla(
-        fd, _chart_field(fd, X), _h_endo_field(fd, A), _chart_field(fd, Y), _h_endo_field(fd, B)
-    )
-    return horizontal_lift_prime(M, u, chart.val) + lifted(M, u, vertical=vert.val)
+    chart = lambda f: None if f is None else ops.as_chart_field(fd, f)
+    endo = lambda T: None if T is None else _h_endo_field(fd, T)
+    chart_val, vert = _pair_nabla(fd, chart(X), endo(A), chart(Y), endo(B))
+    return horizontal_lift_prime(M, u, chart_val) + lifted(M, u, vertical=vert)
 
 
 # -- curvature -------------------------------------------------------------------
@@ -148,7 +152,7 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
     fd = M.frame_data(np.asarray(u, dtype=float))
     if case == "hhh":
         Xf, Yf, Zf = args
-        Xc, Yc, Zc = (_chart_field(fd, f) for f in (Xf, Yf, Zf))
+        Xc, Yc, Zc = (ops.as_chart_field(fd, f) for f in (Xf, Yf, Zf))
         chart = _tilde_curvature_apply(fd, Xc, Yc, Zc)
         q = (
             ops.q_t_chart_jet(fd, ops.curvature_prime_jet(fd, Yc, Zc), Xc)
@@ -160,7 +164,7 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
         return horizontal_lift_prime(M, u, chart.val) + lifted(M, u, vertical=vert.val)
     if case == "hhv":
         Xf, Yf, T = args
-        Xc, Yc = _chart_field(fd, Xf), _chart_field(fd, Yf)
+        Xc, Yc = ops.as_chart_field(fd, Xf), ops.as_chart_field(fd, Yf)
         Tj = _h_endo_field(fd, T)
         chart = 0.5 * (_d_x_q_t(fd, Xc, Tj, Yc) - _d_x_q_t(fd, Yc, Tj, Xc))
         RXY = ops.curvature_prime_jet(fd, Xc, Yc)
@@ -173,7 +177,7 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
         return horizontal_lift_prime(M, u, chart.val) + lifted(M, u, vertical=vert.val)
     if case == "hvh":
         Xf, T, Zf = args
-        Xc, Zc = _chart_field(fd, Xf), _chart_field(fd, Zf)
+        Xc, Zc = ops.as_chart_field(fd, Xf), ops.as_chart_field(fd, Zf)
         Tj = _h_endo_field(fd, T)
         chart = 0.5 * _d_x_q_t(fd, Xc, Tj, Zc)
         QTZ = ops.q_t_chart_jet(fd, Tj, Zc)
@@ -183,7 +187,7 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
         return horizontal_lift_prime(M, u, chart.val) + lifted(M, u, vertical=vert.val)
     if case == "hvv":
         Xf, T, Tp = args
-        Xc = _chart_field(fd, Xf)
+        Xc = ops.as_chart_field(fd, Xf)
         Tj, Tpj = _h_endo_field(fd, T), _h_endo_field(fd, Tp)
         commTT = ops.commutator_jet(Tj, Tpj)
         chart = -0.25 * (
@@ -193,7 +197,7 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
         return horizontal_lift_prime(M, u, chart.val)
     if case == "vvh":
         T, Tp, Zf = args
-        Zc = _chart_field(fd, Zf)
+        Zc = ops.as_chart_field(fd, Zf)
         Tj, Tpj = _h_endo_field(fd, T), _h_endo_field(fd, Tp)
         commTT = ops.commutator_jet(Tj, Tpj)
         chart = 0.25 * (
@@ -234,6 +238,15 @@ def _gtilde(fd, a, b) -> float:
     return float(a @ fd.gt_chart.val @ b)
 
 
+def _norm(sq: float, what: str) -> float:
+    """The norm sqrt(sq) of a plane direction; OmnError(what) when it is
+    below 1e-12 or not a number."""
+    n = float(np.sqrt(max(sq, 0.0)))
+    if not n >= 1e-12:
+        raise OmnError(what)
+    return n
+
+
 def omn_plane(M: ImmersedSubmanifold, u, spec1, spec2) -> OmnPlane:
     """Build a sectional plane from ("hprime", chart coeffs) / ("vertical", mat)
     specs, orthonormalizing with respect to the Sasaki-Mok metric."""
@@ -245,42 +258,33 @@ def omn_plane(M: ImmersedSubmanifold, u, spec1, spec2) -> OmnPlane:
     if kinds == ("hprime", "hprime"):
         x = np.asarray(spec1[1], dtype=float)
         y = np.asarray(spec2[1], dtype=float)
-        x = x / np.sqrt(_gtilde(fd, x, x))
+        x = x / _norm(_gtilde(fd, x, x), "horizontal direction vanishes")
         y = y - _gtilde(fd, x, y) * x
-        ny = np.sqrt(_gtilde(fd, y, y))
-        if ny < 1e-12:
-            raise OmnError("plane vectors are linearly dependent")
-        y = y / ny
+        y = y / _norm(_gtilde(fd, y, y), "plane vectors are linearly dependent")
         v1 = horizontal_lift_prime(M, u, x)
         v2 = horizontal_lift_prime(M, u, y)
         plane = OmnPlane(M, u, "hh", x, y, None, None, v1, v2)
     elif kinds == ("hprime", "vertical"):
         x = np.asarray(spec1[1], dtype=float)
-        x = x / np.sqrt(_gtilde(fd, x, x))
+        x = x / _norm(_gtilde(fd, x, x), "horizontal direction vanishes")
         T = _h_endo_field(fd, np.asarray(spec2[1], dtype=float)).val
-        nt = np.sqrt(skew_inner(T, T))
-        if nt < 1e-12:
-            raise OmnError("vertical direction vanishes")
-        T = T / nt
+        T = T / _norm(skew_inner(T, T), "vertical direction vanishes")
         v1 = horizontal_lift_prime(M, u, x)
         v2 = lifted(M, u, vertical=T)
         plane = OmnPlane(M, u, "hv", x, None, T, None, v1, v2)
     elif kinds == ("vertical", "vertical"):
         T = _h_endo_field(fd, np.asarray(spec1[1], dtype=float)).val
         Tp = _h_endo_field(fd, np.asarray(spec2[1], dtype=float)).val
-        T = T / np.sqrt(skew_inner(T, T))
+        T = T / _norm(skew_inner(T, T), "vertical direction vanishes")
         Tp = Tp - skew_inner(T, Tp) * T
-        nt = np.sqrt(skew_inner(Tp, Tp))
-        if nt < 1e-12:
-            raise OmnError("plane vectors are linearly dependent")
-        Tp = Tp / nt
+        Tp = Tp / _norm(skew_inner(Tp, Tp), "plane vectors are linearly dependent")
         v1 = lifted(M, u, vertical=T)
         v2 = lifted(M, u, vertical=Tp)
         plane = OmnPlane(M, u, "vv", None, None, T, Tp, v1, v2)
     else:
         raise OmnError("plane specs must be ('hprime', coeffs) or ('vertical', matrix)")
     for a, b, want in ((plane.v1, plane.v1, 1.0), (plane.v2, plane.v2, 1.0), (plane.v1, plane.v2, 0.0)):
-        if abs(sasaki_mok_inner(a, b) - want) > 1e-10:
+        if not abs(sasaki_mok_inner(a, b) - want) <= 1e-10:
             raise OmnError("plane failed to orthonormalize")
     return plane
 
@@ -290,15 +294,12 @@ def sectional_OMN(plane: OmnPlane) -> float:
     M, u = plane.sub, plane.u
     fd = M.frame_data(u)
     if plane.kind == "hh":
-        Xc = fd.uspace.constant(plane.xc)
-        Yc = fd.uspace.constant(plane.yc)
-        RYYX = _tilde_curvature_apply(fd, Xc, Yc, Yc).val
+        RYYX = _tilde_curvature_apply(fd, plane.xc, plane.yc, plane.yc).val
         kt = float(plane.xc @ fd.gt_chart.val @ RYYX)
-        Rp = ops.curvature_prime_jet(fd, Xc, Yc).val
+        Rp = ops.curvature_prime_jet(fd, plane.xc, plane.yc).val
         return kt - 0.75 * skew_inner(Rp, Rp)
     if plane.kind == "hv":
-        Xc = fd.uspace.constant(plane.xc)
-        q = ops.q_t_chart_jet(fd, fd.uspace.constant(plane.T), Xc).val
+        q = ops.q_t_chart_jet(fd, fd.uspace.constant(plane.T), plane.xc).val
         return 0.25 * float(q @ fd.gt_chart.val @ q)
     comm = plane.T @ plane.Tp - plane.Tp @ plane.T
     return 0.125 * skew_inner(comm, comm)
@@ -357,11 +358,11 @@ def second_fundamental_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> Lifte
     """
     fd = M.frame_data(np.asarray(u, dtype=float))
     if case == "hh":
-        Xc = _chart_field(fd, args[0])
-        Yc = _chart_field(fd, args[1])
+        Xc = ops.as_chart_field(fd, args[0])
+        Yc = ops.as_chart_field(fd, args[1])
         horiz, vert = _pi_hh_jets(fd, Xc, Yc)
     elif case == "hv":
-        Xc = _chart_field(fd, args[0])
+        Xc = ops.as_chart_field(fd, args[0])
         Tj = _h_endo_field(fd, args[1])
         horiz, vert = _pi_hv_jets(fd, Xc, Tj)
     elif case == "vv":

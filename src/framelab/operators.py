@@ -6,22 +6,27 @@ and normal), the m-part the off-diagonal blocks. The inner product is
 <T, T'> = -tr(T T').
 
 Tangent vector fields on M are chart-coefficient jet fields; endomorphism
-fields are frame-component jet fields. Covariant derivatives act in frame
-components through the connection matrices omega^a (full ambient connection)
-or their block-diagonal part (the connection preserving the splitting).
+fields are frame-component jet fields. A constant direction that is only
+contracted, never differentiated, may be a plain array instead. Every
+covariant derivative along a tangent field X is the directional derivative
+jets.jet_along(X, F) = sum_a X^a d_a F plus a connection term: omega_X F or
+[omega_X, T] in frame components, with omega_along giving the connection
+matrix omega_X = sum_a X^a omega^a (full ambient connection) or its
+block-diagonal part (the connection preserving the splitting), and
+Gamma(X, Y) in chart coefficients.
 
 Public frame-field primitives, all jet-valued at one FramePointData, are
 the single home of their formulas for the frame-bundle modules:
 frame_of_chart and full_frame_field (chart coefficients of a tangent field to
-its p tangent-frame or d frame components), ambient_deriv_frame (nabla_X Y in
-frame components), curvature_matrix (frame matrix of R(X, Y)),
-s_field_matrix (S_X), s_tm_tangent_jet (S_{T_m}), rt_matrix_jet (R_T),
-endo_deriv_jet and nabla_t_field_jet (nabla_X T, full or primed),
-commutator_jet ([A, B] of frame-matrix jets), and solve_P (P^{-1}, refusing
-a numerically singular P). Field specs are normalised by as_chart_field
-(tangent fields) and as_endo_field (endomorphism fields); ambient vectors by
-submanifold.as_ambient, which every pointwise operation applies to its
-vector arguments.
+its p tangent-frame or d frame components), omega_along (omega_X, full or
+block-diagonal), ambient_deriv_frame (nabla_X Y in frame components),
+curvature_matrix (frame matrix of R(X, Y)), s_field_matrix (S_X),
+s_tm_tangent_jet (S_{T_m}), rt_matrix_jet (R_T), nabla_t_field_jet
+(nabla_X T, full or primed), commutator_jet ([A, B] of frame-matrix jets),
+and solve_P (P^{-1}, refusing a numerically singular P). Field specs are
+normalised by as_chart_field (tangent fields) and as_endo_field
+(endomorphism fields); ambient vectors by submanifold.as_ambient, which every
+pointwise operation applies to its vector arguments.
 
 The tolerance ladder of the identity checks is verify.TOL_LADDER.
 """
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, jet_einsum, jet_solve, jstack
+from .jets import Jet, jet_along, jet_einsum, jet_solve, jstack
 from .submanifold import (
     AdaptedFrame,
     FramePointData,
@@ -58,13 +63,12 @@ __all__ = [
     "L_op",
     "Q_T",
     "curvature_prime",
-    "s_of_field",
     "as_chart_field",
     "as_endo_field",
     "rt_matrix_jet",
     "s_field_matrix",
     "s_tm_tangent_jet",
-    "endo_deriv_jet",
+    "omega_along",
     "vec_nabla_prime_jet",
     "vec_tilde_nabla_jet",
     "q_t_chart_jet",
@@ -146,18 +150,23 @@ def frame_of_chart(fd: FramePointData, xc) -> Jet:
     return jet_einsum("Aa,a->A", fd.Dmat, xc)
 
 
-def full_frame_field(fd: FramePointData, Xc: Jet) -> Jet:
+def full_frame_field(fd: FramePointData, Xc) -> Jet:
     """Frame components (length d, zero normal part) of a tangent chart field."""
     return jet_einsum("iA,A->i", np.eye(fd.d)[:, : fd.p], frame_of_chart(fd, Xc))
 
 
-def ambient_deriv_frame(fd: FramePointData, Xc: Jet, yF: Jet) -> Jet:
+def omega_along(fd: FramePointData, Xc, which: str = "ambient") -> Jet:
+    """omega_X = sum_a X^a omega^a, the connection matrix along X in frame
+    components; its block-diagonal part when which is "prime"."""
+    if which not in ("ambient", "prime"):
+        raise OperatorError(f"unknown connection {which!r}")
+    om = jet_einsum("a,aij->ij", Xc, fd.omega)
+    return om * fd.hmask if which == "prime" else om
+
+
+def ambient_deriv_frame(fd: FramePointData, Xc, yF: Jet) -> Jet:
     """Frame components of nabla_X Y for a full frame-component field yF."""
-    terms = [Xc[a] * (yF.d(a) + jet_einsum("ij,j->i", fd.omega[a], yF)) for a in range(fd.p)]
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+    return jet_along(Xc, yF) + jet_einsum("ij,j->i", omega_along(fd, Xc), yF)
 
 
 def curvature_matrix(fd: FramePointData, xF: Jet, yF: Jet) -> Jet:
@@ -200,24 +209,14 @@ def as_endo_field(fd: FramePointData, spec) -> Jet:
     return fd.uspace.constant(_mat(spec))
 
 
-def s_field_matrix(fd: FramePointData, Xc: Jet) -> Jet:
+def s_field_matrix(fd: FramePointData, Xc) -> Jet:
     """Frame matrix jet of the endomorphism field u -> S_{X(u)}."""
-    return jet_einsum("a,aij->ij", Xc, fd.omega) * fd.mmask
+    return omega_along(fd, Xc) * fd.mmask
 
 
-def rt_matrix_jet(fd: FramePointData, Tj: Jet) -> Jet:
+def rt_matrix_jet(fd: FramePointData, Tj) -> Jet:
     """Frame matrix of X -> sum_i R(e_i, T e_i) X."""
     return jet_einsum("abij,ji->ab", fd.Rfr, Tj)
-
-
-def endo_deriv_jet(fd: FramePointData, Tj: Jet, a: int, which: str = "ambient") -> Jet:
-    """Frame components of (nabla_{d_a} T) for an endo field, full or primed."""
-    om = fd.omega[a]
-    if which == "prime":
-        om = om * fd.hmask
-    elif which != "ambient":
-        raise OperatorError(f"unknown connection {which!r}")
-    return Tj.d(a) + commutator_jet(om, Tj)
 
 
 def s_tm_tangent_jet(fd: FramePointData, Tm) -> Jet:
@@ -242,12 +241,9 @@ def solve_P(fd: FramePointData, rhs):
     return np.linalg.solve(fd.Pfr.val, rhs)
 
 
-def _connection_jet(fd: FramePointData, gam: Jet, Xc: Jet, Yc: Jet) -> Jet:
+def _connection_jet(fd: FramePointData, gam: Jet, Xc, Yc: Jet) -> Jet:
     """Chart coefficients of nabla_X Y for the connection with Christoffels gam."""
-    dY = jstack([Yc.d(a) for a in range(fd.p)], axis=0)
-    return jet_einsum("a,ac->c", Xc, dY) + jet_einsum(
-        "cab,ab->c", gam, jet_einsum("a,b->ab", Xc, Yc)
-    )
+    return jet_along(Xc, Yc) + jet_einsum("cab,ab->c", gam, jet_einsum("a,b->ab", Xc, Yc))
 
 
 def vec_nabla_prime_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
@@ -262,21 +258,16 @@ def vec_tilde_nabla_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
 
 def bracket_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
     """[X, Y] in chart coefficients."""
-    dY = jstack([Yc.d(a) for a in range(fd.p)], axis=0)
-    dX = jstack([Xc.d(a) for a in range(fd.p)], axis=0)
-    return jet_einsum("a,ac->c", Xc, dY) - jet_einsum("a,ac->c", Yc, dX)
+    return jet_along(Xc, Yc) - jet_along(Yc, Xc)
 
 
-def nabla_t_field_jet(fd: FramePointData, Tj: Jet, Xc: Jet, which: str = "ambient") -> Jet:
-    """(nabla_X T) for an endo field along a tangent field, frame components."""
-    terms = [Xc[a] * endo_deriv_jet(fd, Tj, a, which) for a in range(fd.p)]
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+def nabla_t_field_jet(fd: FramePointData, Tj: Jet, Xc, which: str = "ambient") -> Jet:
+    """(nabla_X T) for an endo field along a tangent field, frame components,
+    full or primed (which = "ambient" or "prime")."""
+    return jet_along(Xc, Tj) + commutator_jet(omega_along(fd, Xc, which), Tj)
 
 
-def q_t_chart_jet(fd: FramePointData, Tj: Jet, Xc: Jet) -> Jet:
+def q_t_chart_jet(fd: FramePointData, Tj: Jet, Xc) -> Jet:
     """Q_T(X) in chart coefficients, everything jet-valued.
 
     Q_T(X) = P^{-1}((R_T X)^T - S_{(nabla_X T)_m}).
@@ -289,7 +280,7 @@ def q_t_chart_jet(fd: FramePointData, Tj: Jet, Xc: Jet) -> Jet:
     return jet_einsum("aA,A->a", fd.C, solve_P(fd, rt_top - svec))
 
 
-def curvature_prime_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
+def curvature_prime_jet(fd: FramePointData, Xc, Yc) -> Jet:
     """R'(X, Y) as a frame-matrix jet: R(X,Y)_h - [S_X, S_Y]."""
     xfr, yfr = frame_of_chart(fd, Xc), frame_of_chart(fd, Yc)
     RXY = jet_einsum(
@@ -321,7 +312,7 @@ def _tangent_of_chart(fd: FramePointData, xc: np.ndarray) -> TangentVectorM:
 def R_T(M: ImmersedSubmanifold, u, T, X) -> np.ndarray:
     """sum_i R(e_i, T e_i) X, ambient components."""
     fd = M.frame_data(u)
-    RT = rt_matrix_jet(fd, fd.uspace.constant(_mat(T))).val
+    RT = rt_matrix_jet(fd, _mat(T)).val
     return fd.ambient_components(RT @ fd.frame_components(as_ambient(X)))
 
 
@@ -356,19 +347,8 @@ def nabla_endo(M: ImmersedSubmanifold, T, u, X, which: str = "ambient") -> SkewE
     T is a callable mapping FramePointData to a (d, d) frame-component jet.
     """
     fd = M.frame_data(u)
-    Tj = T(fd)
     xc = fd.chart_of_tangent(as_ambient(X))
-    out = sum(xc[a] * endo_deriv_jet(fd, Tj, a, which).val for a in range(fd.p))
-    return _skew_endo_at(M, u, out)
-
-
-def s_of_field(field) -> "callable":
-    """Endomorphism field u -> S_{Y(u)} from a tangent vector field."""
-
-    def endo(fd: FramePointData) -> Jet:
-        return s_field_matrix(fd, as_chart_field(fd, field))
-
-    return endo
+    return _skew_endo_at(M, u, nabla_t_field_jet(fd, T(fd), xc, which).val)
 
 
 def _tangent_connection(M: ImmersedSubmanifold, u, Xf, Yf, connection) -> TangentVectorM:
@@ -406,12 +386,12 @@ def Q_T(M: ImmersedSubmanifold, u, T, X) -> TangentVectorM:
     fd = M.frame_data(u)
     Tj = as_endo_field(fd, T)
     xc = fd.chart_of_tangent(as_ambient(X))
-    return _tangent_of_chart(fd, q_t_chart_jet(fd, Tj, fd.uspace.constant(xc)).val)
+    return _tangent_of_chart(fd, q_t_chart_jet(fd, Tj, xc).val)
 
 
 def curvature_prime(M: ImmersedSubmanifold, u, X, Y) -> SkewEndo:
     """R'(X, Y) = R(X,Y)_h - [S_X, S_Y] on the splitting-compatible connection."""
     fd = M.frame_data(u)
-    xc = fd.uspace.constant(fd.chart_of_tangent(as_ambient(X)))
-    yc = fd.uspace.constant(fd.chart_of_tangent(as_ambient(Y)))
+    xc = fd.chart_of_tangent(as_ambient(X))
+    yc = fd.chart_of_tangent(as_ambient(Y))
     return _skew_endo_at(M, u, curvature_prime_jet(fd, xc, yc).val)

@@ -31,6 +31,7 @@ from .expr import Expression, eval_expr, parse
 from .jets import (
     Jet,
     get_space,
+    jet_along,
     jet_dot,
     jet_einsum,
     jet_inv,
@@ -381,9 +382,11 @@ class FramePointData:
             comps.append(eval_expr(e, self.uv, self.uspace))
         return jstack(comps, axis=-1)
 
-    def cov_deriv_chart(self, Yj: Jet, a: int) -> Jet:
-        """Ambient nabla_{d_a} of an ambient-component jet field."""
-        return Yj.d(a) + jet_einsum("il,l->i", jet_einsum("ikl,k->il", self.Gam, self.J[:, a]), Yj)
+    def cov_deriv(self, Yj: Jet, xc) -> Jet:
+        """Ambient nabla_X of an ambient-component jet field, X given by its
+        chart coefficients xc (a jet field or a plain array)."""
+        gam_x = jet_einsum("ikl,k->il", self.Gam, jet_einsum("ka,a->k", self.J, xc))
+        return jet_along(xc, Yj) + jet_einsum("il,l->i", gam_x, Yj)
 
 
 # -- public operations ---------------------------------------------------------
@@ -434,11 +437,7 @@ def _normal_extension(fd: FramePointData, V) -> Jet:
 
 
 def _directional_cov(fd: FramePointData, Yj: Jet, X) -> np.ndarray:
-    xc = fd.chart_of_tangent(as_ambient(X))
-    out = np.zeros(fd.d)
-    for a in range(fd.p):
-        out += xc[a] * fd.cov_deriv_chart(Yj, a).val
-    return out
+    return fd.cov_deriv(Yj, fd.chart_of_tangent(as_ambient(X))).val
 
 
 def second_fundamental_form(M: ImmersedSubmanifold, u, X, Y) -> NormalVector:

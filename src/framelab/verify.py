@@ -33,7 +33,7 @@ from .frame_bundle import (
     nabla_ON,
     sasaki_mok_inner,
 )
-from .jets import jet_einsum, jstack
+from .jets import jet_along, jet_einsum, jstack
 from .omn_geometry import domain_samples
 from .operators import skew_inner
 from .submanifold import ImmersedSubmanifold, builtin_submanifold
@@ -149,9 +149,9 @@ def _ev_curvature_endo_duality(M, u, rng):
     x = _unit_chart(fd, rng)
     y = _unit_chart(fd, rng)
     T = _random_skew(fd.d, rng)
-    xF = ops.full_frame_field(fd, fd.uspace.constant(x))
-    yF = ops.full_frame_field(fd, fd.uspace.constant(y))
-    rt = ops.rt_matrix_jet(fd, fd.uspace.constant(T)).val
+    xF = ops.full_frame_field(fd, x)
+    yF = ops.full_frame_field(fd, y)
+    rt = ops.rt_matrix_jet(fd, T).val
     lhs = float((rt @ xF.val) @ yF.val)
     Rxy = ops.curvature_matrix(fd, xF, yF).val
     rhs = skew_inner(Rxy, T)
@@ -162,10 +162,10 @@ def _ev_vertical_endo_tangent_duality(M, u, rng):
     fd = M.frame_data(u)
     x = _unit_chart(fd, rng)
     Tm = _random_offblock_skew(fd.p, fd.d, rng)
-    svec = ops.s_tm_tangent_jet(fd, fd.uspace.constant(Tm)).val
+    svec = ops.s_tm_tangent_jet(fd, Tm).val
     xfr = fd.Dmat.val @ x
     lhs = float(svec @ xfr)
-    SX = ops.s_field_matrix(fd, fd.uspace.constant(x)).val
+    SX = ops.s_field_matrix(fd, x).val
     rhs = -skew_inner(Tm, SX)
     return abs(lhs - rhs), _witness_smax(fd), None
 
@@ -175,8 +175,8 @@ def _ev_vertical_endo_pair_inner(M, u, rng):
     p = fd.p
     v = _unit_chart(fd, rng)
     z = _unit_chart(fd, rng)
-    SV = ops.s_field_matrix(fd, fd.uspace.constant(v)).val
-    SZ = ops.s_field_matrix(fd, fd.uspace.constant(z)).val
+    SV = ops.s_field_matrix(fd, v).val
+    SZ = ops.s_field_matrix(fd, z).val
     lhs = skew_inner(SV, SZ)
     vfr, zfr = fd.Dmat.val @ v, fd.Dmat.val @ z
     rhs = -float(vfr @ ((np.eye(p) - fd.Pfr.val) @ zfr))
@@ -190,8 +190,8 @@ def _ev_deformed_metric_pairing(M, u, rng):
     y = _unit_chart(fd, rng)
     xfr, yfr = fd.Dmat.val @ x, fd.Dmat.val @ y
     lhs = float(xfr @ (fd.Pfr.val @ yfr))
-    SX = ops.s_field_matrix(fd, fd.uspace.constant(x)).val
-    SY = ops.s_field_matrix(fd, fd.uspace.constant(y)).val
+    SX = ops.s_field_matrix(fd, x).val
+    SY = ops.s_field_matrix(fd, y).val
     rhs = float(xfr @ yfr) + skew_inner(SX, SY)
     via_gt = float(x @ fd.gt_chart.val @ y)
     return max(abs(lhs - rhs), abs(lhs - via_gt)), _witness_smax(fd), None
@@ -218,9 +218,7 @@ def _ev_gauss_tangent_block(M, u, rng):
             Fp = (omh[b].d(a) - omh[a].d(b) + ops.commutator_jet(omh[a], omh[b])).val
             ea, eb = np.zeros(p), np.zeros(p)
             ea[a], eb[b] = 1.0, 1.0
-            Rp = ops.curvature_prime_jet(
-                fd, fd.uspace.constant(ea), fd.uspace.constant(eb)
-            ).val
+            Rp = ops.curvature_prime_jet(fd, ea, eb).val
             worst = max(worst, float(np.max(np.abs(Fp - Rp))))
             Sa = fd.omega.val[a] * fd.mmask
             Sb = fd.omega.val[b] * fd.mmask
@@ -270,7 +268,6 @@ def _ev_endo_derivative_split(block: str):
 
 def _ev_bundle_metric_compatibility(M, u, rng):
     fd = M.frame_data(u)
-    p = fd.p
     Xc = _affine_field(fd, rng)
     Yc = _affine_field(fd, rng)
     Zc = _affine_field(fd, rng)
@@ -281,8 +278,7 @@ def _ev_bundle_metric_compatibility(M, u, rng):
     zF = ops.full_frame_field(fd, Zc)
     TYj, TZj = TYf(fd), TZf(fd)
     inner = jet_einsum("i,i->", yF, zF) - jet_einsum("ij,ji->", TYj, TZj)
-    dinner = jstack([inner.d(a) for a in range(p)], axis=0)
-    lhs = jet_einsum("a,a->", Xc, dinner).val
+    lhs = jet_along(Xc, inner).val
     ynab = nabla_ON(M, u, "hh", Xc, Yc) + nabla_ON(M, u, "hv", Xc, TYf)
     znab = nabla_ON(M, u, "hh", Xc, Zc) + nabla_ON(M, u, "hv", Xc, TZf)
     ypt = lifted(M, u, horizontal=fd.ambient_components(yF.val), vertical=TYj.val)
@@ -331,8 +327,8 @@ def _ev_q_operator_deformed_skewness(M, u, rng):
     x = _unit_chart(fd, rng)
     y = _unit_chart(fd, rng)
     Tj = fd.uspace.constant(T)
-    qx = ops.q_t_chart_jet(fd, Tj, fd.uspace.constant(x)).val
-    qy = ops.q_t_chart_jet(fd, Tj, fd.uspace.constant(y)).val
+    qx = ops.q_t_chart_jet(fd, Tj, x).val
+    qy = ops.q_t_chart_jet(fd, Tj, y).val
     gt = fd.gt_chart.val
     lhs = float(qx @ gt @ y) + float(x @ gt @ qy)
     return abs(lhs), float(np.max(np.abs(qx))), None
@@ -410,7 +406,7 @@ def _ev_sectional_mixed_vs_curvature(M, u, rng):
     pl = og.omn_plane(M, u, ("hprime", x), ("vertical", T))
     R = og.curvature_OMN(M, u, "hvv", pl.xc, pl.T, pl.T)
     val = og.sectional_OMN(pl)
-    q = ops.q_t_chart_jet(fd, fd.uspace.constant(pl.T), fd.uspace.constant(pl.xc)).val
+    q = ops.q_t_chart_jet(fd, fd.uspace.constant(pl.T), pl.xc).val
     return abs(val - sasaki_mok_inner(R, pl.v1)), float(np.max(np.abs(q))), None
 
 
@@ -1142,9 +1138,7 @@ def jet_value(M: ImmersedSubmanifold, quantity: str, u, Xf=None, Yf=None):
             for b in range(p):
                 ea, eb = np.zeros(p), np.zeros(p)
                 ea[a], eb[b] = 1.0, 1.0
-                blk = ops.curvature_prime_jet(
-                    fd, fd.uspace.constant(ea), fd.uspace.constant(eb)
-                ).val[:p, :p]
+                blk = ops.curvature_prime_jet(fd, ea, eb).val[:p, :p]
                 out[:, :, a, b] = C @ blk @ D
         return out
     raise VerifyError(f"unknown finite-difference quantity {quantity!r}")

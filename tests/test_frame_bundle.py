@@ -251,19 +251,20 @@ def test_nabla_ON_metric_compatibility(name, u):
 def primed_by_expansion(M, u, case, *args):
     """nabla_ON_primed expanded bilinearly into nabla_ON cases, with
     X^{h'} = X^h + bar(S_X) both as direction and as field (reference)."""
+    s_of = lambda Y: (lambda fd: ops.s_field_matrix(fd, ops.as_chart_field(fd, Y)))
     if case == "hh":
         Xf, Yf = args
-        sx, sy = ops.s_of_field(Xf), ops.s_of_field(Yf)
+        sx, sy = s_of(Xf), s_of(Yf)
         out = nabla_ON(M, u, "hh", Xf, Yf)
         out = out + nabla_ON(M, u, "hv", Xf, sy)
         out = out + nabla_ON(M, u, "vh", sx, Yf)
         return out + nabla_ON(M, u, "vv", sx, sy)
     if case == "hv":
         Xf, T = args
-        return nabla_ON(M, u, "hv", Xf, T) + nabla_ON(M, u, "vv", ops.s_of_field(Xf), T)
+        return nabla_ON(M, u, "hv", Xf, T) + nabla_ON(M, u, "vv", s_of(Xf), T)
     if case == "vh":
         T, Yf = args
-        return nabla_ON(M, u, "vh", T, Yf) + nabla_ON(M, u, "vv", T, ops.s_of_field(Yf))
+        return nabla_ON(M, u, "vh", T, Yf) + nabla_ON(M, u, "vv", T, s_of(Yf))
     return nabla_ON(M, u, "vv", *args)
 
 

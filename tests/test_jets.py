@@ -9,6 +9,7 @@ from framelab.jets import (
     jcos,
     jcosh,
     jet_dot,
+    jet_along,
     jet_einsum,
     jet_inv,
     jet_matmul,
@@ -242,3 +243,25 @@ def test_batched_leading_axes():
     for k, (a, b) in enumerate(pts):
         assert abs(f.val[k] - math.exp(a) * math.sin(b)) < 1e-14
         assert abs(f.partial((1, 1))[k] - math.exp(a) * math.cos(b)) < 1e-13
+
+
+@pytest.mark.parametrize("shape", ["vector", "matrix"])
+@pytest.mark.parametrize("direction", ["jet", "low-order jet", "array"])
+def test_jet_along_is_the_sum_of_partials(shape, direction):
+    sp = get_space(2, 4)
+    x, y = sp.variables([0.3, -0.7])
+    F = jstack([jsin(x) * y, x * x * y, jexp(y)], axis=-1)
+    if shape == "matrix":
+        F = jet_einsum("i,j->ij", F, jstack([jcos(y), x * y], axis=-1))
+    if direction == "jet":
+        X = jstack([x * y + 1.0, jcos(y)], axis=-1)
+    elif direction == "low-order jet":
+        X = jstack([(x * x * y).d(0).d(1), jcos(y)], axis=-1)
+    else:
+        X = np.array([0.8, -1.3])
+    got = jet_along(X, F)
+    want = X[0] * F.d(0) + X[1] * F.d(1)
+    assert got.shape == F.shape
+    assert got.valid == (min(X.valid, F.valid - 1) if isinstance(X, Jet) else F.valid - 1)
+    assert got.valid == want.valid
+    assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-14

@@ -7,6 +7,7 @@ Every name a module lists in `__all__` exists.
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,22 @@ def test_scan_sees_cross_module_privates():
     )
     found = _cross_module_privates(ast.parse(src))
     assert found == ["line 2: from frame_bundle import _full_frame_field", "line 3: ops._mat"]
+
+
+def test_benchmark_tracer_hooks_resolve():
+    """Every module, method and registry name the benchmark's tracer wraps
+    exists, so a refactor that removes one fails here and not only in the
+    benchmark's own self-test."""
+    path = TESTS_DIR.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {layer: importlib.import_module(f"framelab.{layer}") for layer in tracer.LAYERS}
+    missing = []
+    for _, layer, cls_name, attr in tracer.METHODS:
+        cls = getattr(modules[layer], cls_name, None)
+        if cls is None or attr not in cls.__dict__:
+            missing.append(f"{layer}.{cls_name}.{attr}")
+    assert missing == []
+    assert isinstance(modules["verify"].REGISTRY, tuple) and modules["verify"].REGISTRY
+    assert modules["verify"].registry_ids() == [c.id for c in modules["verify"].REGISTRY]

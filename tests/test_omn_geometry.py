@@ -311,6 +311,14 @@ def test_omn_plane_validates():
         omn_plane(M, u, ("hprime", [1.0, 0.0]), ("hprime", [2.0, 0.0]))
     with pytest.raises(OmnError):
         omn_plane(M, u, ("vertical", basis_T(3, 0, 2)), ("hprime", [1.0, 0.0]))
+    # a vanishing first direction is refused, not normalised to NaN
+    for spec1, spec2 in (
+        (("hprime", [0.0, 0.0]), ("hprime", [1.0, 0.0])),
+        (("hprime", [0.0, 0.0]), ("vertical", basis_T(3, 0, 1))),
+        (("vertical", np.zeros((3, 3))), ("vertical", basis_T(3, 0, 1))),
+    ):
+        with pytest.raises(OmnError, match="vanishes"):
+            omn_plane(M, u, spec1, spec2)
     pl = omn_plane(M, u, ("vertical", basis_T(3, 0, 1)), ("hprime", [1.0, 0.0]))
     assert pl.kind == "hv"
     assert abs(sasaki_mok_inner(pl.v1, pl.v2)) < 1e-10

@@ -621,8 +621,9 @@ def test_codazzi_identity(name, u):
     a, b = 0, 1
     Sa = fd.omega[a] * fd.mmask
     Sb = fd.omega[b] * fd.mmask
-    DaSb = ops.endo_deriv_jet(fd, Sb, a, "prime").val
-    DbSa = ops.endo_deriv_jet(fd, Sa, b, "prime").val
+    ea, eb = np.eye(p)[a], np.eye(p)[b]
+    DaSb = ops.nabla_t_field_jet(fd, Sb, ea, "prime").val
+    DbSa = ops.nabla_t_field_jet(fd, Sa, eb, "prime").val
     Rab = np.einsum(
         "ijkl,k,l->ij", fd.Rfr.val[:, :, :p, :p], fd.Dmat.val[:, a], fd.Dmat.val[:, b]
     )
@@ -665,3 +666,37 @@ def test_identity_sweep(name):
             ch, cm = hm_split_mat(comm, p)
             assert np.max(np.abs(h - (ph + ch))) < 1e-7
             assert np.max(np.abs(m - (pm + cm))) < 1e-7
+
+
+def test_omega_along_prime_is_the_block_diagonal_part():
+    M = builtin_submanifold("clifford")
+    u = np.array([0.4, -0.7])
+    fd = M.frame_data(u)
+    Xc = ops.as_chart_field(fd, ["u2", "1+u1*u2"])
+    full = ops.omega_along(fd, Xc)
+    prime = ops.omega_along(fd, Xc, "prime")
+    assert np.array_equal(prime.coeffs, (full * fd.hmask).coeffs)
+    assert np.max(np.abs(full.val * fd.mmask)) > 1e-3
+    with pytest.raises(OperatorError, match="unknown connection"):
+        ops.omega_along(fd, Xc, "tilde")
+    with pytest.raises(OperatorError, match="unknown connection"):
+        nabla_endo(M, const_endo(basis_T(3, 0, 1)), u, tangent_from_chart(fd, [1.0, 0.0]), "tilde")
+
+
+@pytest.mark.parametrize("name,u", CURVED)
+def test_constant_directions_pass_as_arrays(name, u):
+    """A constant direction gives the same value as an array as it does as a
+    constant jet."""
+    rng = np.random.default_rng(23)
+    fd = builtin_submanifold(name).frame_data(u)
+    x, y = rng.normal(size=fd.p), rng.normal(size=fd.p)
+    Tj = fd.uspace.constant(hm_split_mat(random_skew(rng, fd.d), fd.p)[0])
+    const = fd.uspace.constant
+    pairs = [
+        (ops.s_field_matrix(fd, x), ops.s_field_matrix(fd, const(x))),
+        (ops.full_frame_field(fd, x), ops.full_frame_field(fd, const(x))),
+        (ops.curvature_prime_jet(fd, x, y), ops.curvature_prime_jet(fd, const(x), const(y))),
+        (ops.q_t_chart_jet(fd, Tj, x), ops.q_t_chart_jet(fd, Tj, const(x))),
+    ]
+    for arr, jet in pairs:
+        assert np.max(np.abs(arr.val - jet.val)) <= 1e-15
