@@ -13,9 +13,11 @@ frame_bundle.horizontal_lift_prime, whose vertical part S_X has zero diagonal
 blocks already. The deformed metric on M is exactly the pullback of the
 bundle metric under the map, which is why the tension field is taken with
 respect to it. The module evaluates the pushforward, the bundle connection,
-the tension field in two ways, the three harmonicity residuals, the two
-minimality residuals, and the equivalence between harmonicity and minimality
-of the adapted-frame subbundle.
+the tension field in two ways, the three harmonicity residuals and the two
+minimality residuals. The closed-form tension and the residuals read the
+frame sums of omn_geometry.frame_trace, the same sums the subbundle's mean
+curvature is assembled from. theorem_check is the one sampled sweep of the
+main theorem: the subbundle is minimal exactly when the map is harmonic.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .frame_bundle import (
     nabla_ON,
     nabla_ON_primed,
 )
-from .jets import Jet, jet_einsum
+from .jets import Jet
 from .operators import hm_split_mat, skew_inner
 from .submanifold import FramePointData, ImmersedSubmanifold
 
@@ -49,8 +51,6 @@ __all__ = [
     "harmonicity_residuals",
     "minimality_residuals",
     "implication_residuals",
-    "HarmonicityReport",
-    "is_harmonic",
     "TheoremReport",
     "theorem_check",
 ]
@@ -121,34 +121,6 @@ def _tilde_frames(fd: FramePointData, rotation=None) -> list[Jet]:
     return rotated
 
 
-def _tension_parts(fd: FramePointData, rotation=None):
-    """Per-frame pieces shared by the tension field and the residuals.
-
-    Returns summed jets: full ambient derivative (frame comps), tilde and
-    prime derivatives (chart), the curvature term R_{S_e}(e) (frame comps),
-    and the two vertical endomorphisms nabla'_e S_e and S of the derivative
-    fields.
-    """
-    p, d = fd.p, fd.d
-    zero_vec = fd.uspace.constant(np.zeros(d))
-    zero_p = fd.uspace.constant(np.zeros(p))
-    zero_mat = fd.uspace.constant(np.zeros((d, d)))
-    amb = zero_vec
-    rterm = zero_vec
-    tilde = zero_p
-    prime = zero_p
-    dS = zero_mat
-    for Ec in _tilde_frames(fd, rotation):
-        EF = ops.full_frame_field(fd, Ec)
-        SE = ops.s_field_matrix(fd, Ec)
-        amb = amb + ops.ambient_deriv_frame(fd, Ec, EF)
-        rterm = rterm + jet_einsum("ij,j->i", ops.rt_matrix_jet(fd, SE), EF)
-        tilde = tilde + ops.vec_tilde_nabla_jet(fd, Ec, Ec)
-        prime = prime + ops.vec_nabla_prime_jet(fd, Ec, Ec)
-        dS = dS + ops.nabla_t_field_jet(fd, SE, Ec, "prime")
-    return amb, rterm, tilde, prime, dS
-
-
 def tension_field(M: ImmersedSubmanifold, u, rotation=None) -> LiftedVector:
     """Closed-form tension of the plane map from (M, deformed metric).
 
@@ -158,7 +130,7 @@ def tension_field(M: ImmersedSubmanifold, u, rotation=None) -> LiftedVector:
     """
     u = np.asarray(u, dtype=float)
     fd = M.frame_data(u)
-    amb, rterm, tilde, _, dS = _tension_parts(fd, rotation)
+    amb, rterm, _, tilde, dS = og.frame_trace(fd, _tilde_frames(fd, rotation))
     horiz = amb.val - ops.full_frame_field(fd, tilde.val).val + rterm.val
     vert = dS.val * fd.mmask - ops.s_field_matrix(fd, tilde.val).val
     return grassmann_vector(M, u, horizontal=fd.ambient_components(horiz), vertical=vert)
@@ -216,10 +188,6 @@ class HarmonicityData:
         return float(np.sqrt(max(skew_inner(self.h3, self.h3), 0.0)))
 
     @property
-    def r_m1(self) -> float:
-        return self.r_h1
-
-    @property
     def r_m2(self) -> float:
         return float(np.sqrt(max(skew_inner(self.m2, self.m2), 0.0)))
 
@@ -228,7 +196,7 @@ def residual_data(M: ImmersedSubmanifold, u) -> HarmonicityData:
     u = np.asarray(u, dtype=float)
     fd = M.frame_data(u)
     p, d = fd.p, fd.d
-    amb, rterm, tilde, prime, dS = _tension_parts(fd)
+    amb, rterm, prime, tilde, dS = og.frame_trace(fd)
     ambv, rv = amb.val, rterm.val
     h1 = ambv.copy()
     h1[:p] = 0.0
@@ -251,9 +219,9 @@ def harmonicity_residuals(M: ImmersedSubmanifold, u) -> tuple[float, float, floa
 
 def minimality_residuals(M: ImmersedSubmanifold, u) -> tuple[float, float]:
     """Norms of the two conditions equivalent to minimality upstairs; the
-    first is the same expression as the first harmonicity condition."""
+    first, m1, is the same expression as the first harmonicity condition h1."""
     data = residual_data(M, u)
-    return (data.r_m1, data.r_m2)
+    return (data.r_h1, data.r_m2)
 
 
 def implication_residuals(M: ImmersedSubmanifold, data: HarmonicityData) -> tuple[float, float]:
@@ -269,21 +237,6 @@ def implication_residuals(M: ImmersedSubmanifold, data: HarmonicityData) -> tupl
     r_m2 = float(np.max(np.abs(data.m2 - (data.h3 - s_h2))))
     r_h2 = float(np.max(np.abs(fd.Pfr.val @ h2 - ops.s_tm_tangent_jet(fd, data.m2).val)))
     return r_m2, r_h2
-
-
-@dataclass(frozen=True)
-class HarmonicityReport:
-    harmonic: bool
-    max_residual: float
-    samples: int
-    tol: float
-
-
-def is_harmonic(M: ImmersedSubmanifold, samples: int = 200, tol: float = 1e-6, seed: int = 0) -> HarmonicityReport:
-    worst = 0.0
-    for u in og.domain_samples(M, samples, seed=seed):
-        worst = max(worst, max(harmonicity_residuals(M, u)))
-    return HarmonicityReport(worst < tol, worst, samples, tol)
 
 
 # -- the equivalence ------------------------------------------------------------
@@ -303,31 +256,35 @@ class TheoremReport:
     tol: float
 
 
-def theorem_check(M: ImmersedSubmanifold, samples: int = 50, tol: float = 1e-6, seed: int = 0) -> TheoremReport:
-    """Minimality of the subbundle vs harmonicity of the plane map.
+def theorem_check(M: ImmersedSubmanifold, samples: int = 50, seed: int = 0) -> TheoremReport:
+    """Minimality of the subbundle vs harmonicity of the plane map, in one
+    sweep over the sampled points.
 
-    The two verdicts must agree. The separated flag asks the outcome to be
-    decisive: both residual sups below tol, or both at least 1e3 times tol.
-    The two identities of implication_residuals ride along.
+    At each point it reads the mean-curvature norm, the three harmonicity
+    residuals and the two identities of implication_residuals. The subbundle
+    is minimal (the plane map harmonic) when the sup of the mean-curvature
+    norm (of the largest harmonicity residual) is below og.VERDICT_TOL. The
+    two verdicts must agree. The separated flag asks the outcome to be
+    decisive: both sups below the tolerance, or both at least 1e3 times it.
     """
-    mrep = og.is_minimal(M, samples=samples, tol=tol, seed=seed)
-    hrep = is_harmonic(M, samples=samples, tol=tol, seed=seed)
-    id_m2 = 0.0
-    id_h2 = 0.0
-    for u in og.domain_samples(M, min(samples, 10), seed=seed + 1):
-        r_m2, r_h2 = implication_residuals(M, residual_data(M, u))
+    tol = og.VERDICT_TOL
+    max_h = max_r = id_m2 = id_h2 = 0.0
+    for u in og.domain_samples(M, samples, seed=seed):
+        max_h = max(max_h, og.mean_curvature_OMN(M, u).norm)
+        data = residual_data(M, u)
+        max_r = max(max_r, data.r_h1, data.r_h2, data.r_h3)
+        r_m2, r_h2 = implication_residuals(M, data)
         id_m2 = max(id_m2, r_m2)
         id_h2 = max(id_h2, r_h2)
-    lo = min(mrep.max_residual, hrep.max_residual)
-    hi = max(mrep.max_residual, hrep.max_residual)
-    separated = hi < tol or lo >= 1e3 * tol
+    minimal, harmonic = max_h < tol, max_r < tol
+    lo, hi = min(max_h, max_r), max(max_h, max_r)
     return TheoremReport(
-        minimal=mrep.minimal,
-        harmonic=hrep.harmonic,
-        agree=mrep.minimal == hrep.harmonic,
-        separated=separated,
-        max_mean_curvature=mrep.max_residual,
-        max_harmonicity_residual=hrep.max_residual,
+        minimal=minimal,
+        harmonic=harmonic,
+        agree=minimal == harmonic,
+        separated=hi < tol or lo >= 1e3 * tol,
+        max_mean_curvature=max_h,
+        max_harmonicity_residual=max_r,
         m2_identity_residual=id_m2,
         h2_recovery_residual=id_h2,
         samples=samples,

@@ -11,14 +11,13 @@ from framelab.gauss_map import (
     grassmann_nabla,
     grassmann_vector,
     harmonicity_residuals,
-    is_harmonic,
     minimality_residuals,
     tension_field,
     tension_field_pullback,
     theorem_check,
 )
 from framelab.operators import basis_T, hm_split_mat, skew_inner
-from framelab.submanifold import builtin_submanifold
+from framelab.submanifold import FramePointData, builtin_submanifold
 
 ALL_BUILTINS = [
     ("plane", np.array([0.3, -0.5])),
@@ -238,8 +237,6 @@ def test_residuals_sphere2_first_condition():
 @pytest.mark.parametrize("name,u0", ALL_BUILTINS)
 def test_first_residuals_are_the_same_expression(name, u0):
     M = builtin_submanifold(name)
-    data = gm.residual_data(M, u0)
-    assert data.r_m1 == data.r_h1
     assert harmonicity_residuals(M, u0)[0] == minimality_residuals(M, u0)[0]
 
 
@@ -283,19 +280,43 @@ def test_residual_vectors_match_mean_curvature_pairings(name):
 
 def test_is_harmonic_plane_and_sphere():
     plane = builtin_submanifold("plane")
-    rep = is_harmonic(plane, samples=40)
+    rep = theorem_check(plane, samples=40)
     assert rep.harmonic
-    assert rep.max_residual < 1e-12
+    assert rep.max_harmonicity_residual < 1e-12
     sphere = builtin_submanifold("sphere2")
-    rep = is_harmonic(sphere, samples=40)
+    rep = theorem_check(sphere, samples=40)
     assert not rep.harmonic
-    assert rep.max_residual > 2.0 / 3.0 - 1e-6
+    assert rep.max_harmonicity_residual > 2.0 / 3.0 - 1e-6
 
 
 def test_is_harmonic_great_sphere():
     M = builtin_submanifold("great2(0.5)")
-    rep = is_harmonic(M, samples=40)
+    rep = theorem_check(M, samples=40)
     assert rep.harmonic
+
+
+def test_theorem_check_is_one_sweep(monkeypatch):
+    """theorem_check builds frames only at its own points and takes the
+    frame trace twice at each: once for H, once for the residuals."""
+    n = 6
+    M = builtin_submanifold("sphere2")
+    built, traces = [], []
+    init, trace = FramePointData.__init__, og.frame_trace
+
+    def counting_init(self, sub, u):
+        built.append(np.array(u))
+        init(self, sub, u)
+
+    def counting_trace(*args, **kwargs):
+        traces.append(args)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(FramePointData, "__init__", counting_init)
+    monkeypatch.setattr(og, "frame_trace", counting_trace)
+    theorem_check(M, samples=n, seed=3)
+    assert len(built) == n
+    assert np.array_equal(np.array(built), og.domain_samples(M, n, seed=3))
+    assert len(traces) == 2 * n
 
 
 def test_theorem_plane_both_true():

@@ -10,17 +10,18 @@ from framelab.frame_bundle import (
     sasaki_mok_inner,
     tangent_generators,
 )
+from framelab.gauss_map import theorem_check
 from framelab.omn_geometry import (
     OmnError,
     curvature_OMN,
     domain_samples,
-    is_minimal,
     is_totally_geodesic,
     mean_curvature_OMN,
     nabla_OMN,
     omn_plane,
     second_fundamental_OMN,
     sectional_OMN,
+    tilde_frame_fields,
 )
 from framelab.operators import basis_T, hm_split_mat
 from framelab.submanifold import builtin_submanifold
@@ -384,6 +385,21 @@ def test_mean_curvature_pairings_match_generators():
             assert abs(coeff - sasaki_mok_inner(rep.H, gen)) < 1e-10
 
 
+@pytest.mark.parametrize("name", [name for name, _ in ALL_BUILTINS])
+def test_mean_curvature_is_trace_of_second_fundamental_form(name):
+    """H, assembled once from the frame sums, is the trace of the Pi that the
+    registry checks against the projection of the ambient connection."""
+    M = builtin_submanifold(name)
+    for u in domain_samples(M, 3, seed=4):
+        E = tilde_frame_fields(M.frame_data(u))
+        trace = second_fundamental_OMN(M, u, "hh", E[0], E[0])
+        for Ec in E[1:]:
+            trace = trace + second_fundamental_OMN(M, u, "hh", Ec, Ec)
+        H = mean_curvature_OMN(M, u).H
+        assert np.max(np.abs(H.horizontal - trace.horizontal)) < 1e-12
+        assert np.max(np.abs(H.vertical.mat - trace.vertical.mat)) < 1e-12
+
+
 def test_mean_curvature_orthogonal_to_tangent_space():
     for name, u in CURVED:
         M = builtin_submanifold(name)
@@ -396,19 +412,19 @@ def test_mean_curvature_orthogonal_to_tangent_space():
 
 
 def test_is_minimal_plane():
-    rep = is_minimal(builtin_submanifold("plane"), samples=40)
+    rep = theorem_check(builtin_submanifold("plane"), samples=40)
     assert rep.minimal
-    assert rep.max_residual < 1e-12
+    assert rep.max_mean_curvature < 1e-12
 
 
 def test_is_minimal_sphere2():
-    rep = is_minimal(builtin_submanifold("sphere2"), samples=25)
+    rep = theorem_check(builtin_submanifold("sphere2"), samples=25)
     assert not rep.minimal
-    assert rep.max_residual >= 2.0 / 3.0 - 1e-6
+    assert rep.max_mean_curvature >= 2.0 / 3.0 - 1e-6
 
 
 def test_is_minimal_great2():
-    rep = is_minimal(builtin_submanifold("great2(0.5)"), samples=25)
+    rep = theorem_check(builtin_submanifold("great2(0.5)"), samples=25)
     assert rep.minimal
 
 
