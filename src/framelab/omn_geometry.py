@@ -56,14 +56,16 @@ class OmnError(ValueError):
 # totally geodesic) holds.
 VERDICT_TOL = 1e-6
 
+_SAMPLE_PAD = 0.05  # share of the chart domain's width left out at each rim
 
-def domain_samples(M: ImmersedSubmanifold, n: int, seed: int = 0, pad: float = 0.05):
+
+def domain_samples(M: ImmersedSubmanifold, n: int, seed: int = 0):
     """Low-discrepancy sample points in the chart domain, shrunk at the rim."""
     lo, hi = M.chart_domain[:, 0], M.chart_domain[:, 1]
     width = hi - lo
     sampler = qmc.Halton(d=M.p, scramble=True, seed=seed)
     pts = sampler.random(n)
-    return lo + pad * width + pts * (1.0 - 2.0 * pad) * width
+    return lo + _SAMPLE_PAD * width + pts * (1.0 - 2.0 * _SAMPLE_PAD) * width
 
 
 # -- field-pair plumbing --------------------------------------------------------

@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 GS_BREAKDOWN = 1e-12
+_DOMAIN_SLACK = 1e-9  # how far outside its chart domain box a point is still accepted
 
 
 class FrameError(ValueError):
@@ -165,20 +166,21 @@ class ImmersedSubmanifold:
             basis.append(best_vec / best_nrm)
         return tuple(pivots)
 
-    def contains(self, u, eps: float = 1e-9) -> bool:
+    def contains(self, u) -> bool:
         u = np.asarray(u, dtype=float)
         lo, hi = self.chart_domain[:, 0], self.chart_domain[:, 1]
-        return bool(np.all(u >= lo - eps) and np.all(u <= hi + eps))
+        return bool(np.all(u >= lo - _DOMAIN_SLACK) and np.all(u <= hi + _DOMAIN_SLACK))
 
     def frame_data(self, u) -> "FramePointData":
         u = np.asarray(u, dtype=float)
         if u.shape != (self.p,):
             raise FrameError(f"parameter point must have shape ({self.p},)")
-        if not self.contains(u):
-            raise FrameError(f"parameter point {u.tolist()} outside the chart domain")
         key = u.tobytes()
         hit = self._cache.get(key)
         if hit is None:
+            # a cached point passed this check when its frame was built
+            if not self.contains(u):
+                raise FrameError(f"parameter point {u.tolist()} outside the chart domain")
             if len(self._cache) >= 4096:
                 self._cache.clear()
             hit = FramePointData(self, u)

@@ -10,6 +10,7 @@ low-discrepancy sample points and returns a structured, reproducible report.
 A second, separate oracle family lives in fd_oracle: central finite
 differences recomputing connection and curvature data from point evaluations
 alone, for cross-validation of everything the jet arithmetic produces.
+The registry is the one test home of each identity it states.
 """
 
 from __future__ import annotations
@@ -974,15 +975,13 @@ FD_QUANTITIES = (
 _FD_STEP_FIRST = 1e-4
 _FD_STEP_SECOND = 1e-3
 
-_DEFAULT_X = ["0.7+0.3*u1", "u2-0.4", "0.5*u1"]
-_DEFAULT_Y = ["u1*u1-0.2", "0.6", "u2+0.1*u1"]
+# Chart fields X, Y of the oracles; a p-chart takes the first p, so entry k uses only u1..u(k+1).
+_DEFAULT_X = ["0.7+0.3*u1", "u2-0.4", "0.5*u1"] + [f"0.3+0.2*u{k}" for k in range(4, 9)]
+_DEFAULT_Y = ["u1*u1-0.2", "0.6", "u2+0.1*u1"] + [f"u{k - 1}*u{k}-0.1" for k in range(4, 9)]
 
 
 def _default_field(M, which):
-    pool = _DEFAULT_X if which == "x" else _DEFAULT_Y
-    if M.p == 1:
-        return [pool[0].replace("u2", "u1")]
-    return pool[: M.p]
+    return (_DEFAULT_X if which == "x" else _DEFAULT_Y)[: M.p]
 
 
 def _chart_values(M, field, u):
@@ -1031,7 +1030,7 @@ def _curvature_from_christoffels(gamfun, x, h):
     return dG.transpose(1, 3, 0, 2) - dG.transpose(1, 3, 2, 0) + GG - GG.transpose(0, 1, 3, 2)
 
 
-def fd_oracle(M: ImmersedSubmanifold, quantity: str, u, step: float = None, Xf=None, Yf=None):
+def fd_oracle(M: ImmersedSubmanifold, quantity: str, u):
     """Recompute a derived quantity by central differences of point values.
 
     gamma_chart / gamma_tilde: Christoffels of the induced and deformed chart
@@ -1043,16 +1042,14 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u, step: float = None, Xf=N
     metric, compared against the block-splitting route on the jet side.
     """
     u = np.asarray(u, dtype=float)
+    h = _FD_STEP_SECOND if quantity in ("curvature_ambient", "curvature_prime") else _FD_STEP_FIRST
     if quantity == "gamma_chart":
-        h = step or _FD_STEP_FIRST
         return _christoffels_fd(_chart_metric_fun(M, "g_chart"), u, h)
     if quantity == "gamma_tilde":
-        h = step or _FD_STEP_FIRST
         return _christoffels_fd(_chart_metric_fun(M, "gt_chart"), u, h)
-    Xf = Xf if Xf is not None else _default_field(M, "x")
-    Yf = Yf if Yf is not None else _default_field(M, "y")
+    Xf = _default_field(M, "x")
+    Yf = _default_field(M, "y")
     if quantity in ("nabla_prime_vec", "nabla_tilde_vec"):
-        h = step or _FD_STEP_FIRST
         gfun = _chart_metric_fun(M, "g_chart" if quantity == "nabla_prime_vec" else "gt_chart")
         gam = _christoffels_fd(gfun, u, h)
         x0 = _chart_values(M, Xf, u)
@@ -1060,7 +1057,6 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u, step: float = None, Xf=N
         dY = _central_diff(lambda uu: _chart_values(M, Yf, uu), u, h)
         return np.einsum("a,ac->c", x0, dY) + np.einsum("cab,a,b->c", gam, x0, y0)
     if quantity == "nabla_vec":
-        h = step or _FD_STEP_FIRST
         fd0 = M.frame_data(u)
         x0 = _chart_values(M, Xf, u)
         yamb = lambda uu: M.frame_data(np.asarray(uu, dtype=float)).J.val @ _chart_values(M, Yf, uu)
@@ -1069,7 +1065,6 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u, step: float = None, Xf=N
         xa = fd0.J.val @ x0
         return dY + np.einsum("ijk,j,k->i", gam, xa, yamb(u))
     if quantity == "curvature_ambient":
-        h = step or _FD_STEP_SECOND
         fd0 = M.frame_data(u)
         gamfun = lambda x: _ambient_christoffels_fd(M, x, h)
         Rup = _curvature_from_christoffels(gamfun, fd0.x0, h)
@@ -1078,14 +1073,13 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u, step: float = None, Xf=N
         low = np.einsum("im,mjkl->ijkl", G0, Rup)
         return np.einsum("ijkl,ia,jb,kc,ld->abcd", low, E, E, E, E)
     if quantity == "curvature_prime":
-        h = step or _FD_STEP_SECOND
         gfun = _chart_metric_fun(M, "g_chart")
         gamfun = lambda uu: _christoffels_fd(gfun, uu, h)
         return _curvature_from_christoffels(gamfun, u, h)
     raise VerifyError(f"unknown finite-difference quantity {quantity!r}")
 
 
-def jet_value(M: ImmersedSubmanifold, quantity: str, u, Xf=None, Yf=None):
+def jet_value(M: ImmersedSubmanifold, quantity: str, u):
     """The jet-route value matching fd_oracle's conventions."""
     u = np.asarray(u, dtype=float)
     fd = M.frame_data(u)
@@ -1094,10 +1088,8 @@ def jet_value(M: ImmersedSubmanifold, quantity: str, u, Xf=None, Yf=None):
         return fd.Gam_chart.val
     if quantity == "gamma_tilde":
         return fd.Gamt.val
-    Xf = Xf if Xf is not None else _default_field(M, "x")
-    Yf = Yf if Yf is not None else _default_field(M, "y")
-    Xc = ops.as_chart_field(fd, Xf)
-    Yc = ops.as_chart_field(fd, Yf)
+    Xc = ops.as_chart_field(fd, _default_field(M, "x"))
+    Yc = ops.as_chart_field(fd, _default_field(M, "y"))
     if quantity == "nabla_prime_vec":
         return ops.vec_nabla_prime_jet(fd, Xc, Yc).val
     if quantity == "nabla_tilde_vec":
@@ -1120,7 +1112,7 @@ def jet_value(M: ImmersedSubmanifold, quantity: str, u, Xf=None, Yf=None):
     raise VerifyError(f"unknown finite-difference quantity {quantity!r}")
 
 
-def fd_relative_error(M: ImmersedSubmanifold, quantity: str, u, step: float = None, Xf=None, Yf=None) -> float:
-    a = jet_value(M, quantity, u, Xf=Xf, Yf=Yf)
-    b = fd_oracle(M, quantity, u, step=step, Xf=Xf, Yf=Yf)
+def fd_relative_error(M: ImmersedSubmanifold, quantity: str, u) -> float:
+    a = jet_value(M, quantity, u)
+    b = fd_oracle(M, quantity, u)
     return float(np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a))))

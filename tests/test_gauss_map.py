@@ -3,7 +3,7 @@ import pytest
 
 from framelab import gauss_map as gm
 from framelab import omn_geometry as og
-from framelab import operators as ops
+from framelab.ambient import sphere_chart
 from framelab.frame_bundle import FrameBundleError, nabla_ON, sasaki_mok_inner
 from framelab.gauss_map import (
     GaussMapError,
@@ -17,7 +17,7 @@ from framelab.gauss_map import (
     theorem_check,
 )
 from framelab.operators import basis_T, hm_split_mat, skew_inner
-from framelab.submanifold import FramePointData, builtin_submanifold
+from framelab.submanifold import FramePointData, ImmersedSubmanifold, builtin_submanifold
 
 ALL_BUILTINS = [
     ("plane", np.array([0.3, -0.5])),
@@ -36,6 +36,13 @@ CURVED = [
     ("great2(0.7)", np.array([0.25, -0.3])),
     ("plane3", np.array([0.5, -0.3, 0.8])),
 ]
+
+
+def curved_cap():
+    """Not minimal in the unit 3-sphere, so sum_e R_{S_e} e is nonzero here; on
+    every builtin the ambient is flat, S vanishes or M is minimal in S^3."""
+    comps = ["u1", "u2", "0.3*u1*u1+0.2*u2*u2"]
+    return ImmersedSubmanifold(2, [[-0.6, 0.6], [-0.6, 0.6]], comps, sphere_chart(1.0, 3))
 
 
 # -- grassmann_vector --------------------------------------------------------
@@ -191,9 +198,9 @@ def test_tension_sphere2_norm():
         assert np.max(np.abs(tau.vertical.mat)) < 1e-12
 
 
-@pytest.mark.parametrize("name,u0", CURVED)
+@pytest.mark.parametrize("name,u0", CURVED + [("cap", np.array([0.3, -0.2]))])
 def test_tension_two_routes_agree(name, u0):
-    M = builtin_submanifold(name)
+    M = curved_cap() if name == "cap" else builtin_submanifold(name)
     tau = tension_field(M, u0)
     tau_b = tension_field_pullback(M, u0)
     assert (tau - tau_b).norm() < 1e-6
@@ -238,27 +245,6 @@ def test_residuals_sphere2_first_condition():
 def test_first_residuals_are_the_same_expression(name, u0):
     M = builtin_submanifold(name)
     assert harmonicity_residuals(M, u0)[0] == minimality_residuals(M, u0)[0]
-
-
-@pytest.mark.parametrize("name,u0", ALL_BUILTINS)
-def test_residual_pythagoras(name, u0):
-    M = builtin_submanifold(name)
-    r = harmonicity_residuals(M, u0)
-    tau = tension_field(M, u0)
-    assert abs(tau.norm() ** 2 - sum(x * x for x in r)) < 1e-8
-
-
-@pytest.mark.parametrize("name,u0", ALL_BUILTINS)
-def test_residual_implication_identities(name, u0):
-    """The two condition sets imply one another through exact identities:
-    m2 = h3 - S_{h2} and P(h2) = S_{m2}."""
-    M = builtin_submanifold(name)
-    fd = M.frame_data(u0)
-    data = gm.residual_data(M, u0)
-    s_h2 = ops.s_field_matrix(fd, fd.uspace.constant(fd.C.val @ data.h2[: fd.p])).val
-    assert np.max(np.abs(data.m2 - (data.h3 - s_h2))) < 1e-10
-    svec = 2.0 * np.einsum("Aij,jA->i", fd.Smats.val, data.m2[:, : fd.p])
-    assert np.max(np.abs(fd.Pfr.val @ data.h2[: fd.p] - svec[: fd.p])) < 1e-10
 
 
 @pytest.mark.parametrize("name", ["sphere2", "catenoid", "clifford"])

@@ -171,24 +171,6 @@ def test_R_T_space_form_value(kappa):
     assert np.max(np.abs(got - want)) < 1e-8
 
 
-@pytest.mark.parametrize("name,u", [("clifford", np.array([0.4, -0.7])), ("great2(0.5)", np.array([0.2, -0.4]))])
-def test_R_T_duality(name, u):
-    """g(R_T(X), Y) = <R(X,Y), T> pairs the two curvature code paths."""
-    rng = np.random.default_rng(5)
-    M = builtin_submanifold(name)
-    fd = M.frame_data(u)
-    d, p = fd.d, fd.p
-    for _ in range(5):
-        T = random_skew(rng, d)
-        xc, yc = rng.normal(size=p), rng.normal(size=p)
-        xfr, yfr = fd.Dmat.val @ xc, fd.Dmat.val @ yc
-        X = tangent_from_chart(fd, xc)
-        Y = tangent_from_chart(fd, yc)
-        lhs = fd.frame_components(R_T(M, u, T, X))[:p] @ yfr
-        RXY = np.einsum("ijkl,k,l->ij", fd.Rfr.val[:, :, :p, :p], xfr, yfr)
-        assert abs(lhs - skew_inner(RXY, T)) < 1e-8
-
-
 def test_R_T_frame_rotation_invariance():
     """Conjugating the frame by a block rotation conjugates R_T."""
     rng = np.random.default_rng(6)
@@ -225,24 +207,6 @@ def test_S_Tm_circle_value():
     v = S_Tm_vector(M, u, Smat)
     e1 = adapted_frame_at(M, u).vectors[0]
     assert np.max(np.abs(v.ambient + 2.0 * e1)) < 1e-12
-
-
-@pytest.mark.parametrize("name,u", CURVED)
-def test_S_Tm_duality(name, u):
-    """g(S_{T_m}, X) = -<T_m, S_X>."""
-    rng = np.random.default_rng(8)
-    M = builtin_submanifold(name)
-    fd = M.frame_data(u)
-    d, p = fd.d, fd.p
-    for _ in range(5):
-        T = random_skew(rng, d)
-        Tm = hm_split_mat(T, p)[1]
-        xc = rng.normal(size=p)
-        xfull = np.zeros(d)
-        xfull[:p] = fd.Dmat.val @ xc
-        lhs = fd.frame_components(S_Tm_vector(M, u, T).ambient) @ xfull
-        SX = ops.s_field_matrix(fd, fd.uspace.constant(xc)).val
-        assert abs(lhs + skew_inner(Tm, SX)) < 1e-9
 
 
 # -- P and the modified metric ---------------------------------------------
@@ -382,43 +346,6 @@ def test_tilde_nabla_sphere_matches_prime():
         assert np.max(np.abs(tn.ambient - npr.ambient)) < 1e-8
 
 
-@pytest.mark.parametrize("name,u", CURVED)
-def test_gil_medrano_expansion(name, u):
-    """Koszul route for tilde nabla against the (nabla' P) expansion."""
-    M = builtin_submanifold(name)
-    fd = M.frame_data(u)
-    p = fd.p
-    Xf, Yf = FIELD_PAIRS_2D[0]
-    Zf = ["cos(u2)", "u1"]
-    Xc = ops.as_chart_field(fd, Xf)
-    Yc = ops.as_chart_field(fd, Yf)
-    Zc = ops.as_chart_field(fd, Zf)
-    omt = fd.omega[:, :p, :p]
-    DP = jstack(
-        [
-            fd.Pfr.d(a)
-            + jet_einsum("ik,kj->ij", omt[a], fd.Pfr)
-            - jet_einsum("ik,kj->ij", fd.Pfr, omt[a])
-            for a in range(p)
-        ],
-        axis=0,
-    )
-
-    def dP_pair(Ac, Bc, Cc):
-        Da = jet_einsum("a,aij->ij", Ac, DP)
-        bfr = ops.frame_of_chart(fd, Bc)
-        cfr = ops.frame_of_chart(fd, Cc)
-        return (jet_einsum("ij,j->i", Da, bfr) * cfr).sum(-1).val
-
-    tn = ops.vec_tilde_nabla_jet(fd, Xc, Yc)
-    npr = ops.vec_nabla_prime_jet(fd, Xc, Yc)
-    dfr = ops.frame_of_chart(fd, tn - npr)
-    zfr = ops.frame_of_chart(fd, Zc)
-    lhs = (jet_einsum("ij,j->i", fd.Pfr, dfr) * zfr).sum(-1).val
-    rhs = 0.5 * (dP_pair(Xc, Yc, Zc) + dP_pair(Yc, Xc, Zc) - dP_pair(Zc, Yc, Xc))
-    assert abs(lhs - rhs) < 1e-7
-
-
 def test_p_derivative_expansion():
     """(nabla'_X P) paired with Z against the S-derivative expression."""
     M = builtin_submanifold("catenoid")
@@ -552,22 +479,6 @@ def test_Q_T_m_duality(name, u):
     assert abs(lhs - rhs) < 1e-7
 
 
-@pytest.mark.parametrize("name,u", CURVED)
-def test_Q_T_skew_for_h_type(name, u):
-    rng = np.random.default_rng(17)
-    M = builtin_submanifold(name)
-    fd = M.frame_data(u)
-    d, p = fd.d, fd.p
-    Th = hm_split_mat(random_skew(rng, d), p)[0]
-    for _ in range(3):
-        X = tangent_from_chart(fd, rng.normal(size=p))
-        Y = tangent_from_chart(fd, rng.normal(size=p))
-        qx = Q_T(M, u, Th, X)
-        qy = Q_T(M, u, Th, Y)
-        s = modified_metric(M, u, qx.ambient, Y) + modified_metric(M, u, X, qy.ambient)
-        assert abs(s) < 1e-8
-
-
 # -- R' (curvature of the splitting connection) ------------------------------
 
 
@@ -587,55 +498,6 @@ def test_curvature_prime_sphere_sectional():
     Rp = curvature_prime(M, u, e1, e2).mat
     # g(R'(e1,e2)e2, e1) = Rp[0,1] applied to frame coords
     assert abs((Rp @ np.array([0.0, 1.0, 0.0]))[0] - 1.0) < 1e-8
-
-
-@pytest.mark.parametrize("name,u", CURVED)
-def test_gauss_identity_independent_route(name, u):
-    """R' from the Gauss split against the curvature of the primed connection
-    computed directly from its connection matrices."""
-    M = builtin_submanifold(name)
-    fd = M.frame_data(u)
-    p = fd.p
-    omh = fd.omega * fd.hmask
-    a, b = 0, 1
-    Fp = (
-        omh[b].d(a)
-        - omh[a].d(b)
-        + jet_einsum("ik,kj->ij", omh[a], omh[b])
-        - jet_einsum("ik,kj->ij", omh[b], omh[a])
-    ).val
-    ea, eb = np.zeros(p), np.zeros(p)
-    ea[a], eb[b] = 1.0, 1.0
-    Xa = tangent_from_chart(fd, ea)
-    Xb = tangent_from_chart(fd, eb)
-    Rp = curvature_prime(M, u, Xa, Xb).mat
-    assert np.max(np.abs(Fp - Rp)) < 1e-7
-
-
-@pytest.mark.parametrize("name,u", CURVED)
-def test_codazzi_identity(name, u):
-    """R(X,Y)_m against the alternating nabla'-derivative of S."""
-    M = builtin_submanifold(name)
-    fd = M.frame_data(u)
-    p = fd.p
-    a, b = 0, 1
-    Sa = fd.omega[a] * fd.mmask
-    Sb = fd.omega[b] * fd.mmask
-    ea, eb = np.eye(p)[a], np.eye(p)[b]
-    DaSb = ops.nabla_t_field_jet(fd, Sb, ea, "prime").val
-    DbSa = ops.nabla_t_field_jet(fd, Sa, eb, "prime").val
-    Rab = np.einsum(
-        "ijkl,k,l->ij", fd.Rfr.val[:, :, :p, :p], fd.Dmat.val[:, a], fd.Dmat.val[:, b]
-    )
-    Rm = Rab * fd.mmask
-    assert np.max(np.abs(Rm - (DaSb - DbSa))) < 1e-7
-
-
-def test_gauss_codazzi_nonvacuous():
-    M = builtin_submanifold("clifford")
-    fd = M.frame_data(np.array([0.4, -0.7]))
-    Sa = fd.omega.val[0] * fd.mmask
-    assert np.max(np.abs(Sa)) > 1e-3
 
 
 # -- sampled sweep of the six splitting identities ----------------------------

@@ -1,9 +1,19 @@
+"""The registry as a Tier-1 gate.
+
+test_registry_case_holds is the Tier-1 home of every identity that
+verify.REGISTRY states: each case must run, on every default builtin it
+applies to, and hold at roundoff. The per-module tests keep closed-form
+values, error paths, the pointwise wrappers' conversions and the routes the
+registry does not take.
+"""
+
 import numpy as np
 import pytest
 
 from framelab import verify
+from framelab.ambient import euclidean, sphere_chart
 from framelab.omn_geometry import domain_samples
-from framelab.submanifold import builtin_submanifold
+from framelab.submanifold import ImmersedSubmanifold, builtin_submanifold
 
 # Cases whose witness on the Clifford torus stays below WITNESS_FLOOR. The
 # torus is flat with constant P, so the quantities these cases need to be
@@ -19,6 +29,9 @@ VACUOUS_ON_CLIFFORD = (
     "christoffel-jets-vs-fd",
 )
 
+# Bound on the rows of every case but the finite-difference one (largest seen: 3.6e-15).
+EXACT_TOL = 1e-12
+
 # Largest relative error accepted from fd_relative_error: 100 h^2 for the
 # oracle's default central-difference step h (1e-4 for quantities of first
 # derivatives of the metric, 1e-3 for curvatures). The benchmark's fd_check
@@ -33,6 +46,10 @@ FD_TOL = {
     "curvature_prime": 1e-4,
 }
 
+# A 4-dimensional graph, so the oracles' default fields need more than 3 components.
+GRAPH4 = ["u1", "u2", "u3", "u4", "0.1*u1*u1+0.2*u2*u3"]
+GRAPH4_AMBIENTS = {"graph4-euclidean(5)": euclidean(5), "graph4-sphere(2)": sphere_chart(2.0, 5)}
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -42,6 +59,22 @@ def report():
 def test_every_row_completes(report):
     crashed = [(r.case_id, r.builtin, r.point, r.error) for r in report.results if r.residual is None]
     assert crashed == []
+
+
+@pytest.mark.parametrize("case", verify.REGISTRY, ids=verify.registry_ids())
+def test_registry_case_holds(report, case):
+    rows = [r for r in report.results if r.case_id == case.id]
+    assert {r.builtin for r in rows} == {b for b in verify.DEFAULT_BUILTINS if case.applies_to(b)}
+    assert [(r.builtin, r.point, r.error) for r in rows if r.error_kind == "crash"] == []
+    bound = case.tolerance if case.id == "christoffel-jets-vs-fd" else EXACT_TOL
+    known_vacuous = case.id in VACUOUS_ON_CLIFFORD
+    over = [
+        (r.builtin, r.point, r.residual)
+        for r in rows
+        if not (known_vacuous and r.builtin == "clifford" and r.error_kind == "vacuous")
+        and not r.residual < bound
+    ]
+    assert over == []
 
 
 def test_only_known_vacuous_witnesses_fail(report):
@@ -55,9 +88,12 @@ def test_fd_tolerances_cover_every_quantity():
     assert set(FD_TOL) == set(verify.FD_QUANTITIES)
 
 
-@pytest.mark.parametrize("name", verify.DEFAULT_BUILTINS)
+@pytest.mark.parametrize("name", verify.DEFAULT_BUILTINS + tuple(GRAPH4_AMBIENTS))
 def test_fd_oracles_agree_with_jets(name):
-    M = builtin_submanifold(name)
+    if name in GRAPH4_AMBIENTS:
+        M = ImmersedSubmanifold(4, [[-0.5, 0.5]] * 4, GRAPH4, GRAPH4_AMBIENTS[name])
+    else:
+        M = builtin_submanifold(name)
     over = []
     for u in domain_samples(M, 5, seed=0):
         for q, tol in FD_TOL.items():
