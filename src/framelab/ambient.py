@@ -70,23 +70,28 @@ class AmbientSpace:
         return cls(dim, entries, tag)
 
     def metric_jets(self, x0, order: int) -> Jet:
-        """The metric as a (d, d) jet in chart coordinates at x0."""
+        """The metric as a (..., d, d) jet in chart coordinates at the points
+        x0 of shape (..., d), one expansion per point."""
         x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (self.dim,):
-            raise AmbientError(f"point has shape {x0.shape}, expected ({self.dim},)")
+        if x0.shape[-1:] != (self.dim,):
+            raise AmbientError(f"point has shape {x0.shape}, expected (..., {self.dim})")
         space = get_space(self.dim, order)
         varjets = space.variables(x0)
         rows = []
         for row in self.entries:
             rows.append(jstack([eval_expr(e, varjets, space) for e in row], axis=-1))
         G = jstack(rows, axis=-2)
-        g0 = G.val
-        if not np.allclose(g0, g0.T, atol=1e-12):
-            raise AmbientError(f"metric not symmetric at {x0.tolist()}")
-        try:
-            np.linalg.cholesky(0.5 * (g0 + g0.T))
-        except np.linalg.LinAlgError:
-            raise AmbientError(f"metric not positive definite at {x0.tolist()}") from None
+        shape = x0.shape[:-1] + (self.dim, self.dim, space.ncoeff)
+        if G.coeffs.shape != shape:  # a metric of constants carries no batch axes yet
+            G = Jet(space, np.broadcast_to(G.coeffs, shape).copy(), G.valid)
+        for idx in np.ndindex(x0.shape[:-1]):
+            g0 = G.val[idx]
+            if not np.allclose(g0, g0.T, atol=1e-12):
+                raise AmbientError(f"metric not symmetric at {x0[idx].tolist()}")
+            try:
+                np.linalg.cholesky(0.5 * (g0 + g0.T))
+            except np.linalg.LinAlgError:
+                raise AmbientError(f"metric not positive definite at {x0[idx].tolist()}") from None
         return G
 
     def geometry_jets(self, x0, order: int) -> tuple[Jet, Jet, Jet]:
@@ -105,24 +110,26 @@ class AmbientSpace:
 
 
 def christoffel_jets(G: Jet) -> Jet:
-    """Gamma^i_{jk} as a jet from metric jets; valid order drops by one."""
+    """Gamma^i_{jk} as a jet from (..., d, d) metric jets; valid order drops
+    by one. Leading batch axes pass through."""
     d = G.shape[-1]
-    dg = jstack([G.d(a) for a in range(d)], axis=0)  # [a, l, k] = d_a g_{lk}
+    dg = jstack([G.d(a) for a in range(d)], axis=-3)  # [..., a, l, k] = d_a g_{lk}
     Ginv = jet_inv(G)
     # C[l, j, k] = d_j g_{lk} + d_k g_{lj} - d_l g_{jk}
     C = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    return 0.5 * jet_einsum("il,ljk->ijk", Ginv, C)
+    return 0.5 * jet_einsum("...il,...ljk->...ijk", Ginv, C)
 
 
 def curvature_jets(Gamma: Jet) -> Jet:
-    """R^i_{jkl} as a jet from Christoffel jets; valid order drops by one."""
+    """R^i_{jkl} as a jet from (..., d, d, d) Christoffel jets; valid order
+    drops by one. Leading batch axes pass through."""
     d = Gamma.shape[-1]
-    dG = jstack([Gamma.d(a) for a in range(d)], axis=0)  # [a, i, m, n] = d_a Gamma^i_{mn}
-    t1 = dG.transpose(1, 3, 0, 2)  # d_k Gamma^i_{lj}
-    t2 = dG.transpose(1, 3, 2, 0)  # d_l Gamma^i_{kj}
-    t3 = jet_einsum("mlj,ikm->ijkl", Gamma, Gamma)
-    t4 = jet_einsum("mkj,ilm->ijkl", Gamma, Gamma)
-    return t1 - t2 + t3 - t4
+    # A[i,j,k,l] = Gamma^m_{lj} Gamma^i_{km} + d_k Gamma^i_{lj}; the other two
+    # terms of R^i_{jkl} are A with k and l swapped
+    A = jet_einsum("...mlj,...ikm->...ijkl", Gamma, Gamma)
+    # d_a Gamma^i_{mn} stacked at [..., a, i, m, n], read as d_k Gamma^i_{lj}
+    A = A + jstack([Gamma.d(a) for a in range(d)], axis=-4).transpose(1, 3, 0, 2)
+    return A - A.transpose(0, 1, 3, 2)
 
 
 # -- builtins ----------------------------------------------------------------

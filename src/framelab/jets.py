@@ -7,7 +7,11 @@ from jets are exact up to floating point roundoff (no finite differencing).
 
 Coefficients live in the trailing axis of an ndarray, so a jet can carry any
 leading shape: a batch of evaluation points, tensor indices, or both. Every
-operation is vectorized over the leading axes.
+operation is vectorized over the leading axes. Batch axes come first, tensor
+axes after them: a (d, d) matrix jet at n points has shape (n, d, d), and the
+subscripts of jet_einsum start with `...` to pass the batch axes through.
+Where two operands meet, their batch axes are the same or absent (a constant
+broadcasts). A single point is the batch shape ().
 
 Each jet tracks `valid`, the truncation order up to which its coefficients are
 trustworthy. Differentiation lowers it by one; binary operations take the
@@ -277,9 +281,16 @@ class Jet:
     def d(self, a: int) -> Jet:
         """Derivative with respect to variable a; valid order drops by one."""
         sp = self.space
-        out = self.coeffs[..., sp._dsrc[a]] * sp._dfac[a]
         v = self.valid - 1
-        return Jet(sp, _trim(sp, out, v), v)
+        fac = sp._dfac[a] if v >= sp.order else sp._dfac[a] * sp.mask_le[v]
+        return Jet(sp, self.coeffs[..., sp._dsrc[a]] * fac, v)
+
+    def truncated(self) -> Jet:
+        """The same jet in the space of its valid order. Its coefficients
+        above valid are zero and, in graded order, follow all the others,
+        so dropping them keeps every coefficient that counts."""
+        sp = get_space(self.space.nvars, self.valid)
+        return Jet(sp, np.ascontiguousarray(self.coeffs[..., : sp.ncoeff]), self.valid)
 
     # -- structure ---------------------------------------------------------
 
@@ -295,10 +306,12 @@ class Jet:
         return Jet(self.space, np.swapaxes(self.coeffs, a, b), self.valid)
 
     def transpose(self, *perm: int) -> Jet:
-        """Permute the leading (tensor) axes; the coefficient axis stays last."""
-        if len(perm) != self.coeffs.ndim - 1:
-            raise ValueError("permutation must cover all leading axes")
-        axes = tuple(perm) + (self.coeffs.ndim - 1,)
+        """Permute the last len(perm) leading (tensor) axes; any batch axes
+        before them and the coefficient axis stay where they are."""
+        nb = self.coeffs.ndim - 1 - len(perm)
+        if nb < 0 or sorted(perm) != list(range(len(perm))):
+            raise ValueError("permutation must cover the tensor axes")
+        axes = tuple(range(nb)) + tuple(nb + k for k in perm) + (self.coeffs.ndim - 1,)
         return Jet(self.space, np.transpose(self.coeffs, axes), self.valid)
 
     def t(self) -> Jet:
@@ -314,11 +327,18 @@ class Jet:
 
 
 def jstack(jets: list[Jet], axis: int = -1) -> Jet:
+    """Stack jets along a new leading axis; their shapes broadcast first, so
+    a constant stacks with a batch of points."""
     sp = jets[0].space
     v = min(j.valid for j in jets)
     axis = axis if axis >= 0 else axis - 1
-    c = np.stack([j.coeffs for j in jets], axis=axis)
-    return Jet(sp, _trim(sp, c, v), v)
+    cs = [j.coeffs for j in jets]
+    if len({c.shape for c in cs}) > 1:
+        cs = np.broadcast_arrays(*cs)
+    c = np.stack(cs, axis=axis)
+    if any(j.valid > v for j in jets):  # coefficients above a jet's valid are zero already
+        c = _trim(sp, c, v)
+    return Jet(sp, c, v)
 
 
 def jet_einsum(sub: str, a, b) -> Jet:
@@ -352,12 +372,21 @@ def jet_einsum(sub: str, a, b) -> Jet:
 def jet_along(X, F: Jet) -> Jet:
     """Directional derivative sum_a X^a d_a F of any jet F.
 
-    X holds one coefficient per variable: a jet field, or a plain (nvars,)
-    array for a constant direction (then the product is jet-by-array). The
-    result is valid to min(X.valid, F.valid - 1), or F.valid - 1 for an array.
+    X holds one coefficient per variable along its last axis: a jet field,
+    or a plain array for a constant direction (then the product is
+    jet-by-array). Its other axes are batch axes, and F leads with the same
+    ones (an unbatched X is one direction for every point of F). The result
+    is valid to min(X.valid, F.valid - 1), or F.valid - 1 for an array.
     """
-    dF = jstack([F.d(a) for a in range(F.space.nvars)], axis=0)
-    return jet_einsum("a,a...->...", X, dF)
+    dF = jstack([F.d(a) for a in range(F.space.nvars)], axis=-1)
+    shape = X.shape if isinstance(X, Jet) else np.shape(X)
+    # X's batch axes, then one unit axis per tensor axis of F, then a
+    lift = shape[:-1] + (1,) * (len(F.shape) + 1 - len(shape)) + shape[-1:]
+    if isinstance(X, Jet):
+        X = Jet(X.space, X.coeffs.reshape(lift + X.coeffs.shape[-1:]), X.valid)
+    else:
+        X = np.reshape(X, lift)
+    return jet_einsum("...a,...a->...", X, dF)
 
 
 def jet_matmul(a, b) -> Jet:
@@ -375,7 +404,11 @@ def jet_dot(u, v) -> Jet:
 
 def jet_solve(a: Jet, b) -> Jet:
     """Solve a @ x = b for jet-valued square a (LU on the value part plus a
-    terminating Neumann series in the nilpotent remainder)."""
+    terminating Neumann series in the nilpotent remainder).
+
+    b, a jet or an array, is a vector when it has one axis fewer than a and
+    a matrix when it has as many; the batch axes of both lead.
+    """
     a0 = a.val
     b0inv = np.linalg.inv(a0)
     n = a - a.space.constant(a0)
@@ -385,9 +418,8 @@ def jet_solve(a: Jet, b) -> Jet:
     for _ in range(a.valid):
         term = jet_matmul(jet_matmul(a.space.constant(-b0inv), n), term)
         inv = inv + term
-    if isinstance(b, Jet) and len(b.shape) >= 2 and b.shape[-2] == a.shape[-1]:
-        return jet_matmul(inv, b)
-    if isinstance(b, np.ndarray) and b.ndim >= 2 and b.shape[-2] == a.shape[-1]:
+    b_ndim = len(b.shape) if isinstance(b, Jet) else np.ndim(b)
+    if b_ndim == len(a.shape):
         return jet_matmul(inv, b)
     return jet_matvec(inv, b)
 
@@ -520,38 +552,41 @@ def jcosh(jet: Jet) -> Jet:
 def jet_pullback(xjet: Jet, phi: Jet, x0: np.ndarray) -> Jet:
     """Compose an outer jet (expanded in x at x0) with inner jets phi(u).
 
-    `xjet` holds Taylor data of a quantity Q in an x-space of dimension N;
-    its leading axes may include tensor indices (batch axes must align with
-    phi's batch axes). `phi` holds the N inner functions along its last
-    leading axis, expanded in u, with phi.val == x0. Returns Q(phi(u)) as a
-    u-space jet.
+    `phi` holds the N inner functions along its last axis, expanded in u,
+    with phi.val == x0; its other axes are batch axes. `xjet` holds Taylor
+    data of a quantity Q in an x-space of dimension N, one expansion per
+    batch point: its leading axes are phi's batch axes, then Q's tensor
+    axes. Returns Q(phi(u)) as a u-space jet of the same leading shape.
     """
     xsp = xjet.space
     usp = phi.space
     N = xsp.nvars
     if phi.shape[-1] != N:
         raise ValueError("inner jet count must match the outer space dimension")
+    batch = phi.shape[:-1]
+    if xjet.shape[: len(batch)] != batch:
+        raise ValueError("outer jet must lead with the inner jets' batch axes")
     delta = phi - usp.constant(np.asarray(x0, dtype=float))
     v = min(xjet.valid, phi.valid)
     deltas = [delta[..., a] for a in range(N)]
-    # power products of delta follow the graded enumeration of x multi-indices
+    # power products of delta follow the graded enumeration of x multi-indices,
+    # so the ones of degree <= v come first
     powers: dict[tuple[int, ...], Jet] = {}
-    zero_alpha = xsp.multi_indices[0]
-    powers[zero_alpha] = usp.constant(np.ones(deltas[0].shape))
-    out = None
-    for k, alpha in enumerate(xsp.multi_indices):
+    cols = []
+    for alpha in xsp.multi_indices:
         if sum(alpha) > v:
-            continue
-        if sum(alpha) > 0:
+            break
+        if sum(alpha) == 0:
+            powers[alpha] = usp.constant(np.ones(batch))
+        else:
             a = next(i for i, m in enumerate(alpha) if m > 0)
             down = list(alpha)
             down[a] -= 1
             powers[alpha] = powers[tuple(down)] * deltas[a]
-        # xjet coefficient: leading shape (tensor..., batch...) broadcast onto
-        # the u-space coefficient axis
-        coef = xjet.coeffs[..., k]
-        term = powers[alpha] * coef
-        out = term if out is None else out + term
-    out.valid = v
-    out.coeffs = _trim(usp, out.coeffs, v)
-    return out
+        cols.append(powers[alpha])
+    K = len(cols)
+    pw = jstack(cols, axis=-1).coeffs  # (batch..., K, u-coefficients)
+    tensor = xjet.shape[len(batch):]
+    coef = xjet.coeffs[..., :K].reshape(batch + (-1, K))
+    out = np.einsum("...kc,...tk->...tc", pw, coef).reshape(batch + tensor + (usp.ncoeff,))
+    return Jet(usp, _trim(usp, out, v), v)

@@ -12,8 +12,10 @@ tangent/normal projection of the ambient bundle connection.
 The second fundamental form Pi(X^{h'}, Y^{h'}) is a linear assembly of four
 pieces bilinear in X and Y. The mean curvature is that assembly applied once
 to the sums over a deformed-orthonormal frame given by frame_trace, which
-the plane map's tension (gauss_map) reads too. VERDICT_TOL is the one
-tolerance of the sampled verdicts.
+the plane map's tension (gauss_map) reads too. frame_trace and the
+assembly (mean_curvature_parts) take the frame of one point or of a batch
+of points, so a sampled sweep builds one batched frame and takes one trace.
+VERDICT_TOL is the one tolerance of the sampled verdicts.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "domain_samples",
     "tilde_frame_fields",
     "frame_trace",
+    "mean_curvature_parts",
     "VERDICT_TOL",
 ]
 
@@ -330,8 +333,8 @@ def _pi_hh_pieces(fd, Xc, Yc):
     SX = ops.s_field_matrix(fd, Xc)
     SY = ops.s_field_matrix(fd, Yc)
     nab = ops.ambient_deriv_frame(fd, Xc, yF)
-    rsum = jet_einsum("ij,j->i", ops.rt_matrix_jet(fd, SX), yF) + jet_einsum(
-        "ij,j->i", ops.rt_matrix_jet(fd, SY), xF
+    rsum = jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, SX), yF) + jet_einsum(
+        "...ij,...j->...i", ops.rt_matrix_jet(fd, SY), xF
     )
     V = ops.vec_nabla_prime_jet(fd, Xc, Yc) + ops.vec_nabla_prime_jet(fd, Yc, Xc)
     m_endo = ops.nabla_t_field_jet(fd, SY, Xc, "prime") + ops.nabla_t_field_jet(
@@ -347,8 +350,8 @@ def _pi_hh_assemble(fd, nab, rsum, V, m_endo):
     """
     p, d = fd.p, fd.d
     nmask = np.concatenate([np.zeros(p), np.ones(d - p)])
-    rhs = ops.s_tm_tangent_jet(fd, m_endo) - ops.frame_of_chart(fd, V) - rsum[:p]
-    Zc = jet_einsum("aA,A->a", fd.C, ops.solve_P(fd, rhs))
+    rhs = ops.s_tm_tangent_jet(fd, m_endo) - ops.frame_of_chart(fd, V) - rsum[..., :p]
+    Zc = jet_einsum("...aA,...A->...a", fd.C, ops.solve_P(fd, rhs))
     horiz = nab * nmask + 0.5 * (rsum + ops.full_frame_field(fd, V + Zc))
     vert = 0.5 * (m_endo + ops.s_field_matrix(fd, Zc))
     return horiz, vert
@@ -358,7 +361,7 @@ def _pi_hv_jets(fd, Xc, Tj):
     """Pi(X^{h'}, bar T) = 1/2 (R_T(X) - Q_T(X))^h
     + 1/2 bar((nabla_X T)_m - S_{Q_T(X)})."""
     xF = ops.full_frame_field(fd, Xc)
-    RTX = jet_einsum("ij,j->i", ops.rt_matrix_jet(fd, Tj), xF)
+    RTX = jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, Tj), xF)
     q = ops.q_t_chart_jet(fd, Tj, Xc)
     horiz = 0.5 * (RTX - ops.full_frame_field(fd, q))
     dT_m = ops.nabla_t_field_jet(fd, Tj, Xc, "ambient") * fd.mmask
@@ -410,7 +413,7 @@ class MeanCurvatureReport:
 
 def tilde_frame_fields(fd) -> list[Jet]:
     """Chart-coefficient jets of the deformed-metric orthonormal frame."""
-    return [fd.Wchart[:, A] for A in range(fd.p)]
+    return [fd.Wchart[..., A] for A in range(fd.p)]
 
 
 def frame_trace(fd: FramePointData, frames=None) -> tuple[Jet, Jet, Jet, Jet, Jet]:
@@ -422,6 +425,9 @@ def frame_trace(fd: FramePointData, frames=None) -> tuple[Jet, Jet, Jet, Jet, Je
     (sum nabla_e e, sum R_{S_e}(e)) in frame components (d,),
     (sum nabla'_e e, sum tilde_e e) in chart coefficients (p,),
     sum nabla'_e S_e as a frame matrix (d, d).
+
+    The shapes are per point: on the frame of a batch of points each sum
+    leads with the batch axes, and one call traces every point.
     """
     terms = []
     for Ec in tilde_frame_fields(fd) if frames is None else frames:
@@ -430,7 +436,7 @@ def frame_trace(fd: FramePointData, frames=None) -> tuple[Jet, Jet, Jet, Jet, Je
         terms.append(
             (
                 ops.ambient_deriv_frame(fd, Ec, EF),
-                jet_einsum("ij,j->i", ops.rt_matrix_jet(fd, SE), EF),
+                jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, SE), EF),
                 ops.vec_nabla_prime_jet(fd, Ec, Ec),
                 ops.vec_tilde_nabla_jet(fd, Ec, Ec),
                 ops.nabla_t_field_jet(fd, SE, Ec, "prime"),
@@ -439,20 +445,28 @@ def frame_trace(fd: FramePointData, frames=None) -> tuple[Jet, Jet, Jet, Jet, Je
     return tuple(sum(col[1:], col[0]) for col in zip(*terms))
 
 
-def mean_curvature_OMN(M: ImmersedSubmanifold, u) -> MeanCurvatureReport:
-    """Trace of the second fundamental form over a deformed-orthonormal
-    horizontal frame (vertical directions contribute nothing).
+def mean_curvature_parts(fd: FramePointData, trace) -> tuple[np.ndarray, np.ndarray]:
+    """The mean curvature at the frame's points from their frame trace: the
+    horizontal part in frame components (..., d) and the vertical skew
+    matrix (..., d, d).
 
     Pi is linear in its pieces, and the pieces of Pi(e, e) are nabla_e e,
     2 R_{S_e}(e), 2 nabla'_e e and 2 nabla'_e S_e, so H is Pi assembled once
     from the frame trace.
     """
+    amb, rterm, prime, _, dS = trace
+    horiz, vert = _pi_hh_assemble(fd, amb, 2.0 * rterm, 2.0 * prime, 2.0 * dS)
+    return horiz.val, 0.5 * (vert.val - np.swapaxes(vert.val, -1, -2))
+
+
+def mean_curvature_OMN(M: ImmersedSubmanifold, u) -> MeanCurvatureReport:
+    """Trace of the second fundamental form over a deformed-orthonormal
+    horizontal frame (vertical directions contribute nothing), at one point.
+    """
     u = np.asarray(u, dtype=float)
     fd = M.frame_data(u)
     p, d = fd.p, fd.d
-    amb, rterm, prime, _, dS = frame_trace(fd)
-    horiz, vert = _pi_hh_assemble(fd, amb, 2.0 * rterm, 2.0 * prime, 2.0 * dS)
-    hval, vval = horiz.val, 0.5 * (vert.val - vert.val.T)
+    hval, vval = mean_curvature_parts(fd, frame_trace(fd))
     H = lifted(M, u, horizontal=fd.ambient_components(hval), vertical=vval)
     z = hval[p:].copy()
     t = np.zeros((p, d - p))
@@ -474,10 +488,19 @@ class TotallyGeodesicReport:
     tol: float
 
 
+def _finite_max(acc: float, x: float, u: np.ndarray) -> float:
+    """max(acc, x) for a residual x at the sample point u; a NaN or infinite
+    x raises, as max would drop a NaN silently."""
+    if not np.isfinite(x):
+        raise OmnError(f"non-finite residual at sample point {u.tolist()}")
+    return max(acc, x)
+
+
 def is_totally_geodesic(M: ImmersedSubmanifold, samples: int = 50, seed: int = 0) -> TotallyGeodesicReport:
     """Sampled norm of the subbundle second fundamental form, together with
     the base criterion: M totally geodesic and tangential (R(U,V)W) = 0 for
-    normal U, V, W."""
+    normal U, V, W. A residual that is not a finite number raises OmnError
+    naming its point."""
     worst = 0.0
     base = 0.0
     rcond = 0.0
@@ -485,18 +508,18 @@ def is_totally_geodesic(M: ImmersedSubmanifold, samples: int = 50, seed: int = 0
         fd = M.frame_data(u)
         p, d = fd.p, fd.d
         # base second fundamental form of M: S-matrices carry it all
-        base = max(base, float(np.max(np.abs(fd.Smats.val))))
+        base = _finite_max(base, float(np.max(np.abs(fd.Smats.val))), u)
         frames = tilde_frame_fields(fd)
         for A in range(p):
             for B in range(A, p):
                 pi = second_fundamental_OMN(M, u, "hh", frames[A], frames[B])
-                worst = max(worst, pi.norm())
+                worst = _finite_max(worst, pi.norm(), u)
         for A in range(p):
             for i in range(d):
                 for j in range(i + 1, d):
                     if (i < p) != (j < p):
                         continue
                     pi = second_fundamental_OMN(M, u, "hv", frames[A], ops.basis_T(d, i, j))
-                    worst = max(worst, pi.norm())
-        rcond = max(rcond, float(np.max(np.abs(fd.Rfr.val[:p, p:, p:, p:]))))
+                    worst = _finite_max(worst, pi.norm(), u)
+        rcond = _finite_max(rcond, float(np.max(np.abs(fd.Rfr.val[:p, p:, p:, p:]))), u)
     return TotallyGeodesicReport(worst < VERDICT_TOL, worst, base, rcond, samples, VERDICT_TOL)

@@ -16,7 +16,10 @@ block-diagonal part (the connection preserving the splitting), and
 Gamma(X, Y) in chart coefficients.
 
 Public frame-field primitives, all jet-valued at one FramePointData, are
-the single home of their formulas for the frame-bundle modules:
+the single home of their formulas for the frame-bundle modules. They pass
+the frame's batch axes through (their subscripts start with `...`), so
+they act on the frame of one point and on a batch of points alike, with
+their arguments leading with the same batch axes or with none:
 frame_of_chart and full_frame_field (chart coefficients of a tangent field to
 its p tangent-frame or d frame components), omega_along (omega_X, full or
 block-diagonal), ambient_deriv_frame (nabla_X Y in frame components),
@@ -147,12 +150,12 @@ def basis_T(d: int, i: int, j: int) -> np.ndarray:
 
 def frame_of_chart(fd: FramePointData, xc) -> Jet:
     """Chart coefficients -> tangent-frame coefficients (jets)."""
-    return jet_einsum("Aa,a->A", fd.Dmat, xc)
+    return jet_einsum("...Aa,...a->...A", fd.Dmat, xc)
 
 
 def full_frame_field(fd: FramePointData, Xc) -> Jet:
     """Frame components (length d, zero normal part) of a tangent chart field."""
-    return jet_einsum("iA,A->i", np.eye(fd.d)[:, : fd.p], frame_of_chart(fd, Xc))
+    return jet_einsum("iA,...A->...i", np.eye(fd.d)[:, : fd.p], frame_of_chart(fd, Xc))
 
 
 def omega_along(fd: FramePointData, Xc, which: str = "ambient") -> Jet:
@@ -160,23 +163,23 @@ def omega_along(fd: FramePointData, Xc, which: str = "ambient") -> Jet:
     components; its block-diagonal part when which is "prime"."""
     if which not in ("ambient", "prime"):
         raise OperatorError(f"unknown connection {which!r}")
-    om = jet_einsum("a,aij->ij", Xc, fd.omega)
+    om = jet_einsum("...a,...aij->...ij", Xc, fd.omega)
     return om * fd.hmask if which == "prime" else om
 
 
 def ambient_deriv_frame(fd: FramePointData, Xc, yF: Jet) -> Jet:
     """Frame components of nabla_X Y for a full frame-component field yF."""
-    return jet_along(Xc, yF) + jet_einsum("ij,j->i", omega_along(fd, Xc), yF)
+    return jet_along(Xc, yF) + jet_einsum("...ij,...j->...i", omega_along(fd, Xc), yF)
 
 
 def curvature_matrix(fd: FramePointData, xF: Jet, yF: Jet) -> Jet:
     """Frame matrix of R(X, Y) for full frame-component vectors."""
-    return jet_einsum("ijl,l->ij", jet_einsum("ijkl,k->ijl", fd.Rfr, xF), yF)
+    return jet_einsum("...ijl,...l->...ij", jet_einsum("...ijkl,...k->...ijl", fd.Rfr, xF), yF)
 
 
 def commutator_jet(A, B) -> Jet:
     """[A, B] = AB - BA for (d, d) frame-matrix jets."""
-    return jet_einsum("ik,kj->ij", A, B) - jet_einsum("ik,kj->ij", B, A)
+    return jet_einsum("...ik,...kj->...ij", A, B) - jet_einsum("...ik,...kj->...ij", B, A)
 
 
 def as_chart_field(fd: FramePointData, field) -> Jet:
@@ -216,7 +219,7 @@ def s_field_matrix(fd: FramePointData, Xc) -> Jet:
 
 def rt_matrix_jet(fd: FramePointData, Tj) -> Jet:
     """Frame matrix of X -> sum_i R(e_i, T e_i) X."""
-    return jet_einsum("abij,ji->ab", fd.Rfr, Tj)
+    return jet_einsum("...abij,...ji->...ab", fd.Rfr, Tj)
 
 
 def s_tm_tangent_jet(fd: FramePointData, Tm) -> Jet:
@@ -224,26 +227,29 @@ def s_tm_tangent_jet(fd: FramePointData, Tm) -> Jet:
 
     Tm is a (d, d) frame matrix, jet or array; only its m-part is read.
     """
-    vec = 2.0 * jet_einsum("Aij,jA->i", fd.Smats, Tm[:, : fd.p])
-    return vec[: fd.p]
+    vec = 2.0 * jet_einsum("...Aij,...jA->...i", fd.Smats, Tm[..., : fd.p])
+    return vec[..., : fd.p]
 
 
 def solve_P(fd: FramePointData, rhs):
     """P^{-1} rhs for tangent-frame components rhs, a jet or an array.
 
     Raises OperatorError when P is numerically singular (condition number
-    above 1e12), as on a thin tube where S is huge.
+    above 1e12) at any of the frame's points, as on a thin tube where S is
+    huge, and names the first such point.
     """
-    if np.linalg.cond(fd.Pfr.val) > 1e12:
-        raise OperatorError("operator P is numerically singular")
+    singular = np.linalg.cond(fd.Pfr.val) > 1e12
+    if np.any(singular):
+        raise OperatorError(f"operator P is numerically singular at {fd.point_where(singular)}")
     if isinstance(rhs, Jet):
         return jet_solve(fd.Pfr, rhs)
-    return np.linalg.solve(fd.Pfr.val, rhs)
+    return np.linalg.solve(fd.Pfr.val, np.asarray(rhs, dtype=float)[..., None])[..., 0]
 
 
 def _connection_jet(fd: FramePointData, gam: Jet, Xc, Yc: Jet) -> Jet:
     """Chart coefficients of nabla_X Y for the connection with Christoffels gam."""
-    return jet_along(Xc, Yc) + jet_einsum("cab,ab->c", gam, jet_einsum("a,b->ab", Xc, Yc))
+    XY = jet_einsum("...a,...b->...ab", Xc, Yc)
+    return jet_along(Xc, Yc) + jet_einsum("...cab,...ab->...c", gam, XY)
 
 
 def vec_nabla_prime_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
@@ -274,18 +280,17 @@ def q_t_chart_jet(fd: FramePointData, Tj: Jet, Xc) -> Jet:
     """
     RT = rt_matrix_jet(fd, Tj)
     xfr = frame_of_chart(fd, Xc)
-    rt_top = jet_einsum("AB,B->A", RT[: fd.p, : fd.p], xfr)
+    rt_top = jet_einsum("...AB,...B->...A", RT[..., : fd.p, : fd.p], xfr)
     nabT = nabla_t_field_jet(fd, Tj, Xc, "ambient")
     svec = s_tm_tangent_jet(fd, nabT * fd.mmask)
-    return jet_einsum("aA,A->a", fd.C, solve_P(fd, rt_top - svec))
+    return jet_einsum("...aA,...A->...a", fd.C, solve_P(fd, rt_top - svec))
 
 
 def curvature_prime_jet(fd: FramePointData, Xc, Yc) -> Jet:
     """R'(X, Y) as a frame-matrix jet: R(X,Y)_h - [S_X, S_Y]."""
     xfr, yfr = frame_of_chart(fd, Xc), frame_of_chart(fd, Yc)
-    RXY = jet_einsum(
-        "ijl,l->ij", jet_einsum("ijkl,k->ijl", fd.Rfr[:, :, : fd.p, : fd.p], xfr), yfr
-    )
+    Rtan = fd.Rfr[..., : fd.p, : fd.p]
+    RXY = jet_einsum("...ijl,...l->...ij", jet_einsum("...ijkl,...k->...ijl", Rtan, xfr), yfr)
     Sx, Sy = s_field_matrix(fd, Xc), s_field_matrix(fd, Yc)
     return RXY * fd.hmask - commutator_jet(Sx, Sy)
 

@@ -13,10 +13,17 @@ smooth across the whole chart (or the construction fails loudly when a
 residual drops below the breakdown threshold).
 
 FramePointData is the workhorse: one instance gives every jet the rest of
-the package needs at a single parameter point (frame, connection forms, the
+the package needs at its parameter points (frame, connection forms, the
 skew tensor field S, the deformed metric, its Levi-Civita data, and the
 curvature in frame components), each built when it is first read.
 Downstream modules consume it directly.
+
+Batch convention: `frame_data(u)` takes one point, u of shape (p,), or a
+batch of n points, u of shape (n, p). Every jet of the frame then leads
+with the batch axes u.shape[:-1], () for one point, followed by the
+per-point shape that the FramePointData table lists. One point and a batch
+run the same code; the frame-field primitives of `operators` and the frame
+trace of `omn_geometry` pass the batch axes through in the same way.
 """
 
 from __future__ import annotations
@@ -69,27 +76,36 @@ class FrameError(ValueError):
 
 
 def _g_dot(u: Jet, v: Jet, G: Jet) -> Jet:
-    return jet_dot(u, jet_einsum("ij,j->i", G, v))
+    return jet_dot(u, jet_einsum("...ij,...j->...i", G, v))
 
 
-def gram_schmidt_jets(vectors: list[Jet], G: Jet, n_given: int = 0) -> Jet:
-    """Orthonormalize jet vectors against the (jet) quadratic form G.
+def _first_point(u: np.ndarray, mask: np.ndarray) -> list[float]:
+    """The first point of the batch u (..., p) at which mask (...) holds."""
+    return u[tuple(np.argwhere(mask)[0])].tolist()
+
+
+def gram_schmidt_jets(vectors: list[Jet], G: Jet, u: np.ndarray, n_given: int = 0) -> Jet:
+    """Orthonormalize jet vectors against the (jet) quadratic form G at the
+    points u, batch axes leading.
 
     Returns the orthonormal vectors as columns of one jet. `n_given` marks
     how many leading vectors are mandatory (the tangent block): a breakdown
     there means a rank-deficient Jacobian, later it means a pivot failure.
+    Either names the first point of u where it happens.
     """
     out: list[Jet] = []
     for k, w in enumerate(vectors):
         v = w
         for q in out:
-            v = v - q * _g_dot(q, w, G)
+            v = v - q * _g_dot(q, w, G)[..., None]
         nrm2 = _g_dot(v, v, G)
-        if nrm2.val < GS_BREAKDOWN**2:
+        bad = nrm2.val < GS_BREAKDOWN**2
+        if np.any(bad):
+            at = _first_point(u, bad)
             if k < n_given:
-                raise FrameError(f"Jacobian rank-deficient (column {k + 1})")
-            raise FrameError(f"Gram-Schmidt pivot failure at vector {k + 1}")
-        out.append(v / jsqrt(nrm2))
+                raise FrameError(f"Jacobian rank-deficient (column {k + 1}) at {at}")
+            raise FrameError(f"Gram-Schmidt pivot failure at vector {k + 1} at {at}")
+        out.append(v / jsqrt(nrm2)[..., None])
     return jstack(out, axis=-1)
 
 
@@ -166,21 +182,23 @@ class ImmersedSubmanifold:
             basis.append(best_vec / best_nrm)
         return tuple(pivots)
 
-    def contains(self, u) -> bool:
-        u = np.asarray(u, dtype=float)
-        lo, hi = self.chart_domain[:, 0], self.chart_domain[:, 1]
-        return bool(np.all(u >= lo - _DOMAIN_SLACK) and np.all(u <= hi + _DOMAIN_SLACK))
-
     def frame_data(self, u) -> "FramePointData":
+        """The frame at one point, u of shape (p,), or at a batch of points,
+        u of shape (n, p); cached by the shape and the values of u."""
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.p,):
-            raise FrameError(f"parameter point must have shape ({self.p},)")
-        key = u.tobytes()
+        if u.ndim not in (1, 2) or u.shape[-1] != self.p or u.size == 0:
+            raise FrameError(
+                f"parameter points must have shape ({self.p},) or (n, {self.p}), got {u.shape}"
+            )
+        key = (u.shape, u.tobytes())
         hit = self._cache.get(key)
         if hit is None:
-            # a cached point passed this check when its frame was built
-            if not self.contains(u):
-                raise FrameError(f"parameter point {u.tolist()} outside the chart domain")
+            # cached points passed this check when their frame was built
+            lo, hi = self.chart_domain[:, 0], self.chart_domain[:, 1]
+            outside = ~np.all((u >= lo - _DOMAIN_SLACK) & (u <= hi + _DOMAIN_SLACK), axis=-1)
+            if np.any(outside):
+                at = _first_point(u, outside)
+                raise FrameError(f"parameter point {at} outside the chart domain")
             if len(self._cache) >= 4096:
                 self._cache.clear()
             hit = FramePointData(self, u)
@@ -192,7 +210,11 @@ class ImmersedSubmanifold:
 
 
 class FramePointData:
-    """Every jet needed at one parameter point, built once and shared.
+    """Every jet needed at a parameter point, or a batch of them, built once
+    and shared.
+
+    The jets lead with the batch axes, u0.shape[:-1]: () for one point, (n,)
+    for n points. The shapes below are per point and follow the batch axes.
 
     Attribute conventions (d = p+n ambient dim, all jets over u-variables):
 
@@ -223,12 +245,12 @@ class FramePointData:
     ==========  =========  ==================================================
 
     `phi`, `J`, `G` and `E` are built in the constructor, so an immersion,
-    metric or frame that fails raises from `frame_data` at once. Every other
-    attribute in the table is built on first use and then kept; many
-    callers read only a few of them (a finite-difference oracle reads just
-    `g_chart` or `gt_chart` at its shifted points). Each one depends only on
-    the eager jets and on other attributes, so the values do not depend on
-    the order in which they are read.
+    metric or frame that fails at any of the points raises from `frame_data`
+    at once. Every other attribute in the table is built on first use and
+    then kept; many callers read only a few of them (a finite-difference
+    oracle reads just `g_chart` or `gt_chart` at its shifted points). Each
+    one depends only on the eager jets and on other attributes, so the
+    values do not depend on the order in which they are read.
 
     The frame-block masks `hmask`/`mmask` select the diagonal/off-diagonal
     blocks of a (d, d) frame matrix with respect to the tangent/normal split.
@@ -251,23 +273,29 @@ class FramePointData:
         self._Gx = sub.ambient.metric_jets(self.x0, 3)
         self.G = jet_pullback(self._Gx, phi, self.x0)
 
-        cols = [self.J[:, a] for a in range(p)]
+        cols = [self.J[..., a] for a in range(p)]
         for ax in sub.pivots:
             onehot = np.zeros(d)
             onehot[ax] = 1.0
             cols.append(uspace.constant(onehot))
-        self.E = gram_schmidt_jets(cols, self.G, n_given=p)
+        self.E = gram_schmidt_jets(cols, self.G, self.u0, n_given=p)
 
         self.hmask = np.zeros((d, d))
         self.hmask[:p, :p] = 1.0
         self.hmask[p:, p:] = 1.0
         self.mmask = 1.0 - self.hmask
 
+    def point_where(self, mask) -> list[float]:
+        """The first of the frame's points at which mask (batch shape) holds."""
+        return _first_point(self.u0, np.asarray(mask))
+
     # -- ambient geometry, x-space jets then pulled back along phi -------------
 
     @cached_property
     def _Gamx(self) -> Jet:
-        return christoffel_jets(self._Gx)
+        # valid to order 2 of 3, so stored in the smaller order-2 space, and so
+        # is the curvature built from it
+        return christoffel_jets(self._Gx).truncated()
 
     @cached_property
     def Gam(self) -> Jet:
@@ -281,30 +309,29 @@ class FramePointData:
 
     @cached_property
     def Einv(self) -> Jet:
-        return jet_einsum("ji,jk->ik", self.E, self.G)
+        return jet_einsum("...ji,...jk->...ik", self.E, self.G)
 
     @cached_property
     def omega(self) -> Jet:
         omegas = []
         for a in range(self.p):
-            covE = self.E.d(a) + jet_einsum(
-                "il,lj->ij", jet_einsum("ikl,k->il", self.Gam, self.J[:, a]), self.E
-            )
-            omegas.append(jet_einsum("ij,jk->ik", self.Einv, covE))
-        return jstack(omegas, axis=0)
+            gam_a = jet_einsum("...ikl,...k->...il", self.Gam, self.J[..., a])
+            covE = self.E.d(a) + jet_einsum("...il,...lj->...ij", gam_a, self.E)
+            omegas.append(jet_einsum("...ij,...jk->...ik", self.Einv, covE))
+        return jstack(omegas, axis=-3)
 
     @cached_property
     def _JtG(self) -> Jet:
-        return jet_einsum("ka,kl->al", self.J, self.G)
+        return jet_einsum("...ka,...kl->...al", self.J, self.G)
 
     @cached_property
     def g_chart(self) -> Jet:
-        return jet_einsum("al,lb->ab", self._JtG, self.J)
+        return jet_einsum("...al,...lb->...ab", self._JtG, self.J)
 
     @cached_property
     def C(self) -> Jet:
-        E_tan = self.E[:, : self.p]
-        return jet_solve(self.g_chart, jet_einsum("al,lB->aB", self._JtG, E_tan))
+        E_tan = self.E[..., : self.p]
+        return jet_solve(self.g_chart, jet_einsum("...al,...lB->...aB", self._JtG, E_tan))
 
     @cached_property
     def Dmat(self) -> Jet:
@@ -312,13 +339,13 @@ class FramePointData:
 
     @cached_property
     def Smats(self) -> Jet:
-        return jet_einsum("aA,aij->Aij", self.C, self.omega) * self.mmask
+        return jet_einsum("...aA,...aij->...Aij", self.C, self.omega) * self.mmask
 
     @cached_property
     def Pfr(self) -> Jet:
         p = self.p
-        S2 = jet_einsum("Aij,Ajk->ik", self.Smats, self.Smats)
-        return self.uspace.constant(np.eye(p)) - 2.0 * S2[:p, :p]
+        S2 = jet_einsum("...Aij,...Ajk->...ik", self.Smats, self.Smats)
+        return self.uspace.constant(np.eye(p)) - 2.0 * S2[..., :p, :p]
 
     @cached_property
     def Gam_chart(self) -> Jet:
@@ -326,8 +353,8 @@ class FramePointData:
 
     @cached_property
     def gt_chart(self) -> Jet:
-        t = jet_einsum("Aa,AB->aB", self.Dmat, self.Pfr)
-        return jet_einsum("aB,Bb->ab", t, self.Dmat)
+        t = jet_einsum("...Aa,...AB->...aB", self.Dmat, self.Pfr)
+        return jet_einsum("...aB,...Bb->...ab", t, self.Dmat)
 
     @cached_property
     def Gamt(self) -> Jet:
@@ -340,20 +367,20 @@ class FramePointData:
     @cached_property
     def W(self) -> Jet:
         units = [self.uspace.constant(np.eye(self.p)[:, k]) for k in range(self.p)]
-        return gram_schmidt_jets(units, self.Pfr)
+        return gram_schmidt_jets(units, self.Pfr, self.u0)
 
     @cached_property
     def Wchart(self) -> Jet:
-        return jet_einsum("aA,AB->aB", self.C, self.W)
+        return jet_einsum("...aA,...AB->...aB", self.C, self.W)
 
     @cached_property
     def Rfr(self) -> Jet:
-        t = jet_einsum("mnqr,nj->mjqr", self.R, self.E)
-        t = jet_einsum("mjqr,qk->mjkr", t, self.E)
-        t = jet_einsum("mjkr,rl->mjkl", t, self.E)
-        return jet_einsum("im,mjkl->ijkl", self.Einv, t)
+        t = jet_einsum("...mnqr,...nj->...mjqr", self.R, self.E)
+        t = jet_einsum("...mjqr,...qk->...mjkr", t, self.E)
+        t = jet_einsum("...mjkr,...rl->...mjkl", t, self.E)
+        return jet_einsum("...im,...mjkl->...ijkl", self.Einv, t)
 
-    # -- numeric helpers -----------------------------------------------------
+    # -- numeric helpers, at a single point -------------------------------------
 
     def frame_components(self, Y) -> np.ndarray:
         """Ambient components -> frame components at the point."""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -282,8 +284,8 @@ def test_is_harmonic_great_sphere():
 
 
 def test_theorem_check_is_one_sweep(monkeypatch):
-    """theorem_check builds frames only at its own points and takes the
-    frame trace twice at each: once for H, once for the residuals."""
+    """theorem_check builds one frame holding all its points and takes the
+    frame trace once there: H and the residuals read the same trace."""
     n = 6
     M = builtin_submanifold("sphere2")
     built, traces = [], []
@@ -300,9 +302,45 @@ def test_theorem_check_is_one_sweep(monkeypatch):
     monkeypatch.setattr(FramePointData, "__init__", counting_init)
     monkeypatch.setattr(og, "frame_trace", counting_trace)
     theorem_check(M, samples=n, seed=3)
-    assert len(built) == n
-    assert np.array_equal(np.array(built), og.domain_samples(M, n, seed=3))
-    assert len(traces) == 2 * n
+    assert len(built) == 1
+    assert np.array_equal(built[0], og.domain_samples(M, n, seed=3))
+    assert len(traces) == 1
+
+
+@pytest.mark.parametrize("name", [name for name, _ in ALL_BUILTINS] + ["cap"])
+def test_theorem_check_matches_pointwise(name):
+    """The batched sweep reads the same maxima as the per-point functions."""
+    M = curved_cap() if name == "cap" else builtin_submanifold(name)
+    n, seed = 6, 4
+    rep = theorem_check(M, samples=n, seed=seed)
+    mean, harm, id_m2, id_h2 = [], [], [], []
+    for u in og.domain_samples(M, n, seed=seed):
+        mean.append(og.mean_curvature_OMN(M, u).norm)
+        harm.append(max(harmonicity_residuals(M, u)))
+        r_m2, r_h2 = gm.implication_residuals(M, gm.residual_data(M, u))
+        id_m2.append(r_m2)
+        id_h2.append(r_h2)
+    assert abs(rep.max_mean_curvature - max(mean)) <= 1e-13
+    assert abs(rep.max_harmonicity_residual - max(harm)) <= 1e-13
+    assert abs(rep.m2_identity_residual - max(id_m2)) <= 1e-13
+    assert abs(rep.h2_recovery_residual - max(id_h2)) <= 1e-13
+
+
+def test_theorem_check_refuses_non_finite_residual(monkeypatch):
+    """A NaN at one sample point raises and names the point; a plain max
+    would drop it and could report a minimal subbundle."""
+    M = builtin_submanifold("sphere2")
+    bad = og.domain_samples(M, 5, seed=2)[3]
+    trace = og.frame_trace
+
+    def nan_at_bad_point(fd, *args, **kwargs):
+        sums = trace(fd, *args, **kwargs)
+        sums[0].coeffs[np.all(fd.u0 == bad, axis=-1)] = np.nan
+        return sums
+
+    monkeypatch.setattr(og, "frame_trace", nan_at_bad_point)
+    with pytest.raises(GaussMapError, match=re.escape(str(bad.tolist()))):
+        theorem_check(M, samples=5, seed=2)
 
 
 def test_theorem_plane_both_true():

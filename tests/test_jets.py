@@ -265,3 +265,37 @@ def test_jet_along_is_the_sum_of_partials(shape, direction):
     assert got.valid == (min(X.valid, F.valid - 1) if isinstance(X, Jet) else F.valid - 1)
     assert got.valid == want.valid
     assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-14
+
+
+def test_along_and_pullback_take_leading_batch_axes():
+    """A batch of points through jet_along and jet_pullback gives, point by
+    point, what one point at a time gives."""
+    sp_u, sp_x = get_space(2, 4), get_space(2, 3)
+    pts = np.array([[0.25, -0.4], [0.1, 0.3], [-0.5, 0.2]])
+
+    def at(u):
+        u1, u2 = sp_u.variables(u)
+        phi = jstack([jsin(u1) + u2, jexp(0.3 * u1 * u2)], axis=-1)
+        F = jet_einsum("...i,...j->...ij", phi, jstack([jcos(u2), u1 * u2], axis=-1))
+        X1, X2 = sp_x.variables(phi.val)
+        Q = jstack([jcos(X1) * X2, X1 * X1], axis=-1)
+        X = jstack([u1 * u2 + 1.0, jcos(u2)], axis=-1)
+        return jet_along(X, F), jet_pullback(Q, phi, phi.val)
+
+    batch = at(pts)
+    for k, u in enumerate(pts):
+        for got, want in zip(batch, at(u)):
+            assert got.valid == want.valid
+            assert np.array_equal(got.coeffs[k], want.coeffs)
+
+
+def test_truncated_keeps_every_valid_coefficient():
+    sp = get_space(3, 4)
+    x, y, z = sp.variables([0.2, -0.3, 0.5])
+    g = (jsin(x * y) * jexp(z)).d(0).d(1)  # valid to order 2
+    t = g.truncated()
+    assert t.space is get_space(3, 2) and t.valid == 2
+    assert np.array_equal(t.coeffs, g.coeffs[..., : t.space.ncoeff])
+    assert not np.any(g.coeffs[..., t.space.ncoeff:])
+    assert np.array_equal((t * t).coeffs, (g * g).coeffs[..., : t.space.ncoeff])
+    assert np.array_equal(t.d(2).coeffs, g.d(2).coeffs[..., : t.space.ncoeff])

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
+from framelab import omn_geometry as og
 from framelab.ambient import sphere_chart
 from framelab.frame_bundle import (
     decompose_OMN,
     horizontal_lift_prime,
+    lifted,
     nabla_ON_primed,
     normal_generators,
     sasaki_mok_inner,
@@ -446,3 +450,20 @@ def test_is_totally_geodesic_verdicts():
     rep = is_totally_geodesic(builtin_submanifold("sphere2"), samples=5)
     assert not rep.totally_geodesic
     assert rep.max_pi_residual > 0.1
+
+
+def test_is_totally_geodesic_refuses_non_finite_residual(monkeypatch):
+    """A NaN norm of Pi at one sample point raises and names the point; a
+    plain max would drop it and report a totally geodesic subbundle."""
+    M = builtin_submanifold("plane")
+    bad = domain_samples(M, 4, seed=1)[2]
+    pi = og.second_fundamental_OMN
+
+    def nan_at_bad_point(M, u, case, *args):
+        if np.array_equal(u, bad):
+            return lifted(M, u, horizontal=np.full(M.ambient.dim, np.nan))
+        return pi(M, u, case, *args)
+
+    monkeypatch.setattr(og, "second_fundamental_OMN", nan_at_bad_point)
+    with pytest.raises(OmnError, match=re.escape(str(bad.tolist()))):
+        is_totally_geodesic(M, samples=4, seed=1)

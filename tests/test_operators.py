@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from framelab import operators as ops
-from framelab.ambient import euclidean
+from framelab.ambient import curvature_apply, euclidean
+from framelab.gauss_map import theorem_check
 from framelab.frame_bundle import decompose_OMN, lifted
 from framelab.jets import jet_einsum, jstack
 from framelab.omn_geometry import mean_curvature_OMN, second_fundamental_OMN
@@ -90,8 +93,16 @@ def _thin_cylinder():
         lambda M, u, X: decompose_OMN(lifted(M, u, horizontal=X)),
         lambda M, u, X: second_fundamental_OMN(M, u, "hh", [1.0, 0.0], [0.0, 1.0]),
         lambda M, u, X: mean_curvature_OMN(M, u),
+        lambda M, u, X: theorem_check(M, samples=4),
     ],
-    ids=["L_op", "P_inverse", "decompose_OMN", "second_fundamental_OMN", "mean_curvature_OMN"],
+    ids=[
+        "L_op",
+        "P_inverse",
+        "decompose_OMN",
+        "second_fundamental_OMN",
+        "mean_curvature_OMN",
+        "theorem_check",
+    ],
 )
 def test_numerically_singular_P_is_refused(call):
     M = _thin_cylinder()
@@ -172,20 +183,28 @@ def test_R_T_space_form_value(kappa):
 
 
 def test_R_T_frame_rotation_invariance():
-    """Conjugating the frame by a block rotation conjugates R_T."""
+    """R_T X = sum_i R(e_i, T e_i) X does not depend on the orthonormal frame
+    it is traced over: R_T in the adapted frame equals the trace over a
+    rotated frame f = e Q taken with the ambient curvature, and the frame
+    matrix of R_T in the rotated frame is Q^T R_T Q."""
     rng = np.random.default_rng(6)
     M = builtin_submanifold("great2(1.0)")
     u = np.array([0.2, -0.4])
     fd = M.frame_data(u)
-    d, p = fd.d, fd.p
-    th = 0.7
-    Q = np.eye(d)
-    Q[0, 0], Q[0, 1], Q[1, 0], Q[1, 1] = np.cos(th), -np.sin(th), np.sin(th), np.cos(th)
+    d = fd.d
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     T = random_skew(rng, d)
-    RT = np.einsum("abij,ji->ab", fd.Rfr.val, T)
-    Rfr_rot = np.einsum("ia,jb,kc,ld,ijkl->abcd", Q, Q, Q, Q, fd.Rfr.val)
-    RT_rot = np.einsum("abij,ji->ab", Rfr_rot, Q.T @ T @ Q)
-    assert np.max(np.abs(RT_rot - Q.T @ RT @ Q)) < 1e-10
+    X = fd.ambient_components(rng.normal(size=d))
+    F = fd.E.val @ Q  # the rotated frame f_b, ambient components
+    TF = fd.E.val @ T @ Q  # T f_b
+    want = sum(curvature_apply(M.ambient, fd.x0, F[:, b], TF[:, b], X) for b in range(d))
+    assert np.max(np.abs(want)) > 0.1
+    assert np.max(np.abs(R_T(M, u, T, X) - want)) < 1e-10
+    rotated = SimpleNamespace(
+        Rfr=fd.uspace.constant(np.einsum("ia,jb,kc,ld,ijkl->abcd", Q, Q, Q, Q, fd.Rfr.val))
+    )
+    RT_rot = ops.rt_matrix_jet(rotated, Q.T @ T @ Q).val
+    assert np.max(np.abs(RT_rot - Q.T @ ops.rt_matrix_jet(fd, T).val @ Q)) < 1e-10
 
 
 # -- S_{T_m} -------------------------------------------------------------------
