@@ -80,10 +80,8 @@ class AmbientSpace:
         rows = []
         for row in self.entries:
             rows.append(jstack([eval_expr(e, varjets, space) for e in row], axis=-1))
-        G = jstack(rows, axis=-2)
-        shape = x0.shape[:-1] + (self.dim, self.dim, space.ncoeff)
-        if G.coeffs.shape != shape:  # a metric of constants carries no batch axes yet
-            G = Jet(space, np.broadcast_to(G.coeffs, shape).copy(), G.valid)
+        # a metric of constants carries no batch axes yet: broadcast to x0's
+        G = jstack(rows, axis=-2) * np.ones(x0.shape[:-1] + (1, 1))
         for idx in np.ndindex(x0.shape[:-1]):
             g0 = G.val[idx]
             if not np.allclose(g0, g0.T, atol=1e-12):

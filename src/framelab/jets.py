@@ -13,16 +13,14 @@ subscripts of jet_einsum start with `...` to pass the batch axes through.
 Where two operands meet, their batch axes are the same or absent (a constant
 broadcasts). A single point is the batch shape ().
 
-Each jet tracks `valid`, the truncation order up to which its coefficients are
-trustworthy. Differentiation lowers it by one; binary operations take the
-minimum. Coefficients above `valid` are kept at exactly zero, and extraction
-beyond `valid` raises instead of returning silently wrong numbers.
-
-Products compute only up to their valid order. Coefficients are stored in
-graded order, so those of degree <= v form a prefix, and the coefficient
-pairs that multiply into that prefix form a prefix of the target-sorted pair
-table. A product of jets valid to v sums only those pairs and writes zeros
-above the prefix; the storage shape stays `ncoeff` whatever v is.
+A jet is stored in the space of its order and holds exactly the coefficients
+that are exact: those with |alpha| <= space.order. `valid` is that order.
+Differentiation moves a jet to the space one order lower, and extraction
+beyond the order raises instead of returning silently wrong numbers. Where
+jets of different orders meet (a binary operation, jstack, jet_einsum), the
+higher-order one is first cut to the lower order. Coefficients are stored in
+graded order, so the cut is a prefix slice; a product then sums the pair
+table of the space it lands in.
 """
 
 from __future__ import annotations
@@ -83,9 +81,6 @@ class JetSpace:
         self.multi_indices = _multi_indices(nvars, order)
         self.ncoeff = len(self.multi_indices)
         self.index_of = {a: k for k, a in enumerate(self.multi_indices)}
-        self.degree = np.array([sum(a) for a in self.multi_indices])
-        # boolean masks selecting coefficients of degree <= o
-        self.mask_le = [self.degree <= o for o in range(order + 1)]
         self._build_product_table()
         self._build_derivative_table()
 
@@ -110,30 +105,21 @@ class JetSpace:
                 pi.append(i)
                 pj.append(j)
                 w.append(0.5 if i == j else 1.0)
-        starts.append(len(pi))
-        pi, pj, w = np.array(pi), np.array(pj), np.array(w)
-        # The table truncated at each valid order v: the first n targets are
-        # those of degree <= v, and their pairs come first. Entry v holds
-        # (pi, pj, weights, segment starts, n).
-        self._pairs_le = []
-        for v in range(self.order + 1):
-            n = int(self.mask_le[v].sum())
-            k = starts[n]
-            self._pairs_le.append((pi[:k], pj[:k], w[:k], np.array(starts[:n]), n))
+        # (pi, pj, weights, segment start of each target)
+        self._pairs = (np.array(pi), np.array(pj), np.array(w), np.array(starts))
 
     def _build_derivative_table(self) -> None:
-        # (d_a f)_alpha = (alpha_a + 1) * f_{alpha + e_a}
-        nv, nc = self.nvars, self.ncoeff
-        src = np.zeros((nv, nc), dtype=int)
-        fac = np.zeros((nv, nc))
-        for a in range(nv):
-            for k, alpha in enumerate(self.multi_indices):
+        # (d_a f)_alpha = (alpha_a + 1) * f_{alpha + e_a}, for the alpha of
+        # degree < order: the coefficients of the space one order lower
+        lower = [alpha for alpha in self.multi_indices if sum(alpha) < self.order]
+        src = np.zeros((self.nvars, len(lower)), dtype=int)
+        fac = np.zeros((self.nvars, len(lower)))
+        for a in range(self.nvars):
+            for k, alpha in enumerate(lower):
                 up = list(alpha)
                 up[a] += 1
-                idx = self.index_of.get(tuple(up))
-                if idx is not None:
-                    src[a, k] = idx
-                    fac[a, k] = alpha[a] + 1
+                src[a, k] = self.index_of[tuple(up)]
+                fac[a, k] = alpha[a] + 1
         self._dsrc = src
         self._dfac = fac
 
@@ -143,7 +129,7 @@ class JetSpace:
         value = np.asarray(value, dtype=float)
         c = np.zeros(value.shape + (self.ncoeff,))
         c[..., 0] = value
-        return Jet(self, c, self.order)
+        return Jet(self, c)
 
     def variable(self, a: int, value) -> Jet:
         if not 0 <= a < self.nvars:
@@ -154,7 +140,7 @@ class JetSpace:
         e_a = tuple(1 if v == a else 0 for v in range(self.nvars))
         if self.order >= 1:
             c[..., self.index_of[e_a]] = 1.0
-        return Jet(self, c, self.order)
+        return Jet(self, c)
 
     def variables(self, point) -> list[Jet]:
         point = np.asarray(point, dtype=float)
@@ -169,34 +155,47 @@ def get_space(nvars: int, order: int) -> JetSpace:
     return JetSpace(nvars, order)
 
 
-def _trim(space: JetSpace, coeffs: np.ndarray, valid: int) -> np.ndarray:
-    if valid < space.order:
-        coeffs = coeffs * space.mask_le[valid]
-    return coeffs
+def _lowest(jets) -> JetSpace:
+    """The space jets are cut to before they combine: the lowest order among
+    them. Jets in different numbers of variables do not combine."""
+    sp = jets[0].space
+    for j in jets[1:]:
+        if j.space is not sp:
+            if j.space.nvars != sp.nvars:
+                raise ValueError("jets in different numbers of variables")
+            if j.space.order < sp.order:
+                sp = j.space
+    return sp
 
 
-def _pad(space: JetSpace, low: np.ndarray, n: int) -> np.ndarray:
-    """Full coefficient array from its first n coefficients; the rest zero."""
-    if n == space.ncoeff:
-        return low
-    out = np.zeros(low.shape[:-1] + (space.ncoeff,))
-    out[..., :n] = low
-    return out
+def _cut(jet: Jet, sp: JetSpace) -> np.ndarray:
+    """The jet's coefficients up to sp.order: in graded order, a prefix."""
+    return jet.coeffs if jet.space is sp else jet.coeffs[..., : sp.ncoeff]
+
+
+def _common(a: Jet, b: Jet) -> tuple[JetSpace, np.ndarray, np.ndarray]:
+    """Two jets' common space and their coefficients cut to it."""
+    if a.space is b.space:
+        return a.space, a.coeffs, b.coeffs
+    sp = _lowest((a, b))
+    return sp, _cut(a, sp), _cut(b, sp)
 
 
 class Jet:
     """Taylor coefficients with arbitrary leading (batch/tensor) shape."""
 
-    __slots__ = ("space", "coeffs", "valid")
+    __slots__ = ("space", "coeffs")
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray, valid: int):
-        if valid < 0:
-            raise ValueError("jet differentiated beyond its valid order")
+    def __init__(self, space: JetSpace, coeffs: np.ndarray):
         self.space = space
         self.coeffs = coeffs
-        self.valid = valid
 
     # -- views -------------------------------------------------------------
+
+    @property
+    def valid(self) -> int:
+        """The truncation order: every stored coefficient is exact."""
+        return self.space.order
 
     @property
     def val(self) -> np.ndarray:
@@ -228,49 +227,40 @@ class Jet:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> Jet:
-        if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise ValueError("jets from different spaces")
-            return other
-        return self.space.constant(other)
+        return other if isinstance(other, Jet) else self.space.constant(other)
 
     def __add__(self, other) -> Jet:
-        o = self._coerce(other)
-        v = min(self.valid, o.valid)
-        return Jet(self.space, _trim(self.space, self.coeffs + o.coeffs, v), v)
+        sp, a, b = _common(self, self._coerce(other))
+        return Jet(sp, a + b)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> Jet:
-        o = self._coerce(other)
-        v = min(self.valid, o.valid)
-        return Jet(self.space, _trim(self.space, self.coeffs - o.coeffs, v), v)
+        sp, a, b = _common(self, self._coerce(other))
+        return Jet(sp, a - b)
 
     def __rsub__(self, other) -> Jet:
         return self._coerce(other).__sub__(self)
 
     def __neg__(self) -> Jet:
-        return Jet(self.space, -self.coeffs, self.valid)
+        return Jet(self.space, -self.coeffs)
 
     def __mul__(self, other) -> Jet:
         if not isinstance(other, Jet):
             # scalar / plain-array factor scales every coefficient
             arr = np.asarray(other, dtype=float)
-            return Jet(self.space, self.coeffs * arr[..., None], self.valid)
-        o = self._coerce(other)
-        sp = self.space
-        v = min(self.valid, o.valid)
-        pi, pj, pw, starts, n = sp._pairs_le[v]
-        a, b = self.coeffs, o.coeffs
+            return Jet(self.space, self.coeffs * arr[..., None])
+        sp, a, b = _common(self, other)
+        pi, pj, pw, starts = sp._pairs
         prod = pw * (a[..., pi] * b[..., pj] + a[..., pj] * b[..., pi])
-        return Jet(sp, _pad(sp, np.add.reduceat(prod, starts, axis=-1), n), v)
+        return Jet(sp, np.add.reduceat(prod, starts, axis=-1))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> Jet:
         if not isinstance(other, Jet):
             arr = np.asarray(other, dtype=float)
-            return Jet(self.space, self.coeffs / arr[..., None], self.valid)
+            return Jet(self.space, self.coeffs / arr[..., None])
         return self * _reciprocal(other)
 
     def __rtruediv__(self, other) -> Jet:
@@ -279,31 +269,24 @@ class Jet:
     # -- calculus ----------------------------------------------------------
 
     def d(self, a: int) -> Jet:
-        """Derivative with respect to variable a; valid order drops by one."""
+        """Derivative with respect to variable a, in the space one order lower."""
         sp = self.space
-        v = self.valid - 1
-        fac = sp._dfac[a] if v >= sp.order else sp._dfac[a] * sp.mask_le[v]
-        return Jet(sp, self.coeffs[..., sp._dsrc[a]] * fac, v)
-
-    def truncated(self) -> Jet:
-        """The same jet in the space of its valid order. Its coefficients
-        above valid are zero and, in graded order, follow all the others,
-        so dropping them keeps every coefficient that counts."""
-        sp = get_space(self.space.nvars, self.valid)
-        return Jet(sp, np.ascontiguousarray(self.coeffs[..., : sp.ncoeff]), self.valid)
+        if sp.order == 0:
+            raise ValueError("jet differentiated beyond its valid order")
+        return Jet(get_space(sp.nvars, sp.order - 1), self.coeffs[..., sp._dsrc[a]] * sp._dfac[a])
 
     # -- structure ---------------------------------------------------------
 
     def __getitem__(self, idx) -> Jet:
         if not isinstance(idx, tuple):
             idx = (idx,)
-        return Jet(self.space, self.coeffs[idx + (slice(None),)], self.valid)
+        return Jet(self.space, self.coeffs[idx + (slice(None),)])
 
     def swapaxes(self, a: int, b: int) -> Jet:
         # axes count within the leading shape; the coefficient axis is fixed
         a = a if a >= 0 else a - 1
         b = b if b >= 0 else b - 1
-        return Jet(self.space, np.swapaxes(self.coeffs, a, b), self.valid)
+        return Jet(self.space, np.swapaxes(self.coeffs, a, b))
 
     def transpose(self, *perm: int) -> Jet:
         """Permute the last len(perm) leading (tensor) axes; any batch axes
@@ -312,33 +295,30 @@ class Jet:
         if nb < 0 or sorted(perm) != list(range(len(perm))):
             raise ValueError("permutation must cover the tensor axes")
         axes = tuple(range(nb)) + tuple(nb + k for k in perm) + (self.coeffs.ndim - 1,)
-        return Jet(self.space, np.transpose(self.coeffs, axes), self.valid)
+        return Jet(self.space, np.transpose(self.coeffs, axes))
 
     def t(self) -> Jet:
         """Transpose the last two leading (tensor) axes."""
-        return Jet(self.space, np.swapaxes(self.coeffs, -3, -2), self.valid)
+        return Jet(self.space, np.swapaxes(self.coeffs, -3, -2))
 
     def sum(self, axis: int) -> Jet:
         axis = axis if axis >= 0 else axis - 1
-        return Jet(self.space, self.coeffs.sum(axis=axis), self.valid)
+        return Jet(self.space, self.coeffs.sum(axis=axis))
 
     def __repr__(self) -> str:
-        return f"Jet(shape={self.shape}, order={self.space.order}, valid={self.valid})"
+        return f"Jet(shape={self.shape}, order={self.space.order})"
 
 
 def jstack(jets: list[Jet], axis: int = -1) -> Jet:
-    """Stack jets along a new leading axis; their shapes broadcast first, so
-    a constant stacks with a batch of points."""
-    sp = jets[0].space
-    v = min(j.valid for j in jets)
+    """Stack jets along a new leading axis, in the space of the lowest order
+    among them; their shapes broadcast first, so a constant stacks with a
+    batch of points."""
+    sp = _lowest(jets)
     axis = axis if axis >= 0 else axis - 1
-    cs = [j.coeffs for j in jets]
+    cs = [_cut(j, sp) for j in jets]
     if len({c.shape for c in cs}) > 1:
         cs = np.broadcast_arrays(*cs)
-    c = np.stack(cs, axis=axis)
-    if any(j.valid > v for j in jets):  # coefficients above a jet's valid are zero already
-        c = _trim(sp, c, v)
-    return Jet(sp, c, v)
+    return Jet(sp, np.stack(cs, axis=axis))
 
 
 def jet_einsum(sub: str, a, b) -> Jet:
@@ -351,21 +331,18 @@ def jet_einsum(sub: str, a, b) -> Jet:
     lhs, rhs = sub.split("->")
     sa, sb = lhs.split(",")
     if isinstance(a, Jet) and isinstance(b, Jet):
-        if a.space is not b.space:
-            raise ValueError("jets from different spaces")
-        sp = a.space
-        v = min(a.valid, b.valid)
-        pi, pj, pw, starts, n = sp._pairs_le[v]
+        sp, ca, cb = _common(a, b)
+        pi, pj, pw, starts = sp._pairs
         pair_sub = f"{sa}P,{sb}P->{rhs}P"
-        prod = pw * np.einsum(pair_sub, a.coeffs[..., pi], b.coeffs[..., pj])
-        prod += pw * np.einsum(pair_sub, a.coeffs[..., pj], b.coeffs[..., pi])
-        return Jet(sp, _pad(sp, np.add.reduceat(prod, starts, axis=-1), n), v)
+        prod = pw * np.einsum(pair_sub, ca[..., pi], cb[..., pj])
+        prod += pw * np.einsum(pair_sub, ca[..., pj], cb[..., pi])
+        return Jet(sp, np.add.reduceat(prod, starts, axis=-1))
     if isinstance(a, Jet):
         out = np.einsum(f"{sa}P,{sb}->{rhs}P", a.coeffs, np.asarray(b, dtype=float))
-        return Jet(a.space, out, a.valid)
+        return Jet(a.space, out)
     if isinstance(b, Jet):
         out = np.einsum(f"{sa},{sb}P->{rhs}P", np.asarray(a, dtype=float), b.coeffs)
-        return Jet(b.space, out, b.valid)
+        return Jet(b.space, out)
     raise TypeError("at least one operand must be a Jet")
 
 
@@ -383,7 +360,7 @@ def jet_along(X, F: Jet) -> Jet:
     # X's batch axes, then one unit axis per tensor axis of F, then a
     lift = shape[:-1] + (1,) * (len(F.shape) + 1 - len(shape)) + shape[-1:]
     if isinstance(X, Jet):
-        X = Jet(X.space, X.coeffs.reshape(lift + X.coeffs.shape[-1:]), X.valid)
+        X = Jet(X.space, X.coeffs.reshape(lift + X.coeffs.shape[-1:]))
     else:
         X = np.reshape(X, lift)
     return jet_einsum("...a,...a->...", X, dF)
@@ -415,7 +392,7 @@ def jet_solve(a: Jet, b) -> Jet:
     # (a0 + n)^{-1} = sum_k (-a0^{-1} n)^k a0^{-1}
     term = a.space.constant(b0inv)
     inv = term
-    for _ in range(a.valid):
+    for _ in range(a.space.order):
         term = jet_matmul(jet_matmul(a.space.constant(-b0inv), n), term)
         inv = inv + term
     b_ndim = len(b.shape) if isinstance(b, Jet) else np.ndim(b)
@@ -441,15 +418,11 @@ def _horner(jet: Jet, dcoef: np.ndarray) -> Jet:
     out = sp.constant(dcoef[K])
     for k in range(K - 1, -1, -1):
         out = out * h + sp.constant(dcoef[k])
-    out.valid = jet.valid
-    out.coeffs = _trim(sp, out.coeffs, jet.valid)
     return out
 
 
 def _series(jet: Jet, table) -> Jet:
-    c0 = jet.val
-    K = jet.valid
-    return _horner(jet, table(c0, K))
+    return _horner(jet, table(jet.val, jet.space.order))
 
 
 def _reciprocal(jet: Jet) -> Jet:
@@ -559,15 +532,15 @@ def jet_pullback(xjet: Jet, phi: Jet, x0: np.ndarray) -> Jet:
     axes. Returns Q(phi(u)) as a u-space jet of the same leading shape.
     """
     xsp = xjet.space
-    usp = phi.space
     N = xsp.nvars
     if phi.shape[-1] != N:
         raise ValueError("inner jet count must match the outer space dimension")
     batch = phi.shape[:-1]
     if xjet.shape[: len(batch)] != batch:
         raise ValueError("outer jet must lead with the inner jets' batch axes")
-    delta = phi - usp.constant(np.asarray(x0, dtype=float))
-    v = min(xjet.valid, phi.valid)
+    v = min(xsp.order, phi.space.order)
+    usp = get_space(phi.space.nvars, v)
+    delta = phi - usp.constant(np.asarray(x0, dtype=float))  # cut to order v
     deltas = [delta[..., a] for a in range(N)]
     # power products of delta follow the graded enumeration of x multi-indices,
     # so the ones of degree <= v come first
@@ -589,4 +562,4 @@ def jet_pullback(xjet: Jet, phi: Jet, x0: np.ndarray) -> Jet:
     tensor = xjet.shape[len(batch):]
     coef = xjet.coeffs[..., :K].reshape(batch + (-1, K))
     out = np.einsum("...kc,...tk->...tc", pw, coef).reshape(batch + tensor + (usp.ncoeff,))
-    return Jet(usp, _trim(usp, out, v), v)
+    return Jet(usp, out)

@@ -215,22 +215,25 @@ class FramePointData:
 
     The jets lead with the batch axes, u0.shape[:-1]: () for one point, (n,)
     for n points. The shapes below are per point and follow the batch axes.
+    Each jet lives in the space of its valid order, get_space(p, order), and
+    stores exactly that space's coefficients.
 
     Attribute conventions (d = p+n ambient dim, all jets over u-variables):
 
     ==========  =========  ==================================================
     attribute   shape      meaning / valid order
     ==========  =========  ==================================================
-    phi         (d,)       immersion jets, order 4
+    phi         (d,)       immersion jets, valid 4
     J           (d, p)     Jacobian columns d phi/d u_a, valid 3
     G           (d, d)     ambient metric along M, valid 3
     Gam         (d, d, d)  ambient Christoffels along M, valid 2
     R           (d,d,d,d)  ambient curvature R^i_{jkl} along M, valid 1
     E           (d, d)     adapted frame columns e_1..e_d, valid 3
-    Einv        (d, d)     E^T G: ambient components -> frame components
+    Einv        (d, d)     E^T G: ambient -> frame components, valid 3
     omega       (p, d, d)  omega^a_{ij} = g(nabla_{d_a} e_j, e_i), valid 2
-    C           (p, p)     e_A = sum_a C[a,A] d_a (chart coeffs of frame)
-    Dmat        (p, p)     C^{-1}: d_a = sum_A Dmat[A,a] e_A
+    C           (p, p)     e_A = sum_a C[a,A] d_a (chart coeffs of frame),
+                           valid 3
+    Dmat        (p, p)     C^{-1}: d_a = sum_A Dmat[A,a] e_A, valid 3
     g_chart     (p, p)     induced metric in chart coordinates, valid 3
     Gam_chart   (p, p, p)  Christoffels of the induced metric, valid 2
     Smats       (p, d, d)  frame matrix of S_{e_A}, valid 2
@@ -293,9 +296,9 @@ class FramePointData:
 
     @cached_property
     def _Gamx(self) -> Jet:
-        # valid to order 2 of 3, so stored in the smaller order-2 space, and so
-        # is the curvature built from it
-        return christoffel_jets(self._Gx).truncated()
+        # order 2, one below the metric: the x-space curvature is built from
+        # these, and both are pulled back in spaces of their own order
+        return christoffel_jets(self._Gx)
 
     @cached_property
     def Gam(self) -> Jet:

@@ -457,8 +457,9 @@ def _ev_christoffel_jets_vs_fd(M, u, rng):
 
 def _ev_totally_geodesic_classification(M, samples, seed):
     rep = og.is_totally_geodesic(M, samples=min(samples, 40), seed=seed)
-    name = M.name.lower()
-    expected = name.startswith(("plane", "great2("))
+    # the paper's base criterion: M totally geodesic and tangential
+    # R(U, V)W = 0 for normal U, V, W
+    expected = max(rep.base_pi_residual, rep.r_condition_residual) < rep.tol
     detail = {
         "expected": expected,
         "verdict": rep.totally_geodesic,
@@ -696,11 +697,10 @@ REGISTRY = (
     IdentityCase(
         id="totally-geodesic-classification",
         group="totally-geodesic",
-        statement="the subbundle is totally geodesic exactly over the flat-shape builtins",
+        statement="the subbundle is totally geodesic iff M is and R(U,V)W is normal for normal U, V, W",
         order=3,
         evaluator=_ev_totally_geodesic_classification,
         pointwise=False,
-        builtins=DEFAULT_BUILTINS,
     ),
     IdentityCase(
         id="space-form-sectional-nonnegative",

@@ -2,7 +2,7 @@
 
 A module, and a test module, uses a framelab module's public names only: no
 `from .mod import _name` and no `mod._name` on an imported framelab module.
-Every name a module lists in `__all__` exists.
+Every name a module lists in `__all__` exists. Only `jets` calls `Jet(...)`.
 """
 
 import ast
@@ -78,6 +78,30 @@ def test_scan_sees_cross_module_privates():
     )
     found = _cross_module_privates(ast.parse(src))
     assert found == ["line 2: from frame_bundle import _full_frame_field", "line 3: ops._mat"]
+
+
+def _jet_constructor_calls(tree: ast.Module) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "Jet")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "Jet")
+        )
+    ]
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "jets"])
+def test_jets_are_built_only_in_jets(name):
+    """Only `jets` calls the Jet constructor, so the rule that a jet stores
+    exactly the coefficients of its order holds by construction elsewhere."""
+    assert _jet_constructor_calls(ast.parse(SOURCES[name].read_text())) == []
+
+
+def test_scan_sees_jet_constructor_calls():
+    src = "from .jets import Jet\nfrom . import jets\na = Jet(sp, c)\nb = jets.Jet(sp, c)\nc = jstack([a])\n"
+    assert _jet_constructor_calls(ast.parse(src)) == [3, 4]
 
 
 def test_benchmark_tracer_hooks_resolve():

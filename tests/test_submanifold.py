@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from framelab.jets import jcos, jsin, jstack
+from framelab.jets import get_space, jcos, jsin, jstack
 from framelab.submanifold import (
     FrameError,
     ImmersedSubmanifold,
@@ -130,6 +130,24 @@ def test_frame_attributes_independent_of_read_order(name):
         getattr(backward, attr)
     for attr in LAZY_ATTRIBUTES:
         assert np.array_equal(getattr(forward, attr).coeffs, getattr(backward, attr).coeffs), attr
+
+
+# The valid order of every attribute in the FramePointData table.
+FRAME_ORDERS = {
+    "phi": 4, "J": 3, "G": 3, "Gam": 2, "R": 1, "E": 3, "Einv": 3, "omega": 2,
+    "C": 3, "Dmat": 3, "g_chart": 3, "Gam_chart": 2, "Smats": 2, "Pfr": 2,
+    "gt_chart": 2, "Gamt": 1, "Rt_chart": 0, "W": 2, "Wchart": 2, "Rfr": 1,
+}
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_frame_jets_store_exactly_their_valid_coefficients(name):
+    M = builtin_submanifold(name)
+    fd = M.frame_data(sample_points(M, 2, seed=5))
+    for attr, order in FRAME_ORDERS.items():
+        jet = getattr(fd, attr)
+        assert jet.valid == order, attr
+        assert jet.coeffs.shape == jet.shape + (get_space(fd.p, order).ncoeff,), attr
 
 
 def test_manifold_freed_without_cycle_collector():

@@ -103,6 +103,28 @@ def test_fd_oracles_agree_with_jets(name):
     assert over == []
 
 
+# User manifolds and their expected totally-geodesic verdicts: a raised
+# plane and an equatorial great sphere are totally geodesic, a cap in the
+# unit sphere is not.
+USER_TOTALLY_GEODESIC = {
+    "raised-plane": (["u1", "u2", "0.5"], euclidean(3), True),
+    "cap": (["u1", "u2", "0.3*u1*u1+0.2*u2*u2"], sphere_chart(1.0, 3), False),
+    "equator": (["u1", "u2", "0"], sphere_chart(2.0, 3), True),
+}
+
+
+@pytest.mark.parametrize("name", USER_TOTALLY_GEODESIC)
+def test_totally_geodesic_verdict_on_user_manifolds(name):
+    """The expected verdict comes from the base criterion, not from a
+    builtin name, so a user manifold gets the row too."""
+    comps, ambient, expected = USER_TOTALLY_GEODESIC[name]
+    M = ImmersedSubmanifold(2, [[-0.5, 0.5]] * 2, comps, ambient, name=name)
+    rows = verify.run_suite(builtins=M, samples=5, groups=["totally-geodesic"]).results
+    assert [(r.case_id, r.passed, r.detail["expected"], r.detail["verdict"]) for r in rows] == [
+        ("totally-geodesic-classification", True, expected, expected)
+    ]
+
+
 def test_rows_say_how_they_failed(report):
     kinds = {(r.passed, r.error_kind) for r in report.results}
     assert kinds == {(True, None), (False, "vacuous")}
