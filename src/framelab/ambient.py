@@ -1,8 +1,11 @@
 """Ambient Riemannian manifold in a single coordinate chart.
 
-The metric is a symmetric grid of expressions in x1..x_d. Everything
-downstream (Christoffel symbols, curvature, covariant derivatives) is
-computed from exact jets of those expressions, never finite differences.
+The metric is a symmetric grid of expressions in x1..x_d. The Christoffel
+symbols and the curvature are computed from exact jets of those
+expressions, never finite differences: christoffel_jets and curvature_jets
+on the metric jets, with metric_at and curvature_at as their values at one
+point. Covariant derivatives along a submanifold are taken in the adapted
+frame (operators.ambient_deriv_frame), not in the chart.
 
 Curvature convention, fixed throughout the package:
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expression, eval_expr, parse, to_source
+from .expr import Expression, eval_expr, parse
 from .jets import Jet, get_space, jet_einsum, jet_inv, jstack
 
 __all__ = [
@@ -30,13 +33,8 @@ __all__ = [
     "CurvatureAtPoint",
     "euclidean",
     "sphere_chart",
-    "ambient_from_name",
     "metric_at",
-    "christoffel_at",
     "curvature_at",
-    "curvature_apply",
-    "cov_deriv_ambient",
-    "AMBIENT_BUILTINS",
 ]
 
 
@@ -153,33 +151,11 @@ def sphere_chart(radius: float, dim: int) -> AmbientSpace:
     return AmbientSpace.from_strings(dim, grid, tag=f"sphere({radius:g})")
 
 
-AMBIENT_BUILTINS = ("euclidean", "sphere(R)")
-
-
-def ambient_from_name(name: str, dim: int) -> AmbientSpace:
-    """Resolve a catalog name: "euclidean" or "sphere(R)" with a numeric R."""
-    name = name.strip()
-    if name == "euclidean":
-        return euclidean(dim)
-    if name.startswith("sphere(") and name.endswith(")"):
-        try:
-            radius = float(name[len("sphere("):-1])
-        except ValueError:
-            raise AmbientError(f"bad sphere radius in {name!r}") from None
-        return sphere_chart(radius, dim)
-    raise AmbientError(f"unknown ambient {name!r}; builtins: {', '.join(AMBIENT_BUILTINS)}")
-
-
 # -- pointwise queries ---------------------------------------------------------
 
 
 def metric_at(N: AmbientSpace, x) -> np.ndarray:
     return N.metric_jets(x, 0).val.copy()
-
-
-def christoffel_at(N: AmbientSpace, x) -> np.ndarray:
-    G = N.metric_jets(x, 1)
-    return christoffel_jets(G).val.copy()
 
 
 @dataclass(frozen=True)
@@ -198,35 +174,3 @@ def curvature_at(N: AmbientSpace, x) -> CurvatureAtPoint:
     G = N.metric_jets(x, 2)
     R = curvature_jets(christoffel_jets(G))
     return CurvatureAtPoint(np.asarray(x, dtype=float), R.val.copy())
-
-
-def curvature_apply(N: AmbientSpace, x, X, Y, Z) -> np.ndarray:
-    return curvature_at(N, x).apply(
-        np.asarray(X, dtype=float), np.asarray(Y, dtype=float), np.asarray(Z, dtype=float)
-    )
-
-
-def cov_deriv_ambient(N: AmbientSpace, field, x, X) -> np.ndarray:
-    """(nabla_X field) at x for a differentiable vector field on the chart.
-
-    `field` is either a sequence of component expressions in x1..x_d or a
-    callable taking the list of coordinate jets and returning a (d,) jet.
-    """
-    x = np.asarray(x, dtype=float)
-    X = np.asarray(X, dtype=float)
-    space = get_space(N.dim, 1)
-    varjets = space.variables(x)
-    if callable(field):
-        W = field(varjets)
-    else:
-        comps = []
-        for e in field:
-            if isinstance(e, str):
-                e = parse(e, N.dim, var_prefix="x")
-            comps.append(eval_expr(e, varjets, space))
-        W = jstack(comps, axis=-1)
-    G = N.metric_jets(x, 2)
-    Gamma = christoffel_jets(G).val
-    dW = np.stack([W.d(a).val for a in range(N.dim)], axis=0)  # [a, i]
-    out = np.einsum("a,ai->i", X, dW) + np.einsum("a,iab,b->i", X, Gamma, W.val)
-    return out

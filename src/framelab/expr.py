@@ -28,7 +28,6 @@ import numpy as np
 from .jets import (
     Jet,
     JetSpace,
-    get_space,
     jcos,
     jcosh,
     jexp,
@@ -48,19 +47,14 @@ __all__ = [
     "Bin",
     "Call",
     "Expression",
-    "ExprJet",
     "ExprError",
     "ParseError",
     "DomainError",
     "parse",
     "to_source",
-    "eval_jet",
     "eval_expr",
-    "MAX_ORDER",
     "FUNCTIONS",
 ]
-
-MAX_ORDER = 3
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh")
 
@@ -430,37 +424,3 @@ def eval_expr(e: Expression, varjets: list[Jet], space: JetSpace) -> Jet:
             )
         return jexp(r * jlog(l))
     raise AssertionError(f"unhandled operator {e.op}")
-
-
-@dataclass(frozen=True)
-class ExprJet:
-    """Value and exact partial derivatives at a point.
-
-    Partials are keyed by multi-index: the tuple entry alpha[i] is the number
-    of derivatives in variable i+1, so for dim 2 the key (1, 1) holds the
-    mixed derivative d^2/du1 du2. Symmetry of mixed partials is exact because
-    a multi-index cannot distinguish differentiation orders.
-    """
-
-    value: float
-    partials: dict[tuple[int, ...], float]
-    order: int
-    dim: int
-
-    def partial(self, alpha) -> float:
-        return self.partials[tuple(alpha)]
-
-
-def eval_jet(e: Expression, point, order: int) -> ExprJet:
-    """Evaluate with all exact partial derivatives of total order <= `order`."""
-    if not 0 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in 0..{MAX_ORDER}, got {order}")
-    pt = [float(c) for c in point]
-    dim = len(pt)
-    space = get_space(dim, order)
-    j = eval_expr(e, space.variables(np.array(pt)), space)
-    partials = {
-        alpha: float(j.partial(alpha))
-        for alpha in space.multi_indices
-    }
-    return ExprJet(float(j.val), partials, order, dim)

@@ -43,7 +43,6 @@ __all__ = [
     "LiftedVector",
     "lifted",
     "sasaki_mok_inner",
-    "vertical_from_tensor",
     "horizontal_lift",
     "horizontal_lift_prime",
     "case_pairs",
@@ -111,6 +110,10 @@ def lifted(M: ImmersedSubmanifold, u, horizontal=None, vertical=None) -> LiftedV
     fr = adapted_frame_at(M, u)
     h = np.zeros(fd.d) if horizontal is None else np.asarray(horizontal, dtype=float)
     vmat = np.zeros((fd.d, fd.d)) if vertical is None else np.asarray(vertical, dtype=float)
+    if h.shape != (fd.d,):
+        raise FrameBundleError(f"horizontal part must have shape ({fd.d},), got {h.shape}")
+    if vmat.shape != (fd.d, fd.d):
+        raise FrameBundleError(f"vertical part must have shape ({fd.d}, {fd.d}), got {vmat.shape}")
     return LiftedVector(M, fr, h, SkewEndo(fr, vmat, fd.p))
 
 
@@ -121,17 +124,6 @@ def sasaki_mok_inner(v: LiftedVector, w: LiftedVector) -> float:
     hv = fd.frame_components(v.horizontal)
     hw = fd.frame_components(w.horizontal)
     return float(hv @ hw) + skew_inner(v.vertical, w.vertical)
-
-
-def vertical_from_tensor(M: ImmersedSubmanifold, u, T_ambient) -> LiftedVector:
-    """bar(T) for an endomorphism given by its ambient coordinate matrix."""
-    fd = M.frame_data(np.asarray(u, dtype=float))
-    E = fd.E.val
-    comps = fd.Einv.val @ np.asarray(T_ambient, dtype=float) @ E
-    if np.max(np.abs(comps + comps.T)) > 1e-10:
-        raise FrameBundleError("tensor is not skew with respect to the metric")
-    comps = 0.5 * (comps - comps.T)
-    return lifted(M, u, vertical=comps)
 
 
 def horizontal_lift(M: ImmersedSubmanifold, u, X) -> LiftedVector:
@@ -167,6 +159,8 @@ def case_pairs(case: str, args) -> tuple:
     """
     if case not in ("hh", "hv", "vh", "vv"):
         raise FrameBundleError(f"unknown case {case!r}")
+    if len(args) != 2:
+        raise FrameBundleError(f"case {case!r} takes 2 arguments, got {len(args)}")
     direction, field = args
     X, A = (direction, None) if case[0] == "h" else (None, direction)
     Y, B = (field, None) if case[1] == "h" else (None, field)

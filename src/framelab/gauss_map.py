@@ -12,11 +12,14 @@ tangent vector X is its primed lift X^{h'} = X^h + bar(S_X) of
 frame_bundle.horizontal_lift_prime, whose vertical part S_X has zero diagonal
 blocks already. The deformed metric on M is exactly the pullback of the
 bundle metric under the map, which is why the tension field is taken with
-respect to it. The module evaluates the pushforward, the bundle connection,
-the tension field in two ways, the three harmonicity residuals and the two
-minimality residuals. The closed-form tension and the residuals read the
-frame sums of omn_geometry.frame_trace, the same sums the subbundle's mean
-curvature is assembled from. theorem_check is the one sampled sweep of the
+respect to it. The module evaluates the pushforward, the bundle connection
+and the tension field in two ways. residual_data gives, at a point or a
+batch of points, the residual vectors of the three harmonicity conditions
+and of the two minimality conditions (the first of which is the first
+harmonicity condition), and their norms r_h1, r_h2, r_h3 and r_m2. The
+closed-form tension and the residuals read the frame sums of
+omn_geometry.frame_trace, the same sums the subbundle's mean curvature is
+assembled from. theorem_check is the one sampled sweep of the
 main theorem: the subbundle is minimal exactly when the map is harmonic. It
 builds one frame holding all its sample points and takes one frame trace
 there, which the mean curvature and the residuals both read.
@@ -50,8 +53,6 @@ __all__ = [
     "tension_field",
     "tension_field_pullback",
     "HarmonicityData",
-    "harmonicity_residuals",
-    "minimality_residuals",
     "implication_residuals",
     "TheoremReport",
     "theorem_check",
@@ -112,6 +113,8 @@ def _tilde_frames(fd: FramePointData, rotation=None) -> list[Jet]:
     if rotation is None:
         return frames
     Q = np.asarray(rotation, dtype=float)
+    if Q.shape != (fd.p, fd.p):
+        raise GaussMapError(f"frame rotation must have shape ({fd.p}, {fd.p}), got {Q.shape}")
     if np.max(np.abs(Q.T @ Q - np.eye(fd.p))) > 1e-10:
         raise GaussMapError("frame rotation must be orthogonal")
     rotated = []
@@ -233,19 +236,6 @@ def _trace_residuals(fd: FramePointData, trace) -> HarmonicityData:
 def residual_data(M: ImmersedSubmanifold, u) -> HarmonicityData:
     fd = M.frame_data(u)
     return _trace_residuals(fd, og.frame_trace(fd))
-
-
-def harmonicity_residuals(M: ImmersedSubmanifold, u) -> tuple[float, float, float]:
-    """Norms of the three conditions whose joint vanishing is harmonicity."""
-    data = residual_data(M, u)
-    return (data.r_h1, data.r_h2, data.r_h3)
-
-
-def minimality_residuals(M: ImmersedSubmanifold, u) -> tuple[float, float]:
-    """Norms of the two conditions equivalent to minimality upstairs; the
-    first, m1, is the same expression as the first harmonicity condition h1."""
-    data = residual_data(M, u)
-    return (data.r_h1, data.r_m2)
 
 
 def implication_residuals(M: ImmersedSubmanifold, data: HarmonicityData) -> tuple[float, float]:

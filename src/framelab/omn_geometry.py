@@ -63,7 +63,12 @@ _SAMPLE_PAD = 0.05  # share of the chart domain's width left out at each rim
 
 
 def domain_samples(M: ImmersedSubmanifold, n: int, seed: int = 0):
-    """Low-discrepancy sample points in the chart domain, shrunk at the rim."""
+    """Low-discrepancy sample points in the chart domain, shrunk at the rim.
+
+    n must be an integer >= 1: a sweep over no points would report its
+    verdict on no evidence."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise OmnError(f"sample count must be an integer >= 1, got {n!r}")
     lo, hi = M.chart_domain[:, 0], M.chart_domain[:, 1]
     width = hi - lo
     sampler = qmc.Halton(d=M.p, scramble=True, seed=seed)
@@ -165,6 +170,10 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
     case "vvh": (T, Tp, Zf)      R(bar T, bar T') Z^{h'}
     case "vvv": (T, Tp, Tpp)     R(bar T, bar T') bar T''
     """
+    if case not in ("hhh", "hhv", "hvh", "hvv", "vvh", "vvv"):
+        raise OmnError(f"unknown case {case!r}")
+    if len(args) != 3:
+        raise OmnError(f"case {case!r} takes 3 arguments, got {len(args)}")
     fd = M.frame_data(np.asarray(u, dtype=float))
     if case == "hhh":
         Xf, Yf, Zf = args
@@ -221,15 +230,13 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
             - ops.q_t_chart_jet(fd, Tpj, ops.q_t_chart_jet(fd, Tj, Zc))
         ) + 0.5 * ops.q_t_chart_jet(fd, commTT, Zc)
         return horizontal_lift_prime(M, u, chart.val)
-    if case == "vvv":
-        T, Tp, Tpp = args
-        A = _h_endo_field(fd, T).val
-        B = _h_endo_field(fd, Tp).val
-        C = _h_endo_field(fd, Tpp).val
-        comm = A @ B - B @ A
-        nested = comm @ C - C @ comm
-        return lifted(M, u, vertical=-0.25 * nested)
-    raise OmnError(f"unknown case {case!r}")
+    T, Tp, Tpp = args  # case "vvv"
+    A = _h_endo_field(fd, T).val
+    B = _h_endo_field(fd, Tp).val
+    C = _h_endo_field(fd, Tpp).val
+    comm = A @ B - B @ A
+    nested = comm @ C - C @ comm
+    return lifted(M, u, vertical=-0.25 * nested)
 
 
 # -- sectional curvature ----------------------------------------------------------
@@ -374,19 +381,18 @@ def second_fundamental_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> Lifte
 
     case "hh": (Xf, Yf); case "hv": (Xf, T) with T h-type; case "vv": (T, Tp) -> 0.
     """
-    fd = M.frame_data(np.asarray(u, dtype=float))
-    if case == "hh":
-        Xc = ops.as_chart_field(fd, args[0])
-        Yc = ops.as_chart_field(fd, args[1])
-        horiz, vert = _pi_hh_assemble(fd, *_pi_hh_pieces(fd, Xc, Yc))
-    elif case == "hv":
-        Xc = ops.as_chart_field(fd, args[0])
-        Tj = _h_endo_field(fd, args[1])
-        horiz, vert = _pi_hv_jets(fd, Xc, Tj)
-    elif case == "vv":
-        return lifted(M, u)
-    else:
+    if case not in ("hh", "hv", "vv"):
         raise OmnError(f"unknown case {case!r}")
+    if len(args) != 2:
+        raise OmnError(f"case {case!r} takes 2 arguments, got {len(args)}")
+    fd = M.frame_data(np.asarray(u, dtype=float))
+    if case == "vv":
+        return lifted(M, u)
+    Xc = ops.as_chart_field(fd, args[0])
+    if case == "hh":
+        horiz, vert = _pi_hh_assemble(fd, *_pi_hh_pieces(fd, Xc, ops.as_chart_field(fd, args[1])))
+    else:
+        horiz, vert = _pi_hv_jets(fd, Xc, _h_endo_field(fd, args[1]))
     return lifted(
         M,
         u,

@@ -26,10 +26,15 @@ block-diagonal), ambient_deriv_frame (nabla_X Y in frame components),
 curvature_matrix (frame matrix of R(X, Y)), s_field_matrix (S_X),
 s_tm_tangent_jet (S_{T_m}), rt_matrix_jet (R_T), nabla_t_field_jet
 (nabla_X T, full or primed), commutator_jet ([A, B] of frame-matrix jets),
-and solve_P (P^{-1}, refusing a numerically singular P). Field specs are
-normalised by as_chart_field (tangent fields) and as_endo_field
-(endomorphism fields); ambient vectors by submanifold.as_ambient, which every
-pointwise operation applies to its vector arguments.
+and solve_P (P^{-1}, refusing a numerically singular P). The operator P and
+the deformed metric are read off the frame itself (FramePointData.Pfr and
+gt_chart), and the connections nabla' and tilde-nabla on tangent fields are
+vec_nabla_prime_jet and vec_tilde_nabla_jet. Field specs are normalised by
+as_chart_field (tangent fields) and as_endo_field (endomorphism fields).
+
+The pointwise operations R_T, S_Tm_vector, L_op, Q_T and curvature_prime
+evaluate one operator at one point through these primitives; they read
+ambient vectors through submanifold.as_ambient.
 
 The tolerance ladder of the identity checks is verify.TOL_LADDER.
 """
@@ -58,11 +63,6 @@ __all__ = [
     "basis_T",
     "R_T",
     "S_Tm_vector",
-    "P_op",
-    "P_inverse",
-    "modified_metric",
-    "nabla_endo",
-    "tilde_nabla",
     "L_op",
     "Q_T",
     "curvature_prime",
@@ -325,50 +325,6 @@ def S_Tm_vector(M: ImmersedSubmanifold, u, T) -> TangentVectorM:
     fd = M.frame_data(u)
     Tm = hm_split_mat(_mat(T), fd.p)[1]
     return _tangent_of_frame(fd, s_tm_tangent_jet(fd, Tm).val)
-
-
-def P_op(M: ImmersedSubmanifold, u, X) -> TangentVectorM:
-    fd = M.frame_data(u)
-    xfr = fd.frame_components(as_ambient(X))[: fd.p]
-    return _tangent_of_frame(fd, fd.Pfr.val @ xfr)
-
-
-def P_inverse(M: ImmersedSubmanifold, u, X) -> TangentVectorM:
-    fd = M.frame_data(u)
-    xfr = fd.frame_components(as_ambient(X))[: fd.p]
-    return _tangent_of_frame(fd, solve_P(fd, xfr))
-
-
-def modified_metric(M: ImmersedSubmanifold, u, X, Y) -> float:
-    fd = M.frame_data(u)
-    xfr = fd.frame_components(as_ambient(X))[: fd.p]
-    yfr = fd.frame_components(as_ambient(Y))[: fd.p]
-    return float(xfr @ fd.Pfr.val @ yfr)
-
-
-def nabla_endo(M: ImmersedSubmanifold, T, u, X, which: str = "ambient") -> SkewEndo:
-    """(nabla_X T) or (nabla'_X T) for an endomorphism field T.
-
-    T is a callable mapping FramePointData to a (d, d) frame-component jet.
-    """
-    fd = M.frame_data(u)
-    xc = fd.chart_of_tangent(as_ambient(X))
-    return _skew_endo_at(M, u, nabla_t_field_jet(fd, T(fd), xc, which).val)
-
-
-def _tangent_connection(M: ImmersedSubmanifold, u, Xf, Yf, connection) -> TangentVectorM:
-    fd = M.frame_data(u)
-    Xc, Yc = as_chart_field(fd, Xf), as_chart_field(fd, Yf)
-    return _tangent_of_chart(fd, connection(fd, Xc, Yc).val)
-
-
-def tilde_nabla(M: ImmersedSubmanifold, u, Xf, Yf) -> TangentVectorM:
-    """Levi-Civita connection of the deformed metric, via its Christoffels."""
-    return _tangent_connection(M, u, Xf, Yf, vec_tilde_nabla_jet)
-
-
-def nabla_prime_tangent(M: ImmersedSubmanifold, u, Xf, Yf) -> TangentVectorM:
-    return _tangent_connection(M, u, Xf, Yf, vec_nabla_prime_jet)
 
 
 def L_op(M: ImmersedSubmanifold, u, Xf, Yf) -> TangentVectorM:

@@ -16,7 +16,9 @@ FramePointData is the workhorse: one instance gives every jet the rest of
 the package needs at its parameter points (frame, connection forms, the
 skew tensor field S, the deformed metric, its Levi-Civita data, and the
 curvature in frame components), each built when it is first read.
-Downstream modules consume it directly.
+Downstream modules consume it directly. The second fundamental form of M
+is S on tangent vectors, read from Smats (operators.s_field_matrix along a
+tangent field): no vector is extended to a field to differentiate it.
 
 Batch convention: `frame_data(u)` takes one point, u of shape (p,), or a
 batch of n points, u of shape (n, p). Every jet of the frame then leads
@@ -38,7 +40,6 @@ from .expr import Expression, eval_expr, parse
 from .jets import (
     Jet,
     get_space,
-    jet_along,
     jet_dot,
     jet_einsum,
     jet_inv,
@@ -53,15 +54,9 @@ __all__ = [
     "ImmersedSubmanifold",
     "AdaptedFrame",
     "TangentVectorM",
-    "NormalVector",
     "FramePointData",
     "adapted_frame_at",
     "as_ambient",
-    "second_fundamental_form",
-    "weingarten",
-    "tensor_S",
-    "project",
-    "nabla_prime",
     "builtin_submanifold",
     "SUBMANIFOLD_BUILTINS",
     "GS_BREAKDOWN",
@@ -396,30 +391,6 @@ class FramePointData:
         """Chart coefficients of a tangent vector given ambient components."""
         return self.C.val @ self.frame_components(X)[: self.p]
 
-    def split(self, Y) -> tuple[np.ndarray, np.ndarray]:
-        """(tangent part, normal part), both in ambient components."""
-        yfr = self.frame_components(Y)
-        top = yfr.copy()
-        top[self.p:] = 0.0
-        bot = yfr - top
-        return self.ambient_components(top), self.ambient_components(bot)
-
-    def field_jet(self, field) -> Jet:
-        """Evaluate a u-dependent ambient field to a (d,) jet at this point."""
-        if callable(field):
-            return field(self.uv)
-        comps = []
-        for c in field:
-            e = parse(c, self.p, var_prefix="u") if isinstance(c, str) else c
-            comps.append(eval_expr(e, self.uv, self.uspace))
-        return jstack(comps, axis=-1)
-
-    def cov_deriv(self, Yj: Jet, xc) -> Jet:
-        """Ambient nabla_X of an ambient-component jet field, X given by its
-        chart coefficients xc (a jet field or a plain array)."""
-        gam_x = jet_einsum("ikl,k->il", self.Gam, jet_einsum("ka,a->k", self.J, xc))
-        return jet_along(xc, Yj) + jet_einsum("il,l->i", gam_x, Yj)
-
 
 # -- public operations ---------------------------------------------------------
 
@@ -438,14 +409,9 @@ class TangentVectorM:
     chart: np.ndarray
 
 
-@dataclass(frozen=True)
-class NormalVector:
-    ambient: np.ndarray
-
-
 def as_ambient(v) -> np.ndarray:
-    """Ambient components of a TangentVectorM, a NormalVector or an array."""
-    if isinstance(v, (TangentVectorM, NormalVector)):
+    """Ambient components of a TangentVectorM or an array."""
+    if isinstance(v, TangentVectorM):
         return v.ambient
     return np.asarray(v, dtype=float)
 
@@ -453,65 +419,6 @@ def as_ambient(v) -> np.ndarray:
 def adapted_frame_at(M: ImmersedSubmanifold, u) -> AdaptedFrame:
     fd = M.frame_data(u)
     return AdaptedFrame(fd.u0.copy(), fd.x0.copy(), fd.E.val.copy(), M.pivots)
-
-
-def _tangent_extension(fd: FramePointData, Y) -> Jet:
-    """Extend a tangent vector by constant frame coefficients, as a jet."""
-    y = fd.frame_components(as_ambient(Y))
-    y[fd.p:] = 0.0
-    return jet_einsum("iB,B->i", fd.E[:, : fd.p], y[: fd.p])
-
-
-def _normal_extension(fd: FramePointData, V) -> Jet:
-    v = fd.frame_components(as_ambient(V))
-    v[: fd.p] = 0.0
-    return jet_einsum("ib,b->i", fd.E[:, fd.p:], v[fd.p:])
-
-
-def _directional_cov(fd: FramePointData, Yj: Jet, X) -> np.ndarray:
-    return fd.cov_deriv(Yj, fd.chart_of_tangent(as_ambient(X))).val
-
-
-def second_fundamental_form(M: ImmersedSubmanifold, u, X, Y) -> NormalVector:
-    """Pi(X, Y): the normal part of the ambient derivative of an extension."""
-    fd = M.frame_data(u)
-    Yj = _tangent_extension(fd, Y)
-    _, nor = fd.split(_directional_cov(fd, Yj, X))
-    return NormalVector(nor)
-
-
-def weingarten(M: ImmersedSubmanifold, u, V, X) -> TangentVectorM:
-    """A_V X := -(nabla_X Vhat)^T for a normal extension Vhat of V."""
-    fd = M.frame_data(u)
-    Vj = _normal_extension(fd, V)
-    tan, _ = fd.split(_directional_cov(fd, Vj, X))
-    tan = -tan
-    return TangentVectorM(tan, fd.chart_of_tangent(tan))
-
-
-def tensor_S(M: ImmersedSubmanifold, u, X, Y) -> np.ndarray:
-    """S_X Y = Pi(X, Y^T) - A_{Y^perp}(X), ambient components."""
-    fd = M.frame_data(u)
-    top, bot = fd.split(as_ambient(Y))
-    return second_fundamental_form(M, u, X, top).ambient - weingarten(M, u, bot, X).ambient
-
-
-def project(M: ImmersedSubmanifold, u, Y) -> tuple[np.ndarray, np.ndarray]:
-    return M.frame_data(u).split(as_ambient(Y))
-
-
-def nabla_prime(M: ImmersedSubmanifold, field, u, X) -> np.ndarray:
-    """nabla'_X field = (nabla_X field^T)^T + (nabla_X field^perp)^perp."""
-    fd = M.frame_data(u)
-    Yj = fd.field_jet(field)
-    yfr = jet_einsum("ij,j->i", fd.Einv, Yj)
-    tanmask = np.zeros(fd.d)
-    tanmask[: fd.p] = 1.0
-    Yt = jet_einsum("ij,j->i", fd.E, yfr * tanmask)
-    Yn = jet_einsum("ij,j->i", fd.E, yfr * (1.0 - tanmask))
-    tan, _ = fd.split(_directional_cov(fd, Yt, X))
-    _, nor = fd.split(_directional_cov(fd, Yn, X))
-    return tan + nor
 
 
 # -- builtin catalog -------------------------------------------------------------

@@ -883,7 +883,8 @@ def run_suite(builtins=None, samples: int = 25, seed: int = 0, groups=None) -> V
     """Evaluate the registered identities over the given submanifolds.
 
     builtins: None for the default set, a name, a submanifold object, or a
-    list of either. groups optionally restricts to a subset of case groups.
+    list of either. samples: the sample count of each sampled case, an
+    integer >= 1. groups optionally restricts to a subset of case groups.
     """
     t0 = time.perf_counter()
     if builtins is None:
@@ -891,6 +892,8 @@ def run_suite(builtins=None, samples: int = 25, seed: int = 0, groups=None) -> V
     if isinstance(builtins, (str, ImmersedSubmanifold)):
         builtins = [builtins]
     manifolds = [_as_manifold(b) for b in builtins]
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise VerifyError(f"samples must be an integer >= 1, got {samples!r}")
     if groups is not None:
         groups = set(groups)
         bad = groups - REQUIRED_GROUPS

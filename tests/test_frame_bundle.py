@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,11 @@ from framelab.frame_bundle import (
     normal_generators,
     sasaki_mok_inner,
     tangent_generators,
-    vertical_from_tensor,
 )
-from framelab.gauss_map import grassmann_nabla
+from framelab.gauss_map import GaussMapError, grassmann_nabla, tension_field
 from framelab.jets import jet_einsum, jstack
-from framelab.omn_geometry import nabla_OMN
-from framelab.operators import basis_T, modified_metric, skew_inner
+from framelab.omn_geometry import OmnError, curvature_OMN, nabla_OMN, second_fundamental_OMN
+from framelab.operators import basis_T
 from framelab.submanifold import adapted_frame_at, builtin_submanifold
 
 ALL_BUILTINS = [
@@ -95,44 +96,13 @@ def test_circle_primed_lift_norm():
     assert abs(sasaki_mok_inner(v, v) - 3.0) < 1e-12
 
 
-def test_primed_lift_metric_matches_modified_metric():
-    rng = np.random.default_rng(1)
-    for name, u in ALL_BUILTINS:
-        M = builtin_submanifold(name)
-        fd = M.frame_data(u)
-        for _ in range(3):
-            X = fd.J.val @ rng.normal(size=fd.p)
-            Y = fd.J.val @ rng.normal(size=fd.p)
-            lhs = sasaki_mok_inner(
-                horizontal_lift_prime(M, u, X), horizontal_lift_prime(M, u, Y)
-            )
-            assert abs(lhs - modified_metric(M, u, X, Y)) < 1e-10
-
-
-# -- vertical fields from tensors ------------------------------------------
-
-
-def test_vertical_from_tensor_zero():
-    M = builtin_submanifold("sphere2")
-    v = vertical_from_tensor(M, np.array([1.0, 0.5]), np.zeros((3, 3)))
-    assert np.max(np.abs(v.vertical.mat)) == 0.0
-    assert np.max(np.abs(v.horizontal)) == 0.0
-
-
-def test_vertical_from_tensor_rejects_non_skew():
-    M = builtin_submanifold("sphere2")
-    u = np.array([1.0, 0.5])
-    with pytest.raises(FrameBundleError):
-        vertical_from_tensor(M, u, np.diag([1.0, 2.0, 3.0]))
-
-
 def test_vertical_of_S_has_zero_diagonal_blocks():
     M = builtin_submanifold("catenoid")
     u = np.array([0.35, -0.2])
     fd = M.frame_data(u)
     smat = ops.s_field_matrix(fd, fd.uspace.constant(np.array([1.0, -0.5]))).val
     T_amb = fd.E.val @ smat @ fd.Einv.val
-    v = vertical_from_tensor(M, u, T_amb)
+    v = lifted(M, u, vertical=fd.Einv.val @ T_amb @ fd.E.val)
     p = fd.p
     assert np.max(np.abs(v.vertical.mat[:p, :p])) < 1e-10
     assert np.max(np.abs(v.vertical.mat[p:, p:])) < 1e-10
@@ -312,6 +282,42 @@ def test_unknown_case_is_refused():
     for connection in (nabla_ON, nabla_ON_primed, grassmann_nabla, nabla_OMN):
         with pytest.raises(FrameBundleError):
             connection(M, u, "hx", ["1.0", "0.0"], ["0.0", "1.0"])
+
+
+X2, T3 = [1.0, 0.0], basis_T(3, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda M, u: nabla_ON(M, u, "hh", X2), FrameBundleError, "takes 2 arguments, got 1"),
+        (lambda M, u: nabla_OMN(M, u, "hv", X2, T3, T3), FrameBundleError, "takes 2 arguments, got 3"),
+        (lambda M, u: grassmann_nabla(M, u, "vv", T3), FrameBundleError, "takes 2 arguments, got 1"),
+        (lambda M, u: second_fundamental_OMN(M, u, "hh", X2), OmnError, "takes 2 arguments, got 1"),
+        (lambda M, u: second_fundamental_OMN(M, u, "hv", X2, T3, T3), OmnError, "takes 2 arguments, got 3"),
+        (lambda M, u: curvature_OMN(M, u, "hhh", X2, X2), OmnError, "takes 3 arguments, got 2"),
+        (lambda M, u: lifted(M, u, horizontal=[1.0, 2.0]), FrameBundleError, re.escape("shape (3,)")),
+        (lambda M, u: lifted(M, u, vertical=np.zeros((2, 2))), FrameBundleError, re.escape("shape (3, 3)")),
+        (lambda M, u: tension_field(M, u, rotation=np.eye(3)), GaussMapError, re.escape("shape (2, 2)")),
+    ],
+    ids=[
+        "nabla_ON",
+        "nabla_OMN",
+        "grassmann_nabla",
+        "second_fundamental_OMN-short",
+        "second_fundamental_OMN-long",
+        "curvature_OMN",
+        "lifted-horizontal",
+        "lifted-vertical",
+        "tension_field-rotation",
+    ],
+)
+def test_wrong_arity_or_shape_is_refused(call, error, match):
+    """A wrong argument count or shape raises the module's own error and
+    names what was expected."""
+    M = builtin_submanifold("sphere2")
+    with pytest.raises(error, match=match):
+        call(M, np.array([1.1, 0.6]))
 
 
 # -- decomposition ---------------------------------------------------------------

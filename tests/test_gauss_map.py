@@ -12,8 +12,7 @@ from framelab.gauss_map import (
     gauss_pushforward,
     grassmann_nabla,
     grassmann_vector,
-    harmonicity_residuals,
-    minimality_residuals,
+    residual_data,
     tension_field,
     tension_field_pullback,
     theorem_check,
@@ -229,24 +228,26 @@ def test_tension_rejects_non_orthogonal_rotation():
 
 
 def test_residuals_plane_all_zero():
-    M = builtin_submanifold("plane")
-    assert harmonicity_residuals(M, [0.1, 0.9]) == (0.0, 0.0, 0.0)
-    assert minimality_residuals(M, [0.1, 0.9]) == (0.0, 0.0)
+    data = residual_data(builtin_submanifold("plane"), [0.1, 0.9])
+    assert (data.r_h1, data.r_h2, data.r_h3, data.r_m2) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_residuals_sphere2_first_condition():
-    M = builtin_submanifold("sphere2")
-    r = harmonicity_residuals(M, [1.1, 0.3])
-    assert abs(r[0] - 2.0 / 3.0) < 1e-12
-    assert max(r[1], r[2]) < 1e-12
-    m = minimality_residuals(M, [1.1, 0.3])
-    assert abs(m[0] - 2.0 / 3.0) < 1e-12
+    data = residual_data(builtin_submanifold("sphere2"), [1.1, 0.3])
+    assert abs(data.r_h1 - 2.0 / 3.0) < 1e-12
+    assert max(data.r_h2, data.r_h3, data.r_m2) < 1e-12
 
 
 @pytest.mark.parametrize("name,u0", ALL_BUILTINS)
 def test_first_residuals_are_the_same_expression(name, u0):
+    """The first minimality condition, the normal part of the mean
+    curvature's horizontal part, is the first harmonicity condition h1."""
     M = builtin_submanifold(name)
-    assert harmonicity_residuals(M, u0)[0] == minimality_residuals(M, u0)[0]
+    fd = M.frame_data(u0)
+    hval, _ = og.mean_curvature_parts(fd, og.frame_trace(fd))
+    h1 = residual_data(M, u0).h1
+    assert np.array_equal(hval[fd.p:], h1[fd.p:])
+    assert not np.any(h1[: fd.p])
 
 
 @pytest.mark.parametrize("name", ["sphere2", "catenoid", "clifford"])
@@ -254,7 +255,7 @@ def test_residual_vectors_match_mean_curvature_pairings(name):
     M = builtin_submanifold(name)
     for u in og.domain_samples(M, 3, seed=9):
         mc = og.mean_curvature_OMN(M, u)
-        data = gm.residual_data(M, u)
+        data = residual_data(M, u)
         fd = M.frame_data(u)
         assert np.max(np.abs(mc.z_pairings - data.h1[fd.p:])) < 1e-8
         for A in range(fd.p):
@@ -316,8 +317,9 @@ def test_theorem_check_matches_pointwise(name):
     mean, harm, id_m2, id_h2 = [], [], [], []
     for u in og.domain_samples(M, n, seed=seed):
         mean.append(og.mean_curvature_OMN(M, u).norm)
-        harm.append(max(harmonicity_residuals(M, u)))
-        r_m2, r_h2 = gm.implication_residuals(M, gm.residual_data(M, u))
+        data = residual_data(M, u)
+        harm.append(max(data.r_h1, data.r_h2, data.r_h3))
+        r_m2, r_h2 = gm.implication_residuals(M, data)
         id_m2.append(r_m2)
         id_h2.append(r_h2)
     assert abs(rep.max_mean_curvature - max(mean)) <= 1e-13
@@ -373,7 +375,8 @@ def test_two_sided_numerical_implication(name, u0):
     with a modest constant."""
     M = builtin_submanifold(name)
     for u in og.domain_samples(M, 5, seed=1):
-        eps = max(harmonicity_residuals(M, u))
+        data = residual_data(M, u)
+        eps = max(data.r_h1, data.r_h2, data.r_h3)
         mc = og.mean_curvature_OMN(M, u).norm
         assert mc <= 10.0 * eps + 1e-12
         assert eps <= 10.0 * mc + 1e-12

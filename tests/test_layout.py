@@ -3,6 +3,8 @@
 A module, and a test module, uses a framelab module's public names only: no
 `from .mod import _name` and no `mod._name` on an imported framelab module.
 Every name a module lists in `__all__` exists. Only `jets` calls `Jet(...)`.
+A framelab module reads every name it imports with `from ... import`, or
+re-exports it in `__all__`.
 """
 
 import ast
@@ -102,6 +104,45 @@ def test_jets_are_built_only_in_jets(name):
 def test_scan_sees_jet_constructor_calls():
     src = "from .jets import Jet\nfrom . import jets\na = Jet(sp, c)\nb = jets.Jet(sp, c)\nc = jstack([a])\n"
     assert _jet_constructor_calls(ast.parse(src)) == [3, 4]
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by `from ... import` that the module never reads and does
+    not list in `__all__`."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = {e.value for e in node.value.elts}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if name not in read and name not in exported:
+                    found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    assert _unused_imports(ast.parse(SOURCES[name].read_text())) == []
+
+
+def test_scan_sees_unused_imports():
+    src = (
+        "from __future__ import annotations\n"
+        "from .jets import Jet, jstack, get_space as gs\n"
+        "from .expr import parse\n"
+        "__all__ = ['parse']\n"
+        "def f(x):\n"
+        "    from .ambient import euclidean, metric_at\n"
+        "    return jstack([x]), metric_at\n"
+    )
+    found = _unused_imports(ast.parse(src))
+    assert found == ["line 2: Jet", "line 2: gs", "line 6: euclidean"]
 
 
 def test_benchmark_tracer_hooks_resolve():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from framelab import omn_geometry as og
+from framelab import verify
 from framelab.ambient import sphere_chart
 from framelab.frame_bundle import (
     decompose_OMN,
@@ -467,3 +468,19 @@ def test_is_totally_geodesic_refuses_non_finite_residual(monkeypatch):
     monkeypatch.setattr(og, "second_fundamental_OMN", nan_at_bad_point)
     with pytest.raises(OmnError, match=re.escape(str(bad.tolist()))):
         is_totally_geodesic(M, samples=4, seed=1)
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5])
+def test_sampled_sweeps_refuse_a_bad_sample_count(samples):
+    """A sweep over no points would give its verdict on no evidence: the
+    sampler and every sampled sweep refuse a count that is not an integer
+    >= 1, and run_suite refuses it before running any case."""
+    M = builtin_submanifold("sphere2")
+    with pytest.raises(OmnError, match="sample count must be an integer >= 1"):
+        domain_samples(M, samples)
+    with pytest.raises(OmnError, match="sample count"):
+        is_totally_geodesic(M, samples=samples)
+    with pytest.raises(OmnError, match="sample count"):
+        theorem_check(M, samples=samples)
+    with pytest.raises(verify.VerifyError, match="samples must be an integer >= 1"):
+        verify.run_suite(["sphere2"], samples=samples)

@@ -4,19 +4,15 @@ import weakref
 import numpy as np
 import pytest
 
-from framelab.jets import get_space, jcos, jsin, jstack
+from framelab import operators as ops
+from framelab.ambient import euclidean
+from framelab.jets import get_space, jet_along, jet_einsum, jsin, jstack
 from framelab.submanifold import (
     FrameError,
     ImmersedSubmanifold,
     adapted_frame_at,
     builtin_submanifold,
-    nabla_prime,
-    project,
-    second_fundamental_form,
-    tensor_S,
-    weingarten,
 )
-from framelab.ambient import euclidean
 
 ALL_BUILTINS = ("plane", "plane3", "circle", "sphere2", "catenoid", "great2(0.5)", "clifford")
 CURVED = ("circle", "sphere2", "catenoid", "great2(0.5)", "clifford")
@@ -29,12 +25,25 @@ def sample_points(M, count, seed=0):
     return rng.uniform(lo + pad, hi - pad, size=(count, M.p))
 
 
-def random_tangent(fd, rng):
-    return fd.E.val[:, : fd.p] @ rng.standard_normal(fd.p)
+def random_tangent_frame(fd, rng):
+    """Frame components (d,) of a random tangent vector."""
+    return np.concatenate([rng.standard_normal(fd.p), np.zeros(fd.n)])
 
 
-def random_normal_vec(fd, rng):
-    return fd.E.val[:, fd.p:] @ rng.standard_normal(fd.n)
+def random_normal_frame(fd, rng):
+    """Frame components (d,) of a random normal vector."""
+    return np.concatenate([np.zeros(fd.p), rng.standard_normal(fd.n)])
+
+
+def chart_coeffs(fd, vfr):
+    """Chart coefficients of the tangent vector with frame components vfr."""
+    return fd.C.val @ vfr[: fd.p]
+
+
+def tangent_normal_parts(fd, Y):
+    """(tangent part, normal part) of an ambient vector, ambient components."""
+    yfr = fd.frame_components(Y)
+    return fd.E.val[:, : fd.p] @ yfr[: fd.p], fd.E.val[:, fd.p:] @ yfr[fd.p:]
 
 
 def test_plane_frame_is_standard_basis():
@@ -171,70 +180,65 @@ def test_plane_second_fundamental_form_vanishes():
     rng = np.random.default_rng(1)
     for u in sample_points(M, 5):
         fd = M.frame_data(u)
-        X, Y = random_tangent(fd, rng), random_tangent(fd, rng)
-        assert np.max(np.abs(second_fundamental_form(M, u, X, Y).ambient)) < 1e-14
-        V = random_normal_vec(fd, rng)
-        assert np.max(np.abs(weingarten(M, u, V, X).ambient)) < 1e-14
-        assert np.max(np.abs(tensor_S(M, u, X, rng.standard_normal(3)))) < 1e-14
+        assert np.max(np.abs(fd.Smats.val)) < 1e-14
+        assert np.max(np.abs(ops.s_field_matrix(fd, rng.standard_normal(2)).val)) < 1e-14
 
 
 def test_circle_frenet_values():
     M = builtin_submanifold("circle")
     u = [0.0]
-    fr = adapted_frame_at(M, u)
-    e1, e2 = fr.vectors.T
-    # e2 = +(1,0) is the outward normal at x=(1,0)
-    assert np.allclose(second_fundamental_form(M, u, e1, e1).ambient, -e2, atol=1e-13)
-    assert np.allclose(weingarten(M, u, e2, e1).ambient, -e1, atol=1e-13)
-    # S_{e1} in frame: e1 -> -e2, e2 -> +e1
-    assert np.allclose(tensor_S(M, u, e1, e1), -e2, atol=1e-13)
-    assert np.allclose(tensor_S(M, u, e1, e2), e1, atol=1e-13)
+    fd = M.frame_data(u)
+    e1, e2 = adapted_frame_at(M, u).vectors.T
+    S = ops.s_field_matrix(fd, chart_coeffs(fd, np.array([1.0, 0.0]))).val
+    # e2 = +(1,0) is the outward normal at x=(1,0): Pi(e1, e1) = S_{e1} e1 = -e2,
+    # and the Weingarten map A_{e2} e1 = -S_{e1} e2 = -e1
+    assert np.allclose(fd.ambient_components(S @ [1.0, 0.0]), -e2, atol=1e-13)
+    assert np.allclose(fd.ambient_components(S @ [0.0, 1.0]), e1, atol=1e-13)
+    assert np.array_equal(S, fd.Smats.val[0])
 
 
 def test_sphere2_shape_operator():
     M = builtin_submanifold("sphere2")
     u = [np.pi / 2, 0.0]
-    fr = adapted_frame_at(M, u)
-    e1, e2, e3 = fr.vectors.T
+    fd = M.frame_data(u)
+    e1, e2, e3 = adapted_frame_at(M, u).vectors.T
     nu = e3 if e3[0] > 0 else -e3  # outward radial at (1,0,0)
-    assert np.allclose(second_fundamental_form(M, u, e1, e1).ambient, -nu, atol=1e-12)
-    assert np.allclose(second_fundamental_form(M, u, e2, e2).ambient, -nu, atol=1e-12)
-    assert np.max(np.abs(second_fundamental_form(M, u, e1, e2).ambient)) < 1e-12
-    # A_nu = -identity on the tangent space
-    for X in (e1, e2):
-        assert np.allclose(weingarten(M, u, nu, X).ambient, -X, atol=1e-12)
-    # S values
-    assert np.allclose(tensor_S(M, u, e1, e1), -nu, atol=1e-12)
-    assert np.allclose(tensor_S(M, u, e1, nu), e1, atol=1e-12)
-    assert np.max(np.abs(tensor_S(M, u, e1, e2))) < 1e-12
+    nu_fr = fd.frame_components(nu)
+    for A, X in enumerate((e1, e2)):
+        S = fd.Smats.val[A]
+        # Pi(e_A, e_B) = -delta_AB nu, and A_nu = -identity on the tangent space
+        for B in range(2):
+            want = -nu if A == B else np.zeros(3)
+            assert np.allclose(fd.ambient_components(S @ np.eye(3)[B]), want, atol=1e-12)
+        assert np.allclose(fd.ambient_components(S @ nu_fr), X, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_second_fundamental_form_symmetric(name):
+    """Pi(X, Y) = S_X Y for tangent X, Y is symmetric in X and Y."""
     M = builtin_submanifold(name)
     rng = np.random.default_rng(7)
     for u in sample_points(M, 8, seed=11):
         fd = M.frame_data(u)
-        X, Y = random_tangent(fd, rng), random_tangent(fd, rng)
-        a = second_fundamental_form(M, u, X, Y).ambient
-        b = second_fundamental_form(M, u, Y, X).ambient
+        xfr, yfr = random_tangent_frame(fd, rng), random_tangent_frame(fd, rng)
+        a = ops.s_field_matrix(fd, chart_coeffs(fd, xfr)).val @ yfr
+        b = ops.s_field_matrix(fd, chart_coeffs(fd, yfr)).val @ xfr
         assert np.max(np.abs(a - b)) < 1e-9
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_weingarten_duality(name):
-    # A comes from differentiating the normal frame, Pi from differentiating
-    # tangent extensions; the duality ties the two independent routes together
+    """g(A_V X, Y) = g(Pi(X, Y), V): the Weingarten map A_V X = -S_X V reads
+    the normal columns of the connection forms, Pi(X, Y) = S_X Y the tangent
+    ones, and nothing in their construction makes the two blocks agree."""
     M = builtin_submanifold(name)
     rng = np.random.default_rng(13)
     for u in sample_points(M, 8, seed=5):
         fd = M.frame_data(u)
-        G = fd.G.val
-        X, Y = random_tangent(fd, rng), random_tangent(fd, rng)
-        V = random_normal_vec(fd, rng)
-        lhs = weingarten(M, u, V, X).ambient @ G @ Y
-        rhs = second_fundamental_form(M, u, X, Y).ambient @ G @ V
-        assert abs(lhs - rhs) < 1e-9
+        xfr, yfr = random_tangent_frame(fd, rng), random_tangent_frame(fd, rng)
+        vfr = random_normal_frame(fd, rng)
+        S = ops.s_field_matrix(fd, chart_coeffs(fd, xfr)).val
+        assert abs(-(S @ vfr) @ yfr - (S @ yfr) @ vfr) < 1e-9
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)
@@ -245,16 +249,15 @@ def test_tensor_S_skew_and_off_diagonal(name):
         fd = M.frame_data(u)
         G = fd.G.val
         d = M.ambient.dim
-        X = random_tangent(fd, rng)
+        xc = chart_coeffs(fd, random_tangent_frame(fd, rng))
+        # S_X as a matrix on ambient components
+        S = fd.E.val @ ops.s_field_matrix(fd, xc).val @ fd.Einv.val
         Y, Z = rng.standard_normal(d), rng.standard_normal(d)
-        SY = tensor_S(M, u, X, Y)
-        SZ = tensor_S(M, u, X, Z)
-        assert abs(SY @ G @ Z + Y @ G @ SZ) < 1e-9
+        assert abs((S @ Y) @ G @ Z + Y @ G @ (S @ Z)) < 1e-9
         # S maps tangent to normal and normal to tangent
-        t, n = project(M, u, SY if False else tensor_S(M, u, X, project(M, u, Y)[0]))
-        assert np.max(np.abs(t)) < 1e-9
-        t, n = project(M, u, tensor_S(M, u, X, project(M, u, Y)[1]))
-        assert np.max(np.abs(n)) < 1e-9
+        tan, nor = tangent_normal_parts(fd, Y)
+        assert np.max(np.abs(tangent_normal_parts(fd, S @ tan)[0])) < 1e-9
+        assert np.max(np.abs(tangent_normal_parts(fd, S @ nor)[1])) < 1e-9
 
 
 def test_nonvacuous_S_on_curved_builtins():
@@ -267,13 +270,12 @@ def test_nonvacuous_S_on_curved_builtins():
 
 
 def test_project_examples():
-    M = builtin_submanifold("plane")
-    t, n = project(M, [0.1, 0.2], [3.0, 4.0, 5.0])
+    fd = builtin_submanifold("plane").frame_data([0.1, 0.2])
+    t, n = tangent_normal_parts(fd, [3.0, 4.0, 5.0])
     assert np.allclose(t, [3, 4, 0]) and np.allclose(n, [0, 0, 5])
 
-    M = builtin_submanifold("sphere2")
-    u = [np.pi / 2, 0.0]
-    t, n = project(M, u, [1.0, 0.0, 0.0])
+    fd = builtin_submanifold("sphere2").frame_data([np.pi / 2, 0.0])
+    t, n = tangent_normal_parts(fd, [1.0, 0.0, 0.0])
     assert np.max(np.abs(t)) < 1e-12
     assert np.allclose(n, [1, 0, 0], atol=1e-12)
 
@@ -283,143 +285,103 @@ def test_projection_decomposition_exact(name):
     M = builtin_submanifold(name)
     rng = np.random.default_rng(29)
     for u in sample_points(M, 6, seed=31):
+        fd = M.frame_data(u)
         Y = rng.standard_normal(M.ambient.dim)
-        t, n = project(M, u, Y)
+        t, n = tangent_normal_parts(fd, Y)
         assert np.max(np.abs(t + n - Y)) < 1e-12
-        G = M.frame_data(u).G.val
-        assert abs(t @ G @ n) < 1e-10
+        assert abs(t @ fd.G.val @ n) < 1e-10
 
 
 def test_nabla_prime_plane_equals_ambient():
-    M = builtin_submanifold("plane")
-    u = [0.4, -0.2]
-
-    def fld(v):
-        return jstack([jsin(v[0] * v[1]), v[0] + v[1], jcos(v[1])], axis=-1)
-
-    X = np.array([0.7, -0.3, 0.0])
-    got = nabla_prime(M, fld, u, X)
-    # euclidean ambient: nabla_X fld = directional derivative of components
-    fd = M.frame_data(u)
-    Yj = fd.field_jet(fld)
-    expect = X[0] * Yj.d(0).val + X[1] * Yj.d(1).val
+    """On the flat plane nabla'_X Y is the directional derivative of Y's
+    chart coefficients."""
+    fd = builtin_submanifold("plane").frame_data([0.4, -0.2])
+    Yc = jstack([jsin(fd.uv[0] * fd.uv[1]), fd.uv[0] + fd.uv[1]], axis=-1)
+    xc = np.array([0.7, -0.3])
+    got = ops.vec_nabla_prime_jet(fd, xc, Yc).val
+    expect = xc[0] * Yc.d(0).val + xc[1] * Yc.d(1).val
     assert np.max(np.abs(got - expect)) < 1e-12
 
 
 def test_nabla_prime_circle_arc_length_frame():
+    """The unit-speed tangent field of the circle is parallel for nabla'."""
     M = builtin_submanifold("circle")
-
-    def e1f(v):
-        return jstack([-jsin(v[0]), jcos(v[0])], axis=-1)
-
     for u0 in (-0.8, 0.0, 0.9):
         fd = M.frame_data([u0])
-        out = nabla_prime(M, e1f, [u0], fd.E.val[:, 0])
-        assert np.max(np.abs(out)) < 1e-12
+        e1 = fd.uspace.constant(np.array([1.0]))
+        assert np.max(np.abs(ops.vec_nabla_prime_jet(fd, e1, e1).val)) < 1e-12
 
 
 @pytest.mark.parametrize("name", CURVED)
 def test_nabla_minus_nabla_prime_is_S(name):
+    """For a field Y with constant frame coefficients, nabla_X Y taken in the
+    chart (ambient Christoffels along the immersion) minus nabla'_X Y (the
+    block-diagonal connection forms) is S_X Y (the S-matrices)."""
     M = builtin_submanifold(name)
     rng = np.random.default_rng(41)
     for u in sample_points(M, 5, seed=43):
         fd = M.frame_data(u)
-        X = random_tangent(fd, rng)
-        coeff = rng.standard_normal(fd.d)
-
-        def fld(v, fd=fd, coeff=coeff):
-            # frame field with constant frame coefficients, as an ambient jet
-            from framelab.jets import jet_einsum
-
-            return jet_einsum("ij,j->i", fd.E, coeff)
-
-        Yj = fd.field_jet(fld)
-        full = fd.cov_deriv(Yj, fd.chart_of_tangent(X)).val
-        prime = nabla_prime(M, fld, u, X)
-        S = tensor_S(M, u, X, Yj.val)
-        assert np.max(np.abs(full - prime - S)) < 1e-9
+        xc = chart_coeffs(fd, random_tangent_frame(fd, rng))
+        yfr = rng.standard_normal(fd.d)
+        Y = jet_einsum("ij,j->i", fd.E, yfr)
+        gam_x = jet_einsum("ikl,k->il", fd.Gam, jet_einsum("ka,a->k", fd.J, xc)).val
+        full = fd.frame_components(jet_along(xc, Y).val + gam_x @ Y.val)
+        prime = ops.omega_along(fd, xc, "prime").val @ yfr
+        S = jet_einsum("A,Aij->ij", ops.frame_of_chart(fd, xc), fd.Smats).val
+        assert np.max(np.abs(full - prime - S @ yfr)) < 1e-9
 
 
 @pytest.mark.parametrize("name", ("sphere2", "clifford", "great2(0.5)"))
 def test_nabla_prime_metric_compatibility(name):
+    """X g(Y, Z) = g(nabla'_X Y, Z) + g(Y, nabla'_X Z) for tangent fields."""
     M = builtin_submanifold(name)
     rng = np.random.default_rng(47)
-    sp = M.frame_data(M.chart_domain.mean(axis=1)).uspace
 
-    def mkfield(seed):
-        r = np.random.default_rng(seed)
-        c0 = r.standard_normal(M.ambient.dim)
-        c1 = r.standard_normal(M.ambient.dim)
+    def mkfield(fd, seed):
+        c0, c1 = np.random.default_rng(seed).standard_normal((2, M.p))
+        return jstack([c0[a] + c1[a] * jsin(fd.uv[0] + 0.3 * fd.uv[-1]) for a in range(M.p)], axis=-1)
 
-        def fld(v):
-            return jstack(
-                [c0[i] + c1[i] * jsin(v[0] + 0.3 * v[-1]) for i in range(M.ambient.dim)],
-                axis=-1,
-            )
-
-        return fld
-
-    Yf, Zf = mkfield(1), mkfield(2)
     for u in sample_points(M, 5, seed=53):
         fd = M.frame_data(u)
-        X = random_tangent(fd, rng)
-        xc = fd.chart_of_tangent(X)
-        Yj, Zj = fd.field_jet(Yf), fd.field_jet(Zf)
-        from framelab.jets import jet_einsum
-
-        inner = jet_einsum("i,i->", Yj, jet_einsum("ij,j->i", fd.G, Zj))
+        xc = chart_coeffs(fd, random_tangent_frame(fd, rng))
+        Yc, Zc = mkfield(fd, 1), mkfield(fd, 2)
+        inner = jet_einsum("a,a->", Yc, jet_einsum("ab,b->a", fd.g_chart, Zc))
         lhs = sum(xc[a] * inner.d(a).val for a in range(fd.p))
-        G0 = fd.G.val
-        rhs = nabla_prime(M, Yf, u, X) @ G0 @ Zj.val + Yj.val @ G0 @ nabla_prime(M, Zf, u, X)
+        g0 = fd.g_chart.val
+        rhs = ops.vec_nabla_prime_jet(fd, xc, Yc).val @ g0 @ Zc.val
+        rhs += Yc.val @ g0 @ ops.vec_nabla_prime_jet(fd, xc, Zc).val
         assert abs(lhs - rhs) < 1e-8
 
 
 def test_nabla_prime_preserves_split():
+    """nabla' of a varying endomorphism field keeps its h- or m-type."""
     M = builtin_submanifold("sphere2")
-    u = [1.1, 0.4]
-    fd = M.frame_data(u)
-
-    def tangent_field(v):
-        from framelab.jets import jet_einsum
-
-        return jet_einsum("iB,B->i", fd.E[:, :2], np.array([1.3, -0.4]))
-
-    def normal_field(v):
-        from framelab.jets import jet_einsum
-
-        return jet_einsum("ib,b->i", fd.E[:, 2:], np.array([0.8]))
-
-    X = fd.E.val[:, 0]
-    t, n = project(M, u, nabla_prime(M, tangent_field, u, X))
-    assert np.max(np.abs(n)) < 1e-10
-    t, n = project(M, u, nabla_prime(M, normal_field, u, X))
-    assert np.max(np.abs(t)) < 1e-10
+    fd = M.frame_data([1.1, 0.4])
+    scale = 1.0 + 0.3 * fd.uv[0] * fd.uv[1]
+    xc = np.array([0.6, -1.2])
+    for i, j in ((0, 1), (0, 2)):
+        T = scale * fd.uspace.constant(ops.basis_T(3, i, j))
+        h, m = ops.hm_split_mat(ops.nabla_t_field_jet(fd, T, xc, "prime").val, 2)
+        assert np.max(np.abs(m if (i, j) == (0, 1) else h)) < 1e-12
+        assert np.max(np.abs(h if (i, j) == (0, 1) else m)) > 1e-3
 
 
 def test_second_fundamental_form_extension_independent():
-    # add a tangent field vanishing at u0 to the extension; Pi must not move
+    # add a tangent field vanishing at u0 to Y; the normal part of nabla_X Y,
+    # which is Pi(X, Y) = S_X Y, must not move
     M = builtin_submanifold("catenoid")
     u0 = np.array([0.3, -0.2])
     fd = M.frame_data(u0)
     rng = np.random.default_rng(59)
-    X = random_tangent(fd, rng)
-    Y = random_tangent(fd, rng)
-    base = second_fundamental_form(M, u0, X, Y).ambient
-
-    yfr = fd.frame_components(Y)[:2]
-
-    def wiggled(v):
-        from framelab.jets import jet_einsum
-
-        bump = (v[0] - u0[0]) * 2.7 + (v[1] - u0[1]) * (-1.4)
-        coeff = jstack([bump * (0.5 + i) + yfr[i] for i in range(2)], axis=-1)
-        return jet_einsum("iB,B->i", fd.E[:, :2], coeff)
-
-    Yj = fd.field_jet(wiggled)
-    assert np.max(np.abs(Yj.val - Y)) < 1e-12
-    full = fd.cov_deriv(Yj, fd.chart_of_tangent(X)).val
-    _, nor = fd.split(full)
-    assert np.max(np.abs(nor - base)) < 1e-10
+    xc = chart_coeffs(fd, random_tangent_frame(fd, rng))
+    yfr = random_tangent_frame(fd, rng)
+    bump = (fd.uv[0] - u0[0]) * 2.7 + (fd.uv[1] - u0[1]) * (-1.4)
+    wiggled = jstack([bump * (0.5 + i) + yfr[i] for i in range(2)] + [0.0 * bump], axis=-1)
+    assert np.max(np.abs(wiggled.val - yfr)) < 1e-12
+    nabla = ops.ambient_deriv_frame(fd, xc, wiggled).val
+    assert np.max(np.abs(nabla[:2])) > 0.1  # the bump moves the tangent part
+    base = ops.s_field_matrix(fd, xc).val @ yfr
+    assert np.max(np.abs(nabla[2:] - base[2:])) < 1e-10
 
 
 def test_builtin_catalog_errors():
