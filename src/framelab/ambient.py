@@ -35,6 +35,8 @@ __all__ = [
     "sphere_chart",
     "metric_at",
     "curvature_at",
+    "christoffel_jets",
+    "curvature_jets",
 ]
 
 

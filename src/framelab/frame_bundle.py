@@ -1,13 +1,19 @@
 """Tangent vectors of the ambient orthonormal frame bundle at adapted frames.
 
-A tangent vector of O(N) at a frame splits into a horizontal part (an ambient
-vector at the base point) and a vertical part (a skew matrix of frame
-components). The Sasaki-Mok metric pairs horizontal parts with the base
-metric and vertical parts with -tr(V V').
+A tangent vector of O(N) at a frame splits into a horizontal part (a vector
+at the base point) and a vertical part (a skew endomorphism). A LiftedVector
+holds both in the adapted orthonormal frame: the horizontal part as its d
+frame components, the vertical part as its (d, d) skew matrix of frame
+components. The base metric is the identity in that frame, so the
+Sasaki-Mok metric is h . h' - tr(V V') with no conversion. Ambient
+components are read only where a vector enters: horizontal_lift and
+horizontal_lift_prime take an ambient vector (the latter also its p chart
+coefficients) and convert it once.
 
 Everything is evaluated at adapted frames over a submanifold M, where the
 useful lifts are X^h (zero vertical), X^{h'} = X^h + bar(S_X) for tangent X,
-and the invariant vertical fields bar(T).
+and the invariant vertical fields bar(T). A lifted vector lives at the frame
+over one parameter point; frame_at gives that frame and refuses a batch.
 
 The Levi-Civita connection is written once, on field pairs: direction
 X^h + bar(A), field Y^h + bar(B),
@@ -29,18 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .operators import SkewEndo, hm_split_mat, skew_inner
-from .submanifold import (
-    AdaptedFrame,
-    FramePointData,
-    ImmersedSubmanifold,
-    adapted_frame_at,
-    as_ambient,
-)
+from .operators import hm_split_mat, skew_inner
+from .submanifold import FramePointData, ImmersedSubmanifold
 
 __all__ = [
     "FrameBundleError",
     "LiftedVector",
+    "frame_at",
     "lifted",
     "sasaki_mok_inner",
     "horizontal_lift",
@@ -61,92 +62,96 @@ class FrameBundleError(ValueError):
 
 @dataclass(frozen=True)
 class LiftedVector:
-    """Tangent vector of the frame bundle at an adapted frame.
+    """Tangent vector of the frame bundle at the adapted frame over u.
 
-    horizontal: ambient components of the horizontal part at the base point.
-    vertical: skew matrix of frame components of the vertical part.
+    horizontal: (d,) frame components of the horizontal part.
+    vertical: (d, d) skew matrix of frame components of the vertical part.
     """
 
     sub: ImmersedSubmanifold
-    base: AdaptedFrame
+    u: np.ndarray
     horizontal: np.ndarray
-    vertical: SkewEndo
-
-    def _fd(self) -> FramePointData:
-        return self.sub.frame_data(self.base.u)
+    vertical: np.ndarray
 
     def __add__(self, other: "LiftedVector") -> "LiftedVector":
         _same_base(self, other)
         return LiftedVector(
-            self.sub,
-            self.base,
-            self.horizontal + other.horizontal,
-            SkewEndo(self.base, self.vertical.mat + other.vertical.mat, self.vertical.p),
+            self.sub, self.u, self.horizontal + other.horizontal, self.vertical + other.vertical
         )
 
     def __sub__(self, other: "LiftedVector") -> "LiftedVector":
         return self + (-1.0) * other
 
     def __rmul__(self, c: float) -> "LiftedVector":
-        return LiftedVector(
-            self.sub,
-            self.base,
-            c * self.horizontal,
-            SkewEndo(self.base, c * self.vertical.mat, self.vertical.p),
-        )
+        return LiftedVector(self.sub, self.u, c * self.horizontal, c * self.vertical)
 
     def norm(self) -> float:
         return float(np.sqrt(max(sasaki_mok_inner(self, self), 0.0)))
 
 
 def _same_base(v: LiftedVector, w: LiftedVector):
-    if v.sub is not w.sub or not np.array_equal(v.base.u, w.base.u):
+    if v.sub is not w.sub or not np.array_equal(v.u, w.u):
         raise FrameBundleError("lifted vectors live at different frames")
 
 
+def frame_at(M: ImmersedSubmanifold, u) -> FramePointData:
+    """The frame over the one parameter point u, of shape (p,).
+
+    A lifted vector lives at one frame, so a batch of points is refused."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (M.p,):
+        raise FrameBundleError(f"u must be one point of shape ({M.p},), got {u.shape}")
+    return M.frame_data(u)
+
+
+def _part(x, shape: tuple, what: str) -> np.ndarray:
+    """x as a float array of the given shape, zeros when x is None."""
+    a = np.zeros(shape) if x is None else np.asarray(x, dtype=float)
+    if a.shape != shape:
+        raise FrameBundleError(f"{what} must have shape {shape}, got {a.shape}")
+    return a
+
+
 def lifted(M: ImmersedSubmanifold, u, horizontal=None, vertical=None) -> LiftedVector:
-    """Assemble a LiftedVector from ambient horizontal and frame vertical parts."""
-    fd = M.frame_data(np.asarray(u, dtype=float))
-    fr = adapted_frame_at(M, u)
-    h = np.zeros(fd.d) if horizontal is None else np.asarray(horizontal, dtype=float)
-    vmat = np.zeros((fd.d, fd.d)) if vertical is None else np.asarray(vertical, dtype=float)
-    if h.shape != (fd.d,):
-        raise FrameBundleError(f"horizontal part must have shape ({fd.d},), got {h.shape}")
-    if vmat.shape != (fd.d, fd.d):
-        raise FrameBundleError(f"vertical part must have shape ({fd.d}, {fd.d}), got {vmat.shape}")
-    return LiftedVector(M, fr, h, SkewEndo(fr, vmat, fd.p))
+    """Assemble a LiftedVector at the frame over u from the frame components
+    of its horizontal part, shape (d,), and its vertical skew matrix, shape
+    (d, d); an absent part is zero. The vertical part must be antisymmetric
+    to 1e-12."""
+    fd = frame_at(M, u)
+    h = _part(horizontal, (fd.d,), "horizontal part")
+    vmat = _part(vertical, (fd.d, fd.d), "vertical part")
+    if np.max(np.abs(vmat + vmat.T)) > 1e-12:
+        raise FrameBundleError("vertical part is not antisymmetric")
+    return LiftedVector(M, fd.u0, h, vmat)
 
 
 def sasaki_mok_inner(v: LiftedVector, w: LiftedVector) -> float:
-    """g(h, h') at the base point plus <V, V'> on the vertical parts."""
+    """h . h' on the horizontal frame components plus <V, V'> on the vertical parts."""
     _same_base(v, w)
-    fd = v._fd()
-    hv = fd.frame_components(v.horizontal)
-    hw = fd.frame_components(w.horizontal)
-    return float(hv @ hw) + skew_inner(v.vertical, w.vertical)
+    return float(v.horizontal @ w.horizontal) + skew_inner(v.vertical, w.vertical)
 
 
 def horizontal_lift(M: ImmersedSubmanifold, u, X) -> LiftedVector:
-    """X^h: horizontal part X, zero vertical part."""
-    return lifted(M, u, horizontal=as_ambient(X))
+    """X^h for an ambient vector X at the base point: zero vertical part."""
+    fd = frame_at(M, u)
+    return lifted(M, u, horizontal=fd.frame_components(_part(X, (fd.d,), "ambient vector")))
 
 
 def horizontal_lift_prime(M: ImmersedSubmanifold, u, X) -> LiftedVector:
     """X^{h'} = X^h + bar(S_X) for X tangent to M.
 
-    X is a tangent vector (ambient components or a TangentVectorM) or its
-    p chart coefficients.
+    X is the ambient vector of a tangent vector or its p chart coefficients.
     """
-    fd = M.frame_data(np.asarray(u, dtype=float))
-    Xa = as_ambient(X)
-    if Xa.shape == (fd.p,):
-        xc, Xa = Xa, fd.J.val @ Xa
+    fd = frame_at(M, u)
+    X = np.asarray(X, dtype=float)
+    if X.shape == (fd.p,):
+        xc, hfr = X, fd.frame_components(fd.J.val @ X)
     else:
-        xc = fd.chart_of_tangent(Xa)
-        if np.max(np.abs(fd.J.val @ xc - Xa)) > 1e-8:
+        hfr = fd.frame_components(_part(X, (fd.d,), "tangent vector"))
+        xc = fd.C.val @ hfr[: fd.p]
+        if np.max(np.abs(fd.J.val @ xc - X)) > 1e-8:
             raise FrameBundleError("horizontal_lift_prime needs a tangent vector")
-    smat = ops.s_field_matrix(fd, xc).val
-    return lifted(M, u, horizontal=Xa, vertical=smat)
+    return lifted(M, u, horizontal=hfr, vertical=ops.s_field_matrix(fd, xc).val)
 
 
 def case_pairs(case: str, args) -> tuple:
@@ -199,7 +204,7 @@ def _pair_nabla_ON(M: ImmersedSubmanifold, u, fd: FramePointData, Xc, A, yF, B) 
             horiz = horiz + 0.5 * ops.rt_matrix_jet(fd, A).val @ yF.val
         if B is not None:
             vert = vert + 0.5 * (B.val @ A.val - A.val @ B.val)
-    return lifted(M, u, horizontal=fd.ambient_components(horiz), vertical=vert)
+    return lifted(M, u, horizontal=horiz, vertical=vert)
 
 
 def nabla_ON(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
@@ -213,7 +218,7 @@ def nabla_ON(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
     Vector fields are chart-coefficient specs; T specs are endo fields
     (callables of FramePointData) or constant frame matrices.
     """
-    fd = M.frame_data(np.asarray(u, dtype=float))
+    fd = frame_at(M, u)
     Xc, A, Yc, B = _case_jets(fd, case, args)
     yF = None if Yc is None else ops.full_frame_field(fd, Yc)
     return _pair_nabla_ON(M, u, fd, Xc, A, yF, B)
@@ -226,7 +231,7 @@ def nabla_ON_primed(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector
     vertical part S_X along. case "hh": (Xf, Yf) differentiates Y^{h'} along
     X^{h'}; "hv": (Xf, T); "vh": (T, Yf); "vv": (T, Tp).
     """
-    fd = M.frame_data(np.asarray(u, dtype=float))
+    fd = frame_at(M, u)
     Xc, A, Yc, B = _case_jets(fd, case, args)
     yF = None
     if Xc is not None:
@@ -245,7 +250,7 @@ def nabla_ON_section(M: ImmersedSubmanifold, u, Xf, yframe, endof) -> LiftedVect
     endo field. The direction is the section velocity over the tangent field
     Xf, X^h + bar(omega_X) with omega_X = sum_a X^a omega^a.
     """
-    fd = M.frame_data(np.asarray(u, dtype=float))
+    fd = frame_at(M, u)
     Xc = ops.as_chart_field(fd, Xf)
     omX = ops.omega_along(fd, Xc)
     return _pair_nabla_ON(M, u, fd, Xc, omX, yframe(fd), ops.as_endo_field(fd, endof))
@@ -260,34 +265,23 @@ def decompose_OMN(v: LiftedVector) -> tuple[LiftedVector, LiftedVector]:
     horizontal lifts of normal vectors and the off-diagonal vertical fields
     corrected by (S_{T_m})^h.
     """
-    M, u = v.sub, v.base.u
+    M, u = v.sub, v.u
     fd = M.frame_data(u)
     p, d = fd.p, fd.d
-    hfr = fd.frame_components(v.horizontal)
-    Vh, Vm = hm_split_mat(v.vertical.mat, p)
-    xtan = ops.solve_P(fd, hfr[:p] - ops.s_tm_tangent_jet(fd, Vm).val)
-    xc = fd.C.val @ xtan
-    SX = ops.s_field_matrix(fd, xc).val
+    Vh, Vm = hm_split_mat(v.vertical, p)
+    xtan = ops.solve_P(fd, v.horizontal[:p] - ops.s_tm_tangent_jet(fd, Vm).val)
+    SX = ops.s_field_matrix(fd, fd.C.val @ xtan).val
     xfull = np.zeros(d)
     xfull[:p] = xtan
-    tangent = lifted(M, u, horizontal=fd.ambient_components(xfull), vertical=SX + Vh)
-    normal = lifted(
-        M,
-        u,
-        horizontal=v.horizontal - tangent.horizontal,
-        vertical=v.vertical.mat - tangent.vertical.mat,
-    )
-    return tangent, normal
+    tangent = lifted(M, u, horizontal=xfull, vertical=SX + Vh)
+    return tangent, v - tangent
 
 
 def tangent_generators(M: ImmersedSubmanifold, u) -> list[LiftedVector]:
     """Primed lifts of the tangent frame plus block-diagonal vertical basis."""
-    fd = M.frame_data(np.asarray(u, dtype=float))
+    fd = frame_at(M, u)
     p, d = fd.p, fd.d
-    out = []
-    for A in range(p):
-        xa = fd.ambient_components(np.eye(d)[A])
-        out.append(horizontal_lift_prime(M, u, xa))
+    out = [lifted(M, u, horizontal=np.eye(d)[A], vertical=fd.Smats.val[A]) for A in range(p)]
     for i in range(d):
         for j in range(i + 1, d):
             if (i < p) == (j < p):
@@ -298,13 +292,13 @@ def tangent_generators(M: ImmersedSubmanifold, u) -> list[LiftedVector]:
 def normal_generators(M: ImmersedSubmanifold, u) -> list[LiftedVector]:
     """Horizontal lifts of normal frame vectors plus corrected off-diagonal
     vertical fields bar(T) + (S_{T_m})^h."""
-    fd = M.frame_data(np.asarray(u, dtype=float))
+    fd = frame_at(M, u)
     p, d = fd.p, fd.d
-    out = []
-    for al in range(p, d):
-        out.append(horizontal_lift(M, u, fd.ambient_components(np.eye(d)[al])))
+    out = [lifted(M, u, horizontal=np.eye(d)[al]) for al in range(p, d)]
     for A in range(p):
         for al in range(p, d):
             Tm = ops.basis_T(d, A, al)
-            out.append(lifted(M, u, horizontal=ops.S_Tm_vector(M, u, Tm).ambient, vertical=Tm))
+            svec = np.zeros(d)
+            svec[:p] = ops.s_tm_tangent_jet(fd, Tm).val
+            out.append(lifted(M, u, horizontal=svec, vertical=Tm))
     return out

@@ -36,6 +36,7 @@ from . import operators as ops
 from .frame_bundle import (
     LiftedVector,
     case_pairs,
+    frame_at,
     horizontal_lift_prime,
     lifted,
     nabla_ON,
@@ -53,6 +54,7 @@ __all__ = [
     "tension_field",
     "tension_field_pullback",
     "HarmonicityData",
+    "residual_data",
     "implication_residuals",
     "TheoremReport",
     "theorem_check",
@@ -64,22 +66,22 @@ class GaussMapError(ValueError):
 
 
 def grassmann_vector(M: ImmersedSubmanifold, u, horizontal=None, vertical=None) -> LiftedVector:
-    """Assemble a vector; the vertical matrix must have zero diagonal blocks."""
-    fd = M.frame_data(np.asarray(u, dtype=float))
-    vmat = np.zeros((fd.d, fd.d)) if vertical is None else np.asarray(vertical, dtype=float)
-    h_part = hm_split_mat(0.5 * (vmat - vmat.T), fd.p)[0]
+    """Assemble a vector from the frame components of its horizontal part and
+    its vertical skew matrix, which must have zero diagonal blocks."""
+    v = lifted(M, u, horizontal=horizontal, vertical=vertical)
+    h_part, m_part = hm_split_mat(v.vertical, M.p)
     if np.max(np.abs(h_part)) > 1e-10:
         raise GaussMapError("vertical part must have zero diagonal blocks")
-    return lifted(M, u, horizontal=horizontal, vertical=vmat * fd.mmask)
+    return lifted(M, u, horizontal=v.horizontal, vertical=m_part)
 
 
 # -- connection --------------------------------------------------------------
 
 
-def _m_projection(M: ImmersedSubmanifold, u, v: LiftedVector) -> LiftedVector:
+def _m_projection(v: LiftedVector) -> LiftedVector:
     """The plane-bundle vector of v: its vertical part without the diagonal blocks."""
-    fd = M.frame_data(np.asarray(u, dtype=float))
-    return grassmann_vector(M, u, horizontal=v.horizontal, vertical=v.vertical.mat * fd.mmask)
+    mmask = v.sub.frame_data(v.u).mmask
+    return grassmann_vector(v.sub, v.u, horizontal=v.horizontal, vertical=v.vertical * mmask)
 
 
 def grassmann_nabla(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
@@ -96,13 +98,13 @@ def grassmann_nabla(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector
     X, A, Y, B = case_pairs(case, args)
     m_part = lambda T: None if T is None else (lambda q: ops.as_endo_field(q, T) * q.mmask)
     masked = [f for f in (X, m_part(A), Y, m_part(B)) if f is not None]
-    return _m_projection(M, u, nabla_ON(M, u, case, *masked))
+    return _m_projection(nabla_ON(M, u, case, *masked))
 
 
 def gauss_pushforward(M: ImmersedSubmanifold, u, X) -> LiftedVector:
     """Pushforward of a tangent vector (or its chart coefficients): the
     primed lift X^{h'} = X^{hGr} + hat(S_X)."""
-    return _m_projection(M, u, horizontal_lift_prime(M, u, X))
+    return _m_projection(horizontal_lift_prime(M, u, X))
 
 
 # -- tension field -----------------------------------------------------------
@@ -133,12 +135,11 @@ def tension_field(M: ImmersedSubmanifold, u, rotation=None) -> LiftedVector:
     (nabla_e e - tilde_e e + R_{S_e}(e))^{hGr}
     + hat(nabla'_e S_e) - hat(S_{tilde_e e}).
     """
-    u = np.asarray(u, dtype=float)
-    fd = M.frame_data(u)
+    fd = frame_at(M, u)
     amb, rterm, _, tilde, dS = og.frame_trace(fd, _tilde_frames(fd, rotation))
     horiz = amb.val - ops.full_frame_field(fd, tilde.val).val + rterm.val
     vert = dS.val * fd.mmask - ops.s_field_matrix(fd, tilde.val).val
-    return grassmann_vector(M, u, horizontal=fd.ambient_components(horiz), vertical=vert)
+    return grassmann_vector(M, u, horizontal=horiz, vertical=vert)
 
 
 def tension_field_pullback(M: ImmersedSubmanifold, u) -> LiftedVector:
@@ -149,11 +150,10 @@ def tension_field_pullback(M: ImmersedSubmanifold, u) -> LiftedVector:
     nabla_ON_primed("hh", e, e). Subtracting the pushforward of tilde_e e
     leaves the tension summand.
     """
-    u = np.asarray(u, dtype=float)
-    fd = M.frame_data(u)
+    fd = frame_at(M, u)
     total = grassmann_vector(M, u)
     for Ec in og.tilde_frame_fields(fd):
-        total = total + _m_projection(M, u, nabla_ON_primed(M, u, "hh", Ec, Ec))
+        total = total + _m_projection(nabla_ON_primed(M, u, "hh", Ec, Ec))
         tl = ops.vec_tilde_nabla_jet(fd, Ec, Ec)
         total = total - gauss_pushforward(M, u, tl.val)
     return total

@@ -26,7 +26,14 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import operators as ops
-from .frame_bundle import LiftedVector, case_pairs, horizontal_lift_prime, lifted, sasaki_mok_inner
+from .frame_bundle import (
+    LiftedVector,
+    case_pairs,
+    frame_at,
+    horizontal_lift_prime,
+    lifted,
+    sasaki_mok_inner,
+)
 from .jets import Jet, jet_einsum
 from .operators import hm_split_mat, skew_inner
 from .submanifold import FramePointData, ImmersedSubmanifold
@@ -123,7 +130,7 @@ def nabla_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
 
     Vertical specs must be h-type endo fields.
     """
-    fd = M.frame_data(np.asarray(u, dtype=float))
+    fd = frame_at(M, u)
     X, A, Y, B = case_pairs(case, args)
     chart = lambda f: None if f is None else ops.as_chart_field(fd, f)
     endo = lambda T: None if T is None else _h_endo_field(fd, T)
@@ -174,7 +181,7 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
         raise OmnError(f"unknown case {case!r}")
     if len(args) != 3:
         raise OmnError(f"case {case!r} takes 3 arguments, got {len(args)}")
-    fd = M.frame_data(np.asarray(u, dtype=float))
+    fd = frame_at(M, u)
     if case == "hhh":
         Xf, Yf, Zf = args
         Xc, Yc, Zc = (ops.as_chart_field(fd, f) for f in (Xf, Yf, Zf))
@@ -274,7 +281,7 @@ def omn_plane(M: ImmersedSubmanifold, u, spec1, spec2) -> OmnPlane:
     """Build a sectional plane from ("hprime", chart coeffs) / ("vertical", mat)
     specs, orthonormalizing with respect to the Sasaki-Mok metric."""
     u = np.asarray(u, dtype=float)
-    fd = M.frame_data(u)
+    fd = frame_at(M, u)
     kinds = (spec1[0], spec2[0])
     if kinds == ("vertical", "hprime"):
         return omn_plane(M, u, spec2, spec1)
@@ -385,7 +392,7 @@ def second_fundamental_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> Lifte
         raise OmnError(f"unknown case {case!r}")
     if len(args) != 2:
         raise OmnError(f"case {case!r} takes 2 arguments, got {len(args)}")
-    fd = M.frame_data(np.asarray(u, dtype=float))
+    fd = frame_at(M, u)
     if case == "vv":
         return lifted(M, u)
     Xc = ops.as_chart_field(fd, args[0])
@@ -393,12 +400,7 @@ def second_fundamental_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> Lifte
         horiz, vert = _pi_hh_assemble(fd, *_pi_hh_pieces(fd, Xc, ops.as_chart_field(fd, args[1])))
     else:
         horiz, vert = _pi_hv_jets(fd, Xc, _h_endo_field(fd, args[1]))
-    return lifted(
-        M,
-        u,
-        horizontal=fd.ambient_components(horiz.val),
-        vertical=0.5 * (vert.val - vert.val.T),
-    )
+    return lifted(M, u, horizontal=horiz.val, vertical=0.5 * (vert.val - vert.val.T))
 
 
 # -- mean curvature and verdicts -------------------------------------------------
@@ -469,11 +471,10 @@ def mean_curvature_OMN(M: ImmersedSubmanifold, u) -> MeanCurvatureReport:
     """Trace of the second fundamental form over a deformed-orthonormal
     horizontal frame (vertical directions contribute nothing), at one point.
     """
-    u = np.asarray(u, dtype=float)
-    fd = M.frame_data(u)
+    fd = frame_at(M, u)
     p, d = fd.p, fd.d
     hval, vval = mean_curvature_parts(fd, frame_trace(fd))
-    H = lifted(M, u, horizontal=fd.ambient_components(hval), vertical=vval)
+    H = lifted(M, u, horizontal=hval, vertical=vval)
     z = hval[p:].copy()
     t = np.zeros((p, d - p))
     for A in range(p):
@@ -481,7 +482,7 @@ def mean_curvature_OMN(M: ImmersedSubmanifold, u) -> MeanCurvatureReport:
             Tm = ops.basis_T(d, A, al)
             svec = ops.s_tm_tangent_jet(fd, Tm).val
             t[A, j] = skew_inner(vval, Tm) + float(hval[:p] @ svec)
-    return MeanCurvatureReport(u, H, z, t, H.norm())
+    return MeanCurvatureReport(fd.u0, H, z, t, H.norm())
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Skew endomorphisms are handled as matrices in the adapted frame, where the
 metric is the identity: the h-part is the pair of diagonal blocks (tangent
-and normal), the m-part the off-diagonal blocks. The inner product is
-<T, T'> = -tr(T T').
+and normal), the m-part the off-diagonal blocks (hm_split_mat). The inner
+product is skew_inner, <T, T'> = -tr(T T').
 
 Tangent vector fields on M are chart-coefficient jet fields; endomorphism
 fields are frame-component jet fields. A constant direction that is only
@@ -29,43 +29,29 @@ s_tm_tangent_jet (S_{T_m}), rt_matrix_jet (R_T), nabla_t_field_jet
 and solve_P (P^{-1}, refusing a numerically singular P). The operator P and
 the deformed metric are read off the frame itself (FramePointData.Pfr and
 gt_chart), and the connections nabla' and tilde-nabla on tangent fields are
-vec_nabla_prime_jet and vec_tilde_nabla_jet. Field specs are normalised by
-as_chart_field (tangent fields) and as_endo_field (endomorphism fields).
+vec_nabla_prime_jet and vec_tilde_nabla_jet; Q_T and R' are q_t_chart_jet
+and curvature_prime_jet. Field specs are normalised by as_chart_field
+(tangent fields) and as_endo_field (endomorphism fields).
 
-The pointwise operations R_T, S_Tm_vector, L_op, Q_T and curvature_prime
-evaluate one operator at one point through these primitives; they read
-ambient vectors through submanifold.as_ambient.
+L_op evaluates the operator L at one point from these primitives, in chart
+coefficients; it is the right-hand side of an identity of verify's registry.
 
 The tolerance ladder of the identity checks is verify.TOL_LADDER.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .jets import Jet, jet_along, jet_einsum, jet_solve, jstack
-from .submanifold import (
-    AdaptedFrame,
-    FramePointData,
-    ImmersedSubmanifold,
-    TangentVectorM,
-    adapted_frame_at,
-    as_ambient,
-)
+from .submanifold import FramePointData, ImmersedSubmanifold
 
 __all__ = [
     "OperatorError",
-    "SkewEndo",
     "skew_inner",
-    "hm_decompose",
+    "hm_split_mat",
     "basis_T",
-    "R_T",
-    "S_Tm_vector",
     "L_op",
-    "Q_T",
-    "curvature_prime",
     "as_chart_field",
     "as_endo_field",
     "rt_matrix_jet",
@@ -74,6 +60,8 @@ __all__ = [
     "omega_along",
     "vec_nabla_prime_jet",
     "vec_tilde_nabla_jet",
+    "bracket_jet",
+    "nabla_t_field_jet",
     "q_t_chart_jet",
     "curvature_prime_jet",
     "frame_of_chart",
@@ -89,48 +77,14 @@ class OperatorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SkewEndo:
-    """Skew endomorphism of T_x N in adapted-frame components."""
-
-    frame: AdaptedFrame
-    mat: np.ndarray  # (d, d), antisymmetric
-    p: int
-
-    def __post_init__(self):
-        m = self.mat
-        if np.max(np.abs(m + m.T)) > 1e-12:
-            raise OperatorError("endomorphism matrix is not antisymmetric")
-
-    @property
-    def h_part(self) -> np.ndarray:
-        return hm_split_mat(self.mat, self.p)[0]
-
-    @property
-    def m_part(self) -> np.ndarray:
-        return hm_split_mat(self.mat, self.p)[1]
-
-
-def _mat(T) -> np.ndarray:
-    return T.mat if isinstance(T, SkewEndo) else np.asarray(T, dtype=float)
-
-
 def skew_inner(T, Tp) -> float:
-    """<T, T'> = -tr(T T')."""
-    return -float(np.einsum("ij,ji->", _mat(T), _mat(Tp)))
-
-
-def hm_decompose(T):
-    """Split into (h-part, m-part) SkewEndo pair."""
-    if not isinstance(T, SkewEndo):
-        raise OperatorError("hm_decompose needs a SkewEndo (the split depends on p)")
-    return (
-        SkewEndo(T.frame, T.h_part, T.p),
-        SkewEndo(T.frame, T.m_part, T.p),
-    )
+    """<T, T'> = -tr(T T') of (d, d) frame matrices."""
+    return -float(np.einsum("ij,ji->", T, Tp))
 
 
 def hm_split_mat(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(h-part, m-part) of a (d, d) frame matrix: its diagonal blocks and its
+    off-diagonal blocks for the split at p."""
     h = np.zeros_like(mat)
     h[:p, :p] = mat[:p, :p]
     h[p:, p:] = mat[p:, p:]
@@ -204,12 +158,11 @@ def as_chart_field(fd: FramePointData, field) -> Jet:
 def as_endo_field(fd: FramePointData, spec) -> Jet:
     """Normalize an endomorphism-field spec to a (d, d) frame-component jet.
 
-    Accepts a callable of FramePointData, a SkewEndo, or a constant frame
-    matrix.
+    Accepts a callable of FramePointData or a constant frame matrix.
     """
     if callable(spec):
         return spec(fd)
-    return fd.uspace.constant(_mat(spec))
+    return fd.uspace.constant(np.asarray(spec, dtype=float))
 
 
 def s_field_matrix(fd: FramePointData, Xc) -> Jet:
@@ -295,40 +248,12 @@ def curvature_prime_jet(fd: FramePointData, Xc, Yc) -> Jet:
     return RXY * fd.hmask - commutator_jet(Sx, Sy)
 
 
-# -- public pointwise operations ------------------------------------------------
+# -- the operator L at a point ---------------------------------------------------
 
 
-def _skew_endo_at(M: ImmersedSubmanifold, u, mat: np.ndarray) -> SkewEndo:
-    return SkewEndo(adapted_frame_at(M, u), 0.5 * (mat - mat.T), M.p)
-
-
-def _tangent_of_frame(fd: FramePointData, tfr: np.ndarray) -> TangentVectorM:
-    """Tangent vector from its p tangent-frame components."""
-    out = np.zeros(fd.d)
-    out[: fd.p] = tfr
-    amb = fd.ambient_components(out)
-    return TangentVectorM(amb, fd.chart_of_tangent(amb))
-
-
-def _tangent_of_chart(fd: FramePointData, xc: np.ndarray) -> TangentVectorM:
-    return TangentVectorM(fd.J.val @ xc, xc)
-
-
-def R_T(M: ImmersedSubmanifold, u, T, X) -> np.ndarray:
-    """sum_i R(e_i, T e_i) X, ambient components."""
-    fd = M.frame_data(u)
-    RT = rt_matrix_jet(fd, _mat(T)).val
-    return fd.ambient_components(RT @ fd.frame_components(as_ambient(X)))
-
-
-def S_Tm_vector(M: ImmersedSubmanifold, u, T) -> TangentVectorM:
-    fd = M.frame_data(u)
-    Tm = hm_split_mat(_mat(T), fd.p)[1]
-    return _tangent_of_frame(fd, s_tm_tangent_jet(fd, Tm).val)
-
-
-def L_op(M: ImmersedSubmanifold, u, Xf, Yf) -> TangentVectorM:
-    """L_X Y = (Q_{S_X}(Y) + Q_{S_Y}(X) + P^{-1} S_{S_{nabla'_X Y + nabla'_Y X}})/2."""
+def L_op(M: ImmersedSubmanifold, u, Xf, Yf) -> np.ndarray:
+    """L_X Y = (Q_{S_X}(Y) + Q_{S_Y}(X) + P^{-1} S_{S_{nabla'_X Y + nabla'_Y X}})/2,
+    in chart coefficients."""
     fd = M.frame_data(u)
     Xc, Yc = as_chart_field(fd, Xf), as_chart_field(fd, Yf)
     TX = s_field_matrix(fd, Xc)
@@ -339,20 +264,4 @@ def L_op(M: ImmersedSubmanifold, u, Xf, Yf) -> TangentVectorM:
     SZ = s_field_matrix(fd, Zc)
     svec = s_tm_tangent_jet(fd, SZ).val
     q3 = fd.C.val @ solve_P(fd, svec)
-    return _tangent_of_chart(fd, 0.5 * (q1 + q2 + q3))
-
-
-def Q_T(M: ImmersedSubmanifold, u, T, X) -> TangentVectorM:
-    """Q_T(X) = P^{-1}((R_T X)^T - S_{(nabla_X T)_m}) for an endo field T."""
-    fd = M.frame_data(u)
-    Tj = as_endo_field(fd, T)
-    xc = fd.chart_of_tangent(as_ambient(X))
-    return _tangent_of_chart(fd, q_t_chart_jet(fd, Tj, xc).val)
-
-
-def curvature_prime(M: ImmersedSubmanifold, u, X, Y) -> SkewEndo:
-    """R'(X, Y) = R(X,Y)_h - [S_X, S_Y] on the splitting-compatible connection."""
-    fd = M.frame_data(u)
-    xc = fd.chart_of_tangent(as_ambient(X))
-    yc = fd.chart_of_tangent(as_ambient(Y))
-    return _skew_endo_at(M, u, curvature_prime_jet(fd, xc, yc).val)
+    return 0.5 * (q1 + q2 + q3)

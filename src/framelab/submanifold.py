@@ -20,6 +20,13 @@ Downstream modules consume it directly. The second fundamental form of M
 is S on tangent vectors, read from Smats (operators.s_field_matrix along a
 tangent field): no vector is extended to a field to differentiate it.
 
+A vector at a frame is handled by its frame components: the adapted frame
+is orthonormal, so the metric is the identity in them. frame_components
+converts an ambient vector at one point, and E.val @ yfr converts frame
+components yfr back; the frame-bundle modules convert only where an
+ambient vector enters (frame_bundle.horizontal_lift and
+horizontal_lift_prime).
+
 Batch convention: `frame_data(u)` takes one point, u of shape (p,), or a
 batch of n points, u of shape (n, p). Every jet of the frame then leads
 with the batch axes u.shape[:-1], () for one point, followed by the
@@ -30,7 +37,6 @@ trace of `omn_geometry` pass the batch axes through in the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,11 +58,7 @@ from .jets import (
 __all__ = [
     "FrameError",
     "ImmersedSubmanifold",
-    "AdaptedFrame",
-    "TangentVectorM",
     "FramePointData",
-    "adapted_frame_at",
-    "as_ambient",
     "builtin_submanifold",
     "SUBMANIFOLD_BUILTINS",
     "GS_BREAKDOWN",
@@ -378,47 +380,10 @@ class FramePointData:
         t = jet_einsum("...mjkr,...rl->...mjkl", t, self.E)
         return jet_einsum("...im,...mjkl->...ijkl", self.Einv, t)
 
-    # -- numeric helpers, at a single point -------------------------------------
-
     def frame_components(self, Y) -> np.ndarray:
-        """Ambient components -> frame components at the point."""
+        """Frame components of an ambient vector Y at a single point; the
+        ambient components of frame components yfr are E.val @ yfr."""
         return self.Einv.val @ np.asarray(Y, dtype=float)
-
-    def ambient_components(self, yfr) -> np.ndarray:
-        return self.E.val @ np.asarray(yfr, dtype=float)
-
-    def chart_of_tangent(self, X) -> np.ndarray:
-        """Chart coefficients of a tangent vector given ambient components."""
-        return self.C.val @ self.frame_components(X)[: self.p]
-
-
-# -- public operations ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdaptedFrame:
-    u: np.ndarray
-    x: np.ndarray
-    vectors: np.ndarray  # columns e_1..e_{p+n}, ambient components
-    pivots: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TangentVectorM:
-    ambient: np.ndarray
-    chart: np.ndarray
-
-
-def as_ambient(v) -> np.ndarray:
-    """Ambient components of a TangentVectorM or an array."""
-    if isinstance(v, TangentVectorM):
-        return v.ambient
-    return np.asarray(v, dtype=float)
-
-
-def adapted_frame_at(M: ImmersedSubmanifold, u) -> AdaptedFrame:
-    fd = M.frame_data(u)
-    return AdaptedFrame(fd.u0.copy(), fd.x0.copy(), fd.E.val.copy(), M.pivots)
 
 
 # -- builtin catalog -------------------------------------------------------------

@@ -46,6 +46,7 @@ __all__ = [
     "VerificationReport",
     "TOL_LADDER",
     "DEFAULT_BUILTINS",
+    "WITNESS_FLOOR",
     "REQUIRED_GROUPS",
     "REGISTRY",
     "registry_ids",
@@ -282,8 +283,8 @@ def _ev_bundle_metric_compatibility(M, u, rng):
     lhs = jet_along(Xc, inner).val
     ynab = nabla_ON(M, u, "hh", Xc, Yc) + nabla_ON(M, u, "hv", Xc, TYf)
     znab = nabla_ON(M, u, "hh", Xc, Zc) + nabla_ON(M, u, "hv", Xc, TZf)
-    ypt = lifted(M, u, horizontal=fd.ambient_components(yF.val), vertical=TYj.val)
-    zpt = lifted(M, u, horizontal=fd.ambient_components(zF.val), vertical=TZj.val)
+    ypt = lifted(M, u, horizontal=yF.val, vertical=TYj.val)
+    zpt = lifted(M, u, horizontal=zF.val, vertical=TZj.val)
     rhs = sasaki_mok_inner(ynab, zpt) + sasaki_mok_inner(ypt, znab)
     return abs(float(lhs) - rhs), abs(float(lhs)), None
 
@@ -294,7 +295,7 @@ def _ev_deformed_connection_via_leibniz(M, u, rng):
     Yc = _affine_field(fd, rng)
     diff = (ops.vec_tilde_nabla_jet(fd, Xc, Yc) - ops.vec_nabla_prime_jet(fd, Xc, Yc)).val
     L = ops.L_op(M, u, Xc, Yc)
-    return float(np.max(np.abs(diff - L.chart))), float(np.max(np.abs(L.chart))), None
+    return float(np.max(np.abs(diff - L))), float(np.max(np.abs(L))), None
 
 
 def _ev_gil_medrano_pairing(M, u, rng):
@@ -340,8 +341,7 @@ def _ev_frame_decompositions(M, u, rng):
     fd = M.frame_data(u)
     worst, wit = 0.0, _witness_smax(fd)
     x = _unit_chart(fd, rng)
-    xa = fd.J.val @ x
-    hor = lifted(M, u, horizontal=xa)
+    hor = lifted(M, u, horizontal=ops.full_frame_field(fd, x).val)
     ver = lifted(M, u, vertical=_random_skew(fd.d, rng))
     for z in (hor, ver):
         tan, nor = decompose_OMN(z)
@@ -349,7 +349,7 @@ def _ev_frame_decompositions(M, u, rng):
         worst = max(
             worst,
             float(np.max(np.abs(rec.horizontal))),
-            float(np.max(np.abs(rec.vertical.mat))),
+            float(np.max(np.abs(rec.vertical))),
             abs(sasaki_mok_inner(tan, nor)),
         )
     return worst, wit, None
@@ -1099,7 +1099,7 @@ def jet_value(M: ImmersedSubmanifold, quantity: str, u):
         return ops.vec_tilde_nabla_jet(fd, Xc, Yc).val
     if quantity == "nabla_vec":
         yF = ops.full_frame_field(fd, Yc)
-        return fd.ambient_components(ops.ambient_deriv_frame(fd, Xc, yF).val)
+        return fd.E.val @ ops.ambient_deriv_frame(fd, Xc, yF).val
     if quantity == "curvature_ambient":
         return fd.Rfr.val
     if quantity == "curvature_prime":

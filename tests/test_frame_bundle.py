@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from framelab import operators as ops
+from framelab.ambient import metric_at
 from framelab.expr import eval_expr, parse
 from framelab.frame_bundle import (
     FrameBundleError,
@@ -19,11 +20,18 @@ from framelab.frame_bundle import (
     sasaki_mok_inner,
     tangent_generators,
 )
-from framelab.gauss_map import GaussMapError, grassmann_nabla, tension_field
+from framelab.gauss_map import GaussMapError, grassmann_nabla, grassmann_vector, tension_field
 from framelab.jets import jet_einsum, jstack
-from framelab.omn_geometry import OmnError, curvature_OMN, nabla_OMN, second_fundamental_OMN
+from framelab.omn_geometry import (
+    OmnError,
+    curvature_OMN,
+    mean_curvature_OMN,
+    nabla_OMN,
+    omn_plane,
+    second_fundamental_OMN,
+)
 from framelab.operators import basis_T
-from framelab.submanifold import adapted_frame_at, builtin_submanifold
+from framelab.submanifold import builtin_submanifold
 
 ALL_BUILTINS = [
     ("plane", np.array([0.3, -0.5])),
@@ -64,20 +72,43 @@ def varying_skew_field(mat):
 # -- construction and the metric ---------------------------------------------
 
 
-def test_lifted_rejects_symmetric_vertical():
-    M = builtin_submanifold("sphere2")
-    with pytest.raises(Exception):
-        lifted(M, np.array([1.0, 0.5]), vertical=np.eye(3))
-
-
 def test_horizontal_vertical_orthogonal():
     rng = np.random.default_rng(0)
     M = builtin_submanifold("clifford")
     u = np.array([0.4, -0.7])
     fd = M.frame_data(u)
-    h = horizontal_lift(M, u, fd.ambient_components(rng.normal(size=3)))
+    h = horizontal_lift(M, u, fd.E.val @ rng.normal(size=3))
     v = lifted(M, u, vertical=random_skew(rng, 3))
     assert sasaki_mok_inner(h, v) == 0.0
+
+
+@pytest.mark.parametrize(
+    "name,u",
+    [("great2(0.5)", np.array([0.2, -0.4])), ("clifford", np.array([0.4, -0.7]))],
+)
+def test_horizontal_lifts_pair_by_the_ambient_metric(name, u):
+    """horizontal_lift converts an ambient vector to frame components once,
+    and on a curved ambient the metric pairs those by the identity as G
+    pairs the ambient vectors at the base point."""
+    rng = np.random.default_rng(9)
+    M = builtin_submanifold(name)
+    G = metric_at(M.ambient, M.frame_data(u).x0)
+    assert np.max(np.abs(G - np.eye(3))) > 1e-2
+    for _ in range(3):
+        X, Y = rng.normal(size=(2, 3))
+        got = sasaki_mok_inner(horizontal_lift(M, u, X), horizontal_lift(M, u, Y))
+        assert abs(got - X @ G @ Y) < 1e-12
+
+
+@pytest.mark.parametrize("name,u", ALL_BUILTINS)
+def test_horizontal_lift_prime_takes_ambient_or_chart_input(name, u):
+    rng = np.random.default_rng(10)
+    M = builtin_submanifold(name)
+    xc = rng.normal(size=M.p)
+    from_chart = horizontal_lift_prime(M, u, xc)
+    from_ambient = horizontal_lift_prime(M, u, M.frame_data(u).J.val @ xc)
+    assert from_chart.norm() > 0.1
+    assert (from_chart - from_ambient).norm() < 1e-12
 
 
 def test_vertical_basis_norm():
@@ -91,7 +122,7 @@ def test_circle_primed_lift_norm():
     """1 from the horizontal part plus 2 from the S-matrix."""
     M = builtin_submanifold("circle")
     u = np.array([0.3])
-    e1 = adapted_frame_at(M, u).vectors[0]
+    e1 = M.frame_data(u).E.val[:, 0]
     v = horizontal_lift_prime(M, u, e1)
     assert abs(sasaki_mok_inner(v, v) - 3.0) < 1e-12
 
@@ -104,9 +135,9 @@ def test_vertical_of_S_has_zero_diagonal_blocks():
     T_amb = fd.E.val @ smat @ fd.Einv.val
     v = lifted(M, u, vertical=fd.Einv.val @ T_amb @ fd.E.val)
     p = fd.p
-    assert np.max(np.abs(v.vertical.mat[:p, :p])) < 1e-10
-    assert np.max(np.abs(v.vertical.mat[p:, p:])) < 1e-10
-    assert np.max(np.abs(v.vertical.mat - smat)) < 1e-10
+    assert np.max(np.abs(v.vertical[:p, :p])) < 1e-10
+    assert np.max(np.abs(v.vertical[p:, p:])) < 1e-10
+    assert np.max(np.abs(v.vertical - smat)) < 1e-10
 
 
 def test_vertical_components_equivariance():
@@ -140,20 +171,20 @@ def test_nabla_ON_flat_reductions():
     Tp = random_skew(rng, 3)
 
     hh = nabla_ON(M, u, "hh", Xf, Yf)
-    assert np.max(np.abs(hh.vertical.mat)) < 1e-12
+    assert np.max(np.abs(hh.vertical)) < 1e-12
 
     vh = nabla_ON(M, u, "vh", T, Xf)
     assert np.max(np.abs(vh.horizontal)) < 1e-12
-    assert np.max(np.abs(vh.vertical.mat)) < 1e-12
+    assert np.max(np.abs(vh.vertical)) < 1e-12
 
     hv = nabla_ON(M, u, "hv", Xf, T)
     assert np.max(np.abs(hv.horizontal)) < 1e-12
     # constant frame components over the plane: nabla_X T = 0
-    assert np.max(np.abs(hv.vertical.mat)) < 1e-12
+    assert np.max(np.abs(hv.vertical)) < 1e-12
 
     vv = nabla_ON(M, u, "vv", T, Tp)
     want = 0.5 * (Tp @ T - T @ Tp)
-    assert np.max(np.abs(vv.vertical.mat - want)) < 1e-12
+    assert np.max(np.abs(vv.vertical - want)) < 1e-12
     assert np.max(np.abs(vv.horizontal)) < 1e-12
 
 
@@ -165,7 +196,7 @@ def test_nabla_ON_vertical_commutator_value():
     out = nabla_ON(M, u, "vv", T, Tp)
     comm = Tp @ T - T @ Tp
     assert np.max(np.abs(comm - basis_T(4, 1, 2) / np.sqrt(2.0))) < 1e-15
-    assert np.max(np.abs(out.vertical.mat - 0.5 * comm)) < 1e-15
+    assert np.max(np.abs(out.vertical - 0.5 * comm)) < 1e-15
 
 
 def test_nabla_ON_torsion_identity():
@@ -178,14 +209,13 @@ def test_nabla_ON_torsion_identity():
         b = nabla_ON(M, u, "hh", Yf, Xf)
         Xc = ops.as_chart_field(fd, Xf)
         Yc = ops.as_chart_field(fd, Yf)
-        br = ops.bracket_jet(fd, Xc, Yc).val
-        br_amb = fd.J.val @ br
+        br = ops.full_frame_field(fd, ops.bracket_jet(fd, Xc, Yc).val).val
         diff_h = a.horizontal - b.horizontal
-        assert np.max(np.abs(diff_h - br_amb)) < 1e-7
+        assert np.max(np.abs(diff_h - br)) < 1e-7
         xfr = fd.Dmat.val @ Xc.val
         yfr = fd.Dmat.val @ Yc.val
         Rm = np.einsum("ijkl,k,l->ij", fd.Rfr.val[:, :, : fd.p, : fd.p], xfr, yfr)
-        diff_v = a.vertical.mat - b.vertical.mat
+        diff_v = a.vertical - b.vertical
         assert np.max(np.abs(diff_v + Rm)) < 1e-7
 
 
@@ -207,13 +237,13 @@ def test_nabla_ON_metric_compatibility(name, u):
     AW = varying_skew_field(random_skew(rng, d))
 
     Xc = ops.as_chart_field(fd, Xf)
-    f = (yV(fd) * yW(fd)).sum(-1) - ops.jet_einsum("ij,ji->", AV(fd), AW(fd))
+    f = (yV(fd) * yW(fd)).sum(-1) - jet_einsum("ij,ji->", AV(fd), AW(fd))
     lhs = sum(Xc.val[a] * f.d(a).val for a in range(fd.p))
 
     dV = nabla_ON_section(M, u, Xf, yV, AV)
     dW = nabla_ON_section(M, u, Xf, yW, AW)
-    V0 = lifted(M, u, horizontal=fd.ambient_components(yV(fd).val), vertical=AV(fd).val)
-    W0 = lifted(M, u, horizontal=fd.ambient_components(yW(fd).val), vertical=AW(fd).val)
+    V0 = lifted(M, u, horizontal=yV(fd).val, vertical=AV(fd).val)
+    W0 = lifted(M, u, horizontal=yW(fd).val, vertical=AW(fd).val)
     rhs = sasaki_mok_inner(dV, W0) + sasaki_mok_inner(V0, dW)
     assert abs(lhs - rhs) < 1e-7
 
@@ -285,6 +315,9 @@ def test_unknown_case_is_refused():
 
 
 X2, T3 = [1.0, 0.0], basis_T(3, 0, 1)
+# three points of sphere2: a lifted vector lives at the frame of one point
+U3 = np.array([[1.1, 0.6], [1.0, 0.5], [0.9, 0.3]])
+ONE_POINT = re.escape("u must be one point of shape (2,), got (3, 2)")
 
 
 @pytest.mark.parametrize(
@@ -298,7 +331,15 @@ X2, T3 = [1.0, 0.0], basis_T(3, 0, 1)
         (lambda M, u: curvature_OMN(M, u, "hhh", X2, X2), OmnError, "takes 3 arguments, got 2"),
         (lambda M, u: lifted(M, u, horizontal=[1.0, 2.0]), FrameBundleError, re.escape("shape (3,)")),
         (lambda M, u: lifted(M, u, vertical=np.zeros((2, 2))), FrameBundleError, re.escape("shape (3, 3)")),
+        (lambda M, u: lifted(M, u, vertical=np.eye(3)), FrameBundleError, "not antisymmetric"),
+        (lambda M, u: grassmann_vector(M, u, vertical=np.zeros((2, 2))), FrameBundleError, re.escape("shape (3, 3)")),
         (lambda M, u: tension_field(M, u, rotation=np.eye(3)), GaussMapError, re.escape("shape (2, 2)")),
+        (lambda M, u: lifted(M, U3), FrameBundleError, ONE_POINT),
+        (lambda M, u: nabla_OMN(M, U3, "hh", X2, X2), FrameBundleError, ONE_POINT),
+        (lambda M, u: curvature_OMN(M, U3, "hhh", X2, X2, X2), FrameBundleError, ONE_POINT),
+        (lambda M, u: mean_curvature_OMN(M, U3), FrameBundleError, ONE_POINT),
+        (lambda M, u: tension_field(M, U3), FrameBundleError, ONE_POINT),
+        (lambda M, u: omn_plane(M, U3, ("hprime", X2), ("hprime", [0.0, 1.0])), FrameBundleError, ONE_POINT),
     ],
     ids=[
         "nabla_ON",
@@ -309,7 +350,15 @@ X2, T3 = [1.0, 0.0], basis_T(3, 0, 1)
         "curvature_OMN",
         "lifted-horizontal",
         "lifted-vertical",
+        "lifted-vertical-not-antisymmetric",
+        "grassmann_vector-vertical",
         "tension_field-rotation",
+        "lifted-batch",
+        "nabla_OMN-batch",
+        "curvature_OMN-batch",
+        "mean_curvature_OMN-batch",
+        "tension_field-batch",
+        "omn_plane-batch",
     ],
 )
 def test_wrong_arity_or_shape_is_refused(call, error, match):
@@ -329,24 +378,25 @@ def test_decompose_plane_tangent_untouched():
     v = horizontal_lift(M, u, np.array([1.0, 2.0, 0.0]))
     t, n = decompose_OMN(v)
     assert np.max(np.abs(t.horizontal - v.horizontal)) < 1e-12
-    assert np.max(np.abs(t.vertical.mat)) < 1e-12
+    assert np.max(np.abs(t.vertical)) < 1e-12
     assert np.max(np.abs(n.horizontal)) < 1e-12
-    assert np.max(np.abs(n.vertical.mat)) < 1e-12
+    assert np.max(np.abs(n.vertical)) < 1e-12
 
 
 def test_decompose_circle_horizontal_lift():
     """e1^h splits into (1/3)e1^{h'} and the S-corrected remainder."""
     M = builtin_submanifold("circle")
     u = np.array([0.3])
-    e1 = adapted_frame_at(M, u).vectors[0]
+    e1 = M.frame_data(u).E.val[:, 0]
     t, n = decompose_OMN(horizontal_lift(M, u, e1))
     third = (1.0 / 3.0) * horizontal_lift_prime(M, u, e1)
     assert np.max(np.abs(t.horizontal - third.horizontal)) < 1e-12
-    assert np.max(np.abs(t.vertical.mat - third.vertical.mat)) < 1e-12
-    assert np.max(np.abs(n.horizontal - (2.0 / 3.0) * e1)) < 1e-12
+    assert np.max(np.abs(t.vertical - third.vertical)) < 1e-12
+    # e1 has frame components (1, 0)
+    assert np.max(np.abs(n.horizontal - (2.0 / 3.0) * np.array([1.0, 0.0]))) < 1e-12
     fd = M.frame_data(u)
     smat = ops.s_field_matrix(fd, fd.uspace.constant(np.array([1.0]))).val
-    assert np.max(np.abs(n.vertical.mat + smat / 3.0)) < 1e-12
+    assert np.max(np.abs(n.vertical + smat / 3.0)) < 1e-12
 
 
 def test_decompose_h_type_vertical_is_tangent():
@@ -354,8 +404,8 @@ def test_decompose_h_type_vertical_is_tangent():
     u = np.array([0.2, 0.1, -0.4])
     v = lifted(M, u, vertical=basis_T(4, 0, 1))
     t, n = decompose_OMN(v)
-    assert np.max(np.abs(t.vertical.mat - v.vertical.mat)) < 1e-12
-    assert np.max(np.abs(n.vertical.mat)) < 1e-12
+    assert np.max(np.abs(t.vertical - v.vertical)) < 1e-12
+    assert np.max(np.abs(n.vertical)) < 1e-12
     assert np.max(np.abs(n.horizontal)) < 1e-12
 
 
@@ -369,18 +419,18 @@ def test_decompose_reconstructs_and_orthogonal(name, u):
         v = lifted(
             M,
             u,
-            horizontal=fd.ambient_components(rng.normal(size=d)),
+            horizontal=rng.normal(size=d),
             vertical=random_skew(rng, d),
         )
         t, n = decompose_OMN(v)
         assert np.max(np.abs(t.horizontal + n.horizontal - v.horizontal)) < 1e-12
-        assert np.max(np.abs(t.vertical.mat + n.vertical.mat - v.vertical.mat)) < 1e-12
+        assert np.max(np.abs(t.vertical + n.vertical - v.vertical)) < 1e-12
         assert abs(sasaki_mok_inner(t, n)) < 1e-10
         t2, n2 = decompose_OMN(t)
         assert np.max(np.abs(t2.horizontal - t.horizontal)) < 1e-10
-        assert np.max(np.abs(t2.vertical.mat - t.vertical.mat)) < 1e-10
+        assert np.max(np.abs(t2.vertical - t.vertical)) < 1e-10
         assert np.max(np.abs(n2.horizontal)) < 1e-10
-        assert np.max(np.abs(n2.vertical.mat)) < 1e-10
+        assert np.max(np.abs(n2.vertical)) < 1e-10
 
 
 @pytest.mark.parametrize("name,u", ALL_BUILTINS)
@@ -393,7 +443,7 @@ def test_decompose_against_generators(name, u):
     v = lifted(
         M,
         u,
-        horizontal=fd.ambient_components(rng.normal(size=fd.d)),
+        horizontal=rng.normal(size=fd.d),
         vertical=random_skew(rng, fd.d),
     )
     t, n = decompose_OMN(v)

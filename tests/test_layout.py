@@ -1,8 +1,10 @@
 """Module layout of the framelab package, read from its source.
 
 A module, and a test module, uses a framelab module's public names only: no
-`from .mod import _name` and no `mod._name` on an imported framelab module.
-Every name a module lists in `__all__` exists. Only `jets` calls `Jet(...)`.
+`from .mod import _name` and no `mod._name` on an imported framelab module,
+and every public name it imports from a framelab module, or reads as
+`mod.name` on one, is in that module's `__all__`. Every name a module lists
+in `__all__` exists. Only `jets` calls `Jet(...)`.
 A framelab module reads every name it imports with `from ... import`, or
 re-exports it in `__all__`.
 """
@@ -80,6 +82,68 @@ def test_scan_sees_cross_module_privates():
     )
     found = _cross_module_privates(ast.parse(src))
     assert found == ["line 2: from frame_bundle import _full_frame_field", "line 3: ops._mat"]
+
+
+def _framelab_module(node: ast.ImportFrom) -> str | None:
+    """The framelab module a framelab `from ... import` reads from, or None
+    when it imports from the package itself."""
+    if node.level > 0:
+        return node.module
+    parts = node.module.split(".")
+    return parts[1] if len(parts) > 1 else None
+
+
+def _names_missing_from_all(tree: ast.Module) -> list[str]:
+    """Public names that a source imports from a framelab module, or reads
+    as `mod.name` on an imported framelab module, and that the module does
+    not list in `__all__`."""
+    used = []
+    module_aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_framelab(node):
+            mod = _framelab_module(node)
+            for alias in node.names:
+                if mod is not None:
+                    used.append((node.lineno, mod, alias.name))
+                elif alias.name in MODULES:
+                    module_aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "framelab" and len(parts) == 2 and alias.asname:
+                    module_aliases[alias.asname] = parts[1]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in module_aliases
+        ):
+            used.append((node.lineno, module_aliases[node.value.id], node.attr))
+    found = []
+    for line, mod, name in sorted(used):
+        exported = getattr(importlib.import_module(f"framelab.{mod}"), "__all__", ())
+        if not _private(name) and name not in exported:
+            found.append(f"line {line}: {mod}.{name}")
+    return found
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_names_used_across_modules_are_exported(name):
+    assert _names_missing_from_all(ast.parse(SOURCES[name].read_text())) == []
+
+
+def test_scan_sees_names_missing_from_all():
+    src = (
+        "from . import operators as ops\n"
+        "from .jets import jet_einsum, jet_kernel\n"
+        "from framelab.verify import REGISTRY\n"
+        "x = ops.skew_inner(a, b) + ops.skew_outer + ops._mat(a)\n"
+        "import framelab.gauss_map as gm\n"
+        "y = gm.tension_field, gm.tension\n"
+        "from . import __version__\n"
+    )
+    found = _names_missing_from_all(ast.parse(src))
+    assert found == ["line 2: jets.jet_kernel", "line 4: operators.skew_outer", "line 6: gauss_map.tension"]
 
 
 def _jet_constructor_calls(tree: ast.Module) -> list[int]:

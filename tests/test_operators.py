@@ -6,23 +6,11 @@ import pytest
 from framelab import operators as ops
 from framelab.ambient import curvature_at, euclidean
 from framelab.gauss_map import theorem_check
-from framelab.frame_bundle import decompose_OMN, lifted
+from framelab.frame_bundle import decompose_OMN, horizontal_lift
 from framelab.jets import jet_einsum, jstack
 from framelab.omn_geometry import mean_curvature_OMN, second_fundamental_OMN
-from framelab.operators import (
-    L_op,
-    OperatorError,
-    Q_T,
-    R_T,
-    S_Tm_vector,
-    SkewEndo,
-    basis_T,
-    curvature_prime,
-    hm_decompose,
-    hm_split_mat,
-    skew_inner,
-)
-from framelab.submanifold import ImmersedSubmanifold, adapted_frame_at, builtin_submanifold
+from framelab.operators import L_op, OperatorError, basis_T, hm_split_mat, skew_inner
+from framelab.submanifold import ImmersedSubmanifold, builtin_submanifold
 
 CURVED = [
     ("sphere2", np.array([1.0, 0.5])),
@@ -46,32 +34,13 @@ def const_endo(mat):
     return lambda fd: fd.uspace.constant(mat)
 
 
-def varying_endo(mat):
-    """Endo field with frame components scaled by a coordinate function."""
-
-    def endo(fd):
-        s = 1.0 + 0.3 * fd.uv[0]
-        if fd.p > 1:
-            s = s + 0.2 * fd.uv[0] * fd.uv[1]
-        return s * fd.uspace.constant(mat)
-
-    return endo
-
-
 FIELD_PAIRS_2D = [
     (["u2", "1+u1*u2"], ["sin(u1)", "u2-u1"]),
     (["1", "0"], ["u1*u1", "cos(u2)"]),
 ]
 
 
-# -- SkewEndo and the inner product ----------------------------------------
-
-
-def test_skew_endo_rejects_non_antisymmetric():
-    M = builtin_submanifold("sphere2")
-    fr = adapted_frame_at(M, np.array([1.0, 0.5]))
-    with pytest.raises(OperatorError):
-        SkewEndo(fr, np.eye(3), 2)
+# -- the h/m split and the inner product ----------------------------------
 
 
 def _thin_cylinder():
@@ -85,7 +54,7 @@ def _thin_cylinder():
     [
         lambda M, u, X: L_op(M, u, [1.0, 0.5], [0.2, 1.0]),
         lambda M, u, X: ops.solve_P(M.frame_data(u), [1.0, 0.5]),
-        lambda M, u, X: decompose_OMN(lifted(M, u, horizontal=X)),
+        lambda M, u, X: decompose_OMN(horizontal_lift(M, u, X)),
         lambda M, u, X: second_fundamental_OMN(M, u, "hh", [1.0, 0.0], [0.0, 1.0]),
         lambda M, u, X: mean_curvature_OMN(M, u),
         lambda M, u, X: theorem_check(M, samples=4),
@@ -110,31 +79,26 @@ def test_numerically_singular_P_is_refused(call):
 
 def test_hm_parts_reconstruct():
     rng = np.random.default_rng(0)
-    M = builtin_submanifold("sphere2")
-    fr = adapted_frame_at(M, np.array([1.0, 0.5]))
-    T = SkewEndo(fr, random_skew(rng, 3), 2)
-    assert np.array_equal(T.h_part + T.m_part, T.mat)
-    Th, Tm = hm_decompose(T)
-    assert np.array_equal(Th.mat + Tm.mat, T.mat)
+    T = random_skew(rng, 3)
+    Th, Tm = hm_split_mat(T, 2)
+    assert np.array_equal(Th + Tm, T)
     # mixed parts are orthogonal exactly: disjoint support
     assert skew_inner(Th, Tm) == 0.0
 
 
-def test_hm_decompose_blocks():
+def test_hm_split_blocks():
     rng = np.random.default_rng(1)
-    M = builtin_submanifold("sphere2")
-    fr = adapted_frame_at(M, np.array([1.0, 0.5]))
     off = np.zeros((3, 3))
     off[2, :2] = rng.normal(size=2)
     off = off - off.T
-    Th, Tm = hm_decompose(SkewEndo(fr, off, 2))
-    assert np.max(np.abs(Th.mat)) == 0.0
-    assert np.array_equal(Tm.mat, off)
+    Th, Tm = hm_split_mat(off, 2)
+    assert np.max(np.abs(Th)) == 0.0
+    assert np.array_equal(Tm, off)
     diag = np.zeros((3, 3))
     diag[0, 1], diag[1, 0] = 1.0, -1.0
-    Th, Tm = hm_decompose(SkewEndo(fr, diag, 2))
-    assert np.array_equal(Th.mat, diag)
-    assert np.max(np.abs(Tm.mat)) == 0.0
+    Th, Tm = hm_split_mat(diag, 2)
+    assert np.array_equal(Th, diag)
+    assert np.max(np.abs(Tm)) == 0.0
 
 
 def test_basis_elements_unit_norm():
@@ -156,9 +120,8 @@ def test_ad_invariance():
 
 def test_R_T_flat_ambient_vanishes():
     rng = np.random.default_rng(3)
-    M = builtin_submanifold("catenoid")
-    u = np.array([0.35, -0.2])
-    out = R_T(M, u, random_skew(rng, 3), rng.normal(size=3))
+    fd = builtin_submanifold("catenoid").frame_data(np.array([0.35, -0.2]))
+    out = ops.rt_matrix_jet(fd, random_skew(rng, 3)).val
     assert np.max(np.abs(out)) < 1e-14
 
 
@@ -171,8 +134,7 @@ def test_R_T_space_form_value(kappa):
     fd = M.frame_data(u)
     T = random_skew(rng, 3)
     xfr = rng.normal(size=3)
-    X = fd.ambient_components(xfr)
-    got = fd.frame_components(R_T(M, u, T, X))
+    got = ops.rt_matrix_jet(fd, T).val @ xfr
     want = -2.0 * kappa * (T @ xfr)
     assert np.max(np.abs(got - want)) < 1e-8
 
@@ -189,13 +151,15 @@ def test_R_T_frame_rotation_invariance():
     d = fd.d
     Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     T = random_skew(rng, d)
-    X = fd.ambient_components(rng.normal(size=d))
+    xfr = rng.normal(size=d)
+    X = fd.E.val @ xfr
     F = fd.E.val @ Q  # the rotated frame f_b, ambient components
     TF = fd.E.val @ T @ Q  # T f_b
     R = curvature_at(M.ambient, fd.x0)
     want = sum(R.apply(F[:, b], TF[:, b], X) for b in range(d))
     assert np.max(np.abs(want)) > 0.1
-    assert np.max(np.abs(R_T(M, u, T, X) - want)) < 1e-10
+    got = fd.E.val @ (ops.rt_matrix_jet(fd, T).val @ xfr)
+    assert np.max(np.abs(got - want)) < 1e-10
     rotated = SimpleNamespace(
         Rfr=fd.uspace.constant(np.einsum("ia,jb,kc,ld,ijkl->abcd", Q, Q, Q, Q, fd.Rfr.val))
     )
@@ -208,20 +172,18 @@ def test_R_T_frame_rotation_invariance():
 
 def test_S_Tm_plane_zero():
     rng = np.random.default_rng(7)
-    M = builtin_submanifold("plane")
-    v = S_Tm_vector(M, np.array([0.3, 0.4]), random_skew(rng, 3))
-    assert np.max(np.abs(v.ambient)) == 0.0
+    fd = builtin_submanifold("plane").frame_data(np.array([0.3, 0.4]))
+    v = ops.s_tm_tangent_jet(fd, random_skew(rng, 3)).val
+    assert np.max(np.abs(v)) == 0.0
 
 
 def test_S_Tm_circle_value():
     """S_{S_{e1}} = 2 S_{e1}^2 e1 = -2 e1 on the unit circle."""
-    M = builtin_submanifold("circle")
-    u = np.array([0.3])
-    fd = M.frame_data(u)
+    fd = builtin_submanifold("circle").frame_data(np.array([0.3]))
     Smat = fd.omega.val[0] * fd.mmask
-    v = S_Tm_vector(M, u, Smat)
-    e1 = adapted_frame_at(M, u).vectors[0]
-    assert np.max(np.abs(v.ambient + 2.0 * e1)) < 1e-12
+    v = ops.s_tm_tangent_jet(fd, Smat).val
+    assert v.shape == (1,)
+    assert abs(v[0] + 2.0) < 1e-12
 
 
 # -- P and the modified metric ---------------------------------------------
@@ -254,22 +216,6 @@ def test_P_symmetric_positive_and_inverse(name, u):
     # the jet route solves the same system
     xj = fd.uspace.constant(xfr)
     assert np.max(np.abs(ops.solve_P(fd, xj).val - ops.solve_P(fd, xfr))) < 1e-14
-
-
-def test_pointwise_operators_accept_their_own_output():
-    """Q_T returns a TangentVectorM; the pointwise operations take it as they
-    take its ambient components."""
-    M = builtin_submanifold("sphere2")
-    u = np.array([1.0, 0.5])
-    fd = M.frame_data(u)
-    X = tangent_from_chart(fd, [0.4, -1.1])
-    T = basis_T(3, 0, 2)
-    QX = Q_T(M, u, varying_endo(T), X)
-    amb = QX.ambient
-    assert np.max(np.abs(amb)) > 1e-3
-    assert np.array_equal(R_T(M, u, T, QX), R_T(M, u, T, amb))
-    assert np.array_equal(Q_T(M, u, T, QX).ambient, Q_T(M, u, T, amb).ambient)
-    assert np.array_equal(curvature_prime(M, u, QX, X).mat, curvature_prime(M, u, amb, X).mat)
 
 
 def test_modified_metric_scaling():
@@ -352,22 +298,22 @@ def test_p_derivative_expansion():
     assert abs(lhs) > 1e-3  # catenoid really bends: the identity is not vacuous
 
 
+def L_ambient(name, u):
+    """L_X Y for the first field pair, ambient components."""
+    M = builtin_submanifold(name)
+    return M.frame_data(u).J.val @ L_op(M, u, *FIELD_PAIRS_2D[0])
+
+
 def test_L_plane_zero():
-    M = builtin_submanifold("plane")
-    out = L_op(M, np.array([0.2, -0.3]), *FIELD_PAIRS_2D[0])
-    assert np.max(np.abs(out.ambient)) < 1e-12
+    assert np.max(np.abs(L_ambient("plane", np.array([0.2, -0.3])))) < 1e-12
 
 
 def test_L_sphere_zero():
-    M = builtin_submanifold("sphere2")
-    out = L_op(M, np.array([1.0, 0.5]), *FIELD_PAIRS_2D[0])
-    assert np.max(np.abs(out.ambient)) < 1e-7
+    assert np.max(np.abs(L_ambient("sphere2", np.array([1.0, 0.5])))) < 1e-7
 
 
 def test_L_nonvacuous_on_catenoid():
-    M = builtin_submanifold("catenoid")
-    out = L_op(M, np.array([0.35, -0.2]), *FIELD_PAIRS_2D[0])
-    assert np.max(np.abs(out.ambient)) > 1e-2
+    assert np.max(np.abs(L_ambient("catenoid", np.array([0.35, -0.2])))) > 1e-2
 
 
 # -- Q_T -----------------------------------------------------------------------
@@ -375,10 +321,10 @@ def test_L_nonvacuous_on_catenoid():
 
 def test_Q_T_plane_zero():
     rng = np.random.default_rng(14)
-    M = builtin_submanifold("plane")
-    T = random_skew(rng, 3)
-    out = Q_T(M, np.array([0.2, -0.3]), T, np.array([1.0, -2.0, 0.0]))
-    assert np.max(np.abs(out.ambient)) < 1e-12
+    fd = builtin_submanifold("plane").frame_data(np.array([0.2, -0.3]))
+    Tj = ops.as_endo_field(fd, random_skew(rng, 3))
+    out = ops.q_t_chart_jet(fd, Tj, np.array([1.0, -2.0])).val
+    assert np.max(np.abs(out)) < 1e-12
 
 
 @pytest.mark.parametrize("name,u", CURVED)
@@ -391,11 +337,9 @@ def test_Q_T_h_duality(name, u):
     for _ in range(3):
         Th = hm_split_mat(random_skew(rng, d), p)[0]
         xc, yc = rng.normal(size=p), rng.normal(size=p)
-        X = tangent_from_chart(fd, xc)
-        Y = tangent_from_chart(fd, yc)
-        q = Q_T(M, u, Th, X)
-        lhs = q.chart @ fd.gt_chart.val @ yc
-        rhs = skew_inner(curvature_prime(M, u, X, Y).mat, Th)
+        q = ops.q_t_chart_jet(fd, ops.as_endo_field(fd, Th), xc).val
+        lhs = q @ fd.gt_chart.val @ yc
+        rhs = skew_inner(ops.curvature_prime_jet(fd, xc, yc).val, Th)
         assert abs(lhs - rhs) < 1e-7
 
 
@@ -404,10 +348,8 @@ def test_Q_T_h_duality_nonvacuous():
     u = np.array([0.35, -0.2])
     fd = M.frame_data(u)
     Th = basis_T(3, 0, 1)
-    X = tangent_from_chart(fd, [1.0, 0.0])
-    Y = tangent_from_chart(fd, [0.0, 1.0])
-    q = Q_T(M, u, Th, X)
-    assert abs(q.chart @ fd.gt_chart.val @ np.array([0.0, 1.0])) > 1e-3
+    q = ops.q_t_chart_jet(fd, ops.as_endo_field(fd, Th), np.array([1.0, 0.0])).val
+    assert abs(q @ fd.gt_chart.val @ np.array([0.0, 1.0])) > 1e-3
 
 
 @pytest.mark.parametrize("name,u", CURVED)
@@ -440,19 +382,16 @@ def test_Q_T_m_duality(name, u):
 
 
 def test_curvature_prime_plane_zero():
-    M = builtin_submanifold("plane")
-    out = curvature_prime(M, np.array([0.2, -0.3]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-    assert np.max(np.abs(out.mat)) < 1e-14
+    fd = builtin_submanifold("plane").frame_data(np.array([0.2, -0.3]))
+    out = ops.curvature_prime_jet(fd, np.array([1.0, 0.0]), np.array([0.0, 1.0])).val
+    assert np.max(np.abs(out)) < 1e-14
 
 
 def test_curvature_prime_sphere_sectional():
     """Tangent block of R' on the round sphere has sectional curvature 1."""
-    M = builtin_submanifold("sphere2")
-    u = np.array([1.0, 0.5])
-    fd = M.frame_data(u)
-    e1 = fd.ambient_components(np.array([1.0, 0.0, 0.0]))
-    e2 = fd.ambient_components(np.array([0.0, 1.0, 0.0]))
-    Rp = curvature_prime(M, u, e1, e2).mat
+    fd = builtin_submanifold("sphere2").frame_data(np.array([1.0, 0.5]))
+    # chart coefficients of the frame vectors e1 and e2
+    Rp = ops.curvature_prime_jet(fd, fd.C.val[:, 0], fd.C.val[:, 1]).val
     # g(R'(e1,e2)e2, e1) = Rp[0,1] applied to frame coords
     assert abs((Rp @ np.array([0.0, 1.0, 0.0]))[0] - 1.0) < 1e-8
 

@@ -2,8 +2,8 @@
 
 test_registry_case_holds is the Tier-1 home of every identity that
 verify.REGISTRY states: each case must run, on every default builtin it
-applies to, and hold at roundoff. The per-module tests keep closed-form
-values, error paths, the pointwise wrappers' conversions and the routes the
+applies to, and hold at roundoff; it also fails on any row that crashed.
+The per-module tests keep closed-form values, error paths and the routes the
 registry does not take.
 """
 
@@ -54,11 +54,6 @@ GRAPH4_AMBIENTS = {"graph4-euclidean(5)": euclidean(5), "graph4-sphere(2)": sphe
 @pytest.fixture(scope="module")
 def report():
     return verify.run_suite(builtins=verify.DEFAULT_BUILTINS, samples=5)
-
-
-def test_every_row_completes(report):
-    crashed = [(r.case_id, r.builtin, r.point, r.error) for r in report.results if r.residual is None]
-    assert crashed == []
 
 
 @pytest.mark.parametrize("case", verify.REGISTRY, ids=verify.registry_ids())
