@@ -6,7 +6,7 @@ import pytest
 from framelab import operators as ops
 from framelab.ambient import curvature_at, euclidean
 from framelab.gauss_map import theorem_check
-from framelab.frame_bundle import decompose_OMN, horizontal_lift
+from framelab.frame_bundle import FrameBundleError, decompose_OMN, horizontal_lift, lifted
 from framelab.jets import jet_einsum, jstack
 from framelab.omn_geometry import mean_curvature_OMN, second_fundamental_OMN
 from framelab.operators import L_op, OperatorError, basis_T, hm_split_mat, skew_inner
@@ -75,6 +75,19 @@ def test_numerically_singular_P_is_refused(call):
     assert np.linalg.cond(fd.Pfr.val) > 1e12
     with pytest.raises(OperatorError):
         call(M, u, tangent_from_chart(fd, [1.0, 0.5]))
+
+
+def test_skew_endo_rejects_non_antisymmetric():
+    """A vertical part is a skew endomorphism: one entry off by 1e-9 from a
+    skew matrix is refused, the skew matrix itself is taken as given."""
+    M = builtin_submanifold("sphere2")
+    u = np.array([1.0, 0.5])
+    T = random_skew(np.random.default_rng(3), 3)
+    assert np.array_equal(lifted(M, u, vertical=T).vertical, T)
+    bad = T.copy()
+    bad[0, 2] += 1e-9
+    with pytest.raises(FrameBundleError, match="not antisymmetric"):
+        lifted(M, u, vertical=bad)
 
 
 def test_hm_parts_reconstruct():
