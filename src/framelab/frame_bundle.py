@@ -7,8 +7,8 @@ frame components, the vertical part as its (d, d) skew matrix of frame
 components. The base metric is the identity in that frame, so the
 Sasaki-Mok metric is h . h' - tr(V V') with no conversion. Ambient
 components are read only where a vector enters: horizontal_lift and
-horizontal_lift_prime take an ambient vector (the latter also its p chart
-coefficients) and convert it once.
+horizontal_lift_prime take an ambient vector and convert it once; the
+latter maps p chart coefficients straight to frame components instead.
 
 Everything is evaluated at adapted frames over a submanifold M, where the
 useful lifts are X^h (zero vertical), X^{h'} = X^h + bar(S_X) for tangent X,
@@ -115,11 +115,13 @@ def _part(x, shape: tuple, what: str) -> np.ndarray:
 def lifted(M: ImmersedSubmanifold, u, horizontal=None, vertical=None) -> LiftedVector:
     """Assemble a LiftedVector at the frame over u from the frame components
     of its horizontal part, shape (d,), and its vertical skew matrix, shape
-    (d, d); an absent part is zero. The vertical part must be antisymmetric
-    to 1e-12."""
+    (d, d); an absent part is zero. Both parts must be finite (a refusal
+    names u), and the vertical part antisymmetric to 1e-12."""
     fd = frame_at(M, u)
     h = _part(horizontal, (fd.d,), "horizontal part")
     vmat = _part(vertical, (fd.d, fd.d), "vertical part")
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(vmat))):
+        raise FrameBundleError(f"horizontal or vertical part is not finite at u = {fd.u0.tolist()}")
     if np.max(np.abs(vmat + vmat.T)) > 1e-12:
         raise FrameBundleError("vertical part is not antisymmetric")
     return LiftedVector(M, fd.u0, h, vmat)
@@ -145,7 +147,7 @@ def horizontal_lift_prime(M: ImmersedSubmanifold, u, X) -> LiftedVector:
     fd = frame_at(M, u)
     X = np.asarray(X, dtype=float)
     if X.shape == (fd.p,):
-        xc, hfr = X, fd.frame_components(fd.J.val @ X)
+        xc, hfr = X, ops.full_frame_field(fd, X).val
     else:
         hfr = fd.frame_components(_part(X, (fd.d,), "tangent vector"))
         xc = fd.C.val @ hfr[: fd.p]

@@ -42,7 +42,6 @@ from .frame_bundle import (
     nabla_ON,
     nabla_ON_primed,
 )
-from .jets import Jet
 from .operators import hm_split_mat
 from .submanifold import FramePointData, ImmersedSubmanifold
 
@@ -110,25 +109,7 @@ def gauss_pushforward(M: ImmersedSubmanifold, u, X) -> LiftedVector:
 # -- tension field -----------------------------------------------------------
 
 
-def _tilde_frames(fd: FramePointData, rotation=None) -> list[Jet]:
-    frames = og.tilde_frame_fields(fd)
-    if rotation is None:
-        return frames
-    Q = np.asarray(rotation, dtype=float)
-    if Q.shape != (fd.p, fd.p):
-        raise GaussMapError(f"frame rotation must have shape ({fd.p}, {fd.p}), got {Q.shape}")
-    if np.max(np.abs(Q.T @ Q - np.eye(fd.p))) > 1e-10:
-        raise GaussMapError("frame rotation must be orthogonal")
-    rotated = []
-    for B in range(fd.p):
-        acc = Q[0, B] * frames[0]
-        for A in range(1, fd.p):
-            acc = acc + Q[A, B] * frames[A]
-        rotated.append(acc)
-    return rotated
-
-
-def tension_field(M: ImmersedSubmanifold, u, rotation=None) -> LiftedVector:
+def tension_field(M: ImmersedSubmanifold, u) -> LiftedVector:
     """Closed-form tension of the plane map from (M, deformed metric).
 
     sum over a deformed-orthonormal frame e of
@@ -136,7 +117,7 @@ def tension_field(M: ImmersedSubmanifold, u, rotation=None) -> LiftedVector:
     + hat(nabla'_e S_e) - hat(S_{tilde_e e}).
     """
     fd = frame_at(M, u)
-    amb, rterm, _, tilde, dS = og.frame_trace(fd, _tilde_frames(fd, rotation))
+    amb, rterm, _, tilde, dS = og.frame_trace(fd)
     horiz = amb.val - ops.full_frame_field(fd, tilde.val).val + rterm.val
     vert = dS.val * fd.mmask - ops.s_field_matrix(fd, tilde.val).val
     return grassmann_vector(M, u, horizontal=horiz, vertical=vert)

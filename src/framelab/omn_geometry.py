@@ -424,11 +424,10 @@ def tilde_frame_fields(fd) -> list[Jet]:
     return [fd.Wchart[..., A] for A in range(fd.p)]
 
 
-def frame_trace(fd: FramePointData, frames=None) -> tuple[Jet, Jet, Jet, Jet, Jet]:
-    """The five sums over a deformed-orthonormal frame e (by default
-    tilde_frame_fields, else the given chart-coefficient jets) through which
-    the main theorem's proof writes both the mean curvature of the subbundle
-    and the tension of the plane map:
+def frame_trace(fd: FramePointData) -> tuple[Jet, Jet, Jet, Jet, Jet]:
+    """The five sums over the deformed-orthonormal frame e of
+    tilde_frame_fields through which the main theorem's proof writes both
+    the mean curvature of the subbundle and the tension of the plane map:
 
     (sum nabla_e e, sum R_{S_e}(e)) in frame components (d,),
     (sum nabla'_e e, sum tilde_e e) in chart coefficients (p,),
@@ -438,7 +437,7 @@ def frame_trace(fd: FramePointData, frames=None) -> tuple[Jet, Jet, Jet, Jet, Je
     leads with the batch axes, and one call traces every point.
     """
     terms = []
-    for Ec in tilde_frame_fields(fd) if frames is None else frames:
+    for Ec in tilde_frame_fields(fd):
         EF = ops.full_frame_field(fd, Ec)
         SE = ops.s_field_matrix(fd, Ec)
         terms.append(

@@ -7,10 +7,11 @@ how many derivatives of the embedding the relation consumes. run_suite sweeps
 the registered cases over builtin (or user supplied) submanifolds at
 low-discrepancy sample points and returns a structured, reproducible report.
 
-A second, separate oracle family lives in fd_oracle: central finite
-differences recomputing connection and curvature data from point evaluations
-alone, for cross-validation of everything the jet arithmetic produces.
 The registry is the one test home of each identity it states.
+
+A second, separate oracle checks the jet arithmetic: FD_QUANTITIES pairs the
+jet route (jet_value) of seven connection and curvature quantities with one
+(fd_oracle) through finite_diff, which sees point values of metrics and fields.
 """
 
 from __future__ import annotations
@@ -18,10 +19,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
+from . import finite_diff
 from . import frame_bundle as fb
 from . import gauss_map as gm
 from . import omn_geometry as og
@@ -51,6 +55,7 @@ __all__ = [
     "REGISTRY",
     "registry_ids",
     "run_suite",
+    "FDQuantity",
     "FD_QUANTITIES",
     "fd_oracle",
     "jet_value",
@@ -794,28 +799,20 @@ class VerificationReport:
         return all(r.passed for r in self.results)
 
     def summary(self) -> dict:
-        out: dict = {}
+        """Per case: group, row count, max and mean of the residuals present, all passed."""
+        rows: dict = {}
         for r in self.results:
-            s = out.setdefault(
-                r.case_id,
-                {"group": r.group, "n": 0, "max_residual": None, "mean_residual": None, "passed": True},
-            )
-            s["n"] += 1
-            s["passed"] = s["passed"] and r.passed
-            if r.residual is not None:
-                if s["max_residual"] is None:
-                    s["max_residual"] = r.residual
-                    s["mean_residual"] = r.residual
-                    s["_count"] = 1
-                else:
-                    s["max_residual"] = max(s["max_residual"], r.residual)
-                    s["mean_residual"] += r.residual
-                    s["_count"] += 1
-        for s in out.values():
-            if s.get("_count"):
-                s["mean_residual"] /= s.pop("_count")
-            else:
-                s.pop("_count", None)
+            rows.setdefault(r.case_id, []).append(r)
+        out = {}
+        for case_id, rs in rows.items():
+            res = [r.residual for r in rs if r.residual is not None]
+            out[case_id] = {
+                "group": rs[0].group,
+                "n": len(rs),
+                "max_residual": max(res) if res else None,
+                "mean_residual": sum(res) / len(res) if res else None,
+                "passed": all(r.passed for r in rs),
+            }
         return out
 
     def _payload(self) -> dict:
@@ -965,72 +962,108 @@ def _run_case(case, ci, name, bi, M, samples, seed):
 
 # -- finite-difference oracles -------------------------------------------------
 
-FD_QUANTITIES = (
-    "gamma_chart",
-    "gamma_tilde",
-    "nabla_vec",
-    "nabla_prime_vec",
-    "nabla_tilde_vec",
-    "curvature_ambient",
-    "curvature_prime",
-)
-
-_FD_STEP_FIRST = 1e-4
-_FD_STEP_SECOND = 1e-3
-
 # Chart fields X, Y of the oracles; a p-chart takes the first p, so entry k uses only u1..u(k+1).
 _DEFAULT_X = ["0.7+0.3*u1", "u2-0.4", "0.5*u1"] + [f"0.3+0.2*u{k}" for k in range(4, 9)]
 _DEFAULT_Y = ["u1*u1-0.2", "0.6", "u2+0.1*u1"] + [f"u{k - 1}*u{k}-0.1" for k in range(4, 9)]
 
 
-def _default_field(M, which):
-    return (_DEFAULT_X if which == "x" else _DEFAULT_Y)[: M.p]
+class FDQuantity(NamedTuple):
+    """A quantity of the FD check: its step h; its FD route fd_route(M, u, h),
+    which hands finite_diff metric and field functions that read frame_data(U)
+    or metric_at(M.ambient, X) at a batch; its jet route jet_route(fd) at u."""
+
+    h: float
+    fd_route: Callable
+    jet_route: Callable
 
 
-def _chart_values(M, field, u):
-    fd = M.frame_data(np.asarray(u, dtype=float))
-    return ops.as_chart_field(fd, field).val
+def _xy(fd):
+    """The default fields X, Y as chart-coefficient jets on the frame fd."""
+    return ops.as_chart_field(fd, _DEFAULT_X[: fd.p]), ops.as_chart_field(fd, _DEFAULT_Y[: fd.p])
 
 
-def _chart_metric_fun(M, attr):
-    """u -> the chart metric `attr` ("g_chart" or "gt_chart") at u."""
-    return lambda u: getattr(M.frame_data(np.asarray(u, dtype=float)), attr).val
+def _fd_connection(M, u, h, attr: str):
+    """FD route of nabla_X Y in chart components for the Levi-Civita
+    connection of the chart metric attr ("g_chart" or "gt_chart")."""
+    x0, y0 = (j.val for j in _xy(M.frame_data(u)))
+    Y = lambda U: ops.as_chart_field(M.frame_data(U), _DEFAULT_Y[: M.p]).val
+    dY = finite_diff.central_diff(Y, u, h)
+    gam = finite_diff.christoffels(lambda U: getattr(M.frame_data(U), attr).val, u, h)
+    return np.einsum("a,ac->c", x0, dY) + np.einsum("cab,a,b->c", gam, x0, y0)
 
 
-def _central_diff(f, u, h):
-    """Central differences of f at u along each coordinate, stacked on axis 0."""
-    u = np.asarray(u, dtype=float)
-    out = []
-    for a in range(u.size):
-        up, um = u.copy(), u.copy()
-        up[a] += h
-        um[a] -= h
-        out.append((f(up) - f(um)) / (2.0 * h))
-    return np.stack(out)
+def _fd_nabla_vec(M, u, h):
+    """FD route of nabla_X Y in ambient components: the derivative of Y's
+    ambient components along X plus the ambient Christoffels at phi(u)."""
+    fd0 = M.frame_data(u)
+    x0 = _xy(fd0)[0].val
+
+    def yamb(U):
+        at = M.frame_data(U)
+        return np.matmul(at.J.val, ops.as_chart_field(at, _DEFAULT_Y[: M.p]).val[..., None])[..., 0]
+
+    gam = finite_diff.christoffels(lambda X: metric_at(M.ambient, X), fd0.x0, h)
+    dY = x0 @ finite_diff.central_diff(yamb, u, h)
+    return dY + np.einsum("ijk,j,k->i", gam, fd0.J.val @ x0, yamb(u))
 
 
-def _christoffels_fd(gfun, u, h):
-    """Levi-Civita Christoffels from central differences of the metric."""
-    dg = _central_diff(gfun, u, h)  # dg[a, b, c] = d_a g_bc
-    low = 0.5 * (dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg)  # Gamma_{cab}
-    return np.einsum("dc,cab->dab", np.linalg.inv(gfun(np.asarray(u, dtype=float))), low)
+def _fd_curvature_ambient(M, u, h):
+    """FD route of the ambient curvature in frame components, g(R(e_k, e_l) e_j, e_i)."""
+    fd0 = M.frame_data(u)
+    metric = lambda X: metric_at(M.ambient, X)
+    low = np.einsum("im,mjkl->ijkl", metric(fd0.x0), finite_diff.curvature(metric, fd0.x0, h))
+    E = fd0.E.val
+    return np.einsum("ijkl,ia,jb,kc,ld->abcd", low, E, E, E, E)
 
 
-def _ambient_metric_fun(M):
-    amb = M.ambient
-    return lambda x: metric_at(amb, np.asarray(x, dtype=float))
+def _jet_nabla_vec(fd):
+    Xc, Yc = _xy(fd)
+    return fd.E.val @ ops.ambient_deriv_frame(fd, Xc, ops.full_frame_field(fd, Yc)).val
 
 
-def _ambient_christoffels_fd(M, x, h):
-    return _christoffels_fd(_ambient_metric_fun(M), x, h)
+def _jet_curvature_prime(fd):
+    """R'^i_{jab} in chart components by the block-splitting route, all pairs (a, b) at once."""
+    eye = np.eye(fd.p)
+    blk = ops.curvature_prime_jet(fd, eye[:, None], eye[None, :]).val[..., : fd.p, : fd.p]
+    return np.einsum("iA,abAB,Bj->ijab", fd.C.val, blk, fd.Dmat.val)
 
 
-def _curvature_from_christoffels(gamfun, x, h):
-    """R^i_jkl = d_k Gam^i_lj - d_l Gam^i_kj + Gam Gam - Gam Gam."""
-    g0 = gamfun(np.asarray(x, dtype=float))
-    dG = _central_diff(gamfun, x, h)  # dG[k, i, l, j] = d_k Gam^i_lj
-    GG = np.einsum("ikm,mlj->ijkl", g0, g0)  # Gam^i_km Gam^m_lj
-    return dG.transpose(1, 3, 0, 2) - dG.transpose(1, 3, 2, 0) + GG - GG.transpose(0, 1, 3, 2)
+# Steps: 1e-4 for quantities of first derivatives of the metric, 1e-3 for curvatures.
+FD_QUANTITIES = {
+    "gamma_chart": FDQuantity(
+        1e-4,
+        lambda M, u, h: finite_diff.christoffels(lambda U: M.frame_data(U).g_chart.val, u, h),
+        lambda fd: fd.Gam_chart.val,
+    ),
+    "gamma_tilde": FDQuantity(
+        1e-4,
+        lambda M, u, h: finite_diff.christoffels(lambda U: M.frame_data(U).gt_chart.val, u, h),
+        lambda fd: fd.Gamt.val,
+    ),
+    "nabla_vec": FDQuantity(1e-4, _fd_nabla_vec, _jet_nabla_vec),
+    "nabla_prime_vec": FDQuantity(
+        1e-4,
+        partial(_fd_connection, attr="g_chart"),
+        lambda fd: ops.vec_nabla_prime_jet(fd, *_xy(fd)).val,
+    ),
+    "nabla_tilde_vec": FDQuantity(
+        1e-4,
+        partial(_fd_connection, attr="gt_chart"),
+        lambda fd: ops.vec_tilde_nabla_jet(fd, *_xy(fd)).val,
+    ),
+    "curvature_ambient": FDQuantity(1e-3, _fd_curvature_ambient, lambda fd: fd.Rfr.val),
+    "curvature_prime": FDQuantity(
+        1e-3,
+        lambda M, u, h: finite_diff.curvature(lambda U: M.frame_data(U).g_chart.val, u, h),
+        _jet_curvature_prime,
+    ),
+}
+
+
+def _fd_quantity(quantity: str) -> FDQuantity:
+    if quantity not in FD_QUANTITIES:
+        raise VerifyError(f"unknown finite-difference quantity {quantity!r}")
+    return FD_QUANTITIES[quantity]
 
 
 def fd_oracle(M: ImmersedSubmanifold, quantity: str, u):
@@ -1044,75 +1077,13 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u):
     ambient space. curvature_prime: chart curvature tensor of the induced
     metric, compared against the block-splitting route on the jet side.
     """
-    u = np.asarray(u, dtype=float)
-    h = _FD_STEP_SECOND if quantity in ("curvature_ambient", "curvature_prime") else _FD_STEP_FIRST
-    if quantity == "gamma_chart":
-        return _christoffels_fd(_chart_metric_fun(M, "g_chart"), u, h)
-    if quantity == "gamma_tilde":
-        return _christoffels_fd(_chart_metric_fun(M, "gt_chart"), u, h)
-    Xf = _default_field(M, "x")
-    Yf = _default_field(M, "y")
-    if quantity in ("nabla_prime_vec", "nabla_tilde_vec"):
-        gfun = _chart_metric_fun(M, "g_chart" if quantity == "nabla_prime_vec" else "gt_chart")
-        gam = _christoffels_fd(gfun, u, h)
-        x0 = _chart_values(M, Xf, u)
-        y0 = _chart_values(M, Yf, u)
-        dY = _central_diff(lambda uu: _chart_values(M, Yf, uu), u, h)
-        return np.einsum("a,ac->c", x0, dY) + np.einsum("cab,a,b->c", gam, x0, y0)
-    if quantity == "nabla_vec":
-        fd0 = M.frame_data(u)
-        x0 = _chart_values(M, Xf, u)
-        yamb = lambda uu: M.frame_data(np.asarray(uu, dtype=float)).J.val @ _chart_values(M, Yf, uu)
-        dY = x0 @ _central_diff(yamb, u, h)
-        gam = _ambient_christoffels_fd(M, fd0.x0, h)
-        xa = fd0.J.val @ x0
-        return dY + np.einsum("ijk,j,k->i", gam, xa, yamb(u))
-    if quantity == "curvature_ambient":
-        fd0 = M.frame_data(u)
-        gamfun = lambda x: _ambient_christoffels_fd(M, x, h)
-        Rup = _curvature_from_christoffels(gamfun, fd0.x0, h)
-        G0 = _ambient_metric_fun(M)(fd0.x0)
-        E = fd0.E.val
-        low = np.einsum("im,mjkl->ijkl", G0, Rup)
-        return np.einsum("ijkl,ia,jb,kc,ld->abcd", low, E, E, E, E)
-    if quantity == "curvature_prime":
-        gfun = _chart_metric_fun(M, "g_chart")
-        gamfun = lambda uu: _christoffels_fd(gfun, uu, h)
-        return _curvature_from_christoffels(gamfun, u, h)
-    raise VerifyError(f"unknown finite-difference quantity {quantity!r}")
+    q = _fd_quantity(quantity)
+    return q.fd_route(M, np.asarray(u, dtype=float), q.h)
 
 
 def jet_value(M: ImmersedSubmanifold, quantity: str, u):
     """The jet-route value matching fd_oracle's conventions."""
-    u = np.asarray(u, dtype=float)
-    fd = M.frame_data(u)
-    p = fd.p
-    if quantity == "gamma_chart":
-        return fd.Gam_chart.val
-    if quantity == "gamma_tilde":
-        return fd.Gamt.val
-    Xc = ops.as_chart_field(fd, _default_field(M, "x"))
-    Yc = ops.as_chart_field(fd, _default_field(M, "y"))
-    if quantity == "nabla_prime_vec":
-        return ops.vec_nabla_prime_jet(fd, Xc, Yc).val
-    if quantity == "nabla_tilde_vec":
-        return ops.vec_tilde_nabla_jet(fd, Xc, Yc).val
-    if quantity == "nabla_vec":
-        yF = ops.full_frame_field(fd, Yc)
-        return fd.E.val @ ops.ambient_deriv_frame(fd, Xc, yF).val
-    if quantity == "curvature_ambient":
-        return fd.Rfr.val
-    if quantity == "curvature_prime":
-        out = np.empty((p, p, p, p))
-        C, D = fd.C.val, fd.Dmat.val
-        for a in range(p):
-            for b in range(p):
-                ea, eb = np.zeros(p), np.zeros(p)
-                ea[a], eb[b] = 1.0, 1.0
-                blk = ops.curvature_prime_jet(fd, ea, eb).val[:p, :p]
-                out[:, :, a, b] = C @ blk @ D
-        return out
-    raise VerifyError(f"unknown finite-difference quantity {quantity!r}")
+    return _fd_quantity(quantity).jet_route(M.frame_data(np.asarray(u, dtype=float)))
 
 
 def fd_relative_error(M: ImmersedSubmanifold, quantity: str, u) -> float:

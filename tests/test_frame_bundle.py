@@ -20,7 +20,7 @@ from framelab.frame_bundle import (
     sasaki_mok_inner,
     tangent_generators,
 )
-from framelab.gauss_map import GaussMapError, grassmann_nabla, grassmann_vector, tension_field
+from framelab.gauss_map import grassmann_nabla, grassmann_vector, tension_field
 from framelab.jets import jet_einsum, jstack
 from framelab.omn_geometry import (
     OmnError,
@@ -115,6 +115,18 @@ def test_horizontal_lift_prime_takes_ambient_or_chart_input(name, u):
     from_ambient = horizontal_lift_prime(M, u, M.frame_data(u).J.val @ xc)
     assert from_chart.norm() > 0.1
     assert (from_chart - from_ambient).norm() < 1e-12
+
+
+@pytest.mark.parametrize("name,u", [b for b in ALL_BUILTINS if b[0] in ("sphere2", "catenoid")])
+def test_horizontal_lift_prime_of_chart_input_has_no_normal_part(name, u):
+    """Chart coefficients become tangent frame components through Dmat, so
+    the normal components are exactly 0.0, not the roundoff of a trip
+    through the ambient vector."""
+    rng = np.random.default_rng(10)
+    M = builtin_submanifold(name)
+    for _ in range(5):
+        v = horizontal_lift_prime(M, u, rng.normal(size=M.p))
+        assert np.all(v.horizontal[M.p :] == 0.0)
 
 
 def test_vertical_basis_norm():
@@ -324,6 +336,8 @@ X2, T3 = [1.0, 0.0], basis_T(3, 0, 1)
 # three points of sphere2: a lifted vector lives at the frame of one point
 U3 = np.array([[1.1, 0.6], [1.0, 0.5], [0.9, 0.3]])
 ONE_POINT = re.escape("u must be one point of shape (2,), got (3, 2)")
+# a non-finite part is refused with the point named, so a sweep still says where
+NAMES_POINT = re.escape("not finite at u = [1.1, 0.6]")
 
 
 @pytest.mark.parametrize(
@@ -338,7 +352,8 @@ ONE_POINT = re.escape("u must be one point of shape (2,), got (3, 2)")
         (lambda M, u: lifted(M, u, horizontal=[1.0, 2.0]), FrameBundleError, re.escape("shape (3,)")),
         (lambda M, u: lifted(M, u, vertical=np.zeros((2, 2))), FrameBundleError, re.escape("shape (3, 3)")),
         (lambda M, u: grassmann_vector(M, u, vertical=np.zeros((2, 2))), FrameBundleError, re.escape("shape (3, 3)")),
-        (lambda M, u: tension_field(M, u, rotation=np.eye(3)), GaussMapError, re.escape("shape (2, 2)")),
+        (lambda M, u: lifted(M, u, horizontal=[np.nan, 0.0, 0.0]), FrameBundleError, NAMES_POINT),
+        (lambda M, u: lifted(M, u, vertical=np.full((3, 3), np.nan)), FrameBundleError, NAMES_POINT),
         (lambda M, u: lifted(M, U3), FrameBundleError, ONE_POINT),
         (lambda M, u: nabla_OMN(M, U3, "hh", X2, X2), FrameBundleError, ONE_POINT),
         (lambda M, u: curvature_OMN(M, U3, "hhh", X2, X2, X2), FrameBundleError, ONE_POINT),
@@ -356,7 +371,8 @@ ONE_POINT = re.escape("u must be one point of shape (2,), got (3, 2)")
         "lifted-horizontal",
         "lifted-vertical",
         "grassmann_vector-vertical",
-        "tension_field-rotation",
+        "lifted-horizontal-not-finite",
+        "lifted-vertical-not-finite",
         "lifted-batch",
         "nabla_OMN-batch",
         "curvature_OMN-batch",
@@ -366,8 +382,8 @@ ONE_POINT = re.escape("u must be one point of shape (2,), got (3, 2)")
     ],
 )
 def test_wrong_arity_or_shape_is_refused(call, error, match):
-    """A wrong argument count or shape raises the module's own error and
-    names what was expected."""
+    """A wrong argument count, a wrong shape or a non-finite value raises the
+    module's own error and names what was expected."""
     M = builtin_submanifold("sphere2")
     with pytest.raises(error, match=match):
         call(M, np.array([1.1, 0.6]))

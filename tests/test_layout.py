@@ -4,7 +4,8 @@ A module, and a test module, uses a framelab module's public names only: no
 `from .mod import _name` and no `mod._name` on an imported framelab module,
 and every public name it imports from a framelab module, or reads as
 `mod.name` on one, is in that module's `__all__`. Every name a module lists
-in `__all__` exists. Only `jets` calls `Jet(...)`.
+in `__all__` exists. Only `jets` calls `Jet(...)`, and `finite_diff`
+imports no framelab module.
 A framelab module reads every name it imports with `from ... import`, or
 re-exports it in `__all__`.
 """
@@ -168,6 +169,31 @@ def test_jets_are_built_only_in_jets(name):
 def test_scan_sees_jet_constructor_calls():
     src = "from .jets import Jet\nfrom . import jets\na = Jet(sp, c)\nb = jets.Jet(sp, c)\nc = jstack([a])\n"
     assert _jet_constructor_calls(ast.parse(src)) == [3, 4]
+
+
+def _framelab_imports(tree: ast.Module) -> list[str]:
+    """The imports of framelab modules, or of the package, in a source."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_framelab(node):
+            found.append(f"line {node.lineno}: from {'.' * node.level}{node.module or ''}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "framelab":
+                    found.append(f"line {node.lineno}: import {alias.name}")
+    return found
+
+
+def test_finite_diff_imports_no_framelab_module():
+    """The finite-difference oracle shares no code with the jet route it
+    checks, so a fault in that route cannot cancel out of the comparison."""
+    assert _framelab_imports(ast.parse(SOURCES["finite_diff"].read_text())) == []
+
+
+def test_scan_sees_framelab_imports():
+    src = "import numpy as np\nfrom . import jets\nfrom .expr import parse\nimport framelab.ambient"
+    found = _framelab_imports(ast.parse(src))
+    assert found == ["line 2: from .", "line 3: from .expr", "line 4: import framelab.ambient"]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -7,9 +7,9 @@ from framelab import omn_geometry as og
 from framelab import verify
 from framelab.ambient import sphere_chart
 from framelab.frame_bundle import (
+    LiftedVector,
     decompose_OMN,
     horizontal_lift_prime,
-    lifted,
     nabla_ON_primed,
     normal_generators,
     sasaki_mok_inner,
@@ -459,7 +459,8 @@ def test_is_totally_geodesic_refuses_non_finite_residual(monkeypatch):
 
     def nan_at_bad_point(M, u, case, *args):
         if np.array_equal(u, bad):
-            return lifted(M, u, horizontal=np.full(M.ambient.dim, np.nan))
+            d = M.ambient.dim
+            return LiftedVector(M, u, np.full(d, np.nan), np.zeros((d, d)))
         return pi(M, u, case, *args)
 
     monkeypatch.setattr(og, "second_fundamental_OMN", nan_at_bad_point)

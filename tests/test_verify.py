@@ -83,6 +83,12 @@ def test_fd_tolerances_cover_every_quantity():
     assert set(FD_TOL) == set(verify.FD_QUANTITIES)
 
 
+@pytest.mark.parametrize("route", [verify.fd_oracle, verify.jet_value, verify.fd_relative_error])
+def test_unknown_fd_quantity_is_refused(route):
+    with pytest.raises(verify.VerifyError, match="unknown finite-difference quantity 'gamma'"):
+        route(builtin_submanifold("sphere2"), "gamma", [1.1, 0.6])
+
+
 @pytest.mark.parametrize("name", verify.DEFAULT_BUILTINS + tuple(GRAPH4_AMBIENTS))
 def test_fd_oracles_agree_with_jets(name):
     if name in GRAPH4_AMBIENTS:
@@ -147,6 +153,36 @@ def test_crash_and_over_tolerance_rows(monkeypatch):
         ("always-off", False, "over_tol"),
         ("always-off", False, "over_tol"),
     ]
+
+
+def test_summary_per_case(monkeypatch):
+    """Crash rows have no residual, so their case summarises to None; the
+    other cases give their exact row count, largest and mean residual."""
+
+    def broken(M, u, rng):
+        raise TypeError("unsupported operand")
+
+    def off(M, u, rng):
+        return 1.0 + abs(float(u[0])), 1.0, None
+
+    cases = tuple(
+        verify.IdentityCase(id=cid, group="duality-relations", statement=cid, order=1, evaluator=ev)
+        for cid, ev in (("always-crashes", broken), ("always-off", off))
+    )
+    monkeypatch.setattr(verify, "REGISTRY", cases)
+    summary = verify.run_suite(builtins="plane", samples=3).summary()
+    res = [1.0 + abs(float(u[0])) for u in domain_samples(builtin_submanifold("plane"), 3, seed=0)]
+    assert len(set(res)) == 3
+    group = "duality-relations"
+    assert summary == {
+        "always-crashes": {
+            "group": group, "n": 3, "max_residual": None, "mean_residual": None, "passed": False
+        },
+        "always-off": {
+            "group": group, "n": 3, "max_residual": max(res),
+            "mean_residual": (res[0] + res[1] + res[2]) / 3, "passed": False,
+        },
+    }
 
 
 def test_crashed_row_names_the_exception_type(monkeypatch):
