@@ -6,6 +6,8 @@ independent routes, and a tolerance drawn from a three-step ladder keyed by
 how many derivatives of the embedding the relation consumes. run_suite sweeps
 the registered cases over builtin (or user supplied) submanifolds at
 low-discrepancy sample points and returns a structured, reproducible report.
+Where a case runs, and where its witness must be live, each case decides from
+the frame at those points (p, n, S, the ambient curvature), never from a name.
 
 The registry is the one test home of each identity it states.
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -74,8 +76,8 @@ DEFAULT_BUILTINS = (
     "clifford",
 )
 
-# Magnitude an identity's essential ingredient must reach, on the builtins
-# designated per case, for the check to count as non-vacuous.
+# The sup a case's witness must reach where the geometry makes it nonzero, and
+# the floor that tells a nonzero geometric quantity from roundoff.
 WITNESS_FLOOR = 1e-6
 
 REPORT_SCHEMA_VERSION = 2
@@ -120,8 +122,6 @@ def _random_block_skew(p, d, rng):
     m = m - m.T
     m[:p, p:] = 0.0
     m[p:, :p] = 0.0
-    if np.max(np.abs(m)) < 1e-14:
-        return np.zeros((d, d))
     return _unit_skew(m)
 
 
@@ -143,8 +143,8 @@ def _scaled_endo_field(fd, base):
     return field
 
 
-def _witness_smax(fd) -> float:
-    return float(np.max(np.abs(fd.Smats.val)))
+def _sup(a) -> float:
+    return float(np.max(np.abs(a)))
 
 
 # -- evaluators, pointwise ------------------------------------------------------
@@ -174,7 +174,7 @@ def _ev_vertical_endo_tangent_duality(M, u, rng):
     lhs = float(svec @ xfr)
     SX = ops.s_field_matrix(fd, x).val
     rhs = -skew_inner(Tm, SX)
-    return abs(lhs - rhs), _witness_smax(fd), None
+    return abs(lhs - rhs), _sup(fd.Smats.val), None
 
 
 def _ev_vertical_endo_pair_inner(M, u, rng):
@@ -188,7 +188,7 @@ def _ev_vertical_endo_pair_inner(M, u, rng):
     vfr, zfr = fd.Dmat.val @ v, fd.Dmat.val @ z
     rhs = -float(vfr @ ((np.eye(p) - fd.Pfr.val) @ zfr))
     sym = abs(lhs - skew_inner(SZ, SV))
-    return max(abs(lhs - rhs), sym), _witness_smax(fd), None
+    return max(abs(lhs - rhs), sym), _sup(fd.Smats.val), None
 
 
 def _ev_deformed_metric_pairing(M, u, rng):
@@ -201,7 +201,7 @@ def _ev_deformed_metric_pairing(M, u, rng):
     SY = ops.s_field_matrix(fd, y).val
     rhs = float(xfr @ yfr) + skew_inner(SX, SY)
     via_gt = float(x @ fd.gt_chart.val @ y)
-    return max(abs(lhs - rhs), abs(lhs - via_gt)), _witness_smax(fd), None
+    return max(abs(lhs - rhs), abs(lhs - via_gt)), _sup(fd.Smats.val), None
 
 
 def _ev_adapted_lift_isometry(M, u, rng):
@@ -212,7 +212,7 @@ def _ev_adapted_lift_isometry(M, u, rng):
     ly = horizontal_lift_prime(M, u, fd.J.val @ y)
     lhs = sasaki_mok_inner(lx, ly)
     rhs = float(x @ fd.gt_chart.val @ y)
-    return abs(lhs - rhs), _witness_smax(fd), None
+    return abs(lhs - rhs), _sup(fd.Smats.val), None
 
 
 def _ev_gauss_tangent_block(M, u, rng):
@@ -268,7 +268,7 @@ def _ev_endo_derivative_split(block: str):
         comm = SX @ Tj.val - Tj.val @ SX
         r1 = np.max(np.abs(full * other - comm))
         r2 = np.max(np.abs(full * own - prime * own))
-        return float(max(r1, r2)), _witness_smax(fd), None
+        return float(max(r1, r2)), _sup(fd.Smats.val), None
 
     return evaluator
 
@@ -344,7 +344,7 @@ def _ev_q_operator_deformed_skewness(M, u, rng):
 
 def _ev_frame_decompositions(M, u, rng):
     fd = M.frame_data(u)
-    worst, wit = 0.0, _witness_smax(fd)
+    worst, wit = 0.0, _sup(fd.Smats.val)
     x = _unit_chart(fd, rng)
     hor = lifted(M, u, horizontal=ops.full_frame_field(fd, x).val)
     ver = lifted(M, u, vertical=_random_skew(fd.d, rng))
@@ -376,7 +376,7 @@ def _ev_subbundle_connection_vs_projection(M, u, rng):
         got = og.nabla_OMN(M, u, case, *args)
         tan, _ = decompose_OMN(fb.nabla_ON_primed(M, u, case, *args))
         worst = max(worst, (got - tan).norm())
-    return worst, _witness_smax(fd), None
+    return worst, _sup(fd.Smats.val), None
 
 
 def _ev_subbundle_second_fundamental_vs_projection(M, u, rng):
@@ -389,16 +389,13 @@ def _ev_subbundle_second_fundamental_vs_projection(M, u, rng):
         worst = max(worst, (got - nor).norm())
     _, nor = decompose_OMN(fb.nabla_ON_primed(M, u, "vv", T, Tp))
     worst = max(worst, nor.norm())
-    return worst, _witness_smax(fd), None
+    return worst, _sup(fd.Smats.val), None
 
 
 def _ev_sectional_horizontal_vs_curvature(M, u, rng):
     x = _unit_chart(M.frame_data(u), rng)
     y = _unit_chart(M.frame_data(u), rng)
-    try:
-        pl = og.omn_plane(M, u, ("hprime", x), ("hprime", y))
-    except og.OmnError:
-        return 0.0, 0.0, None
+    pl = og.omn_plane(M, u, ("hprime", x), ("hprime", y))
     R = og.curvature_OMN(M, u, "hhh", pl.xc, pl.yc, pl.yc)
     val = og.sectional_OMN(pl)
     return abs(val - sasaki_mok_inner(R, pl.v1)), abs(val), None
@@ -407,8 +404,6 @@ def _ev_sectional_horizontal_vs_curvature(M, u, rng):
 def _ev_sectional_mixed_vs_curvature(M, u, rng):
     fd = M.frame_data(u)
     T = _random_block_skew(fd.p, fd.d, rng)
-    if np.max(np.abs(T)) < 1e-12:
-        T = ops.basis_T(fd.d, 0, 1) if fd.d >= 2 else T
     x = _unit_chart(fd, rng)
     pl = og.omn_plane(M, u, ("hprime", x), ("vertical", T))
     R = og.curvature_OMN(M, u, "hvv", pl.xc, pl.T, pl.T)
@@ -517,6 +512,52 @@ def _ev_minimality_harmonicity_equivalence(M, samples, seed):
     return res, wit, detail
 
 
+# -- where a case applies and where its witness must be live ----------------------
+# Predicates of the frame fd at a run's sample points. A quantity is nonzero
+# when its sup over those points reaches WITNESS_FLOOR.
+
+
+def _block_skew(fd) -> bool:
+    """so(p) + so(n) is nonzero: a nonzero block-diagonal skew T exists."""
+    return fd.p >= 2 or fd.n >= 2
+
+
+def _curved_s(fd) -> bool:
+    return _sup(fd.Smats.val) >= WITNESS_FLOOR
+
+
+def _curved_s_plane(fd) -> bool:
+    return fd.p >= 2 and _curved_s(fd)
+
+
+def _shape_operators(fd):
+    """The shape operators A[nu, a, b] = S_{e_a}[nu, b] of the unit normals e_nu, and their traces."""
+    A = np.moveaxis(fd.Smats.val[..., fd.p :, : fd.p], -3, -2)
+    return A, np.trace(A, axis1=-2, axis2=-1)
+
+
+def _not_umbilic(fd) -> bool:
+    """Some shape operator is not a multiple of the identity (so S is nonzero)."""
+    A, tr = _shape_operators(fd)
+    return _sup(A - tr[..., None, None] * np.eye(fd.p) / fd.p) >= WITNESS_FLOOR
+
+
+def _not_minimal(fd) -> bool:
+    return _sup(_shape_operators(fd)[1]) >= WITNESS_FLOOR
+
+
+def _small_space_form(fd) -> bool:
+    """S = 0 and R_N = kappa (delta_ik delta_jl - delta_il delta_jk) in the frame
+    with 0 < kappa <= 2/3 (to within the floor, so 2/3 itself applies): there the
+    hh sectional curvature kappa - 3 kappa^2 / 2 and every other one is >= 0."""
+    eye = np.eye(fd.d)
+    unit = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
+    R = fd.Rfr.val
+    kappa = R[..., :1, 1:2, :1, 1:2]
+    space_form = not _curved_s(fd) and _sup(R - kappa * unit) < WITNESS_FLOOR
+    return space_form and kappa.min() >= WITNESS_FLOOR and kappa.max() - 2.0 / 3.0 < WITNESS_FLOOR
+
+
 # -- the registry ---------------------------------------------------------------
 
 
@@ -526,7 +567,9 @@ class IdentityCase:
 
     order indexes the tolerance ladder: 1 for relations using one derivative
     of the embedding, 2 for curvature-level relations, 3 for derivatives of
-    curvature and whole-map statements.
+    curvature and whole-map statements. applies(fd) says whether the case
+    runs on a submanifold, and live(fd) whether its witness must reach
+    WITNESS_FLOOR there; both read the frame fd at the run's sample points.
     """
 
     id: str
@@ -535,20 +578,13 @@ class IdentityCase:
     order: int
     evaluator: object
     pointwise: bool = True
-    builtins: tuple = None
-    witness_builtins: frozenset = frozenset()
+    applies: Callable = lambda fd: True
+    live: Callable = lambda fd: False
 
     @property
     def tolerance(self) -> float:
         return TOL_LADDER[self.order]
 
-    def applies_to(self, name: str) -> bool:
-        return self.builtins is None or name in self.builtins
-
-
-_CURVED_S = frozenset({"circle", "sphere2", "catenoid", "clifford"})
-_AMBIENT_CURVED = frozenset({"great2(0.5)", "clifford"})
-_NOT_CIRCLE = ("plane", "plane3", "sphere2", "catenoid", "great2(0.5)", "clifford")
 
 REGISTRY = (
     IdentityCase(
@@ -557,7 +593,7 @@ REGISTRY = (
         statement="g(R_T(X), Y) equals the trace pairing of R(X,Y) with T",
         order=2,
         evaluator=_ev_curvature_endo_duality,
-        witness_builtins=_AMBIENT_CURVED,
+        live=lambda fd: _sup(fd.Rfr.val) >= WITNESS_FLOOR,
     ),
     IdentityCase(
         id="vertical-endo-tangent-duality",
@@ -565,7 +601,7 @@ REGISTRY = (
         statement="g(S_T, X) = -<T, S_X> for off-diagonal T",
         order=1,
         evaluator=_ev_vertical_endo_tangent_duality,
-        witness_builtins=_CURVED_S,
+        live=_curved_s,
     ),
     IdentityCase(
         id="vertical-endo-pair-inner",
@@ -573,7 +609,7 @@ REGISTRY = (
         statement="<S_V, S_Z> = -g((id - P)V, Z), symmetric in V and Z",
         order=1,
         evaluator=_ev_vertical_endo_pair_inner,
-        witness_builtins=_CURVED_S,
+        live=_curved_s,
     ),
     IdentityCase(
         id="deformed-metric-pairing",
@@ -581,7 +617,7 @@ REGISTRY = (
         statement="g(X, PY) = g(X, Y) + <S_X, S_Y> and equals the deformed metric",
         order=1,
         evaluator=_ev_deformed_metric_pairing,
-        witness_builtins=_CURVED_S,
+        live=_curved_s,
     ),
     IdentityCase(
         id="adapted-lift-isometry",
@@ -589,7 +625,7 @@ REGISTRY = (
         statement="the bundle metric on adapted horizontal lifts is the deformed metric",
         order=1,
         evaluator=_ev_adapted_lift_isometry,
-        witness_builtins=_CURVED_S,
+        live=_curved_s,
     ),
     IdentityCase(
         id="gauss-tangent-block",
@@ -597,7 +633,7 @@ REGISTRY = (
         statement="block-diagonal part of R(X,Y) = R'(X,Y) + [S_X, S_Y]",
         order=2,
         evaluator=_ev_gauss_tangent_block,
-        witness_builtins=frozenset({"sphere2", "clifford"}),
+        live=_curved_s_plane,
     ),
     IdentityCase(
         id="codazzi-offdiagonal-block",
@@ -605,7 +641,7 @@ REGISTRY = (
         statement="off-diagonal part of R(X,Y) = nabla'_X S_Y - nabla'_Y S_X - S_[X,Y]",
         order=2,
         evaluator=_ev_codazzi_offdiagonal,
-        witness_builtins=_CURVED_S,
+        live=_curved_s,
     ),
     IdentityCase(
         id="block-endo-derivative-split",
@@ -613,8 +649,8 @@ REGISTRY = (
         statement="nabla_X T splits as [S_X, T] off-diagonal plus nabla'_X T for block T",
         order=2,
         evaluator=_ev_endo_derivative_split("h"),
-        builtins=_NOT_CIRCLE,
-        witness_builtins=frozenset({"sphere2", "clifford"}),
+        applies=_block_skew,
+        live=_curved_s,
     ),
     IdentityCase(
         id="offblock-endo-derivative-split",
@@ -622,7 +658,7 @@ REGISTRY = (
         statement="nabla_X T splits as [S_X, T] block-diagonal plus nabla'_X T for off-diagonal T",
         order=2,
         evaluator=_ev_endo_derivative_split("m"),
-        witness_builtins=_CURVED_S,
+        live=_curved_s,
     ),
     IdentityCase(
         id="bundle-metric-compatibility",
@@ -630,7 +666,7 @@ REGISTRY = (
         statement="the frame-bundle connection is metric for the bundle inner product",
         order=2,
         evaluator=_ev_bundle_metric_compatibility,
-        witness_builtins=frozenset({"sphere2", "clifford"}),
+        live=_curved_s,
     ),
     IdentityCase(
         id="deformed-connection-via-leibniz",
@@ -638,7 +674,7 @@ REGISTRY = (
         statement="nabla-tilde minus nabla' equals the displayed operator L",
         order=3,
         evaluator=_ev_deformed_connection_via_leibniz,
-        witness_builtins=frozenset({"catenoid", "clifford"}),
+        live=_not_umbilic,
     ),
     IdentityCase(
         id="gil-medrano-pairing",
@@ -646,7 +682,7 @@ REGISTRY = (
         statement="Koszul pairing of P(nabla-tilde - nabla') against the nabla'P expansion",
         order=3,
         evaluator=_ev_gil_medrano_pairing,
-        witness_builtins=frozenset({"catenoid", "clifford"}),
+        live=_not_umbilic,
     ),
     IdentityCase(
         id="q-operator-deformed-skewness",
@@ -654,8 +690,8 @@ REGISTRY = (
         statement="Q_T is skew for the deformed metric when T is block-diagonal",
         order=2,
         evaluator=_ev_q_operator_deformed_skewness,
-        builtins=_NOT_CIRCLE,
-        witness_builtins=frozenset({"sphere2", "clifford"}),
+        applies=_block_skew,
+        live=_curved_s,
     ),
     IdentityCase(
         id="frame-decompositions",
@@ -663,7 +699,7 @@ REGISTRY = (
         statement="lift and vertical decompositions reconstruct and are orthogonal",
         order=2,
         evaluator=_ev_frame_decompositions,
-        witness_builtins=_CURVED_S,
+        live=_curved_s,
     ),
     IdentityCase(
         id="subbundle-connection-vs-projection",
@@ -671,7 +707,7 @@ REGISTRY = (
         statement="displayed subbundle connection equals the tangent projection of the bundle one",
         order=2,
         evaluator=_ev_subbundle_connection_vs_projection,
-        witness_builtins=_CURVED_S,
+        live=_curved_s,
     ),
     IdentityCase(
         id="subbundle-second-fundamental-vs-projection",
@@ -679,7 +715,7 @@ REGISTRY = (
         statement="displayed second fundamental form equals the normal projection",
         order=2,
         evaluator=_ev_subbundle_second_fundamental_vs_projection,
-        witness_builtins=_CURVED_S,
+        live=_curved_s,
     ),
     IdentityCase(
         id="sectional-horizontal-vs-curvature",
@@ -687,8 +723,8 @@ REGISTRY = (
         statement="horizontal sectional formula matches the curvature-tensor pairing",
         order=3,
         evaluator=_ev_sectional_horizontal_vs_curvature,
-        builtins=_NOT_CIRCLE,
-        witness_builtins=frozenset({"sphere2", "clifford"}),
+        applies=lambda fd: fd.p >= 2,
+        live=_curved_s,
     ),
     IdentityCase(
         id="sectional-mixed-vs-curvature",
@@ -696,8 +732,8 @@ REGISTRY = (
         statement="mixed sectional formula matches the curvature-tensor pairing",
         order=3,
         evaluator=_ev_sectional_mixed_vs_curvature,
-        builtins=_NOT_CIRCLE,
-        witness_builtins=frozenset({"sphere2", "clifford"}),
+        applies=_block_skew,
+        live=_curved_s,
     ),
     IdentityCase(
         id="totally-geodesic-classification",
@@ -714,8 +750,8 @@ REGISTRY = (
         order=3,
         evaluator=_ev_space_form_sectional_nonnegative,
         pointwise=False,
-        builtins=("great2(0.5)",),
-        witness_builtins=frozenset({"great2(0.5)"}),
+        applies=_small_space_form,
+        live=_small_space_form,
     ),
     IdentityCase(
         id="mixed-vertical-sectional-nonnegative",
@@ -723,7 +759,7 @@ REGISTRY = (
         statement="mixed and vertical plane curvatures are nonnegative",
         order=3,
         evaluator=_ev_mixed_vertical_sectional_nonnegative,
-        witness_builtins=frozenset({"sphere2", "clifford"}),
+        live=_curved_s_plane,
     ),
     IdentityCase(
         id="minimality-harmonicity-equivalence",
@@ -732,7 +768,7 @@ REGISTRY = (
         order=3,
         evaluator=_ev_minimality_harmonicity_equivalence,
         pointwise=False,
-        witness_builtins=frozenset({"sphere2"}),
+        live=_not_minimal,
     ),
     IdentityCase(
         id="condition-set-implications",
@@ -740,7 +776,7 @@ REGISTRY = (
         statement="the two residual condition sets imply each other through exact identities",
         order=3,
         evaluator=_ev_condition_set_implications,
-        witness_builtins=frozenset({"circle", "sphere2"}),
+        live=_not_minimal,
     ),
     IdentityCase(
         id="christoffel-jets-vs-fd",
@@ -748,7 +784,7 @@ REGISTRY = (
         statement="induced and deformed Christoffel symbols match central differences",
         order=3,
         evaluator=_ev_christoffel_jets_vs_fd,
-        witness_builtins=frozenset({"sphere2", "clifford"}),
+        live=_curved_s_plane,
     ),
 )
 
@@ -769,7 +805,8 @@ class CaseResult:
     error_kind says how a failing row failed: "crash" (the evaluator raised;
     residual is None and error names the exception), "over_tol" (residual at
     or above tol) or "vacuous" (the witness stayed below WITNESS_FLOOR on a
-    builtin designated to exercise the case). It is None on passing rows.
+    submanifold whose geometry makes the case's live predicate true). It is
+    None on passing rows.
     """
 
     case_id: str
@@ -781,8 +818,8 @@ class CaseResult:
     tol: float
     passed: bool
     error: str | None = None
-    detail: dict | None = None
     error_kind: str | None = None
+    detail: dict | None = None
 
 
 @dataclass
@@ -824,22 +861,7 @@ class VerificationReport:
             "builtins": list(self.builtins),
             "passed": self.passed,
             "summary": self.summary(),
-            "results": [
-                {
-                    "case_id": r.case_id,
-                    "group": r.group,
-                    "builtin": r.builtin,
-                    "point": list(r.point) if r.point is not None else None,
-                    "residual": r.residual,
-                    "witness": r.witness,
-                    "tol": r.tol,
-                    "passed": r.passed,
-                    "error": r.error,
-                    "error_kind": r.error_kind,
-                    "detail": r.detail,
-                }
-                for r in self.results
-            ],
+            "results": [asdict(r) for r in self.results],
         }
 
     def canonical_json(self) -> str:
@@ -889,74 +911,71 @@ def run_suite(builtins=None, samples: int = 25, seed: int = 0, groups=None) -> V
     if isinstance(builtins, (str, ImmersedSubmanifold)):
         builtins = [builtins]
     manifolds = [_as_manifold(b) for b in builtins]
+    # a run over no submanifolds or no cases would report its verdict on no evidence
+    if not manifolds:
+        raise VerifyError("no submanifolds to check")
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise VerifyError(f"samples must be an integer >= 1, got {samples!r}")
     if groups is not None:
         groups = set(groups)
+        if not groups:
+            raise VerifyError("no case groups to check")
         bad = groups - REQUIRED_GROUPS
         if bad:
             raise VerifyError(f"unknown case groups: {sorted(bad)}")
     report = VerificationReport(seed=seed, samples=samples, builtins=tuple(n for n, _ in manifolds))
+    plans = [_plan(M, samples, seed) for _, M in manifolds]
     for ci, case in enumerate(REGISTRY):
         if groups is not None and case.group not in groups:
             continue
         for bi, (name, M) in enumerate(manifolds):
-            if not case.applies_to(name):
-                continue
-            rows = _run_case(case, ci, name, bi, M, samples, seed)
-            report.results.extend(rows)
+            applies, live = plans[bi][ci]
+            if applies:
+                report.results.extend(_run_case(case, ci, name, bi, M, samples, seed, live))
     report.runtime_seconds = time.perf_counter() - t0
     report.generated_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return report
 
 
-def _crash_row(case, name, point, tol, exc: Exception) -> CaseResult:
-    return CaseResult(
-        case.id, case.group, name, point, None, None, tol, False,
-        error=f"{type(exc).__name__}: {exc}", error_kind="crash",
-    )
+def _plan(M, samples, seed) -> list[tuple[bool, bool]]:
+    """(applies, live) of each registry case on M, from the frame at the
+    sample points; where it cannot be built, every case runs unwitnessed."""
+    try:
+        fd = M.frame_data(domain_samples(M, samples, seed=seed))
+        return [(case.applies(fd), case.live(fd)) for case in REGISTRY]
+    except Exception:  # noqa: BLE001 - the cases report the failure row by row
+        return [(True, False)] * len(REGISTRY)
 
 
-def _measured_row(case, name, point, tol, residual, witness, detail) -> CaseResult:
-    passed = bool(residual < tol)
-    return CaseResult(
-        case.id, case.group, name, point, float(residual), float(witness),
-        tol, passed, detail=detail, error_kind=None if passed else "over_tol",
-    )
-
-
-def _run_case(case, ci, name, bi, M, samples, seed):
+def _run_case(case, ci, name, bi, M, samples, seed, live):
     tol = case.tolerance
-    rows = []
-    max_witness = 0.0
-    if case.pointwise:
+
+    def row(point, evaluate):
         try:
-            points = domain_samples(M, samples, seed=seed)
+            residual, witness, detail = evaluate()
         except Exception as exc:  # noqa: BLE001 - reported, not fatal
-            return [_crash_row(case, name, None, tol, exc)]
-        for pi, u in enumerate(points):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, ci, bi, pi]))
-            try:
-                residual, witness, detail = case.evaluator(M, u, rng)
-            except Exception as exc:  # noqa: BLE001 - reported, not fatal
-                rows.append(_crash_row(case, name, tuple(u), tol, exc))
-                continue
-            max_witness = max(max_witness, witness)
-            rows.append(_measured_row(case, name, tuple(u), tol, residual, witness, detail))
-    else:
-        try:
-            residual, witness, detail = case.evaluator(M, samples, seed)
-            max_witness = witness
-            rows.append(_measured_row(case, name, None, tol, residual, witness, detail))
-        except Exception as exc:  # noqa: BLE001 - reported, not fatal
-            rows.append(_crash_row(case, name, None, tol, exc))
-    if name in case.witness_builtins and max_witness < WITNESS_FLOOR:
-        rows.append(
-            CaseResult(
-                case.id, case.group, name, None, float(max_witness), float(max_witness),
-                tol, False, error="vacuous check: witness magnitude below floor", error_kind="vacuous",
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            return CaseResult(case.id, case.group, name, point, None, None, tol, False, error, "crash")
+        passed = bool(residual < tol)
+        return CaseResult(
+            case.id, case.group, name, point, float(residual), float(witness), tol, passed,
+            error_kind=None if passed else "over_tol", detail=detail,
         )
+
+    def at(pi, u):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, ci, bi, pi]))
+        return row(tuple(u), lambda: case.evaluator(M, u, rng))
+
+    if case.pointwise:
+        rows = [at(pi, u) for pi, u in enumerate(domain_samples(M, samples, seed=seed))]
+    else:
+        rows = [row(None, lambda: case.evaluator(M, samples, seed))]
+    max_witness = max((r.witness for r in rows if r.witness is not None), default=0.0)
+    if live and max_witness < WITNESS_FLOOR:
+        rows.append(CaseResult(
+            case.id, case.group, name, None, max_witness, max_witness, tol, False,
+            "vacuous check: witness magnitude below floor", "vacuous",
+        ))
     return rows
 
 

@@ -4,8 +4,9 @@ A module, and a test module, uses a framelab module's public names only: no
 `from .mod import _name` and no `mod._name` on an imported framelab module,
 and every public name it imports from a framelab module, or reads as
 `mod.name` on one, is in that module's `__all__`. Every name a module lists
-in `__all__` exists. Only `jets` calls `Jet(...)`, and `finite_diff`
-imports no framelab module.
+in `__all__` exists. Only `jets` calls `Jet(...)`, `finite_diff`
+imports no framelab module, and `verify` names no builtin submanifold
+outside `DEFAULT_BUILTINS`.
 A framelab module reads every name it imports with `from ... import`, or
 re-exports it in `__all__`.
 """
@@ -18,6 +19,8 @@ from pathlib import Path
 import pytest
 
 import framelab
+from framelab.submanifold import FrameError, builtin_submanifold
+from framelab.verify import DEFAULT_BUILTINS
 
 PACKAGE_DIR = Path(framelab.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
@@ -194,6 +197,31 @@ def test_scan_sees_framelab_imports():
     src = "import numpy as np\nfrom . import jets\nfrom .expr import parse\nimport framelab.ambient"
     found = _framelab_imports(ast.parse(src))
     assert found == ["line 2: from .", "line 3: from .expr", "line 4: import framelab.ambient"]
+
+
+def _builtin_names(tree: ast.Module) -> list[str]:
+    """The string constants of a source that builtin_submanifold accepts."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                builtin_submanifold(node.value)
+            except FrameError:
+                continue
+            found.append(node.value)
+    return sorted(found)
+
+
+def test_verify_names_no_builtin_outside_the_default_set():
+    """Where a registry case runs, and where its witness must be live, is
+    read from the geometry, so a new builtin needs no registry edit."""
+    names = _builtin_names(ast.parse(SOURCES["verify"].read_text()))
+    assert names == sorted(DEFAULT_BUILTINS)
+
+
+def test_scan_sees_builtin_names():
+    src = 'A = ("plane", "planes")\nB = {" Sphere2": "great2(0.50)", "k": f"great2({k})"}\n'
+    assert _builtin_names(ast.parse(src)) == [" Sphere2", "great2(0.50)", "plane"]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

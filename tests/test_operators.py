@@ -409,36 +409,6 @@ def test_curvature_prime_sphere_sectional():
     assert abs((Rp @ np.array([0.0, 1.0, 0.0]))[0] - 1.0) < 1e-8
 
 
-# -- sampled sweep of the six splitting identities ----------------------------
-
-
-@pytest.mark.parametrize("name", ["great2(0.7)"])
-def test_identity_sweep(name):
-    """The derivative decompositions at several points of a builtin outside
-    the registry's default set."""
-    rng = np.random.default_rng(18)
-    M = builtin_submanifold(name)
-    lo, hi = M.chart_domain[:, 0], M.chart_domain[:, 1]
-    pad = 0.05 * (hi - lo)
-    for _ in range(6):
-        u = rng.uniform(lo + pad, hi - pad)
-        fd = M.frame_data(u)
-        d, p = fd.d, fd.p
-        A = random_skew(rng, d)
-        Th, Tm = hm_split_mat(A, p)
-        xc = rng.normal(size=p)
-        SX = ops.s_field_matrix(fd, fd.uspace.constant(xc)).val
-        for T0 in (Th, Tm):
-            full = ops.nabla_t_field_jet(fd, const_endo(T0)(fd), xc, "ambient").val
-            prime = ops.nabla_t_field_jet(fd, const_endo(T0)(fd), xc, "prime").val
-            h, m = hm_split_mat(full, p)
-            ph, pm = hm_split_mat(prime, p)
-            comm = SX @ T0 - T0 @ SX
-            ch, cm = hm_split_mat(comm, p)
-            assert np.max(np.abs(h - (ph + ch))) < 1e-7
-            assert np.max(np.abs(m - (pm + cm))) < 1e-7
-
-
 def test_omega_along_prime_is_the_block_diagonal_part():
     M = builtin_submanifold("clifford")
     u = np.array([0.4, -0.7])

@@ -56,12 +56,24 @@ def report():
     return verify.run_suite(builtins=verify.DEFAULT_BUILTINS, samples=5)
 
 
+@pytest.fixture(scope="module")
+def frames():
+    """Each default builtin's frame at the sample points of report, which
+    the cases' applies and live predicates read."""
+    manifolds = {name: builtin_submanifold(name) for name in verify.DEFAULT_BUILTINS}
+    return {name: M.frame_data(domain_samples(M, 5, seed=0)) for name, M in manifolds.items()}
+
+
+def _bound(case_id, tol):
+    return tol if case_id == "christoffel-jets-vs-fd" else EXACT_TOL
+
+
 @pytest.mark.parametrize("case", verify.REGISTRY, ids=verify.registry_ids())
-def test_registry_case_holds(report, case):
+def test_registry_case_holds(report, frames, case):
     rows = [r for r in report.results if r.case_id == case.id]
-    assert {r.builtin for r in rows} == {b for b in verify.DEFAULT_BUILTINS if case.applies_to(b)}
+    assert {r.builtin for r in rows} == {b for b, fd in frames.items() if case.applies(fd)}
     assert [(r.builtin, r.point, r.error) for r in rows if r.error_kind == "crash"] == []
-    bound = case.tolerance if case.id == "christoffel-jets-vs-fd" else EXACT_TOL
+    bound = _bound(case.id, case.tolerance)
     known_vacuous = case.id in VACUOUS_ON_CLIFFORD
     over = [
         (r.builtin, r.point, r.residual)
@@ -77,6 +89,64 @@ def test_only_known_vacuous_witnesses_fail(report):
     failing = sorted((r.case_id, r.builtin, r.error) for r in report.results if not r.passed)
     vacuous = "vacuous check: witness magnitude below floor"
     assert failing == sorted((cid, "clifford", vacuous) for cid in VACUOUS_ON_CLIFFORD)
+
+
+def test_every_case_but_one_requires_a_live_witness(frames):
+    """A case that needs its witness on no default builtin could pass
+    vacuously everywhere; the totally-geodesic verdict has no witness."""
+    never = [c.id for c in verify.REGISTRY if not any(c.live(fd) for fd in frames.values())]
+    assert never == ["totally-geodesic-classification"]
+
+
+def _rows(report):
+    return [(r.case_id, r.point, r.residual, r.witness, r.passed, r.error_kind) for r in report.results]
+
+
+def test_user_copies_get_the_builtins_rows(report):
+    """Where a case runs and where its witness must be live follow the
+    geometry: copies of the default builtins under another name get the
+    same rows, in the same order."""
+    builtins = [builtin_submanifold(name) for name in verify.DEFAULT_BUILTINS]
+    copies = [ImmersedSubmanifold(B.p, B.chart_domain, B.components, B.ambient, name="user") for B in builtins]
+    assert _rows(verify.run_suite(copies, samples=5)) == _rows(report)
+
+
+def test_builtin_spelling_does_not_change_the_rows():
+    got = verify.run_suite("great2(0.50)", samples=5)
+    assert _rows(got) == _rows(verify.run_suite("great2(0.5)", samples=5))
+
+
+def test_great_spheres_get_the_cases_their_curvature_admits():
+    """All sectional curvatures of O(M,N) over great2(kappa) are nonnegative
+    while the hh one, kappa - 3 kappa^2 / 2, is: for kappa <= 2/3, boundary
+    included. Beyond it the mixed planes still curve."""
+    names = ["great2(0.1)", f"great2({2 / 3})", "great2(0.7)"]
+    rows = verify.run_suite(names, samples=5).results
+    over = [(r.case_id, r.builtin) for r in rows if not (r.passed and r.residual < _bound(r.case_id, r.tol))]
+    assert over == []
+    space_form = [(r.builtin, r.passed) for r in rows if r.case_id == "space-form-sectional-nonnegative"]
+    assert space_form == [(names[0], True), (names[1], True)]
+    for cid in ("sectional-mixed-vs-curvature", "mixed-vertical-sectional-nonnegative"):
+        assert max(r.witness for r in rows if r.case_id == cid and r.builtin == names[2]) >= 1e-3
+
+
+def test_unbuildable_sample_frame_runs_every_case():
+    """A point outside sqrt's domain stops the frame at the sample points, so
+    every case runs, crashes at that point only and needs no witness."""
+    M = ImmersedSubmanifold(2, [[-0.5, 0.5]] * 2, ["u1", "u2", "sqrt(u1+0.3)"], euclidean(3))
+    rows = verify.run_suite(M, samples=5, groups=["duality-relations"]).results
+    kinds = sorted((r.case_id, r.passed, (r.error or "").split(":")[0]) for r in rows)
+    cases = [c.id for c in verify.REGISTRY if c.group == "duality-relations"]
+    assert kinds == sorted((c, ok, "" if ok else "DomainError") for c in cases for ok in [False] + [True] * 4)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"builtins": []}, {"builtins": "plane", "groups": []}], ids=["no-builtins", "no-groups"]
+)
+def test_empty_run_is_refused(kwargs):
+    """A run with no rows would pass on no evidence."""
+    with pytest.raises(verify.VerifyError, match="no .* to check"):
+        verify.run_suite(**kwargs)
 
 
 def test_fd_tolerances_cover_every_quantity():
