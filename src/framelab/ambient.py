@@ -41,7 +41,24 @@ __all__ = [
 
 
 class AmbientError(ValueError):
-    """Raised when a metric query fails (non-PD metric, bad dimensions)."""
+    """Raised when a metric query fails (a metric not finite or not positive
+    definite, bad dimensions)."""
+
+
+def _first_point(x: np.ndarray, mask: np.ndarray) -> list[float]:
+    """The first point of the batch x (..., d) at which mask (...) holds."""
+    return x[tuple(np.argwhere(mask)[0])].tolist()
+
+
+def _not_positive_definite(g: np.ndarray) -> np.ndarray:
+    """Where the symmetric matrices g (..., d, d) have no Cholesky factor."""
+    bad = np.zeros(g.shape[:-2], dtype=bool)
+    for idx in np.ndindex(bad.shape):
+        try:
+            np.linalg.cholesky(g[idx])
+        except np.linalg.LinAlgError:
+            bad[idx] = True
+    return bad
 
 
 class AmbientSpace:
@@ -78,18 +95,21 @@ class AmbientSpace:
         space = get_space(self.dim, order)
         varjets = space.variables(x0)
         rows = []
-        for row in self.entries:
-            rows.append(jstack([eval_expr(e, varjets, space) for e in row], axis=-1))
+        # an overflow or a pole shows as a non-finite entry, refused below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for row in self.entries:
+                rows.append(jstack([eval_expr(e, varjets, space) for e in row], axis=-1))
         # a metric of constants carries no batch axes yet: broadcast to x0's
         G = jstack(rows, axis=-2) * np.ones(x0.shape[:-1] + (1, 1))
-        for idx in np.ndindex(x0.shape[:-1]):
-            g0 = G.val[idx]
-            if not np.allclose(g0, g0.T, atol=1e-12):
-                raise AmbientError(f"metric not symmetric at {x0[idx].tolist()}")
-            try:
-                np.linalg.cholesky(0.5 * (g0 + g0.T))
-            except np.linalg.LinAlgError:
-                raise AmbientError(f"metric not positive definite at {x0[idx].tolist()}") from None
+        # symmetric by construction (__init__ equates the mirrored entries)
+        finite = np.all(np.isfinite(G.coeffs), axis=(-3, -2, -1))
+        if not np.all(finite):
+            raise AmbientError(f"metric not finite at {_first_point(x0, ~finite)}")
+        try:
+            np.linalg.cholesky(G.val)
+        except np.linalg.LinAlgError:
+            bad = _not_positive_definite(G.val)
+            raise AmbientError(f"metric not positive definite at {_first_point(x0, bad)}") from None
         return G
 
     def geometry_jets(self, x0, order: int) -> tuple[Jet, Jet, Jet]:

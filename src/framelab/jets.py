@@ -19,8 +19,17 @@ Differentiation moves a jet to the space one order lower, and extraction
 beyond the order raises instead of returning silently wrong numbers. Where
 jets of different orders meet (a binary operation, jstack, jet_einsum), the
 higher-order one is first cut to the lower order. Coefficients are stored in
-graded order, so the cut is a prefix slice; a product then sums the pair
-table of the space it lands in.
+graded order, so the cut is a prefix slice.
+
+A jet x jet product (`*`, and jet_einsum on two jets) runs over the product
+table of the space it lands in. The table lists the P unordered coefficient
+pairs (i, j), i <= j, whose degrees sum to at most the order, grouped by
+target, and then the same P pairs swapped. Each operand is gathered once
+over these 2P ordered pairs, one elementwise product or one einsum forms
+their terms e, and the coefficients are w * (e[:P] + e[P:]) summed by
+target, with the weight w = 1/2 on the diagonal i == j and 1 elsewhere.
+Swapping the operands swaps the two halves of e, floating-point addition
+commutes, and w scales exactly, so a * b and b * a agree to the last bit.
 """
 
 from __future__ import annotations
@@ -85,10 +94,11 @@ class JetSpace:
         self._build_derivative_table()
 
     def _build_product_table(self) -> None:
-        # Unordered coefficient pairs {i, j} (i <= j) with deg(i)+deg(j) <=
-        # order, grouped by the target index of alpha_i + alpha_j. Keeping
-        # pairs unordered and weighting the diagonal by 1/2 makes jet
-        # multiplication exactly commutative at the bit level.
+        # The P unordered coefficient pairs (i, j), i <= j, with deg(i) +
+        # deg(j) <= order, grouped by the target index of alpha_i + alpha_j,
+        # then the same P pairs swapped, (j, i): the ordered pairs over which
+        # a product gathers each operand once (see the module docstring for
+        # why the product stays exactly commutative).
         by_target: dict[int, list[tuple[int, int]]] = {}
         for i, a in enumerate(self.multi_indices):
             da = sum(a)
@@ -105,8 +115,9 @@ class JetSpace:
                 pi.append(i)
                 pj.append(j)
                 w.append(0.5 if i == j else 1.0)
-        # (pi, pj, weights, segment start of each target)
-        self._pairs = (np.array(pi), np.array(pj), np.array(w), np.array(starts))
+        # (left index, right index, weight of each unordered pair, segment
+        # start of each target); the indices run over the 2P ordered pairs
+        self._product = (np.array(pi + pj), np.array(pj + pi), np.array(w), np.array(starts))
 
     def _build_derivative_table(self) -> None:
         # (d_a f)_alpha = (alpha_a + 1) * f_{alpha + e_a}, for the alpha of
@@ -181,6 +192,13 @@ def _common(a: Jet, b: Jet) -> tuple[JetSpace, np.ndarray, np.ndarray]:
     return sp, _cut(a, sp), _cut(b, sp)
 
 
+def _pair_sum(e: np.ndarray, pw: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Coefficients of a product from its terms e (..., 2P) over the ordered
+    pair table: the two orders of each pair weighted, then summed by target."""
+    P = pw.shape[0]
+    return np.add.reduceat(pw * (e[..., :P] + e[..., P:]), starts, axis=-1)
+
+
 class Jet:
     """Taylor coefficients with arbitrary leading (batch/tensor) shape."""
 
@@ -251,9 +269,9 @@ class Jet:
             arr = np.asarray(other, dtype=float)
             return Jet(self.space, self.coeffs * arr[..., None])
         sp, a, b = _common(self, other)
-        pi, pj, pw, starts = sp._pairs
-        prod = pw * (a[..., pi] * b[..., pj] + a[..., pj] * b[..., pi])
-        return Jet(sp, np.add.reduceat(prod, starts, axis=-1))
+        left, right, pw, starts = sp._product
+        e = a[..., left] * b[..., right]
+        return Jet(sp, _pair_sum(e, pw, starts))
 
     __rmul__ = __mul__
 
@@ -321,6 +339,15 @@ def jstack(jets: list[Jet], axis: int = -1) -> Jet:
     return Jet(sp, np.stack(cs, axis=axis))
 
 
+@lru_cache(maxsize=256)
+def _einsum_subscripts(sub: str) -> tuple[str, str, str]:
+    """The einsum strings of sub for jet x jet, jet x array and array x jet;
+    the trailing P is the pair or the coefficient axis."""
+    lhs, rhs = sub.split("->")
+    sa, sb = lhs.split(",")
+    return f"{sa}P,{sb}P->{rhs}P", f"{sa}P,{sb}->{rhs}P", f"{sa},{sb}P->{rhs}P"
+
+
 def jet_einsum(sub: str, a, b) -> Jet:
     """Two-operand einsum where either operand may be a Jet.
 
@@ -328,21 +355,16 @@ def jet_einsum(sub: str, a, b) -> Jet:
     coefficient axis is handled internally (Cauchy product when both operands
     are jets).
     """
-    lhs, rhs = sub.split("->")
-    sa, sb = lhs.split(",")
+    jet_jet, jet_arr, arr_jet = _einsum_subscripts(sub)
     if isinstance(a, Jet) and isinstance(b, Jet):
         sp, ca, cb = _common(a, b)
-        pi, pj, pw, starts = sp._pairs
-        pair_sub = f"{sa}P,{sb}P->{rhs}P"
-        prod = pw * np.einsum(pair_sub, ca[..., pi], cb[..., pj])
-        prod += pw * np.einsum(pair_sub, ca[..., pj], cb[..., pi])
-        return Jet(sp, np.add.reduceat(prod, starts, axis=-1))
+        left, right, pw, starts = sp._product
+        e = np.einsum(jet_jet, ca[..., left], cb[..., right])
+        return Jet(sp, _pair_sum(e, pw, starts))
     if isinstance(a, Jet):
-        out = np.einsum(f"{sa}P,{sb}->{rhs}P", a.coeffs, np.asarray(b, dtype=float))
-        return Jet(a.space, out)
+        return Jet(a.space, np.einsum(jet_arr, a.coeffs, np.asarray(b, dtype=float)))
     if isinstance(b, Jet):
-        out = np.einsum(f"{sa},{sb}P->{rhs}P", np.asarray(a, dtype=float), b.coeffs)
-        return Jet(b.space, out)
+        return Jet(b.space, np.einsum(arr_jet, np.asarray(a, dtype=float), b.coeffs))
     raise TypeError("at least one operand must be a Jet")
 
 
@@ -393,7 +415,7 @@ def jet_solve(a: Jet, b) -> Jet:
     term = a.space.constant(b0inv)
     inv = term
     for _ in range(a.space.order):
-        term = jet_matmul(jet_matmul(a.space.constant(-b0inv), n), term)
+        term = jet_matmul(jet_matmul(-b0inv, n), term)
         inv = inv + term
     b_ndim = len(b.shape) if isinstance(b, Jet) else np.ndim(b)
     if b_ndim == len(a.shape):

@@ -37,6 +37,7 @@ trace of `omn_geometry` pass the batch axes through in the same way.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -435,8 +436,9 @@ def builtin_submanifold(name: str) -> ImmersedSubmanifold:
         )
     if key.startswith("great2(") and key.endswith(")"):
         try:
-            kappa = float(key[len("great2("):-1])
-        except ValueError:
+            # a decimal or a rational p/q, so great2(2/3) names kappa = 2/3
+            kappa = float(Fraction(key[len("great2("):-1]))
+        except (ValueError, ZeroDivisionError):
             raise FrameError(f"bad curvature parameter in {name!r}") from None
         if kappa <= 0:
             raise FrameError("great2 needs a positive curvature parameter")

@@ -924,30 +924,31 @@ def run_suite(builtins=None, samples: int = 25, seed: int = 0, groups=None) -> V
         if bad:
             raise VerifyError(f"unknown case groups: {sorted(bad)}")
     report = VerificationReport(seed=seed, samples=samples, builtins=tuple(n for n, _ in manifolds))
-    plans = [_plan(M, samples, seed) for _, M in manifolds]
+    points = [domain_samples(M, samples, seed=seed) for _, M in manifolds]
+    plans = [_plan(M, u) for (_, M), u in zip(manifolds, points)]
     for ci, case in enumerate(REGISTRY):
         if groups is not None and case.group not in groups:
             continue
         for bi, (name, M) in enumerate(manifolds):
             applies, live = plans[bi][ci]
             if applies:
-                report.results.extend(_run_case(case, ci, name, bi, M, samples, seed, live))
+                report.results.extend(_run_case(case, ci, name, bi, M, samples, seed, points[bi], live))
     report.runtime_seconds = time.perf_counter() - t0
     report.generated_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return report
 
 
-def _plan(M, samples, seed) -> list[tuple[bool, bool]]:
+def _plan(M, points) -> list[tuple[bool, bool]]:
     """(applies, live) of each registry case on M, from the frame at the
     sample points; where it cannot be built, every case runs unwitnessed."""
     try:
-        fd = M.frame_data(domain_samples(M, samples, seed=seed))
+        fd = M.frame_data(points)
         return [(case.applies(fd), case.live(fd)) for case in REGISTRY]
     except Exception:  # noqa: BLE001 - the cases report the failure row by row
         return [(True, False)] * len(REGISTRY)
 
 
-def _run_case(case, ci, name, bi, M, samples, seed, live):
+def _run_case(case, ci, name, bi, M, samples, seed, points, live):
     tol = case.tolerance
 
     def row(point, evaluate):
@@ -967,7 +968,7 @@ def _run_case(case, ci, name, bi, M, samples, seed, live):
         return row(tuple(u), lambda: case.evaluator(M, u, rng))
 
     if case.pointwise:
-        rows = [at(pi, u) for pi, u in enumerate(domain_samples(M, samples, seed=seed))]
+        rows = [at(pi, u) for pi, u in enumerate(points)]
     else:
         rows = [row(None, lambda: case.evaluator(M, samples, seed))]
     max_witness = max((r.witness for r in rows if r.witness is not None), default=0.0)

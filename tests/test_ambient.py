@@ -99,6 +99,19 @@ def test_non_positive_definite_rejected():
         metric_at(bad, [-1.0, 0.0])
 
 
+def test_batch_names_its_first_bad_point():
+    bad = AmbientSpace.from_strings(2, [["x1", "0"], ["0", "1"]])
+    points = np.array([[1.0, 0.0], [2.0, 0.5], [-1.0, 3.0]])
+    with pytest.raises(AmbientError, match=r"positive definite at \[-1\.0, 3\.0\]"):
+        bad.metric_jets(points, 2)
+
+
+def test_non_finite_metric_rejected():
+    steep = AmbientSpace.from_strings(2, [["exp(x1)", "0"], ["0", "1"]])
+    with pytest.raises(AmbientError, match=r"not finite at \[800\.0, 0\.0\]"):
+        metric_at(steep, [800.0, 0.0])
+
+
 def test_asymmetric_grid_rejected():
     with pytest.raises(AmbientError, match="differ"):
         AmbientSpace.from_strings(2, [["1", "x1"], ["x2", "1"]])

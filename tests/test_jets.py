@@ -298,3 +298,72 @@ def test_along_and_pullback_take_leading_batch_axes():
         for got, want in zip(batch, at(u)):
             assert got.valid == want.valid
             assert np.array_equal(got.coeffs[k], want.coeffs)
+
+
+def _reference_product(a: Jet, b: Jet, multiply) -> Jet:
+    """The truncated product by its definition: c_gamma is the sum of
+    multiply(a_alpha, b_beta) over every alpha + beta = gamma, |gamma| at
+    most the lower of the two orders."""
+    low = a.space if a.space.order <= b.space.order else b.space
+    terms: dict[int, list] = {}
+    for i, alpha in enumerate(a.space.multi_indices):
+        for j, beta in enumerate(b.space.multi_indices):
+            gamma = tuple(x + y for x, y in zip(alpha, beta))
+            if sum(gamma) <= low.order:
+                terms.setdefault(low.index_of[gamma], []).append(multiply(a.coeffs[..., i], b.coeffs[..., j]))
+    return Jet(low, np.stack([sum(terms[k]) for k in range(low.ncoeff)], axis=-1))
+
+
+def _reference_solve(a: Jet, b: Jet) -> Jet:
+    """x with a x = b, order by order: x_gamma = a_0^-1 (b_gamma - sum of
+    a_alpha x_beta over alpha + beta = gamma, alpha != 0)."""
+    sp = a.space
+    x = np.zeros(b.coeffs.shape)
+    for k, gamma in enumerate(sp.multi_indices):
+        rhs = b.coeffs[..., k].copy()
+        for i, alpha in enumerate(sp.multi_indices[1:], start=1):
+            beta = tuple(g - s for g, s in zip(gamma, alpha))
+            if min(beta) >= 0:
+                rhs -= np.einsum("...ij,...j->...i", a.coeffs[..., i], x[..., sp.index_of[beta]])
+        x[..., k] = np.linalg.solve(a.coeffs[..., 0], rhs[..., None])[..., 0]
+    return Jet(sp, x)
+
+
+def _assert_close(got: Jet, want: Jet):
+    assert got.space is want.space
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * np.max(np.abs(want.coeffs))
+
+
+KERNEL_ORDERS = [(k, k) for k in range(5)] + [(4, 2), (1, 3), (0, 4), (3, 4)]
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("va,vb", KERNEL_ORDERS)
+def test_kernel_matches_reference_product(nvars, va, vb):
+    """Jet *, jet_einsum (jet x jet) against the double loop over multi-indices,
+    at a batch of 4 points."""
+    rng = np.random.default_rng([nvars, va, vb])
+    sa, sb = get_space(nvars, va), get_space(nvars, vb)
+    a = Jet(sa, rng.uniform(-1.0, 1.0, (4, 3, 3, sa.ncoeff)))
+    b = Jet(sb, rng.uniform(-1.0, 1.0, (4, 3, sb.ncoeff)))
+    _assert_close(a[..., 0] * b, _reference_product(a[..., 0], b, np.multiply))
+    for sub in ("...ik,...k->...i", "...ij,...k->...ijk"):
+        want = _reference_product(a, b, lambda x, y, sub=sub: np.einsum(sub, x, y))
+        _assert_close(jet_einsum(sub, a, b), want)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("order", range(5))
+def test_solve_matches_reference(nvars, order):
+    """jet_solve against the order-by-order solve, for a batch of 4 matrices
+    and both a vector and a matrix right-hand side."""
+    rng = np.random.default_rng([nvars, order])
+    sp = get_space(nvars, order)
+    c = rng.uniform(-0.3, 0.3, (4, 3, 3, sp.ncoeff))
+    c[..., 0] += 3.0 * np.eye(3)
+    a = Jet(sp, c)
+    v = Jet(sp, rng.uniform(-1.0, 1.0, (4, 3, sp.ncoeff)))
+    m = Jet(sp, rng.uniform(-1.0, 1.0, (4, 3, 2, sp.ncoeff)))
+    _assert_close(jet_solve(a, v), _reference_solve(a, v))
+    for col in range(2):
+        _assert_close(jet_solve(a, m)[..., col], _reference_solve(a, m[..., col]))

@@ -386,3 +386,12 @@ def test_builtin_catalog_errors():
         builtin_submanifold("great2(-1)")
     with pytest.raises(FrameError):
         builtin_submanifold("great2(abc)")
+    with pytest.raises(FrameError, match="bad curvature parameter"):
+        builtin_submanifold("great2(1/0)")
+
+
+def test_great2_takes_a_rational_curvature():
+    u = np.array([0.2, -0.4])
+    exact, decimal = builtin_submanifold("great2(2/3)"), builtin_submanifold("great2(0.6666666666666666)")
+    assert exact.name == decimal.name
+    assert np.array_equal(exact.frame_data(u).Rfr.coeffs, decimal.frame_data(u).Rfr.coeffs)

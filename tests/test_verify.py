@@ -120,7 +120,7 @@ def test_great_spheres_get_the_cases_their_curvature_admits():
     """All sectional curvatures of O(M,N) over great2(kappa) are nonnegative
     while the hh one, kappa - 3 kappa^2 / 2, is: for kappa <= 2/3, boundary
     included. Beyond it the mixed planes still curve."""
-    names = ["great2(0.1)", f"great2({2 / 3})", "great2(0.7)"]
+    names = ["great2(0.1)", "great2(2/3)", "great2(0.7)"]
     rows = verify.run_suite(names, samples=5).results
     over = [(r.case_id, r.builtin) for r in rows if not (r.passed and r.residual < _bound(r.case_id, r.tol))]
     assert over == []
