@@ -13,7 +13,12 @@ latter maps p chart coefficients straight to frame components instead.
 Everything is evaluated at adapted frames over a submanifold M, where the
 useful lifts are X^h (zero vertical), X^{h'} = X^h + bar(S_X) for tangent X,
 and the invariant vertical fields bar(T). A lifted vector lives at the frame
-over one parameter point; frame_at gives that frame and refuses a batch.
+over one parameter point u of shape (p,), or holds one vector at each frame
+of a batch u of shape (n, p): its parts then lead with the batch axes,
+horizontal (n, d) and vertical (n, d, d), and sasaki_mok_inner and norm give
+one value per point. frame_at gives the frame of either; every function here
+passes the batch axes through, and a part given per point (without the
+batch axes) is the same at every point of the batch.
 
 The Levi-Civita connection is written once, on field pairs: direction
 X^h + bar(A), field Y^h + bar(B),
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .operators import hm_split_mat, skew_inner
+from .operators import hm_split_mat, matvec, per_point, skew_inner
 from .submanifold import FramePointData, ImmersedSubmanifold
 
 __all__ = [
@@ -62,10 +67,11 @@ class FrameBundleError(ValueError):
 
 @dataclass(frozen=True)
 class LiftedVector:
-    """Tangent vector of the frame bundle at the adapted frame over u.
+    """Tangent vector of the frame bundle at the adapted frame over u, or one
+    at each frame over a batch u (n, p).
 
-    horizontal: (d,) frame components of the horizontal part.
-    vertical: (d, d) skew matrix of frame components of the vertical part.
+    horizontal: (..., d) frame components of the horizontal part.
+    vertical: (..., d, d) skew matrix of frame components of the vertical part.
     """
 
     sub: ImmersedSubmanifold
@@ -85,8 +91,9 @@ class LiftedVector:
     def __rmul__(self, c: float) -> "LiftedVector":
         return LiftedVector(self.sub, self.u, c * self.horizontal, c * self.vertical)
 
-    def norm(self) -> float:
-        return float(np.sqrt(max(sasaki_mok_inner(self, self), 0.0)))
+    def norm(self):
+        """The Sasaki-Mok norm: a float at one point, an array over a batch."""
+        return per_point(np.sqrt(np.maximum(sasaki_mok_inner(self, self), 0.0)))
 
 
 def _same_base(v: LiftedVector, w: LiftedVector):
@@ -95,64 +102,84 @@ def _same_base(v: LiftedVector, w: LiftedVector):
 
 
 def frame_at(M: ImmersedSubmanifold, u) -> FramePointData:
-    """The frame over the one parameter point u, of shape (p,).
-
-    A lifted vector lives at one frame, so a batch of points is refused."""
+    """The frame over the parameter point u of shape (p,), or over the batch
+    of points u of shape (n, p)."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (M.p,):
-        raise FrameBundleError(f"u must be one point of shape ({M.p},), got {u.shape}")
+    if u.ndim not in (1, 2) or u.shape[-1] != M.p or u.size == 0:
+        raise FrameBundleError(f"u must have shape ({M.p},) or (n, {M.p}), got {u.shape}")
     return M.frame_data(u)
 
 
-def _part(x, shape: tuple, what: str) -> np.ndarray:
-    """x as a float array of the given shape, zeros when x is None."""
-    a = np.zeros(shape) if x is None else np.asarray(x, dtype=float)
-    if a.shape != shape:
-        raise FrameBundleError(f"{what} must have shape {shape}, got {a.shape}")
+def _batch(fd: FramePointData) -> tuple:
+    return fd.u0.shape[:-1]
+
+
+def _part(fd: FramePointData, x, shape: tuple, what: str) -> np.ndarray:
+    """x as a float array of the frame's batch axes followed by shape: a
+    value of shape alone is the same at every point, None is zero."""
+    full = _batch(fd) + shape
+    if x is None:
+        return np.zeros(full)
+    a = np.asarray(x, dtype=float)
+    if a.shape == shape:
+        return np.array(np.broadcast_to(a, full))
+    if a.shape != full:
+        alt = f" or {shape}" if full != shape else ""
+        raise FrameBundleError(f"{what} must have shape {full}{alt}, got {a.shape}")
     return a
 
 
 def lifted(M: ImmersedSubmanifold, u, horizontal=None, vertical=None) -> LiftedVector:
     """Assemble a LiftedVector at the frame over u from the frame components
     of its horizontal part, shape (d,), and its vertical skew matrix, shape
-    (d, d); an absent part is zero. Both parts must be finite (a refusal
-    names u), and the vertical part antisymmetric to 1e-12."""
+    (d, d), each led by u's batch axes or the same at every point; an absent
+    part is zero. Both parts must be finite and the vertical part
+    antisymmetric to 1e-12; a refusal names the first point where it fails."""
     fd = frame_at(M, u)
-    h = _part(horizontal, (fd.d,), "horizontal part")
-    vmat = _part(vertical, (fd.d, fd.d), "vertical part")
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(vmat))):
-        raise FrameBundleError(f"horizontal or vertical part is not finite at u = {fd.u0.tolist()}")
-    if np.max(np.abs(vmat + vmat.T)) > 1e-12:
-        raise FrameBundleError("vertical part is not antisymmetric")
+    h = _part(fd, horizontal, (fd.d,), "horizontal part")
+    vmat = _part(fd, vertical, (fd.d, fd.d), "vertical part")
+    finite = np.all(np.isfinite(h), axis=-1) & np.all(np.isfinite(vmat), axis=(-2, -1))
+    if not np.all(finite):
+        raise FrameBundleError(f"horizontal or vertical part is not finite at u = {fd.point_where(~finite)}")
+    skew = np.max(np.abs(vmat + np.swapaxes(vmat, -1, -2)), axis=(-2, -1)) <= 1e-12
+    if not np.all(skew):
+        raise FrameBundleError(f"vertical part is not antisymmetric at u = {fd.point_where(~skew)}")
     return LiftedVector(M, fd.u0, h, vmat)
 
 
-def sasaki_mok_inner(v: LiftedVector, w: LiftedVector) -> float:
-    """h . h' on the horizontal frame components plus <V, V'> on the vertical parts."""
+def sasaki_mok_inner(v: LiftedVector, w: LiftedVector):
+    """h . h' on the horizontal frame components plus <V, V'> on the vertical
+    parts: a float at one point, an array over a batch."""
     _same_base(v, w)
-    return float(v.horizontal @ w.horizontal) + skew_inner(v.vertical, w.vertical)
+    hh = np.einsum("...i,...i->...", v.horizontal, w.horizontal)
+    return per_point(hh + skew_inner(v.vertical, w.vertical))
 
 
 def horizontal_lift(M: ImmersedSubmanifold, u, X) -> LiftedVector:
     """X^h for an ambient vector X at the base point: zero vertical part."""
     fd = frame_at(M, u)
-    return lifted(M, u, horizontal=fd.frame_components(_part(X, (fd.d,), "ambient vector")))
+    return lifted(M, u, horizontal=fd.frame_components(_part(fd, X, (fd.d,), "ambient vector")))
 
 
 def horizontal_lift_prime(M: ImmersedSubmanifold, u, X) -> LiftedVector:
     """X^{h'} = X^h + bar(S_X) for X tangent to M.
 
-    X is the ambient vector of a tangent vector or its p chart coefficients.
+    X is the ambient vector of a tangent vector (d components) or its p chart
+    coefficients, led by u's batch axes or the same at every point.
     """
     fd = frame_at(M, u)
     X = np.asarray(X, dtype=float)
-    if X.shape == (fd.p,):
-        xc, hfr = X, ops.full_frame_field(fd, X).val
+    if X.shape[-1:] == (fd.p,):
+        xc = _part(fd, X, (fd.p,), "chart coefficients")
+        hfr = ops.full_frame_field(fd, xc).val
     else:
-        hfr = fd.frame_components(_part(X, (fd.d,), "tangent vector"))
-        xc = fd.C.val @ hfr[: fd.p]
-        if np.max(np.abs(fd.J.val @ xc - X)) > 1e-8:
-            raise FrameBundleError("horizontal_lift_prime needs a tangent vector")
+        X = _part(fd, X, (fd.d,), "tangent vector")
+        hfr = fd.frame_components(X)
+        xc = matvec(fd.C.val, hfr[..., : fd.p])
+        normal = np.max(np.abs(matvec(fd.J.val, xc) - X), axis=-1) > 1e-8
+        if np.any(normal):
+            at = fd.point_where(normal)
+            raise FrameBundleError(f"horizontal_lift_prime needs a tangent vector, not at u = {at}")
     return lifted(M, u, horizontal=hfr, vertical=ops.s_field_matrix(fd, xc).val)
 
 
@@ -199,11 +226,11 @@ def _pair_nabla_ON(M: ImmersedSubmanifold, u, fd: FramePointData, Xc, A, yF, B) 
             horiz = horiz + ops.ambient_deriv_frame(fd, Xc, yF).val
             vert = vert - 0.5 * ops.curvature_matrix(fd, xF, yF).val
         if B is not None:
-            horiz = horiz + 0.5 * ops.rt_matrix_jet(fd, B).val @ xF.val
+            horiz = horiz + 0.5 * matvec(ops.rt_matrix_jet(fd, B).val, xF.val)
             vert = vert + ops.nabla_t_field_jet(fd, B, Xc, "ambient").val
     if A is not None:
         if yF is not None:
-            horiz = horiz + 0.5 * ops.rt_matrix_jet(fd, A).val @ yF.val
+            horiz = horiz + 0.5 * matvec(ops.rt_matrix_jet(fd, A).val, yF.val)
         if B is not None:
             vert = vert + 0.5 * (B.val @ A.val - A.val @ B.val)
     return lifted(M, u, horizontal=horiz, vertical=vert)
@@ -269,12 +296,12 @@ def decompose_OMN(v: LiftedVector) -> tuple[LiftedVector, LiftedVector]:
     """
     M, u = v.sub, v.u
     fd = M.frame_data(u)
-    p, d = fd.p, fd.d
+    p = fd.p
     Vh, Vm = hm_split_mat(v.vertical, p)
-    xtan = ops.solve_P(fd, v.horizontal[:p] - ops.s_tm_tangent_jet(fd, Vm).val)
-    SX = ops.s_field_matrix(fd, fd.C.val @ xtan).val
-    xfull = np.zeros(d)
-    xfull[:p] = xtan
+    xtan = ops.solve_P(fd, v.horizontal[..., :p] - ops.s_tm_tangent_jet(fd, Vm).val)
+    SX = ops.s_field_matrix(fd, matvec(fd.C.val, xtan)).val
+    xfull = np.zeros_like(v.horizontal)
+    xfull[..., :p] = xtan
     tangent = lifted(M, u, horizontal=xfull, vertical=SX + Vh)
     return tangent, v - tangent
 
@@ -283,7 +310,7 @@ def tangent_generators(M: ImmersedSubmanifold, u) -> list[LiftedVector]:
     """Primed lifts of the tangent frame plus block-diagonal vertical basis."""
     fd = frame_at(M, u)
     p, d = fd.p, fd.d
-    out = [lifted(M, u, horizontal=np.eye(d)[A], vertical=fd.Smats.val[A]) for A in range(p)]
+    out = [lifted(M, u, horizontal=np.eye(d)[A], vertical=fd.Smats.val[..., A, :, :]) for A in range(p)]
     for i in range(d):
         for j in range(i + 1, d):
             if (i < p) == (j < p):
@@ -300,7 +327,7 @@ def normal_generators(M: ImmersedSubmanifold, u) -> list[LiftedVector]:
     for A in range(p):
         for al in range(p, d):
             Tm = ops.basis_T(d, A, al)
-            svec = np.zeros(d)
-            svec[:p] = ops.s_tm_tangent_jet(fd, Tm).val
+            svec = np.zeros(_batch(fd) + (d,))
+            svec[..., :p] = ops.s_tm_tangent_jet(fd, Tm).val
             out.append(lifted(M, u, horizontal=svec, vertical=Tm))
     return out

@@ -13,10 +13,12 @@ frame_bundle.horizontal_lift_prime, whose vertical part S_X has zero diagonal
 blocks already. The deformed metric on M is exactly the pullback of the
 bundle metric under the map, which is why the tension field is taken with
 respect to it. The module evaluates the pushforward, the bundle connection
-and the tension field in two ways. residual_data gives, at a point or a
-batch of points, the residual vectors of the three harmonicity conditions
-and of the two minimality conditions (the first of which is the first
-harmonicity condition), and their norms r_h1, r_h2, r_h3 and r_m2. The
+and the tension field in two ways. Each takes one point u of shape (p,) or
+a batch of shape (n, p) and passes the batch axes through, as the
+frame_bundle functions do. residual_data gives the residual vectors of the
+three harmonicity conditions and of the two minimality conditions (the
+first of which is the first harmonicity condition), and their norms r_h1,
+r_h2, r_h3 and r_m2. The
 closed-form tension and the residuals read the frame sums of
 omn_geometry.frame_trace, the same sums the subbundle's mean curvature is
 assembled from. theorem_check is the one sampled sweep of the
@@ -42,7 +44,7 @@ from .frame_bundle import (
     nabla_ON,
     nabla_ON_primed,
 )
-from .operators import hm_split_mat
+from .operators import hm_split_mat, matvec, per_point
 from .submanifold import FramePointData, ImmersedSubmanifold
 
 __all__ = [
@@ -69,8 +71,10 @@ def grassmann_vector(M: ImmersedSubmanifold, u, horizontal=None, vertical=None) 
     its vertical skew matrix, which must have zero diagonal blocks."""
     v = lifted(M, u, horizontal=horizontal, vertical=vertical)
     h_part, m_part = hm_split_mat(v.vertical, M.p)
-    if np.max(np.abs(h_part)) > 1e-10:
-        raise GaussMapError("vertical part must have zero diagonal blocks")
+    diagonal = np.max(np.abs(h_part), axis=(-2, -1)) > 1e-10
+    if np.any(diagonal):
+        at = M.frame_data(v.u).point_where(diagonal)
+        raise GaussMapError(f"vertical part must have zero diagonal blocks, not at u = {at}")
     return lifted(M, u, horizontal=v.horizontal, vertical=m_part)
 
 
@@ -110,7 +114,8 @@ def gauss_pushforward(M: ImmersedSubmanifold, u, X) -> LiftedVector:
 
 
 def tension_field(M: ImmersedSubmanifold, u) -> LiftedVector:
-    """Closed-form tension of the plane map from (M, deformed metric).
+    """Closed-form tension of the plane map from (M, deformed metric), at one
+    point or at each point of a batch.
 
     sum over a deformed-orthonormal frame e of
     (nabla_e e - tilde_e e + R_{S_e}(e))^{hGr}
@@ -143,19 +148,9 @@ def tension_field_pullback(M: ImmersedSubmanifold, u) -> LiftedVector:
 # -- harmonicity and minimality residuals --------------------------------------
 
 
-def _per_point(x):
-    """A float at a single point, an array over a batch of points."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def _skew_norm(T: np.ndarray):
     """sqrt(<T, T>) = sqrt(-tr(T T)) of skew (..., d, d) matrices."""
     return np.sqrt(np.maximum(-np.einsum("...ij,...ji->...", T, T), 0.0))
-
-
-def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x for (..., m, k) matrices and (..., k) vectors."""
-    return np.einsum("...ij,...j->...i", A, x)
 
 
 @dataclass(frozen=True)
@@ -181,19 +176,19 @@ class HarmonicityData:
 
     @property
     def r_h1(self):
-        return _per_point(np.linalg.norm(self.h1, axis=-1))
+        return per_point(np.linalg.norm(self.h1, axis=-1))
 
     @property
     def r_h2(self):
-        return _per_point(np.linalg.norm(self.h2, axis=-1))
+        return per_point(np.linalg.norm(self.h2, axis=-1))
 
     @property
     def r_h3(self):
-        return _per_point(_skew_norm(self.h3))
+        return per_point(_skew_norm(self.h3))
 
     @property
     def r_m2(self):
-        return _per_point(_skew_norm(self.m2))
+        return per_point(_skew_norm(self.m2))
 
 
 def _trace_residuals(fd: FramePointData, trace) -> HarmonicityData:
@@ -203,13 +198,13 @@ def _trace_residuals(fd: FramePointData, trace) -> HarmonicityData:
     rv = rterm.val
     h1 = amb.val + rv
     h1[..., :p] = 0.0
-    tilde_fr = _mv(fd.Dmat.val, tilde.val)
-    prime_fr = _mv(fd.Dmat.val, prime.val)
+    tilde_fr = matvec(fd.Dmat.val, tilde.val)
+    prime_fr = matvec(fd.Dmat.val, prime.val)
     top = prime_fr - tilde_fr + rv[..., :p]
     h2 = np.concatenate([top, np.zeros(top.shape[:-1] + (d - p,))], axis=-1)
     s_of = lambda vec_chart: ops.s_field_matrix(fd, vec_chart).val
     h3 = dS.val * fd.mmask - s_of(tilde.val)
-    rtop_chart = _mv(fd.C.val, rv[..., :p])
+    rtop_chart = matvec(fd.C.val, rv[..., :p])
     m2 = dS.val * fd.mmask - s_of(prime.val) - s_of(rtop_chart)
     return HarmonicityData(fd.u0, h1, h2, h3, m2)
 
@@ -228,10 +223,10 @@ def implication_residuals(M: ImmersedSubmanifold, data: HarmonicityData) -> tupl
     """
     fd = M.frame_data(data.u)
     h2 = data.h2[..., : fd.p]
-    s_h2 = ops.s_field_matrix(fd, _mv(fd.C.val, h2)).val
+    s_h2 = ops.s_field_matrix(fd, matvec(fd.C.val, h2)).val
     r_m2 = np.max(np.abs(data.m2 - (data.h3 - s_h2)), axis=(-2, -1))
-    r_h2 = np.max(np.abs(_mv(fd.Pfr.val, h2) - ops.s_tm_tangent_jet(fd, data.m2).val), axis=-1)
-    return _per_point(r_m2), _per_point(r_h2)
+    r_h2 = np.max(np.abs(matvec(fd.Pfr.val, h2) - ops.s_tm_tangent_jet(fd, data.m2).val), axis=-1)
+    return per_point(r_m2), per_point(r_h2)
 
 
 # -- the equivalence ------------------------------------------------------------
@@ -274,11 +269,11 @@ def theorem_check(M: ImmersedSubmanifold, samples: int = 50, seed: int = 0) -> T
     h_norm = np.sqrt(np.maximum(h_sq, 0.0))
     data = _trace_residuals(fd, trace)
     r_max = np.maximum(np.maximum(data.r_h1, data.r_h2), data.r_h3)
-    per_point = np.stack([h_norm, r_max, *implication_residuals(M, data)])
-    bad = ~np.all(np.isfinite(per_point), axis=0)
+    residuals = np.stack([h_norm, r_max, *implication_residuals(M, data)])
+    bad = ~np.all(np.isfinite(residuals), axis=0)
     if np.any(bad):
         raise GaussMapError(f"non-finite residual at sample point {fd.point_where(bad)}")
-    max_h, max_r, id_m2, id_h2 = (float(x) for x in per_point.max(axis=1))
+    max_h, max_r, id_m2, id_h2 = (float(x) for x in residuals.max(axis=1))
     minimal, harmonic = max_h < tol, max_r < tol
     lo, hi = min(max_h, max_r), max(max_h, max_r)
     return TheoremReport(

@@ -224,6 +224,13 @@ class Jet:
     def shape(self) -> tuple[int, ...]:
         return self.coeffs.shape[:-1]
 
+    def cut(self, order: int) -> Jet:
+        """The same jet truncated to order, at most its valid order: a prefix
+        of its coefficients in get_space(nvars, order)."""
+        if not 0 <= order <= self.valid:
+            raise ValueError(f"cannot cut a jet valid to order {self.valid} to order {order}")
+        return Jet(get_space(self.space.nvars, order), _cut(self, get_space(self.space.nvars, order)))
+
     def tcoef(self, alpha) -> np.ndarray:
         """Taylor coefficient for multi-index alpha (= partial / alpha!)."""
         alpha = tuple(alpha)

@@ -12,10 +12,16 @@ tangent/normal projection of the ambient bundle connection.
 The second fundamental form Pi(X^{h'}, Y^{h'}) is a linear assembly of four
 pieces bilinear in X and Y. The mean curvature is that assembly applied once
 to the sums over a deformed-orthonormal frame given by frame_trace, which
-the plane map's tension (gauss_map) reads too. frame_trace and the
-assembly (mean_curvature_parts) take the frame of one point or of a batch
-of points, so a sampled sweep builds one batched frame and takes one trace.
-VERDICT_TOL is the one tolerance of the sampled verdicts.
+the plane map's tension (gauss_map) reads too.
+
+Every function here takes one parameter point u of shape (p,) or a batch u
+of shape (n, p), and passes the batch axes through: fields and planes are
+given per point or led by the batch axes, lifted vectors hold one vector per
+point, and sectional curvatures and norms are floats at one point and arrays
+over a batch. A sampled sweep (is_totally_geodesic) builds one frame
+holding all its points, and frame_trace traces every point of it at once.
+A refusal names the first point where it fails. VERDICT_TOL is the one
+tolerance of the sampled verdicts.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .frame_bundle import (
     sasaki_mok_inner,
 )
 from .jets import Jet, jet_einsum
-from .operators import hm_split_mat, skew_inner
+from .operators import hm_split_mat, per_point, skew_inner
 from .submanifold import FramePointData, ImmersedSubmanifold
 
 __all__ = [
@@ -59,7 +65,12 @@ __all__ = [
 
 
 class OmnError(ValueError):
-    pass
+    """A refused geometric computation. where, when given, is the mask over
+    the batch of the points at which it failed."""
+
+    def __init__(self, message: str, where=None):
+        super().__init__(message)
+        self.where = where
 
 
 # Sup-norm residual below which a sampled verdict (minimal, harmonic,
@@ -88,9 +99,10 @@ def domain_samples(M: ImmersedSubmanifold, n: int, seed: int = 0):
 
 def _h_endo_field(fd: FramePointData, spec) -> Jet:
     j = ops.as_endo_field(fd, spec)
-    m_part = hm_split_mat(j.val, fd.p)[1]
-    if np.max(np.abs(m_part)) > 1e-10:
-        raise OmnError("vertical field must be block-diagonal (h-type)")
+    mixed = np.max(np.abs(hm_split_mat(j.val, fd.p)[1]), axis=(-2, -1)) > 1e-10
+    if np.any(mixed):
+        at = fd.point_where(np.broadcast_to(mixed, fd.u0.shape[:-1]))
+        raise OmnError(f"vertical field must be block-diagonal (h-type), not at u = {at}")
     return j
 
 
@@ -162,9 +174,9 @@ def _d_x_q_t(fd, Xc, Tj, Yc):
 
 def _tilde_curvature_apply(fd, Xc, Yc, Zc):
     """Chart components of tilde-R(X, Y)Z from the deformed-metric curvature."""
-    step = jet_einsum("cdab,a->cdb", fd.Rt_chart, Xc)
-    step = jet_einsum("cdb,b->cd", step, Yc)
-    return jet_einsum("cd,d->c", step, Zc)
+    step = jet_einsum("...cdab,...a->...cdb", fd.Rt_chart, Xc)
+    step = jet_einsum("...cdb,...b->...cd", step, Yc)
+    return jet_einsum("...cd,...d->...c", step, Zc)
 
 
 def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
@@ -251,7 +263,9 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
 
 @dataclass(frozen=True)
 class OmnPlane:
-    """g_SM-orthonormal 2-plane spanned by primed lifts and/or h-verticals."""
+    """g_SM-orthonormal 2-plane spanned by primed lifts and/or h-verticals, at
+    one point or one plane at each point of a batch (the directions then
+    lead with the batch axes)."""
 
     sub: ImmersedSubmanifold
     u: np.ndarray
@@ -264,75 +278,89 @@ class OmnPlane:
     v2: LiftedVector
 
 
-def _gtilde(fd, a, b) -> float:
-    return float(a @ fd.gt_chart.val @ b)
+def _gtilde(fd, a, b):
+    """The deformed metric g~(a, b) of chart coefficients, per point."""
+    return np.einsum("...a,...ab,...b->...", a, fd.gt_chart.val, b)
 
 
-def _norm(sq: float, what: str) -> float:
-    """The norm sqrt(sq) of a plane direction; OmnError(what) when it is
-    below 1e-12 or not a number."""
-    n = float(np.sqrt(max(sq, 0.0)))
-    if not n >= 1e-12:
-        raise OmnError(what)
-    return n
+def _unit(fd, x, sq, what: str):
+    """x divided by its norm sqrt(sq), per point; OmnError(what), with the
+    points where it fails, when a norm is below 1e-12 or not a number."""
+    n = np.sqrt(np.maximum(sq, 0.0))
+    bad = np.broadcast_to(~(n >= 1e-12), fd.u0.shape[:-1])
+    if np.any(bad):
+        raise OmnError(f"{what} at u = {fd.point_where(bad)}", where=bad)
+    return x / np.reshape(n, np.shape(n) + (1,) * (np.ndim(x) - np.ndim(n)))
+
+
+def _times(c, x):
+    """The per-point scalars c times the per-point vectors or matrices x."""
+    return np.reshape(c, np.shape(c) + (1,) * (np.ndim(x) - np.ndim(c))) * x
 
 
 def omn_plane(M: ImmersedSubmanifold, u, spec1, spec2) -> OmnPlane:
     """Build a sectional plane from ("hprime", chart coeffs) / ("vertical", mat)
-    specs, orthonormalizing with respect to the Sasaki-Mok metric."""
+    specs, orthonormalizing with respect to the Sasaki-Mok metric.
+
+    On a batch u the specs give one direction per point (or one for every
+    point); a plane that cannot be built at some points raises OmnError with
+    those points as its where mask."""
     u = np.asarray(u, dtype=float)
     fd = frame_at(M, u)
+    chart = lambda c: np.broadcast_to(np.asarray(c, dtype=float), fd.u0.shape[:-1] + (fd.p,))
     kinds = (spec1[0], spec2[0])
     if kinds == ("vertical", "hprime"):
         return omn_plane(M, u, spec2, spec1)
     if kinds == ("hprime", "hprime"):
-        x = np.asarray(spec1[1], dtype=float)
-        y = np.asarray(spec2[1], dtype=float)
-        x = x / _norm(_gtilde(fd, x, x), "horizontal direction vanishes")
-        y = y - _gtilde(fd, x, y) * x
-        y = y / _norm(_gtilde(fd, y, y), "plane vectors are linearly dependent")
+        x, y = chart(spec1[1]), chart(spec2[1])
+        x = _unit(fd, x, _gtilde(fd, x, x), "horizontal direction vanishes")
+        y = y - _times(_gtilde(fd, x, y), x)
+        y = _unit(fd, y, _gtilde(fd, y, y), "plane vectors are linearly dependent")
         v1 = horizontal_lift_prime(M, u, x)
         v2 = horizontal_lift_prime(M, u, y)
         plane = OmnPlane(M, u, "hh", x, y, None, None, v1, v2)
     elif kinds == ("hprime", "vertical"):
-        x = np.asarray(spec1[1], dtype=float)
-        x = x / _norm(_gtilde(fd, x, x), "horizontal direction vanishes")
+        x = chart(spec1[1])
+        x = _unit(fd, x, _gtilde(fd, x, x), "horizontal direction vanishes")
         T = _h_endo_field(fd, np.asarray(spec2[1], dtype=float)).val
-        T = T / _norm(skew_inner(T, T), "vertical direction vanishes")
+        T = _unit(fd, T, skew_inner(T, T), "vertical direction vanishes")
         v1 = horizontal_lift_prime(M, u, x)
         v2 = lifted(M, u, vertical=T)
         plane = OmnPlane(M, u, "hv", x, None, T, None, v1, v2)
     elif kinds == ("vertical", "vertical"):
         T = _h_endo_field(fd, np.asarray(spec1[1], dtype=float)).val
         Tp = _h_endo_field(fd, np.asarray(spec2[1], dtype=float)).val
-        T = T / _norm(skew_inner(T, T), "vertical direction vanishes")
-        Tp = Tp - skew_inner(T, Tp) * T
-        Tp = Tp / _norm(skew_inner(Tp, Tp), "plane vectors are linearly dependent")
+        T = _unit(fd, T, skew_inner(T, T), "vertical direction vanishes")
+        Tp = Tp - _times(skew_inner(T, Tp), T)
+        Tp = _unit(fd, Tp, skew_inner(Tp, Tp), "plane vectors are linearly dependent")
         v1 = lifted(M, u, vertical=T)
         v2 = lifted(M, u, vertical=Tp)
         plane = OmnPlane(M, u, "vv", None, None, T, Tp, v1, v2)
     else:
         raise OmnError("plane specs must be ('hprime', coeffs) or ('vertical', matrix)")
+    bad = np.zeros(fd.u0.shape[:-1], dtype=bool)
     for a, b, want in ((plane.v1, plane.v1, 1.0), (plane.v2, plane.v2, 1.0), (plane.v1, plane.v2, 0.0)):
-        if not abs(sasaki_mok_inner(a, b) - want) <= 1e-10:
-            raise OmnError("plane failed to orthonormalize")
+        bad |= ~(np.abs(sasaki_mok_inner(a, b) - want) <= 1e-10)
+    if np.any(bad):
+        raise OmnError(f"plane failed to orthonormalize at u = {fd.point_where(bad)}", where=bad)
     return plane
 
 
-def sectional_OMN(plane: OmnPlane) -> float:
-    """Sectional curvature of the plane by the closed formulas."""
+def sectional_OMN(plane: OmnPlane):
+    """Sectional curvature of the plane by the closed formulas: a float at
+    one point, an array over a batch."""
     M, u = plane.sub, plane.u
     fd = M.frame_data(u)
     if plane.kind == "hh":
         RYYX = _tilde_curvature_apply(fd, plane.xc, plane.yc, plane.yc).val
-        kt = float(plane.xc @ fd.gt_chart.val @ RYYX)
+        kt = np.einsum("...a,...ab,...b->...", plane.xc, fd.gt_chart.val, RYYX)
         Rp = ops.curvature_prime_jet(fd, plane.xc, plane.yc).val
-        return kt - 0.75 * skew_inner(Rp, Rp)
+        return per_point(kt - 0.75 * skew_inner(Rp, Rp))
     if plane.kind == "hv":
         q = ops.q_t_chart_jet(fd, fd.uspace.constant(plane.T), plane.xc).val
-        return 0.25 * float(q @ fd.gt_chart.val @ q)
+        return per_point(0.25 * _gtilde(fd, q, q))
     comm = plane.T @ plane.Tp - plane.Tp @ plane.T
-    return 0.125 * skew_inner(comm, comm)
+    return per_point(0.125 * skew_inner(comm, comm))
 
 
 # -- second fundamental form --------------------------------------------------------
@@ -400,7 +428,7 @@ def second_fundamental_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> Lifte
         horiz, vert = _pi_hh_assemble(fd, *_pi_hh_pieces(fd, Xc, ops.as_chart_field(fd, args[1])))
     else:
         horiz, vert = _pi_hv_jets(fd, Xc, _h_endo_field(fd, args[1]))
-    return lifted(M, u, horizontal=horiz.val, vertical=0.5 * (vert.val - vert.val.T))
+    return lifted(M, u, horizontal=horiz.val, vertical=0.5 * (vert.val - np.swapaxes(vert.val, -1, -2)))
 
 
 # -- mean curvature and verdicts -------------------------------------------------
@@ -408,15 +436,16 @@ def second_fundamental_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> Lifte
 
 @dataclass(frozen=True)
 class MeanCurvatureReport:
-    """Mean curvature of the subbundle at one frame, resolved against the
-    normal generators: pairings with the normal horizontal lifts and with the
-    corrected off-diagonal verticals."""
+    """Mean curvature of the subbundle at one frame, or at each frame of a
+    batch, resolved against the normal generators: pairings with the normal
+    horizontal lifts and with the corrected off-diagonal verticals. The
+    arrays lead with the batch axes, and norm is a float at one point."""
 
     u: np.ndarray
     H: LiftedVector
-    z_pairings: np.ndarray  # (n,) g_SM(H, e_alpha^h)
-    t_pairings: np.ndarray  # (p, n) g_SM(H, bar(T_{A alpha}) + (S_.)^h)
-    norm: float
+    z_pairings: np.ndarray  # (..., n) g_SM(H, e_alpha^h)
+    t_pairings: np.ndarray  # (..., p, n) g_SM(H, bar(T_{A alpha}) + (S_.)^h)
+    norm: float | np.ndarray
 
 
 def tilde_frame_fields(fd) -> list[Jet]:
@@ -433,17 +462,22 @@ def frame_trace(fd: FramePointData) -> tuple[Jet, Jet, Jet, Jet, Jet]:
     (sum nabla'_e e, sum tilde_e e) in chart coefficients (p,),
     sum nabla'_e S_e as a frame matrix (d, d).
 
+    The sums are values: each is a jet of order 0. The frame fields enter
+    cut to order 1, the one derivative the connections take, and the
+    undifferentiated sum R_{S_e}(e) is formed from their values.
+
     The shapes are per point: on the frame of a batch of points each sum
     leads with the batch axes, and one call traces every point.
     """
     terms = []
     for Ec in tilde_frame_fields(fd):
+        Ec = Ec.cut(1)
         EF = ops.full_frame_field(fd, Ec)
         SE = ops.s_field_matrix(fd, Ec)
         terms.append(
             (
                 ops.ambient_deriv_frame(fd, Ec, EF),
-                jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, SE), EF),
+                jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, SE.cut(0)), EF.cut(0)),
                 ops.vec_nabla_prime_jet(fd, Ec, Ec),
                 ops.vec_tilde_nabla_jet(fd, Ec, Ec),
                 ops.nabla_t_field_jet(fd, SE, Ec, "prime"),
@@ -468,19 +502,20 @@ def mean_curvature_parts(fd: FramePointData, trace) -> tuple[np.ndarray, np.ndar
 
 def mean_curvature_OMN(M: ImmersedSubmanifold, u) -> MeanCurvatureReport:
     """Trace of the second fundamental form over a deformed-orthonormal
-    horizontal frame (vertical directions contribute nothing), at one point.
+    horizontal frame (vertical directions contribute nothing), at one point
+    or at each point of a batch.
     """
     fd = frame_at(M, u)
     p, d = fd.p, fd.d
     hval, vval = mean_curvature_parts(fd, frame_trace(fd))
     H = lifted(M, u, horizontal=hval, vertical=vval)
-    z = hval[p:].copy()
-    t = np.zeros((p, d - p))
+    z = hval[..., p:].copy()
+    t = np.zeros(hval.shape[:-1] + (p, d - p))
     for A in range(p):
         for j, al in enumerate(range(p, d)):
             Tm = ops.basis_T(d, A, al)
             svec = ops.s_tm_tangent_jet(fd, Tm).val
-            t[A, j] = skew_inner(vval, Tm) + float(hval[:p] @ svec)
+            t[..., A, j] = skew_inner(vval, Tm) + np.einsum("...a,...a->...", hval[..., :p], svec)
     return MeanCurvatureReport(fd.u0, H, z, t, H.norm())
 
 
@@ -494,38 +529,36 @@ class TotallyGeodesicReport:
     tol: float
 
 
-def _finite_max(acc: float, x: float, u: np.ndarray) -> float:
-    """max(acc, x) for a residual x at the sample point u; a NaN or infinite
-    x raises, as max would drop a NaN silently."""
-    if not np.isfinite(x):
-        raise OmnError(f"non-finite residual at sample point {u.tolist()}")
-    return max(acc, x)
+def _finite_sup(fd: FramePointData, x: np.ndarray) -> float:
+    """The sup of the residuals x, one per point of the frame; a NaN or
+    infinite residual raises naming its first point, as max would drop a NaN
+    silently."""
+    finite = np.isfinite(x)
+    if not np.all(finite):
+        raise OmnError(f"non-finite residual at sample point {fd.point_where(~finite)}")
+    return float(np.max(x))
 
 
 def is_totally_geodesic(M: ImmersedSubmanifold, samples: int = 50, seed: int = 0) -> TotallyGeodesicReport:
     """Sampled norm of the subbundle second fundamental form, together with
     the base criterion: M totally geodesic and tangential (R(U,V)W) = 0 for
-    normal U, V, W. A residual that is not a finite number raises OmnError
-    naming its point."""
-    worst = 0.0
-    base = 0.0
-    rcond = 0.0
-    for u in domain_samples(M, samples, seed=seed):
-        fd = M.frame_data(u)
-        p, d = fd.p, fd.d
-        # base second fundamental form of M: S-matrices carry it all
-        base = _finite_max(base, float(np.max(np.abs(fd.Smats.val))), u)
-        frames = tilde_frame_fields(fd)
-        for A in range(p):
-            for B in range(A, p):
-                pi = second_fundamental_OMN(M, u, "hh", frames[A], frames[B])
-                worst = _finite_max(worst, pi.norm(), u)
-        for A in range(p):
-            for i in range(d):
-                for j in range(i + 1, d):
-                    if (i < p) != (j < p):
-                        continue
-                    pi = second_fundamental_OMN(M, u, "hv", frames[A], ops.basis_T(d, i, j))
-                    worst = _finite_max(worst, pi.norm(), u)
-        rcond = _finite_max(rcond, float(np.max(np.abs(fd.Rfr.val[:p, p:, p:, p:]))), u)
+    normal U, V, W. It builds one frame holding all the sample points. A
+    residual that is not a finite number raises OmnError naming its point."""
+    U = domain_samples(M, samples, seed=seed)
+    fd = M.frame_data(U)
+    p, d = fd.p, fd.d
+    # base second fundamental form of M: S-matrices carry it all
+    base = _finite_sup(fd, np.max(np.abs(fd.Smats.val), axis=(-3, -2, -1)))
+    norms = []
+    frames = tilde_frame_fields(fd)
+    for A in range(p):
+        for B in range(A, p):
+            norms.append(second_fundamental_OMN(M, U, "hh", frames[A], frames[B]).norm())
+    for A in range(p):
+        for i in range(d):
+            for j in range(i + 1, d):
+                if (i < p) == (j < p):
+                    norms.append(second_fundamental_OMN(M, U, "hv", frames[A], ops.basis_T(d, i, j)).norm())
+    worst = max(_finite_sup(fd, nrm) for nrm in norms)
+    rcond = _finite_sup(fd, np.max(np.abs(fd.Rfr.val[..., :p, p:, p:, p:]), axis=(-4, -3, -2, -1)))
     return TotallyGeodesicReport(worst < VERDICT_TOL, worst, base, rcond, samples, VERDICT_TOL)

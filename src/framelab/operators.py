@@ -33,8 +33,12 @@ vec_nabla_prime_jet and vec_tilde_nabla_jet; Q_T and R' are q_t_chart_jet
 and curvature_prime_jet. Field specs are normalised by as_chart_field
 (tangent fields) and as_endo_field (endomorphism fields).
 
-L_op evaluates the operator L at one point from these primitives, in chart
-coefficients; it is the right-hand side of an identity of verify's registry.
+L_op evaluates the operator L from these primitives, in chart coefficients,
+at one point or at every point of a batch (its result then leads with the
+batch axes); it is the right-hand side of an identity of verify's registry.
+skew_inner, hm_split_mat and matvec act on the trailing axes of value
+arrays, so they take a batch of frame matrices too, and per_point gives a
+value that is a float at one point and an array over a batch.
 
 The tolerance ladder of the identity checks is verify.TOL_LADDER.
 """
@@ -48,6 +52,8 @@ from .submanifold import FramePointData, ImmersedSubmanifold
 
 __all__ = [
     "OperatorError",
+    "per_point",
+    "matvec",
     "skew_inner",
     "hm_split_mat",
     "basis_T",
@@ -77,17 +83,28 @@ class OperatorError(ValueError):
     pass
 
 
-def skew_inner(T, Tp) -> float:
-    """<T, T'> = -tr(T T') of (d, d) frame matrices."""
-    return -float(np.einsum("ij,ji->", T, Tp))
+def per_point(x):
+    """A float at a single point, an array over a batch of points."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for (..., m, k) matrices and (..., k) vectors, values per point."""
+    return np.einsum("...ij,...j->...i", A, x)
+
+
+def skew_inner(T, Tp):
+    """<T, T'> = -tr(T T') of (..., d, d) frame matrices: a float at one
+    point, an array over the batch axes."""
+    return per_point(-np.einsum("...ij,...ji->...", T, Tp))
 
 
 def hm_split_mat(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(h-part, m-part) of a (d, d) frame matrix: its diagonal blocks and its
-    off-diagonal blocks for the split at p."""
+    """(h-part, m-part) of (..., d, d) frame matrices: their diagonal blocks
+    and their off-diagonal blocks for the split at p."""
     h = np.zeros_like(mat)
-    h[:p, :p] = mat[:p, :p]
-    h[p:, p:] = mat[p:, p:]
+    h[..., :p, :p] = mat[..., :p, :p]
+    h[..., p:, p:] = mat[..., p:, p:]
     return h, mat - h
 
 
@@ -136,11 +153,21 @@ def commutator_jet(A, B) -> Jet:
     return jet_einsum("...ik,...kj->...ij", A, B) - jet_einsum("...ik,...kj->...ij", B, A)
 
 
+def _batched(fd: FramePointData, value, ndim: int) -> Jet:
+    """The constant jet of value, its per-point shape being its last ndim
+    axes, led by the frame's batch axes (a per-point value is the same at
+    every point)."""
+    value = np.asarray(value, dtype=float)
+    return fd.uspace.constant(np.broadcast_to(value, fd.u0.shape[:-1] + value.shape[value.ndim - ndim :]))
+
+
 def as_chart_field(fd: FramePointData, field) -> Jet:
-    """Normalize a tangent-field spec to a (p,) chart-coefficient jet.
+    """Normalize a tangent-field spec to a (..., p) chart-coefficient jet
+    with the frame's batch axes.
 
     Accepts a callable of the coordinate jets, a list of chart-coefficient
-    expression strings in u, or a plain constant coefficient array.
+    expression strings in u, or a plain constant coefficient array, per
+    point (p,) or led by the batch axes.
     """
     from .expr import eval_expr, parse
 
@@ -152,17 +179,19 @@ def as_chart_field(fd: FramePointData, field) -> Jet:
     if all(isinstance(c, str) for c in arr):
         comps = [eval_expr(parse(c, fd.p, var_prefix="u"), fd.uv, fd.uspace) for c in arr]
         return jstack(comps, axis=-1)
-    return fd.uspace.constant(np.asarray(arr, dtype=float))
+    return _batched(fd, arr, 1)
 
 
 def as_endo_field(fd: FramePointData, spec) -> Jet:
-    """Normalize an endomorphism-field spec to a (d, d) frame-component jet.
+    """Normalize an endomorphism-field spec to a (..., d, d) frame-component
+    jet with the frame's batch axes.
 
-    Accepts a callable of FramePointData or a constant frame matrix.
+    Accepts a callable of FramePointData or a constant frame matrix, per
+    point (d, d) or led by the batch axes.
     """
     if callable(spec):
         return spec(fd)
-    return fd.uspace.constant(np.asarray(spec, dtype=float))
+    return _batched(fd, spec, 2)
 
 
 def s_field_matrix(fd: FramePointData, Xc) -> Jet:
@@ -248,12 +277,13 @@ def curvature_prime_jet(fd: FramePointData, Xc, Yc) -> Jet:
     return RXY * fd.hmask - commutator_jet(Sx, Sy)
 
 
-# -- the operator L at a point ---------------------------------------------------
+# -- the operator L ------------------------------------------------------------------
 
 
 def L_op(M: ImmersedSubmanifold, u, Xf, Yf) -> np.ndarray:
     """L_X Y = (Q_{S_X}(Y) + Q_{S_Y}(X) + P^{-1} S_{S_{nabla'_X Y + nabla'_Y X}})/2,
-    in chart coefficients."""
+    in chart coefficients (p,) at one point u, or (n, p) at a batch u of
+    shape (n, p)."""
     fd = M.frame_data(u)
     Xc, Yc = as_chart_field(fd, Xf), as_chart_field(fd, Yf)
     TX = s_field_matrix(fd, Xc)
@@ -263,5 +293,5 @@ def L_op(M: ImmersedSubmanifold, u, Xf, Yf) -> np.ndarray:
     Zc = vec_nabla_prime_jet(fd, Xc, Yc) + vec_nabla_prime_jet(fd, Yc, Xc)
     SZ = s_field_matrix(fd, Zc)
     svec = s_tm_tangent_jet(fd, SZ).val
-    q3 = fd.C.val @ solve_P(fd, svec)
+    q3 = matvec(fd.C.val, solve_P(fd, svec))
     return 0.5 * (q1 + q2 + q3)

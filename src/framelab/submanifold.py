@@ -22,7 +22,7 @@ tangent field): no vector is extended to a field to differentiate it.
 
 A vector at a frame is handled by its frame components: the adapted frame
 is orthonormal, so the metric is the identity in them. frame_components
-converts an ambient vector at one point, and E.val @ yfr converts frame
+converts ambient vectors at the frame's points, and E.val @ yfr converts frame
 components yfr back; the frame-bundle modules convert only where an
 ambient vector enters (frame_bundle.horizontal_lift and
 horizontal_lift_prime).
@@ -31,8 +31,9 @@ Batch convention: `frame_data(u)` takes one point, u of shape (p,), or a
 batch of n points, u of shape (n, p). Every jet of the frame then leads
 with the batch axes u.shape[:-1], () for one point, followed by the
 per-point shape that the FramePointData table lists. One point and a batch
-run the same code; the frame-field primitives of `operators` and the frame
-trace of `omn_geometry` pass the batch axes through in the same way.
+run the same code; the frame-field primitives of `operators` and the
+geometry of `frame_bundle`, `omn_geometry` and `gauss_map` pass the batch
+axes through in the same way.
 """
 
 from __future__ import annotations
@@ -382,9 +383,10 @@ class FramePointData:
         return jet_einsum("...im,...mjkl->...ijkl", self.Einv, t)
 
     def frame_components(self, Y) -> np.ndarray:
-        """Frame components of an ambient vector Y at a single point; the
-        ambient components of frame components yfr are E.val @ yfr."""
-        return self.Einv.val @ np.asarray(Y, dtype=float)
+        """Frame components of ambient vectors Y (..., d), one per point of
+        the frame; the ambient components of frame components yfr are
+        E.val @ yfr."""
+        return np.einsum("...ij,...j->...i", self.Einv.val, np.asarray(Y, dtype=float))
 
 
 # -- builtin catalog -------------------------------------------------------------

@@ -6,6 +6,9 @@ independent routes, and a tolerance drawn from a three-step ladder keyed by
 how many derivatives of the embedding the relation consumes. run_suite sweeps
 the registered cases over builtin (or user supplied) submanifolds at
 low-discrepancy sample points and returns a structured, reproducible report.
+On each submanifold it builds one frame holding all the sample points, and
+each pointwise case evaluates every point in one call on that frame, each
+point with its own seeded draws.
 Where a case runs, and where its witness must be live, each case decides from
 the frame at those points (p, n, S, the ambient curvature), never from a name.
 
@@ -32,7 +35,8 @@ from . import frame_bundle as fb
 from . import gauss_map as gm
 from . import omn_geometry as og
 from . import operators as ops
-from .ambient import metric_at
+from .ambient import AmbientError, metric_at
+from .expr import ExprError
 from .frame_bundle import (
     decompose_OMN,
     horizontal_lift_prime,
@@ -42,8 +46,8 @@ from .frame_bundle import (
 )
 from .jets import jet_along, jet_einsum, jstack
 from .omn_geometry import domain_samples
-from .operators import skew_inner
-from .submanifold import ImmersedSubmanifold, builtin_submanifold
+from .operators import matvec, skew_inner
+from .submanifold import FrameError, ImmersedSubmanifold, builtin_submanifold
 
 __all__ = [
     "VerifyError",
@@ -88,57 +92,76 @@ class VerifyError(ValueError):
 
 
 # -- random but seeded inputs ---------------------------------------------------
+# Each sample point draws from its own generator. An evaluator draws each input
+# at every point before the next input, so a point's draws come in the same
+# order as in a one-point evaluation; the draws are stacked along a leading
+# batch axis, one row per point.
 
 
-def _affine_field(fd, rng):
-    """Tangent chart field, affine in u, unit g-norm at the base point."""
-    a = rng.standard_normal(fd.p)
-    b = 0.4 * rng.standard_normal((fd.p, fd.p))
-    j = fd.uspace.constant(a) + jet_einsum("ab,b->a", b, jstack(fd.uv, axis=0))
-    n = float(np.sqrt(j.val @ fd.g_chart.val @ j.val))
-    if n < 1e-8:
-        return _affine_field(fd, rng)
-    return (1.0 / n) * j
+def _draw(rngs, *shape) -> np.ndarray:
+    """One standard-normal draw of the given shape from each point's generator."""
+    return np.stack([rng.standard_normal(shape) for rng in rngs])
 
 
-def _unit_chart(fd, rng):
-    x = rng.standard_normal(fd.p)
-    return x / np.sqrt(x @ fd.g_chart.val @ x)
+def _dot(a, b):
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _unit_chart(fd, x):
+    """Chart vectors x (n, p) scaled to unit g-norm at their points."""
+    return x / np.sqrt(_dot(x, matvec(fd.g_chart.val, x)))[..., None]
 
 
 def _unit_skew(mat):
-    n = np.sqrt(max(skew_inner(mat, mat), 1e-300))
-    return mat / n
+    n = np.sqrt(np.maximum(skew_inner(mat, mat), 1e-300))
+    return mat / n[..., None, None]
 
 
-def _random_skew(d, rng):
-    m = rng.standard_normal((d, d))
-    return _unit_skew(m - m.T)
+def _skew(m):
+    """Unit skew matrices from draws m (n, d, d)."""
+    return _unit_skew(m - np.swapaxes(m, -1, -2))
 
 
-def _random_block_skew(p, d, rng):
-    """Unit skew with only diagonal blocks; zero when p = d - p = 1."""
-    m = rng.standard_normal((d, d))
-    m = m - m.T
-    m[:p, p:] = 0.0
-    m[p:, :p] = 0.0
+def _diag_skew(p, m):
+    """Unit skew matrices with only diagonal blocks from draws m (n, d, d);
+    zero when p = d - p = 1."""
+    m = m - np.swapaxes(m, -1, -2)
+    m[..., :p, p:] = 0.0
+    m[..., p:, :p] = 0.0
     return _unit_skew(m)
 
 
-def _random_offblock_skew(p, d, rng):
-    b = rng.standard_normal((d - p, p))
-    m = np.zeros((d, d))
-    m[p:, :p] = b
-    m[:p, p:] = -b.T
+def _offblock_skew(p, b):
+    """Unit skew matrices with only off-diagonal blocks from draws b (n, d - p, p)."""
+    d = p + b.shape[-2]
+    m = np.zeros(b.shape[:-2] + (d, d))
+    m[..., p:, :p] = b
+    m[..., :p, p:] = -np.swapaxes(b, -1, -2)
     return _unit_skew(m)
 
 
-def _scaled_endo_field(fd, base):
-    """base skew matrix times an affine scalar, as a callable endo field."""
+def _affine_field(fd, rngs):
+    """Tangent chart field, affine in u, of unit g-norm at each base point;
+    a point whose draw has a norm below 1e-8 there draws again."""
+    p, g = fd.p, fd.g_chart.val
+    a, b = np.empty((len(rngs), p)), np.empty((len(rngs), p, p))
+    for i, rng in enumerate(rngs):
+        while True:
+            a[i] = rng.standard_normal(p)
+            b[i] = 0.4 * rng.standard_normal((p, p))
+            v = a[i] + b[i] @ fd.u0[i]
+            if np.sqrt(v @ g[i] @ v) >= 1e-8:
+                break
+    j = fd.uspace.constant(a) + jet_einsum("...ab,...b->...a", b, jstack(fd.uv, axis=-1))
+    return j * (1.0 / np.sqrt(_dot(j.val, matvec(g, j.val))))[..., None]
+
+
+def _scaled_endo_field(base):
+    """The skew matrices base (n, d, d) times an affine scalar, as a callable endo field."""
 
     def field(q):
         s = 1.0 + 0.3 * q.uv[0]
-        return s * q.uspace.constant(base)
+        return s[..., None, None] * q.uspace.constant(base)
 
     return field
 
@@ -147,312 +170,310 @@ def _sup(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-# -- evaluators, pointwise ------------------------------------------------------
-# Each returns (residual, witness, detail-or-None).
+def _sup_each(a) -> np.ndarray:
+    """max |a| at each point: over every axis but the leading batch axis."""
+    return np.max(np.abs(a).reshape(a.shape[0], -1), axis=1)
 
 
-def _ev_curvature_endo_duality(M, u, rng):
-    fd = M.frame_data(u)
-    x = _unit_chart(fd, rng)
-    y = _unit_chart(fd, rng)
-    T = _random_skew(fd.d, rng)
+def _sectional_at(M, u, mask, spec1, spec2, skip_refused=False) -> np.ndarray:
+    """sectional_OMN of the planes of spec1 and spec2 at the points of the
+    batch mask, NaN at the other points.
+
+    The plane is built at every point; a point outside mask takes the
+    directions of the first point in it. With skip_refused a point whose
+    plane omn_plane refuses leaves mask and gets NaN while the other points
+    keep theirs; otherwise the refusal raises."""
+    while np.any(mask):
+        first = np.argmax(mask)
+        fill = lambda a: np.where(mask.reshape(mask.shape + (1,) * (a.ndim - 1)), a, a[first])
+        try:
+            plane = og.omn_plane(M, u, (spec1[0], fill(spec1[1])), (spec2[0], fill(spec2[1])))
+        except og.OmnError as exc:
+            if not skip_refused or exc.where is None or not np.any(exc.where & mask):
+                raise
+            mask = mask & ~exc.where
+            continue
+        return np.where(mask, og.sectional_OMN(plane), np.nan)
+    return np.full(mask.shape, np.nan)
+
+
+# -- evaluators, batched over the run's sample points ----------------------------
+# Each takes the submanifold M, its frame fd at the run's n sample points and
+# the n points' generators, and returns the residual and the witness at each
+# point: two arrays of shape (n,). Every value at a point is computed from that
+# point's frame and draws alone.
+
+
+def _ev_curvature_endo_duality(M, fd, rngs):
+    x = _unit_chart(fd, _draw(rngs, fd.p))
+    y = _unit_chart(fd, _draw(rngs, fd.p))
+    T = _skew(_draw(rngs, fd.d, fd.d))
     xF = ops.full_frame_field(fd, x)
     yF = ops.full_frame_field(fd, y)
-    rt = ops.rt_matrix_jet(fd, T).val
-    lhs = float((rt @ xF.val) @ yF.val)
+    lhs = _dot(matvec(ops.rt_matrix_jet(fd, T).val, xF.val), yF.val)
     Rxy = ops.curvature_matrix(fd, xF, yF).val
-    rhs = skew_inner(Rxy, T)
-    return abs(lhs - rhs), float(np.max(np.abs(Rxy))), None
+    return np.abs(lhs - skew_inner(Rxy, T)), _sup_each(Rxy)
 
 
-def _ev_vertical_endo_tangent_duality(M, u, rng):
-    fd = M.frame_data(u)
-    x = _unit_chart(fd, rng)
-    Tm = _random_offblock_skew(fd.p, fd.d, rng)
-    svec = ops.s_tm_tangent_jet(fd, Tm).val
-    xfr = fd.Dmat.val @ x
-    lhs = float(svec @ xfr)
-    SX = ops.s_field_matrix(fd, x).val
-    rhs = -skew_inner(Tm, SX)
-    return abs(lhs - rhs), _sup(fd.Smats.val), None
+def _ev_vertical_endo_tangent_duality(M, fd, rngs):
+    x = _unit_chart(fd, _draw(rngs, fd.p))
+    Tm = _offblock_skew(fd.p, _draw(rngs, fd.n, fd.p))
+    lhs = _dot(ops.s_tm_tangent_jet(fd, Tm).val, matvec(fd.Dmat.val, x))
+    rhs = -skew_inner(Tm, ops.s_field_matrix(fd, x).val)
+    return np.abs(lhs - rhs), _sup_each(fd.Smats.val)
 
 
-def _ev_vertical_endo_pair_inner(M, u, rng):
-    fd = M.frame_data(u)
-    p = fd.p
-    v = _unit_chart(fd, rng)
-    z = _unit_chart(fd, rng)
+def _ev_vertical_endo_pair_inner(M, fd, rngs):
+    v = _unit_chart(fd, _draw(rngs, fd.p))
+    z = _unit_chart(fd, _draw(rngs, fd.p))
     SV = ops.s_field_matrix(fd, v).val
     SZ = ops.s_field_matrix(fd, z).val
     lhs = skew_inner(SV, SZ)
-    vfr, zfr = fd.Dmat.val @ v, fd.Dmat.val @ z
-    rhs = -float(vfr @ ((np.eye(p) - fd.Pfr.val) @ zfr))
-    sym = abs(lhs - skew_inner(SZ, SV))
-    return max(abs(lhs - rhs), sym), _sup(fd.Smats.val), None
+    vfr, zfr = matvec(fd.Dmat.val, v), matvec(fd.Dmat.val, z)
+    rhs = -_dot(vfr, matvec(np.eye(fd.p) - fd.Pfr.val, zfr))
+    sym = np.abs(lhs - skew_inner(SZ, SV))
+    return np.maximum(np.abs(lhs - rhs), sym), _sup_each(fd.Smats.val)
 
 
-def _ev_deformed_metric_pairing(M, u, rng):
-    fd = M.frame_data(u)
-    x = _unit_chart(fd, rng)
-    y = _unit_chart(fd, rng)
-    xfr, yfr = fd.Dmat.val @ x, fd.Dmat.val @ y
-    lhs = float(xfr @ (fd.Pfr.val @ yfr))
-    SX = ops.s_field_matrix(fd, x).val
-    SY = ops.s_field_matrix(fd, y).val
-    rhs = float(xfr @ yfr) + skew_inner(SX, SY)
-    via_gt = float(x @ fd.gt_chart.val @ y)
-    return max(abs(lhs - rhs), abs(lhs - via_gt)), _sup(fd.Smats.val), None
+def _ev_deformed_metric_pairing(M, fd, rngs):
+    x = _unit_chart(fd, _draw(rngs, fd.p))
+    y = _unit_chart(fd, _draw(rngs, fd.p))
+    xfr, yfr = matvec(fd.Dmat.val, x), matvec(fd.Dmat.val, y)
+    lhs = _dot(xfr, matvec(fd.Pfr.val, yfr))
+    rhs = _dot(xfr, yfr) + skew_inner(ops.s_field_matrix(fd, x).val, ops.s_field_matrix(fd, y).val)
+    via_gt = _dot(x, matvec(fd.gt_chart.val, y))
+    return np.maximum(np.abs(lhs - rhs), np.abs(lhs - via_gt)), _sup_each(fd.Smats.val)
 
 
-def _ev_adapted_lift_isometry(M, u, rng):
-    fd = M.frame_data(u)
-    x = _unit_chart(fd, rng)
-    y = _unit_chart(fd, rng)
-    lx = horizontal_lift_prime(M, u, fd.J.val @ x)
-    ly = horizontal_lift_prime(M, u, fd.J.val @ y)
-    lhs = sasaki_mok_inner(lx, ly)
-    rhs = float(x @ fd.gt_chart.val @ y)
-    return abs(lhs - rhs), _sup(fd.Smats.val), None
+def _ev_adapted_lift_isometry(M, fd, rngs):
+    x = _unit_chart(fd, _draw(rngs, fd.p))
+    y = _unit_chart(fd, _draw(rngs, fd.p))
+    lx = horizontal_lift_prime(M, fd.u0, matvec(fd.J.val, x))
+    ly = horizontal_lift_prime(M, fd.u0, matvec(fd.J.val, y))
+    rhs = _dot(x, matvec(fd.gt_chart.val, y))
+    return np.abs(sasaki_mok_inner(lx, ly) - rhs), _sup_each(fd.Smats.val)
 
 
-def _ev_gauss_tangent_block(M, u, rng):
-    fd = M.frame_data(u)
+def _ev_gauss_tangent_block(M, fd, rngs):
     p = fd.p
     omh = fd.omega * fd.hmask
-    worst, wit = 0.0, 0.0
+    om = lambda a: omh[..., a, :, :]
+    S = lambda a: fd.omega.val[..., a, :, :] * fd.mmask
+    eye = np.eye(p)
+    worst = wit = np.zeros(len(rngs))
     for a in range(p):
         for b in range(a + 1, p):
-            Fp = (omh[b].d(a) - omh[a].d(b) + ops.commutator_jet(omh[a], omh[b])).val
-            ea, eb = np.zeros(p), np.zeros(p)
-            ea[a], eb[b] = 1.0, 1.0
-            Rp = ops.curvature_prime_jet(fd, ea, eb).val
-            worst = max(worst, float(np.max(np.abs(Fp - Rp))))
-            Sa = fd.omega.val[a] * fd.mmask
-            Sb = fd.omega.val[b] * fd.mmask
-            wit = max(wit, float(np.max(np.abs(Sa @ Sb - Sb @ Sa))))
-    return worst, wit, None
+            Fp = (om(b).d(a) - om(a).d(b) + ops.commutator_jet(om(a), om(b))).val
+            Rp = ops.curvature_prime_jet(fd, eye[a], eye[b]).val
+            worst = np.maximum(worst, _sup_each(Fp - Rp))
+            wit = np.maximum(wit, _sup_each(S(a) @ S(b) - S(b) @ S(a)))
+    return worst, wit
 
 
-def _ev_codazzi_offdiagonal(M, u, rng):
-    fd = M.frame_data(u)
-    Xc = _affine_field(fd, rng)
-    Yc = _affine_field(fd, rng)
+def _ev_codazzi_offdiagonal(M, fd, rngs):
+    Xc = _affine_field(fd, rngs)
+    Yc = _affine_field(fd, rngs)
     xF = ops.full_frame_field(fd, Xc)
     yF = ops.full_frame_field(fd, Yc)
     Rm = ops.curvature_matrix(fd, xF, yF).val * fd.mmask
-    SY = ops.s_field_matrix(fd, Yc)
-    SX = ops.s_field_matrix(fd, Xc)
-    t1 = ops.nabla_t_field_jet(fd, SY, Xc, "prime").val
-    t2 = ops.nabla_t_field_jet(fd, SX, Yc, "prime").val
+    t1 = ops.nabla_t_field_jet(fd, ops.s_field_matrix(fd, Yc), Xc, "prime").val
+    t2 = ops.nabla_t_field_jet(fd, ops.s_field_matrix(fd, Xc), Yc, "prime").val
     t3 = ops.s_field_matrix(fd, ops.bracket_jet(fd, Xc, Yc)).val
     rhs = (t1 - t2 - t3) * fd.mmask
-    wit = max(float(np.max(np.abs(t1))), float(np.max(np.abs(t3))))
-    return float(np.max(np.abs(Rm - rhs))), wit, None
+    return _sup_each(Rm - rhs), np.maximum(_sup_each(t1), _sup_each(t3))
 
 
 def _ev_endo_derivative_split(block: str):
     """Evaluator for a T living in `block` ("h": diagonal blocks, "m":
     off-diagonal): nabla_X T is [S_X, T] in the other block and nabla'_X T
     in its own."""
-    random_skew = _random_block_skew if block == "h" else _random_offblock_skew
 
-    def evaluator(M, u, rng):
-        fd = M.frame_data(u)
-        own, other = (fd.hmask, fd.mmask) if block == "h" else (fd.mmask, fd.hmask)
-        Tf = _scaled_endo_field(fd, random_skew(fd.p, fd.d, rng))
-        Xc = _affine_field(fd, rng)
-        Tj = Tf(fd)
+    def evaluator(M, fd, rngs):
+        if block == "h":
+            own, other = fd.hmask, fd.mmask
+            T = _diag_skew(fd.p, _draw(rngs, fd.d, fd.d))
+        else:
+            own, other = fd.mmask, fd.hmask
+            T = _offblock_skew(fd.p, _draw(rngs, fd.n, fd.p))
+        Tj = _scaled_endo_field(T)(fd)
+        Xc = _affine_field(fd, rngs)
         full = ops.nabla_t_field_jet(fd, Tj, Xc, "ambient").val
         prime = ops.nabla_t_field_jet(fd, Tj, Xc, "prime").val
         SX = ops.s_field_matrix(fd, Xc).val
         comm = SX @ Tj.val - Tj.val @ SX
-        r1 = np.max(np.abs(full * other - comm))
-        r2 = np.max(np.abs(full * own - prime * own))
-        return float(max(r1, r2)), _sup(fd.Smats.val), None
+        r1 = _sup_each(full * other - comm)
+        r2 = _sup_each(full * own - prime * own)
+        return np.maximum(r1, r2), _sup_each(fd.Smats.val)
 
     return evaluator
 
 
-def _ev_bundle_metric_compatibility(M, u, rng):
-    fd = M.frame_data(u)
-    Xc = _affine_field(fd, rng)
-    Yc = _affine_field(fd, rng)
-    Zc = _affine_field(fd, rng)
-    TY = _random_skew(fd.d, rng)
-    TZ = _random_skew(fd.d, rng)
-    TYf, TZf = _scaled_endo_field(fd, TY), _scaled_endo_field(fd, TZ)
+def _ev_bundle_metric_compatibility(M, fd, rngs):
+    u = fd.u0
+    Xc = _affine_field(fd, rngs)
+    Yc = _affine_field(fd, rngs)
+    Zc = _affine_field(fd, rngs)
+    TYf = _scaled_endo_field(_skew(_draw(rngs, fd.d, fd.d)))
+    TZf = _scaled_endo_field(_skew(_draw(rngs, fd.d, fd.d)))
     yF = ops.full_frame_field(fd, Yc)
     zF = ops.full_frame_field(fd, Zc)
     TYj, TZj = TYf(fd), TZf(fd)
-    inner = jet_einsum("i,i->", yF, zF) - jet_einsum("ij,ji->", TYj, TZj)
+    inner = jet_einsum("...i,...i->...", yF, zF) - jet_einsum("...ij,...ji->...", TYj, TZj)
     lhs = jet_along(Xc, inner).val
     ynab = nabla_ON(M, u, "hh", Xc, Yc) + nabla_ON(M, u, "hv", Xc, TYf)
     znab = nabla_ON(M, u, "hh", Xc, Zc) + nabla_ON(M, u, "hv", Xc, TZf)
     ypt = lifted(M, u, horizontal=yF.val, vertical=TYj.val)
     zpt = lifted(M, u, horizontal=zF.val, vertical=TZj.val)
     rhs = sasaki_mok_inner(ynab, zpt) + sasaki_mok_inner(ypt, znab)
-    return abs(float(lhs) - rhs), abs(float(lhs)), None
+    return np.abs(lhs - rhs), np.abs(lhs)
 
 
-def _ev_deformed_connection_via_leibniz(M, u, rng):
-    fd = M.frame_data(u)
-    Xc = _affine_field(fd, rng)
-    Yc = _affine_field(fd, rng)
+def _ev_deformed_connection_via_leibniz(M, fd, rngs):
+    Xc = _affine_field(fd, rngs)
+    Yc = _affine_field(fd, rngs)
     diff = (ops.vec_tilde_nabla_jet(fd, Xc, Yc) - ops.vec_nabla_prime_jet(fd, Xc, Yc)).val
-    L = ops.L_op(M, u, Xc, Yc)
-    return float(np.max(np.abs(diff - L))), float(np.max(np.abs(L))), None
+    L = ops.L_op(M, fd.u0, Xc, Yc)
+    return _sup_each(diff - L), _sup_each(L)
 
 
-def _ev_gil_medrano_pairing(M, u, rng):
-    fd = M.frame_data(u)
+def _ev_gil_medrano_pairing(M, fd, rngs):
     p = fd.p
-    Xc = _affine_field(fd, rng)
-    Yc = _affine_field(fd, rng)
-    Zc = _affine_field(fd, rng)
+    Xc = _affine_field(fd, rngs)
+    Yc = _affine_field(fd, rngs)
+    Zc = _affine_field(fd, rngs)
 
     def nabla_prime_P(Ac):
-        omt = ops.omega_along(fd, Ac, "prime")[:p, :p]
+        omt = ops.omega_along(fd, Ac, "prime")[..., :p, :p]
         return jet_along(Ac, fd.Pfr) + ops.commutator_jet(omt, fd.Pfr)
 
     def dp_pair(Ac, Bc, Cc):
         bfr = ops.frame_of_chart(fd, Bc)
         cfr = ops.frame_of_chart(fd, Cc)
-        return float((jet_einsum("ij,j->i", nabla_prime_P(Ac), bfr) * cfr).sum(-1).val)
+        return (jet_einsum("...ij,...j->...i", nabla_prime_P(Ac), bfr) * cfr).sum(-1).val
 
     tn = ops.vec_tilde_nabla_jet(fd, Xc, Yc)
     npr = ops.vec_nabla_prime_jet(fd, Xc, Yc)
     dfr = ops.frame_of_chart(fd, tn - npr)
     zfr = ops.frame_of_chart(fd, Zc)
-    lhs = float((jet_einsum("ij,j->i", fd.Pfr, dfr) * zfr).sum(-1).val)
+    lhs = (jet_einsum("...ij,...j->...i", fd.Pfr, dfr) * zfr).sum(-1).val
     rhs = 0.5 * (dp_pair(Xc, Yc, Zc) + dp_pair(Yc, Xc, Zc) - dp_pair(Zc, Yc, Xc))
-    wit = max(float(np.max(np.abs(nabla_prime_P(e).val))) for e in np.eye(p))
-    return abs(lhs - rhs), wit, None
+    wit = np.max([_sup_each(nabla_prime_P(e).val) for e in np.eye(p)], axis=0)
+    return np.abs(lhs - rhs), wit
 
 
-def _ev_q_operator_deformed_skewness(M, u, rng):
-    fd = M.frame_data(u)
-    T = _random_block_skew(fd.p, fd.d, rng)
-    x = _unit_chart(fd, rng)
-    y = _unit_chart(fd, rng)
+def _ev_q_operator_deformed_skewness(M, fd, rngs):
+    T = _diag_skew(fd.p, _draw(rngs, fd.d, fd.d))
+    x = _unit_chart(fd, _draw(rngs, fd.p))
+    y = _unit_chart(fd, _draw(rngs, fd.p))
     Tj = fd.uspace.constant(T)
     qx = ops.q_t_chart_jet(fd, Tj, x).val
     qy = ops.q_t_chart_jet(fd, Tj, y).val
     gt = fd.gt_chart.val
-    lhs = float(qx @ gt @ y) + float(x @ gt @ qy)
-    return abs(lhs), float(np.max(np.abs(qx))), None
+    return np.abs(_dot(qx, matvec(gt, y)) + _dot(x, matvec(gt, qy))), _sup_each(qx)
 
 
-def _ev_frame_decompositions(M, u, rng):
-    fd = M.frame_data(u)
-    worst, wit = 0.0, _sup(fd.Smats.val)
-    x = _unit_chart(fd, rng)
-    hor = lifted(M, u, horizontal=ops.full_frame_field(fd, x).val)
-    ver = lifted(M, u, vertical=_random_skew(fd.d, rng))
+def _ev_frame_decompositions(M, fd, rngs):
+    x = _unit_chart(fd, _draw(rngs, fd.p))
+    hor = lifted(M, fd.u0, horizontal=ops.full_frame_field(fd, x).val)
+    ver = lifted(M, fd.u0, vertical=_skew(_draw(rngs, fd.d, fd.d)))
+    worst = np.zeros(len(rngs))
     for z in (hor, ver):
         tan, nor = decompose_OMN(z)
         rec = (tan + nor) - z
-        worst = max(
-            worst,
-            float(np.max(np.abs(rec.horizontal))),
-            float(np.max(np.abs(rec.vertical))),
-            abs(sasaki_mok_inner(tan, nor)),
-        )
-    return worst, wit, None
+        parts = (_sup_each(rec.horizontal), _sup_each(rec.vertical), np.abs(sasaki_mok_inner(tan, nor)))
+        worst = np.max((worst,) + parts, axis=0)
+    return worst, _sup_each(fd.Smats.val)
 
 
-def _relation_fields(fd, rng):
-    Xc = _affine_field(fd, rng)
-    Yc = _affine_field(fd, rng)
-    T = _scaled_endo_field(fd, _random_block_skew(fd.p, fd.d, rng))
-    Tp = _scaled_endo_field(fd, _random_block_skew(fd.p, fd.d, rng))
+def _relation_fields(fd, rngs):
+    Xc = _affine_field(fd, rngs)
+    Yc = _affine_field(fd, rngs)
+    T = _scaled_endo_field(_diag_skew(fd.p, _draw(rngs, fd.d, fd.d)))
+    Tp = _scaled_endo_field(_diag_skew(fd.p, _draw(rngs, fd.d, fd.d)))
     return Xc, Yc, T, Tp
 
 
-def _ev_subbundle_connection_vs_projection(M, u, rng):
-    fd = M.frame_data(u)
-    Xc, Yc, T, Tp = _relation_fields(fd, rng)
-    worst = 0.0
+def _ev_subbundle_connection_vs_projection(M, fd, rngs):
+    u = fd.u0
+    Xc, Yc, T, Tp = _relation_fields(fd, rngs)
+    worst = np.zeros(len(rngs))
     for case, args in [("hh", (Xc, Yc)), ("hv", (Xc, T)), ("vh", (T, Yc)), ("vv", (T, Tp))]:
         got = og.nabla_OMN(M, u, case, *args)
         tan, _ = decompose_OMN(fb.nabla_ON_primed(M, u, case, *args))
-        worst = max(worst, (got - tan).norm())
-    return worst, _sup(fd.Smats.val), None
+        worst = np.maximum(worst, (got - tan).norm())
+    return worst, _sup_each(fd.Smats.val)
 
 
-def _ev_subbundle_second_fundamental_vs_projection(M, u, rng):
-    fd = M.frame_data(u)
-    Xc, Yc, T, Tp = _relation_fields(fd, rng)
-    worst = 0.0
+def _ev_subbundle_second_fundamental_vs_projection(M, fd, rngs):
+    u = fd.u0
+    Xc, Yc, T, Tp = _relation_fields(fd, rngs)
+    worst = np.zeros(len(rngs))
     for case, args in [("hh", (Xc, Yc)), ("hv", (Xc, T))]:
         got = og.second_fundamental_OMN(M, u, case, *args)
         _, nor = decompose_OMN(fb.nabla_ON_primed(M, u, case, *args))
-        worst = max(worst, (got - nor).norm())
+        worst = np.maximum(worst, (got - nor).norm())
     _, nor = decompose_OMN(fb.nabla_ON_primed(M, u, "vv", T, Tp))
-    worst = max(worst, nor.norm())
-    return worst, _sup(fd.Smats.val), None
+    return np.maximum(worst, nor.norm()), _sup_each(fd.Smats.val)
 
 
-def _ev_sectional_horizontal_vs_curvature(M, u, rng):
-    x = _unit_chart(M.frame_data(u), rng)
-    y = _unit_chart(M.frame_data(u), rng)
-    pl = og.omn_plane(M, u, ("hprime", x), ("hprime", y))
-    R = og.curvature_OMN(M, u, "hhh", pl.xc, pl.yc, pl.yc)
+def _ev_sectional_horizontal_vs_curvature(M, fd, rngs):
+    x = _unit_chart(fd, _draw(rngs, fd.p))
+    y = _unit_chart(fd, _draw(rngs, fd.p))
+    pl = og.omn_plane(M, fd.u0, ("hprime", x), ("hprime", y))
+    R = og.curvature_OMN(M, fd.u0, "hhh", pl.xc, pl.yc, pl.yc)
     val = og.sectional_OMN(pl)
-    return abs(val - sasaki_mok_inner(R, pl.v1)), abs(val), None
+    return np.abs(val - sasaki_mok_inner(R, pl.v1)), np.abs(val)
 
 
-def _ev_sectional_mixed_vs_curvature(M, u, rng):
-    fd = M.frame_data(u)
-    T = _random_block_skew(fd.p, fd.d, rng)
-    x = _unit_chart(fd, rng)
-    pl = og.omn_plane(M, u, ("hprime", x), ("vertical", T))
-    R = og.curvature_OMN(M, u, "hvv", pl.xc, pl.T, pl.T)
+def _ev_sectional_mixed_vs_curvature(M, fd, rngs):
+    T = _diag_skew(fd.p, _draw(rngs, fd.d, fd.d))
+    x = _unit_chart(fd, _draw(rngs, fd.p))
+    pl = og.omn_plane(M, fd.u0, ("hprime", x), ("vertical", T))
+    R = og.curvature_OMN(M, fd.u0, "hvv", pl.xc, pl.T, pl.T)
     val = og.sectional_OMN(pl)
     q = ops.q_t_chart_jet(fd, fd.uspace.constant(pl.T), pl.xc).val
-    return abs(val - sasaki_mok_inner(R, pl.v1)), float(np.max(np.abs(q))), None
+    return np.abs(val - sasaki_mok_inner(R, pl.v1)), _sup_each(q)
 
 
-def _ev_condition_set_implications(M, u, rng):
-    data = gm.residual_data(M, u)
+def _ev_condition_set_implications(M, fd, rngs):
+    data = gm.residual_data(M, fd.u0)
     r1, r2 = gm.implication_residuals(M, data)
-    tau = gm.tension_field(M, u)
-    r3 = abs(tau.norm() ** 2 - (data.r_h1**2 + data.r_h2**2 + data.r_h3**2))
-    wit = data.r_h1 + data.r_h2 + data.r_h3
-    return float(max(r1, r2, r3)), wit, None
+    tau = gm.tension_field(M, fd.u0)
+    r3 = np.abs(tau.norm() ** 2 - (data.r_h1**2 + data.r_h2**2 + data.r_h3**2))
+    return np.max([r1, r2, r3], axis=0), data.r_h1 + data.r_h2 + data.r_h3
 
 
-def _ev_mixed_vertical_sectional_nonnegative(M, u, rng):
-    fd = M.frame_data(u)
-    lo, wit = np.inf, 0.0
+def _ev_mixed_vertical_sectional_nonnegative(M, fd, rngs):
+    u, n = fd.u0, len(rngs)
+    lo, wit = np.full(n, np.inf), np.zeros(n)
+    # a point stops at its first zero T: then h = so(p) + so(n) is zero there
+    going = np.ones(n, dtype=bool)
     for _ in range(3):
-        T = _random_block_skew(fd.p, fd.d, rng)
-        if np.max(np.abs(T)) < 1e-12:
+        T = _diag_skew(fd.p, _draw(rngs, fd.d, fd.d))
+        going &= _sup_each(T) >= 1e-12
+        if not np.any(going):
             break
-        x = _unit_chart(fd, rng)
-        val = og.sectional_OMN(og.omn_plane(M, u, ("hprime", x), ("vertical", T)))
-        lo, wit = min(lo, val), max(wit, abs(val))
-        Tp = _random_block_skew(fd.p, fd.d, rng)
-        comm = T @ Tp - Tp @ T
-        if np.max(np.abs(comm)) > 1e-8:
-            try:
-                vpl = og.omn_plane(M, u, ("vertical", T), ("vertical", Tp))
-            except og.OmnError:
-                continue
-            val = og.sectional_OMN(vpl)
-            lo, wit = min(lo, val), max(wit, abs(val))
-    if not np.isfinite(lo):
-        return 0.0, 0.0, None
-    return float(max(0.0, -lo)), wit, None
+        x = _unit_chart(fd, _draw(rngs, fd.p))
+        val = _sectional_at(M, u, going, ("hprime", x), ("vertical", T))
+        lo, wit = np.fmin(lo, val), np.fmax(wit, np.abs(val))
+        Tp = _diag_skew(fd.p, _draw(rngs, fd.d, fd.d))
+        # a vertical plane where T and T' do not commute, unless omn_plane refuses it
+        spans = going & (_sup_each(T @ Tp - Tp @ T) > 1e-8)
+        val = _sectional_at(M, u, spans, ("vertical", T), ("vertical", Tp), skip_refused=True)
+        lo, wit = np.fmin(lo, val), np.fmax(wit, np.abs(val))
+    seen = np.isfinite(lo)
+    return np.where(seen, np.maximum(0.0, -lo), 0.0), np.where(seen, wit, 0.0)
 
 
-def _ev_christoffel_jets_vs_fd(M, u, rng):
-    r1 = fd_relative_error(M, "gamma_chart", u)
-    r2 = fd_relative_error(M, "gamma_tilde", u)
-    wit = float(np.max(np.abs(M.frame_data(u).Gam_chart.val)))
-    return max(r1, r2), wit, None
+def _ev_christoffel_jets_vs_fd(M, fd, rngs):
+    u = fd.u0
+    errors = [_relative_errors(jet_value(M, q, u), fd_oracle(M, q, u), 1) for q in ("gamma_chart", "gamma_tilde")]
+    return np.maximum(*errors), _sup_each(fd.Gam_chart.val)
 
 
 # -- evaluators, per-manifold ----------------------------------------------------
+# Each takes M, the run's sample count and seed, and returns the residual, the
+# witness and a detail dict of the one row it gives.
 
 
 def _ev_totally_geodesic_classification(M, samples, seed):
@@ -476,23 +497,22 @@ def _ev_totally_geodesic_classification(M, samples, seed):
 
 
 def _ev_space_form_sectional_nonnegative(M, samples, seed):
-    rng = np.random.default_rng(seed)
-    lo, hi = np.inf, 0.0
-    for u in domain_samples(M, min(samples, 12), seed=seed):
-        fd = M.frame_data(u)
-        for _ in range(4):
-            x = _unit_chart(fd, rng)
-            y = _unit_chart(fd, rng)
-            T = _random_block_skew(fd.p, fd.d, rng)
-            try:
-                pl = og.omn_plane(M, u, ("hprime", x), ("hprime", y))
-                v = og.sectional_OMN(pl)
-                lo, hi = min(lo, v), max(hi, abs(v))
-            except og.OmnError:
-                pass
-            if np.max(np.abs(T)) > 1e-12:
-                v = og.sectional_OMN(og.omn_plane(M, u, ("hprime", x), ("vertical", T)))
-                lo, hi = min(lo, v), max(hi, abs(v))
+    U = domain_samples(M, min(samples, 12), seed=seed)
+    fd = M.frame_data(U)
+    p, d, k = fd.p, fd.d, len(U)
+    # one generator for all points, drawn point by point: 4 rounds of x, y, T each
+    draws = np.random.default_rng(seed).standard_normal((k, 4, 2 * p + d * d))
+    vals = []
+    for r in range(4):
+        x = _unit_chart(fd, draws[:, r, :p])
+        y = _unit_chart(fd, draws[:, r, p : 2 * p])
+        T = _diag_skew(p, draws[:, r, 2 * p :].reshape(k, d, d))
+        everywhere = np.ones(k, dtype=bool)
+        vals.append(_sectional_at(M, U, everywhere, ("hprime", x), ("hprime", y), skip_refused=True))
+        vals.append(_sectional_at(M, U, _sup_each(T) > 1e-12, ("hprime", x), ("vertical", T)))
+    vals = np.concatenate(vals)
+    vals = vals[~np.isnan(vals)]
+    lo, hi = float(np.min(vals, initial=np.inf)), float(np.max(np.abs(vals), initial=0.0))
     detail = {"min_sectional": lo, "max_abs_sectional": hi}
     return float(max(0.0, -lo)), hi, detail
 
@@ -570,6 +590,12 @@ class IdentityCase:
     curvature and whole-map statements. applies(fd) says whether the case
     runs on a submanifold, and live(fd) whether its witness must reach
     WITNESS_FLOOR there; both read the frame fd at the run's sample points.
+
+    A pointwise case's evaluator(M, fd, rngs) takes that frame and the
+    points' generators and returns the residual and the witness at every
+    point, arrays of shape (n,); each gives one row. Any other case's
+    evaluator(M, samples, seed) returns (residual, witness, detail) of its
+    one row.
     """
 
     id: str
@@ -943,34 +969,42 @@ def _plan(M, points) -> list[tuple[bool, bool]]:
     sample points; where it cannot be built, every case runs unwitnessed."""
     try:
         fd = M.frame_data(points)
-        return [(case.applies(fd), case.live(fd)) for case in REGISTRY]
-    except Exception:  # noqa: BLE001 - the cases report the failure row by row
+    except (FrameError, AmbientError, ExprError):
+        # the cases report the failure row by row
         return [(True, False)] * len(REGISTRY)
+    return [(case.applies(fd), case.live(fd)) for case in REGISTRY]
 
 
 def _run_case(case, ci, name, bi, M, samples, seed, points, live):
+    """The rows of a case on M: one per sample point for a pointwise case,
+    all from one evaluation on the frame at the points, else one. When the
+    evaluation raises, each of its rows is a crash row naming the error."""
     tol = case.tolerance
-
-    def row(point, evaluate):
-        try:
-            residual, witness, detail = evaluate()
-        except Exception as exc:  # noqa: BLE001 - reported, not fatal
-            error = f"{type(exc).__name__}: {exc}"
-            return CaseResult(case.id, case.group, name, point, None, None, tol, False, error, "crash")
-        passed = bool(residual < tol)
-        return CaseResult(
-            case.id, case.group, name, point, float(residual), float(witness), tol, passed,
-            error_kind=None if passed else "over_tol", detail=detail,
-        )
-
-    def at(pi, u):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, ci, bi, pi]))
-        return row(tuple(u), lambda: case.evaluator(M, u, rng))
-
-    if case.pointwise:
-        rows = [at(pi, u) for pi, u in enumerate(points)]
+    at = [tuple(u) for u in points] if case.pointwise else [None]
+    n = len(points)
+    try:
+        if case.pointwise:
+            rngs = [np.random.default_rng(np.random.SeedSequence([seed, ci, bi, pi])) for pi in range(n)]
+            out = case.evaluator(M, M.frame_data(points), rngs)
+            residuals, witnesses = (np.asarray(x, dtype=float) for x in out)
+            if residuals.shape != (n,) or witnesses.shape != (n,):
+                shapes = f"{residuals.shape} residuals and {witnesses.shape} witnesses"
+                raise VerifyError(f"evaluator gave {shapes} for {n} points")
+            details = [None] * n
+        else:
+            residual, witness, detail = case.evaluator(M, samples, seed)
+            residuals, witnesses, details = [residual], [witness], [detail]
+    except Exception as exc:  # noqa: BLE001 - reported, not fatal
+        error = f"{type(exc).__name__}: {exc}"
+        rows = [CaseResult(case.id, case.group, name, u, None, None, tol, False, error, "crash") for u in at]
     else:
-        rows = [row(None, lambda: case.evaluator(M, samples, seed))]
+        rows = []
+        for point, residual, witness, detail in zip(at, residuals, witnesses, details):
+            passed = bool(residual < tol)
+            rows.append(CaseResult(
+                case.id, case.group, name, point, float(residual), float(witness), tol, passed,
+                error_kind=None if passed else "over_tol", detail=detail,
+            ))
     max_witness = max((r.witness for r in rows if r.witness is not None), default=0.0)
     if live and max_witness < WITNESS_FLOOR:
         rows.append(CaseResult(
@@ -1087,7 +1121,9 @@ def _fd_quantity(quantity: str) -> FDQuantity:
 
 
 def fd_oracle(M: ImmersedSubmanifold, quantity: str, u):
-    """Recompute a derived quantity by central differences of point values.
+    """Recompute a derived quantity by central differences of point values,
+    at one point u (p,); gamma_chart and gamma_tilde also take a batch u
+    (n, p), and lead with its batch axis.
 
     gamma_chart / gamma_tilde: Christoffels of the induced and deformed chart
     metrics, shape (p, p, p). nabla_vec: ambient covariant derivative of a
@@ -1102,11 +1138,16 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u):
 
 
 def jet_value(M: ImmersedSubmanifold, quantity: str, u):
-    """The jet-route value matching fd_oracle's conventions."""
+    """The jet-route value matching fd_oracle's conventions, at u."""
     return _fd_quantity(quantity).jet_route(M.frame_data(np.asarray(u, dtype=float)))
 
 
+def _relative_errors(a, b, batch_ndim: int):
+    """max |a - b| / (1 + max |a|) over the axes after the batch_ndim leading ones."""
+    axes = tuple(range(batch_ndim, np.ndim(a)))
+    return np.max(np.abs(a - b), axis=axes) / (1.0 + np.max(np.abs(a), axis=axes))
+
+
 def fd_relative_error(M: ImmersedSubmanifold, quantity: str, u) -> float:
-    a = jet_value(M, quantity, u)
-    b = fd_oracle(M, quantity, u)
-    return float(np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(a))))
+    """Relative error of the FD route against the jet route at one point u."""
+    return float(_relative_errors(jet_value(M, quantity, u), fd_oracle(M, quantity, u), 0))

@@ -29,6 +29,7 @@ from framelab.omn_geometry import (
     nabla_OMN,
     omn_plane,
     second_fundamental_OMN,
+    sectional_OMN,
 )
 from framelab.operators import basis_T
 from framelab.submanifold import builtin_submanifold
@@ -333,11 +334,11 @@ def test_unknown_case_is_refused():
 
 
 X2, T3 = [1.0, 0.0], basis_T(3, 0, 1)
-# three points of sphere2: a lifted vector lives at the frame of one point
+# three points of sphere2
 U3 = np.array([[1.1, 0.6], [1.0, 0.5], [0.9, 0.3]])
-ONE_POINT = re.escape("u must be one point of shape (2,), got (3, 2)")
 # a non-finite part is refused with the point named, so a sweep still says where
 NAMES_POINT = re.escape("not finite at u = [1.1, 0.6]")
+NAN_AT_SECOND = np.where(np.arange(3)[:, None] == 1, np.nan, np.ones((3, 3)))
 
 
 @pytest.mark.parametrize(
@@ -354,12 +355,16 @@ NAMES_POINT = re.escape("not finite at u = [1.1, 0.6]")
         (lambda M, u: grassmann_vector(M, u, vertical=np.zeros((2, 2))), FrameBundleError, re.escape("shape (3, 3)")),
         (lambda M, u: lifted(M, u, horizontal=[np.nan, 0.0, 0.0]), FrameBundleError, NAMES_POINT),
         (lambda M, u: lifted(M, u, vertical=np.full((3, 3), np.nan)), FrameBundleError, NAMES_POINT),
-        (lambda M, u: lifted(M, U3), FrameBundleError, ONE_POINT),
-        (lambda M, u: nabla_OMN(M, U3, "hh", X2, X2), FrameBundleError, ONE_POINT),
-        (lambda M, u: curvature_OMN(M, U3, "hhh", X2, X2, X2), FrameBundleError, ONE_POINT),
-        (lambda M, u: mean_curvature_OMN(M, U3), FrameBundleError, ONE_POINT),
-        (lambda M, u: tension_field(M, U3), FrameBundleError, ONE_POINT),
-        (lambda M, u: omn_plane(M, U3, ("hprime", X2), ("hprime", [0.0, 1.0])), FrameBundleError, ONE_POINT),
+        (lambda M, u: lifted(M, np.ones((3, 3))), FrameBundleError, re.escape("shape (2,) or (n, 2), got (3, 3)")),
+        (lambda M, u: lifted(M, np.ones((2, 3, 2))), FrameBundleError, re.escape("got (2, 3, 2)")),
+        (lambda M, u: lifted(M, U3, horizontal=np.ones((2, 3))), FrameBundleError, re.escape("shape (3, 3) or (3,)")),
+        (lambda M, u: lifted(M, U3, vertical=np.zeros((2, 3, 3))), FrameBundleError, re.escape("(3, 3, 3) or (3, 3)")),
+        (lambda M, u: lifted(M, U3, horizontal=NAN_AT_SECOND), FrameBundleError, re.escape("at u = [1.0, 0.5]")),
+        (
+            lambda M, u: omn_plane(M, U3, ("hprime", [X2, X2, [0.0, 0.0]]), ("vertical", T3)),
+            OmnError,
+            re.escape("horizontal direction vanishes at u = [0.9, 0.3]"),
+        ),
     ],
     ids=[
         "nabla_ON",
@@ -373,20 +378,54 @@ NAMES_POINT = re.escape("not finite at u = [1.1, 0.6]")
         "grassmann_vector-vertical",
         "lifted-horizontal-not-finite",
         "lifted-vertical-not-finite",
-        "lifted-batch",
-        "nabla_OMN-batch",
-        "curvature_OMN-batch",
-        "mean_curvature_OMN-batch",
-        "tension_field-batch",
-        "omn_plane-batch",
+        "frame_at-batch-shape",
+        "frame_at-batch-ndim",
+        "lifted-horizontal-batch",
+        "lifted-vertical-batch",
+        "lifted-batch-not-finite",
+        "omn_plane-batch-vanishing",
     ],
 )
 def test_wrong_arity_or_shape_is_refused(call, error, match):
     """A wrong argument count, a wrong shape or a non-finite value raises the
-    module's own error and names what was expected."""
+    module's own error and names what was expected; on a batch, a value that
+    fails at some points names the first of them."""
     M = builtin_submanifold("sphere2")
     with pytest.raises(error, match=match):
         call(M, np.array([1.1, 0.6]))
+
+
+def lifted_parts(v):
+    return v.horizontal, v.vertical
+
+
+# Each function on the batch U3 against the same function at each point of
+# it, as the parts it returns; every per-point input is the same at each point.
+BATCH_CALLS = {
+    "lifted": lambda M, u: lifted_parts(lifted(M, u, horizontal=[0.3, -1.0, 2.0], vertical=T3)),
+    "nabla_OMN": lambda M, u: lifted_parts(nabla_OMN(M, u, "hv", ["u2", "1-u1*u2"], T3)),
+    "curvature_OMN": lambda M, u: lifted_parts(curvature_OMN(M, u, "hhh", X2, ["u1", "u2"], [0.5, 0.2])),
+    "mean_curvature_OMN": lambda M, u: (
+        lambda r: lifted_parts(r.H) + (r.z_pairings, r.t_pairings, r.norm)
+    )(mean_curvature_OMN(M, u)),
+    "tension_field": lambda M, u: lifted_parts(tension_field(M, u)),
+    "omn_plane": lambda M, u: (
+        lambda pl: lifted_parts(pl.v1) + lifted_parts(pl.v2) + (sectional_OMN(pl),)
+    )(omn_plane(M, u, ("hprime", X2), ("hprime", [0.3, 1.0]))),
+}
+
+
+@pytest.mark.parametrize("name", BATCH_CALLS)
+def test_batch_agrees_with_pointwise(name):
+    """On the frame of a batch each function gives, at every point, what it
+    gives on that point's own frame."""
+    M = builtin_submanifold("sphere2")
+    batched = BATCH_CALLS[name](M, U3)
+    per_point = [BATCH_CALLS[name](M, u) for u in U3]
+    for k, got in enumerate(batched):
+        want = np.stack([np.asarray(parts[k]) for parts in per_point])
+        assert np.shape(got) == want.shape, (name, k)
+        assert np.max(np.abs(got - want)) <= 1e-13, (name, k)
 
 
 # -- decomposition ---------------------------------------------------------------

@@ -247,6 +247,17 @@ def test_omn_plane_validates():
     assert abs(sasaki_mok_inner(pl.v2, pl.v2) - 1.0) < 1e-10
 
 
+def test_omn_plane_batch_refusal_marks_its_points():
+    """On a batch, a plane that cannot be built at some points is refused
+    with those points in the error's where mask, the first one named."""
+    M = builtin_submanifold("catenoid")
+    U = domain_samples(M, 4, seed=2)
+    x = np.array([[1.0, 0.0], [0.0, 0.0], [0.3, 1.0], [0.0, 0.0]])
+    with pytest.raises(OmnError, match=re.escape(f"vanishes at u = {U[1].tolist()}")) as exc:
+        omn_plane(M, U, ("hprime", x), ("vertical", basis_T(3, 0, 1)))
+    assert exc.value.where.tolist() == [False, True, False, True]
+
+
 # -- second fundamental form and mean curvature --------------------------------
 
 
@@ -369,10 +380,9 @@ def test_is_totally_geodesic_refuses_non_finite_residual(monkeypatch):
     pi = og.second_fundamental_OMN
 
     def nan_at_bad_point(M, u, case, *args):
-        if np.array_equal(u, bad):
-            d = M.ambient.dim
-            return LiftedVector(M, u, np.full(d, np.nan), np.zeros((d, d)))
-        return pi(M, u, case, *args)
+        got = pi(M, u, case, *args)
+        at = np.all(np.asarray(u) == bad, axis=-1)[..., None]
+        return LiftedVector(M, got.u, np.where(at, np.nan, got.horizontal), got.vertical)
 
     monkeypatch.setattr(og, "second_fundamental_OMN", nan_at_bad_point)
     with pytest.raises(OmnError, match=re.escape(str(bad.tolist()))):

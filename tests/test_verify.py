@@ -10,10 +10,11 @@ registry does not take.
 import numpy as np
 import pytest
 
+from framelab import omn_geometry as og
 from framelab import verify
 from framelab.ambient import euclidean, sphere_chart
 from framelab.omn_geometry import domain_samples
-from framelab.submanifold import ImmersedSubmanifold, builtin_submanifold
+from framelab.submanifold import FramePointData, ImmersedSubmanifold, builtin_submanifold
 
 # Cases whose witness on the Clifford torus stays below WITNESS_FLOOR. The
 # torus is flat with constant P, so the quantities these cases need to be
@@ -132,12 +133,127 @@ def test_great_spheres_get_the_cases_their_curvature_admits():
 
 def test_unbuildable_sample_frame_runs_every_case():
     """A point outside sqrt's domain stops the frame at the sample points, so
-    every case runs, crashes at that point only and needs no witness."""
+    every case runs, needs no witness, and crashes at every point: each row
+    is evaluated on that one frame."""
     M = ImmersedSubmanifold(2, [[-0.5, 0.5]] * 2, ["u1", "u2", "sqrt(u1+0.3)"], euclidean(3))
     rows = verify.run_suite(M, samples=5, groups=["duality-relations"]).results
-    kinds = sorted((r.case_id, r.passed, (r.error or "").split(":")[0]) for r in rows)
+    kinds = sorted((r.case_id, r.passed, r.error_kind, (r.error or "").split(":")[0]) for r in rows)
     cases = [c.id for c in verify.REGISTRY if c.group == "duality-relations"]
-    assert kinds == sorted((c, ok, "" if ok else "DomainError") for c in cases for ok in [False] + [True] * 4)
+    assert kinds == sorted((c, False, "crash", "DomainError") for c in cases for _ in range(5))
+
+
+def _assert_every_row_crashes(rows, points, error):
+    """Every row is a crash row with this error, and each pointwise case
+    gives one at each point."""
+    assert rows and all(r.error_kind == "crash" and r.error == error for r in rows)
+    pointwise = {c.id for c in verify.REGISTRY if c.pointwise}
+    for cid in {r.case_id for r in rows} & pointwise:
+        assert [r.point for r in rows if r.case_id == cid] == [tuple(u) for u in points]
+
+
+def test_one_singular_sample_point_crashes_every_row():
+    """The Jacobian of this graph-like surface loses rank where u2 = c, and c
+    is the second coordinate of the third sample point: the frame at the
+    sample points cannot be built, so each case crashes at every point with
+    the error naming that point."""
+    plane = builtin_submanifold("plane")
+    pts = domain_samples(plane, 5, seed=0)
+    c = repr(float(pts[2, 1]))
+    M = ImmersedSubmanifold(2, plane.chart_domain, ["u1", f"(u2-{c})^3", "0"], euclidean(3))
+    assert np.array_equal(domain_samples(M, 5, seed=0), pts)
+    rows = verify.run_suite(M, samples=5).results
+    _assert_every_row_crashes(rows, pts, f"FrameError: Jacobian rank-deficient (column 2) at {pts[2].tolist()}")
+
+
+def test_point_outside_the_chart_gives_crash_rows(monkeypatch):
+    """A sample point outside the chart is a frame-build error: the run goes
+    on and every row reports it."""
+    M = builtin_submanifold("sphere2")
+    pts = domain_samples(M, 4, seed=0)
+    pts[1] = [3.0, 0.1]
+    monkeypatch.setattr(verify, "domain_samples", lambda M, n, seed=0: pts.copy())
+    rows = verify.run_suite(M, samples=4, groups=["duality-relations", "gauss-codazzi"]).results
+    _assert_every_row_crashes(rows, pts, f"FrameError: parameter point {pts[1].tolist()} outside the chart domain")
+
+
+def test_raising_predicate_fails_the_run(monkeypatch):
+    """Only a failed frame build turns the witness checks off; a bug in a
+    case's applies or live predicate stops the run."""
+
+    def broken(fd):
+        raise KeyError("no such attribute")
+
+    case = verify.REGISTRY[0]
+    registry = (verify.IdentityCase(case.id, case.group, case.statement, case.order, case.evaluator, live=broken),)
+    monkeypatch.setattr(verify, "REGISTRY", registry)
+    with pytest.raises(KeyError, match="no such attribute"):
+        verify.run_suite("plane", samples=2)
+
+
+def _one_point_rows(report, name, bi):
+    """Each pointwise case's rows on the default builtin name, evaluated again
+    with each sample point as a batch of its own, with that point's generator."""
+    M = builtin_submanifold(name)
+    points = domain_samples(M, 5, seed=0)
+    out = []
+    for ci, case in enumerate(verify.REGISTRY):
+        if not case.pointwise or not any(r.case_id == case.id and r.builtin == name for r in report.results):
+            continue
+        for pi, u in enumerate(points):
+            rng = np.random.default_rng(np.random.SeedSequence([0, ci, bi, pi]))
+            res, wit = case.evaluator(M, M.frame_data(points[pi : pi + 1]), [rng])
+            out.append((case.id, tuple(u), float(res[0]), float(wit[0])))
+    return out
+
+
+@pytest.mark.parametrize("bi,name", list(enumerate(verify.DEFAULT_BUILTINS)), ids=verify.DEFAULT_BUILTINS)
+def test_batched_rows_match_one_point_batches(report, bi, name):
+    """A row depends on its own point and draws alone: the run's rows, from
+    one evaluation over 5 points, equal evaluations of each point alone."""
+    rows = {(r.case_id, r.point): r for r in report.results if r.builtin == name and r.point is not None}
+    single = _one_point_rows(report, name, bi)
+    assert len(single) == len(rows) > 0
+    for cid, point, res, wit in single:
+        row = rows[(cid, point)]
+        bound = 1e-10 if cid == "christoffel-jets-vs-fd" else 1e-14
+        assert abs(row.residual - res) <= bound and abs(row.witness - wit) <= bound, (cid, point)
+
+
+def test_a_refused_vertical_plane_drops_only_its_point(monkeypatch):
+    """mixed-vertical-sectional-nonnegative skips a vertical plane that
+    omn_plane refuses at one point; the other points keep their rows."""
+    cid = "mixed-vertical-sectional-nonnegative"
+    rows = lambda: [(r.point, r.residual, r.witness) for r in verify.run_suite("plane3", samples=5).results if r.case_id == cid]
+    before = rows()
+    build = og.omn_plane
+
+    def refuse_second_point(M, u, spec1, spec2):
+        # a point outside the mask carries the first point's directions
+        if (spec1[0], spec2[0]) == ("vertical", "vertical") and not np.array_equal(spec1[1][1], spec1[1][0]):
+            raise og.OmnError("plane vectors are linearly dependent", where=np.arange(len(u)) == 1)
+        return build(M, u, spec1, spec2)
+
+    monkeypatch.setattr(og, "omn_plane", refuse_second_point)
+    after = rows()
+    assert len(after) == 5
+    assert after[:1] + after[2:] == before[:1] + before[2:]
+    assert after[1] != before[1]
+
+
+def test_a_run_builds_one_frame_and_one_stencil(monkeypatch):
+    """On one builtin every case reads the frame at the run's n sample points,
+    and the Christoffel check's central differences one frame of their 2np
+    shifted points; no frame of a single point is built."""
+    shapes = []
+    build = FramePointData.__init__
+
+    def counting(self, sub, u0):
+        shapes.append(u0.shape)
+        build(self, sub, u0)
+
+    monkeypatch.setattr(FramePointData, "__init__", counting)
+    verify.run_suite("sphere2", samples=5)
+    assert shapes == [(5, 2), (20, 2)]
 
 
 @pytest.mark.parametrize(
@@ -205,11 +321,11 @@ def test_rows_say_how_they_failed(report):
 
 
 def test_crash_and_over_tolerance_rows(monkeypatch):
-    def broken(M, u, rng):
+    def broken(M, fd, rngs):
         raise TypeError("unsupported operand")
 
-    def off(M, u, rng):
-        return 1.0, 1.0, None
+    def off(M, fd, rngs):
+        return np.ones(len(rngs)), np.ones(len(rngs))
 
     cases = tuple(
         verify.IdentityCase(id=cid, group="duality-relations", statement=cid, order=1, evaluator=ev)
@@ -229,11 +345,11 @@ def test_summary_per_case(monkeypatch):
     """Crash rows have no residual, so their case summarises to None; the
     other cases give their exact row count, largest and mean residual."""
 
-    def broken(M, u, rng):
+    def broken(M, fd, rngs):
         raise TypeError("unsupported operand")
 
-    def off(M, u, rng):
-        return 1.0 + abs(float(u[0])), 1.0, None
+    def off(M, fd, rngs):
+        return 1.0 + np.abs(fd.u0[:, 0]), np.ones(len(rngs))
 
     cases = tuple(
         verify.IdentityCase(id=cid, group="duality-relations", statement=cid, order=1, evaluator=ev)
@@ -256,7 +372,7 @@ def test_summary_per_case(monkeypatch):
 
 
 def test_crashed_row_names_the_exception_type(monkeypatch):
-    def broken(M, u, rng):
+    def broken(M, fd, rngs):
         raise TypeError("unsupported operand")
 
     case = verify.IdentityCase(
