@@ -78,6 +78,10 @@ class AmbientSpace:
         self.dim = dim
         self.entries = entries
         self.tag = tag
+        # the distinct entries (a diagonal metric has two), each evaluated once
+        # per metric_jets call, and every entry's index among them
+        self._distinct = list(dict.fromkeys(e for row in entries for e in row))
+        self._where = [[self._distinct.index(e) for e in row] for row in entries]
 
     @classmethod
     def from_strings(cls, dim: int, grid: list[list[str]], tag: str = "custom") -> "AmbientSpace":
@@ -94,11 +98,10 @@ class AmbientSpace:
             raise AmbientError(f"point has shape {x0.shape}, expected (..., {self.dim})")
         space = get_space(self.dim, order)
         varjets = space.variables(x0)
-        rows = []
         # an overflow or a pole shows as a non-finite entry, refused below
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for row in self.entries:
-                rows.append(jstack([eval_expr(e, varjets, space) for e in row], axis=-1))
+            jets = [eval_expr(e, varjets, space) for e in self._distinct]
+        rows = [jstack([jets[k] for k in row], axis=-1) for row in self._where]
         # a metric of constants carries no batch axes yet: broadcast to x0's
         G = jstack(rows, axis=-2) * np.ones(x0.shape[:-1] + (1, 1))
         # symmetric by construction (__init__ equates the mirrored entries)

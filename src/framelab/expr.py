@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -288,7 +289,17 @@ class _Parser:
 
 
 def parse(source: str, dim: int, var_prefix: str = "u") -> Expression:
-    """Parse `source` over variables `<var_prefix>1 .. <var_prefix><dim>`."""
+    """Parse `source` over variables `<var_prefix>1 .. <var_prefix><dim>`.
+
+    Expressions are immutable, so the same (source, dim, var_prefix) gives
+    the same object every time; a failed parse is not remembered and raises
+    again on every call.
+    """
+    return _parse(source, dim, var_prefix)
+
+
+@lru_cache(maxsize=1024)
+def _parse(source: str, dim: int, var_prefix: str) -> Expression:
     return _Parser(source, dim, var_prefix).parse()
 
 
@@ -352,8 +363,20 @@ def _is_constant(j: Jet) -> bool:
     return not np.any(j.coeffs[..., 1:])
 
 
+def _refuse_where(bad, message: str, e: Expression, varjets: list[Jet]) -> None:
+    """Raise the DomainError of e if bad holds anywhere, naming the first of
+    the variables' points (their batch, of shape (..., dim)) where it does."""
+    if np.any(bad):
+        points = np.stack([v.val for v in varjets], axis=-1)
+        at = points[tuple(np.argwhere(np.broadcast_to(bad, points.shape[:-1]))[0])].tolist()
+        raise DomainError(f"{message} at {at}", e.span)
+
+
 def eval_expr(e: Expression, varjets: list[Jet], space: JetSpace) -> Jet:
-    """Evaluate to a raw jet over pre-built variable jets (any order)."""
+    """Evaluate to a raw jet over pre-built variable jets (any order).
+
+    A value outside the domain of a sub-expression raises DomainError naming
+    the first point of the variables' batch where it happens."""
     if isinstance(e, Num):
         return space.constant(e.value)
     if isinstance(e, PiConst):
@@ -380,20 +403,17 @@ def eval_expr(e: Expression, varjets: list[Jet], space: JetSpace) -> Jet:
             return jcosh(a)
         if e.fn == "tan":
             c = jcos(a)
-            if np.any(c.val == 0.0):
-                raise DomainError("tan at a pole", e.span)
+            _refuse_where(c.val == 0.0, "tan at a pole", e, varjets)
             return jsin(a) / c
         if e.fn == "tanh":
             return jsinh(a) / jcosh(a)
         if e.fn == "log":
-            if np.any(a.val <= 0.0):
-                raise DomainError("log of a non-positive value", e.span)
+            _refuse_where(a.val <= 0.0, "log of a non-positive value", e, varjets)
             return jlog(a)
         if e.fn == "sqrt":
-            if np.any(a.val < 0.0):
-                raise DomainError("sqrt of a negative value", e.span)
-            if space.order >= 1 and np.any(a.val == 0.0):
-                raise DomainError("sqrt is not differentiable at zero", e.span)
+            _refuse_where(a.val < 0.0, "sqrt of a negative value", e, varjets)
+            if space.order >= 1:
+                _refuse_where(a.val == 0.0, "sqrt is not differentiable at zero", e, varjets)
             return jsqrt(a)
         raise AssertionError(f"unhandled function {e.fn}")
     # binary
@@ -406,21 +426,17 @@ def eval_expr(e: Expression, varjets: list[Jet], space: JetSpace) -> Jet:
         return l * eval_expr(e.right, varjets, space)
     if e.op == "/":
         r = eval_expr(e.right, varjets, space)
-        if np.any(r.val == 0.0):
-            raise DomainError("division by zero", e.span)
+        _refuse_where(r.val == 0.0, "division by zero", e, varjets)
         return l / r
     if e.op == "^":
         r = eval_expr(e.right, varjets, space)
         rv = r.val
         if _is_constant(r) and np.all(rv == np.floor(rv)) and np.all(np.abs(rv) < 2**31):
             n = int(np.asarray(rv).flat[0])
-            if n < 0 and np.any(l.val == 0.0):
-                raise DomainError("zero raised to a negative power", e.span)
+            if n < 0:
+                _refuse_where(l.val == 0.0, "zero raised to a negative power", e, varjets)
             return jpow_int(l, n)
         # non-integer exponent: b^r = exp(r log b), requires b > 0
-        if np.any(l.val <= 0.0):
-            raise DomainError(
-                "non-positive base raised to a non-integer power", e.span
-            )
+        _refuse_where(l.val <= 0.0, "non-positive base raised to a non-integer power", e, varjets)
         return jexp(r * jlog(l))
     raise AssertionError(f"unhandled operator {e.op}")

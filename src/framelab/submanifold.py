@@ -39,7 +39,7 @@ axes through in the same way.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -181,16 +181,27 @@ class ImmersedSubmanifold:
             basis.append(best_vec / best_nrm)
         return tuple(pivots)
 
-    def frame_data(self, u) -> "FramePointData":
+    def frame_data(self, u, order: int = 4) -> "FramePointData":
         """The frame at one point, u of shape (p,), or at a batch of points,
-        u of shape (n, p); cached by the shape and the values of u."""
+        u of shape (n, p), built to jet order `order` >= 1 (see
+        FramePointData for what each order holds).
+
+        The cache keeps one frame per point set, keyed by the shape and the
+        values of u: a request is served by the cached frame when that frame's
+        order is at least `order`, and a higher request rebuilds the frame
+        and replaces the entry.
+        """
         u = np.asarray(u, dtype=float)
         if u.ndim not in (1, 2) or u.shape[-1] != self.p or u.size == 0:
             raise FrameError(
                 f"parameter points must have shape ({self.p},) or (n, {self.p}), got {u.shape}"
             )
+        if order < 1:
+            raise FrameError(f"a frame needs jet order 1 or more, got {order}")
         key = (u.shape, u.tobytes())
         hit = self._cache.get(key)
+        if hit is not None and hit.order >= order:
+            return hit
         if hit is None:
             # cached points passed this check when their frame was built
             lo, hi = self.chart_domain[:, 0], self.chart_domain[:, 1]
@@ -200,12 +211,35 @@ class ImmersedSubmanifold:
                 raise FrameError(f"parameter point {at} outside the chart domain")
             if len(self._cache) >= 4096:
                 self._cache.clear()
-            hit = FramePointData(self, u)
-            self._cache[key] = hit
+        hit = FramePointData(self, u, order)
+        self._cache[key] = hit
         return hit
 
     def __repr__(self) -> str:
         return f"ImmersedSubmanifold({self.name!r}, p={self.p}, n={self.n})"
+
+
+def _built_on_read(top: int):
+    """Make a FramePointData attribute built on first read and then kept.
+
+    top is its valid order in a frame of order 4. In a frame of order k it
+    is valid to top - (4 - k); reading it where that is below 0 raises
+    FrameError naming the attribute and the frame's order.
+    """
+
+    def wrap(build):
+        @wraps(build)
+        def checked(self):
+            if self.order < 4 - top:
+                raise FrameError(
+                    f"{build.__name__} needs a frame of order {4 - top} or more; "
+                    f"this frame is order {self.order}"
+                )
+            return build(self)
+
+        return cached_property(checked)
+
+    return wrap
 
 
 class FramePointData:
@@ -217,7 +251,17 @@ class FramePointData:
     Each jet lives in the space of its valid order, get_space(p, order), and
     stores exactly that space's coefficients.
 
-    Attribute conventions (d = p+n ambient dim, all jets over u-variables):
+    Order rule: a frame of order k >= 1 (frame_data's default is 4) builds
+    phi to order k and the ambient metric to order k - 1, so every attribute
+    below is valid to its listed order minus 4 - k. Truncated Taylor
+    arithmetic computes low coefficients without reading higher ones, so the
+    values of a low-order frame are those of an order-4 frame at the same
+    points: a reader of values only (a finite-difference stencil reads
+    g_chart.val or gt_chart.val) needs order 1 or 2. Reading an attribute
+    whose valid order would fall below 0 raises FrameError.
+
+    Attribute conventions (d = p+n ambient dim, all jets over u-variables),
+    valid orders those of a frame of order 4:
 
     ==========  =========  ==================================================
     attribute   shape      meaning / valid order
@@ -258,11 +302,12 @@ class FramePointData:
     blocks of a (d, d) frame matrix with respect to the tangent/normal split.
     """
 
-    def __init__(self, sub: ImmersedSubmanifold, u0: np.ndarray):
+    def __init__(self, sub: ImmersedSubmanifold, u0: np.ndarray, order: int):
         p, d = sub.p, sub.ambient.dim
         self.u0 = u0.copy()
         self.p, self.n, self.d = p, sub.n, d
-        uspace = get_space(p, 4)
+        self.order = order
+        uspace = get_space(p, order)
         self.uspace = uspace
         uv = uspace.variables(u0)
         self.uv = uv
@@ -272,7 +317,7 @@ class FramePointData:
         self.x0 = phi.val.copy()
         self.J = jstack([phi.d(a) for a in range(p)], axis=-1)
 
-        self._Gx = sub.ambient.metric_jets(self.x0, 3)
+        self._Gx = sub.ambient.metric_jets(self.x0, order - 1)
         self.G = jet_pullback(self._Gx, phi, self.x0)
 
         cols = [self.J[..., a] for a in range(p)]
@@ -293,27 +338,27 @@ class FramePointData:
 
     # -- ambient geometry, x-space jets then pulled back along phi -------------
 
-    @cached_property
+    @_built_on_read(2)
     def _Gamx(self) -> Jet:
-        # order 2, one below the metric: the x-space curvature is built from
+        # one order below the metric: the x-space curvature is built from
         # these, and both are pulled back in spaces of their own order
         return christoffel_jets(self._Gx)
 
-    @cached_property
+    @_built_on_read(2)
     def Gam(self) -> Jet:
         return jet_pullback(self._Gamx, self.phi, self.x0)
 
-    @cached_property
+    @_built_on_read(1)
     def R(self) -> Jet:
         return jet_pullback(curvature_jets(self._Gamx), self.phi, self.x0)
 
     # -- frame data, built on first use ---------------------------------------
 
-    @cached_property
+    @_built_on_read(3)
     def Einv(self) -> Jet:
         return jet_einsum("...ji,...jk->...ik", self.E, self.G)
 
-    @cached_property
+    @_built_on_read(2)
     def omega(self) -> Jet:
         omegas = []
         for a in range(self.p):
@@ -322,60 +367,60 @@ class FramePointData:
             omegas.append(jet_einsum("...ij,...jk->...ik", self.Einv, covE))
         return jstack(omegas, axis=-3)
 
-    @cached_property
+    @_built_on_read(3)
     def _JtG(self) -> Jet:
         return jet_einsum("...ka,...kl->...al", self.J, self.G)
 
-    @cached_property
+    @_built_on_read(3)
     def g_chart(self) -> Jet:
         return jet_einsum("...al,...lb->...ab", self._JtG, self.J)
 
-    @cached_property
+    @_built_on_read(3)
     def C(self) -> Jet:
         E_tan = self.E[..., : self.p]
         return jet_solve(self.g_chart, jet_einsum("...al,...lB->...aB", self._JtG, E_tan))
 
-    @cached_property
+    @_built_on_read(3)
     def Dmat(self) -> Jet:
         return jet_inv(self.C)
 
-    @cached_property
+    @_built_on_read(2)
     def Smats(self) -> Jet:
         return jet_einsum("...aA,...aij->...Aij", self.C, self.omega) * self.mmask
 
-    @cached_property
+    @_built_on_read(2)
     def Pfr(self) -> Jet:
         p = self.p
         S2 = jet_einsum("...Aij,...Ajk->...ik", self.Smats, self.Smats)
         return self.uspace.constant(np.eye(p)) - 2.0 * S2[..., :p, :p]
 
-    @cached_property
+    @_built_on_read(2)
     def Gam_chart(self) -> Jet:
         return christoffel_jets(self.g_chart)
 
-    @cached_property
+    @_built_on_read(2)
     def gt_chart(self) -> Jet:
         t = jet_einsum("...Aa,...AB->...aB", self.Dmat, self.Pfr)
         return jet_einsum("...aB,...Bb->...ab", t, self.Dmat)
 
-    @cached_property
+    @_built_on_read(1)
     def Gamt(self) -> Jet:
         return christoffel_jets(self.gt_chart)
 
-    @cached_property
+    @_built_on_read(0)
     def Rt_chart(self) -> Jet:
         return curvature_jets(self.Gamt)
 
-    @cached_property
+    @_built_on_read(2)
     def W(self) -> Jet:
         units = [self.uspace.constant(np.eye(self.p)[:, k]) for k in range(self.p)]
         return gram_schmidt_jets(units, self.Pfr, self.u0)
 
-    @cached_property
+    @_built_on_read(2)
     def Wchart(self) -> Jet:
         return jet_einsum("...aA,...AB->...aB", self.C, self.W)
 
-    @cached_property
+    @_built_on_read(1)
     def Rfr(self) -> Jet:
         t = jet_einsum("...mnqr,...nj->...mjqr", self.R, self.E)
         t = jet_einsum("...mjqr,...qk->...mjkr", t, self.E)

@@ -1022,11 +1022,14 @@ _DEFAULT_Y = ["u1*u1-0.2", "0.6", "u2+0.1*u1"] + [f"u{k - 1}*u{k}-0.1" for k in 
 
 
 class FDQuantity(NamedTuple):
-    """A quantity of the FD check: its step h; its FD route fd_route(M, u, h),
-    which hands finite_diff metric and field functions that read frame_data(U)
-    or metric_at(M.ambient, X) at a batch; its jet route jet_route(fd) at u."""
+    """A quantity of the FD check: its step h; the jet order of the frames
+    its FD route reads, the lowest whose values it needs; its FD route
+    fd_route(M, u, h, frame), which hands finite_diff metric and field
+    functions that read frame(U), the frame at a batch U built to that
+    order, or metric_at(M.ambient, X); its jet route jet_route(fd) at u."""
 
     h: float
+    order: int
     fd_route: Callable
     jet_route: Callable
 
@@ -1036,24 +1039,24 @@ def _xy(fd):
     return ops.as_chart_field(fd, _DEFAULT_X[: fd.p]), ops.as_chart_field(fd, _DEFAULT_Y[: fd.p])
 
 
-def _fd_connection(M, u, h, attr: str):
+def _fd_connection(M, u, h, frame, attr: str):
     """FD route of nabla_X Y in chart components for the Levi-Civita
     connection of the chart metric attr ("g_chart" or "gt_chart")."""
-    x0, y0 = (j.val for j in _xy(M.frame_data(u)))
-    Y = lambda U: ops.as_chart_field(M.frame_data(U), _DEFAULT_Y[: M.p]).val
+    x0, y0 = (j.val for j in _xy(frame(u)))
+    Y = lambda U: ops.as_chart_field(frame(U), _DEFAULT_Y[: M.p]).val
     dY = finite_diff.central_diff(Y, u, h)
-    gam = finite_diff.christoffels(lambda U: getattr(M.frame_data(U), attr).val, u, h)
+    gam = finite_diff.christoffels(lambda U: getattr(frame(U), attr).val, u, h)
     return np.einsum("a,ac->c", x0, dY) + np.einsum("cab,a,b->c", gam, x0, y0)
 
 
-def _fd_nabla_vec(M, u, h):
+def _fd_nabla_vec(M, u, h, frame):
     """FD route of nabla_X Y in ambient components: the derivative of Y's
     ambient components along X plus the ambient Christoffels at phi(u)."""
-    fd0 = M.frame_data(u)
+    fd0 = frame(u)
     x0 = _xy(fd0)[0].val
 
     def yamb(U):
-        at = M.frame_data(U)
+        at = frame(U)
         return np.matmul(at.J.val, ops.as_chart_field(at, _DEFAULT_Y[: M.p]).val[..., None])[..., 0]
 
     gam = finite_diff.christoffels(lambda X: metric_at(M.ambient, X), fd0.x0, h)
@@ -1061,9 +1064,9 @@ def _fd_nabla_vec(M, u, h):
     return dY + np.einsum("ijk,j,k->i", gam, fd0.J.val @ x0, yamb(u))
 
 
-def _fd_curvature_ambient(M, u, h):
+def _fd_curvature_ambient(M, u, h, frame):
     """FD route of the ambient curvature in frame components, g(R(e_k, e_l) e_j, e_i)."""
-    fd0 = M.frame_data(u)
+    fd0 = frame(u)
     metric = lambda X: metric_at(M.ambient, X)
     low = np.einsum("im,mjkl->ijkl", metric(fd0.x0), finite_diff.curvature(metric, fd0.x0, h))
     E = fd0.E.val
@@ -1083,32 +1086,43 @@ def _jet_curvature_prime(fd):
 
 
 # Steps: 1e-4 for quantities of first derivatives of the metric, 1e-3 for curvatures.
+# Orders: each FD route reads only values of its frames, so they are built no
+# higher than those values need (order 4 is what the jet route reads at u).
 FD_QUANTITIES = {
+    # order 2 for the whole h = 1e-4 stencil: gt_chart.val needs it, and one
+    # order for all six readers (christoffel-jets-vs-fd too) keeps it one build
     "gamma_chart": FDQuantity(
         1e-4,
-        lambda M, u, h: finite_diff.christoffels(lambda U: M.frame_data(U).g_chart.val, u, h),
+        2,
+        lambda M, u, h, frame: finite_diff.christoffels(lambda U: frame(U).g_chart.val, u, h),
         lambda fd: fd.Gam_chart.val,
     ),
     "gamma_tilde": FDQuantity(
         1e-4,
-        lambda M, u, h: finite_diff.christoffels(lambda U: M.frame_data(U).gt_chart.val, u, h),
+        2,
+        lambda M, u, h, frame: finite_diff.christoffels(lambda U: frame(U).gt_chart.val, u, h),
         lambda fd: fd.Gamt.val,
     ),
-    "nabla_vec": FDQuantity(1e-4, _fd_nabla_vec, _jet_nabla_vec),
+    "nabla_vec": FDQuantity(1e-4, 2, _fd_nabla_vec, _jet_nabla_vec),
     "nabla_prime_vec": FDQuantity(
         1e-4,
+        2,
         partial(_fd_connection, attr="g_chart"),
         lambda fd: ops.vec_nabla_prime_jet(fd, *_xy(fd)).val,
     ),
     "nabla_tilde_vec": FDQuantity(
         1e-4,
+        2,
         partial(_fd_connection, attr="gt_chart"),
         lambda fd: ops.vec_tilde_nabla_jet(fd, *_xy(fd)).val,
     ),
-    "curvature_ambient": FDQuantity(1e-3, _fd_curvature_ambient, lambda fd: fd.Rfr.val),
+    # order 1: E.val and x0 at u are all this route reads of a frame
+    "curvature_ambient": FDQuantity(1e-3, 1, _fd_curvature_ambient, lambda fd: fd.Rfr.val),
+    # order 1 for both h = 1e-3 stencil levels: they read only g_chart.val
     "curvature_prime": FDQuantity(
         1e-3,
-        lambda M, u, h: finite_diff.curvature(lambda U: M.frame_data(U).g_chart.val, u, h),
+        1,
+        lambda M, u, h, frame: finite_diff.curvature(lambda U: frame(U).g_chart.val, u, h),
         _jet_curvature_prime,
     ),
 }
@@ -1134,7 +1148,7 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u):
     metric, compared against the block-splitting route on the jet side.
     """
     q = _fd_quantity(quantity)
-    return q.fd_route(M, np.asarray(u, dtype=float), q.h)
+    return q.fd_route(M, np.asarray(u, dtype=float), q.h, partial(M.frame_data, order=q.order))
 
 
 def jet_value(M: ImmersedSubmanifold, quantity: str, u):

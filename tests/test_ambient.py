@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framelab import finite_diff
+from framelab import ambient, finite_diff
 from framelab.ambient import (
     AmbientError,
     AmbientSpace,
@@ -11,6 +11,8 @@ from framelab.ambient import (
     metric_at,
     sphere_chart,
 )
+from framelab.expr import eval_expr
+from framelab.jets import get_space, jstack
 
 
 def christoffels(N, x):
@@ -104,6 +106,28 @@ def test_batch_names_its_first_bad_point():
     points = np.array([[1.0, 0.0], [2.0, 0.5], [-1.0, 3.0]])
     with pytest.raises(AmbientError, match=r"positive definite at \[-1\.0, 3\.0\]"):
         bad.metric_jets(points, 2)
+
+
+@pytest.mark.parametrize("x", [[0.3, -0.2, 0.5], [[0.3, -0.2, 0.5], [1.0, 0.4, -0.7]]], ids=["point", "batch"])
+@pytest.mark.parametrize("N", [sphere_chart(1.0, 3), euclidean(3)], ids=["sphere", "euclidean"])
+def test_metric_jets_evaluates_each_distinct_entry_once(N, x, monkeypatch):
+    """Both metrics have two distinct entries (the diagonal and 0): two
+    evaluations, and the metric bitwise equal to one evaluation per entry."""
+    x = np.asarray(x)
+    space = get_space(3, 2)
+    varjets = space.variables(x)
+    rows = [jstack([eval_expr(e, varjets, space) for e in row], axis=-1) for row in N.entries]
+    want = jstack(rows, axis=-2) * np.ones(x.shape[:-1] + (1, 1))
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return eval_expr(*args)
+
+    monkeypatch.setattr(ambient, "eval_expr", counting)
+    G = N.metric_jets(x, 2)
+    assert len(calls) == 2
+    assert G.coeffs.shape == want.coeffs.shape and np.array_equal(G.coeffs, want.coeffs)
 
 
 def test_non_finite_metric_rejected():

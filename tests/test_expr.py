@@ -128,6 +128,35 @@ def test_domain_errors_carry_subexpression_span():
         eval_at(parse("sqrt(u1)", 1), (-0.5,), 0)
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("sqrt(u1-0.5)", "sqrt of a negative value"),
+        ("sqrt(u1-0.25)", "sqrt is not differentiable at zero"),
+        ("1+log(u1-0.5)", "log of a non-positive value"),
+        ("u2/(u1-0.25)", "division by zero"),
+        ("(u1-0.25)^(0-2)", "zero raised to a negative power"),
+        ("(u1-0.5)^1.5", "non-positive base raised to a non-integer power"),
+    ],
+)
+def test_domain_error_names_the_first_bad_point_of_a_batch(src, message):
+    """Each sub-expression leaves its domain at the second and third points,
+    and the error names the second."""
+    pts = np.array([[1.0, 3.0], [0.25, 0.5], [0.25, 1.5]])
+    space = get_space(2, 1)
+    with pytest.raises(DomainError, match=rf"^{message} at \[0\.25, 0\.5\] in sub-expression at bytes"):
+        eval_expr(parse(src, 2), space.variables(pts), space)
+
+
+def test_parse_is_remembered_and_failures_are_not():
+    e = parse("u1*u2-0.5", 2)
+    assert parse("u1*u2-0.5", 2, var_prefix="u") is e
+    assert parse("u1*u2-0.5", 3) is not e and parse("u1*u2-0.5", 3) == e
+    for _ in range(2):
+        with pytest.raises(ParseError, match="unknown identifier 'x1'"):
+            parse("u1+x1", 2)
+
+
 def test_noninteger_power_is_exp_log():
     j = eval_at(parse("u1^2.5", 1), (4.0,), 2)
     assert abs(j.val - 32.0) < 1e-12

@@ -294,9 +294,9 @@ def test_theorem_check_is_one_sweep(monkeypatch):
     built, traces = [], []
     init, trace = FramePointData.__init__, og.frame_trace
 
-    def counting_init(self, sub, u):
+    def counting_init(self, sub, u, order):
         built.append(np.array(u))
-        init(self, sub, u)
+        init(self, sub, u, order)
 
     def counting_trace(*args, **kwargs):
         traces.append(args)

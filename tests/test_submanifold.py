@@ -7,7 +7,7 @@ import pytest
 from framelab import operators as ops
 from framelab.ambient import euclidean
 from framelab.jets import get_space, jet_along, jet_einsum, jsin, jstack
-from framelab.submanifold import FrameError, ImmersedSubmanifold, builtin_submanifold
+from framelab.submanifold import FrameError, FramePointData, ImmersedSubmanifold, builtin_submanifold
 
 ALL_BUILTINS = ("plane", "plane3", "circle", "sphere2", "catenoid", "great2(0.5)", "clifford")
 CURVED = ("circle", "sphere2", "catenoid", "great2(0.5)", "clifford")
@@ -150,6 +150,72 @@ def test_frame_jets_store_exactly_their_valid_coefficients(name):
         jet = getattr(fd, attr)
         assert jet.valid == order, attr
         assert jet.coeffs.shape == jet.shape + (get_space(fd.p, order).ncoeff,), attr
+
+
+# One point and a batch of three, each on a fresh manifold so no cached frame serves another order.
+POINT_SETS = {"point": lambda M: sample_points(M, 1, seed=6)[0], "batch": lambda M: sample_points(M, 3, seed=6)}
+
+
+@pytest.mark.parametrize("points", POINT_SETS)
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_low_order_frame_is_the_leading_part_of_the_order_4_frame(name, points):
+    """A frame of order k holds every attribute valid to its listed order
+    minus 4 - k, with coefficients bitwise equal to the leading ones of the
+    order-4 frame at the same points."""
+    u = POINT_SETS[points](builtin_submanifold(name))
+    full = builtin_submanifold(name).frame_data(u)
+    for k in (1, 2, 3):
+        fd = builtin_submanifold(name).frame_data(u, k)
+        assert fd.order == k
+        for attr, top in FRAME_ORDERS.items():
+            if top - (4 - k) < 0:
+                continue
+            jet, ref = getattr(fd, attr), getattr(full, attr)
+            assert jet.valid == top - (4 - k), (k, attr)
+            assert np.array_equal(jet.coeffs, ref.coeffs[..., : jet.coeffs.shape[-1]]), (k, attr)
+
+
+@pytest.mark.parametrize("points", POINT_SETS)
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_reading_past_the_frame_order_is_refused(name, points):
+    M = builtin_submanifold(name)
+    fd = M.frame_data(POINT_SETS[points](M), 1)
+    for attr in ("Gamt", "Rt_chart", "Rfr"):
+        need = 4 - FRAME_ORDERS[attr]
+        with pytest.raises(FrameError, match=f"^{attr} needs a frame of order {need} or more; this frame is order 1$"):
+            getattr(fd, attr)
+
+
+@pytest.mark.parametrize("points", POINT_SETS)
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_frame_cache_serves_lower_orders_and_rebuilds_for_higher(name, points, monkeypatch):
+    """One cache entry per point set: a cached frame of at least the asked
+    order is returned as it is, and a higher request builds the frame once
+    more and replaces the entry."""
+    M = builtin_submanifold(name)
+    u = POINT_SETS[points](M)
+    built = []
+    init = FramePointData.__init__
+
+    def counting(self, sub, u0, order):
+        built.append(order)
+        init(self, sub, u0, order)
+
+    monkeypatch.setattr(FramePointData, "__init__", counting)
+    low = M.frame_data(u, 2)
+    assert M.frame_data(u, 1) is low and M.frame_data(u, 2) is low
+    full = M.frame_data(u)
+    assert full is not low and full.order == 4
+    assert M.frame_data(u, 1) is full and M.frame_data(u, 3) is full and M.frame_data(u) is full
+    assert built == [2, 4]
+    assert len(M._cache) == 1
+
+
+def test_frame_order_below_one_is_refused():
+    M = builtin_submanifold("sphere2")
+    M.frame_data([1.1, 0.2])
+    with pytest.raises(FrameError, match="jet order 1 or more, got 0"):
+        M.frame_data([1.1, 0.2], 0)
 
 
 def test_manifold_freed_without_cycle_collector():

@@ -134,12 +134,17 @@ def test_great_spheres_get_the_cases_their_curvature_admits():
 def test_unbuildable_sample_frame_runs_every_case():
     """A point outside sqrt's domain stops the frame at the sample points, so
     every case runs, needs no witness, and crashes at every point: each row
-    is evaluated on that one frame."""
+    is evaluated on that one frame, and its error names the first sample
+    point where u1 + 0.3 < 0."""
     M = ImmersedSubmanifold(2, [[-0.5, 0.5]] * 2, ["u1", "u2", "sqrt(u1+0.3)"], euclidean(3))
     rows = verify.run_suite(M, samples=5, groups=["duality-relations"]).results
     kinds = sorted((r.case_id, r.passed, r.error_kind, (r.error or "").split(":")[0]) for r in rows)
     cases = [c.id for c in verify.REGISTRY if c.group == "duality-relations"]
     assert kinds == sorted((c, False, "crash", "DomainError") for c in cases for _ in range(5))
+    pts = domain_samples(M, 5, seed=0)
+    first = pts[np.argmax(pts[:, 0] + 0.3 < 0)].tolist()
+    assert pts[:, 0].min() + 0.3 < 0 < pts[:, 0].max() + 0.3
+    _assert_every_row_crashes(rows, pts, f"DomainError: sqrt of a negative value at {first} in sub-expression at bytes 0..12")
 
 
 def _assert_every_row_crashes(rows, points, error):
@@ -247,13 +252,31 @@ def test_a_run_builds_one_frame_and_one_stencil(monkeypatch):
     shapes = []
     build = FramePointData.__init__
 
-    def counting(self, sub, u0):
+    def counting(self, sub, u0, order):
         shapes.append(u0.shape)
-        build(self, sub, u0)
+        build(self, sub, u0, order)
 
     monkeypatch.setattr(FramePointData, "__init__", counting)
     verify.run_suite("sphere2", samples=5)
     assert shapes == [(5, 2), (20, 2)]
+
+
+def test_fd_sweep_builds_stencil_frames_to_the_order_they_read(monkeypatch):
+    """Every FD quantity at one point of sphere2: the frame at u is the jet
+    route's, order 4; the h = 1e-4 stencil is one frame of order 2, and the
+    two levels of curvature_prime's h = 1e-3 stencil are frames of order 1."""
+    built = []
+    build = FramePointData.__init__
+
+    def counting(self, sub, u0, order):
+        built.append((u0.shape, order))
+        build(self, sub, u0, order)
+
+    monkeypatch.setattr(FramePointData, "__init__", counting)
+    M = builtin_submanifold("sphere2")
+    for q in verify.FD_QUANTITIES:
+        verify.fd_relative_error(M, q, [1.1, 0.6])
+    assert built == [((2,), 4), ((4, 2), 2), ((4, 2), 1), ((16, 2), 1)]
 
 
 @pytest.mark.parametrize(
