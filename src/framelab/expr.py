@@ -359,6 +359,9 @@ def to_source(e: Expression) -> str:
 # -- evaluation ----------------------------------------------------------------
 
 
+_TAN_POLE_EPS = 4.0 * np.finfo(float).eps
+
+
 def _is_constant(j: Jet) -> bool:
     return not np.any(j.coeffs[..., 1:])
 
@@ -403,7 +406,10 @@ def eval_expr(e: Expression, varjets: list[Jet], space: JetSpace) -> Jet:
             return jcosh(a)
         if e.fn == "tan":
             c = jcos(a)
-            _refuse_where(c.val == 0.0, "tan at a pole", e, varjets)
+            # cos of a double is never exactly 0: refuse where it is within
+            # its own roundoff at a, a few eps times max(1, |a|)
+            pole = np.abs(c.val) <= _TAN_POLE_EPS * np.maximum(1.0, np.abs(a.val))
+            _refuse_where(pole, "tan at a pole", e, varjets)
             return jsin(a) / c
         if e.fn == "tanh":
             return jsinh(a) / jcosh(a)

@@ -12,13 +12,14 @@ latter maps p chart coefficients straight to frame components instead.
 
 Everything is evaluated at adapted frames over a submanifold M, where the
 useful lifts are X^h (zero vertical), X^{h'} = X^h + bar(S_X) for tangent X,
-and the invariant vertical fields bar(T). A lifted vector lives at the frame
-over one parameter point u of shape (p,), or holds one vector at each frame
-of a batch u of shape (n, p): its parts then lead with the batch axes,
-horizontal (n, d) and vertical (n, d, d), and sasaki_mok_inner and norm give
-one value per point. frame_at gives the frame of either; every function here
-passes the batch axes through, and a part given per point (without the
-batch axes) is the same at every point of the batch.
+and the invariant vertical fields bar(T). Every function here takes the
+frame fd (a FramePointData) at which it evaluates, and a LiftedVector holds
+that frame: vectors combine only at the same frame object. The frame is of
+one point or of a batch of n points; on a batch a lifted vector holds one
+vector at each point, its parts lead with the batch axes, horizontal (n, d)
+and vertical (n, d, d), and sasaki_mok_inner and norm give one value per
+point. Every function passes the batch axes through, and a part given per
+point (without the batch axes) is the same at every point of the batch.
 
 The Levi-Civita connection is written once, on field pairs: direction
 X^h + bar(A), field Y^h + bar(B),
@@ -41,12 +42,11 @@ import numpy as np
 
 from . import operators as ops
 from .operators import hm_split_mat, matvec, per_point, skew_inner
-from .submanifold import FramePointData, ImmersedSubmanifold
+from .submanifold import FramePointData
 
 __all__ = [
     "FrameBundleError",
     "LiftedVector",
-    "frame_at",
     "lifted",
     "sasaki_mok_inner",
     "horizontal_lift",
@@ -67,29 +67,26 @@ class FrameBundleError(ValueError):
 
 @dataclass(frozen=True)
 class LiftedVector:
-    """Tangent vector of the frame bundle at the adapted frame over u, or one
-    at each frame over a batch u (n, p).
+    """Tangent vector of the frame bundle at the adapted frame fd, or one at
+    each point of a batch frame.
 
     horizontal: (..., d) frame components of the horizontal part.
     vertical: (..., d, d) skew matrix of frame components of the vertical part.
     """
 
-    sub: ImmersedSubmanifold
-    u: np.ndarray
+    fd: FramePointData
     horizontal: np.ndarray
     vertical: np.ndarray
 
     def __add__(self, other: "LiftedVector") -> "LiftedVector":
         _same_base(self, other)
-        return LiftedVector(
-            self.sub, self.u, self.horizontal + other.horizontal, self.vertical + other.vertical
-        )
+        return LiftedVector(self.fd, self.horizontal + other.horizontal, self.vertical + other.vertical)
 
     def __sub__(self, other: "LiftedVector") -> "LiftedVector":
         return self + (-1.0) * other
 
     def __rmul__(self, c: float) -> "LiftedVector":
-        return LiftedVector(self.sub, self.u, c * self.horizontal, c * self.vertical)
+        return LiftedVector(self.fd, c * self.horizontal, c * self.vertical)
 
     def norm(self):
         """The Sasaki-Mok norm: a float at one point, an array over a batch."""
@@ -97,17 +94,8 @@ class LiftedVector:
 
 
 def _same_base(v: LiftedVector, w: LiftedVector):
-    if v.sub is not w.sub or not np.array_equal(v.u, w.u):
+    if v.fd is not w.fd:
         raise FrameBundleError("lifted vectors live at different frames")
-
-
-def frame_at(M: ImmersedSubmanifold, u) -> FramePointData:
-    """The frame over the parameter point u of shape (p,), or over the batch
-    of points u of shape (n, p)."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim not in (1, 2) or u.shape[-1] != M.p or u.size == 0:
-        raise FrameBundleError(f"u must have shape ({M.p},) or (n, {M.p}), got {u.shape}")
-    return M.frame_data(u)
 
 
 def _batch(fd: FramePointData) -> tuple:
@@ -129,13 +117,12 @@ def _part(fd: FramePointData, x, shape: tuple, what: str) -> np.ndarray:
     return a
 
 
-def lifted(M: ImmersedSubmanifold, u, horizontal=None, vertical=None) -> LiftedVector:
-    """Assemble a LiftedVector at the frame over u from the frame components
-    of its horizontal part, shape (d,), and its vertical skew matrix, shape
-    (d, d), each led by u's batch axes or the same at every point; an absent
-    part is zero. Both parts must be finite and the vertical part
+def lifted(fd: FramePointData, horizontal=None, vertical=None) -> LiftedVector:
+    """Assemble a LiftedVector at the frame fd from the frame components of
+    its horizontal part, shape (d,), and its vertical skew matrix, shape
+    (d, d), each led by the frame's batch axes or the same at every point; an
+    absent part is zero. Both parts must be finite and the vertical part
     antisymmetric to 1e-12; a refusal names the first point where it fails."""
-    fd = frame_at(M, u)
     h = _part(fd, horizontal, (fd.d,), "horizontal part")
     vmat = _part(fd, vertical, (fd.d, fd.d), "vertical part")
     finite = np.all(np.isfinite(h), axis=-1) & np.all(np.isfinite(vmat), axis=(-2, -1))
@@ -144,7 +131,7 @@ def lifted(M: ImmersedSubmanifold, u, horizontal=None, vertical=None) -> LiftedV
     skew = np.max(np.abs(vmat + np.swapaxes(vmat, -1, -2)), axis=(-2, -1)) <= 1e-12
     if not np.all(skew):
         raise FrameBundleError(f"vertical part is not antisymmetric at u = {fd.point_where(~skew)}")
-    return LiftedVector(M, fd.u0, h, vmat)
+    return LiftedVector(fd, h, vmat)
 
 
 def sasaki_mok_inner(v: LiftedVector, w: LiftedVector):
@@ -155,19 +142,17 @@ def sasaki_mok_inner(v: LiftedVector, w: LiftedVector):
     return per_point(hh + skew_inner(v.vertical, w.vertical))
 
 
-def horizontal_lift(M: ImmersedSubmanifold, u, X) -> LiftedVector:
+def horizontal_lift(fd: FramePointData, X) -> LiftedVector:
     """X^h for an ambient vector X at the base point: zero vertical part."""
-    fd = frame_at(M, u)
-    return lifted(M, u, horizontal=fd.frame_components(_part(fd, X, (fd.d,), "ambient vector")))
+    return lifted(fd, horizontal=fd.frame_components(_part(fd, X, (fd.d,), "ambient vector")))
 
 
-def horizontal_lift_prime(M: ImmersedSubmanifold, u, X) -> LiftedVector:
+def horizontal_lift_prime(fd: FramePointData, X) -> LiftedVector:
     """X^{h'} = X^h + bar(S_X) for X tangent to M.
 
     X is the ambient vector of a tangent vector (d components) or its p chart
-    coefficients, led by u's batch axes or the same at every point.
+    coefficients, led by the frame's batch axes or the same at every point.
     """
-    fd = frame_at(M, u)
     X = np.asarray(X, dtype=float)
     if X.shape[-1:] == (fd.p,):
         xc = _part(fd, X, (fd.p,), "chart coefficients")
@@ -180,7 +165,7 @@ def horizontal_lift_prime(M: ImmersedSubmanifold, u, X) -> LiftedVector:
         if np.any(normal):
             at = fd.point_where(normal)
             raise FrameBundleError(f"horizontal_lift_prime needs a tangent vector, not at u = {at}")
-    return lifted(M, u, horizontal=hfr, vertical=ops.s_field_matrix(fd, xc).val)
+    return lifted(fd, horizontal=hfr, vertical=ops.s_field_matrix(fd, xc).val)
 
 
 def case_pairs(case: str, args) -> tuple:
@@ -209,7 +194,7 @@ def _case_jets(fd: FramePointData, case: str, args) -> tuple:
     return chart(X), endo(A), chart(Y), endo(B)
 
 
-def _pair_nabla_ON(M: ImmersedSubmanifold, u, fd: FramePointData, Xc, A, yF, B) -> LiftedVector:
+def _pair_nabla_ON(fd: FramePointData, Xc, A, yF, B) -> LiftedVector:
     """nabla_{X^h + bar A}(Y^h + bar B), the connection on field pairs:
 
     (nabla_X Y + 1/2 R_B(X) + 1/2 R_A(Y))^h + bar(nabla_X B - 1/2 R(X,Y) + 1/2 [B, A])
@@ -233,10 +218,10 @@ def _pair_nabla_ON(M: ImmersedSubmanifold, u, fd: FramePointData, Xc, A, yF, B) 
             horiz = horiz + 0.5 * matvec(ops.rt_matrix_jet(fd, A).val, yF.val)
         if B is not None:
             vert = vert + 0.5 * (B.val @ A.val - A.val @ B.val)
-    return lifted(M, u, horizontal=horiz, vertical=vert)
+    return lifted(fd, horizontal=horiz, vertical=vert)
 
 
-def nabla_ON(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
+def nabla_ON(fd: FramePointData, case: str, *args) -> LiftedVector:
     """Levi-Civita connection of the Sasaki-Mok metric on lifted fields.
 
     case "hh", args (Xf, Yf):  nabla_{X^h} Y^h = (nabla_X Y)^h - 1/2 bar(R(X,Y))
@@ -247,20 +232,18 @@ def nabla_ON(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
     Vector fields are chart-coefficient specs; T specs are endo fields
     (callables of FramePointData) or constant frame matrices.
     """
-    fd = frame_at(M, u)
     Xc, A, Yc, B = _case_jets(fd, case, args)
     yF = None if Yc is None else ops.full_frame_field(fd, Yc)
-    return _pair_nabla_ON(M, u, fd, Xc, A, yF, B)
+    return _pair_nabla_ON(fd, Xc, A, yF, B)
 
 
-def nabla_ON_primed(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
+def nabla_ON_primed(fd: FramePointData, case: str, *args) -> LiftedVector:
     """Ambient connection on primed lifts X^{h'} = X^h + bar(S_X).
 
     Both as direction and as field, a tangent part X of the case brings the
     vertical part S_X along. case "hh": (Xf, Yf) differentiates Y^{h'} along
     X^{h'}; "hv": (Xf, T); "vh": (T, Yf); "vv": (T, Tp).
     """
-    fd = frame_at(M, u)
     Xc, A, Yc, B = _case_jets(fd, case, args)
     yF = None
     if Xc is not None:
@@ -268,10 +251,10 @@ def nabla_ON_primed(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector
     if Yc is not None:
         B = ops.s_field_matrix(fd, Yc)
         yF = ops.full_frame_field(fd, Yc)
-    return _pair_nabla_ON(M, u, fd, Xc, A, yF, B)
+    return _pair_nabla_ON(fd, Xc, A, yF, B)
 
 
-def nabla_ON_section(M: ImmersedSubmanifold, u, Xf, yframe, endof) -> LiftedVector:
+def nabla_ON_section(fd: FramePointData, Xf, yframe, endof) -> LiftedVector:
     """Covariant derivative along the adapted section of a lifted field.
 
     The field is V(u) = (sum_i yframe_i(u) e_i(u))^h + bar(T(u)) with yframe a
@@ -279,10 +262,9 @@ def nabla_ON_section(M: ImmersedSubmanifold, u, Xf, yframe, endof) -> LiftedVect
     endo field. The direction is the section velocity over the tangent field
     Xf, X^h + bar(omega_X) with omega_X = sum_a X^a omega^a.
     """
-    fd = frame_at(M, u)
     Xc = ops.as_chart_field(fd, Xf)
     omX = ops.omega_along(fd, Xc)
-    return _pair_nabla_ON(M, u, fd, Xc, omX, yframe(fd), ops.as_endo_field(fd, endof))
+    return _pair_nabla_ON(fd, Xc, omX, yframe(fd), ops.as_endo_field(fd, endof))
 
 
 def decompose_OMN(v: LiftedVector) -> tuple[LiftedVector, LiftedVector]:
@@ -294,40 +276,37 @@ def decompose_OMN(v: LiftedVector) -> tuple[LiftedVector, LiftedVector]:
     horizontal lifts of normal vectors and the off-diagonal vertical fields
     corrected by (S_{T_m})^h.
     """
-    M, u = v.sub, v.u
-    fd = M.frame_data(u)
+    fd = v.fd
     p = fd.p
     Vh, Vm = hm_split_mat(v.vertical, p)
     xtan = ops.solve_P(fd, v.horizontal[..., :p] - ops.s_tm_tangent_jet(fd, Vm).val)
     SX = ops.s_field_matrix(fd, matvec(fd.C.val, xtan)).val
     xfull = np.zeros_like(v.horizontal)
     xfull[..., :p] = xtan
-    tangent = lifted(M, u, horizontal=xfull, vertical=SX + Vh)
+    tangent = lifted(fd, horizontal=xfull, vertical=SX + Vh)
     return tangent, v - tangent
 
 
-def tangent_generators(M: ImmersedSubmanifold, u) -> list[LiftedVector]:
+def tangent_generators(fd: FramePointData) -> list[LiftedVector]:
     """Primed lifts of the tangent frame plus block-diagonal vertical basis."""
-    fd = frame_at(M, u)
     p, d = fd.p, fd.d
-    out = [lifted(M, u, horizontal=np.eye(d)[A], vertical=fd.Smats.val[..., A, :, :]) for A in range(p)]
+    out = [lifted(fd, horizontal=np.eye(d)[A], vertical=fd.Smats.val[..., A, :, :]) for A in range(p)]
     for i in range(d):
         for j in range(i + 1, d):
             if (i < p) == (j < p):
-                out.append(lifted(M, u, vertical=ops.basis_T(d, i, j)))
+                out.append(lifted(fd, vertical=ops.basis_T(d, i, j)))
     return out
 
 
-def normal_generators(M: ImmersedSubmanifold, u) -> list[LiftedVector]:
+def normal_generators(fd: FramePointData) -> list[LiftedVector]:
     """Horizontal lifts of normal frame vectors plus corrected off-diagonal
     vertical fields bar(T) + (S_{T_m})^h."""
-    fd = frame_at(M, u)
     p, d = fd.p, fd.d
-    out = [lifted(M, u, horizontal=np.eye(d)[al]) for al in range(p, d)]
+    out = [lifted(fd, horizontal=np.eye(d)[al]) for al in range(p, d)]
     for A in range(p):
         for al in range(p, d):
             Tm = ops.basis_T(d, A, al)
             svec = np.zeros(_batch(fd) + (d,))
             svec[..., :p] = ops.s_tm_tangent_jet(fd, Tm).val
-            out.append(lifted(M, u, horizontal=svec, vertical=Tm))
+            out.append(lifted(fd, horizontal=svec, vertical=Tm))
     return out

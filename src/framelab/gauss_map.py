@@ -13,18 +13,19 @@ frame_bundle.horizontal_lift_prime, whose vertical part S_X has zero diagonal
 blocks already. The deformed metric on M is exactly the pullback of the
 bundle metric under the map, which is why the tension field is taken with
 respect to it. The module evaluates the pushforward, the bundle connection
-and the tension field in two ways. Each takes one point u of shape (p,) or
-a batch of shape (n, p) and passes the batch axes through, as the
-frame_bundle functions do. residual_data gives the residual vectors of the
-three harmonicity conditions and of the two minimality conditions (the
-first of which is the first harmonicity condition), and their norms r_h1,
-r_h2, r_h3 and r_m2. The
-closed-form tension and the residuals read the frame sums of
-omn_geometry.frame_trace, the same sums the subbundle's mean curvature is
-assembled from. theorem_check is the one sampled sweep of the
-main theorem: the subbundle is minimal exactly when the map is harmonic. It
-builds one frame holding all its sample points and takes one frame trace
-there, which the mean curvature and the residuals both read.
+and the tension field in two ways. Each takes the frame fd (a
+FramePointData) at which it evaluates, of one point or of a batch of
+points, and passes the batch axes through, as the frame_bundle functions
+do. residual_data gives the residual vectors of the three harmonicity
+conditions and of the two minimality conditions (the first of which is the
+first harmonicity condition), and their norms r_h1, r_h2, r_h3 and r_m2.
+The closed-form tension and the residuals take the frame sums of
+omn_geometry.frame_trace as an argument, the same sums the subbundle's mean
+curvature is assembled from, so a caller that reads several of them traces
+the frame once. theorem_check is the one sampled sweep of the main theorem:
+the subbundle is minimal exactly when the map is harmonic. It builds one
+frame holding all its sample points and takes one frame trace there, which
+the mean curvature and the residuals both read.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from . import operators as ops
 from .frame_bundle import (
     LiftedVector,
     case_pairs,
-    frame_at,
     horizontal_lift_prime,
     lifted,
     nabla_ON,
@@ -66,16 +66,16 @@ class GaussMapError(ValueError):
     pass
 
 
-def grassmann_vector(M: ImmersedSubmanifold, u, horizontal=None, vertical=None) -> LiftedVector:
-    """Assemble a vector from the frame components of its horizontal part and
-    its vertical skew matrix, which must have zero diagonal blocks."""
-    v = lifted(M, u, horizontal=horizontal, vertical=vertical)
-    h_part, m_part = hm_split_mat(v.vertical, M.p)
+def grassmann_vector(fd: FramePointData, horizontal=None, vertical=None) -> LiftedVector:
+    """Assemble a vector at the frame fd from the frame components of its
+    horizontal part and its vertical skew matrix, which must have zero
+    diagonal blocks."""
+    v = lifted(fd, horizontal=horizontal, vertical=vertical)
+    h_part, m_part = hm_split_mat(v.vertical, fd.p)
     diagonal = np.max(np.abs(h_part), axis=(-2, -1)) > 1e-10
     if np.any(diagonal):
-        at = M.frame_data(v.u).point_where(diagonal)
-        raise GaussMapError(f"vertical part must have zero diagonal blocks, not at u = {at}")
-    return lifted(M, u, horizontal=v.horizontal, vertical=m_part)
+        raise GaussMapError(f"vertical part must have zero diagonal blocks, not at u = {fd.point_where(diagonal)}")
+    return lifted(fd, horizontal=v.horizontal, vertical=m_part)
 
 
 # -- connection --------------------------------------------------------------
@@ -83,11 +83,10 @@ def grassmann_vector(M: ImmersedSubmanifold, u, horizontal=None, vertical=None) 
 
 def _m_projection(v: LiftedVector) -> LiftedVector:
     """The plane-bundle vector of v: its vertical part without the diagonal blocks."""
-    mmask = v.sub.frame_data(v.u).mmask
-    return grassmann_vector(v.sub, v.u, horizontal=v.horizontal, vertical=v.vertical * mmask)
+    return grassmann_vector(v.fd, horizontal=v.horizontal, vertical=v.vertical * v.fd.mmask)
 
 
-def grassmann_nabla(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
+def grassmann_nabla(fd: FramePointData, case: str, *args) -> LiftedVector:
     """Levi-Civita connection of the plane bundle on lifted fields.
 
     The m-projection of nabla_ON: nabla_ON on the m-parts of the
@@ -101,34 +100,33 @@ def grassmann_nabla(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector
     X, A, Y, B = case_pairs(case, args)
     m_part = lambda T: None if T is None else (lambda q: ops.as_endo_field(q, T) * q.mmask)
     masked = [f for f in (X, m_part(A), Y, m_part(B)) if f is not None]
-    return _m_projection(nabla_ON(M, u, case, *masked))
+    return _m_projection(nabla_ON(fd, case, *masked))
 
 
-def gauss_pushforward(M: ImmersedSubmanifold, u, X) -> LiftedVector:
+def gauss_pushforward(fd: FramePointData, X) -> LiftedVector:
     """Pushforward of a tangent vector (or its chart coefficients): the
     primed lift X^{h'} = X^{hGr} + hat(S_X)."""
-    return _m_projection(horizontal_lift_prime(M, u, X))
+    return _m_projection(horizontal_lift_prime(fd, X))
 
 
 # -- tension field -----------------------------------------------------------
 
 
-def tension_field(M: ImmersedSubmanifold, u) -> LiftedVector:
-    """Closed-form tension of the plane map from (M, deformed metric), at one
-    point or at each point of a batch.
+def tension_field(fd: FramePointData, trace) -> LiftedVector:
+    """Closed-form tension of the plane map from (M, deformed metric) at the
+    frame's points, from their frame trace (omn_geometry.frame_trace):
 
     sum over a deformed-orthonormal frame e of
     (nabla_e e - tilde_e e + R_{S_e}(e))^{hGr}
     + hat(nabla'_e S_e) - hat(S_{tilde_e e}).
     """
-    fd = frame_at(M, u)
-    amb, rterm, _, tilde, dS = og.frame_trace(fd)
+    amb, rterm, _, tilde, dS = trace
     horiz = amb.val - ops.full_frame_field(fd, tilde.val).val + rterm.val
     vert = dS.val * fd.mmask - ops.s_field_matrix(fd, tilde.val).val
-    return grassmann_vector(M, u, horizontal=horiz, vertical=vert)
+    return grassmann_vector(fd, horizontal=horiz, vertical=vert)
 
 
-def tension_field_pullback(M: ImmersedSubmanifold, u) -> LiftedVector:
+def tension_field_pullback(fd: FramePointData) -> LiftedVector:
     """Tension assembled from the bundle connection and the pushforward.
 
     For each frame field e the pushforward field is the primed lift e^{h'},
@@ -136,12 +134,11 @@ def tension_field_pullback(M: ImmersedSubmanifold, u) -> LiftedVector:
     nabla_ON_primed("hh", e, e). Subtracting the pushforward of tilde_e e
     leaves the tension summand.
     """
-    fd = frame_at(M, u)
-    total = grassmann_vector(M, u)
+    total = grassmann_vector(fd)
     for Ec in og.tilde_frame_fields(fd):
-        total = total + _m_projection(nabla_ON_primed(M, u, "hh", Ec, Ec))
+        total = total + _m_projection(nabla_ON_primed(fd, "hh", Ec, Ec))
         tl = ops.vec_tilde_nabla_jet(fd, Ec, Ec)
-        total = total - gauss_pushforward(M, u, tl.val)
+        total = total - gauss_pushforward(fd, tl.val)
     return total
 
 
@@ -155,8 +152,8 @@ def _skew_norm(T: np.ndarray):
 
 @dataclass(frozen=True)
 class HarmonicityData:
-    """All residual vectors at a point, or a batch of points u (..., p), in
-    frame components; each array leads with the batch axes.
+    """All residual vectors at the points of the frame fd, in frame
+    components; each array leads with the batch axes.
 
     h1: normal vector, sum of Pi(e, e) + R_{S_e}(e)^perp.
     h2: tangent vector, sum of nabla'_e e - tilde_e e + R_{S_e}(e)^top.
@@ -168,7 +165,7 @@ class HarmonicityData:
     The residual norms are floats at one point and arrays over a batch.
     """
 
-    u: np.ndarray
+    fd: FramePointData
     h1: np.ndarray
     h2: np.ndarray
     h3: np.ndarray
@@ -191,8 +188,9 @@ class HarmonicityData:
         return per_point(_skew_norm(self.m2))
 
 
-def _trace_residuals(fd: FramePointData, trace) -> HarmonicityData:
-    """The residual vectors at the frame's points from their frame trace."""
+def residual_data(fd: FramePointData, trace) -> HarmonicityData:
+    """The residual vectors at the frame's points from their frame trace
+    (omn_geometry.frame_trace)."""
     p, d = fd.p, fd.d
     amb, rterm, prime, tilde, dS = trace
     rv = rterm.val
@@ -206,22 +204,17 @@ def _trace_residuals(fd: FramePointData, trace) -> HarmonicityData:
     h3 = dS.val * fd.mmask - s_of(tilde.val)
     rtop_chart = matvec(fd.C.val, rv[..., :p])
     m2 = dS.val * fd.mmask - s_of(prime.val) - s_of(rtop_chart)
-    return HarmonicityData(fd.u0, h1, h2, h3, m2)
+    return HarmonicityData(fd, h1, h2, h3, m2)
 
 
-def residual_data(M: ImmersedSubmanifold, u) -> HarmonicityData:
-    fd = M.frame_data(u)
-    return _trace_residuals(fd, og.frame_trace(fd))
-
-
-def implication_residuals(M: ImmersedSubmanifold, data: HarmonicityData) -> tuple[float, float]:
+def implication_residuals(data: HarmonicityData) -> tuple[float, float]:
     """Max-norm residuals of m2 = h3 - S_{h2} and P(h2) = S_{m2}.
 
     These two exact identities from the equivalence proof give the two
     implication directions between the harmonicity and minimality
     condition sets. Floats at one point, arrays over a batch of points.
     """
-    fd = M.frame_data(data.u)
+    fd = data.fd
     h2 = data.h2[..., : fd.p]
     s_h2 = ops.s_field_matrix(fd, matvec(fd.C.val, h2)).val
     r_m2 = np.max(np.abs(data.m2 - (data.h3 - s_h2)), axis=(-2, -1))
@@ -267,9 +260,9 @@ def theorem_check(M: ImmersedSubmanifold, samples: int = 50, seed: int = 0) -> T
     # the Sasaki-Mok norm of H: g on the horizontal part, -tr(V V) on the vertical
     h_sq = np.sum(hval * hval, axis=-1) - np.einsum("...ij,...ji->...", vval, vval)
     h_norm = np.sqrt(np.maximum(h_sq, 0.0))
-    data = _trace_residuals(fd, trace)
+    data = residual_data(fd, trace)
     r_max = np.maximum(np.maximum(data.r_h1, data.r_h2), data.r_h3)
-    residuals = np.stack([h_norm, r_max, *implication_residuals(M, data)])
+    residuals = np.stack([h_norm, r_max, *implication_residuals(data)])
     bad = ~np.all(np.isfinite(residuals), axis=0)
     if np.any(bad):
         raise GaussMapError(f"non-finite residual at sample point {fd.point_where(bad)}")

@@ -14,13 +14,14 @@ pieces bilinear in X and Y. The mean curvature is that assembly applied once
 to the sums over a deformed-orthonormal frame given by frame_trace, which
 the plane map's tension (gauss_map) reads too.
 
-Every function here takes one parameter point u of shape (p,) or a batch u
-of shape (n, p), and passes the batch axes through: fields and planes are
-given per point or led by the batch axes, lifted vectors hold one vector per
-point, and sectional curvatures and norms are floats at one point and arrays
-over a batch. A sampled sweep (is_totally_geodesic) builds one frame
-holding all its points, and frame_trace traces every point of it at once.
-A refusal names the first point where it fails. VERDICT_TOL is the one
+Every function here takes the frame fd (a FramePointData) at which it
+evaluates, of one point or of a batch of points, and passes the batch axes
+through: fields and planes are given per point or led by the batch axes,
+lifted vectors and planes hold their frame and one vector per point, and
+sectional curvatures and norms are floats at one point and arrays over a
+batch. A sampled sweep (is_totally_geodesic) builds one frame holding all
+its points, and frame_trace traces every point of it at once. A refusal
+names the first point where it fails. VERDICT_TOL is the one
 tolerance of the sampled verdicts.
 """
 
@@ -35,7 +36,6 @@ from . import operators as ops
 from .frame_bundle import (
     LiftedVector,
     case_pairs,
-    frame_at,
     horizontal_lift_prime,
     lifted,
     sasaki_mok_inner,
@@ -132,7 +132,7 @@ def _pair_nabla(fd, Xc, A, Yc, B):
     return chart, vert
 
 
-def nabla_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
+def nabla_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
     """Levi-Civita connection of the subbundle metric.
 
     case "hh", args (Xf, Yf):  (tilde nabla_X Y)^{h'} - 1/2 bar(R'(X, Y))
@@ -142,12 +142,11 @@ def nabla_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
 
     Vertical specs must be h-type endo fields.
     """
-    fd = frame_at(M, u)
     X, A, Y, B = case_pairs(case, args)
     chart = lambda f: None if f is None else ops.as_chart_field(fd, f)
     endo = lambda T: None if T is None else _h_endo_field(fd, T)
     chart_val, vert = _pair_nabla(fd, chart(X), endo(A), chart(Y), endo(B))
-    return horizontal_lift_prime(M, u, chart_val) + lifted(M, u, vertical=vert)
+    return horizontal_lift_prime(fd, chart_val) + lifted(fd, vertical=vert)
 
 
 # -- curvature -------------------------------------------------------------------
@@ -179,7 +178,7 @@ def _tilde_curvature_apply(fd, Xc, Yc, Zc):
     return jet_einsum("...cd,...d->...c", step, Zc)
 
 
-def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
+def curvature_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
     """Curvature tensor of the subbundle, by argument pattern.
 
     case "hhh": (Xf, Yf, Zf)     R(X^{h'}, Y^{h'}) Z^{h'}
@@ -193,7 +192,6 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
         raise OmnError(f"unknown case {case!r}")
     if len(args) != 3:
         raise OmnError(f"case {case!r} takes 3 arguments, got {len(args)}")
-    fd = frame_at(M, u)
     if case == "hhh":
         Xf, Yf, Zf = args
         Xc, Yc, Zc = (ops.as_chart_field(fd, f) for f in (Xf, Yf, Zf))
@@ -205,7 +203,7 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
         )
         chart = chart - 0.25 * q
         vert = -0.5 * (_d_x_r_prime(fd, Xc, Yc, Zc) - _d_x_r_prime(fd, Yc, Xc, Zc))
-        return horizontal_lift_prime(M, u, chart.val) + lifted(M, u, vertical=vert.val)
+        return horizontal_lift_prime(fd, chart.val) + lifted(fd, vertical=vert.val)
     if case == "hhv":
         Xf, Yf, T = args
         Xc, Yc = ops.as_chart_field(fd, Xf), ops.as_chart_field(fd, Yf)
@@ -218,7 +216,7 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
         vert = vert - 0.25 * (
             ops.curvature_prime_jet(fd, Xc, QTY) - ops.curvature_prime_jet(fd, Yc, QTX)
         )
-        return horizontal_lift_prime(M, u, chart.val) + lifted(M, u, vertical=vert.val)
+        return horizontal_lift_prime(fd, chart.val) + lifted(fd, vertical=vert.val)
     if case == "hvh":
         Xf, T, Zf = args
         Xc, Zc = ops.as_chart_field(fd, Xf), ops.as_chart_field(fd, Zf)
@@ -228,7 +226,7 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
         RXZ = ops.curvature_prime_jet(fd, Xc, Zc)
         comm = ops.commutator_jet(RXZ, Tj)
         vert = -0.25 * (ops.curvature_prime_jet(fd, Xc, QTZ) - comm)
-        return horizontal_lift_prime(M, u, chart.val) + lifted(M, u, vertical=vert.val)
+        return horizontal_lift_prime(fd, chart.val) + lifted(fd, vertical=vert.val)
     if case == "hvv":
         Xf, T, Tp = args
         Xc = ops.as_chart_field(fd, Xf)
@@ -238,7 +236,7 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
             ops.q_t_chart_jet(fd, commTT, Xc)
             + ops.q_t_chart_jet(fd, Tj, ops.q_t_chart_jet(fd, Tpj, Xc))
         )
-        return horizontal_lift_prime(M, u, chart.val)
+        return horizontal_lift_prime(fd, chart.val)
     if case == "vvh":
         T, Tp, Zf = args
         Zc = ops.as_chart_field(fd, Zf)
@@ -248,14 +246,14 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
             ops.q_t_chart_jet(fd, Tj, ops.q_t_chart_jet(fd, Tpj, Zc))
             - ops.q_t_chart_jet(fd, Tpj, ops.q_t_chart_jet(fd, Tj, Zc))
         ) + 0.5 * ops.q_t_chart_jet(fd, commTT, Zc)
-        return horizontal_lift_prime(M, u, chart.val)
+        return horizontal_lift_prime(fd, chart.val)
     T, Tp, Tpp = args  # case "vvv"
     A = _h_endo_field(fd, T).val
     B = _h_endo_field(fd, Tp).val
     C = _h_endo_field(fd, Tpp).val
     comm = A @ B - B @ A
     nested = comm @ C - C @ comm
-    return lifted(M, u, vertical=-0.25 * nested)
+    return lifted(fd, vertical=-0.25 * nested)
 
 
 # -- sectional curvature ----------------------------------------------------------
@@ -263,12 +261,11 @@ def curvature_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
 
 @dataclass(frozen=True)
 class OmnPlane:
-    """g_SM-orthonormal 2-plane spanned by primed lifts and/or h-verticals, at
-    one point or one plane at each point of a batch (the directions then
-    lead with the batch axes)."""
+    """g_SM-orthonormal 2-plane spanned by primed lifts and/or h-verticals at
+    the frame fd, one plane at each point of a batch frame (the directions
+    then lead with the batch axes)."""
 
-    sub: ImmersedSubmanifold
-    u: np.ndarray
+    fd: FramePointData
     kind: str  # "hh", "hv", "vv"
     xc: np.ndarray | None
     yc: np.ndarray | None
@@ -298,44 +295,42 @@ def _times(c, x):
     return np.reshape(c, np.shape(c) + (1,) * (np.ndim(x) - np.ndim(c))) * x
 
 
-def omn_plane(M: ImmersedSubmanifold, u, spec1, spec2) -> OmnPlane:
+def omn_plane(fd: FramePointData, spec1, spec2) -> OmnPlane:
     """Build a sectional plane from ("hprime", chart coeffs) / ("vertical", mat)
     specs, orthonormalizing with respect to the Sasaki-Mok metric.
 
-    On a batch u the specs give one direction per point (or one for every
-    point); a plane that cannot be built at some points raises OmnError with
-    those points as its where mask."""
-    u = np.asarray(u, dtype=float)
-    fd = frame_at(M, u)
+    On the frame of a batch the specs give one direction per point (or one
+    for every point); a plane that cannot be built at some points raises
+    OmnError with those points as its where mask."""
     chart = lambda c: np.broadcast_to(np.asarray(c, dtype=float), fd.u0.shape[:-1] + (fd.p,))
     kinds = (spec1[0], spec2[0])
     if kinds == ("vertical", "hprime"):
-        return omn_plane(M, u, spec2, spec1)
+        return omn_plane(fd, spec2, spec1)
     if kinds == ("hprime", "hprime"):
         x, y = chart(spec1[1]), chart(spec2[1])
         x = _unit(fd, x, _gtilde(fd, x, x), "horizontal direction vanishes")
         y = y - _times(_gtilde(fd, x, y), x)
         y = _unit(fd, y, _gtilde(fd, y, y), "plane vectors are linearly dependent")
-        v1 = horizontal_lift_prime(M, u, x)
-        v2 = horizontal_lift_prime(M, u, y)
-        plane = OmnPlane(M, u, "hh", x, y, None, None, v1, v2)
+        v1 = horizontal_lift_prime(fd, x)
+        v2 = horizontal_lift_prime(fd, y)
+        plane = OmnPlane(fd, "hh", x, y, None, None, v1, v2)
     elif kinds == ("hprime", "vertical"):
         x = chart(spec1[1])
         x = _unit(fd, x, _gtilde(fd, x, x), "horizontal direction vanishes")
         T = _h_endo_field(fd, np.asarray(spec2[1], dtype=float)).val
         T = _unit(fd, T, skew_inner(T, T), "vertical direction vanishes")
-        v1 = horizontal_lift_prime(M, u, x)
-        v2 = lifted(M, u, vertical=T)
-        plane = OmnPlane(M, u, "hv", x, None, T, None, v1, v2)
+        v1 = horizontal_lift_prime(fd, x)
+        v2 = lifted(fd, vertical=T)
+        plane = OmnPlane(fd, "hv", x, None, T, None, v1, v2)
     elif kinds == ("vertical", "vertical"):
         T = _h_endo_field(fd, np.asarray(spec1[1], dtype=float)).val
         Tp = _h_endo_field(fd, np.asarray(spec2[1], dtype=float)).val
         T = _unit(fd, T, skew_inner(T, T), "vertical direction vanishes")
         Tp = Tp - _times(skew_inner(T, Tp), T)
         Tp = _unit(fd, Tp, skew_inner(Tp, Tp), "plane vectors are linearly dependent")
-        v1 = lifted(M, u, vertical=T)
-        v2 = lifted(M, u, vertical=Tp)
-        plane = OmnPlane(M, u, "vv", None, None, T, Tp, v1, v2)
+        v1 = lifted(fd, vertical=T)
+        v2 = lifted(fd, vertical=Tp)
+        plane = OmnPlane(fd, "vv", None, None, T, Tp, v1, v2)
     else:
         raise OmnError("plane specs must be ('hprime', coeffs) or ('vertical', matrix)")
     bad = np.zeros(fd.u0.shape[:-1], dtype=bool)
@@ -349,8 +344,7 @@ def omn_plane(M: ImmersedSubmanifold, u, spec1, spec2) -> OmnPlane:
 def sectional_OMN(plane: OmnPlane):
     """Sectional curvature of the plane by the closed formulas: a float at
     one point, an array over a batch."""
-    M, u = plane.sub, plane.u
-    fd = M.frame_data(u)
+    fd = plane.fd
     if plane.kind == "hh":
         RYYX = _tilde_curvature_apply(fd, plane.xc, plane.yc, plane.yc).val
         kt = np.einsum("...a,...ab,...b->...", plane.xc, fd.gt_chart.val, RYYX)
@@ -411,7 +405,7 @@ def _pi_hv_jets(fd, Xc, Tj):
     return horiz, vert
 
 
-def second_fundamental_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> LiftedVector:
+def second_fundamental_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
     """Second fundamental form of the subbundle in the ambient frame bundle.
 
     case "hh": (Xf, Yf); case "hv": (Xf, T) with T h-type; case "vv": (T, Tp) -> 0.
@@ -420,15 +414,14 @@ def second_fundamental_OMN(M: ImmersedSubmanifold, u, case: str, *args) -> Lifte
         raise OmnError(f"unknown case {case!r}")
     if len(args) != 2:
         raise OmnError(f"case {case!r} takes 2 arguments, got {len(args)}")
-    fd = frame_at(M, u)
     if case == "vv":
-        return lifted(M, u)
+        return lifted(fd)
     Xc = ops.as_chart_field(fd, args[0])
     if case == "hh":
         horiz, vert = _pi_hh_assemble(fd, *_pi_hh_pieces(fd, Xc, ops.as_chart_field(fd, args[1])))
     else:
         horiz, vert = _pi_hv_jets(fd, Xc, _h_endo_field(fd, args[1]))
-    return lifted(M, u, horizontal=horiz.val, vertical=0.5 * (vert.val - np.swapaxes(vert.val, -1, -2)))
+    return lifted(fd, horizontal=horiz.val, vertical=0.5 * (vert.val - np.swapaxes(vert.val, -1, -2)))
 
 
 # -- mean curvature and verdicts -------------------------------------------------
@@ -439,9 +432,9 @@ class MeanCurvatureReport:
     """Mean curvature of the subbundle at one frame, or at each frame of a
     batch, resolved against the normal generators: pairings with the normal
     horizontal lifts and with the corrected off-diagonal verticals. The
-    arrays lead with the batch axes, and norm is a float at one point."""
+    arrays lead with the batch axes, and norm is a float at one point. H
+    holds the frame."""
 
-    u: np.ndarray
     H: LiftedVector
     z_pairings: np.ndarray  # (..., n) g_SM(H, e_alpha^h)
     t_pairings: np.ndarray  # (..., p, n) g_SM(H, bar(T_{A alpha}) + (S_.)^h)
@@ -500,15 +493,14 @@ def mean_curvature_parts(fd: FramePointData, trace) -> tuple[np.ndarray, np.ndar
     return horiz.val, 0.5 * (vert.val - np.swapaxes(vert.val, -1, -2))
 
 
-def mean_curvature_OMN(M: ImmersedSubmanifold, u) -> MeanCurvatureReport:
+def mean_curvature_OMN(fd: FramePointData) -> MeanCurvatureReport:
     """Trace of the second fundamental form over a deformed-orthonormal
     horizontal frame (vertical directions contribute nothing), at one point
     or at each point of a batch.
     """
-    fd = frame_at(M, u)
     p, d = fd.p, fd.d
     hval, vval = mean_curvature_parts(fd, frame_trace(fd))
-    H = lifted(M, u, horizontal=hval, vertical=vval)
+    H = lifted(fd, horizontal=hval, vertical=vval)
     z = hval[..., p:].copy()
     t = np.zeros(hval.shape[:-1] + (p, d - p))
     for A in range(p):
@@ -516,7 +508,7 @@ def mean_curvature_OMN(M: ImmersedSubmanifold, u) -> MeanCurvatureReport:
             Tm = ops.basis_T(d, A, al)
             svec = ops.s_tm_tangent_jet(fd, Tm).val
             t[..., A, j] = skew_inner(vval, Tm) + np.einsum("...a,...a->...", hval[..., :p], svec)
-    return MeanCurvatureReport(fd.u0, H, z, t, H.norm())
+    return MeanCurvatureReport(H, z, t, H.norm())
 
 
 @dataclass(frozen=True)
@@ -544,8 +536,7 @@ def is_totally_geodesic(M: ImmersedSubmanifold, samples: int = 50, seed: int = 0
     the base criterion: M totally geodesic and tangential (R(U,V)W) = 0 for
     normal U, V, W. It builds one frame holding all the sample points. A
     residual that is not a finite number raises OmnError naming its point."""
-    U = domain_samples(M, samples, seed=seed)
-    fd = M.frame_data(U)
+    fd = M.frame_data(domain_samples(M, samples, seed=seed))
     p, d = fd.p, fd.d
     # base second fundamental form of M: S-matrices carry it all
     base = _finite_sup(fd, np.max(np.abs(fd.Smats.val), axis=(-3, -2, -1)))
@@ -553,12 +544,12 @@ def is_totally_geodesic(M: ImmersedSubmanifold, samples: int = 50, seed: int = 0
     frames = tilde_frame_fields(fd)
     for A in range(p):
         for B in range(A, p):
-            norms.append(second_fundamental_OMN(M, U, "hh", frames[A], frames[B]).norm())
+            norms.append(second_fundamental_OMN(fd, "hh", frames[A], frames[B]).norm())
     for A in range(p):
         for i in range(d):
             for j in range(i + 1, d):
                 if (i < p) == (j < p):
-                    norms.append(second_fundamental_OMN(M, U, "hv", frames[A], ops.basis_T(d, i, j)).norm())
+                    norms.append(second_fundamental_OMN(fd, "hv", frames[A], ops.basis_T(d, i, j)).norm())
     worst = max(_finite_sup(fd, nrm) for nrm in norms)
     rcond = _finite_sup(fd, np.max(np.abs(fd.Rfr.val[..., :p, p:, p:, p:]), axis=(-4, -3, -2, -1)))
     return TotallyGeodesicReport(worst < VERDICT_TOL, worst, base, rcond, samples, VERDICT_TOL)

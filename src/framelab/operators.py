@@ -34,8 +34,8 @@ and curvature_prime_jet. Field specs are normalised by as_chart_field
 (tangent fields) and as_endo_field (endomorphism fields).
 
 L_op evaluates the operator L from these primitives, in chart coefficients,
-at one point or at every point of a batch (its result then leads with the
-batch axes); it is the right-hand side of an identity of verify's registry.
+at a frame of one point or of a batch (its result then leads with the batch
+axes); it is the right-hand side of an identity of verify's registry.
 skew_inner, hm_split_mat and matvec act on the trailing axes of value
 arrays, so they take a batch of frame matrices too, and per_point gives a
 value that is a float at one point and an array over a batch.
@@ -48,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import Jet, jet_along, jet_einsum, jet_solve, jstack
-from .submanifold import FramePointData, ImmersedSubmanifold
+from .submanifold import FramePointData
 
 __all__ = [
     "OperatorError",
@@ -280,11 +280,10 @@ def curvature_prime_jet(fd: FramePointData, Xc, Yc) -> Jet:
 # -- the operator L ------------------------------------------------------------------
 
 
-def L_op(M: ImmersedSubmanifold, u, Xf, Yf) -> np.ndarray:
+def L_op(fd: FramePointData, Xf, Yf) -> np.ndarray:
     """L_X Y = (Q_{S_X}(Y) + Q_{S_Y}(X) + P^{-1} S_{S_{nabla'_X Y + nabla'_Y X}})/2,
-    in chart coefficients (p,) at one point u, or (n, p) at a batch u of
-    shape (n, p)."""
-    fd = M.frame_data(u)
+    in chart coefficients (p,) at the frame of one point, or (n, p) at the
+    frame of n points."""
     Xc, Yc = as_chart_field(fd, Xf), as_chart_field(fd, Yf)
     TX = s_field_matrix(fd, Xc)
     TY = s_field_matrix(fd, Yc)

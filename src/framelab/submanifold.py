@@ -31,9 +31,14 @@ Batch convention: `frame_data(u)` takes one point, u of shape (p,), or a
 batch of n points, u of shape (n, p). Every jet of the frame then leads
 with the batch axes u.shape[:-1], () for one point, followed by the
 per-point shape that the FramePointData table lists. One point and a batch
-run the same code; the frame-field primitives of `operators` and the
-geometry of `frame_bundle`, `omn_geometry` and `gauss_map` pass the batch
-axes through in the same way.
+run the same code.
+
+Frames are passed, not looked up: the frame-field primitives of `operators`
+and the geometry of `frame_bundle`, `omn_geometry` and `gauss_map` take the
+FramePointData they evaluate at and pass its batch axes through, and the
+values they return hold it. `frame_data` turns points into a frame only
+where points are chosen: the sampled sweeps, the registry run and the
+finite-difference oracle.
 """
 
 from __future__ import annotations

@@ -175,9 +175,9 @@ def _sup_each(a) -> np.ndarray:
     return np.max(np.abs(a).reshape(a.shape[0], -1), axis=1)
 
 
-def _sectional_at(M, u, mask, spec1, spec2, skip_refused=False) -> np.ndarray:
+def _sectional_at(fd, mask, spec1, spec2, skip_refused=False) -> np.ndarray:
     """sectional_OMN of the planes of spec1 and spec2 at the points of the
-    batch mask, NaN at the other points.
+    frame fd in the batch mask, NaN at the other points.
 
     The plane is built at every point; a point outside mask takes the
     directions of the first point in it. With skip_refused a point whose
@@ -187,7 +187,7 @@ def _sectional_at(M, u, mask, spec1, spec2, skip_refused=False) -> np.ndarray:
         first = np.argmax(mask)
         fill = lambda a: np.where(mask.reshape(mask.shape + (1,) * (a.ndim - 1)), a, a[first])
         try:
-            plane = og.omn_plane(M, u, (spec1[0], fill(spec1[1])), (spec2[0], fill(spec2[1])))
+            plane = og.omn_plane(fd, (spec1[0], fill(spec1[1])), (spec2[0], fill(spec2[1])))
         except og.OmnError as exc:
             if not skip_refused or exc.where is None or not np.any(exc.where & mask):
                 raise
@@ -248,8 +248,8 @@ def _ev_deformed_metric_pairing(M, fd, rngs):
 def _ev_adapted_lift_isometry(M, fd, rngs):
     x = _unit_chart(fd, _draw(rngs, fd.p))
     y = _unit_chart(fd, _draw(rngs, fd.p))
-    lx = horizontal_lift_prime(M, fd.u0, matvec(fd.J.val, x))
-    ly = horizontal_lift_prime(M, fd.u0, matvec(fd.J.val, y))
+    lx = horizontal_lift_prime(fd, matvec(fd.J.val, x))
+    ly = horizontal_lift_prime(fd, matvec(fd.J.val, y))
     rhs = _dot(x, matvec(fd.gt_chart.val, y))
     return np.abs(sasaki_mok_inner(lx, ly) - rhs), _sup_each(fd.Smats.val)
 
@@ -309,7 +309,6 @@ def _ev_endo_derivative_split(block: str):
 
 
 def _ev_bundle_metric_compatibility(M, fd, rngs):
-    u = fd.u0
     Xc = _affine_field(fd, rngs)
     Yc = _affine_field(fd, rngs)
     Zc = _affine_field(fd, rngs)
@@ -320,10 +319,10 @@ def _ev_bundle_metric_compatibility(M, fd, rngs):
     TYj, TZj = TYf(fd), TZf(fd)
     inner = jet_einsum("...i,...i->...", yF, zF) - jet_einsum("...ij,...ji->...", TYj, TZj)
     lhs = jet_along(Xc, inner).val
-    ynab = nabla_ON(M, u, "hh", Xc, Yc) + nabla_ON(M, u, "hv", Xc, TYf)
-    znab = nabla_ON(M, u, "hh", Xc, Zc) + nabla_ON(M, u, "hv", Xc, TZf)
-    ypt = lifted(M, u, horizontal=yF.val, vertical=TYj.val)
-    zpt = lifted(M, u, horizontal=zF.val, vertical=TZj.val)
+    ynab = nabla_ON(fd, "hh", Xc, Yc) + nabla_ON(fd, "hv", Xc, TYf)
+    znab = nabla_ON(fd, "hh", Xc, Zc) + nabla_ON(fd, "hv", Xc, TZf)
+    ypt = lifted(fd, horizontal=yF.val, vertical=TYj.val)
+    zpt = lifted(fd, horizontal=zF.val, vertical=TZj.val)
     rhs = sasaki_mok_inner(ynab, zpt) + sasaki_mok_inner(ypt, znab)
     return np.abs(lhs - rhs), np.abs(lhs)
 
@@ -332,7 +331,7 @@ def _ev_deformed_connection_via_leibniz(M, fd, rngs):
     Xc = _affine_field(fd, rngs)
     Yc = _affine_field(fd, rngs)
     diff = (ops.vec_tilde_nabla_jet(fd, Xc, Yc) - ops.vec_nabla_prime_jet(fd, Xc, Yc)).val
-    L = ops.L_op(M, fd.u0, Xc, Yc)
+    L = ops.L_op(fd, Xc, Yc)
     return _sup_each(diff - L), _sup_each(L)
 
 
@@ -374,8 +373,8 @@ def _ev_q_operator_deformed_skewness(M, fd, rngs):
 
 def _ev_frame_decompositions(M, fd, rngs):
     x = _unit_chart(fd, _draw(rngs, fd.p))
-    hor = lifted(M, fd.u0, horizontal=ops.full_frame_field(fd, x).val)
-    ver = lifted(M, fd.u0, vertical=_skew(_draw(rngs, fd.d, fd.d)))
+    hor = lifted(fd, horizontal=ops.full_frame_field(fd, x).val)
+    ver = lifted(fd, vertical=_skew(_draw(rngs, fd.d, fd.d)))
     worst = np.zeros(len(rngs))
     for z in (hor, ver):
         tan, nor = decompose_OMN(z)
@@ -394,33 +393,31 @@ def _relation_fields(fd, rngs):
 
 
 def _ev_subbundle_connection_vs_projection(M, fd, rngs):
-    u = fd.u0
     Xc, Yc, T, Tp = _relation_fields(fd, rngs)
     worst = np.zeros(len(rngs))
     for case, args in [("hh", (Xc, Yc)), ("hv", (Xc, T)), ("vh", (T, Yc)), ("vv", (T, Tp))]:
-        got = og.nabla_OMN(M, u, case, *args)
-        tan, _ = decompose_OMN(fb.nabla_ON_primed(M, u, case, *args))
+        got = og.nabla_OMN(fd, case, *args)
+        tan, _ = decompose_OMN(fb.nabla_ON_primed(fd, case, *args))
         worst = np.maximum(worst, (got - tan).norm())
     return worst, _sup_each(fd.Smats.val)
 
 
 def _ev_subbundle_second_fundamental_vs_projection(M, fd, rngs):
-    u = fd.u0
     Xc, Yc, T, Tp = _relation_fields(fd, rngs)
     worst = np.zeros(len(rngs))
     for case, args in [("hh", (Xc, Yc)), ("hv", (Xc, T))]:
-        got = og.second_fundamental_OMN(M, u, case, *args)
-        _, nor = decompose_OMN(fb.nabla_ON_primed(M, u, case, *args))
+        got = og.second_fundamental_OMN(fd, case, *args)
+        _, nor = decompose_OMN(fb.nabla_ON_primed(fd, case, *args))
         worst = np.maximum(worst, (got - nor).norm())
-    _, nor = decompose_OMN(fb.nabla_ON_primed(M, u, "vv", T, Tp))
+    _, nor = decompose_OMN(fb.nabla_ON_primed(fd, "vv", T, Tp))
     return np.maximum(worst, nor.norm()), _sup_each(fd.Smats.val)
 
 
 def _ev_sectional_horizontal_vs_curvature(M, fd, rngs):
     x = _unit_chart(fd, _draw(rngs, fd.p))
     y = _unit_chart(fd, _draw(rngs, fd.p))
-    pl = og.omn_plane(M, fd.u0, ("hprime", x), ("hprime", y))
-    R = og.curvature_OMN(M, fd.u0, "hhh", pl.xc, pl.yc, pl.yc)
+    pl = og.omn_plane(fd, ("hprime", x), ("hprime", y))
+    R = og.curvature_OMN(fd, "hhh", pl.xc, pl.yc, pl.yc)
     val = og.sectional_OMN(pl)
     return np.abs(val - sasaki_mok_inner(R, pl.v1)), np.abs(val)
 
@@ -428,23 +425,24 @@ def _ev_sectional_horizontal_vs_curvature(M, fd, rngs):
 def _ev_sectional_mixed_vs_curvature(M, fd, rngs):
     T = _diag_skew(fd.p, _draw(rngs, fd.d, fd.d))
     x = _unit_chart(fd, _draw(rngs, fd.p))
-    pl = og.omn_plane(M, fd.u0, ("hprime", x), ("vertical", T))
-    R = og.curvature_OMN(M, fd.u0, "hvv", pl.xc, pl.T, pl.T)
+    pl = og.omn_plane(fd, ("hprime", x), ("vertical", T))
+    R = og.curvature_OMN(fd, "hvv", pl.xc, pl.T, pl.T)
     val = og.sectional_OMN(pl)
     q = ops.q_t_chart_jet(fd, fd.uspace.constant(pl.T), pl.xc).val
     return np.abs(val - sasaki_mok_inner(R, pl.v1)), _sup_each(q)
 
 
 def _ev_condition_set_implications(M, fd, rngs):
-    data = gm.residual_data(M, fd.u0)
-    r1, r2 = gm.implication_residuals(M, data)
-    tau = gm.tension_field(M, fd.u0)
+    trace = og.frame_trace(fd)
+    data = gm.residual_data(fd, trace)
+    r1, r2 = gm.implication_residuals(data)
+    tau = gm.tension_field(fd, trace)
     r3 = np.abs(tau.norm() ** 2 - (data.r_h1**2 + data.r_h2**2 + data.r_h3**2))
     return np.max([r1, r2, r3], axis=0), data.r_h1 + data.r_h2 + data.r_h3
 
 
 def _ev_mixed_vertical_sectional_nonnegative(M, fd, rngs):
-    u, n = fd.u0, len(rngs)
+    n = len(rngs)
     lo, wit = np.full(n, np.inf), np.zeros(n)
     # a point stops at its first zero T: then h = so(p) + so(n) is zero there
     going = np.ones(n, dtype=bool)
@@ -454,20 +452,20 @@ def _ev_mixed_vertical_sectional_nonnegative(M, fd, rngs):
         if not np.any(going):
             break
         x = _unit_chart(fd, _draw(rngs, fd.p))
-        val = _sectional_at(M, u, going, ("hprime", x), ("vertical", T))
+        val = _sectional_at(fd, going, ("hprime", x), ("vertical", T))
         lo, wit = np.fmin(lo, val), np.fmax(wit, np.abs(val))
         Tp = _diag_skew(fd.p, _draw(rngs, fd.d, fd.d))
         # a vertical plane where T and T' do not commute, unless omn_plane refuses it
         spans = going & (_sup_each(T @ Tp - Tp @ T) > 1e-8)
-        val = _sectional_at(M, u, spans, ("vertical", T), ("vertical", Tp), skip_refused=True)
+        val = _sectional_at(fd, spans, ("vertical", T), ("vertical", Tp), skip_refused=True)
         lo, wit = np.fmin(lo, val), np.fmax(wit, np.abs(val))
     seen = np.isfinite(lo)
     return np.where(seen, np.maximum(0.0, -lo), 0.0), np.where(seen, wit, 0.0)
 
 
 def _ev_christoffel_jets_vs_fd(M, fd, rngs):
-    u = fd.u0
-    errors = [_relative_errors(jet_value(M, q, u), fd_oracle(M, q, u), 1) for q in ("gamma_chart", "gamma_tilde")]
+    quantities = ("gamma_chart", "gamma_tilde")
+    errors = [_relative_errors(FD_QUANTITIES[q].jet_route(fd), fd_oracle(M, q, fd.u0), 1) for q in quantities]
     return np.maximum(*errors), _sup_each(fd.Gam_chart.val)
 
 
@@ -508,8 +506,8 @@ def _ev_space_form_sectional_nonnegative(M, samples, seed):
         y = _unit_chart(fd, draws[:, r, p : 2 * p])
         T = _diag_skew(p, draws[:, r, 2 * p :].reshape(k, d, d))
         everywhere = np.ones(k, dtype=bool)
-        vals.append(_sectional_at(M, U, everywhere, ("hprime", x), ("hprime", y), skip_refused=True))
-        vals.append(_sectional_at(M, U, _sup_each(T) > 1e-12, ("hprime", x), ("vertical", T)))
+        vals.append(_sectional_at(fd, everywhere, ("hprime", x), ("hprime", y), skip_refused=True))
+        vals.append(_sectional_at(fd, _sup_each(T) > 1e-12, ("hprime", x), ("vertical", T)))
     vals = np.concatenate(vals)
     vals = vals[~np.isnan(vals)]
     lo, hi = float(np.min(vals, initial=np.inf)), float(np.max(np.abs(vals), initial=0.0))
@@ -956,36 +954,41 @@ def run_suite(builtins=None, samples: int = 25, seed: int = 0, groups=None) -> V
         if groups is not None and case.group not in groups:
             continue
         for bi, (name, M) in enumerate(manifolds):
-            applies, live = plans[bi][ci]
+            frame, flags = plans[bi]
+            applies, live = flags[ci]
             if applies:
-                report.results.extend(_run_case(case, ci, name, bi, M, samples, seed, points[bi], live))
+                report.results.extend(_run_case(case, ci, name, bi, M, samples, seed, points[bi], frame, live))
     report.runtime_seconds = time.perf_counter() - t0
     report.generated_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return report
 
 
-def _plan(M, points) -> list[tuple[bool, bool]]:
-    """(applies, live) of each registry case on M, from the frame at the
-    sample points; where it cannot be built, every case runs unwitnessed."""
+def _plan(M, points) -> tuple:
+    """The frame at the sample points, and (applies, live) of each registry
+    case on M read from it. Where the frame cannot be built, its error takes
+    its place and every case runs unwitnessed."""
     try:
         fd = M.frame_data(points)
-    except (FrameError, AmbientError, ExprError):
-        # the cases report the failure row by row
-        return [(True, False)] * len(REGISTRY)
-    return [(case.applies(fd), case.live(fd)) for case in REGISTRY]
+    except (FrameError, AmbientError, ExprError) as exc:
+        # the pointwise cases report the failure row by row
+        return exc, [(True, False)] * len(REGISTRY)
+    return fd, [(case.applies(fd), case.live(fd)) for case in REGISTRY]
 
 
-def _run_case(case, ci, name, bi, M, samples, seed, points, live):
+def _run_case(case, ci, name, bi, M, samples, seed, points, frame, live):
     """The rows of a case on M: one per sample point for a pointwise case,
-    all from one evaluation on the frame at the points, else one. When the
-    evaluation raises, each of its rows is a crash row naming the error."""
+    all from one evaluation on the frame at the points (or the error that
+    stopped its build), else one. When the evaluation raises, each of its
+    rows is a crash row naming the error."""
     tol = case.tolerance
     at = [tuple(u) for u in points] if case.pointwise else [None]
     n = len(points)
     try:
         if case.pointwise:
+            if isinstance(frame, Exception):
+                raise frame
             rngs = [np.random.default_rng(np.random.SeedSequence([seed, ci, bi, pi])) for pi in range(n)]
-            out = case.evaluator(M, M.frame_data(points), rngs)
+            out = case.evaluator(M, frame, rngs)
             residuals, witnesses = (np.asarray(x, dtype=float) for x in out)
             if residuals.shape != (n,) or witnesses.shape != (n,):
                 shapes = f"{residuals.shape} residuals and {witnesses.shape} witnesses"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,18 @@ def test_domain_error_names_the_first_bad_point_of_a_batch(src, message):
     space = get_space(2, 1)
     with pytest.raises(DomainError, match=rf"^{message} at \[0\.25, 0\.5\] in sub-expression at bytes"):
         eval_expr(parse(src, 2), space.variables(pts), space)
+
+
+def test_tan_refuses_its_poles_and_names_the_point():
+    """cos of the double nearest pi/2 is 6e-17, not 0: tan there is a pole
+    within roundoff and is refused, while a point 1e-6 away is accepted."""
+    space = get_space(1, 1)
+    for pole in (np.pi / 2, -np.pi / 2, 3 * np.pi / 2):
+        pts = np.array([[0.3], [pole]])
+        with pytest.raises(DomainError, match=rf"^tan at a pole at \[{re.escape(repr(pole))}\]"):
+            eval_expr(parse("tan(u1)", 1), space.variables(pts), space)
+    near = eval_at(parse("tan(u1)", 1), (np.pi / 2 - 1e-6,), 1)
+    assert np.isfinite(near.val) and abs(near.val * 1e-6 - 1.0) < 1e-6
 
 
 def test_parse_is_remembered_and_failures_are_not():

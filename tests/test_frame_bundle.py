@@ -31,8 +31,9 @@ from framelab.omn_geometry import (
     second_fundamental_OMN,
     sectional_OMN,
 )
+from framelab.omn_geometry import frame_trace
 from framelab.operators import basis_T
-from framelab.submanifold import builtin_submanifold
+from framelab.submanifold import FrameError, builtin_submanifold
 
 ALL_BUILTINS = [
     ("plane", np.array([0.3, -0.5])),
@@ -76,7 +77,7 @@ def varying_skew_field(mat):
 def test_lifted_rejects_symmetric_vertical():
     M = builtin_submanifold("sphere2")
     with pytest.raises(FrameBundleError, match="not antisymmetric"):
-        lifted(M, np.array([1.0, 0.5]), vertical=np.eye(3))
+        lifted(M.frame_data(np.array([1.0, 0.5])), vertical=np.eye(3))
 
 
 def test_horizontal_vertical_orthogonal():
@@ -84,8 +85,8 @@ def test_horizontal_vertical_orthogonal():
     M = builtin_submanifold("clifford")
     u = np.array([0.4, -0.7])
     fd = M.frame_data(u)
-    h = horizontal_lift(M, u, fd.E.val @ rng.normal(size=3))
-    v = lifted(M, u, vertical=random_skew(rng, 3))
+    h = horizontal_lift(fd, fd.E.val @ rng.normal(size=3))
+    v = lifted(fd, vertical=random_skew(rng, 3))
     assert sasaki_mok_inner(h, v) == 0.0
 
 
@@ -99,21 +100,22 @@ def test_horizontal_lifts_pair_by_the_ambient_metric(name, u):
     pairs the ambient vectors at the base point."""
     rng = np.random.default_rng(9)
     M = builtin_submanifold(name)
-    G = metric_at(M.ambient, M.frame_data(u).x0)
+    fd = M.frame_data(u)
+    G = metric_at(M.ambient, fd.x0)
     assert np.max(np.abs(G - np.eye(3))) > 1e-2
     for _ in range(3):
         X, Y = rng.normal(size=(2, 3))
-        got = sasaki_mok_inner(horizontal_lift(M, u, X), horizontal_lift(M, u, Y))
+        got = sasaki_mok_inner(horizontal_lift(fd, X), horizontal_lift(fd, Y))
         assert abs(got - X @ G @ Y) < 1e-12
 
 
 @pytest.mark.parametrize("name,u", ALL_BUILTINS)
 def test_horizontal_lift_prime_takes_ambient_or_chart_input(name, u):
     rng = np.random.default_rng(10)
-    M = builtin_submanifold(name)
-    xc = rng.normal(size=M.p)
-    from_chart = horizontal_lift_prime(M, u, xc)
-    from_ambient = horizontal_lift_prime(M, u, M.frame_data(u).J.val @ xc)
+    fd = builtin_submanifold(name).frame_data(u)
+    xc = rng.normal(size=fd.p)
+    from_chart = horizontal_lift_prime(fd, xc)
+    from_ambient = horizontal_lift_prime(fd, fd.J.val @ xc)
     assert from_chart.norm() > 0.1
     assert (from_chart - from_ambient).norm() < 1e-12
 
@@ -124,25 +126,22 @@ def test_horizontal_lift_prime_of_chart_input_has_no_normal_part(name, u):
     the normal components are exactly 0.0, not the roundoff of a trip
     through the ambient vector."""
     rng = np.random.default_rng(10)
-    M = builtin_submanifold(name)
+    fd = builtin_submanifold(name).frame_data(u)
     for _ in range(5):
-        v = horizontal_lift_prime(M, u, rng.normal(size=M.p))
-        assert np.all(v.horizontal[M.p :] == 0.0)
+        v = horizontal_lift_prime(fd, rng.normal(size=fd.p))
+        assert np.all(v.horizontal[fd.p :] == 0.0)
 
 
 def test_vertical_basis_norm():
-    M = builtin_submanifold("sphere2")
-    u = np.array([1.0, 0.5])
-    t12 = lifted(M, u, vertical=basis_T(3, 0, 1))
+    fd = builtin_submanifold("sphere2").frame_data(np.array([1.0, 0.5]))
+    t12 = lifted(fd, vertical=basis_T(3, 0, 1))
     assert abs(sasaki_mok_inner(t12, t12) - 1.0) < 1e-14
 
 
 def test_circle_primed_lift_norm():
     """1 from the horizontal part plus 2 from the S-matrix."""
-    M = builtin_submanifold("circle")
-    u = np.array([0.3])
-    e1 = M.frame_data(u).E.val[:, 0]
-    v = horizontal_lift_prime(M, u, e1)
+    fd = builtin_submanifold("circle").frame_data(np.array([0.3]))
+    v = horizontal_lift_prime(fd, fd.E.val[:, 0])
     assert abs(sasaki_mok_inner(v, v) - 3.0) < 1e-12
 
 
@@ -152,7 +151,7 @@ def test_vertical_of_S_has_zero_diagonal_blocks():
     fd = M.frame_data(u)
     smat = ops.s_field_matrix(fd, fd.uspace.constant(np.array([1.0, -0.5]))).val
     T_amb = fd.E.val @ smat @ fd.Einv.val
-    v = lifted(M, u, vertical=fd.Einv.val @ T_amb @ fd.E.val)
+    v = lifted(fd, vertical=fd.Einv.val @ T_amb @ fd.E.val)
     p = fd.p
     assert np.max(np.abs(v.vertical[:p, :p])) < 1e-10
     assert np.max(np.abs(v.vertical[p:, p:])) < 1e-10
@@ -189,19 +188,19 @@ def test_nabla_ON_flat_reductions():
     T = random_skew(rng, 3)
     Tp = random_skew(rng, 3)
 
-    hh = nabla_ON(M, u, "hh", Xf, Yf)
+    hh = nabla_ON(fd, "hh", Xf, Yf)
     assert np.max(np.abs(hh.vertical)) < 1e-12
 
-    vh = nabla_ON(M, u, "vh", T, Xf)
+    vh = nabla_ON(fd, "vh", T, Xf)
     assert np.max(np.abs(vh.horizontal)) < 1e-12
     assert np.max(np.abs(vh.vertical)) < 1e-12
 
-    hv = nabla_ON(M, u, "hv", Xf, T)
+    hv = nabla_ON(fd, "hv", Xf, T)
     assert np.max(np.abs(hv.horizontal)) < 1e-12
     # constant frame components over the plane: nabla_X T = 0
     assert np.max(np.abs(hv.vertical)) < 1e-12
 
-    vv = nabla_ON(M, u, "vv", T, Tp)
+    vv = nabla_ON(fd, "vv", T, Tp)
     want = 0.5 * (Tp @ T - T @ Tp)
     assert np.max(np.abs(vv.vertical - want)) < 1e-12
     assert np.max(np.abs(vv.horizontal)) < 1e-12
@@ -209,10 +208,9 @@ def test_nabla_ON_flat_reductions():
 
 def test_nabla_ON_vertical_commutator_value():
     """bar(T_12) against bar(T_13): the result is bar(T_23)/(2 sqrt 2)."""
-    M = builtin_submanifold("plane3")
-    u = np.array([0.2, 0.1, -0.4])
+    fd = builtin_submanifold("plane3").frame_data(np.array([0.2, 0.1, -0.4]))
     T, Tp = basis_T(4, 0, 1), basis_T(4, 0, 2)
-    out = nabla_ON(M, u, "vv", T, Tp)
+    out = nabla_ON(fd, "vv", T, Tp)
     comm = Tp @ T - T @ Tp
     assert np.max(np.abs(comm - basis_T(4, 1, 2) / np.sqrt(2.0))) < 1e-15
     assert np.max(np.abs(out.vertical - 0.5 * comm)) < 1e-15
@@ -224,8 +222,8 @@ def test_nabla_ON_torsion_identity():
         M = builtin_submanifold(name)
         fd = M.frame_data(u)
         Xf, Yf = ["u2", "1-u1"], ["u1*u2", "u1"]
-        a = nabla_ON(M, u, "hh", Xf, Yf)
-        b = nabla_ON(M, u, "hh", Yf, Xf)
+        a = nabla_ON(fd, "hh", Xf, Yf)
+        b = nabla_ON(fd, "hh", Yf, Xf)
         Xc = ops.as_chart_field(fd, Xf)
         Yc = ops.as_chart_field(fd, Yf)
         br = ops.full_frame_field(fd, ops.bracket_jet(fd, Xc, Yc).val).val
@@ -259,46 +257,46 @@ def test_nabla_ON_metric_compatibility(name, u):
     f = (yV(fd) * yW(fd)).sum(-1) - jet_einsum("ij,ji->", AV(fd), AW(fd))
     lhs = sum(Xc.val[a] * f.d(a).val for a in range(fd.p))
 
-    dV = nabla_ON_section(M, u, Xf, yV, AV)
-    dW = nabla_ON_section(M, u, Xf, yW, AW)
-    V0 = lifted(M, u, horizontal=yV(fd).val, vertical=AV(fd).val)
-    W0 = lifted(M, u, horizontal=yW(fd).val, vertical=AW(fd).val)
+    dV = nabla_ON_section(fd, Xf, yV, AV)
+    dW = nabla_ON_section(fd, Xf, yW, AW)
+    V0 = lifted(fd, horizontal=yV(fd).val, vertical=AV(fd).val)
+    W0 = lifted(fd, horizontal=yW(fd).val, vertical=AW(fd).val)
     rhs = sasaki_mok_inner(dV, W0) + sasaki_mok_inner(V0, dW)
     assert abs(lhs - rhs) < 1e-7
 
 
-def primed_by_expansion(M, u, case, *args):
+def primed_by_expansion(fd, case, *args):
     """nabla_ON_primed expanded bilinearly into nabla_ON cases, with
     X^{h'} = X^h + bar(S_X) both as direction and as field (reference)."""
     s_of = lambda Y: (lambda fd: ops.s_field_matrix(fd, ops.as_chart_field(fd, Y)))
     if case == "hh":
         Xf, Yf = args
         sx, sy = s_of(Xf), s_of(Yf)
-        out = nabla_ON(M, u, "hh", Xf, Yf)
-        out = out + nabla_ON(M, u, "hv", Xf, sy)
-        out = out + nabla_ON(M, u, "vh", sx, Yf)
-        return out + nabla_ON(M, u, "vv", sx, sy)
+        out = nabla_ON(fd, "hh", Xf, Yf)
+        out = out + nabla_ON(fd, "hv", Xf, sy)
+        out = out + nabla_ON(fd, "vh", sx, Yf)
+        return out + nabla_ON(fd, "vv", sx, sy)
     if case == "hv":
         Xf, T = args
-        return nabla_ON(M, u, "hv", Xf, T) + nabla_ON(M, u, "vv", s_of(Xf), T)
+        return nabla_ON(fd, "hv", Xf, T) + nabla_ON(fd, "vv", s_of(Xf), T)
     if case == "vh":
         T, Yf = args
-        return nabla_ON(M, u, "vh", T, Yf) + nabla_ON(M, u, "vv", T, s_of(Yf))
-    return nabla_ON(M, u, "vv", *args)
+        return nabla_ON(fd, "vh", T, Yf) + nabla_ON(fd, "vv", T, s_of(Yf))
+    return nabla_ON(fd, "vv", *args)
 
 
 @pytest.mark.parametrize("name,u", ALL_BUILTINS)
 def test_nabla_ON_primed_is_its_bilinear_expansion(name, u):
     rng = np.random.default_rng(7)
-    M = builtin_submanifold(name)
-    p, d = M.p, M.frame_data(u).d
+    fd = builtin_submanifold(name).frame_data(u)
+    p, d = fd.p, fd.d
     Xf = ["0.7+0.3*u1", "u2-0.4", "0.5*u1"][:p]
     Yf = ["u1*u1-0.2", "0.6", "u2+0.1*u1"][:p]
     T = varying_skew_field(random_skew(rng, d))
     Tp = varying_skew_field(random_skew(rng, d))
     for case, args in [("hh", (Xf, Yf)), ("hv", (Xf, T)), ("vh", (T, Yf)), ("vv", (T, Tp))]:
-        got = nabla_ON_primed(M, u, case, *args)
-        want = primed_by_expansion(M, u, case, *args)
+        got = nabla_ON_primed(fd, case, *args)
+        want = primed_by_expansion(fd, case, *args)
         assert (got - want).norm() < 1e-13
 
 
@@ -315,22 +313,21 @@ def test_nabla_ON_section_is_the_four_cases(name, u):
     Xf, Yf = ["u2", "1-u1"], ["u1*u2", "u1"]
     T = varying_skew_field(random_skew(rng, fd.d))
     yframe = lambda q: ops.full_frame_field(q, ops.as_chart_field(q, Yf))
-    got = nabla_ON_section(M, u, Xf, yframe, T)
+    got = nabla_ON_section(fd, Xf, yframe, T)
     omX = jet_einsum("a,aij->ij", ops.as_chart_field(fd, Xf), fd.omega).val
-    want = nabla_ON(M, u, "hh", Xf, Yf) + nabla_ON(M, u, "hv", Xf, T)
-    want = want + nabla_ON(M, u, "vh", omX, Yf) + nabla_ON(M, u, "vv", omX, T)
+    want = nabla_ON(fd, "hh", Xf, Yf) + nabla_ON(fd, "hv", Xf, T)
+    want = want + nabla_ON(fd, "vh", omX, Yf) + nabla_ON(fd, "vv", omX, T)
     assert (got - want).norm() < 1e-13
     assert got.norm() > 1e-2
 
 
 def test_unknown_case_is_refused():
-    M = builtin_submanifold("sphere2")
-    u = np.array([1.1, 0.6])
+    fd = builtin_submanifold("sphere2").frame_data(np.array([1.1, 0.6]))
     with pytest.raises(FrameBundleError):
         case_pairs("hx", (["1.0", "0.0"], ["0.0", "1.0"]))
     for connection in (nabla_ON, nabla_ON_primed, grassmann_nabla, nabla_OMN):
         with pytest.raises(FrameBundleError):
-            connection(M, u, "hx", ["1.0", "0.0"], ["0.0", "1.0"])
+            connection(fd, "hx", ["1.0", "0.0"], ["0.0", "1.0"])
 
 
 X2, T3 = [1.0, 0.0], basis_T(3, 0, 1)
@@ -344,24 +341,24 @@ NAN_AT_SECOND = np.where(np.arange(3)[:, None] == 1, np.nan, np.ones((3, 3)))
 @pytest.mark.parametrize(
     "call, error, match",
     [
-        (lambda M, u: nabla_ON(M, u, "hh", X2), FrameBundleError, "takes 2 arguments, got 1"),
-        (lambda M, u: nabla_OMN(M, u, "hv", X2, T3, T3), FrameBundleError, "takes 2 arguments, got 3"),
-        (lambda M, u: grassmann_nabla(M, u, "vv", T3), FrameBundleError, "takes 2 arguments, got 1"),
-        (lambda M, u: second_fundamental_OMN(M, u, "hh", X2), OmnError, "takes 2 arguments, got 1"),
-        (lambda M, u: second_fundamental_OMN(M, u, "hv", X2, T3, T3), OmnError, "takes 2 arguments, got 3"),
-        (lambda M, u: curvature_OMN(M, u, "hhh", X2, X2), OmnError, "takes 3 arguments, got 2"),
-        (lambda M, u: lifted(M, u, horizontal=[1.0, 2.0]), FrameBundleError, re.escape("shape (3,)")),
-        (lambda M, u: lifted(M, u, vertical=np.zeros((2, 2))), FrameBundleError, re.escape("shape (3, 3)")),
-        (lambda M, u: grassmann_vector(M, u, vertical=np.zeros((2, 2))), FrameBundleError, re.escape("shape (3, 3)")),
-        (lambda M, u: lifted(M, u, horizontal=[np.nan, 0.0, 0.0]), FrameBundleError, NAMES_POINT),
-        (lambda M, u: lifted(M, u, vertical=np.full((3, 3), np.nan)), FrameBundleError, NAMES_POINT),
-        (lambda M, u: lifted(M, np.ones((3, 3))), FrameBundleError, re.escape("shape (2,) or (n, 2), got (3, 3)")),
-        (lambda M, u: lifted(M, np.ones((2, 3, 2))), FrameBundleError, re.escape("got (2, 3, 2)")),
-        (lambda M, u: lifted(M, U3, horizontal=np.ones((2, 3))), FrameBundleError, re.escape("shape (3, 3) or (3,)")),
-        (lambda M, u: lifted(M, U3, vertical=np.zeros((2, 3, 3))), FrameBundleError, re.escape("(3, 3, 3) or (3, 3)")),
-        (lambda M, u: lifted(M, U3, horizontal=NAN_AT_SECOND), FrameBundleError, re.escape("at u = [1.0, 0.5]")),
+        (lambda M, fd: nabla_ON(fd, "hh", X2), FrameBundleError, "takes 2 arguments, got 1"),
+        (lambda M, fd: nabla_OMN(fd, "hv", X2, T3, T3), FrameBundleError, "takes 2 arguments, got 3"),
+        (lambda M, fd: grassmann_nabla(fd, "vv", T3), FrameBundleError, "takes 2 arguments, got 1"),
+        (lambda M, fd: second_fundamental_OMN(fd, "hh", X2), OmnError, "takes 2 arguments, got 1"),
+        (lambda M, fd: second_fundamental_OMN(fd, "hv", X2, T3, T3), OmnError, "takes 2 arguments, got 3"),
+        (lambda M, fd: curvature_OMN(fd, "hhh", X2, X2), OmnError, "takes 3 arguments, got 2"),
+        (lambda M, fd: lifted(fd, horizontal=[1.0, 2.0]), FrameBundleError, re.escape("shape (3,)")),
+        (lambda M, fd: lifted(fd, vertical=np.zeros((2, 2))), FrameBundleError, re.escape("shape (3, 3)")),
+        (lambda M, fd: grassmann_vector(fd, vertical=np.zeros((2, 2))), FrameBundleError, re.escape("shape (3, 3)")),
+        (lambda M, fd: lifted(fd, horizontal=[np.nan, 0.0, 0.0]), FrameBundleError, NAMES_POINT),
+        (lambda M, fd: lifted(fd, vertical=np.full((3, 3), np.nan)), FrameBundleError, NAMES_POINT),
+        (lambda M, fd: M.frame_data(np.ones((3, 3))), FrameError, re.escape("shape (2,) or (n, 2), got (3, 3)")),
+        (lambda M, fd: M.frame_data(np.ones((2, 3, 2))), FrameError, re.escape("got (2, 3, 2)")),
+        (lambda M, fd: lifted(M.frame_data(U3), horizontal=np.ones((2, 3))), FrameBundleError, re.escape("shape (3, 3) or (3,)")),
+        (lambda M, fd: lifted(M.frame_data(U3), vertical=np.zeros((2, 3, 3))), FrameBundleError, re.escape("(3, 3, 3) or (3, 3)")),
+        (lambda M, fd: lifted(M.frame_data(U3), horizontal=NAN_AT_SECOND), FrameBundleError, re.escape("at u = [1.0, 0.5]")),
         (
-            lambda M, u: omn_plane(M, U3, ("hprime", [X2, X2, [0.0, 0.0]]), ("vertical", T3)),
+            lambda M, fd: omn_plane(M.frame_data(U3), ("hprime", [X2, X2, [0.0, 0.0]]), ("vertical", T3)),
             OmnError,
             re.escape("horizontal direction vanishes at u = [0.9, 0.3]"),
         ),
@@ -378,8 +375,8 @@ NAN_AT_SECOND = np.where(np.arange(3)[:, None] == 1, np.nan, np.ones((3, 3)))
         "grassmann_vector-vertical",
         "lifted-horizontal-not-finite",
         "lifted-vertical-not-finite",
-        "frame_at-batch-shape",
-        "frame_at-batch-ndim",
+        "frame_data-batch-shape",
+        "frame_data-batch-ndim",
         "lifted-horizontal-batch",
         "lifted-vertical-batch",
         "lifted-batch-not-finite",
@@ -391,27 +388,49 @@ def test_wrong_arity_or_shape_is_refused(call, error, match):
     module's own error and names what was expected; on a batch, a value that
     fails at some points names the first of them."""
     M = builtin_submanifold("sphere2")
+    fd = M.frame_data(np.array([1.1, 0.6]))
     with pytest.raises(error, match=match):
-        call(M, np.array([1.1, 0.6]))
+        call(M, fd)
+
+
+@pytest.mark.parametrize("frames", ["two-manifolds-one-point", "one-manifold-two-point-sets"])
+def test_vectors_at_different_frames_are_refused(frames):
+    """A lifted vector holds its frame, and +, - and the Sasaki-Mok metric
+    combine only vectors at the same frame object: one point of two
+    manifolds, or two point sets of one manifold (of the same shape, so
+    that the parts would combine silently), are different frames."""
+    if frames == "two-manifolds-one-point":
+        u = np.array([1.1, 0.6])
+        fa, fb = (builtin_submanifold("sphere2").frame_data(u) for _ in range(2))
+    else:
+        M = builtin_submanifold("sphere2")
+        fa, fb = M.frame_data(U3), M.frame_data(U3[::-1])
+    v, w = lifted(fa, horizontal=[0.3, -1.0, 2.0]), lifted(fb, vertical=T3)
+    for combine in (lambda a, b: a + b, lambda a, b: a - b, sasaki_mok_inner):
+        with pytest.raises(FrameBundleError, match="lifted vectors live at different frames"):
+            combine(v, w)
+    # at one frame they combine: a horizontal and a vertical part are orthogonal
+    assert np.all(sasaki_mok_inner(v, lifted(fa, vertical=T3)) == 0.0)
 
 
 def lifted_parts(v):
     return v.horizontal, v.vertical
 
 
-# Each function on the batch U3 against the same function at each point of
-# it, as the parts it returns; every per-point input is the same at each point.
+# Each function on the frame of the batch U3 against the same function on the
+# frame of each point of it, as the parts it returns; every per-point input is
+# the same at each point.
 BATCH_CALLS = {
-    "lifted": lambda M, u: lifted_parts(lifted(M, u, horizontal=[0.3, -1.0, 2.0], vertical=T3)),
-    "nabla_OMN": lambda M, u: lifted_parts(nabla_OMN(M, u, "hv", ["u2", "1-u1*u2"], T3)),
-    "curvature_OMN": lambda M, u: lifted_parts(curvature_OMN(M, u, "hhh", X2, ["u1", "u2"], [0.5, 0.2])),
-    "mean_curvature_OMN": lambda M, u: (
+    "lifted": lambda fd: lifted_parts(lifted(fd, horizontal=[0.3, -1.0, 2.0], vertical=T3)),
+    "nabla_OMN": lambda fd: lifted_parts(nabla_OMN(fd, "hv", ["u2", "1-u1*u2"], T3)),
+    "curvature_OMN": lambda fd: lifted_parts(curvature_OMN(fd, "hhh", X2, ["u1", "u2"], [0.5, 0.2])),
+    "mean_curvature_OMN": lambda fd: (
         lambda r: lifted_parts(r.H) + (r.z_pairings, r.t_pairings, r.norm)
-    )(mean_curvature_OMN(M, u)),
-    "tension_field": lambda M, u: lifted_parts(tension_field(M, u)),
-    "omn_plane": lambda M, u: (
+    )(mean_curvature_OMN(fd)),
+    "tension_field": lambda fd: lifted_parts(tension_field(fd, frame_trace(fd))),
+    "omn_plane": lambda fd: (
         lambda pl: lifted_parts(pl.v1) + lifted_parts(pl.v2) + (sectional_OMN(pl),)
-    )(omn_plane(M, u, ("hprime", X2), ("hprime", [0.3, 1.0]))),
+    )(omn_plane(fd, ("hprime", X2), ("hprime", [0.3, 1.0]))),
 }
 
 
@@ -420,8 +439,8 @@ def test_batch_agrees_with_pointwise(name):
     """On the frame of a batch each function gives, at every point, what it
     gives on that point's own frame."""
     M = builtin_submanifold("sphere2")
-    batched = BATCH_CALLS[name](M, U3)
-    per_point = [BATCH_CALLS[name](M, u) for u in U3]
+    batched = BATCH_CALLS[name](M.frame_data(U3))
+    per_point = [BATCH_CALLS[name](M.frame_data(u)) for u in U3]
     for k, got in enumerate(batched):
         want = np.stack([np.asarray(parts[k]) for parts in per_point])
         assert np.shape(got) == want.shape, (name, k)
@@ -432,9 +451,8 @@ def test_batch_agrees_with_pointwise(name):
 
 
 def test_decompose_plane_tangent_untouched():
-    M = builtin_submanifold("plane")
-    u = np.array([0.2, -0.3])
-    v = horizontal_lift(M, u, np.array([1.0, 2.0, 0.0]))
+    fd = builtin_submanifold("plane").frame_data(np.array([0.2, -0.3]))
+    v = horizontal_lift(fd, np.array([1.0, 2.0, 0.0]))
     t, n = decompose_OMN(v)
     assert np.max(np.abs(t.horizontal - v.horizontal)) < 1e-12
     assert np.max(np.abs(t.vertical)) < 1e-12
@@ -444,24 +462,21 @@ def test_decompose_plane_tangent_untouched():
 
 def test_decompose_circle_horizontal_lift():
     """e1^h splits into (1/3)e1^{h'} and the S-corrected remainder."""
-    M = builtin_submanifold("circle")
-    u = np.array([0.3])
-    e1 = M.frame_data(u).E.val[:, 0]
-    t, n = decompose_OMN(horizontal_lift(M, u, e1))
-    third = (1.0 / 3.0) * horizontal_lift_prime(M, u, e1)
+    fd = builtin_submanifold("circle").frame_data(np.array([0.3]))
+    e1 = fd.E.val[:, 0]
+    t, n = decompose_OMN(horizontal_lift(fd, e1))
+    third = (1.0 / 3.0) * horizontal_lift_prime(fd, e1)
     assert np.max(np.abs(t.horizontal - third.horizontal)) < 1e-12
     assert np.max(np.abs(t.vertical - third.vertical)) < 1e-12
     # e1 has frame components (1, 0)
     assert np.max(np.abs(n.horizontal - (2.0 / 3.0) * np.array([1.0, 0.0]))) < 1e-12
-    fd = M.frame_data(u)
     smat = ops.s_field_matrix(fd, fd.uspace.constant(np.array([1.0]))).val
     assert np.max(np.abs(n.vertical + smat / 3.0)) < 1e-12
 
 
 def test_decompose_h_type_vertical_is_tangent():
-    M = builtin_submanifold("plane3")
-    u = np.array([0.2, 0.1, -0.4])
-    v = lifted(M, u, vertical=basis_T(4, 0, 1))
+    fd = builtin_submanifold("plane3").frame_data(np.array([0.2, 0.1, -0.4]))
+    v = lifted(fd, vertical=basis_T(4, 0, 1))
     t, n = decompose_OMN(v)
     assert np.max(np.abs(t.vertical - v.vertical)) < 1e-12
     assert np.max(np.abs(n.vertical)) < 1e-12
@@ -471,13 +486,11 @@ def test_decompose_h_type_vertical_is_tangent():
 @pytest.mark.parametrize("name,u", ALL_BUILTINS)
 def test_decompose_reconstructs_and_orthogonal(name, u):
     rng = np.random.default_rng(5)
-    M = builtin_submanifold(name)
-    fd = M.frame_data(u)
+    fd = builtin_submanifold(name).frame_data(u)
     d = fd.d
     for _ in range(3):
         v = lifted(
-            M,
-            u,
+            fd,
             horizontal=rng.normal(size=d),
             vertical=random_skew(rng, d),
         )
@@ -497,27 +510,25 @@ def test_decompose_against_generators(name, u):
     """The tangent part pairs to zero with every normal generator and the
     normal part with every tangent generator."""
     rng = np.random.default_rng(6)
-    M = builtin_submanifold(name)
-    fd = M.frame_data(u)
+    fd = builtin_submanifold(name).frame_data(u)
     v = lifted(
-        M,
-        u,
+        fd,
         horizontal=rng.normal(size=fd.d),
         vertical=random_skew(rng, fd.d),
     )
     t, n = decompose_OMN(v)
-    for gen in normal_generators(M, u):
+    for gen in normal_generators(fd):
         assert abs(sasaki_mok_inner(t, gen)) < 1e-10
-    for gen in tangent_generators(M, u):
+    for gen in tangent_generators(fd):
         assert abs(sasaki_mok_inner(n, gen)) < 1e-10
 
 
 @pytest.mark.parametrize("name,u", ALL_BUILTINS)
 def test_generator_families_orthogonal(name, u):
-    M = builtin_submanifold(name)
-    tg = tangent_generators(M, u)
-    ng = normal_generators(M, u)
-    p, d = M.p, M.frame_data(u).d
+    fd = builtin_submanifold(name).frame_data(u)
+    tg = tangent_generators(fd)
+    ng = normal_generators(fd)
+    d = fd.d
     assert len(tg) + len(ng) == d + d * (d - 1) // 2
     for a in tg:
         for b in ng:
@@ -525,7 +536,6 @@ def test_generator_families_orthogonal(name, u):
 
 
 def test_generator_counts():
-    M = builtin_submanifold("clifford")
-    u = np.array([0.4, -0.7])
-    assert len(tangent_generators(M, u)) == 2 + 1  # p lifts + dim so(2), so(1) empty
-    assert len(normal_generators(M, u)) == 1 + 2  # one normal lift + p*n verticals
+    fd = builtin_submanifold("clifford").frame_data(np.array([0.4, -0.7]))
+    assert len(tangent_generators(fd)) == 2 + 1  # p lifts + dim so(2), so(1) empty
+    assert len(normal_generators(fd)) == 1 + 2  # one normal lift + p*n verticals

@@ -50,19 +50,18 @@ def curved_cap():
 
 
 def test_grassmann_vector_rejects_diagonal_blocks():
-    M = builtin_submanifold("sphere2")
+    fd = builtin_submanifold("sphere2").frame_data([1.0, 0.3])
     bad = np.zeros((3, 3))
     bad[0, 1] = 1.0
     bad[1, 0] = -1.0
-    with pytest.raises(GaussMapError):
-        grassmann_vector(M, [1.0, 0.3], vertical=bad)
+    with pytest.raises(GaussMapError, match=re.escape("zero diagonal blocks, not at u = [1.0, 0.3]")):
+        grassmann_vector(fd, vertical=bad)
 
 
 def test_grassmann_vector_arithmetic():
-    M = builtin_submanifold("sphere2")
-    u = np.array([1.0, 0.2])
+    fd = builtin_submanifold("sphere2").frame_data(np.array([1.0, 0.2]))
     T = basis_T(3, 0, 2)
-    v = grassmann_vector(M, u, horizontal=[0.1, 0.0, 0.0], vertical=T)
+    v = grassmann_vector(fd, horizontal=[0.1, 0.0, 0.0], vertical=T)
     w = 2.0 * v - v
     assert np.allclose(w.horizontal, v.horizontal)
     assert np.allclose(w.vertical, v.vertical)
@@ -70,18 +69,17 @@ def test_grassmann_vector_arithmetic():
 
 
 def test_grassmann_inner_vertical_is_trace_form():
-    M = builtin_submanifold("plane3")
-    u = np.array([0.1, 0.2, 0.3])
+    fd = builtin_submanifold("plane3").frame_data(np.array([0.1, 0.2, 0.3]))
     T = basis_T(4, 1, 3)
-    v = grassmann_vector(M, u, vertical=T)
+    v = grassmann_vector(fd, vertical=T)
     assert abs(sasaki_mok_inner(v, v) - 1.0) < 1e-12
     assert abs(v.norm() - 1.0) < 1e-12
 
 
 def test_grassmann_inner_rejects_mismatched_points():
     M = builtin_submanifold("plane")
-    v = grassmann_vector(M, [0.0, 0.0], horizontal=[1.0, 0.0, 0.0])
-    w = grassmann_vector(M, [0.5, 0.0], horizontal=[1.0, 0.0, 0.0])
+    v = grassmann_vector(M.frame_data([0.0, 0.0]), horizontal=[1.0, 0.0, 0.0])
+    w = grassmann_vector(M.frame_data([0.5, 0.0]), horizontal=[1.0, 0.0, 0.0])
     with pytest.raises(FrameBundleError):
         sasaki_mok_inner(v, w)
 
@@ -90,30 +88,25 @@ def test_grassmann_inner_rejects_mismatched_points():
 
 
 def test_pushforward_plane_has_no_vertical_part():
-    M = builtin_submanifold("plane")
-    v = gauss_pushforward(M, [0.3, -0.7], [1.0, 2.0])
+    v = gauss_pushforward(builtin_submanifold("plane").frame_data([0.3, -0.7]), [1.0, 2.0])
     assert np.allclose(v.horizontal, [1.0, 2.0, 0.0])
     assert np.max(np.abs(v.vertical)) == 0.0
 
 
 def test_pushforward_circle_vertical_is_s_matrix():
-    M = builtin_submanifold("circle")
-    u = np.array([0.4])
-    fd = M.frame_data(u)
+    fd = builtin_submanifold("circle").frame_data(np.array([0.4]))
     e1_chart = fd.C.val @ np.array([1.0])
-    v = gauss_pushforward(M, u, e1_chart)
+    v = gauss_pushforward(fd, e1_chart)
     assert np.max(np.abs(v.vertical - fd.Smats.val[0])) < 1e-12
     h, m = hm_split_mat(v.vertical, 1)
     assert np.max(np.abs(h)) == 0.0
 
 
 def test_pushforward_rejects_normal_vectors():
-    M = builtin_submanifold("sphere2")
-    u = np.array([1.0, 0.5])
-    fd = M.frame_data(u)
+    fd = builtin_submanifold("sphere2").frame_data(np.array([1.0, 0.5]))
     normal = fd.E.val[:, 2]
     with pytest.raises(FrameBundleError):
-        gauss_pushforward(M, u, normal)
+        gauss_pushforward(fd, normal)
 
 
 @pytest.mark.parametrize("name,u0", ALL_BUILTINS)
@@ -123,7 +116,7 @@ def test_pushforward_is_isometry_onto_deformed_metric(name, u0):
     for u in og.domain_samples(M, 4, seed=3):
         fd = M.frame_data(u)
         x = rng.standard_normal(M.p)
-        v = gauss_pushforward(M, u, x)
+        v = gauss_pushforward(fd, x)
         gt = float(x @ fd.gt_chart.val @ x)
         assert abs(sasaki_mok_inner(v, v) - gt) < 1e-9
 
@@ -132,10 +125,9 @@ def test_pushforward_is_isometry_onto_deformed_metric(name, u0):
 
 
 def test_nabla_plane_constant_fields_flat():
-    M = builtin_submanifold("plane")
     u = np.array([0.2, -0.1])
-    out = grassmann_nabla(M, u, "hh", ["u1", "0.5"], ["u2", "2.0*u1"])
-    fd = M.frame_data(u)
+    fd = builtin_submanifold("plane").frame_data(u)
+    out = grassmann_nabla(fd, "hh", ["u1", "0.5"], ["u2", "2.0*u1"])
     want = fd.J.val @ np.array([0.5, 2.0 * u[0]])
     assert np.allclose(fd.E.val @ out.horizontal, want)
     assert np.max(np.abs(out.vertical)) == 0.0
@@ -143,22 +135,19 @@ def test_nabla_plane_constant_fields_flat():
 
 @pytest.mark.parametrize("name,u0", ALL_BUILTINS)
 def test_nabla_vertical_vertical_vanishes(name, u0):
-    M = builtin_submanifold(name)
-    fd = M.frame_data(u0)
+    fd = builtin_submanifold(name).frame_data(u0)
     T = basis_T(fd.d, 0, fd.p) if fd.d > fd.p else basis_T(fd.d, 0, 1)
-    out = grassmann_nabla(M, u0, "vv", T, T)
+    out = grassmann_nabla(fd, "vv", T, T)
     assert out.norm() == 0.0
 
 
 @pytest.mark.parametrize("name", ["great2(0.7)", "clifford"])
 def test_nabla_mixed_horizontal_space_form_value(name):
     kap = 0.7 if name.startswith("great2") else 1.0
-    M = builtin_submanifold(name)
-    u = np.array([0.3, -0.4])
-    fd = M.frame_data(u)
+    fd = builtin_submanifold(name).frame_data(np.array([0.3, -0.4]))
     T = basis_T(fd.d, 0, fd.p)
     x = np.array([0.7, -0.2])
-    out = grassmann_nabla(M, u, "hv", fd.uspace.constant(x), T)
+    out = grassmann_nabla(fd, "hv", fd.uspace.constant(x), T)
     xF = np.concatenate([fd.Dmat.val @ x, np.zeros(fd.d - fd.p)])
     want = -kap * (T @ xF)
     assert np.max(np.abs(out.horizontal - want)) < 1e-7
@@ -167,14 +156,13 @@ def test_nabla_mixed_horizontal_space_form_value(name):
 @pytest.mark.parametrize("name,u0", CURVED)
 def test_nabla_matches_off_diagonal_part_of_frame_bundle_connection(name, u0):
     """Forgetting the diagonal blocks intertwines the two bundle connections."""
-    M = builtin_submanifold(name)
-    fd = M.frame_data(u0)
+    fd = builtin_submanifold(name).frame_data(u0)
     rng = np.random.default_rng(7)
-    xc, yc = rng.standard_normal(M.p), rng.standard_normal(M.p)
+    xc, yc = rng.standard_normal(fd.p), rng.standard_normal(fd.p)
     T = basis_T(fd.d, 0, fd.p)
     for case, a, b in [("hh", xc, yc), ("hv", xc, T), ("vh", T, yc)]:
-        up = nabla_ON(M, u0, case, a, b)
-        gr = grassmann_nabla(M, u0, case, a, b)
+        up = nabla_ON(fd, case, a, b)
+        gr = grassmann_nabla(fd, case, a, b)
         assert np.max(np.abs(gr.horizontal - up.horizontal)) < 1e-12
         _, m_up = hm_split_mat(up.vertical, fd.p)
         assert np.max(np.abs(gr.vertical - m_up)) < 1e-12
@@ -183,15 +171,26 @@ def test_nabla_matches_off_diagonal_part_of_frame_bundle_connection(name, u0):
 # -- tension field ------------------------------------------------------------
 
 
+def tension_at(M, u):
+    """The closed-form tension at the frame over u, from that frame's trace."""
+    fd = M.frame_data(u)
+    return tension_field(fd, og.frame_trace(fd))
+
+
+def residuals_at(M, u):
+    """The residual vectors at the frame over u, from that frame's trace."""
+    fd = M.frame_data(u)
+    return residual_data(fd, og.frame_trace(fd))
+
+
 def test_tension_plane_vanishes():
-    M = builtin_submanifold("plane")
-    assert tension_field(M, [0.4, -0.9]).norm() == 0.0
+    assert tension_at(builtin_submanifold("plane"), [0.4, -0.9]).norm() == 0.0
 
 
 def test_tension_sphere2_norm():
     M = builtin_submanifold("sphere2")
     for u in [np.array([1.1, 0.3]), np.array([0.8, -0.5])]:
-        tau = tension_field(M, u)
+        tau = tension_at(M, u)
         assert abs(tau.norm() - 2.0 / 3.0) < 1e-12
         assert np.max(np.abs(tau.horizontal[: M.p])) < 1e-12
         assert np.max(np.abs(tau.vertical)) < 1e-12
@@ -199,9 +198,9 @@ def test_tension_sphere2_norm():
 
 @pytest.mark.parametrize("name,u0", CURVED + [("cap", np.array([0.3, -0.2]))])
 def test_tension_two_routes_agree(name, u0):
-    M = curved_cap() if name == "cap" else builtin_submanifold(name)
-    tau = tension_field(M, u0)
-    tau_b = tension_field_pullback(M, u0)
+    fd = (curved_cap() if name == "cap" else builtin_submanifold(name)).frame_data(u0)
+    tau = tension_field(fd, og.frame_trace(fd))
+    tau_b = tension_field_pullback(fd)
     assert (tau - tau_b).norm() < 1e-6
 
 
@@ -211,7 +210,7 @@ def test_tension_frame_rotation_invariance(monkeypatch, name, u0):
     same when the frame sums run over a rotated frame."""
     M = builtin_submanifold(name)
     rng = np.random.default_rng(19)
-    tau = tension_field(M, u0)
+    tau = tension_at(M, u0)
     frames = og.tilde_frame_fields
     for _ in range(3):
         Q, _r = np.linalg.qr(rng.standard_normal((M.p, M.p)))
@@ -222,7 +221,7 @@ def test_tension_frame_rotation_invariance(monkeypatch, name, u0):
                     for B in range(M.p)]
 
         monkeypatch.setattr(og, "tilde_frame_fields", rotated)
-        tau_q = tension_field(M, u0)
+        tau_q = tension_at(M, u0)
         assert (tau - tau_q).norm() < 1e-8
 
 
@@ -230,12 +229,12 @@ def test_tension_frame_rotation_invariance(monkeypatch, name, u0):
 
 
 def test_residuals_plane_all_zero():
-    data = residual_data(builtin_submanifold("plane"), [0.1, 0.9])
+    data = residuals_at(builtin_submanifold("plane"), [0.1, 0.9])
     assert (data.r_h1, data.r_h2, data.r_h3, data.r_m2) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_residuals_sphere2_first_condition():
-    data = residual_data(builtin_submanifold("sphere2"), [1.1, 0.3])
+    data = residuals_at(builtin_submanifold("sphere2"), [1.1, 0.3])
     assert abs(data.r_h1 - 2.0 / 3.0) < 1e-12
     assert max(data.r_h2, data.r_h3, data.r_m2) < 1e-12
 
@@ -244,10 +243,10 @@ def test_residuals_sphere2_first_condition():
 def test_first_residuals_are_the_same_expression(name, u0):
     """The first minimality condition, the normal part of the mean
     curvature's horizontal part, is the first harmonicity condition h1."""
-    M = builtin_submanifold(name)
-    fd = M.frame_data(u0)
-    hval, _ = og.mean_curvature_parts(fd, og.frame_trace(fd))
-    h1 = residual_data(M, u0).h1
+    fd = builtin_submanifold(name).frame_data(u0)
+    trace = og.frame_trace(fd)
+    hval, _ = og.mean_curvature_parts(fd, trace)
+    h1 = residual_data(fd, trace).h1
     assert np.array_equal(hval[fd.p:], h1[fd.p:])
     assert not np.any(h1[: fd.p])
 
@@ -256,9 +255,9 @@ def test_first_residuals_are_the_same_expression(name, u0):
 def test_residual_vectors_match_mean_curvature_pairings(name):
     M = builtin_submanifold(name)
     for u in og.domain_samples(M, 3, seed=9):
-        mc = og.mean_curvature_OMN(M, u)
-        data = residual_data(M, u)
         fd = M.frame_data(u)
+        mc = og.mean_curvature_OMN(fd)
+        data = residual_data(fd, og.frame_trace(fd))
         assert np.max(np.abs(mc.z_pairings - data.h1[fd.p:])) < 1e-8
         for A in range(fd.p):
             for j, al in enumerate(range(fd.p, fd.d)):
@@ -318,10 +317,11 @@ def test_theorem_check_matches_pointwise(name):
     rep = theorem_check(M, samples=n, seed=seed)
     mean, harm, id_m2, id_h2 = [], [], [], []
     for u in og.domain_samples(M, n, seed=seed):
-        mean.append(og.mean_curvature_OMN(M, u).norm)
-        data = residual_data(M, u)
+        fd = M.frame_data(u)
+        mean.append(og.mean_curvature_OMN(fd).norm)
+        data = residual_data(fd, og.frame_trace(fd))
         harm.append(max(data.r_h1, data.r_h2, data.r_h3))
-        r_m2, r_h2 = gm.implication_residuals(M, data)
+        r_m2, r_h2 = gm.implication_residuals(data)
         id_m2.append(r_m2)
         id_h2.append(r_h2)
     assert abs(rep.max_mean_curvature - max(mean)) <= 1e-13
@@ -377,8 +377,9 @@ def test_two_sided_numerical_implication(name, u0):
     with a modest constant."""
     M = builtin_submanifold(name)
     for u in og.domain_samples(M, 5, seed=1):
-        data = residual_data(M, u)
+        fd = M.frame_data(u)
+        data = residual_data(fd, og.frame_trace(fd))
         eps = max(data.r_h1, data.r_h2, data.r_h3)
-        mc = og.mean_curvature_OMN(M, u).norm
+        mc = og.mean_curvature_OMN(fd).norm
         assert mc <= 10.0 * eps + 1e-12
         assert eps <= 10.0 * mc + 1e-12

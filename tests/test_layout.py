@@ -8,7 +8,9 @@ in `__all__` exists. Only `jets` calls `Jet(...)`, `finite_diff`
 imports no framelab module, and `verify` names no builtin submanifold
 outside `DEFAULT_BUILTINS`.
 A framelab module reads every name it imports with `from ... import`, or
-re-exports it in `__all__`.
+re-exports it in `__all__`. Only the few functions that turn a submanifold
+and its points into a frame read `.frame_data`; every other function is
+handed its frame.
 """
 
 import ast
@@ -261,6 +263,77 @@ def test_scan_sees_unused_imports():
     )
     found = _unused_imports(ast.parse(src))
     assert found == ["line 2: Jet", "line 2: gs", "line 6: euclidean"]
+
+
+# The functions that turn (M, points) into a frame, by module: the registry
+# run's planner, the sampled sweeps, and the finite-difference oracle's frames
+# at u and at its stencils. Every other function takes the frame it reads.
+FRAME_LOOKUPS = {
+    ("gauss_map", "theorem_check"),
+    ("omn_geometry", "is_totally_geodesic"),
+    ("verify", "_ev_space_form_sectional_nonnegative"),
+    ("verify", "_plan"),
+    ("verify", "fd_oracle"),
+    ("verify", "jet_value"),
+}
+
+
+def _frame_lookups(tree: ast.Module) -> list[str]:
+    """The module-level functions and methods of a source that read a
+    `.frame_data` attribute, to call it or to pass it on."""
+    found = []
+    for top in tree.body:
+        defs = top.body if isinstance(top, ast.ClassDef) else [top]
+        for fn in defs:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Attribute) and node.attr == "frame_data" for node in ast.walk(fn)
+            ):
+                found.append(fn.name)
+    return found
+
+
+def _identifiers(tree: ast.Module) -> set[str]:
+    """Every name a source defines, imports, reads or reads as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_frames_are_looked_up_only_where_points_become_frames():
+    """Geometry functions take the frame they evaluate at, and a lifted
+    vector holds its frame, so no frame is looked up again by its points
+    outside the entry points that sample."""
+    found = {(name, fn) for name in MODULES for fn in _frame_lookups(ast.parse(SOURCES[name].read_text()))}
+    assert found == FRAME_LOOKUPS
+    assert [name for name in MODULES if "frame_at" in _identifiers(ast.parse(SOURCES[name].read_text()))] == []
+
+
+def test_scan_sees_frame_lookups():
+    src = (
+        "from functools import partial\n"
+        "def sweep(M, U):\n"
+        "    return M.frame_data(U)\n"
+        "def oracle(M, u):\n"
+        "    return partial(M.frame_data, order=2)\n"
+        "class Lens:\n"
+        "    def look(self, u):\n"
+        "        return (lambda: self.sub.frame_data(u))()\n"
+        "def geometry(fd):\n"
+        "    return fd.frame_components(fd.x0)\n"
+        "def frame_at(M, u):\n"
+        "    pass\n"
+    )
+    tree = ast.parse(src)
+    assert _frame_lookups(tree) == ["sweep", "oracle", "look"]
+    assert {"frame_at", "frame_data", "partial", "frame_components"} <= _identifiers(tree)
 
 
 def test_benchmark_tracer_hooks_resolve():

@@ -89,38 +89,35 @@ def curved_cap():
 
 def test_nabla_omn_plane_is_flat_derivative():
     # flat base, trivial frame: the result is just the primed lift of X(Y)
-    M = builtin_submanifold("plane")
     u = np.array([0.3, -0.4])
-    got = nabla_OMN(M, u, "hh", ["1.0", "0.0"], ["u2", "u1*u1"])
+    fd = builtin_submanifold("plane").frame_data(u)
+    got = nabla_OMN(fd, "hh", ["1.0", "0.0"], ["u2", "u1*u1"])
     # d/du1 of (u2, u1^2) along (1,0) is (0, 2 u1)
-    want = horizontal_lift_prime(M, u, np.array([0.0, 2.0 * u[0]]))
+    want = horizontal_lift_prime(fd, np.array([0.0, 2.0 * u[0]]))
     assert (got - want).norm() < 1e-12
 
 
 def test_nabla_omn_vertical_commutator():
-    M = builtin_submanifold("plane3")
-    u = np.array([0.1, 0.2, -0.4])
+    fd = builtin_submanifold("plane3").frame_data(np.array([0.1, 0.2, -0.4]))
     T = basis_T(4, 0, 1)
     Tp = basis_T(4, 0, 2)
-    got = nabla_OMN(M, u, "vv", T, Tp)
+    got = nabla_OMN(fd, "vv", T, Tp)
     want = 0.5 * (Tp @ T - T @ Tp)
     assert np.max(np.abs(got.vertical - want)) < 1e-14
     assert np.max(np.abs(got.horizontal)) < 1e-14
 
 
 def test_nabla_omn_rejects_mixed_vertical():
-    M = builtin_submanifold("clifford")
-    u = np.array([0.4, -0.7])
+    fd = builtin_submanifold("clifford").frame_data(np.array([0.4, -0.7]))
     with pytest.raises(OmnError):
-        nabla_OMN(M, u, "hv", ["1.0", "0.0"], basis_T(3, 0, 2))
+        nabla_OMN(fd, "hv", ["1.0", "0.0"], basis_T(3, 0, 2))
 
 
 # -- curvature ---------------------------------------------------------------
 
 
 def test_curvature_plane_all_zero_except_pure_vertical():
-    M = builtin_submanifold("plane3")
-    u = np.array([0.1, 0.2, -0.4])
+    fd = builtin_submanifold("plane3").frame_data(np.array([0.1, 0.2, -0.4]))
     X, Y, Z = (["1.0", "0.0", "0.0"], ["0.0", "1.0", "0.0"], ["0.0", "0.0", "1.0"])
     T = basis_T(4, 0, 1)
     Tp = basis_T(4, 0, 2)
@@ -131,16 +128,15 @@ def test_curvature_plane_all_zero_except_pure_vertical():
         ("hvv", (X, T, Tp)),
         ("vvh", (T, Tp, Z)),
     ]:
-        assert curvature_OMN(M, u, case, *args).norm() < 1e-12
+        assert curvature_OMN(fd, case, *args).norm() < 1e-12
     # [T, Tp] lands on the (1,2) generator, so closing the bracket against T
     # itself is nonzero
-    vvv = curvature_OMN(M, u, "vvv", T, Tp, T)
+    vvv = curvature_OMN(fd, "vvv", T, Tp, T)
     assert vvv.norm() > 1e-3
 
 
 def test_curvature_pure_vertical_nested_commutator():
-    M = builtin_submanifold("plane3")
-    u = np.array([0.1, 0.2, -0.4])
+    fd = builtin_submanifold("plane3").frame_data(np.array([0.1, 0.2, -0.4]))
     rng = np.random.default_rng(11)
     mats = []
     for seed in (1, 2, 3):
@@ -152,7 +148,7 @@ def test_curvature_pure_vertical_nested_commutator():
                     m[j, i] = -m[i, j]
         mats.append(m)
     T, Tp, Tpp = mats
-    got = curvature_OMN(M, u, "vvv", T, Tp, Tpp)
+    got = curvature_OMN(fd, "vvv", T, Tp, Tpp)
     comm = T @ Tp - Tp @ T
     want = -0.25 * (comm @ Tpp - Tpp @ comm)
     assert np.max(np.abs(got.vertical - want)) == 0.0
@@ -164,40 +160,38 @@ def test_curvature_great2_space_form_closed_form():
     # horizontal-horizontal-horizontal case collapses to a constant-curvature
     # tensor with the squared-curvature correction
     kap = 0.7
-    M = builtin_submanifold(f"great2({kap})")
-    u = np.array([0.25, -0.3])
-    fd = M.frame_data(u)
+    fd = builtin_submanifold(f"great2({kap})").frame_data(np.array([0.25, -0.3]))
     rng = np.random.default_rng(7)
     Xc, Yc, Zc = rng.normal(size=(3, 2))
-    got = curvature_OMN(M, u, "hhh", Xc, Yc, Zc)
+    got = curvature_OMN(fd, "hhh", Xc, Yc, Zc)
     gt = fd.gt_chart.val
     coef = kap - 1.5 * kap * kap
     chart = coef * ((Yc @ gt @ Zc) * Xc - (Xc @ gt @ Zc) * Yc)
-    want = horizontal_lift_prime(M, u, chart)
+    want = horizontal_lift_prime(fd, chart)
     assert (got - want).norm() < 1e-6
     assert got.norm() > 1e-2
 
 
 @pytest.mark.parametrize("name,u", [("catenoid", np.array([0.4, 0.2])), ("clifford", np.array([0.3, -0.7]))])
 def test_curvature_antisymmetry(name, u):
-    M = builtin_submanifold(name)
-    p, d = M.p, M.ambient.dim
+    fd = builtin_submanifold(name).frame_data(u)
+    p, d = fd.p, fd.d
     X = tangent_exprs(p, "x")
     Y = tangent_exprs(p, "y")
     Z = tangent_exprs(p, "z")
     T = h_endo_field(p, d, seed=3)
     Tp = h_endo_field(p, d, seed=5)
-    a = curvature_OMN(M, u, "hhh", X, Y, Z)
-    b = curvature_OMN(M, u, "hhh", Y, X, Z)
+    a = curvature_OMN(fd, "hhh", X, Y, Z)
+    b = curvature_OMN(fd, "hhh", Y, X, Z)
     assert (a + b).norm() < 1e-6
-    a = curvature_OMN(M, u, "hhv", X, Y, T)
-    b = curvature_OMN(M, u, "hhv", Y, X, T)
+    a = curvature_OMN(fd, "hhv", X, Y, T)
+    b = curvature_OMN(fd, "hhv", Y, X, T)
     assert (a + b).norm() < 1e-6
-    a = curvature_OMN(M, u, "vvh", T, Tp, Z)
-    b = curvature_OMN(M, u, "vvh", Tp, T, Z)
+    a = curvature_OMN(fd, "vvh", T, Tp, Z)
+    b = curvature_OMN(fd, "vvh", Tp, T, Z)
     assert (a + b).norm() < 1e-6
-    a = curvature_OMN(M, u, "vvv", T, Tp, T)
-    b = curvature_OMN(M, u, "vvv", Tp, T, T)
+    a = curvature_OMN(fd, "vvv", T, Tp, T)
+    b = curvature_OMN(fd, "vvv", Tp, T, T)
     assert (a + b).norm() < 1e-12
 
 
@@ -205,33 +199,29 @@ def test_curvature_antisymmetry(name, u):
 
 
 def test_sectional_great2_half_horizontal():
-    M = builtin_submanifold("great2(0.5)")
-    u = np.array([0.2, -0.35])
-    pl = omn_plane(M, u, ("hprime", [1.0, 0.0]), ("hprime", [0.0, 1.0]))
+    fd = builtin_submanifold("great2(0.5)").frame_data(np.array([0.2, -0.35]))
+    pl = omn_plane(fd, ("hprime", [1.0, 0.0]), ("hprime", [0.0, 1.0]))
     assert abs(sectional_OMN(pl) - 0.125) < 1e-9
 
 
 def test_sectional_vertical_sixteenth():
-    M = builtin_submanifold("plane3")
-    u = np.array([0.1, 0.2, -0.4])
-    pl = omn_plane(M, u, ("vertical", basis_T(4, 0, 1)), ("vertical", basis_T(4, 0, 2)))
+    fd = builtin_submanifold("plane3").frame_data(np.array([0.1, 0.2, -0.4]))
+    pl = omn_plane(fd, ("vertical", basis_T(4, 0, 1)), ("vertical", basis_T(4, 0, 2)))
     assert abs(sectional_OMN(pl) - 1.0 / 16.0) < 1e-12
 
 
 def test_sectional_plane_horizontal_zero():
-    M = builtin_submanifold("plane")
-    u = np.array([0.3, -0.5])
-    pl = omn_plane(M, u, ("hprime", [1.0, 0.4]), ("hprime", [-0.2, 1.0]))
+    fd = builtin_submanifold("plane").frame_data(np.array([0.3, -0.5]))
+    pl = omn_plane(fd, ("hprime", [1.0, 0.4]), ("hprime", [-0.2, 1.0]))
     assert abs(sectional_OMN(pl)) < 1e-12
 
 
 def test_omn_plane_validates():
-    M = builtin_submanifold("catenoid")
-    u = np.array([0.4, 0.2])
+    fd = builtin_submanifold("catenoid").frame_data(np.array([0.4, 0.2]))
     with pytest.raises(OmnError):
-        omn_plane(M, u, ("hprime", [1.0, 0.0]), ("hprime", [2.0, 0.0]))
+        omn_plane(fd, ("hprime", [1.0, 0.0]), ("hprime", [2.0, 0.0]))
     with pytest.raises(OmnError):
-        omn_plane(M, u, ("vertical", basis_T(3, 0, 2)), ("hprime", [1.0, 0.0]))
+        omn_plane(fd, ("vertical", basis_T(3, 0, 2)), ("hprime", [1.0, 0.0]))
     # a vanishing first direction is refused, not normalised to NaN
     for spec1, spec2 in (
         (("hprime", [0.0, 0.0]), ("hprime", [1.0, 0.0])),
@@ -239,8 +229,8 @@ def test_omn_plane_validates():
         (("vertical", np.zeros((3, 3))), ("vertical", basis_T(3, 0, 1))),
     ):
         with pytest.raises(OmnError, match="vanishes"):
-            omn_plane(M, u, spec1, spec2)
-    pl = omn_plane(M, u, ("vertical", basis_T(3, 0, 1)), ("hprime", [1.0, 0.0]))
+            omn_plane(fd, spec1, spec2)
+    pl = omn_plane(fd, ("vertical", basis_T(3, 0, 1)), ("hprime", [1.0, 0.0]))
     assert pl.kind == "hv"
     assert abs(sasaki_mok_inner(pl.v1, pl.v2)) < 1e-10
     assert abs(sasaki_mok_inner(pl.v1, pl.v1) - 1.0) < 1e-10
@@ -254,7 +244,7 @@ def test_omn_plane_batch_refusal_marks_its_points():
     U = domain_samples(M, 4, seed=2)
     x = np.array([[1.0, 0.0], [0.0, 0.0], [0.3, 1.0], [0.0, 0.0]])
     with pytest.raises(OmnError, match=re.escape(f"vanishes at u = {U[1].tolist()}")) as exc:
-        omn_plane(M, U, ("hprime", x), ("vertical", basis_T(3, 0, 1)))
+        omn_plane(M.frame_data(U), ("hprime", x), ("vertical", basis_T(3, 0, 1)))
     assert exc.value.where.tolist() == [False, True, False, True]
 
 
@@ -263,36 +253,33 @@ def test_omn_plane_batch_refusal_marks_its_points():
 
 def test_pi_symmetric_and_normal():
     for name, u in CURVED:
-        M = builtin_submanifold(name)
-        p = M.p
-        X = tangent_exprs(p, "x")
-        Y = tangent_exprs(p, "y")
-        a = second_fundamental_OMN(M, u, "hh", X, Y)
-        b = second_fundamental_OMN(M, u, "hh", Y, X)
+        fd = builtin_submanifold(name).frame_data(u)
+        X = tangent_exprs(fd.p, "x")
+        Y = tangent_exprs(fd.p, "y")
+        a = second_fundamental_OMN(fd, "hh", X, Y)
+        b = second_fundamental_OMN(fd, "hh", Y, X)
         assert (a - b).norm() < 1e-8
-        for gen in tangent_generators(M, u):
+        for gen in tangent_generators(fd):
             assert abs(sasaki_mok_inner(a, gen)) < 1e-8
 
 
 def test_pi_vertical_vertical_zero():
     for name, u in ALL_BUILTINS:
-        M = builtin_submanifold(name)
-        d = M.ambient.dim
-        pi = second_fundamental_OMN(M, u, "vv", basis_T(d, 0, 1), basis_T(d, 0, 1))
+        fd = builtin_submanifold(name).frame_data(u)
+        pi = second_fundamental_OMN(fd, "vv", basis_T(fd.d, 0, 1), basis_T(fd.d, 0, 1))
         assert pi.norm() == 0.0
 
 
 def test_pi_plane_zero():
-    M = builtin_submanifold("plane")
-    u = np.array([0.3, -0.5])
-    pi = second_fundamental_OMN(M, u, "hh", ["1.0", "u2"], ["u1", "0.3"])
+    fd = builtin_submanifold("plane").frame_data(np.array([0.3, -0.5]))
+    pi = second_fundamental_OMN(fd, "hh", ["1.0", "u2"], ["u1", "0.3"])
     assert pi.norm() < 1e-12
 
 
 def test_mean_curvature_sphere2_value():
     M = builtin_submanifold("sphere2")
     for u in (np.array([0.9, 0.3]), np.array([1.6, -0.8])):
-        rep = mean_curvature_OMN(M, u)
+        rep = mean_curvature_OMN(M.frame_data(u))
         assert rep.z_pairings.shape == (1,)
         assert abs(rep.z_pairings[0] + 2.0 / 3.0) < 1e-8
         assert np.max(np.abs(rep.t_pairings)) < 1e-8
@@ -300,17 +287,15 @@ def test_mean_curvature_sphere2_value():
 
 
 def test_mean_curvature_plane_zero():
-    M = builtin_submanifold("plane")
-    rep = mean_curvature_OMN(M, np.array([0.3, -0.5]))
+    rep = mean_curvature_OMN(builtin_submanifold("plane").frame_data(np.array([0.3, -0.5])))
     assert rep.norm < 1e-12
 
 
 def test_mean_curvature_pairings_match_generators():
     for name, u in [("sphere2", np.array([0.9, 0.3])), ("catenoid", np.array([0.4, 0.2])), ("clifford", np.array([0.3, -0.7]))]:
-        M = builtin_submanifold(name)
-        rep = mean_curvature_OMN(M, u)
-        gens = normal_generators(M, u)
-        n = M.n
+        fd = builtin_submanifold(name).frame_data(u)
+        rep = mean_curvature_OMN(fd)
+        gens = normal_generators(fd)
         flat = list(rep.z_pairings) + list(rep.t_pairings.reshape(-1))
         for coeff, gen in zip(flat, gens):
             assert abs(coeff - sasaki_mok_inner(rep.H, gen)) < 1e-10
@@ -322,20 +307,21 @@ def test_mean_curvature_is_trace_of_second_fundamental_form(name):
     registry checks against the projection of the ambient connection."""
     M = curved_cap() if name == "cap" else builtin_submanifold(name)
     for u in domain_samples(M, 3, seed=4):
-        E = tilde_frame_fields(M.frame_data(u))
-        trace = second_fundamental_OMN(M, u, "hh", E[0], E[0])
+        fd = M.frame_data(u)
+        E = tilde_frame_fields(fd)
+        trace = second_fundamental_OMN(fd, "hh", E[0], E[0])
         for Ec in E[1:]:
-            trace = trace + second_fundamental_OMN(M, u, "hh", Ec, Ec)
-        H = mean_curvature_OMN(M, u).H
+            trace = trace + second_fundamental_OMN(fd, "hh", Ec, Ec)
+        H = mean_curvature_OMN(fd).H
         assert np.max(np.abs(H.horizontal - trace.horizontal)) < 1e-12
         assert np.max(np.abs(H.vertical - trace.vertical)) < 1e-12
 
 
 def test_mean_curvature_orthogonal_to_tangent_space():
     for name, u in CURVED:
-        M = builtin_submanifold(name)
-        rep = mean_curvature_OMN(M, u)
-        for gen in tangent_generators(M, u):
+        fd = builtin_submanifold(name).frame_data(u)
+        rep = mean_curvature_OMN(fd)
+        for gen in tangent_generators(fd):
             assert abs(sasaki_mok_inner(rep.H, gen)) < 1e-8
 
 
@@ -379,10 +365,10 @@ def test_is_totally_geodesic_refuses_non_finite_residual(monkeypatch):
     bad = domain_samples(M, 4, seed=1)[2]
     pi = og.second_fundamental_OMN
 
-    def nan_at_bad_point(M, u, case, *args):
-        got = pi(M, u, case, *args)
-        at = np.all(np.asarray(u) == bad, axis=-1)[..., None]
-        return LiftedVector(M, got.u, np.where(at, np.nan, got.horizontal), got.vertical)
+    def nan_at_bad_point(fd, case, *args):
+        got = pi(fd, case, *args)
+        at = np.all(fd.u0 == bad, axis=-1)[..., None]
+        return LiftedVector(fd, np.where(at, np.nan, got.horizontal), got.vertical)
 
     monkeypatch.setattr(og, "second_fundamental_OMN", nan_at_bad_point)
     with pytest.raises(OmnError, match=re.escape(str(bad.tolist()))):

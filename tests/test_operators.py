@@ -52,12 +52,12 @@ def _thin_cylinder():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda M, u, X: L_op(M, u, [1.0, 0.5], [0.2, 1.0]),
-        lambda M, u, X: ops.solve_P(M.frame_data(u), [1.0, 0.5]),
-        lambda M, u, X: decompose_OMN(horizontal_lift(M, u, X)),
-        lambda M, u, X: second_fundamental_OMN(M, u, "hh", [1.0, 0.0], [0.0, 1.0]),
-        lambda M, u, X: mean_curvature_OMN(M, u),
-        lambda M, u, X: theorem_check(M, samples=4),
+        lambda M, fd, X: L_op(fd, [1.0, 0.5], [0.2, 1.0]),
+        lambda M, fd, X: ops.solve_P(fd, [1.0, 0.5]),
+        lambda M, fd, X: decompose_OMN(horizontal_lift(fd, X)),
+        lambda M, fd, X: second_fundamental_OMN(fd, "hh", [1.0, 0.0], [0.0, 1.0]),
+        lambda M, fd, X: mean_curvature_OMN(fd),
+        lambda M, fd, X: theorem_check(M, samples=4),
     ],
     ids=[
         "L_op",
@@ -74,20 +74,19 @@ def test_numerically_singular_P_is_refused(call):
     fd = M.frame_data(u)
     assert np.linalg.cond(fd.Pfr.val) > 1e12
     with pytest.raises(OperatorError):
-        call(M, u, tangent_from_chart(fd, [1.0, 0.5]))
+        call(M, fd, tangent_from_chart(fd, [1.0, 0.5]))
 
 
 def test_skew_endo_rejects_non_antisymmetric():
     """A vertical part is a skew endomorphism: one entry off by 1e-9 from a
     skew matrix is refused, the skew matrix itself is taken as given."""
-    M = builtin_submanifold("sphere2")
-    u = np.array([1.0, 0.5])
+    fd = builtin_submanifold("sphere2").frame_data(np.array([1.0, 0.5]))
     T = random_skew(np.random.default_rng(3), 3)
-    assert np.array_equal(lifted(M, u, vertical=T).vertical, T)
+    assert np.array_equal(lifted(fd, vertical=T).vertical, T)
     bad = T.copy()
     bad[0, 2] += 1e-9
     with pytest.raises(FrameBundleError, match="not antisymmetric"):
-        lifted(M, u, vertical=bad)
+        lifted(fd, vertical=bad)
 
 
 def test_hm_parts_reconstruct():
@@ -313,8 +312,8 @@ def test_p_derivative_expansion():
 
 def L_ambient(name, u):
     """L_X Y for the first field pair, ambient components."""
-    M = builtin_submanifold(name)
-    return M.frame_data(u).J.val @ L_op(M, u, *FIELD_PAIRS_2D[0])
+    fd = builtin_submanifold(name).frame_data(u)
+    return fd.J.val @ L_op(fd, *FIELD_PAIRS_2D[0])
 
 
 def test_L_plane_zero():

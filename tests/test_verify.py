@@ -232,11 +232,11 @@ def test_a_refused_vertical_plane_drops_only_its_point(monkeypatch):
     before = rows()
     build = og.omn_plane
 
-    def refuse_second_point(M, u, spec1, spec2):
+    def refuse_second_point(fd, spec1, spec2):
         # a point outside the mask carries the first point's directions
         if (spec1[0], spec2[0]) == ("vertical", "vertical") and not np.array_equal(spec1[1][1], spec1[1][0]):
-            raise og.OmnError("plane vectors are linearly dependent", where=np.arange(len(u)) == 1)
-        return build(M, u, spec1, spec2)
+            raise og.OmnError("plane vectors are linearly dependent", where=np.arange(len(fd.u0)) == 1)
+        return build(fd, spec1, spec2)
 
     monkeypatch.setattr(og, "omn_plane", refuse_second_point)
     after = rows()
@@ -259,6 +259,25 @@ def test_a_run_builds_one_frame_and_one_stencil(monkeypatch):
     monkeypatch.setattr(FramePointData, "__init__", counting)
     verify.run_suite("sphere2", samples=5)
     assert shapes == [(5, 2), (20, 2)]
+
+
+def test_one_frame_trace_per_evaluation(monkeypatch):
+    """condition-set-implications reads the residuals and the tension from
+    one frame trace of the run frame, as theorem_check reads H and the
+    residuals from one trace of its own: two evaluations, two traces."""
+    traces = []
+    trace = og.frame_trace
+
+    def counting(fd):
+        traces.append(fd.u0.shape)
+        return trace(fd)
+
+    monkeypatch.setattr(og, "frame_trace", counting)
+    groups = ["condition-algebra", "theorem-equivalence"]
+    report = verify.run_suite("sphere2", samples=5, groups=groups)
+    cases = sorted({r.case_id for r in report.results})
+    assert cases == ["condition-set-implications", "minimality-harmonicity-equivalence"]
+    assert traces == [(5, 2), (5, 2)]
 
 
 def test_fd_sweep_builds_stencil_frames_to_the_order_they_read(monkeypatch):
