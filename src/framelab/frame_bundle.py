@@ -31,7 +31,9 @@ X^h + bar(A), field Y^h + bar(B),
 Its restrictions are the four cases of nabla_ON (one part of each pair,
 chosen by case_pairs), nabla_ON_primed (the same cases on primed lifts, so
 A = S_X and B = S_Y where a tangent part is given) and nabla_ON_section (the
-direction is the section velocity, A = omega_X).
+direction is the section velocity, A = omega_X). Each differentiates its
+fields once and keeps values, so the fields enter as jets of order 1 (the
+depth rule of operators).
 """
 
 from __future__ import annotations
@@ -186,11 +188,12 @@ def case_pairs(case: str, args) -> tuple:
     return X, A, Y, B
 
 
-def _case_jets(fd: FramePointData, case: str, args) -> tuple:
-    """case_pairs normalised to chart jets (X, Y) and frame-matrix jets (A, B)."""
+def _case_jets(fd: FramePointData, case: str, args, order: int) -> tuple:
+    """case_pairs normalised to chart jets (X, Y) and frame-matrix jets (A, B)
+    of the order the caller differentiates them to."""
     X, A, Y, B = case_pairs(case, args)
-    chart = lambda f: None if f is None else ops.as_chart_field(fd, f)
-    endo = lambda T: None if T is None else ops.as_endo_field(fd, T)
+    chart = lambda f: None if f is None else ops.as_chart_field(fd, f, order)
+    endo = lambda T: None if T is None else ops.as_endo_field(fd, T, order)
     return chart(X), endo(A), chart(Y), endo(B)
 
 
@@ -232,7 +235,7 @@ def nabla_ON(fd: FramePointData, case: str, *args) -> LiftedVector:
     Vector fields are chart-coefficient specs; T specs are endo fields
     (callables of FramePointData) or constant frame matrices.
     """
-    Xc, A, Yc, B = _case_jets(fd, case, args)
+    Xc, A, Yc, B = _case_jets(fd, case, args, 1)
     yF = None if Yc is None else ops.full_frame_field(fd, Yc)
     return _pair_nabla_ON(fd, Xc, A, yF, B)
 
@@ -244,7 +247,7 @@ def nabla_ON_primed(fd: FramePointData, case: str, *args) -> LiftedVector:
     vertical part S_X along. case "hh": (Xf, Yf) differentiates Y^{h'} along
     X^{h'}; "hv": (Xf, T); "vh": (T, Yf); "vv": (T, Tp).
     """
-    Xc, A, Yc, B = _case_jets(fd, case, args)
+    Xc, A, Yc, B = _case_jets(fd, case, args, 1)
     yF = None
     if Xc is not None:
         A = ops.s_field_matrix(fd, Xc)
@@ -260,11 +263,13 @@ def nabla_ON_section(fd: FramePointData, Xf, yframe, endof) -> LiftedVector:
     The field is V(u) = (sum_i yframe_i(u) e_i(u))^h + bar(T(u)) with yframe a
     callable of FramePointData giving (d,) frame-component jets and endof an
     endo field. The direction is the section velocity over the tangent field
-    Xf, X^h + bar(omega_X) with omega_X = sum_a X^a omega^a.
+    Xf, X^h + bar(omega_X) with omega_X = sum_a X^a omega^a. X and T enter
+    at order 1, the one derivative the connection takes of them; yframe's
+    jets are cut where they meet X.
     """
-    Xc = ops.as_chart_field(fd, Xf)
+    Xc = ops.as_chart_field(fd, Xf, 1)
     omX = ops.omega_along(fd, Xc)
-    return _pair_nabla_ON(fd, Xc, omX, yframe(fd), ops.as_endo_field(fd, endof))
+    return _pair_nabla_ON(fd, Xc, omX, yframe(fd), ops.as_endo_field(fd, endof, 1))
 
 
 def decompose_OMN(v: LiftedVector) -> tuple[LiftedVector, LiftedVector]:

@@ -98,7 +98,7 @@ def grassmann_nabla(fd: FramePointData, case: str, *args) -> LiftedVector:
     case "vv", (T, Tp):  0
     """
     X, A, Y, B = case_pairs(case, args)
-    m_part = lambda T: None if T is None else (lambda q: ops.as_endo_field(q, T) * q.mmask)
+    m_part = lambda T: None if T is None else (lambda q: ops.as_endo_field(q, T, 1) * q.mmask)
     masked = [f for f in (X, m_part(A), Y, m_part(B)) if f is not None]
     return _m_projection(nabla_ON(fd, case, *masked))
 

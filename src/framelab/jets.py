@@ -30,6 +30,12 @@ their terms e, and the coefficients are w * (e[:P] + e[P:]) summed by
 target, with the weight w = 1/2 on the diagonal i == j and 1 elsewhere.
 Swapping the operands swaps the two halves of e, floating-point addition
 commutes, and w scales exactly, so a * b and b * a agree to the last bit.
+
+jet_solve(a, b) lands in the lower of the two orders: a right-hand side jet
+b of lower order cuts a to b's order before the inverse of a is built, so
+no coefficient of the inverse above the result's order is formed (an array
+b keeps a's order). A coefficient of degree k never reads a higher one, so
+the result equals the full-order solve cut to that order.
 """
 
 from __future__ import annotations
@@ -229,7 +235,8 @@ class Jet:
         of its coefficients in get_space(nvars, order)."""
         if not 0 <= order <= self.valid:
             raise ValueError(f"cannot cut a jet valid to order {self.valid} to order {order}")
-        return Jet(get_space(self.space.nvars, order), _cut(self, get_space(self.space.nvars, order)))
+        sp = get_space(self.space.nvars, order)
+        return Jet(sp, _cut(self, sp))
 
     def tcoef(self, alpha) -> np.ndarray:
         """Taylor coefficient for multi-index alpha (= partial / alpha!)."""
@@ -413,8 +420,12 @@ def jet_solve(a: Jet, b) -> Jet:
     terminating Neumann series in the nilpotent remainder).
 
     b, a jet or an array, is a vector when it has one axis fewer than a and
-    a matrix when it has as many; the batch axes of both lead.
+    a matrix when it has as many; the batch axes of both lead. The result
+    lands in the lower of the two orders: a jet b of lower order cuts a to
+    b's order first, and an array b keeps a's order.
     """
+    if isinstance(b, Jet) and b.space.order < a.space.order:
+        a = a.cut(b.space.order)
     a0 = a.val
     b0inv = np.linalg.inv(a0)
     n = a - a.space.constant(a0)

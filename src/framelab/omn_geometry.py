@@ -28,6 +28,7 @@ tolerance of the sampled verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import qmc
@@ -80,25 +81,46 @@ VERDICT_TOL = 1e-6
 _SAMPLE_PAD = 0.05  # share of the chart domain's width left out at each rim
 
 
+def _is_int(x) -> bool:
+    """An int or a numpy integer; a bool is refused, though it is an int."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+@lru_cache(maxsize=256)
+def _unit_draw(p: int, n: int, seed: int) -> np.ndarray:
+    """The scrambled Halton draw of n points in the unit p-cube for seed,
+    read-only: it is drawn once and shared by every call with these
+    arguments, which scales a fresh copy."""
+    pts = qmc.Halton(d=p, scramble=True, seed=seed).random(n)
+    pts.flags.writeable = False
+    return pts
+
+
 def domain_samples(M: ImmersedSubmanifold, n: int, seed: int = 0):
-    """Low-discrepancy sample points in the chart domain, shrunk at the rim.
+    """Low-discrepancy sample points in the chart domain, shrunk at the rim,
+    as a fresh array.
 
     n must be an integer >= 1: a sweep over no points would report its
-    verdict on no evidence."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    verdict on no evidence. seed must be an integer >= 0. The unit-cube
+    draw of each (p, n, seed) is made once; submanifolds of one dimension
+    share it and scale it to their own domains."""
+    if not _is_int(n) or n < 1:
         raise OmnError(f"sample count must be an integer >= 1, got {n!r}")
+    if not _is_int(seed) or seed < 0:
+        raise OmnError(f"seed must be an integer >= 0, got {seed!r}")
     lo, hi = M.chart_domain[:, 0], M.chart_domain[:, 1]
     width = hi - lo
-    sampler = qmc.Halton(d=M.p, scramble=True, seed=seed)
-    pts = sampler.random(n)
+    pts = _unit_draw(M.p, int(n), int(seed))
     return lo + _SAMPLE_PAD * width + pts * (1.0 - 2.0 * _SAMPLE_PAD) * width
 
 
 # -- field-pair plumbing --------------------------------------------------------
 
 
-def _h_endo_field(fd: FramePointData, spec) -> Jet:
-    j = ops.as_endo_field(fd, spec)
+def _h_endo_field(fd: FramePointData, spec, order: int) -> Jet:
+    """An h-type endo field spec as a frame-matrix jet of the order the caller
+    differentiates it to; OmnError where it has an m-part."""
+    j = ops.as_endo_field(fd, spec, order)
     mixed = np.max(np.abs(hm_split_mat(j.val, fd.p)[1]), axis=(-2, -1)) > 1e-10
     if np.any(mixed):
         at = fd.point_where(np.broadcast_to(mixed, fd.u0.shape[:-1]))
@@ -140,11 +162,12 @@ def nabla_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
     case "vh", args (T, Yf):   1/2 Q_T(Y)^{h'}
     case "vv", args (T, Tp):   1/2 bar([T', T])
 
-    Vertical specs must be h-type endo fields.
+    Vertical specs must be h-type endo fields. The fields enter at order 1,
+    the one derivative the connection takes of them.
     """
     X, A, Y, B = case_pairs(case, args)
-    chart = lambda f: None if f is None else ops.as_chart_field(fd, f)
-    endo = lambda T: None if T is None else _h_endo_field(fd, T)
+    chart = lambda f: None if f is None else ops.as_chart_field(fd, f, 1)
+    endo = lambda T: None if T is None else _h_endo_field(fd, T, 1)
     chart_val, vert = _pair_nabla(fd, chart(X), endo(A), chart(Y), endo(B))
     return horizontal_lift_prime(fd, chart_val) + lifted(fd, vertical=vert)
 
@@ -187,14 +210,21 @@ def curvature_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
     case "hvv": (Xf, T, Tp)      R(X^{h'}, bar T) bar T'
     case "vvh": (T, Tp, Zf)      R(bar T, bar T') Z^{h'}
     case "vvv": (T, Tp, Tpp)     R(bar T, bar T') bar T''
+
+    The fields enter at the order each case differentiates them to: 2 where
+    it differentiates Q_T(Y) (hhv, hvh, hvv, vvh), which differentiates its
+    fields once, 1 for hhh and 0 for vvv.
     """
-    if case not in ("hhh", "hhv", "hvh", "hvv", "vvh", "vvv"):
+    depth = {"hhh": 1, "hhv": 2, "hvh": 2, "hvv": 2, "vvh": 2, "vvv": 0}
+    if case not in depth:
         raise OmnError(f"unknown case {case!r}")
+    vec = lambda f: ops.as_chart_field(fd, f, depth[case])
+    endo = lambda T: _h_endo_field(fd, T, depth[case])
     if len(args) != 3:
         raise OmnError(f"case {case!r} takes 3 arguments, got {len(args)}")
     if case == "hhh":
         Xf, Yf, Zf = args
-        Xc, Yc, Zc = (ops.as_chart_field(fd, f) for f in (Xf, Yf, Zf))
+        Xc, Yc, Zc = (vec(f) for f in (Xf, Yf, Zf))
         chart = _tilde_curvature_apply(fd, Xc, Yc, Zc)
         q = (
             ops.q_t_chart_jet(fd, ops.curvature_prime_jet(fd, Yc, Zc), Xc)
@@ -206,8 +236,8 @@ def curvature_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
         return horizontal_lift_prime(fd, chart.val) + lifted(fd, vertical=vert.val)
     if case == "hhv":
         Xf, Yf, T = args
-        Xc, Yc = ops.as_chart_field(fd, Xf), ops.as_chart_field(fd, Yf)
-        Tj = _h_endo_field(fd, T)
+        Xc, Yc = vec(Xf), vec(Yf)
+        Tj = endo(T)
         chart = 0.5 * (_d_x_q_t(fd, Xc, Tj, Yc) - _d_x_q_t(fd, Yc, Tj, Xc))
         RXY = ops.curvature_prime_jet(fd, Xc, Yc)
         vert = 0.5 * ops.commutator_jet(RXY, Tj)
@@ -219,8 +249,8 @@ def curvature_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
         return horizontal_lift_prime(fd, chart.val) + lifted(fd, vertical=vert.val)
     if case == "hvh":
         Xf, T, Zf = args
-        Xc, Zc = ops.as_chart_field(fd, Xf), ops.as_chart_field(fd, Zf)
-        Tj = _h_endo_field(fd, T)
+        Xc, Zc = vec(Xf), vec(Zf)
+        Tj = endo(T)
         chart = 0.5 * _d_x_q_t(fd, Xc, Tj, Zc)
         QTZ = ops.q_t_chart_jet(fd, Tj, Zc)
         RXZ = ops.curvature_prime_jet(fd, Xc, Zc)
@@ -229,8 +259,8 @@ def curvature_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
         return horizontal_lift_prime(fd, chart.val) + lifted(fd, vertical=vert.val)
     if case == "hvv":
         Xf, T, Tp = args
-        Xc = ops.as_chart_field(fd, Xf)
-        Tj, Tpj = _h_endo_field(fd, T), _h_endo_field(fd, Tp)
+        Xc = vec(Xf)
+        Tj, Tpj = endo(T), endo(Tp)
         commTT = ops.commutator_jet(Tj, Tpj)
         chart = -0.25 * (
             ops.q_t_chart_jet(fd, commTT, Xc)
@@ -239,8 +269,8 @@ def curvature_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
         return horizontal_lift_prime(fd, chart.val)
     if case == "vvh":
         T, Tp, Zf = args
-        Zc = ops.as_chart_field(fd, Zf)
-        Tj, Tpj = _h_endo_field(fd, T), _h_endo_field(fd, Tp)
+        Zc = vec(Zf)
+        Tj, Tpj = endo(T), endo(Tp)
         commTT = ops.commutator_jet(Tj, Tpj)
         chart = 0.25 * (
             ops.q_t_chart_jet(fd, Tj, ops.q_t_chart_jet(fd, Tpj, Zc))
@@ -248,9 +278,7 @@ def curvature_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
         ) + 0.5 * ops.q_t_chart_jet(fd, commTT, Zc)
         return horizontal_lift_prime(fd, chart.val)
     T, Tp, Tpp = args  # case "vvv"
-    A = _h_endo_field(fd, T).val
-    B = _h_endo_field(fd, Tp).val
-    C = _h_endo_field(fd, Tpp).val
+    A, B, C = (endo(S).val for S in (T, Tp, Tpp))
     comm = A @ B - B @ A
     nested = comm @ C - C @ comm
     return lifted(fd, vertical=-0.25 * nested)
@@ -317,14 +345,14 @@ def omn_plane(fd: FramePointData, spec1, spec2) -> OmnPlane:
     elif kinds == ("hprime", "vertical"):
         x = chart(spec1[1])
         x = _unit(fd, x, _gtilde(fd, x, x), "horizontal direction vanishes")
-        T = _h_endo_field(fd, np.asarray(spec2[1], dtype=float)).val
+        T = _h_endo_field(fd, np.asarray(spec2[1], dtype=float), 0).val
         T = _unit(fd, T, skew_inner(T, T), "vertical direction vanishes")
         v1 = horizontal_lift_prime(fd, x)
         v2 = lifted(fd, vertical=T)
         plane = OmnPlane(fd, "hv", x, None, T, None, v1, v2)
     elif kinds == ("vertical", "vertical"):
-        T = _h_endo_field(fd, np.asarray(spec1[1], dtype=float)).val
-        Tp = _h_endo_field(fd, np.asarray(spec2[1], dtype=float)).val
+        T = _h_endo_field(fd, np.asarray(spec1[1], dtype=float), 0).val
+        Tp = _h_endo_field(fd, np.asarray(spec2[1], dtype=float), 0).val
         T = _unit(fd, T, skew_inner(T, T), "vertical direction vanishes")
         Tp = Tp - _times(skew_inner(T, Tp), T)
         Tp = _unit(fd, Tp, skew_inner(Tp, Tp), "plane vectors are linearly dependent")
@@ -343,15 +371,18 @@ def omn_plane(fd: FramePointData, spec1, spec2) -> OmnPlane:
 
 def sectional_OMN(plane: OmnPlane):
     """Sectional curvature of the plane by the closed formulas: a float at
-    one point, an array over a batch."""
+    one point, an array over a batch. R' of an hh plane takes no derivative
+    of its directions, so they enter at order 0; Q_T of an hv plane takes
+    one of T, which enters at order 1."""
     fd = plane.fd
     if plane.kind == "hh":
         RYYX = _tilde_curvature_apply(fd, plane.xc, plane.yc, plane.yc).val
         kt = np.einsum("...a,...ab,...b->...", plane.xc, fd.gt_chart.val, RYYX)
-        Rp = ops.curvature_prime_jet(fd, plane.xc, plane.yc).val
+        xc, yc = (ops.as_chart_field(fd, c, 0) for c in (plane.xc, plane.yc))
+        Rp = ops.curvature_prime_jet(fd, xc, yc).val
         return per_point(kt - 0.75 * skew_inner(Rp, Rp))
     if plane.kind == "hv":
-        q = ops.q_t_chart_jet(fd, fd.uspace.constant(plane.T), plane.xc).val
+        q = ops.q_t_chart_jet(fd, ops.as_endo_field(fd, plane.T, 1), plane.xc).val
         return per_point(0.25 * _gtilde(fd, q, q))
     comm = plane.T @ plane.Tp - plane.Tp @ plane.T
     return per_point(0.125 * skew_inner(comm, comm))
@@ -409,6 +440,7 @@ def second_fundamental_OMN(fd: FramePointData, case: str, *args) -> LiftedVector
     """Second fundamental form of the subbundle in the ambient frame bundle.
 
     case "hh": (Xf, Yf); case "hv": (Xf, T) with T h-type; case "vv": (T, Tp) -> 0.
+    The fields enter at order 1, the one derivative Pi takes of them.
     """
     if case not in ("hh", "hv", "vv"):
         raise OmnError(f"unknown case {case!r}")
@@ -416,11 +448,11 @@ def second_fundamental_OMN(fd: FramePointData, case: str, *args) -> LiftedVector
         raise OmnError(f"case {case!r} takes 2 arguments, got {len(args)}")
     if case == "vv":
         return lifted(fd)
-    Xc = ops.as_chart_field(fd, args[0])
+    Xc = ops.as_chart_field(fd, args[0], 1)
     if case == "hh":
-        horiz, vert = _pi_hh_assemble(fd, *_pi_hh_pieces(fd, Xc, ops.as_chart_field(fd, args[1])))
+        horiz, vert = _pi_hh_assemble(fd, *_pi_hh_pieces(fd, Xc, ops.as_chart_field(fd, args[1], 1)))
     else:
-        horiz, vert = _pi_hv_jets(fd, Xc, _h_endo_field(fd, args[1]))
+        horiz, vert = _pi_hv_jets(fd, Xc, _h_endo_field(fd, args[1], 1))
     return lifted(fd, horizontal=horiz.val, vertical=0.5 * (vert.val - np.swapaxes(vert.val, -1, -2)))
 
 
@@ -456,15 +488,16 @@ def frame_trace(fd: FramePointData) -> tuple[Jet, Jet, Jet, Jet, Jet]:
     sum nabla'_e S_e as a frame matrix (d, d).
 
     The sums are values: each is a jet of order 0. The frame fields enter
-    cut to order 1, the one derivative the connections take, and the
-    undifferentiated sum R_{S_e}(e) is formed from their values.
+    at order 1, the one derivative the connections take (the depth rule of
+    operators), and the undifferentiated sum R_{S_e}(e) is formed from their
+    values.
 
     The shapes are per point: on the frame of a batch of points each sum
     leads with the batch axes, and one call traces every point.
     """
     terms = []
     for Ec in tilde_frame_fields(fd):
-        Ec = Ec.cut(1)
+        Ec = ops.as_chart_field(fd, Ec, 1)
         EF = ops.full_frame_field(fd, Ec)
         SE = ops.s_field_matrix(fd, Ec)
         terms.append(

@@ -33,6 +33,17 @@ vec_nabla_prime_jet and vec_tilde_nabla_jet; Q_T and R' are q_t_chart_jet
 and curvature_prime_jet. Field specs are normalised by as_chart_field
 (tangent fields) and as_endo_field (endomorphism fields).
 
+Depth rule: both normalisers take an order, the number of derivatives the
+caller's formula takes of the field, and return the field as a jet of that
+order, or of its own valid order where that is lower. A coefficient of
+degree k never reads a higher one, so a formula that differentiates its
+fields k times and keeps values reads no coefficient above order k, and
+every product it forms lands at order k or below; the frame's own jets are
+cut where they meet the field. The depths: 1 for the connections
+(frame_bundle.nabla_ON and its primed and section forms, nabla_OMN,
+second_fundamental_OMN, L_op), 2 for the cases of curvature_OMN that
+differentiate Q_T(Y), and 0 where only a field's values are read.
+
 L_op evaluates the operator L from these primitives, in chart coefficients,
 at a frame of one point or of a batch (its result then leads with the batch
 axes); it is the right-hand side of an identity of verify's registry.
@@ -47,7 +58,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, jet_along, jet_einsum, jet_solve, jstack
+from .jets import Jet, get_space, jet_along, jet_einsum, jet_solve, jstack
 from .submanifold import FramePointData
 
 __all__ = [
@@ -153,45 +164,58 @@ def commutator_jet(A, B) -> Jet:
     return jet_einsum("...ik,...kj->...ij", A, B) - jet_einsum("...ik,...kj->...ij", B, A)
 
 
-def _batched(fd: FramePointData, value, ndim: int) -> Jet:
-    """The constant jet of value, its per-point shape being its last ndim
-    axes, led by the frame's batch axes (a per-point value is the same at
-    every point)."""
+def _batched(fd: FramePointData, value, ndim: int, order: int) -> Jet:
+    """The constant jet of value in get_space(p, order), its per-point shape
+    being its last ndim axes, led by the frame's batch axes (a per-point
+    value is the same at every point)."""
     value = np.asarray(value, dtype=float)
-    return fd.uspace.constant(np.broadcast_to(value, fd.u0.shape[:-1] + value.shape[value.ndim - ndim :]))
+    shape = fd.u0.shape[:-1] + value.shape[value.ndim - ndim :]
+    return get_space(fd.p, order).constant(np.broadcast_to(value, shape))
 
 
-def as_chart_field(fd: FramePointData, field) -> Jet:
+def _at_most(j: Jet, order: int) -> Jet:
+    """j cut to order, or j itself when it is valid to no more."""
+    return j.cut(order) if j.valid > order else j
+
+
+def as_chart_field(fd: FramePointData, field, order: int) -> Jet:
     """Normalize a tangent-field spec to a (..., p) chart-coefficient jet
-    with the frame's batch axes.
+    with the frame's batch axes, of the order its caller differentiates it
+    to (see the depth rule of the module docstring).
 
-    Accepts a callable of the coordinate jets, a list of chart-coefficient
-    expression strings in u, or a plain constant coefficient array, per
-    point (p,) or led by the batch axes.
+    Accepts a jet, a callable of the coordinate jets, a list of
+    chart-coefficient expression strings in u, or a plain constant
+    coefficient array, per point (p,) or led by the batch axes. Strings and
+    callables are evaluated on the coordinates cut to order, and constants
+    built at order; a jet, or a callable's result, is cut to order when it
+    is valid to more. The frame's order bounds the order.
     """
     from .expr import eval_expr, parse
 
     if isinstance(field, Jet):
-        return field
+        return _at_most(field, order)
+    order = min(order, fd.order)
     if callable(field):
-        return field(fd.uv)
-    arr = field
-    if all(isinstance(c, str) for c in arr):
-        comps = [eval_expr(parse(c, fd.p, var_prefix="u"), fd.uv, fd.uspace) for c in arr]
-        return jstack(comps, axis=-1)
-    return _batched(fd, arr, 1)
+        return _at_most(field([v.cut(order) for v in fd.uv]), order)
+    if all(isinstance(c, str) for c in field):
+        uv = [v.cut(order) for v in fd.uv]
+        sp = get_space(fd.p, order)
+        return jstack([eval_expr(parse(c, fd.p, var_prefix="u"), uv, sp) for c in field], axis=-1)
+    return _batched(fd, field, 1, order)
 
 
-def as_endo_field(fd: FramePointData, spec) -> Jet:
+def as_endo_field(fd: FramePointData, spec, order: int) -> Jet:
     """Normalize an endomorphism-field spec to a (..., d, d) frame-component
-    jet with the frame's batch axes.
+    jet with the frame's batch axes, of the order its caller differentiates
+    it to (see the depth rule of the module docstring).
 
-    Accepts a callable of FramePointData or a constant frame matrix, per
-    point (d, d) or led by the batch axes.
+    Accepts a callable of FramePointData, whose result is cut to order when
+    it is valid to more, or a constant frame matrix, per point (d, d) or led
+    by the batch axes, built at order (at most the frame's).
     """
     if callable(spec):
-        return spec(fd)
-    return _batched(fd, spec, 2)
+        return _at_most(spec(fd), order)
+    return _batched(fd, spec, 2, min(order, fd.order))
 
 
 def s_field_matrix(fd: FramePointData, Xc) -> Jet:
@@ -284,7 +308,7 @@ def L_op(fd: FramePointData, Xf, Yf) -> np.ndarray:
     """L_X Y = (Q_{S_X}(Y) + Q_{S_Y}(X) + P^{-1} S_{S_{nabla'_X Y + nabla'_Y X}})/2,
     in chart coefficients (p,) at the frame of one point, or (n, p) at the
     frame of n points."""
-    Xc, Yc = as_chart_field(fd, Xf), as_chart_field(fd, Yf)
+    Xc, Yc = as_chart_field(fd, Xf, 1), as_chart_field(fd, Yf, 1)
     TX = s_field_matrix(fd, Xc)
     TY = s_field_matrix(fd, Yc)
     q1 = q_t_chart_jet(fd, TX, Yc).val

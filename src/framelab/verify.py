@@ -142,7 +142,8 @@ def _offblock_skew(p, b):
 
 def _affine_field(fd, rngs):
     """Tangent chart field, affine in u, of unit g-norm at each base point;
-    a point whose draw has a norm below 1e-8 there draws again."""
+    a point whose draw has a norm below 1e-8 there draws again. It is a jet
+    of order 1: every reader differentiates it at most once."""
     p, g = fd.p, fd.g_chart.val
     a, b = np.empty((len(rngs), p)), np.empty((len(rngs), p, p))
     for i, rng in enumerate(rngs):
@@ -152,7 +153,7 @@ def _affine_field(fd, rngs):
             v = a[i] + b[i] @ fd.u0[i]
             if np.sqrt(v @ g[i] @ v) >= 1e-8:
                 break
-    j = fd.uspace.constant(a) + jet_einsum("...ab,...b->...a", b, jstack(fd.uv, axis=-1))
+    j = jet_einsum("...ab,...b->...a", b, jstack(fd.uv, axis=-1).cut(1)) + a
     return j * (1.0 / np.sqrt(_dot(j.val, matvec(g, j.val))))[..., None]
 
 
@@ -161,7 +162,7 @@ def _scaled_endo_field(base):
 
     def field(q):
         s = 1.0 + 0.3 * q.uv[0]
-        return s[..., None, None] * q.uspace.constant(base)
+        return s[..., None, None] * base
 
     return field
 
@@ -256,15 +257,16 @@ def _ev_adapted_lift_isometry(M, fd, rngs):
 
 def _ev_gauss_tangent_block(M, fd, rngs):
     p = fd.p
-    omh = fd.omega * fd.hmask
+    # the curvature of omega' takes one derivative of it, R' none of its directions
+    omh = fd.omega.cut(1) * fd.hmask
     om = lambda a: omh[..., a, :, :]
     S = lambda a: fd.omega.val[..., a, :, :] * fd.mmask
-    eye = np.eye(p)
+    e = [ops.as_chart_field(fd, x, 0) for x in np.eye(p)]
     worst = wit = np.zeros(len(rngs))
     for a in range(p):
         for b in range(a + 1, p):
             Fp = (om(b).d(a) - om(a).d(b) + ops.commutator_jet(om(a), om(b))).val
-            Rp = ops.curvature_prime_jet(fd, eye[a], eye[b]).val
+            Rp = ops.curvature_prime_jet(fd, e[a], e[b]).val
             worst = np.maximum(worst, _sup_each(Fp - Rp))
             wit = np.maximum(wit, _sup_each(S(a) @ S(b) - S(b) @ S(a)))
     return worst, wit
@@ -295,7 +297,7 @@ def _ev_endo_derivative_split(block: str):
         else:
             own, other = fd.mmask, fd.hmask
             T = _offblock_skew(fd.p, _draw(rngs, fd.n, fd.p))
-        Tj = _scaled_endo_field(T)(fd)
+        Tj = ops.as_endo_field(fd, _scaled_endo_field(T), 1)
         Xc = _affine_field(fd, rngs)
         full = ops.nabla_t_field_jet(fd, Tj, Xc, "ambient").val
         prime = ops.nabla_t_field_jet(fd, Tj, Xc, "prime").val
@@ -316,7 +318,7 @@ def _ev_bundle_metric_compatibility(M, fd, rngs):
     TZf = _scaled_endo_field(_skew(_draw(rngs, fd.d, fd.d)))
     yF = ops.full_frame_field(fd, Yc)
     zF = ops.full_frame_field(fd, Zc)
-    TYj, TZj = TYf(fd), TZf(fd)
+    TYj, TZj = ops.as_endo_field(fd, TYf, 1), ops.as_endo_field(fd, TZf, 1)
     inner = jet_einsum("...i,...i->...", yF, zF) - jet_einsum("...ij,...ji->...", TYj, TZj)
     lhs = jet_along(Xc, inner).val
     ynab = nabla_ON(fd, "hh", Xc, Yc) + nabla_ON(fd, "hv", Xc, TYf)
@@ -356,7 +358,7 @@ def _ev_gil_medrano_pairing(M, fd, rngs):
     zfr = ops.frame_of_chart(fd, Zc)
     lhs = (jet_einsum("...ij,...j->...i", fd.Pfr, dfr) * zfr).sum(-1).val
     rhs = 0.5 * (dp_pair(Xc, Yc, Zc) + dp_pair(Yc, Xc, Zc) - dp_pair(Zc, Yc, Xc))
-    wit = np.max([_sup_each(nabla_prime_P(e).val) for e in np.eye(p)], axis=0)
+    wit = np.max([_sup_each(nabla_prime_P(ops.as_chart_field(fd, e, 0)).val) for e in np.eye(p)], axis=0)
     return np.abs(lhs - rhs), wit
 
 
@@ -364,7 +366,7 @@ def _ev_q_operator_deformed_skewness(M, fd, rngs):
     T = _diag_skew(fd.p, _draw(rngs, fd.d, fd.d))
     x = _unit_chart(fd, _draw(rngs, fd.p))
     y = _unit_chart(fd, _draw(rngs, fd.p))
-    Tj = fd.uspace.constant(T)
+    Tj = ops.as_endo_field(fd, T, 1)
     qx = ops.q_t_chart_jet(fd, Tj, x).val
     qy = ops.q_t_chart_jet(fd, Tj, y).val
     gt = fd.gt_chart.val
@@ -428,7 +430,7 @@ def _ev_sectional_mixed_vs_curvature(M, fd, rngs):
     pl = og.omn_plane(fd, ("hprime", x), ("vertical", T))
     R = og.curvature_OMN(fd, "hvv", pl.xc, pl.T, pl.T)
     val = og.sectional_OMN(pl)
-    q = ops.q_t_chart_jet(fd, fd.uspace.constant(pl.T), pl.xc).val
+    q = ops.q_t_chart_jet(fd, ops.as_endo_field(fd, pl.T, 1), pl.xc).val
     return np.abs(val - sasaki_mok_inner(R, pl.v1)), _sup_each(q)
 
 
@@ -914,6 +916,11 @@ def _decimalize(obj):
     return obj
 
 
+def _is_int(x) -> bool:
+    """An int or a numpy integer; a bool is refused, though it is an int."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _as_manifold(entry):
     if isinstance(entry, ImmersedSubmanifold):
         return entry.name.lower(), entry
@@ -927,7 +934,8 @@ def run_suite(builtins=None, samples: int = 25, seed: int = 0, groups=None) -> V
 
     builtins: None for the default set, a name, a submanifold object, or a
     list of either. samples: the sample count of each sampled case, an
-    integer >= 1. groups optionally restricts to a subset of case groups.
+    integer >= 1. seed: an integer >= 0. groups optionally restricts to a
+    subset of case groups.
     """
     t0 = time.perf_counter()
     if builtins is None:
@@ -938,8 +946,10 @@ def run_suite(builtins=None, samples: int = 25, seed: int = 0, groups=None) -> V
     # a run over no submanifolds or no cases would report its verdict on no evidence
     if not manifolds:
         raise VerifyError("no submanifolds to check")
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
+    if not _is_int(samples) or samples < 1:
         raise VerifyError(f"samples must be an integer >= 1, got {samples!r}")
+    if not _is_int(seed) or seed < 0:
+        raise VerifyError(f"seed must be an integer >= 0, got {seed!r}")
     if groups is not None:
         groups = set(groups)
         if not groups:
@@ -1037,16 +1047,18 @@ class FDQuantity(NamedTuple):
     jet_route: Callable
 
 
-def _xy(fd):
-    """The default fields X, Y as chart-coefficient jets on the frame fd."""
-    return ops.as_chart_field(fd, _DEFAULT_X[: fd.p]), ops.as_chart_field(fd, _DEFAULT_Y[: fd.p])
+def _xy(fd, order: int):
+    """The default fields X, Y as chart-coefficient jets on the frame fd, of
+    the order the reader differentiates them to: 1 on the jet routes, 0 where
+    an FD route reads their values."""
+    return tuple(ops.as_chart_field(fd, f[: fd.p], order) for f in (_DEFAULT_X, _DEFAULT_Y))
 
 
 def _fd_connection(M, u, h, frame, attr: str):
     """FD route of nabla_X Y in chart components for the Levi-Civita
     connection of the chart metric attr ("g_chart" or "gt_chart")."""
-    x0, y0 = (j.val for j in _xy(frame(u)))
-    Y = lambda U: ops.as_chart_field(frame(U), _DEFAULT_Y[: M.p]).val
+    x0, y0 = (j.val for j in _xy(frame(u), 0))
+    Y = lambda U: ops.as_chart_field(frame(U), _DEFAULT_Y[: M.p], 0).val
     dY = finite_diff.central_diff(Y, u, h)
     gam = finite_diff.christoffels(lambda U: getattr(frame(U), attr).val, u, h)
     return np.einsum("a,ac->c", x0, dY) + np.einsum("cab,a,b->c", gam, x0, y0)
@@ -1056,11 +1068,11 @@ def _fd_nabla_vec(M, u, h, frame):
     """FD route of nabla_X Y in ambient components: the derivative of Y's
     ambient components along X plus the ambient Christoffels at phi(u)."""
     fd0 = frame(u)
-    x0 = _xy(fd0)[0].val
+    x0 = _xy(fd0, 0)[0].val
 
     def yamb(U):
         at = frame(U)
-        return np.matmul(at.J.val, ops.as_chart_field(at, _DEFAULT_Y[: M.p]).val[..., None])[..., 0]
+        return np.matmul(at.J.val, ops.as_chart_field(at, _DEFAULT_Y[: M.p], 0).val[..., None])[..., 0]
 
     gam = finite_diff.christoffels(lambda X: metric_at(M.ambient, X), fd0.x0, h)
     dY = x0 @ finite_diff.central_diff(yamb, u, h)
@@ -1077,7 +1089,7 @@ def _fd_curvature_ambient(M, u, h, frame):
 
 
 def _jet_nabla_vec(fd):
-    Xc, Yc = _xy(fd)
+    Xc, Yc = _xy(fd, 1)
     return fd.E.val @ ops.ambient_deriv_frame(fd, Xc, ops.full_frame_field(fd, Yc)).val
 
 
@@ -1111,13 +1123,13 @@ FD_QUANTITIES = {
         1e-4,
         2,
         partial(_fd_connection, attr="g_chart"),
-        lambda fd: ops.vec_nabla_prime_jet(fd, *_xy(fd)).val,
+        lambda fd: ops.vec_nabla_prime_jet(fd, *_xy(fd, 1)).val,
     ),
     "nabla_tilde_vec": FDQuantity(
         1e-4,
         2,
         partial(_fd_connection, attr="gt_chart"),
-        lambda fd: ops.vec_tilde_nabla_jet(fd, *_xy(fd)).val,
+        lambda fd: ops.vec_tilde_nabla_jet(fd, *_xy(fd, 1)).val,
     ),
     # order 1: E.val and x0 at u are all this route reads of a frame
     "curvature_ambient": FDQuantity(1e-3, 1, _fd_curvature_ambient, lambda fd: fd.Rfr.val),

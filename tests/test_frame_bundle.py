@@ -224,8 +224,8 @@ def test_nabla_ON_torsion_identity():
         Xf, Yf = ["u2", "1-u1"], ["u1*u2", "u1"]
         a = nabla_ON(fd, "hh", Xf, Yf)
         b = nabla_ON(fd, "hh", Yf, Xf)
-        Xc = ops.as_chart_field(fd, Xf)
-        Yc = ops.as_chart_field(fd, Yf)
+        Xc = ops.as_chart_field(fd, Xf, 1)
+        Yc = ops.as_chart_field(fd, Yf, 1)
         br = ops.full_frame_field(fd, ops.bracket_jet(fd, Xc, Yc).val).val
         diff_h = a.horizontal - b.horizontal
         assert np.max(np.abs(diff_h - br)) < 1e-7
@@ -253,7 +253,7 @@ def test_nabla_ON_metric_compatibility(name, u):
     AV = varying_skew_field(random_skew(rng, d))
     AW = varying_skew_field(random_skew(rng, d))
 
-    Xc = ops.as_chart_field(fd, Xf)
+    Xc = ops.as_chart_field(fd, Xf, 0)
     f = (yV(fd) * yW(fd)).sum(-1) - jet_einsum("ij,ji->", AV(fd), AW(fd))
     lhs = sum(Xc.val[a] * f.d(a).val for a in range(fd.p))
 
@@ -268,7 +268,7 @@ def test_nabla_ON_metric_compatibility(name, u):
 def primed_by_expansion(fd, case, *args):
     """nabla_ON_primed expanded bilinearly into nabla_ON cases, with
     X^{h'} = X^h + bar(S_X) both as direction and as field (reference)."""
-    s_of = lambda Y: (lambda fd: ops.s_field_matrix(fd, ops.as_chart_field(fd, Y)))
+    s_of = lambda Y: (lambda fd: ops.s_field_matrix(fd, ops.as_chart_field(fd, Y, 1)))
     if case == "hh":
         Xf, Yf = args
         sx, sy = s_of(Xf), s_of(Yf)
@@ -312,9 +312,9 @@ def test_nabla_ON_section_is_the_four_cases(name, u):
     fd = M.frame_data(u)
     Xf, Yf = ["u2", "1-u1"], ["u1*u2", "u1"]
     T = varying_skew_field(random_skew(rng, fd.d))
-    yframe = lambda q: ops.full_frame_field(q, ops.as_chart_field(q, Yf))
+    yframe = lambda q: ops.full_frame_field(q, ops.as_chart_field(q, Yf, 1))
     got = nabla_ON_section(fd, Xf, yframe, T)
-    omX = jet_einsum("a,aij->ij", ops.as_chart_field(fd, Xf), fd.omega).val
+    omX = jet_einsum("a,aij->ij", ops.as_chart_field(fd, Xf, 0), fd.omega).val
     want = nabla_ON(fd, "hh", Xf, Yf) + nabla_ON(fd, "hv", Xf, T)
     want = want + nabla_ON(fd, "vh", omX, Yf) + nabla_ON(fd, "vv", omX, T)
     assert (got - want).norm() < 1e-13

@@ -356,7 +356,8 @@ def test_kernel_matches_reference_product(nvars, va, vb):
 @pytest.mark.parametrize("order", range(5))
 def test_solve_matches_reference(nvars, order):
     """jet_solve against the order-by-order solve, for a batch of 4 matrices
-    and both a vector and a matrix right-hand side."""
+    and both a vector and a matrix right-hand side, and against the
+    full-order solve where the right-hand side is of lower order."""
     rng = np.random.default_rng([nvars, order])
     sp = get_space(nvars, order)
     c = rng.uniform(-0.3, 0.3, (4, 3, 3, sp.ncoeff))
@@ -367,3 +368,14 @@ def test_solve_matches_reference(nvars, order):
     _assert_close(jet_solve(a, v), _reference_solve(a, v))
     for col in range(2):
         _assert_close(jet_solve(a, m)[..., col], _reference_solve(a, m[..., col]))
+    # a right-hand side of lower order, vector and matrix: the solve lands in
+    # its space, bitwise the full-order solve (b padded with zeros) cut there
+    for low in range(min(order, 2)):
+        sl = get_space(nvars, low)
+        for shape in ((4, 3), (4, 3, 2)):
+            b = Jet(sl, rng.uniform(-1.0, 1.0, shape + (sl.ncoeff,)))
+            padded = np.zeros(shape + (sp.ncoeff,))
+            padded[..., : sl.ncoeff] = b.coeffs
+            got = jet_solve(a, b)
+            assert got.space is sl
+            assert np.array_equal(got.coeffs, jet_solve(a, Jet(sp, padded)).cut(low).coeffs)

@@ -1,8 +1,12 @@
 import re
+import sys
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
+from framelab import frame_bundle as fb
+from framelab import jets
 from framelab import omn_geometry as og
 from framelab import verify
 from framelab.ambient import sphere_chart
@@ -14,6 +18,7 @@ from framelab.frame_bundle import (
     tangent_generators,
 )
 from framelab.gauss_map import theorem_check
+from framelab.jets import Jet
 from framelab.omn_geometry import (
     OmnError,
     curvature_OMN,
@@ -26,7 +31,7 @@ from framelab.omn_geometry import (
     sectional_OMN,
     tilde_frame_fields,
 )
-from framelab.operators import basis_T
+from framelab.operators import L_op, basis_T
 from framelab.submanifold import ImmersedSubmanifold, builtin_submanifold
 
 ALL_BUILTINS = [
@@ -375,11 +380,12 @@ def test_is_totally_geodesic_refuses_non_finite_residual(monkeypatch):
         is_totally_geodesic(M, samples=4, seed=1)
 
 
-@pytest.mark.parametrize("samples", [0, -3, 2.5])
+@pytest.mark.parametrize("samples", [0, -3, 2.5, True])
 def test_sampled_sweeps_refuse_a_bad_sample_count(samples):
     """A sweep over no points would give its verdict on no evidence: the
     sampler and every sampled sweep refuse a count that is not an integer
-    >= 1, and run_suite refuses it before running any case."""
+    >= 1 (a bool is refused, though it is an int), and run_suite refuses it
+    before running any case."""
     M = builtin_submanifold("sphere2")
     with pytest.raises(OmnError, match="sample count must be an integer >= 1"):
         domain_samples(M, samples)
@@ -389,3 +395,100 @@ def test_sampled_sweeps_refuse_a_bad_sample_count(samples):
         theorem_check(M, samples=samples)
     with pytest.raises(verify.VerifyError, match="samples must be an integer >= 1"):
         verify.run_suite(["sphere2"], samples=samples)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, True, "1"])
+def test_sampled_sweeps_refuse_a_bad_seed(seed):
+    """A seed that is not an integer >= 0 is refused with the module's own
+    error naming it, before it reaches the sampler; 1.0 would otherwise
+    share the draw memoised for 1."""
+    M = builtin_submanifold("sphere2")
+    named = re.escape(f"seed must be an integer >= 0, got {seed!r}")
+    with pytest.raises(OmnError, match=named):
+        domain_samples(M, 3, seed=seed)
+    with pytest.raises(OmnError, match=named):
+        is_totally_geodesic(M, samples=3, seed=seed)
+    with pytest.raises(OmnError, match=named):
+        theorem_check(M, samples=3, seed=seed)
+    with pytest.raises(verify.VerifyError, match=named):
+        verify.run_suite(["sphere2"], samples=3, seed=seed)
+
+
+def test_sample_draws_are_memoised_and_returned_fresh():
+    """Each call returns a fresh writable array equal to the direct scrambled
+    Halton draw, scaled to the manifold's own domain; mutating it changes no
+    later call, and numpy integers give the same points as ints."""
+    M, N = builtin_submanifold("sphere2"), builtin_submanifold("catenoid")
+    assert M.p == N.p and not np.array_equal(M.chart_domain, N.chart_domain)
+    first = domain_samples(M, 7, seed=4)
+    again = domain_samples(M, np.int64(7), seed=np.int64(4))
+    assert first is not again and first.flags.writeable and again.flags.writeable
+    assert np.array_equal(first, again)
+    first[:] = 0.0
+    assert np.array_equal(domain_samples(M, 7, seed=4), again)
+    unit = qmc.Halton(d=2, scramble=True, seed=4).random(7)
+    for S, got in ((M, again), (N, domain_samples(N, 7, seed=4))):
+        lo, hi = S.chart_domain[:, 0], S.chart_domain[:, 1]
+        width = hi - lo
+        assert np.array_equal(got, lo + 0.05 * width + unit * (1.0 - 2.0 * 0.05) * width)
+
+
+# Every attribute of a frame, read before a product is counted, so that only
+# the products of the call itself are.
+FRAME_ATTRIBUTES = (
+    "Gam", "R", "Einv", "omega", "g_chart", "C", "Dmat", "Smats", "Pfr",
+    "Gam_chart", "gt_chart", "Gamt", "Rt_chart", "W", "Wchart", "Rfr",
+)
+
+
+def test_value_readers_multiply_at_the_order_they_differentiate(monkeypatch):
+    """A reader of values forms no jet x jet product above the number of
+    derivatives its formula takes: 1 for the connections, Pi, L and the mean
+    curvature, 2 for the curvature of the subbundle. Its fields, given as
+    expression strings, constants and callables, enter at that order, and
+    the frame's jets are cut where they meet them."""
+    M = builtin_submanifold("sphere2")
+    fd = M.frame_data(domain_samples(M, 5, seed=1))
+    for attr in FRAME_ATTRIBUTES:
+        getattr(fd, attr)
+    landed = []
+    # a jet x jet product lands at the lower of its operands' orders; the
+    # kernel is reached through Jet.__mul__ and jet_einsum, the latter
+    # wrapped wherever a module binds it
+    mul, einsum = Jet.__mul__, jets.jet_einsum
+
+    def recording_mul(a, b):
+        if isinstance(b, Jet):
+            landed.append(min(a.valid, b.valid))
+        return mul(a, b)
+
+    def recording_einsum(sub, a, b):
+        if isinstance(a, Jet) and isinstance(b, Jet):
+            landed.append(min(a.valid, b.valid))
+        return einsum(sub, a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", recording_mul)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("framelab.") and vars(mod).get("jet_einsum") is einsum:
+            monkeypatch.setattr(mod, "jet_einsum", recording_einsum)
+    X = ["u1*u2", "1.0-u1*u1"]
+    Y = lambda uv: jets.jstack([uv[0] * uv[1] + 1.0, jets.jsin(uv[1])], axis=-1)
+    Z = np.array([0.3, -0.8])
+    T = lambda q: (1.0 + 0.3 * q.uv[0])[..., None, None] * basis_T(3, 0, 1)
+    Tp = basis_T(3, 0, 1)
+    pairs = {"hh": (X, Y), "hv": (X, T), "vh": (T, Z), "vv": (T, Tp)}
+    calls = [(1, fb.nabla_ON, case, args) for case, args in pairs.items()]
+    calls += [(1, fb.nabla_ON_primed, case, args) for case, args in pairs.items()]
+    calls += [(1, nabla_OMN, case, args) for case, args in pairs.items()]
+    calls += [(1, second_fundamental_OMN, case, pairs[case]) for case in ("hh", "hv")]
+    calls += [(1, L_op, None, (X, Y))]
+    calls += [(1, lambda fd: og.mean_curvature_parts(fd, og.frame_trace(fd)), None, ())]
+    triples = {
+        "hhh": (X, Y, Z), "hhv": (X, Y, T), "hvh": (X, T, Z),
+        "hvv": (X, T, Tp), "vvh": (T, Tp, Z), "vvv": (T, Tp, T),
+    }
+    calls += [(2, curvature_OMN, case, args) for case, args in triples.items()]
+    for depth, reader, case, args in calls:
+        landed.clear()
+        reader(fd, *(() if case is None else (case,)), *args)
+        assert max(landed, default=0) <= depth, (reader, case, sorted(set(landed)))

@@ -254,7 +254,7 @@ def test_nabla_endo_constant_flat():
 
 def connection_pair(fd, Xf, Yf):
     """tilde-nabla_X Y and nabla'_X Y in chart coefficients."""
-    Xc, Yc = ops.as_chart_field(fd, Xf), ops.as_chart_field(fd, Yf)
+    Xc, Yc = ops.as_chart_field(fd, Xf, 1), ops.as_chart_field(fd, Yf, 1)
     return ops.vec_tilde_nabla_jet(fd, Xc, Yc).val, ops.vec_nabla_prime_jet(fd, Xc, Yc).val
 
 
@@ -278,9 +278,9 @@ def test_p_derivative_expansion():
     u = np.array([0.35, -0.2])
     fd = M.frame_data(u)
     p = fd.p
-    Xc = ops.as_chart_field(fd, ["u2", "1+u1*u2"])
-    Yc = ops.as_chart_field(fd, ["sin(u1)", "u2-u1"])
-    Zc = ops.as_chart_field(fd, ["cos(u2)", "u1"])
+    Xc = ops.as_chart_field(fd, ["u2", "1+u1*u2"], 1)
+    Yc = ops.as_chart_field(fd, ["sin(u1)", "u2-u1"], 1)
+    Zc = ops.as_chart_field(fd, ["cos(u2)", "u1"], 1)
     omt = fd.omega[:, :p, :p]
     DP = jstack(
         [
@@ -334,7 +334,7 @@ def test_L_nonvacuous_on_catenoid():
 def test_Q_T_plane_zero():
     rng = np.random.default_rng(14)
     fd = builtin_submanifold("plane").frame_data(np.array([0.2, -0.3]))
-    Tj = ops.as_endo_field(fd, random_skew(rng, 3))
+    Tj = ops.as_endo_field(fd, random_skew(rng, 3), 1)
     out = ops.q_t_chart_jet(fd, Tj, np.array([1.0, -2.0])).val
     assert np.max(np.abs(out)) < 1e-12
 
@@ -349,7 +349,7 @@ def test_Q_T_h_duality(name, u):
     for _ in range(3):
         Th = hm_split_mat(random_skew(rng, d), p)[0]
         xc, yc = rng.normal(size=p), rng.normal(size=p)
-        q = ops.q_t_chart_jet(fd, ops.as_endo_field(fd, Th), xc).val
+        q = ops.q_t_chart_jet(fd, ops.as_endo_field(fd, Th, 1), xc).val
         lhs = q @ fd.gt_chart.val @ yc
         rhs = skew_inner(ops.curvature_prime_jet(fd, xc, yc).val, Th)
         assert abs(lhs - rhs) < 1e-7
@@ -360,7 +360,7 @@ def test_Q_T_h_duality_nonvacuous():
     u = np.array([0.35, -0.2])
     fd = M.frame_data(u)
     Th = basis_T(3, 0, 1)
-    q = ops.q_t_chart_jet(fd, ops.as_endo_field(fd, Th), np.array([1.0, 0.0])).val
+    q = ops.q_t_chart_jet(fd, ops.as_endo_field(fd, Th, 1), np.array([1.0, 0.0])).val
     assert abs(q @ fd.gt_chart.val @ np.array([0.0, 1.0])) > 1e-3
 
 
@@ -372,8 +372,8 @@ def test_Q_T_m_duality(name, u):
     fd = M.frame_data(u)
     d, p = fd.d, fd.p
     Xf, Yf = FIELD_PAIRS_2D[0]
-    Xc = ops.as_chart_field(fd, Xf)
-    Yc = ops.as_chart_field(fd, Yf)
+    Xc = ops.as_chart_field(fd, Xf, 1)
+    Yc = ops.as_chart_field(fd, Yf, 1)
     Tm = hm_split_mat(random_skew(rng, d), p)[1]
     Tj = fd.uspace.constant(Tm)
     q = ops.q_t_chart_jet(fd, Tj, Xc)
@@ -412,7 +412,7 @@ def test_omega_along_prime_is_the_block_diagonal_part():
     M = builtin_submanifold("clifford")
     u = np.array([0.4, -0.7])
     fd = M.frame_data(u)
-    Xc = ops.as_chart_field(fd, ["u2", "1+u1*u2"])
+    Xc = ops.as_chart_field(fd, ["u2", "1+u1*u2"], 1)
     full = ops.omega_along(fd, Xc)
     prime = ops.omega_along(fd, Xc, "prime")
     assert np.array_equal(prime.coeffs, (full * fd.hmask).coeffs)
