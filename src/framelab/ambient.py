@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expression, eval_expr, parse
+from .expr import Expression, eval_expr, first_point, parse
 from .jets import Jet, get_space, jet_einsum, jet_inv, jstack
 
 __all__ = [
@@ -43,11 +43,6 @@ __all__ = [
 class AmbientError(ValueError):
     """Raised when a metric query fails (a metric not finite or not positive
     definite, bad dimensions)."""
-
-
-def _first_point(x: np.ndarray, mask: np.ndarray) -> list[float]:
-    """The first point of the batch x (..., d) at which mask (...) holds."""
-    return x[tuple(np.argwhere(mask)[0])].tolist()
 
 
 def _not_positive_definite(g: np.ndarray) -> np.ndarray:
@@ -107,12 +102,12 @@ class AmbientSpace:
         # symmetric by construction (__init__ equates the mirrored entries)
         finite = np.all(np.isfinite(G.coeffs), axis=(-3, -2, -1))
         if not np.all(finite):
-            raise AmbientError(f"metric not finite at {_first_point(x0, ~finite)}")
+            raise AmbientError(f"metric not finite at {first_point(x0, ~finite)}")
         try:
             np.linalg.cholesky(G.val)
         except np.linalg.LinAlgError:
             bad = _not_positive_definite(G.val)
-            raise AmbientError(f"metric not positive definite at {_first_point(x0, bad)}") from None
+            raise AmbientError(f"metric not positive definite at {first_point(x0, bad)}") from None
         return G
 
     def geometry_jets(self, x0, order: int) -> tuple[Jet, Jet, Jet]:

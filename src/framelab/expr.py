@@ -54,6 +54,7 @@ __all__ = [
     "parse",
     "to_source",
     "eval_expr",
+    "first_point",
     "FUNCTIONS",
 ]
 
@@ -366,13 +367,18 @@ def _is_constant(j: Jet) -> bool:
     return not np.any(j.coeffs[..., 1:])
 
 
+def first_point(points: np.ndarray, mask) -> list[float]:
+    """The first point of the batch points (..., k) at which mask, broadcast
+    to the batch shape, holds: the one lookup behind every refusal at points."""
+    return points[tuple(np.argwhere(np.broadcast_to(mask, points.shape[:-1]))[0])].tolist()
+
+
 def _refuse_where(bad, message: str, e: Expression, varjets: list[Jet]) -> None:
     """Raise the DomainError of e if bad holds anywhere, naming the first of
     the variables' points (their batch, of shape (..., dim)) where it does."""
     if np.any(bad):
         points = np.stack([v.val for v in varjets], axis=-1)
-        at = points[tuple(np.argwhere(np.broadcast_to(bad, points.shape[:-1]))[0])].tolist()
-        raise DomainError(f"{message} at {at}", e.span)
+        raise DomainError(f"{message} at {first_point(points, bad)}", e.span)
 
 
 def eval_expr(e: Expression, varjets: list[Jet], space: JetSpace) -> Jet:

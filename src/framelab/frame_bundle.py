@@ -15,11 +15,11 @@ useful lifts are X^h (zero vertical), X^{h'} = X^h + bar(S_X) for tangent X,
 and the invariant vertical fields bar(T). Every function here takes the
 frame fd (a FramePointData) at which it evaluates, and a LiftedVector holds
 that frame: vectors combine only at the same frame object. The frame is of
-one point or of a batch of n points; on a batch a lifted vector holds one
-vector at each point, its parts lead with the batch axes, horizontal (n, d)
-and vertical (n, d, d), and sasaki_mok_inner and norm give one value per
-point. Every function passes the batch axes through, and a part given per
-point (without the batch axes) is the same at every point of the batch.
+one point or of a batch of n points; a lifted vector holds one vector at
+each point, its parts lead with the frame's batch shape fd.batch, horizontal
+(n, d) and vertical (n, d, d), and sasaki_mok_inner and norm give an array
+of that shape, () at one point. Every function passes the batch axes
+through, and a part given per point is the same at every point of the batch.
 
 The Levi-Civita connection is written once, on field pairs: direction
 X^h + bar(A), field Y^h + bar(B),
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .operators import hm_split_mat, matvec, per_point, skew_inner
+from .operators import hm_split_mat, matvec, skew_inner
 from .submanifold import FramePointData
 
 __all__ = [
@@ -91,8 +91,8 @@ class LiftedVector:
         return LiftedVector(self.fd, c * self.horizontal, c * self.vertical)
 
     def norm(self):
-        """The Sasaki-Mok norm: a float at one point, an array over a batch."""
-        return per_point(np.sqrt(np.maximum(sasaki_mok_inner(self, self), 0.0)))
+        """The Sasaki-Mok norm, of the frame's batch shape."""
+        return np.sqrt(np.maximum(sasaki_mok_inner(self, self), 0.0))
 
 
 def _same_base(v: LiftedVector, w: LiftedVector):
@@ -100,14 +100,10 @@ def _same_base(v: LiftedVector, w: LiftedVector):
         raise FrameBundleError("lifted vectors live at different frames")
 
 
-def _batch(fd: FramePointData) -> tuple:
-    return fd.u0.shape[:-1]
-
-
 def _part(fd: FramePointData, x, shape: tuple, what: str) -> np.ndarray:
     """x as a float array of the frame's batch axes followed by shape: a
     value of shape alone is the same at every point, None is zero."""
-    full = _batch(fd) + shape
+    full = fd.batch + shape
     if x is None:
         return np.zeros(full)
     a = np.asarray(x, dtype=float)
@@ -138,10 +134,10 @@ def lifted(fd: FramePointData, horizontal=None, vertical=None) -> LiftedVector:
 
 def sasaki_mok_inner(v: LiftedVector, w: LiftedVector):
     """h . h' on the horizontal frame components plus <V, V'> on the vertical
-    parts: a float at one point, an array over a batch."""
+    parts, of the frame's batch shape."""
     _same_base(v, w)
     hh = np.einsum("...i,...i->...", v.horizontal, w.horizontal)
-    return per_point(hh + skew_inner(v.vertical, w.vertical))
+    return hh + skew_inner(v.vertical, w.vertical)
 
 
 def horizontal_lift(fd: FramePointData, X) -> LiftedVector:
@@ -311,7 +307,7 @@ def normal_generators(fd: FramePointData) -> list[LiftedVector]:
     for A in range(p):
         for al in range(p, d):
             Tm = ops.basis_T(d, A, al)
-            svec = np.zeros(_batch(fd) + (d,))
+            svec = np.zeros(fd.batch + (d,))
             svec[..., :p] = ops.s_tm_tangent_jet(fd, Tm).val
             out.append(lifted(fd, horizontal=svec, vertical=Tm))
     return out

@@ -16,9 +16,11 @@ respect to it. The module evaluates the pushforward, the bundle connection
 and the tension field in two ways. Each takes the frame fd (a
 FramePointData) at which it evaluates, of one point or of a batch of
 points, and passes the batch axes through, as the frame_bundle functions
-do. residual_data gives the residual vectors of the three harmonicity
-conditions and of the two minimality conditions (the first of which is the
-first harmonicity condition), and their norms r_h1, r_h2, r_h3 and r_m2.
+do; a norm or a residual is an array of the frame's batch shape, a numpy
+scalar at one point (the batch convention of submanifold). residual_data
+gives the residual vectors of the three harmonicity conditions and of the
+two minimality conditions (the first of which is the first harmonicity
+condition), and their norms r_h1, r_h2, r_h3 and r_m2.
 The closed-form tension and the residuals take the frame sums of
 omn_geometry.frame_trace as an argument, the same sums the subbundle's mean
 curvature is assembled from, so a caller that reads several of them traces
@@ -44,7 +46,7 @@ from .frame_bundle import (
     nabla_ON,
     nabla_ON_primed,
 )
-from .operators import hm_split_mat, matvec, per_point
+from .operators import hm_split_mat, matvec
 from .submanifold import FramePointData, ImmersedSubmanifold
 
 __all__ = [
@@ -162,7 +164,7 @@ class HarmonicityData:
         nabla'_e S_e - S_{nabla'_e e} - S_{R_{S_e}(e)^top}.
     m1 is h1 itself (the expressions coincide term by term).
 
-    The residual norms are floats at one point and arrays over a batch.
+    The residual norms have the frame's batch shape.
     """
 
     fd: FramePointData
@@ -173,19 +175,19 @@ class HarmonicityData:
 
     @property
     def r_h1(self):
-        return per_point(np.linalg.norm(self.h1, axis=-1))
+        return np.linalg.norm(self.h1, axis=-1)
 
     @property
     def r_h2(self):
-        return per_point(np.linalg.norm(self.h2, axis=-1))
+        return np.linalg.norm(self.h2, axis=-1)
 
     @property
     def r_h3(self):
-        return per_point(_skew_norm(self.h3))
+        return _skew_norm(self.h3)
 
     @property
     def r_m2(self):
-        return per_point(_skew_norm(self.m2))
+        return _skew_norm(self.m2)
 
 
 def residual_data(fd: FramePointData, trace) -> HarmonicityData:
@@ -199,7 +201,7 @@ def residual_data(fd: FramePointData, trace) -> HarmonicityData:
     tilde_fr = matvec(fd.Dmat.val, tilde.val)
     prime_fr = matvec(fd.Dmat.val, prime.val)
     top = prime_fr - tilde_fr + rv[..., :p]
-    h2 = np.concatenate([top, np.zeros(top.shape[:-1] + (d - p,))], axis=-1)
+    h2 = np.concatenate([top, np.zeros(fd.batch + (d - p,))], axis=-1)
     s_of = lambda vec_chart: ops.s_field_matrix(fd, vec_chart).val
     h3 = dS.val * fd.mmask - s_of(tilde.val)
     rtop_chart = matvec(fd.C.val, rv[..., :p])
@@ -207,19 +209,19 @@ def residual_data(fd: FramePointData, trace) -> HarmonicityData:
     return HarmonicityData(fd, h1, h2, h3, m2)
 
 
-def implication_residuals(data: HarmonicityData) -> tuple[float, float]:
+def implication_residuals(data: HarmonicityData) -> tuple[np.ndarray, np.ndarray]:
     """Max-norm residuals of m2 = h3 - S_{h2} and P(h2) = S_{m2}.
 
     These two exact identities from the equivalence proof give the two
     implication directions between the harmonicity and minimality
-    condition sets. Floats at one point, arrays over a batch of points.
+    condition sets. Both have the frame's batch shape.
     """
     fd = data.fd
     h2 = data.h2[..., : fd.p]
     s_h2 = ops.s_field_matrix(fd, matvec(fd.C.val, h2)).val
     r_m2 = np.max(np.abs(data.m2 - (data.h3 - s_h2)), axis=(-2, -1))
     r_h2 = np.max(np.abs(matvec(fd.Pfr.val, h2) - ops.s_tm_tangent_jet(fd, data.m2).val), axis=-1)
-    return per_point(r_m2), per_point(r_h2)
+    return r_m2, r_h2
 
 
 # -- the equivalence ------------------------------------------------------------

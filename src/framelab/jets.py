@@ -314,12 +314,6 @@ class Jet:
             idx = (idx,)
         return Jet(self.space, self.coeffs[idx + (slice(None),)])
 
-    def swapaxes(self, a: int, b: int) -> Jet:
-        # axes count within the leading shape; the coefficient axis is fixed
-        a = a if a >= 0 else a - 1
-        b = b if b >= 0 else b - 1
-        return Jet(self.space, np.swapaxes(self.coeffs, a, b))
-
     def transpose(self, *perm: int) -> Jet:
         """Permute the last len(perm) leading (tensor) axes; any batch axes
         before them and the coefficient axis stay where they are."""
@@ -328,10 +322,6 @@ class Jet:
             raise ValueError("permutation must cover the tensor axes")
         axes = tuple(range(nb)) + tuple(nb + k for k in perm) + (self.coeffs.ndim - 1,)
         return Jet(self.space, np.transpose(self.coeffs, axes))
-
-    def t(self) -> Jet:
-        """Transpose the last two leading (tensor) axes."""
-        return Jet(self.space, np.swapaxes(self.coeffs, -3, -2))
 
     def sum(self, axis: int) -> Jet:
         axis = axis if axis >= 0 else axis - 1

@@ -18,10 +18,11 @@ Every function here takes the frame fd (a FramePointData) at which it
 evaluates, of one point or of a batch of points, and passes the batch axes
 through: fields and planes are given per point or led by the batch axes,
 lifted vectors and planes hold their frame and one vector per point, and
-sectional curvatures and norms are floats at one point and arrays over a
-batch. A sampled sweep (is_totally_geodesic) builds one frame holding all
-its points, and frame_trace traces every point of it at once. A refusal
-names the first point where it fails. VERDICT_TOL is the one
+sectional curvatures and norms are arrays of the frame's batch shape
+fd.batch, a numpy scalar at one point (the batch convention of
+submanifold). A sampled sweep (is_totally_geodesic) builds one frame
+holding all its points, and frame_trace traces every point of it at once.
+A refusal names the first point where it fails. VERDICT_TOL is the one
 tolerance of the sampled verdicts.
 """
 
@@ -42,7 +43,7 @@ from .frame_bundle import (
     sasaki_mok_inner,
 )
 from .jets import Jet, jet_einsum
-from .operators import hm_split_mat, per_point, skew_inner
+from .operators import hm_split_mat, skew_inner
 from .submanifold import FramePointData, ImmersedSubmanifold
 
 __all__ = [
@@ -123,8 +124,7 @@ def _h_endo_field(fd: FramePointData, spec, order: int) -> Jet:
     j = ops.as_endo_field(fd, spec, order)
     mixed = np.max(np.abs(hm_split_mat(j.val, fd.p)[1]), axis=(-2, -1)) > 1e-10
     if np.any(mixed):
-        at = fd.point_where(np.broadcast_to(mixed, fd.u0.shape[:-1]))
-        raise OmnError(f"vertical field must be block-diagonal (h-type), not at u = {at}")
+        raise OmnError(f"vertical field must be block-diagonal (h-type), not at u = {fd.point_where(mixed)}")
     return j
 
 
@@ -312,7 +312,7 @@ def _unit(fd, x, sq, what: str):
     """x divided by its norm sqrt(sq), per point; OmnError(what), with the
     points where it fails, when a norm is below 1e-12 or not a number."""
     n = np.sqrt(np.maximum(sq, 0.0))
-    bad = np.broadcast_to(~(n >= 1e-12), fd.u0.shape[:-1])
+    bad = ~(n >= 1e-12)
     if np.any(bad):
         raise OmnError(f"{what} at u = {fd.point_where(bad)}", where=bad)
     return x / np.reshape(n, np.shape(n) + (1,) * (np.ndim(x) - np.ndim(n)))
@@ -330,7 +330,7 @@ def omn_plane(fd: FramePointData, spec1, spec2) -> OmnPlane:
     On the frame of a batch the specs give one direction per point (or one
     for every point); a plane that cannot be built at some points raises
     OmnError with those points as its where mask."""
-    chart = lambda c: np.broadcast_to(np.asarray(c, dtype=float), fd.u0.shape[:-1] + (fd.p,))
+    chart = lambda c: np.broadcast_to(np.asarray(c, dtype=float), fd.batch + (fd.p,))
     kinds = (spec1[0], spec2[0])
     if kinds == ("vertical", "hprime"):
         return omn_plane(fd, spec2, spec1)
@@ -361,7 +361,7 @@ def omn_plane(fd: FramePointData, spec1, spec2) -> OmnPlane:
         plane = OmnPlane(fd, "vv", None, None, T, Tp, v1, v2)
     else:
         raise OmnError("plane specs must be ('hprime', coeffs) or ('vertical', matrix)")
-    bad = np.zeros(fd.u0.shape[:-1], dtype=bool)
+    bad = np.zeros(fd.batch, dtype=bool)
     for a, b, want in ((plane.v1, plane.v1, 1.0), (plane.v2, plane.v2, 1.0), (plane.v1, plane.v2, 0.0)):
         bad |= ~(np.abs(sasaki_mok_inner(a, b) - want) <= 1e-10)
     if np.any(bad):
@@ -370,8 +370,8 @@ def omn_plane(fd: FramePointData, spec1, spec2) -> OmnPlane:
 
 
 def sectional_OMN(plane: OmnPlane):
-    """Sectional curvature of the plane by the closed formulas: a float at
-    one point, an array over a batch. R' of an hh plane takes no derivative
+    """Sectional curvature of the plane by the closed formulas, of the
+    frame's batch shape. R' of an hh plane takes no derivative
     of its directions, so they enter at order 0; Q_T of an hv plane takes
     one of T, which enters at order 1."""
     fd = plane.fd
@@ -380,12 +380,12 @@ def sectional_OMN(plane: OmnPlane):
         kt = np.einsum("...a,...ab,...b->...", plane.xc, fd.gt_chart.val, RYYX)
         xc, yc = (ops.as_chart_field(fd, c, 0) for c in (plane.xc, plane.yc))
         Rp = ops.curvature_prime_jet(fd, xc, yc).val
-        return per_point(kt - 0.75 * skew_inner(Rp, Rp))
+        return kt - 0.75 * skew_inner(Rp, Rp)
     if plane.kind == "hv":
         q = ops.q_t_chart_jet(fd, ops.as_endo_field(fd, plane.T, 1), plane.xc).val
-        return per_point(0.25 * _gtilde(fd, q, q))
+        return 0.25 * _gtilde(fd, q, q)
     comm = plane.T @ plane.Tp - plane.Tp @ plane.T
-    return per_point(0.125 * skew_inner(comm, comm))
+    return 0.125 * skew_inner(comm, comm)
 
 
 # -- second fundamental form --------------------------------------------------------
@@ -464,13 +464,13 @@ class MeanCurvatureReport:
     """Mean curvature of the subbundle at one frame, or at each frame of a
     batch, resolved against the normal generators: pairings with the normal
     horizontal lifts and with the corrected off-diagonal verticals. The
-    arrays lead with the batch axes, and norm is a float at one point. H
-    holds the frame."""
+    arrays lead with the batch axes, and norm has the batch shape, a numpy
+    scalar at one point. H holds the frame."""
 
     H: LiftedVector
     z_pairings: np.ndarray  # (..., n) g_SM(H, e_alpha^h)
     t_pairings: np.ndarray  # (..., p, n) g_SM(H, bar(T_{A alpha}) + (S_.)^h)
-    norm: float | np.ndarray
+    norm: np.ndarray
 
 
 def tilde_frame_fields(fd) -> list[Jet]:
@@ -535,7 +535,7 @@ def mean_curvature_OMN(fd: FramePointData) -> MeanCurvatureReport:
     hval, vval = mean_curvature_parts(fd, frame_trace(fd))
     H = lifted(fd, horizontal=hval, vertical=vval)
     z = hval[..., p:].copy()
-    t = np.zeros(hval.shape[:-1] + (p, d - p))
+    t = np.zeros(fd.batch + (p, d - p))
     for A in range(p):
         for j, al in enumerate(range(p, d)):
             Tm = ops.basis_T(d, A, al)

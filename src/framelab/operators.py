@@ -48,8 +48,9 @@ L_op evaluates the operator L from these primitives, in chart coefficients,
 at a frame of one point or of a batch (its result then leads with the batch
 axes); it is the right-hand side of an identity of verify's registry.
 skew_inner, hm_split_mat and matvec act on the trailing axes of value
-arrays, so they take a batch of frame matrices too, and per_point gives a
-value that is a float at one point and an array over a batch.
+arrays, so they take a batch of frame matrices too. Values lead with the
+frame's batch shape, () at one point (the batch convention of submanifold),
+so skew_inner gives a numpy scalar at one point.
 
 The tolerance ladder of the identity checks is verify.TOL_LADDER.
 """
@@ -63,7 +64,6 @@ from .submanifold import FramePointData
 
 __all__ = [
     "OperatorError",
-    "per_point",
     "matvec",
     "skew_inner",
     "hm_split_mat",
@@ -94,20 +94,14 @@ class OperatorError(ValueError):
     pass
 
 
-def per_point(x):
-    """A float at a single point, an array over a batch of points."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x for (..., m, k) matrices and (..., k) vectors, values per point."""
     return np.einsum("...ij,...j->...i", A, x)
 
 
 def skew_inner(T, Tp):
-    """<T, T'> = -tr(T T') of (..., d, d) frame matrices: a float at one
-    point, an array over the batch axes."""
-    return per_point(-np.einsum("...ij,...ji->...", T, Tp))
+    """<T, T'> = -tr(T T') of (..., d, d) frame matrices, of their batch shape."""
+    return -np.einsum("...ij,...ji->...", T, Tp)
 
 
 def hm_split_mat(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +163,7 @@ def _batched(fd: FramePointData, value, ndim: int, order: int) -> Jet:
     being its last ndim axes, led by the frame's batch axes (a per-point
     value is the same at every point)."""
     value = np.asarray(value, dtype=float)
-    shape = fd.u0.shape[:-1] + value.shape[value.ndim - ndim :]
+    shape = fd.batch + value.shape[value.ndim - ndim :]
     return get_space(fd.p, order).constant(np.broadcast_to(value, shape))
 
 

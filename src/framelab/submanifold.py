@@ -27,11 +27,12 @@ components yfr back; the frame-bundle modules convert only where an
 ambient vector enters (frame_bundle.horizontal_lift and
 horizontal_lift_prime).
 
-Batch convention: `frame_data(u)` takes one point, u of shape (p,), or a
-batch of n points, u of shape (n, p). Every jet of the frame then leads
-with the batch axes u.shape[:-1], () for one point, followed by the
-per-point shape that the FramePointData table lists. One point and a batch
-run the same code.
+Batch convention: one point is the batch of shape (). `frame_data(u)` takes
+u of shape (p,) or (n, p); every jet of the frame leads with its batch shape
+FramePointData.batch = u.shape[:-1], then the per-point shape the table of
+FramePointData lists, and so does every value computed at the frame: a
+scalar per point is a numpy scalar (a float) at one point. One point and a
+batch run the same code.
 
 Frames are passed, not looked up: the frame-field primitives of `operators`
 and the geometry of `frame_bundle`, `omn_geometry` and `gauss_map` take the
@@ -49,7 +50,7 @@ from functools import cached_property, wraps
 import numpy as np
 
 from .ambient import AmbientSpace, christoffel_jets, curvature_jets, euclidean, sphere_chart
-from .expr import Expression, eval_expr, parse
+from .expr import Expression, eval_expr, first_point, parse
 from .jets import (
     Jet,
     get_space,
@@ -83,11 +84,6 @@ def _g_dot(u: Jet, v: Jet, G: Jet) -> Jet:
     return jet_dot(u, jet_einsum("...ij,...j->...i", G, v))
 
 
-def _first_point(u: np.ndarray, mask: np.ndarray) -> list[float]:
-    """The first point of the batch u (..., p) at which mask (...) holds."""
-    return u[tuple(np.argwhere(mask)[0])].tolist()
-
-
 def gram_schmidt_jets(vectors: list[Jet], G: Jet, u: np.ndarray, n_given: int = 0) -> Jet:
     """Orthonormalize jet vectors against the (jet) quadratic form G at the
     points u, batch axes leading.
@@ -105,7 +101,7 @@ def gram_schmidt_jets(vectors: list[Jet], G: Jet, u: np.ndarray, n_given: int = 
         nrm2 = _g_dot(v, v, G)
         bad = nrm2.val < GS_BREAKDOWN**2
         if np.any(bad):
-            at = _first_point(u, bad)
+            at = first_point(u, bad)
             if k < n_given:
                 raise FrameError(f"Jacobian rank-deficient (column {k + 1}) at {at}")
             raise FrameError(f"Gram-Schmidt pivot failure at vector {k + 1} at {at}")
@@ -130,9 +126,10 @@ class ImmersedSubmanifold:
         domain = np.asarray(chart_domain, dtype=float)
         if domain.shape != (p, 2) or np.any(domain[:, 0] >= domain[:, 1]):
             raise FrameError("chart_domain must be a (p, 2) box with lo < hi")
-        comps = []
-        for c in components:
-            comps.append(parse(c, p, var_prefix="u") if isinstance(c, str) else c)
+        comps = [parse(c, p, var_prefix="u") if isinstance(c, str) else c for c in components]
+        for i, c in enumerate(comps):
+            if not isinstance(c, Expression):
+                raise FrameError(f"immersion component at index {i} is {c!r}, not an expression or a string")
         if len(comps) != d:
             raise FrameError(f"immersion needs {d} components, got {len(comps)}")
         self.p = p
@@ -201,8 +198,8 @@ class ImmersedSubmanifold:
             raise FrameError(
                 f"parameter points must have shape ({self.p},) or (n, {self.p}), got {u.shape}"
             )
-        if order < 1:
-            raise FrameError(f"a frame needs jet order 1 or more, got {order}")
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
+            raise FrameError(f"a frame needs an integer jet order 1 or more, got {order!r}")
         key = (u.shape, u.tobytes())
         hit = self._cache.get(key)
         if hit is not None and hit.order >= order:
@@ -212,7 +209,7 @@ class ImmersedSubmanifold:
             lo, hi = self.chart_domain[:, 0], self.chart_domain[:, 1]
             outside = ~np.all((u >= lo - _DOMAIN_SLACK) & (u <= hi + _DOMAIN_SLACK), axis=-1)
             if np.any(outside):
-                at = _first_point(u, outside)
+                at = first_point(u, outside)
                 raise FrameError(f"parameter point {at} outside the chart domain")
             if len(self._cache) >= 4096:
                 self._cache.clear()
@@ -251,8 +248,8 @@ class FramePointData:
     """Every jet needed at a parameter point, or a batch of them, built once
     and shared.
 
-    The jets lead with the batch axes, u0.shape[:-1]: () for one point, (n,)
-    for n points. The shapes below are per point and follow the batch axes.
+    The jets lead with the batch axes, batch = u0.shape[:-1]: () for one
+    point, (n,) for n points. The shapes below are per point and follow them.
     Each jet lives in the space of its valid order, get_space(p, order), and
     stores exactly that space's coefficients.
 
@@ -310,6 +307,7 @@ class FramePointData:
     def __init__(self, sub: ImmersedSubmanifold, u0: np.ndarray, order: int):
         p, d = sub.p, sub.ambient.dim
         self.u0 = u0.copy()
+        self.batch = u0.shape[:-1]
         self.p, self.n, self.d = p, sub.n, d
         self.order = order
         uspace = get_space(p, order)
@@ -338,8 +336,9 @@ class FramePointData:
         self.mmask = 1.0 - self.hmask
 
     def point_where(self, mask) -> list[float]:
-        """The first of the frame's points at which mask (batch shape) holds."""
-        return _first_point(self.u0, np.asarray(mask))
+        """The first of the frame's points at which mask holds; mask has the
+        batch shape or broadcasts to it."""
+        return first_point(self.u0, mask)
 
     # -- ambient geometry, x-space jets then pulled back along phi -------------
 
@@ -490,7 +489,7 @@ def builtin_submanifold(name: str) -> ImmersedSubmanifold:
         try:
             # a decimal or a rational p/q, so great2(2/3) names kappa = 2/3
             kappa = float(Fraction(key[len("great2("):-1]))
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise FrameError(f"bad curvature parameter in {name!r}") from None
         if kappa <= 0:
             raise FrameError("great2 needs a positive curvature parameter")

@@ -467,7 +467,8 @@ def _ev_mixed_vertical_sectional_nonnegative(M, fd, rngs):
 
 def _ev_christoffel_jets_vs_fd(M, fd, rngs):
     quantities = ("gamma_chart", "gamma_tilde")
-    errors = [_relative_errors(FD_QUANTITIES[q].jet_route(fd), fd_oracle(M, q, fd.u0), 1) for q in quantities]
+    u = fd.u0
+    errors = [_relative_errors(FD_QUANTITIES[q].jet_route(fd), fd_oracle(M, q, u), u) for q in quantities]
     return np.maximum(*errors), _sup_each(fd.Gam_chart.val)
 
 
@@ -934,8 +935,8 @@ def run_suite(builtins=None, samples: int = 25, seed: int = 0, groups=None) -> V
 
     builtins: None for the default set, a name, a submanifold object, or a
     list of either. samples: the sample count of each sampled case, an
-    integer >= 1. seed: an integer >= 0. groups optionally restricts to a
-    subset of case groups.
+    integer >= 1. seed: an integer >= 0. groups: None for every case group,
+    a group name, or a collection of group names to restrict the run to.
     """
     t0 = time.perf_counter()
     if builtins is None:
@@ -951,7 +952,7 @@ def run_suite(builtins=None, samples: int = 25, seed: int = 0, groups=None) -> V
     if not _is_int(seed) or seed < 0:
         raise VerifyError(f"seed must be an integer >= 0, got {seed!r}")
     if groups is not None:
-        groups = set(groups)
+        groups = {groups} if isinstance(groups, str) else set(groups)
         if not groups:
             raise VerifyError("no case groups to check")
         bad = groups - REQUIRED_GROUPS
@@ -1039,7 +1040,9 @@ class FDQuantity(NamedTuple):
     its FD route reads, the lowest whose values it needs; its FD route
     fd_route(M, u, h, frame), which hands finite_diff metric and field
     functions that read frame(U), the frame at a batch U built to that
-    order, or metric_at(M.ambient, X); its jet route jet_route(fd) at u."""
+    order, or metric_at(M.ambient, X); its jet route jet_route(fd) at the
+    frame fd of u. Both take u of shape (p,) or (n, p), and their values lead
+    with u's batch axes, () at one point (submanifold's batch convention)."""
 
     h: float
     order: int
@@ -1061,43 +1064,50 @@ def _fd_connection(M, u, h, frame, attr: str):
     Y = lambda U: ops.as_chart_field(frame(U), _DEFAULT_Y[: M.p], 0).val
     dY = finite_diff.central_diff(Y, u, h)
     gam = finite_diff.christoffels(lambda U: getattr(frame(U), attr).val, u, h)
-    return np.einsum("a,ac->c", x0, dY) + np.einsum("cab,a,b->c", gam, x0, y0)
+    return np.einsum("...a,...ac->...c", x0, dY) + np.einsum("...cab,...a,...b->...c", gam, x0, y0)
 
 
 def _fd_nabla_vec(M, u, h, frame):
     """FD route of nabla_X Y in ambient components: the derivative of Y's
     ambient components along X plus the ambient Christoffels at phi(u)."""
     fd0 = frame(u)
-    x0 = _xy(fd0, 0)[0].val
+    x0 = ops.as_chart_field(fd0, _DEFAULT_X[: M.p], 0).val
 
     def yamb(U):
         at = frame(U)
         return np.matmul(at.J.val, ops.as_chart_field(at, _DEFAULT_Y[: M.p], 0).val[..., None])[..., 0]
 
     gam = finite_diff.christoffels(lambda X: metric_at(M.ambient, X), fd0.x0, h)
-    dY = x0 @ finite_diff.central_diff(yamb, u, h)
-    return dY + np.einsum("ijk,j,k->i", gam, fd0.J.val @ x0, yamb(u))
+    dY = np.matmul(x0[..., None, :], finite_diff.central_diff(yamb, u, h))[..., 0, :]
+    Jx = np.matmul(fd0.J.val, x0[..., None])[..., 0]
+    return dY + np.einsum("...ijk,...j,...k->...i", gam, Jx, yamb(u))
 
 
 def _fd_curvature_ambient(M, u, h, frame):
     """FD route of the ambient curvature in frame components, g(R(e_k, e_l) e_j, e_i)."""
     fd0 = frame(u)
     metric = lambda X: metric_at(M.ambient, X)
-    low = np.einsum("im,mjkl->ijkl", metric(fd0.x0), finite_diff.curvature(metric, fd0.x0, h))
+    low = np.einsum("...im,...mjkl->...ijkl", metric(fd0.x0), finite_diff.curvature(metric, fd0.x0, h))
     E = fd0.E.val
-    return np.einsum("ijkl,ia,jb,kc,ld->abcd", low, E, E, E, E)
+    return np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", low, E, E, E, E)
 
 
 def _jet_nabla_vec(fd):
     Xc, Yc = _xy(fd, 1)
-    return fd.E.val @ ops.ambient_deriv_frame(fd, Xc, ops.full_frame_field(fd, Yc)).val
+    yF = ops.ambient_deriv_frame(fd, Xc, ops.full_frame_field(fd, Yc)).val
+    return np.matmul(fd.E.val, yF[..., None])[..., 0]
 
 
 def _jet_curvature_prime(fd):
-    """R'^i_{jab} in chart components by the block-splitting route, all pairs (a, b) at once."""
-    eye = np.eye(fd.p)
-    blk = ops.curvature_prime_jet(fd, eye[:, None], eye[None, :]).val[..., : fd.p, : fd.p]
-    return np.einsum("iA,abAB,Bj->ijab", fd.C.val, blk, fd.Dmat.val)
+    """R'^i_{jab} in chart components by the block-splitting route, all pairs
+    (a, b) at once: their axes broadcast ahead of the batch axes, then follow."""
+    p, nb = fd.p, len(fd.batch)
+    eye = np.eye(p)
+    xs = eye.reshape((p,) + (1,) * (nb + 1) + (p,))
+    ys = eye.reshape((1, p) + (1,) * nb + (p,))
+    blk = ops.curvature_prime_jet(fd, xs, ys).val[..., :p, :p]
+    blk = np.moveaxis(blk, (0, 1), (nb, nb + 1))
+    return np.einsum("...iA,...abAB,...Bj->...ijab", fd.C.val, blk, fd.Dmat.val)
 
 
 # Steps: 1e-4 for quantities of first derivatives of the metric, 1e-3 for curvatures.
@@ -1151,8 +1161,8 @@ def _fd_quantity(quantity: str) -> FDQuantity:
 
 def fd_oracle(M: ImmersedSubmanifold, quantity: str, u):
     """Recompute a derived quantity by central differences of point values,
-    at one point u (p,); gamma_chart and gamma_tilde also take a batch u
-    (n, p), and lead with its batch axis.
+    at u of shape (p,) or (n, p); the value leads with u's batch axes, and
+    the shapes below follow them.
 
     gamma_chart / gamma_tilde: Christoffels of the induced and deformed chart
     metrics, shape (p, p, p). nabla_vec: ambient covariant derivative of a
@@ -1167,16 +1177,19 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u):
 
 
 def jet_value(M: ImmersedSubmanifold, quantity: str, u):
-    """The jet-route value matching fd_oracle's conventions, at u."""
+    """The jet-route value matching fd_oracle's conventions, at u of shape
+    (p,) or (n, p)."""
     return _fd_quantity(quantity).jet_route(M.frame_data(np.asarray(u, dtype=float)))
 
 
-def _relative_errors(a, b, batch_ndim: int):
-    """max |a - b| / (1 + max |a|) over the axes after the batch_ndim leading ones."""
-    axes = tuple(range(batch_ndim, np.ndim(a)))
+def _relative_errors(a, b, u):
+    """max |a - b| / (1 + max |a|) at each of the points u (..., p): over
+    the axes of a after u's batch axes."""
+    axes = tuple(range(np.ndim(u) - 1, np.ndim(a)))
     return np.max(np.abs(a - b), axis=axes) / (1.0 + np.max(np.abs(a), axis=axes))
 
 
-def fd_relative_error(M: ImmersedSubmanifold, quantity: str, u) -> float:
-    """Relative error of the FD route against the jet route at one point u."""
-    return float(_relative_errors(jet_value(M, quantity, u), fd_oracle(M, quantity, u), 0))
+def fd_relative_error(M: ImmersedSubmanifold, quantity: str, u):
+    """Relative error of the FD route against the jet route at u of shape
+    (p,) or (n, p): one per point, so a numpy scalar at one point."""
+    return _relative_errors(jet_value(M, quantity, u), fd_oracle(M, quantity, u), u)

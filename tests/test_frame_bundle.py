@@ -20,7 +20,13 @@ from framelab.frame_bundle import (
     sasaki_mok_inner,
     tangent_generators,
 )
-from framelab.gauss_map import grassmann_nabla, grassmann_vector, tension_field
+from framelab.gauss_map import (
+    grassmann_nabla,
+    grassmann_vector,
+    implication_residuals,
+    residual_data,
+    tension_field,
+)
 from framelab.jets import jet_einsum, jstack
 from framelab.omn_geometry import (
     OmnError,
@@ -32,7 +38,7 @@ from framelab.omn_geometry import (
     sectional_OMN,
 )
 from framelab.omn_geometry import frame_trace
-from framelab.operators import basis_T
+from framelab.operators import basis_T, skew_inner
 from framelab.submanifold import FrameError, builtin_submanifold
 
 ALL_BUILTINS = [
@@ -445,6 +451,29 @@ def test_batch_agrees_with_pointwise(name):
         want = np.stack([np.asarray(parts[k]) for parts in per_point])
         assert np.shape(got) == want.shape, (name, k)
         assert np.max(np.abs(got - want)) <= 1e-13, (name, k)
+
+
+def _scalars(fd):
+    """Every scalar-per-point value of the frame-bundle modules at the frame fd."""
+    v = lifted(fd, horizontal=[0.3, -1.0, 2.0], vertical=T3)
+    T = np.broadcast_to(T3, fd.batch + T3.shape)
+    planes = [omn_plane(fd, ("hprime", X2), spec) for spec in (("hprime", [0.3, 1.0]), ("vertical", T3))]
+    data = residual_data(fd, frame_trace(fd))
+    return (
+        [skew_inner(T, T), sasaki_mok_inner(v, v), v.norm(), mean_curvature_OMN(fd).norm]
+        + [sectional_OMN(pl) for pl in planes]
+        + [data.r_h1, data.r_h2, data.r_h3, data.r_m2, *implication_residuals(data)]
+    )
+
+
+def test_scalars_have_the_batch_shape():
+    """One point is the batch of shape (): a scalar per point is an array of
+    the frame's batch shape, so a numpy scalar, which is a float, at one point."""
+    M = builtin_submanifold("sphere2")
+    for x in _scalars(M.frame_data(U3[0])):
+        assert type(x) is np.float64 and isinstance(x, float)
+    for x in _scalars(M.frame_data(U3)):
+        assert isinstance(x, np.ndarray) and x.shape == (len(U3),)
 
 
 # -- decomposition ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -216,6 +217,10 @@ def test_frame_order_below_one_is_refused():
     M.frame_data([1.1, 0.2])
     with pytest.raises(FrameError, match="jet order 1 or more, got 0"):
         M.frame_data([1.1, 0.2], 0)
+    # an order that is not an integer is refused, not rounded or read as 1
+    for order in (True, 2.5, "2"):
+        with pytest.raises(FrameError, match=f"integer jet order 1 or more, got {re.escape(repr(order))}"):
+            M.frame_data([1.1, 0.2], order)
 
 
 def test_manifold_freed_without_cycle_collector():
@@ -454,6 +459,11 @@ def test_builtin_catalog_errors():
         builtin_submanifold("great2(abc)")
     with pytest.raises(FrameError, match="bad curvature parameter"):
         builtin_submanifold("great2(1/0)")
+    with pytest.raises(FrameError, match="bad curvature parameter"):
+        builtin_submanifold("great2(1e400)")
+    for bad in (0.5, None):
+        with pytest.raises(FrameError, match=f"component at index 2 is {bad!r}, not an expression"):
+            ImmersedSubmanifold(2, [[-1.0, 1.0]] * 2, ["u1", "u2", bad], euclidean(3))
 
 
 def test_great2_takes_a_rational_curvature():

@@ -7,6 +7,8 @@ The per-module tests keep closed-form values, error paths and the routes the
 registry does not take.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,36 @@ def test_fd_sweep_builds_stencil_frames_to_the_order_they_read(monkeypatch):
     for q in verify.FD_QUANTITIES:
         verify.fd_relative_error(M, q, [1.1, 0.6])
     assert built == [((2,), 4), ((4, 2), 2), ((4, 2), 1), ((16, 2), 1)]
+
+
+@pytest.mark.parametrize("name", verify.DEFAULT_BUILTINS)
+def test_fd_quantities_take_a_batch(name):
+    """Both routes of every FD quantity, and its error, at a batch of 4
+    points are the values at each point stacked, bit for bit."""
+    M = builtin_submanifold(name)
+    U = domain_samples(M, 4, seed=2)
+    for q in verify.FD_QUANTITIES:
+        for route in (verify.fd_oracle, verify.jet_value, verify.fd_relative_error):
+            got, want = route(M, q, U), np.stack([route(M, q, u) for u in U])
+            assert got.shape == want.shape and np.array_equal(got, want), (q, route.__name__)
+
+
+def test_a_group_name_is_one_group():
+    """A str names one group, as a str names one builtin; it is not split
+    into its characters."""
+    one = verify.run_suite("plane", samples=2, groups="theorem-equivalence")
+    listed = verify.run_suite("plane", samples=2, groups=["theorem-equivalence"])
+    assert one.canonical_json() == listed.canonical_json()
+    assert one.results and {r.group for r in one.results} == {"theorem-equivalence"}
+    with pytest.raises(verify.VerifyError, match=r"unknown case groups: \['theorem'\]"):
+        verify.run_suite("plane", samples=2, groups="theorem")
+
+
+def test_to_json_is_the_canonical_payload_with_run_facts(report):
+    payload = json.loads(report.to_json())
+    facts = {k: payload.pop(k) for k in ("generated_at", "runtime_seconds")}
+    assert payload == json.loads(report.canonical_json())
+    assert facts == {"generated_at": report.generated_at, "runtime_seconds": report.runtime_seconds}
 
 
 @pytest.mark.parametrize(
