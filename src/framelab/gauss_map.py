@@ -149,7 +149,7 @@ def tension_field_pullback(fd: FramePointData) -> LiftedVector:
 
 def _skew_norm(T: np.ndarray):
     """sqrt(<T, T>) = sqrt(-tr(T T)) of skew (..., d, d) matrices."""
-    return np.sqrt(np.maximum(-np.einsum("...ij,...ji->...", T, T), 0.0))
+    return np.sqrt(np.maximum(ops.skew_inner(T, T), 0.0))
 
 
 @dataclass(frozen=True)
@@ -259,9 +259,8 @@ def theorem_check(M: ImmersedSubmanifold, samples: int = 50, seed: int = 0) -> T
     fd = M.frame_data(og.domain_samples(M, samples, seed=seed))
     trace = og.frame_trace(fd)
     hval, vval = og.mean_curvature_parts(fd, trace)
-    # the Sasaki-Mok norm of H: g on the horizontal part, -tr(V V) on the vertical
-    h_sq = np.sum(hval * hval, axis=-1) - np.einsum("...ij,...ji->...", vval, vval)
-    h_norm = np.sqrt(np.maximum(h_sq, 0.0))
+    # not lifted(): a non-finite H is refused below with the residuals, by point
+    h_norm = LiftedVector(fd, hval, vval).norm()
     data = residual_data(fd, trace)
     r_max = np.maximum(np.maximum(data.r_h1, data.r_h2), data.r_h3)
     residuals = np.stack([h_norm, r_max, *implication_residuals(data)])

@@ -31,6 +31,17 @@ target, with the weight w = 1/2 on the diagonal i == j and 1 elsewhere.
 Swapping the operands swaps the two halves of e, floating-point addition
 commutes, and w scales exactly, so a * b and b * a agree to the last bit.
 
+Where every target has exactly one pair (the tables of orders 0 and 1:
+the pairs (0, k)), the sum by target adds nothing, and the weighted terms
+are the coefficients: np.add.reduceat is skipped. An order-0 `*` is the
+product of the values, which is what its doubled and halved pair gives.
+These results are laid out C-contiguous, as reduceat lays out its sum when
+the operands' leading axes are in C order: an elementwise result would keep
+the strides of e, where the pair axis is often the slowest, and a later
+einsum over it would sum in another order and round differently. An
+order-0 jet_einsum keeps its doubled pair axis: one einsum over the
+coefficient axis of size 1 rounds some sums differently, too.
+
 jet_solve(a, b) lands in the lower of the two orders: a right-hand side jet
 b of lower order cuts a to b's order before the inverse of a is built, so
 no coefficient of the inverse above the result's order is formed (an array
@@ -200,9 +211,15 @@ def _common(a: Jet, b: Jet) -> tuple[JetSpace, np.ndarray, np.ndarray]:
 
 def _pair_sum(e: np.ndarray, pw: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Coefficients of a product from its terms e (..., 2P) over the ordered
-    pair table: the two orders of each pair weighted, then summed by target."""
+    pair table: the two orders of each pair weighted, then summed by target;
+    a table with one pair per target needs no sum (see the module docstring)."""
     P = pw.shape[0]
-    return np.add.reduceat(pw * (e[..., :P] + e[..., P:]), starts, axis=-1)
+    terms = e[..., :P] + e[..., P:]
+    if len(starts) == P:
+        return np.multiply(pw, terms, order="C")
+    # weighted in place: a second array of terms would be live during the sum
+    terms *= pw
+    return np.add.reduceat(terms, starts, axis=-1)
 
 
 class Jet:
@@ -283,6 +300,9 @@ class Jet:
             arr = np.asarray(other, dtype=float)
             return Jet(self.space, self.coeffs * arr[..., None])
         sp, a, b = _common(self, other)
+        if sp.order == 0:
+            # one coefficient: the product of the values
+            return Jet(sp, np.multiply(a, b, order="C"))
         left, right, pw, starts = sp._product
         e = a[..., left] * b[..., right]
         return Jet(sp, _pair_sum(e, pw, starts))

@@ -44,7 +44,7 @@ from .frame_bundle import (
 )
 from .jets import Jet, jet_einsum
 from .operators import hm_split_mat, skew_inner
-from .submanifold import FramePointData, ImmersedSubmanifold
+from .submanifold import FramePointData, ImmersedSubmanifold, is_int
 
 __all__ = [
     "OmnError",
@@ -82,11 +82,6 @@ VERDICT_TOL = 1e-6
 _SAMPLE_PAD = 0.05  # share of the chart domain's width left out at each rim
 
 
-def _is_int(x) -> bool:
-    """An int or a numpy integer; a bool is refused, though it is an int."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 @lru_cache(maxsize=256)
 def _unit_draw(p: int, n: int, seed: int) -> np.ndarray:
     """The scrambled Halton draw of n points in the unit p-cube for seed,
@@ -105,9 +100,9 @@ def domain_samples(M: ImmersedSubmanifold, n: int, seed: int = 0):
     verdict on no evidence. seed must be an integer >= 0. The unit-cube
     draw of each (p, n, seed) is made once; submanifolds of one dimension
     share it and scale it to their own domains."""
-    if not _is_int(n) or n < 1:
+    if not is_int(n) or n < 1:
         raise OmnError(f"sample count must be an integer >= 1, got {n!r}")
-    if not _is_int(seed) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise OmnError(f"seed must be an integer >= 0, got {seed!r}")
     lo, hi = M.chart_domain[:, 0], M.chart_domain[:, 1]
     width = hi - lo

@@ -70,6 +70,7 @@ __all__ = [
     "builtin_submanifold",
     "SUBMANIFOLD_BUILTINS",
     "GS_BREAKDOWN",
+    "is_int",
 ]
 
 GS_BREAKDOWN = 1e-12
@@ -78,6 +79,12 @@ _DOMAIN_SLACK = 1e-9  # how far outside its chart domain box a point is still ac
 
 class FrameError(ValueError):
     """Rank-deficient Jacobian or Gram-Schmidt pivot failure."""
+
+
+def is_int(x) -> bool:
+    """An int or a numpy integer; a bool is refused, though it is an int.
+    The check of every integer argument: frame orders, sample counts, seeds."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _g_dot(u: Jet, v: Jet, G: Jet) -> Jet:
@@ -198,7 +205,7 @@ class ImmersedSubmanifold:
             raise FrameError(
                 f"parameter points must have shape ({self.p},) or (n, {self.p}), got {u.shape}"
             )
-        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
+        if not is_int(order) or order < 1:
             raise FrameError(f"a frame needs an integer jet order 1 or more, got {order!r}")
         key = (u.shape, u.tobytes())
         hit = self._cache.get(key)

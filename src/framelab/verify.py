@@ -47,7 +47,7 @@ from .frame_bundle import (
 from .jets import jet_along, jet_einsum, jstack
 from .omn_geometry import domain_samples
 from .operators import matvec, skew_inner
-from .submanifold import FrameError, ImmersedSubmanifold, builtin_submanifold
+from .submanifold import FrameError, ImmersedSubmanifold, builtin_submanifold, is_int
 
 __all__ = [
     "VerifyError",
@@ -917,11 +917,6 @@ def _decimalize(obj):
     return obj
 
 
-def _is_int(x) -> bool:
-    """An int or a numpy integer; a bool is refused, though it is an int."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _as_manifold(entry):
     if isinstance(entry, ImmersedSubmanifold):
         return entry.name.lower(), entry
@@ -947,9 +942,9 @@ def run_suite(builtins=None, samples: int = 25, seed: int = 0, groups=None) -> V
     # a run over no submanifolds or no cases would report its verdict on no evidence
     if not manifolds:
         raise VerifyError("no submanifolds to check")
-    if not _is_int(samples) or samples < 1:
+    if not is_int(samples) or samples < 1:
         raise VerifyError(f"samples must be an integer >= 1, got {samples!r}")
-    if not _is_int(seed) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise VerifyError(f"seed must be an integer >= 0, got {seed!r}")
     if groups is not None:
         groups = {groups} if isinstance(groups, str) else set(groups)
@@ -1041,8 +1036,10 @@ class FDQuantity(NamedTuple):
     fd_route(M, u, h, frame), which hands finite_diff metric and field
     functions that read frame(U), the frame at a batch U built to that
     order, or metric_at(M.ambient, X); its jet route jet_route(fd) at the
-    frame fd of u. Both take u of shape (p,) or (n, p), and their values lead
-    with u's batch axes, () at one point (submanifold's batch convention)."""
+    frame fd of u, which jet_value builds to order 3: Gamt.val and Rfr.val,
+    the deepest reads of any jet route, are valid there and not at order 2.
+    Both take u of shape (p,) or (n, p), and their values lead with u's
+    batch axes, () at one point (submanifold's batch convention)."""
 
     h: float
     order: int
@@ -1112,7 +1109,7 @@ def _jet_curvature_prime(fd):
 
 # Steps: 1e-4 for quantities of first derivatives of the metric, 1e-3 for curvatures.
 # Orders: each FD route reads only values of its frames, so they are built no
-# higher than those values need (order 4 is what the jet route reads at u).
+# higher than those values need (order 3 is what the jet route reads at u).
 FD_QUANTITIES = {
     # order 2 for the whole h = 1e-4 stencil: gt_chart.val needs it, and one
     # order for all six readers (christoffel-jets-vs-fd too) keeps it one build
@@ -1178,8 +1175,10 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u):
 
 def jet_value(M: ImmersedSubmanifold, quantity: str, u):
     """The jet-route value matching fd_oracle's conventions, at u of shape
-    (p,) or (n, p)."""
-    return _fd_quantity(quantity).jet_route(M.frame_data(np.asarray(u, dtype=float)))
+    (p,) or (n, p), read from the frame at u built to order 3 (see
+    FDQuantity). fd_relative_error takes this route first, so that frame
+    also serves the FD routes' reads at u, of orders 2 and 1."""
+    return _fd_quantity(quantity).jet_route(M.frame_data(np.asarray(u, dtype=float), 3))
 
 
 def _relative_errors(a, b, u):

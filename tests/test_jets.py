@@ -379,3 +379,95 @@ def test_solve_matches_reference(nvars, order):
             got = jet_solve(a, b)
             assert got.space is sl
             assert np.array_equal(got.coeffs, jet_solve(a, Jet(sp, padded)).cut(low).coeffs)
+
+
+def _pre_change_table(sp) -> tuple:
+    """The ordered pair table of the pair kernel as first written: the P
+    unordered pairs (i, j), i <= j, grouped by target, then the same pairs
+    swapped, with the weight of each pair and the start of each target."""
+    by_target: dict[int, list] = {}
+    for i, alpha in enumerate(sp.multi_indices):
+        for j in range(i, sp.ncoeff):
+            beta = sp.multi_indices[j]
+            if sum(alpha) + sum(beta) <= sp.order:
+                by_target.setdefault(sp.index_of[tuple(x + y for x, y in zip(alpha, beta))], []).append((i, j))
+    pi, pj, w, starts = [], [], [], []
+    for k in range(sp.ncoeff):
+        starts.append(len(pi))
+        for i, j in sorted(by_target[k]):
+            pi.append(i)
+            pj.append(j)
+            w.append(0.5 if i == j else 1.0)
+    return np.array(pi + pj), np.array(pj + pi), np.array(w), np.array(starts)
+
+
+def _pre_change_kernel(a: Jet, b: Jet, sub=None) -> np.ndarray:
+    """The pair kernel before it skipped work, kept as the reference: both
+    operands gathered over the 2P ordered pairs, their terms formed by one
+    elementwise product (sub None) or one einsum with a trailing pair axis,
+    the two orders of each pair weighted and summed by target with
+    np.add.reduceat, at every order."""
+    low = a.space if a.space.order <= b.space.order else b.space
+    left, right, pw, starts = _pre_change_table(low)
+    ca, cb = a.coeffs[..., : low.ncoeff][..., left], b.coeffs[..., : low.ncoeff][..., right]
+    if sub is None:
+        e = ca * cb
+    else:
+        lhs, rhs = sub.split("->")
+        sa, sb = lhs.split(",")
+        e = np.einsum(f"{sa}P,{sb}P->{rhs}P", ca, cb)
+    P = pw.shape[0]
+    return np.add.reduceat(pw * (e[..., :P] + e[..., P:]), starts, axis=-1)
+
+
+def _laid_out(rng, sp, shape, layout: str) -> Jet:
+    """A jet of the given shape whose coefficients are C-contiguous, have
+    their leading axes reversed in memory, or sit at every other entry of
+    a wider array (a non-contiguous coefficient axis)."""
+    if layout == "contiguous":
+        return Jet(sp, rng.uniform(-1.0, 1.0, shape + (sp.ncoeff,)))
+    if layout == "transposed":
+        nd = len(shape)
+        c = rng.uniform(-1.0, 1.0, shape[::-1] + (sp.ncoeff,))
+        return Jet(sp, c.transpose(tuple(range(nd - 1, -1, -1)) + (nd,)))
+    return Jet(sp, rng.uniform(-1.0, 1.0, shape + (2 * sp.ncoeff,))[..., ::2])
+
+
+PAIR_KERNEL_CALLS = {
+    "*": (None, (5, 3, 3), (5, 3, 3)),
+    "...ik,...kj->...ij": ("...ik,...kj->...ij", (5, 3, 3), (5, 3, 3)),
+    "...ij,...k->...ijk": ("...ij,...k->...ijk", (5, 3, 2), (5, 3)),
+}
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+@pytest.mark.parametrize("call", PAIR_KERNEL_CALLS)
+def test_pair_kernel_matches_pre_change_kernel(nvars, order, layout, call):
+    """Jet * and jet_einsum are bitwise the pre-change kernel. Where every
+    target has one pair (orders 0 and 1) the result is C-contiguous whatever
+    the operands' layout; above that it is laid out as reduceat lays it out."""
+    sub, sa, sb = PAIR_KERNEL_CALLS[call]
+    rng = np.random.default_rng([nvars, order, len(layout), len(call)])
+    sp = get_space(nvars, order)
+    a, b = _laid_out(rng, sp, sa, layout), _laid_out(rng, sp, sb, layout)
+    got = (a * b if sub is None else jet_einsum(sub, a, b)).coeffs
+    want = _pre_change_kernel(a, b, sub)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    if order <= 1:
+        assert got.flags.c_contiguous
+    else:
+        assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1])
+def test_one_pair_products_commute_bitwise(nvars, order):
+    """a * b and b * a agree to the last bit where the table skips its sum
+    by target, as they do where it sums."""
+    rng = np.random.default_rng([nvars, order])
+    sp = get_space(nvars, order)
+    for _ in range(10):
+        a, b = (Jet(sp, rng.standard_normal((4, 3, sp.ncoeff))) for _ in range(2))
+        assert np.array_equal((a * b).coeffs, (b * a).coeffs)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from framelab import operators as ops
+from framelab import verify
 from framelab.ambient import euclidean
 from framelab.jets import get_space, jet_along, jet_einsum, jsin, jstack
-from framelab.submanifold import FrameError, FramePointData, ImmersedSubmanifold, builtin_submanifold
+from framelab.omn_geometry import OmnError, domain_samples
+from framelab.submanifold import FrameError, FramePointData, ImmersedSubmanifold, builtin_submanifold, is_int
 
 ALL_BUILTINS = ("plane", "plane3", "circle", "sphere2", "catenoid", "great2(0.5)", "clifford")
 CURVED = ("circle", "sphere2", "catenoid", "great2(0.5)", "clifford")
@@ -221,6 +223,26 @@ def test_frame_order_below_one_is_refused():
     for order in (True, 2.5, "2"):
         with pytest.raises(FrameError, match=f"integer jet order 1 or more, got {re.escape(repr(order))}"):
             M.frame_data([1.1, 0.2], order)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1"])
+def test_one_integer_check_refuses_what_is_not_an_integer(value):
+    """is_int is the one integer check: the frame order, the sample count
+    and the seed are each refused with their own message when they are a
+    bool, a float or a string, though each of these reads as 1."""
+    assert is_int(1) and is_int(np.int64(1)) and not is_int(value)
+    M = builtin_submanifold("sphere2")
+    got = re.escape(repr(value))
+    with pytest.raises(FrameError, match=f"a frame needs an integer jet order 1 or more, got {got}$"):
+        M.frame_data([1.1, 0.2], value)
+    with pytest.raises(OmnError, match=f"sample count must be an integer >= 1, got {got}$"):
+        domain_samples(M, value)
+    with pytest.raises(OmnError, match=f"seed must be an integer >= 0, got {got}$"):
+        domain_samples(M, 3, seed=value)
+    with pytest.raises(verify.VerifyError, match=f"samples must be an integer >= 1, got {got}$"):
+        verify.run_suite(["sphere2"], samples=value)
+    with pytest.raises(verify.VerifyError, match=f"seed must be an integer >= 0, got {got}$"):
+        verify.run_suite(["sphere2"], samples=3, seed=value)
 
 
 def test_manifold_freed_without_cycle_collector():

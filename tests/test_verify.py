@@ -8,6 +8,7 @@ registry does not take.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from framelab import omn_geometry as og
 from framelab import verify
 from framelab.ambient import euclidean, sphere_chart
 from framelab.omn_geometry import domain_samples
-from framelab.submanifold import FramePointData, ImmersedSubmanifold, builtin_submanifold
+from framelab.submanifold import FrameError, FramePointData, ImmersedSubmanifold, builtin_submanifold
 
 # Cases whose witness on the Clifford torus stays below WITNESS_FLOOR. The
 # torus is flat with constant P, so the quantities these cases need to be
@@ -283,9 +284,10 @@ def test_one_frame_trace_per_evaluation(monkeypatch):
 
 
 def test_fd_sweep_builds_stencil_frames_to_the_order_they_read(monkeypatch):
-    """Every FD quantity at one point of sphere2: the frame at u is the jet
-    route's, order 4; the h = 1e-4 stencil is one frame of order 2, and the
-    two levels of curvature_prime's h = 1e-3 stencil are frames of order 1."""
+    """Every FD quantity at one point of sphere2 makes exactly 4 frame builds:
+    the frame at u is the jet routes', order 3, and serves the FD routes'
+    reads at u; the h = 1e-4 stencil is one frame of order 2, and the two
+    levels of curvature_prime's h = 1e-3 stencil are frames of order 1."""
     built = []
     build = FramePointData.__init__
 
@@ -297,7 +299,37 @@ def test_fd_sweep_builds_stencil_frames_to_the_order_they_read(monkeypatch):
     M = builtin_submanifold("sphere2")
     for q in verify.FD_QUANTITIES:
         verify.fd_relative_error(M, q, [1.1, 0.6])
-    assert built == [((2,), 4), ((4, 2), 2), ((4, 2), 1), ((16, 2), 1)]
+    assert built == [((2,), 3), ((4, 2), 2), ((4, 2), 1), ((16, 2), 1)]
+
+
+@pytest.mark.parametrize("name", verify.DEFAULT_BUILTINS)
+def test_jet_routes_on_the_order_3_frame_are_the_order_4_values(name):
+    """jet_value reads every FD quantity from the frame at u built to order
+    3, and gets bitwise the value the same route reads on an order-4 frame."""
+    M = builtin_submanifold(name)
+    for u in domain_samples(M, 5, seed=0):
+        full = FramePointData(M, u, 4)
+        for q, quantity in verify.FD_QUANTITIES.items():
+            assert np.array_equal(verify.jet_value(M, q, u), quantity.jet_route(full)), q
+        assert M.frame_data(u, 1).order == 3
+
+
+def test_order_3_is_the_least_that_serves_every_jet_route():
+    """On an order-2 frame exactly the routes that read Gamt.val or Rfr.val
+    raise FrameError naming the order they need; on order 3 none does."""
+    M = builtin_submanifold("sphere2")
+    u = np.array([1.1, 0.6])
+    refused = {}
+    for q, quantity in verify.FD_QUANTITIES.items():
+        try:
+            quantity.jet_route(FramePointData(M, u, 2))
+        except FrameError as exc:
+            refused[q] = str(exc)
+    assert sorted(refused) == ["curvature_ambient", "curvature_prime", "gamma_tilde", "nabla_tilde_vec"]
+    need = r"(Gamt|Rfr) needs a frame of order 3 or more; this frame is order 2"
+    assert all(re.match(need, message) for message in refused.values())
+    for quantity in verify.FD_QUANTITIES.values():
+        quantity.jet_route(FramePointData(M, u, 3))
 
 
 @pytest.mark.parametrize("name", verify.DEFAULT_BUILTINS)
