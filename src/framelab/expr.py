@@ -369,8 +369,15 @@ def _is_constant(j: Jet) -> bool:
 
 def first_point(points: np.ndarray, mask) -> list[float]:
     """The first point of the batch points (..., k) at which mask, broadcast
-    to the batch shape, holds: the one lookup behind every refusal at points."""
-    return points[tuple(np.argwhere(np.broadcast_to(mask, points.shape[:-1]))[0])].tolist()
+    to the batch shape, holds: the one lookup behind every refusal at points.
+    A mask with stack axes ahead of the batch axes (one entry per direction
+    of a stacked call at each point) names the first point at which any
+    entry holds."""
+    batch = points.shape[:-1]
+    mask = np.asarray(mask)
+    if mask.ndim > len(batch):
+        mask = np.any(mask, axis=tuple(range(mask.ndim - len(batch))))
+    return points[tuple(np.argwhere(np.broadcast_to(mask, batch))[0])].tolist()
 
 
 def _refuse_where(bad, message: str, e: Expression, varjets: list[Jet]) -> None:

@@ -20,6 +20,10 @@ each point, its parts lead with the frame's batch shape fd.batch, horizontal
 (n, d) and vertical (n, d, d), and sasaki_mok_inner and norm give an array
 of that shape, () at one point. Every function passes the batch axes
 through, and a part given per point is the same at every point of the batch.
+A stack of vectors at each point, made in one call, leads with its stack
+axes ahead of the batch axes, (k, n, d) and (k, n, d, d) for k of them, and
+its norms are (k, n); a refusal names the first point where any of them
+fails.
 
 The Levi-Civita connection is written once, on field pairs: direction
 X^h + bar(A), field Y^h + bar(B),
@@ -101,26 +105,25 @@ def _same_base(v: LiftedVector, w: LiftedVector):
 
 
 def _part(fd: FramePointData, x, shape: tuple, what: str) -> np.ndarray:
-    """x as a float array of the frame's batch axes followed by shape: a
-    value of shape alone is the same at every point, None is zero."""
+    """x as a float array of any stack axes, the frame's batch axes and
+    shape: a value of shape alone is the same at every point, None is zero."""
     full = fd.batch + shape
     if x is None:
         return np.zeros(full)
     a = np.asarray(x, dtype=float)
-    if a.shape == shape:
-        return np.array(np.broadcast_to(a, full))
-    if a.shape != full:
-        alt = f" or {shape}" if full != shape else ""
-        raise FrameBundleError(f"{what} must have shape {full}{alt}, got {a.shape}")
-    return a
+    stack = fd.stack_of(a.shape, shape)
+    if stack is None:
+        raise FrameBundleError(f"{what} must have shape {fd.shape_rule(shape)}, got {a.shape}")
+    return np.array(np.broadcast_to(a, full)) if a.shape == shape else a
 
 
 def lifted(fd: FramePointData, horizontal=None, vertical=None) -> LiftedVector:
     """Assemble a LiftedVector at the frame fd from the frame components of
     its horizontal part, shape (d,), and its vertical skew matrix, shape
-    (d, d), each led by the frame's batch axes or the same at every point; an
-    absent part is zero. Both parts must be finite and the vertical part
-    antisymmetric to 1e-12; a refusal names the first point where it fails."""
+    (d, d), each led by the frame's batch axes (and any stack axes ahead of
+    them) or the same at every point; an absent part is zero. Both parts
+    must be finite and the vertical part antisymmetric to 1e-12; a refusal
+    names the first point where it fails."""
     h = _part(fd, horizontal, (fd.d,), "horizontal part")
     vmat = _part(fd, vertical, (fd.d, fd.d), "vertical part")
     finite = np.all(np.isfinite(h), axis=-1) & np.all(np.isfinite(vmat), axis=(-2, -1))

@@ -11,7 +11,11 @@ operation is vectorized over the leading axes. Batch axes come first, tensor
 axes after them: a (d, d) matrix jet at n points has shape (n, d, d), and the
 subscripts of jet_einsum start with `...` to pass the batch axes through.
 Where two operands meet, their batch axes are the same or absent (a constant
-broadcasts). A single point is the batch shape ().
+broadcasts). A single point is the batch shape (). A stack of directions,
+evaluated in one call, is one more set of axes ahead of the batch axes:
+where an operand without them meets one with them, the `...` of jet_einsum
+broadcasts it, and broadcast_to lifts a jet to them where two operands are
+aligned by counting axes (jet_along, and jet_solve's vector/matrix rule).
 
 A jet is stored in the space of its order and holds exactly the coefficients
 that are exact: those with |alpha| <= space.order. `valid` is that order.
@@ -333,6 +337,11 @@ class Jet:
         if not isinstance(idx, tuple):
             idx = (idx,)
         return Jet(self.space, self.coeffs[idx + (slice(None),)])
+
+    def broadcast_to(self, shape) -> Jet:
+        """The jet broadcast to the leading shape, numpy's rule: a read-only
+        view that leads with further (stack) axes."""
+        return Jet(self.space, np.broadcast_to(self.coeffs, tuple(shape) + self.coeffs.shape[-1:]))
 
     def transpose(self, *perm: int) -> Jet:
         """Permute the last len(perm) leading (tensor) axes; any batch axes

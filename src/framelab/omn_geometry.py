@@ -22,8 +22,18 @@ sectional curvatures and norms are arrays of the frame's batch shape
 fd.batch, a numpy scalar at one point (the batch convention of
 submanifold). A sampled sweep (is_totally_geodesic) builds one frame
 holding all its points, and frame_trace traces every point of it at once.
-A refusal names the first point where it fails. VERDICT_TOL is the one
-tolerance of the sampled verdicts.
+
+Directions are a batch axis too: a stack of them is one call, its axes
+leading ahead of the batch axes in every field, direction and plane spec
+of the call, while the frame's attributes broadcast to them; the values
+then lead with the stack axes, a stack of k norms at n points being (k, n).
+is_totally_geodesic makes one call for its hh pairs and one for its hv
+pairs, frame_trace stacks its p frame fields, and the formulas that apply
+one operator to swapped or repeated arguments (the pieces of Pi, the Q and
+D_X R' terms of curvature_OMN) stack those arguments. A refusal names the
+first point where it fails, in any entry of a stack, and OmnError's where
+mask has the stack and batch shape. VERDICT_TOL is the one tolerance of the
+sampled verdicts.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from .frame_bundle import (
     lifted,
     sasaki_mok_inner,
 )
-from .jets import Jet, jet_einsum
+from .jets import Jet, jet_einsum, jstack
 from .operators import hm_split_mat, skew_inner
 from .submanifold import FramePointData, ImmersedSubmanifold, is_int
 
@@ -68,7 +78,8 @@ __all__ = [
 
 class OmnError(ValueError):
     """A refused geometric computation. where, when given, is the mask over
-    the batch of the points at which it failed."""
+    the batch of the points at which it failed, led by the stack axes of a
+    stacked call."""
 
     def __init__(self, message: str, where=None):
         super().__init__(message)
@@ -221,13 +232,13 @@ def curvature_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
         Xf, Yf, Zf = args
         Xc, Yc, Zc = (vec(f) for f in (Xf, Yf, Zf))
         chart = _tilde_curvature_apply(fd, Xc, Yc, Zc)
-        q = (
-            ops.q_t_chart_jet(fd, ops.curvature_prime_jet(fd, Yc, Zc), Xc)
-            - ops.q_t_chart_jet(fd, ops.curvature_prime_jet(fd, Xc, Zc), Yc)
-            - 2.0 * ops.q_t_chart_jet(fd, ops.curvature_prime_jet(fd, Xc, Yc), Zc)
-        )
-        chart = chart - 0.25 * q
-        vert = -0.5 * (_d_x_r_prime(fd, Xc, Yc, Zc) - _d_x_r_prime(fd, Yc, Xc, Zc))
+        # Q_{R'(Y,Z)} X, Q_{R'(X,Z)} Y and Q_{R'(X,Y)} Z, one stack
+        Rp = ops.curvature_prime_jet(fd, jstack([Yc, Xc, Xc], axis=0), jstack([Zc, Zc, Yc], axis=0))
+        q = ops.q_t_chart_jet(fd, Rp, jstack([Xc, Yc, Zc], axis=0))
+        chart = chart - 0.25 * (q[0] - q[1] - 2.0 * q[2])
+        # (D_X R')(Y, Z) and (D_Y R')(X, Z), one stack
+        DR = _d_x_r_prime(fd, jstack([Xc, Yc], axis=0), jstack([Yc, Xc], axis=0), jstack([Zc, Zc], axis=0))
+        vert = -0.5 * (DR[0] - DR[1])
         return horizontal_lift_prime(fd, chart.val) + lifted(fd, vertical=vert.val)
     if case == "hhv":
         Xf, Yf, T = args
@@ -257,10 +268,9 @@ def curvature_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
         Xc = vec(Xf)
         Tj, Tpj = endo(T), endo(Tp)
         commTT = ops.commutator_jet(Tj, Tpj)
-        chart = -0.25 * (
-            ops.q_t_chart_jet(fd, commTT, Xc)
-            + ops.q_t_chart_jet(fd, Tj, ops.q_t_chart_jet(fd, Tpj, Xc))
-        )
+        # Q_{[T,T']} X and Q_{T'} X, one stack
+        q = ops.q_t_chart_jet(fd, jstack([commTT, Tpj], axis=0), jstack([Xc, Xc], axis=0))
+        chart = -0.25 * (q[0] + ops.q_t_chart_jet(fd, Tj, q[1]))
         return horizontal_lift_prime(fd, chart.val)
     if case == "vvh":
         T, Tp, Zf = args
@@ -323,14 +333,28 @@ def omn_plane(fd: FramePointData, spec1, spec2) -> OmnPlane:
     specs, orthonormalizing with respect to the Sasaki-Mok metric.
 
     On the frame of a batch the specs give one direction per point (or one
-    for every point); a plane that cannot be built at some points raises
-    OmnError with those points as its where mask."""
-    chart = lambda c: np.broadcast_to(np.asarray(c, dtype=float), fd.batch + (fd.p,))
+    for every point); a stack of planes at each point is one call, its
+    directions leading with the stack axes ahead of the batch axes (a spec
+    without them is the same in every plane of the stack). A direction of
+    any other shape is refused. A plane that cannot be built at some points
+    raises OmnError with those points as its where mask, of the stack and
+    batch shape."""
     kinds = (spec1[0], spec2[0])
     if kinds == ("vertical", "hprime"):
         return omn_plane(fd, spec2, spec1)
+    per_point = {"hprime": (fd.p,), "vertical": (fd.d, fd.d)}
+    if not set(kinds) <= set(per_point):
+        raise OmnError("plane specs must be ('hprime', coeffs) or ('vertical', matrix)")
+    dirs = [np.asarray(spec[1], dtype=float) for spec in (spec1, spec2)]
+    stacks = [fd.stack_of(a.shape, per_point[k]) for a, k in zip(dirs, kinds)]
+    for a, k, stack in zip(dirs, kinds, stacks):
+        if stack is None:
+            raise OmnError(f"{k} plane direction must have shape {fd.shape_rule(per_point[k])}, got {a.shape}")
+    # both directions carry the stack axes, ahead of the batch axes
+    stack = np.broadcast_shapes(*stacks)
+    dirs = [np.broadcast_to(a, stack + fd.batch + per_point[k]) for a, k in zip(dirs, kinds)]
     if kinds == ("hprime", "hprime"):
-        x, y = chart(spec1[1]), chart(spec2[1])
+        x, y = dirs
         x = _unit(fd, x, _gtilde(fd, x, x), "horizontal direction vanishes")
         y = y - _times(_gtilde(fd, x, y), x)
         y = _unit(fd, y, _gtilde(fd, y, y), "plane vectors are linearly dependent")
@@ -338,25 +362,22 @@ def omn_plane(fd: FramePointData, spec1, spec2) -> OmnPlane:
         v2 = horizontal_lift_prime(fd, y)
         plane = OmnPlane(fd, "hh", x, y, None, None, v1, v2)
     elif kinds == ("hprime", "vertical"):
-        x = chart(spec1[1])
-        x = _unit(fd, x, _gtilde(fd, x, x), "horizontal direction vanishes")
-        T = _h_endo_field(fd, np.asarray(spec2[1], dtype=float), 0).val
+        x = _unit(fd, dirs[0], _gtilde(fd, dirs[0], dirs[0]), "horizontal direction vanishes")
+        T = _h_endo_field(fd, dirs[1], 0).val
         T = _unit(fd, T, skew_inner(T, T), "vertical direction vanishes")
         v1 = horizontal_lift_prime(fd, x)
         v2 = lifted(fd, vertical=T)
         plane = OmnPlane(fd, "hv", x, None, T, None, v1, v2)
-    elif kinds == ("vertical", "vertical"):
-        T = _h_endo_field(fd, np.asarray(spec1[1], dtype=float), 0).val
-        Tp = _h_endo_field(fd, np.asarray(spec2[1], dtype=float), 0).val
+    else:
+        T = _h_endo_field(fd, dirs[0], 0).val
+        Tp = _h_endo_field(fd, dirs[1], 0).val
         T = _unit(fd, T, skew_inner(T, T), "vertical direction vanishes")
         Tp = Tp - _times(skew_inner(T, Tp), T)
         Tp = _unit(fd, Tp, skew_inner(Tp, Tp), "plane vectors are linearly dependent")
         v1 = lifted(fd, vertical=T)
         v2 = lifted(fd, vertical=Tp)
         plane = OmnPlane(fd, "vv", None, None, T, Tp, v1, v2)
-    else:
-        raise OmnError("plane specs must be ('hprime', coeffs) or ('vertical', matrix)")
-    bad = np.zeros(fd.batch, dtype=bool)
+    bad = np.zeros(stack + fd.batch, dtype=bool)
     for a, b, want in ((plane.v1, plane.v1, 1.0), (plane.v2, plane.v2, 1.0), (plane.v1, plane.v2, 0.0)):
         bad |= ~(np.abs(sasaki_mok_inner(a, b) - want) <= 1e-10)
     if np.any(bad):
@@ -390,19 +411,17 @@ def _pi_hh_pieces(fd, Xc, Yc):
     """The bilinear pieces of Pi(X^{h'}, Y^{h'}): nabla_X Y (frame, d),
     rsum = R_{S_X} Y + R_{S_Y} X (frame, d), V = nabla'_X Y + nabla'_Y X
     (chart) and m = nabla'_X S_Y + nabla'_Y S_X (frame matrix)."""
-    xF = ops.full_frame_field(fd, Xc)
-    yF = ops.full_frame_field(fd, Yc)
-    SX = ops.s_field_matrix(fd, Xc)
-    SY = ops.s_field_matrix(fd, Yc)
-    nab = ops.ambient_deriv_frame(fd, Xc, yF)
-    rsum = jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, SX), yF) + jet_einsum(
-        "...ij,...j->...i", ops.rt_matrix_jet(fd, SY), xF
-    )
-    V = ops.vec_nabla_prime_jet(fd, Xc, Yc) + ops.vec_nabla_prime_jet(fd, Yc, Xc)
-    m_endo = ops.nabla_t_field_jet(fd, SY, Xc, "prime") + ops.nabla_t_field_jet(
-        fd, SX, Yc, "prime"
-    )
-    return nab, rsum, V, m_endo
+    # each piece is a term and its swap (X and Y exchanged): one call on the
+    # stack (X, Y) against (Y, X)
+    XY = jstack([Xc, Yc], axis=0)
+    swap = [1, 0]
+    F = ops.full_frame_field(fd, XY)
+    S = ops.s_field_matrix(fd, XY)
+    nab = ops.ambient_deriv_frame(fd, Xc, F[1])
+    r = jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, S), F[swap])
+    V = ops.vec_nabla_prime_jet(fd, XY, XY[swap])
+    m = ops.nabla_t_field_jet(fd, S[swap], XY, "prime")
+    return nab, r[0] + r[1], V[0] + V[1], m[0] + m[1]
 
 
 def _pi_hh_assemble(fd, nab, rsum, V, m_endo):
@@ -435,7 +454,8 @@ def second_fundamental_OMN(fd: FramePointData, case: str, *args) -> LiftedVector
     """Second fundamental form of the subbundle in the ambient frame bundle.
 
     case "hh": (Xf, Yf); case "hv": (Xf, T) with T h-type; case "vv": (T, Tp) -> 0.
-    The fields enter at order 1, the one derivative Pi takes of them.
+    The fields enter at order 1, the one derivative Pi takes of them. A
+    stack of pairs is one call, and the result's parts lead with its axes.
     """
     if case not in ("hh", "hv", "vv"):
         raise OmnError(f"unknown case {case!r}")
@@ -488,23 +508,20 @@ def frame_trace(fd: FramePointData) -> tuple[Jet, Jet, Jet, Jet, Jet]:
     values.
 
     The shapes are per point: on the frame of a batch of points each sum
-    leads with the batch axes, and one call traces every point.
+    leads with the batch axes, and one call traces every point. The p frame
+    fields are one stack, and each sum adds its p terms in frame order.
     """
-    terms = []
-    for Ec in tilde_frame_fields(fd):
-        Ec = ops.as_chart_field(fd, Ec, 1)
-        EF = ops.full_frame_field(fd, Ec)
-        SE = ops.s_field_matrix(fd, Ec)
-        terms.append(
-            (
-                ops.ambient_deriv_frame(fd, Ec, EF),
-                jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, SE.cut(0)), EF.cut(0)),
-                ops.vec_nabla_prime_jet(fd, Ec, Ec),
-                ops.vec_tilde_nabla_jet(fd, Ec, Ec),
-                ops.nabla_t_field_jet(fd, SE, Ec, "prime"),
-            )
-        )
-    return tuple(sum(col[1:], col[0]) for col in zip(*terms))
+    Ec = ops.as_chart_field(fd, jstack(tilde_frame_fields(fd), axis=0), 1)
+    EF = ops.full_frame_field(fd, Ec)
+    SE = ops.s_field_matrix(fd, Ec)
+    terms = (
+        ops.ambient_deriv_frame(fd, Ec, EF),
+        jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, SE.cut(0)), EF.cut(0)),
+        ops.vec_nabla_prime_jet(fd, Ec, Ec),
+        ops.vec_tilde_nabla_jet(fd, Ec, Ec),
+        ops.nabla_t_field_jet(fd, SE, Ec, "prime"),
+    )
+    return tuple(sum((t[A] for A in range(1, fd.p)), t[0]) for t in terms)
 
 
 def mean_curvature_parts(fd: FramePointData, trace) -> tuple[np.ndarray, np.ndarray]:
@@ -550,9 +567,9 @@ class TotallyGeodesicReport:
 
 
 def _finite_sup(fd: FramePointData, x: np.ndarray) -> float:
-    """The sup of the residuals x, one per point of the frame; a NaN or
-    infinite residual raises naming its first point, as max would drop a NaN
-    silently."""
+    """The sup of the residuals x, one per point of the frame and entry of
+    any stack; a NaN or infinite residual raises naming its first point, as
+    max would drop a NaN silently."""
     finite = np.isfinite(x)
     if not np.all(finite):
         raise OmnError(f"non-finite residual at sample point {fd.point_where(~finite)}")
@@ -568,16 +585,16 @@ def is_totally_geodesic(M: ImmersedSubmanifold, samples: int = 50, seed: int = 0
     p, d = fd.p, fd.d
     # base second fundamental form of M: S-matrices carry it all
     base = _finite_sup(fd, np.max(np.abs(fd.Smats.val), axis=(-3, -2, -1)))
-    norms = []
     frames = tilde_frame_fields(fd)
-    for A in range(p):
-        for B in range(A, p):
-            norms.append(second_fundamental_OMN(fd, "hh", frames[A], frames[B]).norm())
-    for A in range(p):
-        for i in range(d):
-            for j in range(i + 1, d):
-                if (i < p) == (j < p):
-                    norms.append(second_fundamental_OMN(fd, "hv", frames[A], ops.basis_T(d, i, j)).norm())
+    # one call for each kind of pair, the pairs stacked ahead of the batch axes
+    hh = [(A, B) for A in range(p) for B in range(A, p)]
+    X, Y = (jstack([frames[pair[k]] for pair in hh], axis=0) for k in (0, 1))
+    norms = [second_fundamental_OMN(fd, "hh", X, Y).norm()]
+    hv = [(A, i, j) for A in range(p) for i in range(d) for j in range(i + 1, d) if (i < p) == (j < p)]
+    if hv:
+        X = jstack([frames[A] for A, _, _ in hv], axis=0)
+        T = np.stack([np.broadcast_to(ops.basis_T(d, i, j), fd.batch + (d, d)) for _, i, j in hv])
+        norms.append(second_fundamental_OMN(fd, "hv", X, T).norm())
     worst = max(_finite_sup(fd, nrm) for nrm in norms)
     rcond = _finite_sup(fd, np.max(np.abs(fd.Rfr.val[..., :p, p:, p:, p:]), axis=(-4, -3, -2, -1)))
     return TotallyGeodesicReport(worst < VERDICT_TOL, worst, base, rcond, samples, VERDICT_TOL)

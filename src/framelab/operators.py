@@ -19,7 +19,14 @@ Public frame-field primitives, all jet-valued at one FramePointData, are
 the single home of their formulas for the frame-bundle modules. They pass
 the frame's batch axes through (their subscripts start with `...`), so
 they act on the frame of one point and on a batch of points alike, with
-their arguments leading with the same batch axes or with none:
+their arguments leading with the same batch axes or with none. A stack of
+directions is one call too: its axes lead, ahead of the batch axes, every
+field and direction of the call carries them, and the frame's attributes
+broadcast to them through the `...` of the einsums; solve_P lifts P to
+them, and a constant direction given to the normalisers must have the
+per-point shape, or the frame's batch axes and the per-point shape after
+any stack axes (FramePointData.stack_of), and is refused otherwise. The
+primitives:
 frame_of_chart and full_frame_field (chart coefficients of a tangent field to
 its p tangent-frame or d frame components), omega_along (omega_X, full or
 block-diagonal), ambient_deriv_frame (nabla_X Y in frame components),
@@ -158,13 +165,15 @@ def commutator_jet(A, B) -> Jet:
     return jet_einsum("...ik,...kj->...ij", A, B) - jet_einsum("...ik,...kj->...ij", B, A)
 
 
-def _batched(fd: FramePointData, value, ndim: int, order: int) -> Jet:
-    """The constant jet of value in get_space(p, order), its per-point shape
-    being its last ndim axes, led by the frame's batch axes (a per-point
-    value is the same at every point)."""
+def _batched(fd: FramePointData, value, per_point: tuple, order: int, what: str) -> Jet:
+    """The constant jet of value in get_space(p, order), led by its stack
+    axes and the frame's batch axes (a value of the per-point shape alone is
+    the same at every point); OperatorError for any other shape."""
     value = np.asarray(value, dtype=float)
-    shape = fd.batch + value.shape[value.ndim - ndim :]
-    return get_space(fd.p, order).constant(np.broadcast_to(value, shape))
+    stack = fd.stack_of(value.shape, per_point)
+    if stack is None:
+        raise OperatorError(f"{what} must have shape {fd.shape_rule(per_point)}, got {value.shape}")
+    return get_space(fd.p, order).constant(np.broadcast_to(value, stack + fd.batch + per_point))
 
 
 def _at_most(j: Jet, order: int) -> Jet:
@@ -182,7 +191,9 @@ def as_chart_field(fd: FramePointData, field, order: int) -> Jet:
     coefficient array, per point (p,) or led by the batch axes. Strings and
     callables are evaluated on the coordinates cut to order, and constants
     built at order; a jet, or a callable's result, is cut to order when it
-    is valid to more. The frame's order bounds the order.
+    is valid to more. The frame's order bounds the order. A constant may
+    lead with stack axes ahead of the batch axes; any other shape raises
+    OperatorError.
     """
     from .expr import eval_expr, parse
 
@@ -195,7 +206,7 @@ def as_chart_field(fd: FramePointData, field, order: int) -> Jet:
         uv = [v.cut(order) for v in fd.uv]
         sp = get_space(fd.p, order)
         return jstack([eval_expr(parse(c, fd.p, var_prefix="u"), uv, sp) for c in field], axis=-1)
-    return _batched(fd, field, 1, order)
+    return _batched(fd, field, (fd.p,), order, "chart coefficients")
 
 
 def as_endo_field(fd: FramePointData, spec, order: int) -> Jet:
@@ -205,11 +216,12 @@ def as_endo_field(fd: FramePointData, spec, order: int) -> Jet:
 
     Accepts a callable of FramePointData, whose result is cut to order when
     it is valid to more, or a constant frame matrix, per point (d, d) or led
-    by the batch axes, built at order (at most the frame's).
+    by the batch axes and any stack axes ahead of them, built at order (at
+    most the frame's); any other shape raises OperatorError.
     """
     if callable(spec):
         return _at_most(spec(fd), order)
-    return _batched(fd, spec, 2, min(order, fd.order))
+    return _batched(fd, spec, (fd.d, fd.d), min(order, fd.order), "frame matrix")
 
 
 def s_field_matrix(fd: FramePointData, Xc) -> Jet:
@@ -232,7 +244,8 @@ def s_tm_tangent_jet(fd: FramePointData, Tm) -> Jet:
 
 
 def solve_P(fd: FramePointData, rhs):
-    """P^{-1} rhs for tangent-frame components rhs, a jet or an array.
+    """P^{-1} rhs for tangent-frame components rhs, a jet or an array, led
+    by the frame's batch axes and any stack axes.
 
     Raises OperatorError when P is numerically singular (condition number
     above 1e12) at any of the frame's points, as on a thin tube where S is
@@ -242,7 +255,9 @@ def solve_P(fd: FramePointData, rhs):
     if np.any(singular):
         raise OperatorError(f"operator P is numerically singular at {fd.point_where(singular)}")
     if isinstance(rhs, Jet):
-        return jet_solve(fd.Pfr, rhs)
+        # P lifted to rhs's stack axes, so that rhs is a vector to jet_solve
+        stack = rhs.shape[: max(0, len(rhs.shape) - len(fd.batch) - 1)]
+        return jet_solve(fd.Pfr.broadcast_to(stack + fd.Pfr.shape), rhs)
     return np.linalg.solve(fd.Pfr.val, np.asarray(rhs, dtype=float)[..., None])[..., 0]
 
 
@@ -302,13 +317,13 @@ def L_op(fd: FramePointData, Xf, Yf) -> np.ndarray:
     """L_X Y = (Q_{S_X}(Y) + Q_{S_Y}(X) + P^{-1} S_{S_{nabla'_X Y + nabla'_Y X}})/2,
     in chart coefficients (p,) at the frame of one point, or (n, p) at the
     frame of n points."""
-    Xc, Yc = as_chart_field(fd, Xf, 1), as_chart_field(fd, Yf, 1)
-    TX = s_field_matrix(fd, Xc)
-    TY = s_field_matrix(fd, Yc)
-    q1 = q_t_chart_jet(fd, TX, Yc).val
-    q2 = q_t_chart_jet(fd, TY, Xc).val
-    Zc = vec_nabla_prime_jet(fd, Xc, Yc) + vec_nabla_prime_jet(fd, Yc, Xc)
-    SZ = s_field_matrix(fd, Zc)
+    # the terms in X and their swaps in Y: one call on the stack (X, Y)
+    # against (Y, X)
+    XY = jstack([as_chart_field(fd, Xf, 1), as_chart_field(fd, Yf, 1)], axis=0)
+    YX = XY[[1, 0]]
+    q = q_t_chart_jet(fd, s_field_matrix(fd, XY), YX).val
+    V = vec_nabla_prime_jet(fd, XY, YX)
+    SZ = s_field_matrix(fd, V[0] + V[1])
     svec = s_tm_tangent_jet(fd, SZ).val
     q3 = matvec(fd.C.val, solve_P(fd, svec))
-    return 0.5 * (q1 + q2 + q3)
+    return 0.5 * (q[0] + q[1] + q3)

@@ -32,7 +32,9 @@ u of shape (p,) or (n, p); every jet of the frame leads with its batch shape
 FramePointData.batch = u.shape[:-1], then the per-point shape the table of
 FramePointData lists, and so does every value computed at the frame: a
 scalar per point is a numpy scalar (a float) at one point. One point and a
-batch run the same code.
+batch run the same code. A stack of directions evaluated in one call leads
+with further axes ahead of the batch axes (FramePointData.stack_of reads
+them off a shape).
 
 Frames are passed, not looked up: the frame-field primitives of `operators`
 and the geometry of `frame_bundle`, `omn_geometry` and `gauss_map` take the
@@ -342,9 +344,28 @@ class FramePointData:
         self.hmask[p:, p:] = 1.0
         self.mmask = 1.0 - self.hmask
 
+    def stack_of(self, shape: tuple, per_point: tuple):
+        """The stack axes of a value of the given shape at the frame: the axes
+        ahead of the batch axes and the per-point shape, or () for a value of
+        the per-point shape alone (the same at every point). None when its
+        trailing axes are neither, which the caller refuses, naming the shapes
+        shape_rule(per_point) lists."""
+        shape, full = tuple(shape), self.batch + tuple(per_point)
+        if shape == tuple(per_point):
+            return ()
+        lead = len(shape) - len(full)
+        return shape[:lead] if lead >= 0 and shape[lead:] == full else None
+
+    def shape_rule(self, per_point: tuple) -> str:
+        """The shapes stack_of accepts, for the message of a refusal."""
+        full = self.batch + tuple(per_point)
+        alt = f" or {tuple(per_point)}" if full != tuple(per_point) else ""
+        return f"{full}{alt}, after any stack axes"
+
     def point_where(self, mask) -> list[float]:
         """The first of the frame's points at which mask holds; mask has the
-        batch shape or broadcasts to it."""
+        batch shape or broadcasts to it, or leads with stack axes, and then
+        names the first point at which any of its entries holds."""
         return first_point(self.u0, mask)
 
     # -- ambient geometry, x-space jets then pulled back along phi -------------

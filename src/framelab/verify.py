@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -98,6 +99,25 @@ class VerifyError(ValueError):
 # batch axis, one row per point.
 
 
+class _PointGenerators(Sequence):
+    """The generators of a case's n sample points, point pi's seeded by
+    SeedSequence(key + (pi,)); each is built when it is first read, so a
+    case that draws nothing builds none."""
+
+    def __init__(self, key: tuple, n: int):
+        self._key = key
+        self._rngs = [None] * n
+
+    def __len__(self) -> int:
+        return len(self._rngs)
+
+    def __getitem__(self, pi: int) -> np.random.Generator:
+        pi = range(len(self._rngs))[pi]
+        if self._rngs[pi] is None:
+            self._rngs[pi] = np.random.default_rng(np.random.SeedSequence(self._key + (pi,)))
+        return self._rngs[pi]
+
+
 def _draw(rngs, *shape) -> np.ndarray:
     """One standard-normal draw of the given shape from each point's generator."""
     return np.stack([rng.standard_normal(shape) for rng in rngs])
@@ -171,31 +191,49 @@ def _sup(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _sup_each(a) -> np.ndarray:
-    """max |a| at each point: over every axis but the leading batch axis."""
-    return np.max(np.abs(a).reshape(a.shape[0], -1), axis=1)
+def _sup_each(a, lead: int = 1) -> np.ndarray:
+    """max |a| at each point: over every axis after the lead leading ones,
+    the batch axis and any stack axes ahead of it."""
+    return np.max(np.abs(a).reshape(a.shape[:lead] + (-1,)), axis=-1)
+
+
+def _coordinate_fields(fd, axes):
+    """The unit chart fields e_a, a in axes, as one stack of jets of order 0
+    (k, n, p) on the run frame fd."""
+    eye = np.eye(fd.p)[list(axes), None, :]
+    return ops.as_chart_field(fd, np.broadcast_to(eye, (len(eye),) + fd.batch + (fd.p,)), 0)
 
 
 def _sectional_at(fd, mask, spec1, spec2, skip_refused=False) -> np.ndarray:
     """sectional_OMN of the planes of spec1 and spec2 at the points of the
-    frame fd in the batch mask, NaN at the other points.
+    run frame fd in the mask, NaN at the other points. The mask and the
+    directions lead with any stack axes ahead of the batch axis, one plane
+    of the stack at each point, and all of them are built in one call.
 
-    The plane is built at every point; a point outside mask takes the
-    directions of the first point in it. With skip_refused a point whose
-    plane omn_plane refuses leaves mask and gets NaN while the other points
-    keep theirs; otherwise the refusal raises."""
+    A plane of the stack is built at every point where the mask holds at
+    some point of it; a point outside the mask takes the directions of the
+    first point in it. With skip_refused a point whose plane omn_plane
+    refuses leaves the mask and gets NaN while the other points keep theirs;
+    otherwise the refusal raises."""
+    shape = mask.shape
+    mask = mask.reshape((-1,) + fd.batch).copy()
+    out = np.full(mask.shape, np.nan)
+    dirs = [np.reshape(a, mask.shape + np.shape(a)[len(shape) :]) for _, a in (spec1, spec2)]
     while np.any(mask):
-        first = np.argmax(mask)
-        fill = lambda a: np.where(mask.reshape(mask.shape + (1,) * (a.ndim - 1)), a, a[first])
+        rows = np.flatnonzero(np.any(mask, axis=1))
+        at = mask[rows]
+        first = np.argmax(at, axis=1)
+        fill = lambda a: np.where(at.reshape(at.shape + (1,) * (a.ndim - 2)), a[rows], a[rows, first][:, None])
         try:
-            plane = og.omn_plane(fd, (spec1[0], fill(spec1[1])), (spec2[0], fill(spec2[1])))
+            plane = og.omn_plane(fd, (spec1[0], fill(dirs[0])), (spec2[0], fill(dirs[1])))
         except og.OmnError as exc:
-            if not skip_refused or exc.where is None or not np.any(exc.where & mask):
+            if not skip_refused or exc.where is None or not np.any(exc.where & at):
                 raise
-            mask = mask & ~exc.where
+            mask[rows] = at & ~exc.where
             continue
-        return np.where(mask, og.sectional_OMN(plane), np.nan)
-    return np.full(mask.shape, np.nan)
+        out[rows] = np.where(at, og.sectional_OMN(plane), np.nan)
+        break
+    return out.reshape(shape)
 
 
 # -- evaluators, batched over the run's sample points ----------------------------
@@ -257,19 +295,20 @@ def _ev_adapted_lift_isometry(M, fd, rngs):
 
 def _ev_gauss_tangent_block(M, fd, rngs):
     p = fd.p
+    pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
+    if not pairs:
+        return np.zeros(len(rngs)), np.zeros(len(rngs))
+    A, B = (list(c) for c in zip(*pairs))
     # the curvature of omega' takes one derivative of it, R' none of its directions
     omh = fd.omega.cut(1) * fd.hmask
-    om = lambda a: omh[..., a, :, :]
-    S = lambda a: fd.omega.val[..., a, :, :] * fd.mmask
-    e = [ops.as_chart_field(fd, x, 0) for x in np.eye(p)]
-    worst = wit = np.zeros(len(rngs))
-    for a in range(p):
-        for b in range(a + 1, p):
-            Fp = (om(b).d(a) - om(a).d(b) + ops.commutator_jet(om(a), om(b))).val
-            Rp = ops.curvature_prime_jet(fd, e[a], e[b]).val
-            worst = np.maximum(worst, _sup_each(Fp - Rp))
-            wit = np.maximum(wit, _sup_each(S(a) @ S(b) - S(b) @ S(a)))
-    return worst, wit
+    om = lambda idx: jstack([omh[..., a, :, :] for a in idx], axis=0)
+    S = lambda idx: np.moveaxis(fd.omega.val[..., idx, :, :], -3, 0) * fd.mmask
+    # the coordinate pairs a < b, one stack
+    d_ab = jstack([omh[..., b, :, :].d(a) - omh[..., a, :, :].d(b) for a, b in pairs], axis=0)
+    Fp = (d_ab + ops.commutator_jet(om(A), om(B))).val
+    Rp = ops.curvature_prime_jet(fd, _coordinate_fields(fd, A), _coordinate_fields(fd, B)).val
+    SA, SB = S(A), S(B)
+    return np.max(_sup_each(Fp - Rp, 2), axis=0), np.max(_sup_each(SA @ SB - SB @ SA, 2), axis=0)
 
 
 def _ev_codazzi_offdiagonal(M, fd, rngs):
@@ -344,8 +383,10 @@ def _ev_gil_medrano_pairing(M, fd, rngs):
     Zc = _affine_field(fd, rngs)
 
     def nabla_prime_P(Ac):
+        """nabla'_A P for a stack of directions A (k, n, p)."""
         omt = ops.omega_along(fd, Ac, "prime")[..., :p, :p]
-        return jet_along(Ac, fd.Pfr) + ops.commutator_jet(omt, fd.Pfr)
+        # P at every direction of the stack, since jet_along aligns by counting axes
+        return jet_along(Ac, fd.Pfr.broadcast_to(Ac.shape[:-1] + (p, p))) + ops.commutator_jet(omt, fd.Pfr)
 
     def dp_pair(Ac, Bc, Cc):
         bfr = ops.frame_of_chart(fd, Bc)
@@ -357,8 +398,10 @@ def _ev_gil_medrano_pairing(M, fd, rngs):
     dfr = ops.frame_of_chart(fd, tn - npr)
     zfr = ops.frame_of_chart(fd, Zc)
     lhs = (jet_einsum("...ij,...j->...i", fd.Pfr, dfr) * zfr).sum(-1).val
-    rhs = 0.5 * (dp_pair(Xc, Yc, Zc) + dp_pair(Yc, Xc, Zc) - dp_pair(Zc, Yc, Xc))
-    wit = np.max([_sup_each(nabla_prime_P(ops.as_chart_field(fd, e, 0)).val) for e in np.eye(p)], axis=0)
+    # the three pairings (X, Y, Z), (Y, X, Z) and (Z, Y, X), one stack
+    dp = dp_pair(jstack([Xc, Yc, Zc], axis=0), jstack([Yc, Xc, Yc], axis=0), jstack([Zc, Zc, Xc], axis=0))
+    rhs = 0.5 * (dp[0] + dp[1] - dp[2])
+    wit = np.max(_sup_each(nabla_prime_P(_coordinate_fields(fd, range(p))).val, 2), axis=0)
     return np.abs(lhs - rhs), wit
 
 
@@ -444,23 +487,23 @@ def _ev_condition_set_implications(M, fd, rngs):
 
 
 def _ev_mixed_vertical_sectional_nonnegative(M, fd, rngs):
-    n = len(rngs)
-    lo, wit = np.full(n, np.inf), np.zeros(n)
-    # a point stops at its first zero T: then h = so(p) + so(n) is zero there
-    going = np.ones(n, dtype=bool)
+    # three rounds of T, x and T', drawn in that order at each point, as one stack
+    T, x, Tp = [], [], []
     for _ in range(3):
-        T = _diag_skew(fd.p, _draw(rngs, fd.d, fd.d))
-        going &= _sup_each(T) >= 1e-12
-        if not np.any(going):
-            break
-        x = _unit_chart(fd, _draw(rngs, fd.p))
-        val = _sectional_at(fd, going, ("hprime", x), ("vertical", T))
-        lo, wit = np.fmin(lo, val), np.fmax(wit, np.abs(val))
-        Tp = _diag_skew(fd.p, _draw(rngs, fd.d, fd.d))
-        # a vertical plane where T and T' do not commute, unless omn_plane refuses it
-        spans = going & (_sup_each(T @ Tp - Tp @ T) > 1e-8)
-        val = _sectional_at(fd, spans, ("vertical", T), ("vertical", Tp), skip_refused=True)
-        lo, wit = np.fmin(lo, val), np.fmax(wit, np.abs(val))
+        T.append(_diag_skew(fd.p, _draw(rngs, fd.d, fd.d)))
+        x.append(_unit_chart(fd, _draw(rngs, fd.p)))
+        Tp.append(_diag_skew(fd.p, _draw(rngs, fd.d, fd.d)))
+    T, x, Tp = np.stack(T), np.stack(x), np.stack(Tp)
+    # a point stops at its first zero T: then h = so(p) + so(n) is zero there
+    going = np.logical_and.accumulate(_sup_each(T, 2) >= 1e-12, axis=0)
+    mixed = _sectional_at(fd, going, ("hprime", x), ("vertical", T))
+    # a vertical plane where T and T' do not commute, unless omn_plane refuses it
+    spans = going & (_sup_each(T @ Tp - Tp @ T, 2) > 1e-8)
+    vertical = _sectional_at(fd, spans, ("vertical", T), ("vertical", Tp), skip_refused=True)
+    lo, wit = np.full(len(rngs), np.inf), np.zeros(len(rngs))
+    for r in range(3):
+        for val in (mixed[r], vertical[r]):
+            lo, wit = np.fmin(lo, val), np.fmax(wit, np.abs(val))
     seen = np.isfinite(lo)
     return np.where(seen, np.maximum(0.0, -lo), 0.0), np.where(seen, wit, 0.0)
 
@@ -501,17 +544,18 @@ def _ev_space_form_sectional_nonnegative(M, samples, seed):
     U = domain_samples(M, min(samples, 12), seed=seed)
     fd = M.frame_data(U)
     p, d, k = fd.p, fd.d, len(U)
-    # one generator for all points, drawn point by point: 4 rounds of x, y, T each
-    draws = np.random.default_rng(seed).standard_normal((k, 4, 2 * p + d * d))
-    vals = []
-    for r in range(4):
-        x = _unit_chart(fd, draws[:, r, :p])
-        y = _unit_chart(fd, draws[:, r, p : 2 * p])
-        T = _diag_skew(p, draws[:, r, 2 * p :].reshape(k, d, d))
-        everywhere = np.ones(k, dtype=bool)
-        vals.append(_sectional_at(fd, everywhere, ("hprime", x), ("hprime", y), skip_refused=True))
-        vals.append(_sectional_at(fd, _sup_each(T) > 1e-12, ("hprime", x), ("vertical", T)))
-    vals = np.concatenate(vals)
+    # one generator for all points, drawn point by point: 4 rounds of x, y, T
+    # each, the rounds one stack ahead of the points
+    draws = np.moveaxis(np.random.default_rng(seed).standard_normal((k, 4, 2 * p + d * d)), 1, 0)
+    x = _unit_chart(fd, draws[..., :p])
+    y = _unit_chart(fd, draws[..., p : 2 * p])
+    T = _diag_skew(p, draws[..., 2 * p :].reshape(4, k, d, d))
+    everywhere = np.ones((4, k), dtype=bool)
+    vals = [
+        _sectional_at(fd, everywhere, ("hprime", x), ("hprime", y), skip_refused=True),
+        _sectional_at(fd, _sup_each(T, 2) > 1e-12, ("hprime", x), ("vertical", T)),
+    ]
+    vals = np.concatenate([v.reshape(-1) for v in vals])
     vals = vals[~np.isnan(vals)]
     lo, hi = float(np.min(vals, initial=np.inf)), float(np.max(np.abs(vals), initial=0.0))
     detail = {"min_sectional": lo, "max_abs_sectional": hi}
@@ -593,8 +637,9 @@ class IdentityCase:
     WITNESS_FLOOR there; both read the frame fd at the run's sample points.
 
     A pointwise case's evaluator(M, fd, rngs) takes that frame and the
-    points' generators and returns the residual and the witness at every
-    point, arrays of shape (n,); each gives one row. Any other case's
+    points' generators, a sequence whose entries are built when first read,
+    and returns the residual and the witness at every point, arrays of
+    shape (n,); each gives one row. Any other case's
     evaluator(M, samples, seed) returns (residual, witness, detail) of its
     one row.
     """
@@ -993,8 +1038,7 @@ def _run_case(case, ci, name, bi, M, samples, seed, points, frame, live):
         if case.pointwise:
             if isinstance(frame, Exception):
                 raise frame
-            rngs = [np.random.default_rng(np.random.SeedSequence([seed, ci, bi, pi])) for pi in range(n)]
-            out = case.evaluator(M, frame, rngs)
+            out = case.evaluator(M, frame, _PointGenerators((seed, ci, bi), n))
             residuals, witnesses = (np.asarray(x, dtype=float) for x in out)
             if residuals.shape != (n,) or witnesses.shape != (n,):
                 shapes = f"{residuals.shape} residuals and {witnesses.shape} witnesses"

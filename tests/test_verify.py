@@ -7,6 +7,7 @@ The per-module tests keep closed-form values, error paths and the routes the
 registry does not take.
 """
 
+import dataclasses
 import json
 import re
 
@@ -236,8 +237,10 @@ def test_a_refused_vertical_plane_drops_only_its_point(monkeypatch):
     build = og.omn_plane
 
     def refuse_second_point(fd, spec1, spec2):
-        # a point outside the mask carries the first point's directions
-        if (spec1[0], spec2[0]) == ("vertical", "vertical") and not np.array_equal(spec1[1][1], spec1[1][0]):
+        # a point outside the mask carries the first point's directions; the
+        # point axis is the last before the (d, d) matrix, after the rounds
+        T = spec1[1]
+        if (spec1[0], spec2[0]) == ("vertical", "vertical") and not np.array_equal(T[..., 1, :, :], T[..., 0, :, :]):
             raise og.OmnError("plane vectors are linearly dependent", where=np.arange(len(fd.u0)) == 1)
         return build(fd, spec1, spec2)
 
@@ -490,3 +493,37 @@ def test_crashed_row_names_the_exception_type(monkeypatch):
     for row in rows:
         assert row.residual is None and not row.passed
         assert row.error == "TypeError: unsupported operand"
+
+
+def test_point_generators_are_built_on_first_draw(monkeypatch):
+    """A case's per-point generators, point pi's seeded by
+    SeedSequence([seed, ci, bi, pi]), are built when it first draws: the
+    cases that never draw build none, codazzi-offdiagonal-block, the one
+    drawing case of its group, builds one per point, and the reports equal
+    those of generators all built before the evaluator runs."""
+    built = []
+    make = np.random.default_rng
+
+    def counting(seed=None):
+        if isinstance(seed, np.random.SeedSequence):
+            built.append(tuple(seed.entropy))
+        return make(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    eager = tuple(
+        dataclasses.replace(case, evaluator=lambda M, fd, rngs, ev=case.evaluator: ev(M, fd, list(rngs)))
+        if case.pointwise else case
+        for case in verify.REGISTRY
+    )
+    ci = verify.registry_ids().index("codazzi-offdiagonal-block")
+    codazzi = [(0, ci, 0, pi) for pi in range(5)]
+    for group, want in (("gauss-codazzi", codazzi), ("condition-algebra", []), ("jets-vs-fd", [])):
+        built.clear()
+        lazy = verify.run_suite("sphere2", samples=5, groups=group).canonical_json()
+        assert built == want, group
+        with monkeypatch.context() as m:
+            m.setattr(verify, "REGISTRY", eager)
+            assert verify.run_suite("sphere2", samples=5, groups=group).canonical_json() == lazy
+    full = verify.run_suite(samples=5).canonical_json()
+    monkeypatch.setattr(verify, "REGISTRY", eager)
+    assert verify.run_suite(samples=5).canonical_json() == full

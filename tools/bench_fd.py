@@ -86,12 +86,21 @@ def calls_per_timing(fn, target_s: float = 0.02) -> int:
 
 def interleaved(time_once: dict, unit: float) -> dict:
     """Time both trees ROUNDS times each, alternated; time_once[tree]() is
-    the seconds per call of one timing. Times are scaled by unit."""
+    the seconds per call of one timing, or a dict of them by row, and then
+    the result is by row too. Times are scaled by unit."""
     times = {tree: [] for tree in TREES}
     for r in range(ROUNDS):
         for tree in TREES if r % 2 == 0 else TREES[::-1]:
             times[tree].append(time_once[tree]())
     base, change = times["base"], times["change"]
+    if isinstance(base[0], dict):
+        return {row: compared([b[row] for b in base], [c[row] for c in change], unit) for row in base[0]}
+    return compared(base, change, unit)
+
+
+def compared(base: list, change: list, unit: float) -> dict:
+    """Each tree's median over the rounds, scaled by unit, the median ratio
+    change / base of a round, and the rounds in which the change was faster."""
     return {
         "base": statistics.median(base) * unit,
         "change": statistics.median(change) * unit,
