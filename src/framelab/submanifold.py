@@ -100,13 +100,16 @@ def gram_schmidt_jets(vectors: list[Jet], G: Jet, u: np.ndarray, n_given: int = 
     Returns the orthonormal vectors as columns of one jet. `n_given` marks
     how many leading vectors are mandatory (the tangent block): a breakdown
     there means a rank-deficient Jacobian, later it means a pivot failure.
-    Either names the first point of u where it happens.
+    Either names the first point of u where it happens. G·w is formed once
+    per input vector w and serves its projection on every earlier vector.
     """
     out: list[Jet] = []
     for k, w in enumerate(vectors):
         v = w
-        for q in out:
-            v = v - q * _g_dot(q, w, G)[..., None]
+        if out:
+            Gw = jet_einsum("...ij,...j->...i", G, w)
+            for q in out:
+                v = v - q * jet_dot(q, Gw)[..., None]
         nrm2 = _g_dot(v, v, G)
         bad = nrm2.val < GS_BREAKDOWN**2
         if np.any(bad):

@@ -37,7 +37,7 @@ from . import gauss_map as gm
 from . import omn_geometry as og
 from . import operators as ops
 from .ambient import AmbientError, metric_at
-from .expr import ExprError
+from .expr import ExprError, first_point
 from .frame_bundle import (
     decompose_OMN,
     horizontal_lift_prime,
@@ -162,17 +162,19 @@ def _offblock_skew(p, b):
 
 def _affine_field(fd, rngs):
     """Tangent chart field, affine in u, of unit g-norm at each base point;
-    a point whose draw has a norm below 1e-8 there draws again. It is a jet
-    of order 1: every reader differentiates it at most once."""
+    a point whose draw has a norm below 1e-8 there draws again from its own
+    generator. The norm test runs over the whole batch, and only the points
+    that fail it redraw. It is a jet of order 1: every reader differentiates
+    it at most once."""
     p, g = fd.p, fd.g_chart.val
     a, b = np.empty((len(rngs), p)), np.empty((len(rngs), p, p))
-    for i, rng in enumerate(rngs):
-        while True:
-            a[i] = rng.standard_normal(p)
-            b[i] = 0.4 * rng.standard_normal((p, p))
-            v = a[i] + b[i] @ fd.u0[i]
-            if np.sqrt(v @ g[i] @ v) >= 1e-8:
-                break
+    redraw = np.arange(len(rngs))
+    while redraw.size:
+        for i in redraw:
+            a[i] = rngs[i].standard_normal(p)
+            b[i] = 0.4 * rngs[i].standard_normal((p, p))
+        v = a[redraw] + matvec(b[redraw], fd.u0[redraw])
+        redraw = redraw[np.sqrt(_dot(v, matvec(g[redraw], v))) < 1e-8]
     j = jet_einsum("...ab,...b->...a", b, jstack(fd.uv, axis=-1).cut(1)) + a
     return j * (1.0 / np.sqrt(_dot(j.val, matvec(g, j.val))))[..., None]
 
@@ -1075,18 +1077,25 @@ _DEFAULT_Y = ["u1*u1-0.2", "0.6", "u2+0.1*u1"] + [f"u{k - 1}*u{k}-0.1" for k in 
 
 
 class FDQuantity(NamedTuple):
-    """A quantity of the FD check: its step h; the jet order of the frames
-    its FD route reads, the lowest whose values it needs; its FD route
+    """A quantity of the FD check: its step h; the jet order of the frame
+    its FD route reads on its chart stencil, the lowest whose values it
+    needs; the reach of that stencil from u in steps h (0 for a route that
+    differences only in the ambient chart); its FD route
     fd_route(M, u, h, frame), which hands finite_diff metric and field
     functions that read frame(U), the frame at a batch U built to that
     order, or metric_at(M.ambient, X); its jet route jet_route(fd) at the
     frame fd of u, which jet_value builds to order 3: Gamt.val and Rfr.val,
     the deepest reads of any jet route, are valid there and not at order 2.
-    Both take u of shape (p,) or (n, p), and their values lead with u's
-    batch axes, () at one point (submanifold's batch convention)."""
+    finite_diff calls each function once, on u and its whole stencil tree,
+    so a route's chart stencil is one frame, shared by every quantity of
+    the same step; its reads of x0, E and the fields at u are served by the
+    frame at u. Both routes take u of shape (p,) or (n, p), and their values
+    lead with u's batch axes, () at one point (submanifold's batch
+    convention)."""
 
     h: float
     order: int
+    reach: int
     fd_route: Callable
     jet_route: Callable
 
@@ -1154,40 +1163,50 @@ def _jet_curvature_prime(fd):
 # Steps: 1e-4 for quantities of first derivatives of the metric, 1e-3 for curvatures.
 # Orders: each FD route reads only values of its frames, so they are built no
 # higher than those values need (order 3 is what the jet route reads at u).
+# Reach: a first derivative's stencil [u; u ± h e_a] reaches h, curvature's
+# tree [u; u ± h e_a; u ± h e_a ± h e_b] reaches 2h.
 FD_QUANTITIES = {
-    # order 2 for the whole h = 1e-4 stencil: gt_chart.val needs it, and one
-    # order for all six readers (christoffel-jets-vs-fd too) keeps it one build
+    # order 2 for the whole h = 1e-4 stencil [u; u ± h e_a]: gt_chart.val
+    # needs it, and one order for all six readers (christoffel-jets-vs-fd
+    # too) keeps it one build
     "gamma_chart": FDQuantity(
         1e-4,
         2,
+        1,
         lambda M, u, h, frame: finite_diff.christoffels(lambda U: frame(U).g_chart.val, u, h),
         lambda fd: fd.Gam_chart.val,
     ),
     "gamma_tilde": FDQuantity(
         1e-4,
         2,
+        1,
         lambda M, u, h, frame: finite_diff.christoffels(lambda U: frame(U).gt_chart.val, u, h),
         lambda fd: fd.Gamt.val,
     ),
-    "nabla_vec": FDQuantity(1e-4, 2, _fd_nabla_vec, _jet_nabla_vec),
+    "nabla_vec": FDQuantity(1e-4, 2, 1, _fd_nabla_vec, _jet_nabla_vec),
     "nabla_prime_vec": FDQuantity(
         1e-4,
         2,
+        1,
         partial(_fd_connection, attr="g_chart"),
         lambda fd: ops.vec_nabla_prime_jet(fd, *_xy(fd, 1)).val,
     ),
     "nabla_tilde_vec": FDQuantity(
         1e-4,
         2,
+        1,
         partial(_fd_connection, attr="gt_chart"),
         lambda fd: ops.vec_tilde_nabla_jet(fd, *_xy(fd, 1)).val,
     ),
-    # order 1: E.val and x0 at u are all this route reads of a frame
-    "curvature_ambient": FDQuantity(1e-3, 1, _fd_curvature_ambient, lambda fd: fd.Rfr.val),
-    # order 1 for both h = 1e-3 stencil levels: they read only g_chart.val
+    # order 1: E.val and x0 at u are all this route reads of a frame; it
+    # differences the ambient metric about x0, so no chart stencil
+    "curvature_ambient": FDQuantity(1e-3, 1, 0, _fd_curvature_ambient, lambda fd: fd.Rfr.val),
+    # order 1 for the whole h = 1e-3 tree, one frame of 1 + 2p + 4p^2
+    # points: it reads only g_chart.val
     "curvature_prime": FDQuantity(
         1e-3,
         1,
+        2,
         lambda M, u, h, frame: finite_diff.curvature(lambda U: frame(U).g_chart.val, u, h),
         _jet_curvature_prime,
     ),
@@ -1212,16 +1231,31 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u):
     connections. curvature_ambient: frame-component curvature tensor of the
     ambient space. curvature_prime: chart curvature tensor of the induced
     metric, compared against the block-splitting route on the jet side.
+
+    A chart stencil that would leave the chart domain is refused with a
+    VerifyError naming the first such point of u, the quantity and the
+    stencil's reach, before any point of it is evaluated.
     """
     q = _fd_quantity(quantity)
-    return q.fd_route(M, np.asarray(u, dtype=float), q.h, partial(M.frame_data, order=q.order))
+    u = np.asarray(u, dtype=float)
+    if q.reach and u.shape[-1:] == (M.p,):
+        reach = q.reach * q.h
+        lo, hi = M.chart_domain[:, 0], M.chart_domain[:, 1]
+        leaves = np.any((u - reach < lo) | (u + reach > hi), axis=-1)
+        if np.any(leaves):
+            raise VerifyError(
+                f"{quantity} stencil of reach {reach:g} about {first_point(u, leaves)} leaves the chart domain"
+            )
+    return q.fd_route(M, u, q.h, partial(M.frame_data, order=q.order))
 
 
 def jet_value(M: ImmersedSubmanifold, quantity: str, u):
     """The jet-route value matching fd_oracle's conventions, at u of shape
     (p,) or (n, p), read from the frame at u built to order 3 (see
     FDQuantity). fd_relative_error takes this route first, so that frame
-    also serves the FD routes' reads at u, of orders 2 and 1."""
+    also serves the FD routes' reads at u of x0, E and the fields, of
+    orders 2 and 1; their stencils are one frame per step, the h = 1e-4
+    stencil of order 2 and the h = 1e-3 tree of order 1."""
     return _fd_quantity(quantity).jet_route(M.frame_data(np.asarray(u, dtype=float), 3))
 
 

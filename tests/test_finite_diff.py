@@ -2,11 +2,16 @@
 
 The metrics are plain numpy functions of a batch of points, the form in
 which verify's FD quantities pass frame and ambient metrics to the module.
+The functions before each took one call on its whole stencil tree are kept
+here as the reference their values must equal bit for bit.
 """
 
 import numpy as np
+import pytest
 
 from framelab import finite_diff
+from framelab.omn_geometry import domain_samples
+from framelab.submanifold import builtin_submanifold
 
 
 def diag_metric(f):
@@ -52,17 +57,87 @@ def test_round_sphere_sectional_curvature_is_one():
 
 
 def test_one_call_per_stencil_level():
-    """Each stencil level evaluates its shifted points in one batched call:
-    Christoffels take the stencil and the point, curvature does so for the
-    stencil's own Christoffels too."""
+    """All stencil levels go into one call: each function calls its point
+    function once, on u and its whole stencil tree, 1 + 2k points for
+    central_diff and christoffels and 1 + 2k + 4k^2 for curvature."""
     shapes = []
 
     def metric(U):
         shapes.append(np.shape(U))
         return polar(U)
 
+    finite_diff.central_diff(metric, POINTS[0], 1e-4)
+    assert shapes == [(5, 2)]
+    shapes.clear()
     finite_diff.christoffels(metric, POINTS[0], 1e-4)
-    assert shapes == [(4, 2), (2,)]
+    assert shapes == [(5, 2)]
     shapes.clear()
     finite_diff.curvature(metric, POINTS[0], 1e-3)
-    assert shapes == [(4, 2), (2,), (16, 2), (4, 2)]
+    assert shapes == [(21, 2)]
+    shapes.clear()
+    finite_diff.curvature(metric, POINTS, 1e-3)
+    assert shapes == [(63, 2)]
+
+
+# -- the functions before they took one call, kept as the reference ------------
+
+
+def _pre_change_central_diff(f, u, h):
+    u = np.asarray(u, dtype=float)
+    k = u.shape[-1]
+    shift = h * np.eye(k)
+    stencil = np.stack([u[..., None, :] + shift, u[..., None, :] - shift])
+    vals = np.asarray(f(stencil.reshape(-1, k)))
+    vals = vals.reshape(stencil.shape[:-1] + vals.shape[1:])
+    return (vals[0] - vals[1]) / (2.0 * h)
+
+
+def _pre_change_christoffels(g, u, h):
+    """Christoffels by one call on the stencil and one at u."""
+    dg = _pre_change_central_diff(g, u, h)
+    low = 0.5 * (np.einsum("...abc->...cab", dg) + np.einsum("...abc->...cba", dg) - dg)
+    return np.einsum("...dc,...cab->...dab", np.linalg.inv(g(np.asarray(u, dtype=float))), low)
+
+
+def _pre_change_curvature(g, u, h):
+    """Curvature by central differences of the nested Christoffels: four calls."""
+    gam = lambda U: _pre_change_christoffels(g, U, h)
+    G0 = gam(u)
+    dG = np.einsum("...kilj->...ijkl", _pre_change_central_diff(gam, u, h))
+    GG = np.einsum("...ikm,...mlj->...ijkl", G0, G0)
+    return dG - np.swapaxes(dG, -1, -2) + GG - np.swapaxes(GG, -1, -2)
+
+
+PRE_CHANGE = {
+    "central_diff": _pre_change_central_diff,
+    "christoffels": _pre_change_christoffels,
+    "curvature": _pre_change_curvature,
+}
+
+
+def _assert_pre_change_values(g, u, h):
+    for name, reference in PRE_CHANGE.items():
+        got, want = getattr(finite_diff, name)(g, u, h), reference(g, u, h)
+        assert got.shape == want.shape and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("metric", [polar, round_sphere], ids=["polar", "round-sphere"])
+@pytest.mark.parametrize("h", [1e-4, 1e-3])
+def test_closed_form_metrics_match_the_pre_change_functions(metric, h):
+    """Bitwise the nested functions' values, batched and at one point."""
+    _assert_pre_change_values(metric, POINTS, h)
+    _assert_pre_change_values(metric, POINTS[1], h)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "clifford"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_frame_metrics_match_the_pre_change_functions(name, order):
+    """On g_chart of a frame built at the points asked for (whose values are
+    laid out with a stride over the jet coefficients from order 2 up), the
+    one-call functions are bitwise the nested ones, batched and at one point."""
+    M = builtin_submanifold(name)
+    g = lambda U: M.frame_data(U, order).g_chart.val
+    U = domain_samples(M, 3, seed=1)
+    for h in (1e-4, 1e-3):
+        _assert_pre_change_values(g, U, h)
+        _assert_pre_change_values(g, U[0], h)

@@ -8,7 +8,7 @@ import pytest
 from framelab import operators as ops
 from framelab import verify
 from framelab.ambient import euclidean
-from framelab.jets import get_space, jet_along, jet_einsum, jsin, jstack
+from framelab.jets import get_space, jet_along, jet_dot, jet_einsum, jsin, jsqrt, jstack
 from framelab.omn_geometry import OmnError, domain_samples
 from framelab.submanifold import FrameError, FramePointData, ImmersedSubmanifold, builtin_submanifold, is_int
 
@@ -176,6 +176,34 @@ def test_low_order_frame_is_the_leading_part_of_the_order_4_frame(name, points):
             jet, ref = getattr(fd, attr), getattr(full, attr)
             assert jet.valid == top - (4 - k), (k, attr)
             assert np.array_equal(jet.coeffs, ref.coeffs[..., : jet.coeffs.shape[-1]]), (k, attr)
+
+
+def _pre_change_gram_schmidt(vectors, G):
+    """Gram-Schmidt before it formed G w once per vector, kept as the
+    reference: G w formed again for each earlier vector q."""
+    g_dot = lambda a, b: jet_dot(a, jet_einsum("...ij,...j->...i", G, b))
+    out = []
+    for w in vectors:
+        v = w
+        for q in out:
+            v = v - q * g_dot(q, w)[..., None]
+        out.append(v / jsqrt(g_dot(v, v))[..., None])
+    return jstack(out, axis=-1)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_gram_schmidt_matches_the_pre_change_loop(name, order):
+    """The frame E, Gram-Schmidt on the frame's own columns (the Jacobian,
+    then the frozen pivot axes) and metric, is bitwise the pre-change loop on
+    them, at a batch of points and at one."""
+    M = builtin_submanifold(name)
+    for u in (sample_points(M, 3, seed=order), sample_points(M, 1, seed=order)[0]):
+        fd = FramePointData(M, u, order)
+        cols = [fd.J[..., a] for a in range(fd.p)]
+        cols += [fd.uspace.constant(np.eye(fd.d)[ax]) for ax in M.pivots]
+        want = _pre_change_gram_schmidt(cols, fd.G)
+        assert fd.E.coeffs.shape == want.coeffs.shape and np.array_equal(fd.E.coeffs, want.coeffs)
 
 
 @pytest.mark.parametrize("points", POINT_SETS)

@@ -253,8 +253,8 @@ def test_a_refused_vertical_plane_drops_only_its_point(monkeypatch):
 
 def test_a_run_builds_one_frame_and_one_stencil(monkeypatch):
     """On one builtin every case reads the frame at the run's n sample points,
-    and the Christoffel check's central differences one frame of their 2np
-    shifted points; no frame of a single point is built."""
+    and the Christoffel check's central differences one frame of the n points
+    and their 2np shifts; no frame of a single point is built."""
     shapes = []
     build = FramePointData.__init__
 
@@ -264,7 +264,7 @@ def test_a_run_builds_one_frame_and_one_stencil(monkeypatch):
 
     monkeypatch.setattr(FramePointData, "__init__", counting)
     verify.run_suite("sphere2", samples=5)
-    assert shapes == [(5, 2), (20, 2)]
+    assert shapes == [(5, 2), (25, 2)]
 
 
 def test_one_frame_trace_per_evaluation(monkeypatch):
@@ -287,10 +287,11 @@ def test_one_frame_trace_per_evaluation(monkeypatch):
 
 
 def test_fd_sweep_builds_stencil_frames_to_the_order_they_read(monkeypatch):
-    """Every FD quantity at one point of sphere2 makes exactly 4 frame builds:
+    """Every FD quantity at one point of sphere2 makes exactly 3 frame builds:
     the frame at u is the jet routes', order 3, and serves the FD routes'
-    reads at u; the h = 1e-4 stencil is one frame of order 2, and the two
-    levels of curvature_prime's h = 1e-3 stencil are frames of order 1."""
+    reads at u; the h = 1e-4 stencil [u; u ± h e_a] is one frame of order 2,
+    and curvature_prime's whole h = 1e-3 tree, u and both levels, one frame
+    of order 1."""
     built = []
     build = FramePointData.__init__
 
@@ -302,7 +303,33 @@ def test_fd_sweep_builds_stencil_frames_to_the_order_they_read(monkeypatch):
     M = builtin_submanifold("sphere2")
     for q in verify.FD_QUANTITIES:
         verify.fd_relative_error(M, q, [1.1, 0.6])
-    assert built == [((2,), 3), ((4, 2), 2), ((4, 2), 1), ((16, 2), 1)]
+    assert built == [((2,), 3), ((5, 2), 2), ((21, 2), 1)]
+
+
+@pytest.mark.parametrize(
+    "quantity, u, reach",
+    [
+        ("gamma_chart", [0.4, -1.2], "0.0001"),
+        ("nabla_vec", [[1.1, 0.6], [2.7, 0.0]], "0.0001"),
+        ("curvature_prime", [0.4005, 0.0], "0.002"),
+    ],
+)
+def test_a_stencil_leaving_the_chart_is_refused_at_the_point_asked_for(quantity, u, reach):
+    """Near the rim of sphere2's chart ([0.4, 2.7] x [-1.2, 1.2]) the FD route
+    refuses a stencil that would leave it, naming the point it was given, the
+    quantity and the stencil's reach, not a shifted point of the stencil."""
+    M = builtin_submanifold("sphere2")
+    at = re.escape(str(np.asarray(u, dtype=float).reshape(-1, 2)[-1].tolist()))
+    message = rf"{quantity} stencil of reach {reach} about {at} leaves the chart domain"
+    with pytest.raises(verify.VerifyError, match=message):
+        verify.fd_relative_error(M, quantity, u)
+
+
+def test_an_ambient_stencil_runs_at_the_chart_corner():
+    """curvature_ambient differences only in the ambient chart, so at the
+    corner of sphere2's chart it still gives a value."""
+    err = verify.fd_relative_error(builtin_submanifold("sphere2"), "curvature_ambient", [0.4, -1.2])
+    assert err < FD_TOL["curvature_ambient"]
 
 
 @pytest.mark.parametrize("name", verify.DEFAULT_BUILTINS)

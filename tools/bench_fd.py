@@ -8,9 +8,11 @@ Both framelab source trees, the one under --base and the repository's
 src/, are loaded into one process under two package names. Each row is
 timed ROUNDS times per tree, the two trees alternated and the one that goes
 first swapped every round, so drift of a shared host over seconds falls on
-both alike. For each row the file holds each tree's median over the rounds,
-the median over rounds of the ratio change / base, and in how many rounds
-the change was faster. The rows:
+both alike. One timing lasts about TIMING_S or more: it repeats the call or
+the pass as often as that takes on the base tree, so that a row resolves a
+change of a few percent. For each row the file holds each tree's median over
+the rounds, the median over rounds of the ratio change / base, and in how
+many rounds the change was faster. The rows:
 
 - kernel_us: the time per call of Jet.__mul__ on (5,) jets and of
   jet_einsum("...ik,...kj->...ij") on (5, 3, 3) jets, in 2 variables, at
@@ -19,8 +21,16 @@ the change was faster. The rows:
   each default builtin, at orders 1-4, with every attribute that order
   serves read once (the attributes are built on first read);
 - fd_relative_error_ms: the time per fd_relative_error call of each FD
-  quantity at 5 sample points of each default builtin, on fresh
-  submanifolds, so that every frame is built cold.
+  quantity at 5 sample points of each of the fd_check workload's builtins
+  (verify's default ones), on fresh submanifolds, so that every frame is
+  built cold;
+- fd_pass_ms: one whole pass of the benchmark's fd_check workload, every
+  FD quantity at 5 points (seed 0) of each of its 7 builtins in its order,
+  builtin by builtin and point by point, on fresh submanifolds.
+
+fd_pass_counts holds, per tree, exact counts over one such pass:
+FramePointData builds, AmbientSpace.metric_jets calls, the metric_at calls
+of verify among them, and ImmersedSubmanifold.frame_data lookups.
 
 parity holds, per tree, SHA-256 digests of run_suite(samples=s,
 seed=k).canonical_json() for s in {5, 25} and k in {0, 1}; of the 490
@@ -61,7 +71,10 @@ TREES = ("base", "change")
 KERNEL_ORDERS = range(5)
 FRAME_ORDERS = range(1, 5)
 ROUNDS = 9
+TIMING_S = 0.2
 FD_POINTS = 5
+# The fd_check workload's builtins, pinned there and here in its order.
+FD_CHECK_BUILTINS = ("plane", "plane3", "circle", "sphere2", "catenoid", "great2(0.5)", "clifford")
 
 
 def load_tree(src: Path, name: str) -> SimpleNamespace:
@@ -71,15 +84,15 @@ def load_tree(src: Path, name: str) -> SimpleNamespace:
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    modules = ("jets", "submanifold", "omn_geometry", "gauss_map", "verify")
+    modules = ("jets", "ambient", "submanifold", "omn_geometry", "gauss_map", "verify")
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in modules})
 
 
-def calls_per_timing(fn, target_s: float = 0.02) -> int:
-    """How many calls of fn take about target_s."""
+def calls_per_timing(fn) -> int:
+    """How many calls of fn take about TIMING_S."""
     timer = timeit.Timer(fn)
     number = 1
-    while timer.timeit(number) < target_s and number < 1 << 20:
+    while timer.timeit(number) < TIMING_S and number < 1 << 20:
         number *= 2
     return number
 
@@ -169,26 +182,86 @@ def frame_timings(fl: dict) -> dict:
     return out
 
 
-def fd_sweep(ns, q: str):
-    """One timing: fd_relative_error of q at every sample point of every
-    default builtin, on submanifolds made before the clock starts."""
+def per_pass_timer(passes: dict, calls: int = 1) -> dict:
+    """time_once for interleaved from passes[tree] = (fresh, run): fresh()
+    makes the inputs of one pass and run(inputs) is the pass. A timing makes
+    the inputs of its passes before the clock starts and runs as many passes
+    as take about TIMING_S on the base tree (one untimed pass there also
+    warms the process); it gives the seconds per pass, or per call where a
+    pass makes `calls` calls."""
+    fresh, run = passes["base"]
+    inputs = fresh()
+    t0 = time.perf_counter()
+    run(inputs)
+    number = max(1, round(TIMING_S / (time.perf_counter() - t0)))
+
+    def timer(fresh, run):
+        def once():
+            batches = [fresh() for _ in range(number)]
+            t0 = time.perf_counter()
+            for inputs in batches:
+                run(inputs)
+            return (time.perf_counter() - t0) / (number * calls)
+
+        return once
+
+    return {tree: timer(*p) for tree, p in passes.items()}
+
+
+def fd_pass(ns, quantities) -> tuple:
+    """A pass in the fd_check workload's order over the given FD quantities:
+    fd_relative_error of each at every sample point (seed 0) of each of its
+    builtins, on fresh submanifolds; (fresh, run) for per_pass_timer."""
     sm, verify = ns.submanifold, ns.verify
     points = {name: ns.omn_geometry.domain_samples(sm.builtin_submanifold(name), FD_POINTS, seed=0)
-              for name in verify.DEFAULT_BUILTINS}
+              for name in FD_CHECK_BUILTINS}
 
-    def once():
-        fresh = [(sm.builtin_submanifold(name), pts) for name, pts in points.items()]
-        t0 = time.perf_counter()
+    def run(fresh):
         for M, pts in fresh:
             for u in pts:
-                verify.fd_relative_error(M, q, u)
-        return (time.perf_counter() - t0) / (len(fresh) * FD_POINTS)
+                for q in quantities:
+                    verify.fd_relative_error(M, q, u)
 
-    return once
+    return lambda: [(sm.builtin_submanifold(name), pts) for name, pts in points.items()], run
 
 
 def fd_timings(fl: dict) -> dict:
-    return {q: interleaved({t: fd_sweep(ns, q) for t, ns in fl.items()}, 1e3) for q in fl["base"].verify.FD_QUANTITIES}
+    calls = len(FD_CHECK_BUILTINS) * FD_POINTS
+    return {q: interleaved(per_pass_timer({t: fd_pass(ns, [q]) for t, ns in fl.items()}, calls), 1e3)
+            for q in fl["base"].verify.FD_QUANTITIES}
+
+
+def fd_pass_counts(ns) -> dict:
+    """Exact counts over one fd_check pass of the tree ns, the making of its
+    submanifolds included (each selects its pivots on the ambient metric), as
+    the workload makes them; each is counted by wrapping the public name
+    where its callers look it up."""
+    sm, verify = ns.submanifold, ns.verify
+    sites = {
+        "frame_builds": (sm.FramePointData, "__init__"),
+        "metric_jets_calls": (ns.ambient.AmbientSpace, "metric_jets"),
+        "metric_at_calls": (verify, "metric_at"),
+        "frame_data_lookups": (sm.ImmersedSubmanifold, "frame_data"),
+    }
+    counts = dict.fromkeys(sites, 0)
+    saved = {row: getattr(owner, name) for row, (owner, name) in sites.items()}
+
+    def counted(row, fn):
+        def wrapper(*args, **kwargs):
+            counts[row] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    fresh, run = fd_pass(ns, verify.FD_QUANTITIES)
+    try:
+        for row, (owner, name) in sites.items():
+            setattr(owner, name, counted(row, saved[row]))
+        run(fresh())
+    finally:
+        for row, (owner, name) in sites.items():
+            setattr(owner, name, saved[row])
+    return counts
 
 
 def _sha(data: bytes) -> str:
@@ -254,16 +327,20 @@ def main(argv=None) -> int:
             "machine": platform.machine(),
         },
         "rounds": ROUNDS,
+        "timing_s": TIMING_S,
         "kernel_us": kernel_timings(fl),
         "frame_build_ms": frame_timings(fl),
         "fd_relative_error_ms": fd_timings(fl),
+        "fd_pass_ms": interleaved(per_pass_timer({t: fd_pass(ns, ns.verify.FD_QUANTITIES) for t, ns in fl.items()}), 1e3),
+        "fd_pass_counts": {tree: fd_pass_counts(ns) for tree, ns in fl.items()},
         "parity": {tree: parity(ns) for tree, ns in fl.items()},
     }
     doc["parity_equal"] = doc["parity"]["base"] == doc["parity"]["change"]
     doc["measured_s"] = time.perf_counter() - t0
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
     fd = doc["fd_relative_error_ms"]
-    print(json.dumps({"parity_equal": doc["parity_equal"], **{q: round(r["ratio"], 3) for q, r in fd.items()}}))
+    print(json.dumps({"parity_equal": doc["parity_equal"], "fd_pass": round(doc["fd_pass_ms"]["ratio"], 3),
+                      **{q: round(r["ratio"], 3) for q, r in fd.items()}}))
     return 0
 
 
