@@ -8,7 +8,8 @@ whole stencil tree: central_diff and christoffels on [u; u ± h e_a],
 curvature on [u; u ± h e_a; u ± h e_a ± h e_b]. The values are split back
 by level as C-contiguous arrays, so a metric function's values at u serve
 the inverse metric there, and curvature takes the Christoffels at u and at
-its first level from the one call. The module imports numpy only, so it
+its first level from the one call; lowered_curvature lowers R's first index
+with the metric at u from that call too. The module imports numpy only, so it
 shares no code with the route it checks. Conventions are those of the
 ambient module: R^i_{jkl} =
 d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["central_diff", "christoffels", "curvature"]
+__all__ = ["central_diff", "christoffels", "curvature", "lowered_curvature"]
 
 
 def _shifted(u: np.ndarray, h: float) -> np.ndarray:
@@ -74,6 +75,19 @@ def curvature(g, u, h: float) -> np.ndarray:
     Christoffels differenced with the same step h they are computed with.
     One call of g on u, its 2k shifts and their 2k shifts each gives the
     Christoffels at u and at the first level."""
+    return _curvature(g, u, h)[1]
+
+
+def lowered_curvature(g, u, h: float) -> np.ndarray:
+    """R_{ijkl} = g_{im} R^m_{jkl} at u, shape (..., k, k, k, k): curvature's
+    tensor with its first index lowered by g at u, the root of the same one
+    call."""
+    g0, R = _curvature(g, u, h)
+    return np.einsum("...im,...mjkl->...ijkl", g0, R)
+
+
+def _curvature(g, u, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """g at u and R^i_{jkl} there, from one call of g on the whole tree."""
     u = np.asarray(u, dtype=float)
     k = u.shape[-1]
     level1 = _shifted(u, h)
@@ -83,4 +97,4 @@ def curvature(g, u, h: float) -> np.ndarray:
     dG = _diff(G1.reshape(level1.shape[:-1] + G1.shape[1:]), h)
     dG = np.einsum("...kilj->...ijkl", dG)  # d_k Gamma^i_{lj}
     GG = np.einsum("...ikm,...mlj->...ijkl", G0, G0)  # Gamma^i_{km} Gamma^m_{lj}
-    return dG - np.swapaxes(dG, -1, -2) + GG - np.swapaxes(GG, -1, -2)
+    return g0, dG - np.swapaxes(dG, -1, -2) + GG - np.swapaxes(GG, -1, -2)

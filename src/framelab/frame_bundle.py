@@ -36,8 +36,9 @@ Its restrictions are the four cases of nabla_ON (one part of each pair,
 chosen by case_pairs), nabla_ON_primed (the same cases on primed lifts, so
 A = S_X and B = S_Y where a tangent part is given) and nabla_ON_section (the
 direction is the section velocity, A = omega_X). Each differentiates its
-fields once and keeps values, so the fields enter as jets of order 1 (the
-depth rule of operators).
+fields once along a direction with a tangent part and not at all along a
+vertical one, so the fields enter as jets of order 1 or 0 (the depth rule
+of operators); a term read at its values only is formed at order 0.
 """
 
 from __future__ import annotations
@@ -187,10 +188,13 @@ def case_pairs(case: str, args) -> tuple:
     return X, A, Y, B
 
 
-def _case_jets(fd: FramePointData, case: str, args, order: int) -> tuple:
+def _case_jets(fd: FramePointData, case: str, args) -> tuple:
     """case_pairs normalised to chart jets (X, Y) and frame-matrix jets (A, B)
-    of the order the caller differentiates them to."""
+    of the order the connection differentiates them to: 1 along a direction
+    with a tangent part X, 0 along a vertical one, which differentiates
+    nothing."""
     X, A, Y, B = case_pairs(case, args)
+    order = 0 if X is None else 1
     chart = lambda f: None if f is None else ops.as_chart_field(fd, f, order)
     endo = lambda T: None if T is None else ops.as_endo_field(fd, T, order)
     return chart(X), endo(A), chart(Y), endo(B)
@@ -203,21 +207,22 @@ def _pair_nabla_ON(fd: FramePointData, Xc, A, yF, B) -> LiftedVector:
 
     Xc is a chart-coefficient jet, yF a frame-component jet, A and B
     frame-matrix jets. An absent part is None, and a term is formed only when
-    all its factors are present.
+    all its factors are present. Only yF and B are differentiated, along X;
+    every other term is read at its values, so it is formed at order 0.
     """
     horiz = np.zeros(fd.d)
     vert = np.zeros((fd.d, fd.d))
     if Xc is not None:
-        xF = ops.full_frame_field(fd, Xc)
+        xF = ops.full_frame_field(fd, Xc.cut(0))
         if yF is not None:
             horiz = horiz + ops.ambient_deriv_frame(fd, Xc, yF).val
-            vert = vert - 0.5 * ops.curvature_matrix(fd, xF, yF).val
+            vert = vert - 0.5 * ops.curvature_matrix(fd, xF, yF.cut(0)).val
         if B is not None:
-            horiz = horiz + 0.5 * matvec(ops.rt_matrix_jet(fd, B).val, xF.val)
+            horiz = horiz + 0.5 * matvec(ops.rt_matrix_jet(fd, B.cut(0)).val, xF.val)
             vert = vert + ops.nabla_t_field_jet(fd, B, Xc, "ambient").val
     if A is not None:
         if yF is not None:
-            horiz = horiz + 0.5 * matvec(ops.rt_matrix_jet(fd, A).val, yF.val)
+            horiz = horiz + 0.5 * matvec(ops.rt_matrix_jet(fd, A.cut(0)).val, yF.val)
         if B is not None:
             vert = vert + 0.5 * (B.val @ A.val - A.val @ B.val)
     return lifted(fd, horizontal=horiz, vertical=vert)
@@ -234,7 +239,7 @@ def nabla_ON(fd: FramePointData, case: str, *args) -> LiftedVector:
     Vector fields are chart-coefficient specs; T specs are endo fields
     (callables of FramePointData) or constant frame matrices.
     """
-    Xc, A, Yc, B = _case_jets(fd, case, args, 1)
+    Xc, A, Yc, B = _case_jets(fd, case, args)
     yF = None if Yc is None else ops.full_frame_field(fd, Yc)
     return _pair_nabla_ON(fd, Xc, A, yF, B)
 
@@ -246,10 +251,10 @@ def nabla_ON_primed(fd: FramePointData, case: str, *args) -> LiftedVector:
     vertical part S_X along. case "hh": (Xf, Yf) differentiates Y^{h'} along
     X^{h'}; "hv": (Xf, T); "vh": (T, Yf); "vv": (T, Tp).
     """
-    Xc, A, Yc, B = _case_jets(fd, case, args, 1)
+    Xc, A, Yc, B = _case_jets(fd, case, args)
     yF = None
     if Xc is not None:
-        A = ops.s_field_matrix(fd, Xc)
+        A = ops.s_field_matrix(fd, Xc.cut(0))
     if Yc is not None:
         B = ops.s_field_matrix(fd, Yc)
         yF = ops.full_frame_field(fd, Yc)
@@ -267,7 +272,7 @@ def nabla_ON_section(fd: FramePointData, Xf, yframe, endof) -> LiftedVector:
     jets are cut where they meet X.
     """
     Xc = ops.as_chart_field(fd, Xf, 1)
-    omX = ops.omega_along(fd, Xc)
+    omX = ops.omega_along(fd, Xc.cut(0))
     return _pair_nabla_ON(fd, Xc, omX, yframe(fd), ops.as_endo_field(fd, endof, 1))
 
 

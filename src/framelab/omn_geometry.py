@@ -141,14 +141,15 @@ def _pair_nabla(fd, Xc, A, Yc, B):
     vertical (h) part: -R'(X,Y)/2 + nabla'_X B + [B, A]/2
 
     Returns the values of both parts. An absent part is None, and a term is
-    formed only when all its factors are present.
+    formed only when all its factors are present; R'(X, Y), which
+    differentiates neither, is formed at order 0.
     """
     chart = np.zeros(fd.p)
     vert = np.zeros((fd.d, fd.d))
     if Xc is not None:
         if Yc is not None:
             chart = chart + ops.vec_tilde_nabla_jet(fd, Xc, Yc).val
-            vert = vert - 0.5 * ops.curvature_prime_jet(fd, Xc, Yc).val
+            vert = vert - 0.5 * ops.curvature_prime_jet(fd, Xc.cut(0), Yc.cut(0)).val
         if B is not None:
             chart = chart + 0.5 * ops.q_t_chart_jet(fd, B, Xc).val
             vert = vert + ops.nabla_t_field_jet(fd, B, Xc, "prime").val
@@ -217,15 +218,19 @@ def curvature_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
     case "vvh": (T, Tp, Zf)      R(bar T, bar T') Z^{h'}
     case "vvv": (T, Tp, Tpp)     R(bar T, bar T') bar T''
 
-    The fields enter at the order each case differentiates them to: 2 where
-    it differentiates Q_T(Y) (hhv, hvh, hvv, vvh), which differentiates its
-    fields once, 1 for hhh and 0 for vvv.
+    The fields enter at the order each case differentiates them to, tangent
+    fields and endomorphism fields each: Q_T(Y) differentiates T once and Y
+    not at all, so a case that differentiates Q_T(Y) (hhv, hvh) takes its
+    tangent fields at order 1 and its T at order 2, one that only applies Q
+    (hvv, vvh) takes them at 0 and 1, hhh takes its tangent fields at 1 and
+    vvv takes everything at 0. A term of the vertical part that is read at
+    its values only is formed at order 0.
     """
-    depth = {"hhh": 1, "hhv": 2, "hvh": 2, "hvv": 2, "vvh": 2, "vvv": 0}
+    depth = {"hhh": (1, 0), "hhv": (1, 2), "hvh": (1, 2), "hvv": (0, 1), "vvh": (0, 1), "vvv": (0, 0)}
     if case not in depth:
         raise OmnError(f"unknown case {case!r}")
-    vec = lambda f: ops.as_chart_field(fd, f, depth[case])
-    endo = lambda T: _h_endo_field(fd, T, depth[case])
+    vec = lambda f: ops.as_chart_field(fd, f, depth[case][0])
+    endo = lambda T: _h_endo_field(fd, T, depth[case][1])
     if len(args) != 3:
         raise OmnError(f"case {case!r} takes 3 arguments, got {len(args)}")
     if case == "hhh":
@@ -245,12 +250,13 @@ def curvature_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
         Xc, Yc = vec(Xf), vec(Yf)
         Tj = endo(T)
         chart = 0.5 * (_d_x_q_t(fd, Xc, Tj, Yc) - _d_x_q_t(fd, Yc, Tj, Xc))
-        RXY = ops.curvature_prime_jet(fd, Xc, Yc)
-        vert = 0.5 * ops.commutator_jet(RXY, Tj)
-        QTX = ops.q_t_chart_jet(fd, Tj, Xc)
-        QTY = ops.q_t_chart_jet(fd, Tj, Yc)
+        X0, Y0 = Xc.cut(0), Yc.cut(0)
+        RXY = ops.curvature_prime_jet(fd, X0, Y0)
+        vert = 0.5 * ops.commutator_jet(RXY, Tj.cut(0))
+        QTX = ops.q_t_chart_jet(fd, Tj, X0)
+        QTY = ops.q_t_chart_jet(fd, Tj, Y0)
         vert = vert - 0.25 * (
-            ops.curvature_prime_jet(fd, Xc, QTY) - ops.curvature_prime_jet(fd, Yc, QTX)
+            ops.curvature_prime_jet(fd, X0, QTY) - ops.curvature_prime_jet(fd, Y0, QTX)
         )
         return horizontal_lift_prime(fd, chart.val) + lifted(fd, vertical=vert.val)
     if case == "hvh":
@@ -258,10 +264,11 @@ def curvature_OMN(fd: FramePointData, case: str, *args) -> LiftedVector:
         Xc, Zc = vec(Xf), vec(Zf)
         Tj = endo(T)
         chart = 0.5 * _d_x_q_t(fd, Xc, Tj, Zc)
-        QTZ = ops.q_t_chart_jet(fd, Tj, Zc)
-        RXZ = ops.curvature_prime_jet(fd, Xc, Zc)
-        comm = ops.commutator_jet(RXZ, Tj)
-        vert = -0.25 * (ops.curvature_prime_jet(fd, Xc, QTZ) - comm)
+        X0, Z0 = Xc.cut(0), Zc.cut(0)
+        QTZ = ops.q_t_chart_jet(fd, Tj, Z0)
+        RXZ = ops.curvature_prime_jet(fd, X0, Z0)
+        comm = ops.commutator_jet(RXZ, Tj.cut(0))
+        vert = -0.25 * (ops.curvature_prime_jet(fd, X0, QTZ) - comm)
         return horizontal_lift_prime(fd, chart.val) + lifted(fd, vertical=vert.val)
     if case == "hvv":
         Xf, T, Tp = args
@@ -412,13 +419,14 @@ def _pi_hh_pieces(fd, Xc, Yc):
     rsum = R_{S_X} Y + R_{S_Y} X (frame, d), V = nabla'_X Y + nabla'_Y X
     (chart) and m = nabla'_X S_Y + nabla'_Y S_X (frame matrix)."""
     # each piece is a term and its swap (X and Y exchanged): one call on the
-    # stack (X, Y) against (Y, X)
+    # stack (X, Y) against (Y, X); every piece is a value, and rsum, which
+    # differentiates nothing, is formed at order 0
     XY = jstack([Xc, Yc], axis=0)
     swap = [1, 0]
     F = ops.full_frame_field(fd, XY)
     S = ops.s_field_matrix(fd, XY)
     nab = ops.ambient_deriv_frame(fd, Xc, F[1])
-    r = jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, S), F[swap])
+    r = jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, S.cut(0)), F.cut(0)[swap])
     V = ops.vec_nabla_prime_jet(fd, XY, XY[swap])
     m = ops.nabla_t_field_jet(fd, S[swap], XY, "prime")
     return nab, r[0] + r[1], V[0] + V[1], m[0] + m[1]
@@ -440,9 +448,10 @@ def _pi_hh_assemble(fd, nab, rsum, V, m_endo):
 
 def _pi_hv_jets(fd, Xc, Tj):
     """Pi(X^{h'}, bar T) = 1/2 (R_T(X) - Q_T(X))^h
-    + 1/2 bar((nabla_X T)_m - S_{Q_T(X)})."""
-    xF = ops.full_frame_field(fd, Xc)
-    RTX = jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, Tj), xF)
+    + 1/2 bar((nabla_X T)_m - S_{Q_T(X)}), read at its values: R_T(X),
+    which differentiates nothing, is formed at order 0."""
+    xF = ops.full_frame_field(fd, Xc.cut(0))
+    RTX = jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, Tj.cut(0)), xF)
     q = ops.q_t_chart_jet(fd, Tj, Xc)
     horiz = 0.5 * (RTX - ops.full_frame_field(fd, q))
     dT_m = ops.nabla_t_field_jet(fd, Tj, Xc, "ambient") * fd.mmask

@@ -46,10 +46,22 @@ order, or of its own valid order where that is lower. A coefficient of
 degree k never reads a higher one, so a formula that differentiates its
 fields k times and keeps values reads no coefficient above order k, and
 every product it forms lands at order k or below; the frame's own jets are
-cut where they meet the field. The depths: 1 for the connections
-(frame_bundle.nabla_ON and its primed and section forms, nabla_OMN,
-second_fundamental_OMN, L_op), 2 for the cases of curvature_OMN that
-differentiate Q_T(Y), and 0 where only a field's values are read.
+cut where they meet the field. The depths: 1 for the connections along a
+direction with a tangent part (frame_bundle.nabla_ON and its primed and
+section forms, nabla_OMN, second_fundamental_OMN, L_op), 1 for tangent
+fields and 2 for T in the cases of curvature_OMN that differentiate Q_T(Y),
+and 0 where only a field's values are read.
+
+The same rule holds for terms. A term added to a derivative is formed at the
+derivative's order: jet_along(X, F) lands one order below F, so
+ambient_deriv_frame, the connections on tangent fields and nabla_t_field_jet
+cut X and F to that order before they form the connection term (omega_X F,
+Gamma(X, Y), [omega_X, T]), and q_t_chart_jet forms R_T X at the order of
+nabla_X T. A reader of values forms its products at order 0: it cuts what it
+does not differentiate to order 0 before multiplying. Truncated Taylor
+arithmetic computes a coefficient of degree k from the same pairs, in the
+same order, in any space of order k or more, so the values are bitwise
+those of the products formed at full order.
 
 L_op evaluates the operator L from these primitives, in chart coefficients,
 at a frame of one point or of a batch (its result then leads with the batch
@@ -131,6 +143,12 @@ def basis_T(d: int, i: int, j: int) -> np.ndarray:
 # -- jet-level building blocks -------------------------------------------------
 
 
+def _at_most(j, order: int):
+    """j cut to order, or j itself when it is valid to no more or is a
+    plain array (a constant direction)."""
+    return j.cut(order) if isinstance(j, Jet) and j.valid > order else j
+
+
 def frame_of_chart(fd: FramePointData, xc) -> Jet:
     """Chart coefficients -> tangent-frame coefficients (jets)."""
     return jet_einsum("...Aa,...a->...A", fd.Dmat, xc)
@@ -152,7 +170,9 @@ def omega_along(fd: FramePointData, Xc, which: str = "ambient") -> Jet:
 
 def ambient_deriv_frame(fd: FramePointData, Xc, yF: Jet) -> Jet:
     """Frame components of nabla_X Y for a full frame-component field yF."""
-    return jet_along(Xc, yF) + jet_einsum("...ij,...j->...i", omega_along(fd, Xc), yF)
+    dY = jet_along(Xc, yF)
+    Xc, yF = _at_most(Xc, dY.valid), _at_most(yF, dY.valid)
+    return dY + jet_einsum("...ij,...j->...i", omega_along(fd, Xc), yF)
 
 
 def curvature_matrix(fd: FramePointData, xF: Jet, yF: Jet) -> Jet:
@@ -174,11 +194,6 @@ def _batched(fd: FramePointData, value, per_point: tuple, order: int, what: str)
     if stack is None:
         raise OperatorError(f"{what} must have shape {fd.shape_rule(per_point)}, got {value.shape}")
     return get_space(fd.p, order).constant(np.broadcast_to(value, stack + fd.batch + per_point))
-
-
-def _at_most(j: Jet, order: int) -> Jet:
-    """j cut to order, or j itself when it is valid to no more."""
-    return j.cut(order) if j.valid > order else j
 
 
 def as_chart_field(fd: FramePointData, field, order: int) -> Jet:
@@ -249,11 +264,11 @@ def solve_P(fd: FramePointData, rhs):
 
     Raises OperatorError when P is numerically singular (condition number
     above 1e12) at any of the frame's points, as on a thin tube where S is
-    huge, and names the first such point.
+    huge, and names the first such point. The test is the frame's
+    P_singular, made once per frame.
     """
-    singular = np.linalg.cond(fd.Pfr.val) > 1e12
-    if np.any(singular):
-        raise OperatorError(f"operator P is numerically singular at {fd.point_where(singular)}")
+    if np.any(fd.P_singular):
+        raise OperatorError(f"operator P is numerically singular at {fd.point_where(fd.P_singular)}")
     if isinstance(rhs, Jet):
         # P lifted to rhs's stack axes, so that rhs is a vector to jet_solve
         stack = rhs.shape[: max(0, len(rhs.shape) - len(fd.batch) - 1)]
@@ -263,8 +278,9 @@ def solve_P(fd: FramePointData, rhs):
 
 def _connection_jet(fd: FramePointData, gam: Jet, Xc, Yc: Jet) -> Jet:
     """Chart coefficients of nabla_X Y for the connection with Christoffels gam."""
-    XY = jet_einsum("...a,...b->...ab", Xc, Yc)
-    return jet_along(Xc, Yc) + jet_einsum("...cab,...ab->...c", gam, XY)
+    dY = jet_along(Xc, Yc)
+    XY = jet_einsum("...a,...b->...ab", _at_most(Xc, dY.valid), _at_most(Yc, dY.valid))
+    return dY + jet_einsum("...cab,...ab->...c", gam, XY)
 
 
 def vec_nabla_prime_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
@@ -285,7 +301,9 @@ def bracket_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
 def nabla_t_field_jet(fd: FramePointData, Tj: Jet, Xc, which: str = "ambient") -> Jet:
     """(nabla_X T) for an endo field along a tangent field, frame components,
     full or primed (which = "ambient" or "prime")."""
-    return jet_along(Xc, Tj) + commutator_jet(omega_along(fd, Xc, which), Tj)
+    dT = jet_along(Xc, Tj)
+    Xc, Tj = _at_most(Xc, dT.valid), _at_most(Tj, dT.valid)
+    return dT + commutator_jet(omega_along(fd, Xc, which), Tj)
 
 
 def q_t_chart_jet(fd: FramePointData, Tj: Jet, Xc) -> Jet:
@@ -293,16 +311,20 @@ def q_t_chart_jet(fd: FramePointData, Tj: Jet, Xc) -> Jet:
 
     Q_T(X) = P^{-1}((R_T X)^T - S_{(nabla_X T)_m}).
     """
-    RT = rt_matrix_jet(fd, Tj)
-    xfr = frame_of_chart(fd, Xc)
-    rt_top = jet_einsum("...AB,...B->...A", RT[..., : fd.p, : fd.p], xfr)
     nabT = nabla_t_field_jet(fd, Tj, Xc, "ambient")
+    # R_T X is summed with a derivative of T: formed at the derivative's order
+    RT = rt_matrix_jet(fd, _at_most(Tj, nabT.valid))
+    xfr = frame_of_chart(fd, _at_most(Xc, nabT.valid))
+    rt_top = jet_einsum("...AB,...B->...A", RT[..., : fd.p, : fd.p], xfr)
     svec = s_tm_tangent_jet(fd, nabT * fd.mmask)
     return jet_einsum("...aA,...A->...a", fd.C, solve_P(fd, rt_top - svec))
 
 
 def curvature_prime_jet(fd: FramePointData, Xc, Yc) -> Jet:
-    """R'(X, Y) as a frame-matrix jet: R(X,Y)_h - [S_X, S_Y]."""
+    """R'(X, Y) as a frame-matrix jet: R(X,Y)_h - [S_X, S_Y], in the lower
+    of X's and Y's orders, to which both are cut first."""
+    order = min((f.valid for f in (Xc, Yc) if isinstance(f, Jet)), default=0)
+    Xc, Yc = _at_most(Xc, order), _at_most(Yc, order)
     xfr, yfr = frame_of_chart(fd, Xc), frame_of_chart(fd, Yc)
     Rtan = fd.Rfr[..., : fd.p, : fd.p]
     RXY = jet_einsum("...ijl,...l->...ij", jet_einsum("...ijkl,...k->...ijl", Rtan, xfr), yfr)

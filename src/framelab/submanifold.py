@@ -295,6 +295,9 @@ class FramePointData:
     Gam_chart   (p, p, p)  Christoffels of the induced metric, valid 2
     Smats       (p, d, d)  frame matrix of S_{e_A}, valid 2
     Pfr         (p, p)     frame matrix of the operator P on TM, valid 2
+    P_singular  ()         bool, not a jet: P numerically singular there
+                           (condition number of Pfr.val above 1e12);
+                           read where Pfr is
     gt_chart    (p, p)     deformed metric in chart coordinates, valid 2
     Gamt        (p, p, p)  Christoffels of the deformed metric, valid 1
     Rt_chart    (p,p,p,p)  curvature of the deformed metric, valid 0
@@ -428,6 +431,10 @@ class FramePointData:
         p = self.p
         S2 = jet_einsum("...Aij,...Ajk->...ik", self.Smats, self.Smats)
         return self.uspace.constant(np.eye(p)) - 2.0 * S2[..., :p, :p]
+
+    @_built_on_read(2)
+    def P_singular(self) -> np.ndarray:
+        return np.linalg.cond(self.Pfr.val) > 1e12
 
     @_built_on_read(2)
     def Gam_chart(self) -> Jet:

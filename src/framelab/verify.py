@@ -249,8 +249,9 @@ def _ev_curvature_endo_duality(M, fd, rngs):
     x = _unit_chart(fd, _draw(rngs, fd.p))
     y = _unit_chart(fd, _draw(rngs, fd.p))
     T = _skew(_draw(rngs, fd.d, fd.d))
-    xF = ops.full_frame_field(fd, x)
-    yF = ops.full_frame_field(fd, y)
+    # both sides are values: the fields enter R(X, Y) at order 0
+    xF = ops.full_frame_field(fd, x).cut(0)
+    yF = ops.full_frame_field(fd, y).cut(0)
     lhs = _dot(matvec(ops.rt_matrix_jet(fd, T).val, xF.val), yF.val)
     Rxy = ops.curvature_matrix(fd, xF, yF).val
     return np.abs(lhs - skew_inner(Rxy, T)), _sup_each(Rxy)
@@ -307,7 +308,7 @@ def _ev_gauss_tangent_block(M, fd, rngs):
     S = lambda idx: np.moveaxis(fd.omega.val[..., idx, :, :], -3, 0) * fd.mmask
     # the coordinate pairs a < b, one stack
     d_ab = jstack([omh[..., b, :, :].d(a) - omh[..., a, :, :].d(b) for a, b in pairs], axis=0)
-    Fp = (d_ab + ops.commutator_jet(om(A), om(B))).val
+    Fp = (d_ab + ops.commutator_jet(om(A).cut(0), om(B).cut(0))).val
     Rp = ops.curvature_prime_jet(fd, _coordinate_fields(fd, A), _coordinate_fields(fd, B)).val
     SA, SB = S(A), S(B)
     return np.max(_sup_each(Fp - Rp, 2), axis=0), np.max(_sup_each(SA @ SB - SB @ SA, 2), axis=0)
@@ -316,8 +317,8 @@ def _ev_gauss_tangent_block(M, fd, rngs):
 def _ev_codazzi_offdiagonal(M, fd, rngs):
     Xc = _affine_field(fd, rngs)
     Yc = _affine_field(fd, rngs)
-    xF = ops.full_frame_field(fd, Xc)
-    yF = ops.full_frame_field(fd, Yc)
+    xF = ops.full_frame_field(fd, Xc.cut(0))
+    yF = ops.full_frame_field(fd, Yc.cut(0))
     Rm = ops.curvature_matrix(fd, xF, yF).val * fd.mmask
     t1 = ops.nabla_t_field_jet(fd, ops.s_field_matrix(fd, Yc), Xc, "prime").val
     t2 = ops.nabla_t_field_jet(fd, ops.s_field_matrix(fd, Xc), Yc, "prime").val
@@ -342,7 +343,7 @@ def _ev_endo_derivative_split(block: str):
         Xc = _affine_field(fd, rngs)
         full = ops.nabla_t_field_jet(fd, Tj, Xc, "ambient").val
         prime = ops.nabla_t_field_jet(fd, Tj, Xc, "prime").val
-        SX = ops.s_field_matrix(fd, Xc).val
+        SX = ops.s_field_matrix(fd, Xc.cut(0)).val
         comm = SX @ Tj.val - Tj.val @ SX
         r1 = _sup_each(full * other - comm)
         r2 = _sup_each(full * own - prime * own)
@@ -397,11 +398,14 @@ def _ev_gil_medrano_pairing(M, fd, rngs):
 
     tn = ops.vec_tilde_nabla_jet(fd, Xc, Yc)
     npr = ops.vec_nabla_prime_jet(fd, Xc, Yc)
+    # the pairings are values, and only P is differentiated in them: the
+    # fields enter them at order 0
+    X0, Y0, Z0 = Xc.cut(0), Yc.cut(0), Zc.cut(0)
     dfr = ops.frame_of_chart(fd, tn - npr)
-    zfr = ops.frame_of_chart(fd, Zc)
+    zfr = ops.frame_of_chart(fd, Z0)
     lhs = (jet_einsum("...ij,...j->...i", fd.Pfr, dfr) * zfr).sum(-1).val
     # the three pairings (X, Y, Z), (Y, X, Z) and (Z, Y, X), one stack
-    dp = dp_pair(jstack([Xc, Yc, Zc], axis=0), jstack([Yc, Xc, Yc], axis=0), jstack([Zc, Zc, Xc], axis=0))
+    dp = dp_pair(jstack([X0, Y0, Z0], axis=0), jstack([Y0, X0, Y0], axis=0), jstack([Z0, Z0, X0], axis=0))
     rhs = 0.5 * (dp[0] + dp[1] - dp[2])
     wit = np.max(_sup_each(nabla_prime_P(_coordinate_fields(fd, range(p))).val, 2), axis=0)
     return np.abs(lhs - rhs), wit
@@ -1136,8 +1140,7 @@ def _fd_nabla_vec(M, u, h, frame):
 def _fd_curvature_ambient(M, u, h, frame):
     """FD route of the ambient curvature in frame components, g(R(e_k, e_l) e_j, e_i)."""
     fd0 = frame(u)
-    metric = lambda X: metric_at(M.ambient, X)
-    low = np.einsum("...im,...mjkl->...ijkl", metric(fd0.x0), finite_diff.curvature(metric, fd0.x0, h))
+    low = finite_diff.lowered_curvature(lambda X: metric_at(M.ambient, X), fd0.x0, h)
     E = fd0.E.val
     return np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", low, E, E, E, E)
 

@@ -79,6 +79,23 @@ def test_one_call_per_stencil_level():
     assert shapes == [(63, 2)]
 
 
+@pytest.mark.parametrize("metric", [polar, round_sphere], ids=["polar", "round-sphere"])
+@pytest.mark.parametrize("u", [POINTS, POINTS[1]], ids=["batch", "point"])
+def test_lowered_curvature_reads_g_at_u_from_its_one_call(metric, u):
+    """lowered_curvature is curvature with its first index lowered by g at
+    u, bit for bit as a second call of g at u would lower it, from one call."""
+    shapes = []
+
+    def counted(U):
+        shapes.append(np.shape(U))
+        return metric(U)
+
+    got = finite_diff.lowered_curvature(counted, u, 1e-3)
+    assert len(shapes) == 1
+    want = np.einsum("...im,...mjkl->...ijkl", metric(u), finite_diff.curvature(metric, u, 1e-3))
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
 # -- the functions before they took one call, kept as the reference ------------
 
 

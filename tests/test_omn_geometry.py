@@ -441,12 +441,50 @@ FRAME_ATTRIBUTES = (
 )
 
 
+# Jet x jet products of each reader of the test below on its fields, counted by the order they land at: [at order 0, at 1, at 2].
+# A product lands above order 0 only where the reader differentiates what it
+# forms: the fields it takes a derivative of, evaluated from their strings and
+# callables at that order, and the frame fields a derivative reads (Y's frame
+# components for nabla_X Y, S_Y for nabla_X S_Y, R'(Y, Z) for D_X R', Q_T(Y)
+# for tilde_X Q_T(Y)). A term added to a derivative is formed at the
+# derivative's order, and a term that is only read at its values at order 0.
+PRODUCTS_BY_ORDER = {
+    (fb.nabla_ON, "hh"): [6, 5],
+    (fb.nabla_ON, "hv"): [6, 2],
+    (fb.nabla_ON, "vh"): [2],
+    (fb.nabla_ON, "vv"): [],
+    (fb.nabla_ON_primed, "hh"): [13, 6],
+    (fb.nabla_ON_primed, "hv"): [7, 2],
+    (fb.nabla_ON_primed, "vh"): [3],
+    (fb.nabla_ON_primed, "vv"): [],
+    (nabla_OMN, "hh"): [11, 4],
+    (nabla_OMN, "hv"): [14, 2],
+    (nabla_OMN, "vh"): [10],
+    (nabla_OMN, "vv"): [],
+    (second_fundamental_OMN, "hh"): [18, 6],
+    (second_fundamental_OMN, "hv"): [19, 2],
+    (L_op, None): [15, 5],
+    # of the frame trace, only the frame fields' frame components EF and
+    # S_e, which jet_along differentiates, above order 0
+    (og.mean_curvature_parts, None): [21, 2],
+    (curvature_OMN, "hhh"): [39, 20],
+    (curvature_OMN, "hhv"): [98, 34],
+    (curvature_OMN, "hvh"): [54, 17],
+    (curvature_OMN, "hvv"): [22, 2],
+    (curvature_OMN, "vvh"): [50, 2],
+    (curvature_OMN, "vvv"): [],
+}
+
+
 def test_value_readers_multiply_at_the_order_they_differentiate(monkeypatch):
-    """A reader of values forms no jet x jet product above the number of
-    derivatives its formula takes: 1 for the connections, Pi, L and the mean
-    curvature, 2 for the curvature of the subbundle. Its fields, given as
-    expression strings, constants and callables, enter at that order, and
-    the frame's jets are cut where they meet them."""
+    """A reader of values forms each jet x jet product at the order its
+    result is read (PRODUCTS_BY_ORDER): none above the number of derivatives
+    its formula takes, 1 for the connections, Pi, L and the mean curvature
+    and 2 for the curvature of the subbundle, and at order 0 every term that
+    is added to a derivative of lower order or read at its values only. Its
+    fields, given as expression strings, constants and callables, enter at
+    the order it differentiates them to, and the frame's jets are cut where
+    they meet them."""
     M = builtin_submanifold("sphere2")
     fd = M.frame_data(domain_samples(M, 5, seed=1))
     for attr in FRAME_ATTRIBUTES:
@@ -477,18 +515,18 @@ def test_value_readers_multiply_at_the_order_they_differentiate(monkeypatch):
     T = lambda q: (1.0 + 0.3 * q.uv[0])[..., None, None] * basis_T(3, 0, 1)
     Tp = basis_T(3, 0, 1)
     pairs = {"hh": (X, Y), "hv": (X, T), "vh": (T, Z), "vv": (T, Tp)}
-    calls = [(1, fb.nabla_ON, case, args) for case, args in pairs.items()]
-    calls += [(1, fb.nabla_ON_primed, case, args) for case, args in pairs.items()]
-    calls += [(1, nabla_OMN, case, args) for case, args in pairs.items()]
-    calls += [(1, second_fundamental_OMN, case, pairs[case]) for case in ("hh", "hv")]
-    calls += [(1, L_op, None, (X, Y))]
-    calls += [(1, lambda fd: og.mean_curvature_parts(fd, og.frame_trace(fd)), None, ())]
     triples = {
         "hhh": (X, Y, Z), "hhv": (X, Y, T), "hvh": (X, T, Z),
         "hvv": (X, T, Tp), "vvh": (T, Tp, Z), "vvv": (T, Tp, T),
     }
-    calls += [(2, curvature_OMN, case, args) for case, args in triples.items()]
-    for depth, reader, case, args in calls:
+    fields = {**pairs, **triples}
+    for (reader, case), want in PRODUCTS_BY_ORDER.items():
         landed.clear()
-        reader(fd, *(() if case is None else (case,)), *args)
-        assert max(landed, default=0) <= depth, (reader, case, sorted(set(landed)))
+        if reader is og.mean_curvature_parts:
+            reader(fd, og.frame_trace(fd))
+        elif reader is L_op:
+            reader(fd, X, Y)
+        else:
+            reader(fd, case, *fields[case])
+        got = [landed.count(k) for k in range(max(landed, default=-1) + 1)]
+        assert got == want, (reader.__name__, case, got)

@@ -10,7 +10,8 @@ from framelab.frame_bundle import FrameBundleError, decompose_OMN, horizontal_li
 from framelab.jets import jet_einsum, jstack
 from framelab.omn_geometry import mean_curvature_OMN, second_fundamental_OMN
 from framelab.operators import L_op, OperatorError, basis_T, hm_split_mat, skew_inner
-from framelab.submanifold import ImmersedSubmanifold, builtin_submanifold
+from framelab.submanifold import FramePointData, ImmersedSubmanifold, builtin_submanifold
+from framelab.verify import run_suite
 
 CURVED = [
     ("sphere2", np.array([1.0, 0.5])),
@@ -75,6 +76,27 @@ def test_numerically_singular_P_is_refused(call):
     assert np.linalg.cond(fd.Pfr.val) > 1e12
     with pytest.raises(OperatorError):
         call(M, fd, tangent_from_chart(fd, [1.0, 0.5]))
+
+
+def test_P_singularity_is_tested_once_per_frame(monkeypatch):
+    """solve_P reads the frame's P_singular, so a one-builtin run_suite
+    computes cond(P) at most once per frame it builds, though it solves
+    with P many times on each."""
+    cond, solve_P, init = np.linalg.cond, ops.solve_P, FramePointData.__init__
+    counts = {"cond": 0, "solve_P": 0, "frames": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "cond", counted("cond", cond))
+    monkeypatch.setattr(ops, "solve_P", counted("solve_P", solve_P))
+    monkeypatch.setattr(FramePointData, "__init__", counted("frames", init))
+    run_suite(builtins=["sphere2"], samples=3)
+    assert 0 < counts["cond"] <= counts["frames"] < counts["solve_P"], counts
 
 
 def test_skew_endo_rejects_non_antisymmetric():

@@ -16,7 +16,7 @@ import pytest
 
 from framelab import omn_geometry as og
 from framelab import verify
-from framelab.ambient import euclidean, sphere_chart
+from framelab.ambient import euclidean, metric_at, sphere_chart
 from framelab.omn_geometry import domain_samples
 from framelab.submanifold import FrameError, FramePointData, ImmersedSubmanifold, builtin_submanifold
 
@@ -330,6 +330,24 @@ def test_an_ambient_stencil_runs_at_the_chart_corner():
     corner of sphere2's chart it still gives a value."""
     err = verify.fd_relative_error(builtin_submanifold("sphere2"), "curvature_ambient", [0.4, -1.2])
     assert err < FD_TOL["curvature_ambient"]
+
+
+def test_ambient_curvature_oracle_evaluates_the_metric_once(monkeypatch):
+    """curvature_ambient's FD route lowers R's index with the metric at x0
+    that its one call on the stencil tree evaluated as the tree's root: one
+    metric_at call per oracle, at one point and at a batch."""
+    calls = []
+
+    def counting(N, X):
+        calls.append(np.shape(X))
+        return metric_at(N, X)
+
+    monkeypatch.setattr(verify, "metric_at", counting)
+    M = builtin_submanifold("sphere2")
+    for u in ([1.1, 0.6], [[1.1, 0.6], [0.8, -0.3]]):
+        calls.clear()
+        verify.fd_oracle(M, "curvature_ambient", u)
+        assert len(calls) == 1, calls
 
 
 @pytest.mark.parametrize("name", verify.DEFAULT_BUILTINS)

@@ -1,5 +1,6 @@
-"""Wall time of each registry case, base tree against this one, timed
-interleaved, and their parity digests, written to BENCH_registry.json.
+"""Wall time of each registry case and of a theorem pass, base tree against
+this one, timed interleaved, their jet products by order and their parity
+digests, written to BENCH_registry.json.
 
     git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
     python tools/bench_registry.py --base ../parent/src
@@ -19,7 +20,16 @@ case_ms holds, per case, each tree's median over the rounds of that total
 per pass in ms, the median ratio change / base and in how many rounds the
 change was faster; pass_ms the same for the whole pass, which holds the
 frame builds of run_suite's plan as well. A case's time holds the building
-of the per-point generators it draws from, which are built on first draw. parity and parity_equal are those of
+of the per-point generators it draws from, which are built on first draw.
+
+theorem_pass_ms is a pass of the benchmark's theorem workload, timed as it
+times one: theorem_check on each default builtin at THEOREM_SAMPLES samples
+(seed SEED), on submanifolds whose frames a first check has built, so that
+no frame is built in the pass; one timing repeats the pass for about
+bench_fd.TIMING_S on the base tree. products holds, per tree, the jet x jet
+products (Jet.__mul__ and jet_einsum of two jets) of one registry pass and
+one such theorem pass at seed COUNT_SEED, by the order they land at, the
+lower of their operands' orders. parity and parity_equal are those of
 tools/bench_fd.py. Only public framelab names are used.
 """
 
@@ -32,12 +42,14 @@ import sys
 import time
 from pathlib import Path
 
-from bench_fd import ROOT, ROUNDS, interleaved, load_tree, parity, source_commit
+from bench_fd import ROOT, ROUNDS, interleaved, load_tree, parity, per_call_timer, source_commit
 
 OUT = ROOT / "BENCH_registry.json"
 SAMPLES = 5
 SEED = 0
 PASSES = 3
+THEOREM_SAMPLES = 25
+COUNT_SEED = 301
 
 
 def timed_pass(ns):
@@ -76,6 +88,64 @@ def timed_pass(ns):
     return once
 
 
+def theorem_pass(ns, seed: int = SEED):
+    """One theorem pass of the tree ns, as a call: theorem_check on each
+    default builtin, on submanifolds whose frame caches a first check filled."""
+    manifolds = [ns.submanifold.builtin_submanifold(name) for name in ns.verify.DEFAULT_BUILTINS]
+
+    def run():
+        for M in manifolds:
+            ns.gauss_map.theorem_check(M, samples=THEOREM_SAMPLES, seed=seed)
+
+    run()
+    return run
+
+
+def product_counts(ns) -> dict:
+    """The jet x jet products of one registry pass and of one theorem pass
+    of the tree ns at COUNT_SEED, by the order they land at, and how many
+    land at order 1 or more. Jet.__mul__ is wrapped on the class and
+    jet_einsum wherever a module of the tree binds it."""
+    jets = ns.jets
+    package = jets.__name__.rpartition(".")[0] + "."
+    mul, einsum = jets.Jet.__mul__, jets.jet_einsum
+    landed = []
+
+    def counted_mul(a, b):
+        if isinstance(b, jets.Jet):
+            landed.append(min(a.valid, b.valid))
+        return mul(a, b)
+
+    def counted_einsum(sub, a, b):
+        if isinstance(a, jets.Jet) and isinstance(b, jets.Jet):
+            landed.append(min(a.valid, b.valid))
+        return einsum(sub, a, b)
+
+    binders = [mod for name, mod in sys.modules.items()
+               if name.startswith(package) and vars(mod).get("jet_einsum") is einsum]
+    theorem = theorem_pass(ns, COUNT_SEED)  # frames built before counting
+    passes = {
+        "registry": lambda: [ns.verify.run_suite(builtins=[name], samples=SAMPLES, seed=COUNT_SEED)
+                             for name in ns.verify.DEFAULT_BUILTINS],
+        "theorem": theorem,
+    }
+    out = {}
+    try:
+        jets.Jet.__mul__ = counted_mul
+        for mod in binders:
+            mod.jet_einsum = counted_einsum
+        for row, run in passes.items():
+            landed.clear()
+            run()
+            by_order = {str(k): landed.count(k) for k in range(max(landed) + 1)}
+            out[row] = {"by_order": by_order, "order_1_or_more": sum(k >= 1 for k in landed)}
+    finally:
+        jets.Jet.__mul__ = mul
+        for mod in binders:
+            mod.jet_einsum = einsum
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", type=Path, required=True,
@@ -89,6 +159,7 @@ def main(argv=None) -> int:
     for once in passes.values():
         once()  # jet tables and parsed expressions, built once per process
     rows = interleaved(passes, 1e3)
+    theorem = interleaved(per_call_timer({tree: theorem_pass(ns) for tree, ns in fl.items()}), 1e3)
     doc = {
         "command": "python tools/bench_registry.py --base DIR",
         "source": {tree: source_commit(src) for tree, src in srcs.items()},
@@ -96,15 +167,20 @@ def main(argv=None) -> int:
         "samples": SAMPLES,
         "seed": SEED,
         "passes": PASSES,
+        "theorem_samples": THEOREM_SAMPLES,
+        "count_seed": COUNT_SEED,
         "pass_ms": rows.pop("run_suite"),
+        "theorem_pass_ms": theorem,
         "case_ms": rows,
+        "products": {tree: product_counts(ns) for tree, ns in fl.items()},
         "parity": {tree: parity(ns) for tree, ns in fl.items()},
     }
     doc["parity_equal"] = doc["parity"]["base"] == doc["parity"]["change"]
     doc["measured_s"] = time.perf_counter() - t0
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps({"parity_equal": doc["parity_equal"], "pass_ratio": round(doc["pass_ms"]["ratio"], 3),
-                      "pass_change_faster": doc["pass_ms"]["change_faster"]}))
+                      "pass_change_faster": doc["pass_ms"]["change_faster"],
+                      "theorem_ratio": round(theorem["ratio"], 3), "theorem_change_faster": theorem["change_faster"]}))
     return 0
 
 
