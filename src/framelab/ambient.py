@@ -7,6 +7,15 @@ on the metric jets, with metric_at and curvature_at as their values at one
 point. Covariant derivatives along a submanifold are taken in the adapted
 frame (operators.ambient_deriv_frame), not in the chart.
 
+A metric whose entries read no variable, as euclidean(d)'s, is constant:
+AmbientSpace decides this once, when it is made, and keeps the values as
+`constant_metric`. Its metric jet is the jet of those values, with no
+derivative coefficients, and its Christoffel and curvature jets are zero.
+A submanifold's frame takes its metric, Christoffels and curvature as those
+constants in its own variables (submanifold.FramePointData), not as
+pullbacks of x-space jets; truncated Taylor arithmetic makes the two
+bitwise equal.
+
 Curvature convention, fixed throughout the package:
 
     R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expression, eval_expr, first_point, parse
+from .expr import DomainError, Expression, eval_expr, first_point, free_of_variables, parse
 from .jets import Jet, get_space, jet_einsum, jet_inv, jstack
 
 __all__ = [
@@ -37,7 +46,15 @@ __all__ = [
     "curvature_at",
     "christoffel_jets",
     "curvature_jets",
+    "is_int",
 ]
+
+
+def is_int(x) -> bool:
+    """An int or a numpy integer; a bool is refused, though it is an int.
+    The check of every integer argument: jet and frame orders, sample counts,
+    seeds."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 class AmbientError(ValueError):
@@ -57,7 +74,13 @@ def _not_positive_definite(g: np.ndarray) -> np.ndarray:
 
 
 class AmbientSpace:
-    """A chart with expression-valued metric entries g_ij(x1..x_d)."""
+    """A chart with expression-valued metric entries g_ij(x1..x_d).
+
+    constant_metric is the (d, d) array of the metric's values when no entry
+    reads a variable, decided once here, and None otherwise. A constant
+    entry outside its domain (1/0, say) leaves the metric to be evaluated
+    per call, which refuses it at the points asked for.
+    """
 
     def __init__(self, dim: int, entries: list[list[Expression]], tag: str = "custom"):
         if not 2 <= dim <= 9:
@@ -74,9 +97,23 @@ class AmbientSpace:
         self.entries = entries
         self.tag = tag
         # the distinct entries (a diagonal metric has two), each evaluated once
-        # per metric_jets call, and every entry's index among them
+        # per metric_jets call of a metric that is not constant, and every
+        # entry's index among them
         self._distinct = list(dict.fromkeys(e for row in entries for e in row))
         self._where = [[self._distinct.index(e) for e in row] for row in entries]
+        self.constant_metric = self._constant_values()
+
+    def _constant_values(self) -> np.ndarray | None:
+        if not all(free_of_variables(e) for e in self._distinct):
+            return None
+        space = get_space(self.dim, 0)
+        varjets = space.variables(np.zeros(self.dim))
+        try:
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                values = [eval_expr(e, varjets, space).val for e in self._distinct]
+        except DomainError:
+            return None
+        return np.array([[values[k] for k in row] for row in self._where])
 
     @classmethod
     def from_strings(cls, dim: int, grid: list[list[str]], tag: str = "custom") -> "AmbientSpace":
@@ -86,19 +123,30 @@ class AmbientSpace:
         return cls(dim, entries, tag)
 
     def metric_jets(self, x0, order: int) -> Jet:
-        """The metric as a (..., d, d) jet in chart coordinates at the points
-        x0 of shape (..., d), one expansion per point."""
+        """The metric as a (..., d, d) jet of integer order `order` >= 0 in
+        chart coordinates at the points x0 of shape (..., d), one expansion
+        per point. A constant metric is the jet of constant_metric at every
+        point, built without evaluating an entry; any other evaluates each
+        distinct entry once per call. Either is refused, naming the first
+        point of x0 where it fails, when it is not finite or not positive
+        definite."""
+        if not is_int(order) or order < 0:
+            raise AmbientError(f"metric jets need an integer order 0 or more, got {order!r}")
         x0 = np.asarray(x0, dtype=float)
         if x0.shape[-1:] != (self.dim,):
             raise AmbientError(f"point has shape {x0.shape}, expected (..., {self.dim})")
         space = get_space(self.dim, order)
-        varjets = space.variables(x0)
-        # an overflow or a pole shows as a non-finite entry, refused below
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            jets = [eval_expr(e, varjets, space) for e in self._distinct]
-        rows = [jstack([jets[k] for k in row], axis=-1) for row in self._where]
-        # a metric of constants carries no batch axes yet: broadcast to x0's
-        G = jstack(rows, axis=-2) * np.ones(x0.shape[:-1] + (1, 1))
+        batch = x0.shape[:-1]
+        if self.constant_metric is not None:
+            G = space.constant(np.broadcast_to(self.constant_metric, batch + (self.dim, self.dim)))
+        else:
+            varjets = space.variables(x0)
+            # an overflow or a pole shows as a non-finite entry, refused below
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                jets = [eval_expr(e, varjets, space) for e in self._distinct]
+            rows = [jstack([jets[k] for k in row], axis=-1) for row in self._where]
+            # an entry that is a constant carries no batch axes yet: broadcast
+            G = jstack(rows, axis=-2) * np.ones(batch + (1, 1))
         # symmetric by construction (__init__ equates the mirrored entries)
         finite = np.all(np.isfinite(G.coeffs), axis=(-3, -2, -1))
         if not np.all(finite):

@@ -53,6 +53,7 @@ __all__ = [
     "DomainError",
     "parse",
     "to_source",
+    "free_of_variables",
     "eval_expr",
     "first_point",
     "FUNCTIONS",
@@ -355,6 +356,17 @@ def to_source(e: Expression) -> str:
         if _prec(e.right) <= p:
             rs = f"({rs})"
     return f"{ls}{e.op}{rs}"
+
+
+def free_of_variables(e: Expression) -> bool:
+    """Whether e reads no variable, so that it has one value everywhere."""
+    if isinstance(e, Var):
+        return False
+    if isinstance(e, (Neg, Call)):
+        return free_of_variables(e.arg)
+    if isinstance(e, Bin):
+        return free_of_variables(e.left) and free_of_variables(e.right)
+    return True
 
 
 # -- evaluation ----------------------------------------------------------------

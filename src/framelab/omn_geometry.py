@@ -45,6 +45,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import operators as ops
+from .ambient import is_int
 from .frame_bundle import (
     LiftedVector,
     case_pairs,
@@ -54,7 +55,7 @@ from .frame_bundle import (
 )
 from .jets import Jet, jet_einsum, jstack
 from .operators import hm_split_mat, skew_inner
-from .submanifold import FramePointData, ImmersedSubmanifold, is_int
+from .submanifold import FramePointData, ImmersedSubmanifold
 
 __all__ = [
     "OmnError",

@@ -51,7 +51,7 @@ from functools import cached_property, wraps
 
 import numpy as np
 
-from .ambient import AmbientSpace, christoffel_jets, curvature_jets, euclidean, sphere_chart
+from .ambient import AmbientSpace, christoffel_jets, curvature_jets, euclidean, is_int, sphere_chart
 from .expr import Expression, eval_expr, first_point, parse
 from .jets import (
     Jet,
@@ -72,7 +72,6 @@ __all__ = [
     "builtin_submanifold",
     "SUBMANIFOLD_BUILTINS",
     "GS_BREAKDOWN",
-    "is_int",
 ]
 
 GS_BREAKDOWN = 1e-12
@@ -83,19 +82,14 @@ class FrameError(ValueError):
     """Rank-deficient Jacobian or Gram-Schmidt pivot failure."""
 
 
-def is_int(x) -> bool:
-    """An int or a numpy integer; a bool is refused, though it is an int.
-    The check of every integer argument: frame orders, sample counts, seeds."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _g_dot(u: Jet, v: Jet, G: Jet) -> Jet:
     return jet_dot(u, jet_einsum("...ij,...j->...i", G, v))
 
 
-def gram_schmidt_jets(vectors: list[Jet], G: Jet, u: np.ndarray, n_given: int = 0) -> Jet:
-    """Orthonormalize jet vectors against the (jet) quadratic form G at the
-    points u, batch axes leading.
+def gram_schmidt_jets(vectors: list[Jet], G: Jet | np.ndarray, u: np.ndarray, n_given: int = 0) -> Jet:
+    """Orthonormalize jet vectors against the quadratic form G at the points
+    u, batch axes leading: a jet, or the array of its values where it is
+    constant.
 
     Returns the orthonormal vectors as columns of one jet. `n_given` marks
     how many leading vectors are mandatory (the tangent block): a breakdown
@@ -274,6 +268,12 @@ class FramePointData:
     g_chart.val or gt_chart.val) needs order 1 or 2. Reading an attribute
     whose valid order would fall below 0 raises FrameError.
 
+    Over a constant metric (AmbientSpace.constant_metric) G is that constant
+    in u-space at order k - 1, and Gam and R are zero jets at their valid
+    orders, not pullbacks of x-space metric, Christoffel and curvature jets:
+    a pullback of a jet with no derivative coefficients adds only zero terms,
+    so the two are bitwise equal. Gram-Schmidt reads that G as its values.
+
     Attribute conventions (d = p+n ambient dim, all jets over u-variables),
     valid orders those of a frame of order 4:
 
@@ -335,15 +335,23 @@ class FramePointData:
         self.x0 = phi.val.copy()
         self.J = jstack([phi.d(a) for a in range(p)], axis=-1)
 
-        self._Gx = sub.ambient.metric_jets(self.x0, order - 1)
-        self.G = jet_pullback(self._Gx, phi, self.x0)
+        ambient = sub.ambient
+        if ambient.constant_metric is None:
+            self._Gx = ambient.metric_jets(self.x0, order - 1)
+            self.G = jet_pullback(self._Gx, phi, self.x0)
+            form = self.G
+        else:
+            # the metric's values at the points, refused as metric_jets refuses
+            form = ambient.metric_jets(self.x0, 0).val
+            self._Gx = None
+            self.G = get_space(p, order - 1).constant(form)
 
         cols = [self.J[..., a] for a in range(p)]
         for ax in sub.pivots:
             onehot = np.zeros(d)
             onehot[ax] = 1.0
             cols.append(uspace.constant(onehot))
-        self.E = gram_schmidt_jets(cols, self.G, self.u0, n_given=p)
+        self.E = gram_schmidt_jets(cols, form, self.u0, n_given=p)
 
         self.hmask = np.zeros((d, d))
         self.hmask[:p, :p] = 1.0
@@ -374,7 +382,11 @@ class FramePointData:
         names the first point at which any of its entries holds."""
         return first_point(self.u0, mask)
 
-    # -- ambient geometry, x-space jets then pulled back along phi -------------
+    # -- ambient geometry, x-space jets then pulled back along phi, or zero
+    # -- over a constant metric ------------------------------------------------
+
+    def _zero(self, order: int, shape: tuple) -> Jet:
+        return get_space(self.p, order).constant(np.zeros(self.batch + shape))
 
     @_built_on_read(2)
     def _Gamx(self) -> Jet:
@@ -384,10 +396,14 @@ class FramePointData:
 
     @_built_on_read(2)
     def Gam(self) -> Jet:
+        if self._Gx is None:
+            return self._zero(self.order - 2, (self.d,) * 3)
         return jet_pullback(self._Gamx, self.phi, self.x0)
 
     @_built_on_read(1)
     def R(self) -> Jet:
+        if self._Gx is None:
+            return self._zero(self.order - 3, (self.d,) * 4)
         return jet_pullback(curvature_jets(self._Gamx), self.phi, self.x0)
 
     # -- frame data, built on first use ---------------------------------------

@@ -36,7 +36,7 @@ from . import frame_bundle as fb
 from . import gauss_map as gm
 from . import omn_geometry as og
 from . import operators as ops
-from .ambient import AmbientError, metric_at
+from .ambient import AmbientError, is_int, metric_at
 from .expr import ExprError, first_point
 from .frame_bundle import (
     decompose_OMN,
@@ -48,7 +48,7 @@ from .frame_bundle import (
 from .jets import jet_along, jet_einsum, jstack
 from .omn_geometry import domain_samples
 from .operators import matvec, skew_inner
-from .submanifold import FrameError, ImmersedSubmanifold, builtin_submanifold, is_int
+from .submanifold import FrameError, ImmersedSubmanifold, builtin_submanifold
 
 __all__ = [
     "VerifyError",

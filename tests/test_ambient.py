@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from framelab.ambient import (
     metric_at,
     sphere_chart,
 )
-from framelab.expr import eval_expr
+from framelab.expr import DomainError, eval_expr
 from framelab.jets import get_space, jstack
+from framelab.submanifold import ImmersedSubmanifold
 
 
 def christoffels(N, x):
@@ -111,8 +114,10 @@ def test_batch_names_its_first_bad_point():
 @pytest.mark.parametrize("x", [[0.3, -0.2, 0.5], [[0.3, -0.2, 0.5], [1.0, 0.4, -0.7]]], ids=["point", "batch"])
 @pytest.mark.parametrize("N", [sphere_chart(1.0, 3), euclidean(3)], ids=["sphere", "euclidean"])
 def test_metric_jets_evaluates_each_distinct_entry_once(N, x, monkeypatch):
-    """Both metrics have two distinct entries (the diagonal and 0): two
-    evaluations, and the metric bitwise equal to one evaluation per entry."""
+    """Both metrics have two distinct entries (the diagonal and 0). The
+    sphere's are evaluated once each per call; euclidean(3)'s are constants,
+    evaluated once when the metric is made, so a call evaluates none. Either
+    metric is bitwise equal to one evaluation per entry."""
     x = np.asarray(x)
     space = get_space(3, 2)
     varjets = space.variables(x)
@@ -126,7 +131,7 @@ def test_metric_jets_evaluates_each_distinct_entry_once(N, x, monkeypatch):
 
     monkeypatch.setattr(ambient, "eval_expr", counting)
     G = N.metric_jets(x, 2)
-    assert len(calls) == 2
+    assert len(calls) == (0 if N.tag == "euclidean" else 2)
     assert G.coeffs.shape == want.coeffs.shape and np.array_equal(G.coeffs, want.coeffs)
 
 
@@ -134,6 +139,65 @@ def test_non_finite_metric_rejected():
     steep = AmbientSpace.from_strings(2, [["exp(x1)", "0"], ["0", "1"]])
     with pytest.raises(AmbientError, match=r"not finite at \[800\.0, 0\.0\]"):
         metric_at(steep, [800.0, 0.0])
+
+
+def test_constant_metric_is_decided_when_the_metric_is_made():
+    assert np.array_equal(euclidean(3).constant_metric, np.eye(3))
+    assert sphere_chart(1.0, 3).constant_metric is None
+    assert AmbientSpace.from_strings(2, [["1", "x2-x2"], ["x2-x2", "1"]]).constant_metric is None
+    grid = AmbientSpace.from_strings(2, [["2*pi", "sqrt(2)"], ["sqrt(2)", "exp(1)"]])
+    assert np.array_equal(grid.constant_metric, [[2 * np.pi, np.sqrt(2)], [np.sqrt(2), np.exp(1)]])
+
+
+def test_constant_entry_outside_its_domain_is_refused_per_call():
+    """A constant entry that cannot be evaluated leaves the metric to the
+    per-call evaluation, which names the point asked for."""
+    N = AmbientSpace.from_strings(2, [["1/0", "0"], ["0", "1"]])
+    assert N.constant_metric is None
+    with pytest.raises(DomainError, match=r"division by zero at \[0\.5, 2\.0\]"):
+        metric_at(N, [[0.5, 2.0], [1.0, 1.0]])
+
+
+# Constant grids that no point can take, and the refusal each raises.
+BAD_CONSTANT_GRIDS = {
+    "overflow": ([["1e400", "0"], ["0", "1"]], "metric not finite"),
+    "indefinite": ([["1", "0"], ["0", "-1"]], "metric not positive definite"),
+    "not-definite": ([["1", "2"], ["2", "1"]], "metric not positive definite"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONSTANT_GRIDS)
+def test_constant_metric_refused_at_the_first_point(case):
+    """A constant metric that is not finite or not positive definite is
+    refused as any metric is, naming the first point asked for: by
+    metric_at on a batch, by metric_jets at every order, and when a
+    submanifold in it is made (its pivots are chosen on the metric) or
+    framed."""
+    grid, message = BAD_CONSTANT_GRIDS[case]
+    N = AmbientSpace.from_strings(2, grid)
+    assert N.constant_metric is not None
+    points = np.array([[0.5, -1.0], [2.0, 0.25], [-1.0, 3.0]])
+    with pytest.raises(AmbientError, match=rf"^{message} at \[0\.5, -1\.0\]$"):
+        metric_at(N, points)
+    for order in range(4):
+        with pytest.raises(AmbientError, match=rf"^{message} at \[0\.5, -1\.0\]$"):
+            N.metric_jets(points, order)
+    with pytest.raises(AmbientError, match=rf"^{message} at \[0\.0, 0\.0\]$"):
+        ImmersedSubmanifold(1, [[-1.0, 1.0]], ["u1", "0"], N)
+    # a frame reads the metric at its own points: swap in the bad metric
+    # after the pivots are chosen
+    M = ImmersedSubmanifold(1, [[-1.0, 1.0]], ["u1", "0"], euclidean(2))
+    M.ambient = N
+    with pytest.raises(AmbientError, match=rf"^{message} at \[0\.25, 0\.0\]$"):
+        M.frame_data([[0.25], [0.5]])
+
+
+@pytest.mark.parametrize("order", [-1, 1.5, True, "2"])
+def test_metric_jets_order_must_be_an_integer_0_or_more(order):
+    with pytest.raises(AmbientError, match=rf"^metric jets need an integer order 0 or more, got {re.escape(repr(order))}$"):
+        euclidean(3).metric_jets([0.1, 0.2, 0.3], order)
+    with pytest.raises(AmbientError, match="integer order 0 or more"):
+        sphere_chart(1.0, 3).metric_jets([0.1, 0.2, 0.3], order)
 
 
 def test_asymmetric_grid_rejected():

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from framelab import operators as ops
-from framelab import verify
-from framelab.ambient import euclidean
-from framelab.jets import get_space, jet_along, jet_dot, jet_einsum, jsin, jsqrt, jstack
+from framelab import submanifold, verify
+from framelab.ambient import AmbientSpace, christoffel_jets, curvature_jets, euclidean, is_int
+from framelab.expr import eval_expr
+from framelab.jets import get_space, jet_along, jet_dot, jet_einsum, jet_pullback, jsin, jsqrt, jstack
 from framelab.omn_geometry import OmnError, domain_samples
-from framelab.submanifold import FrameError, FramePointData, ImmersedSubmanifold, builtin_submanifold, is_int
+from framelab.submanifold import FrameError, FramePointData, ImmersedSubmanifold, builtin_submanifold
 
 ALL_BUILTINS = ("plane", "plane3", "circle", "sphere2", "catenoid", "great2(0.5)", "clifford")
 CURVED = ("circle", "sphere2", "catenoid", "great2(0.5)", "clifford")
@@ -204,6 +205,67 @@ def test_gram_schmidt_matches_the_pre_change_loop(name, order):
         cols += [fd.uspace.constant(np.eye(fd.d)[ax]) for ax in M.pivots]
         want = _pre_change_gram_schmidt(cols, fd.G)
         assert fd.E.coeffs.shape == want.coeffs.shape and np.array_equal(fd.E.coeffs, want.coeffs)
+
+
+FLAT = ("plane", "plane3", "circle", "sphere2", "catenoid")
+
+
+def _x_space_route(M):
+    """M over a copy of its ambient that is not marked constant, so that its
+    frames take the x-space route: G, Gam and R pulled back along phi."""
+    N = AmbientSpace(M.ambient.dim, M.ambient.entries, M.ambient.tag)
+    N.constant_metric = None
+    return ImmersedSubmanifold(M.p, M.chart_domain, M.components, N, M.name)
+
+
+def _x_space_geometry(fd, N):
+    """G, Gam and R of a frame of order k by the x-space route, as far as the
+    order serves them: each metric entry expanded in x at the frame's points
+    to order k - 1, the Christoffel and curvature jets of that expansion, and
+    each of the three pulled back along phi."""
+    space = get_space(N.dim, fd.order - 1)
+    xv = space.variables(fd.x0)
+    rows = [jstack([eval_expr(e, xv, space) for e in row], axis=-1) for row in N.entries]
+    Gx = jstack(rows, axis=-2) * np.ones(fd.batch + (1, 1))
+    out = {"G": jet_pullback(Gx, fd.phi, fd.x0)}
+    if fd.order >= 2:
+        Gamx = christoffel_jets(Gx)
+        out["Gam"] = jet_pullback(Gamx, fd.phi, fd.x0)
+        if fd.order >= 3:
+            out["R"] = jet_pullback(curvature_jets(Gamx), fd.phi, fd.x0)
+    return out
+
+
+def _bitwise(a, b) -> bool:
+    return a.valid == b.valid and a.coeffs.shape == b.coeffs.shape and a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", FLAT + ("great2(0.5)",))
+def test_constant_metric_frame_is_bitwise_the_x_space_route(name, order, monkeypatch):
+    """Over euclidean(d) a frame takes G as a constant and Gam and R as zero
+    jets, with no pullback; every attribute its order serves is bitwise that
+    of the x-space route, at one point and at a batch of 5. great2, over a
+    chart of the sphere, is the control that still pulls back."""
+    M = builtin_submanifold(name)
+    assert (M.ambient.constant_metric is not None) == (name in FLAT)
+    reference = _x_space_route(M)
+    pullbacks = []
+    monkeypatch.setattr(submanifold, "jet_pullback", lambda *args: pullbacks.append(1) or jet_pullback(*args))
+    for u in (sample_points(M, 1, seed=order)[0], sample_points(M, 5, seed=order)):
+        pullbacks.clear()
+        fd = FramePointData(M, u, order)
+        served = [attr for attr, top in FRAME_ORDERS.items() if top - (4 - order) >= 0]
+        got = {attr: getattr(fd, attr) for attr in served}
+        taken = len(pullbacks)
+        assert taken == (0 if name in FLAT else min(order, 3))
+        ref = FramePointData(reference, u, order)
+        for attr in served:
+            assert _bitwise(got[attr], getattr(ref, attr)), attr
+        if order >= 2:
+            assert np.array_equal(fd.P_singular, ref.P_singular)
+        for attr, want in _x_space_geometry(fd, M.ambient).items():
+            assert _bitwise(got[attr], want), attr
 
 
 @pytest.mark.parametrize("points", POINT_SETS)

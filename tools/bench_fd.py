@@ -30,7 +30,10 @@ many rounds the change was faster. The rows:
 
 fd_pass_counts holds, per tree, exact counts over one such pass:
 FramePointData builds, AmbientSpace.metric_jets calls, the metric_at calls
-of verify among them, and ImmersedSubmanifold.frame_data lookups.
+of verify among them, ImmersedSubmanifold.frame_data lookups, the
+jet_pullback calls of submanifold (the frame's G, Gam and R) and the
+metric entries ambient evaluates (its eval_expr calls, those made when an
+ambient is made included).
 
 parity holds, per tree, SHA-256 digests of run_suite(samples=s,
 seed=k).canonical_json() for s in {5, 25} and k in {0, 1}; of the 490
@@ -242,6 +245,8 @@ def fd_pass_counts(ns) -> dict:
         "metric_jets_calls": (ns.ambient.AmbientSpace, "metric_jets"),
         "metric_at_calls": (verify, "metric_at"),
         "frame_data_lookups": (sm.ImmersedSubmanifold, "frame_data"),
+        "jet_pullback_calls": (sm, "jet_pullback"),
+        "metric_evaluations": (ns.ambient, "eval_expr"),
     }
     counts = dict.fromkeys(sites, 0)
     saved = {row: getattr(owner, name) for row, (owner, name) in sites.items()}
