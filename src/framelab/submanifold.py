@@ -86,6 +86,15 @@ def _g_dot(u: Jet, v: Jet, G: Jet) -> Jet:
     return jet_dot(u, jet_einsum("...ij,...j->...i", G, v))
 
 
+def _refuse_non_finite(name: str, jet: Jet, u: np.ndarray, per_point: int) -> None:
+    """Raise FrameError naming the first point of u at which a coefficient
+    of the jet, of per_point axes after the batch axes, is not finite."""
+    finite = np.isfinite(jet.coeffs)
+    if not finite.all():
+        bad = ~np.all(finite, axis=tuple(range(-per_point - 1, 0)))
+        raise FrameError(f"{name} not finite at {first_point(u, bad)}")
+
+
 def gram_schmidt_jets(vectors: list[Jet], G: Jet | np.ndarray, u: np.ndarray, n_given: int = 0) -> Jet:
     """Orthonormalize jet vectors against the quadratic form G at the points
     u, batch axes leading: a jet, or the array of its values where it is
@@ -94,8 +103,10 @@ def gram_schmidt_jets(vectors: list[Jet], G: Jet | np.ndarray, u: np.ndarray, n_
     Returns the orthonormal vectors as columns of one jet. `n_given` marks
     how many leading vectors are mandatory (the tangent block): a breakdown
     there means a rank-deficient Jacobian, later it means a pivot failure.
-    Either names the first point of u where it happens. G·w is formed once
-    per input vector w and serves its projection on every earlier vector.
+    Either names the first point of u where it happens, and so does a norm
+    that is not finite (an overflow, which the breakdown test would pass).
+    G·w is formed once per input vector w and serves its projection on every
+    earlier vector.
     """
     out: list[Jet] = []
     for k, w in enumerate(vectors):
@@ -105,6 +116,7 @@ def gram_schmidt_jets(vectors: list[Jet], G: Jet | np.ndarray, u: np.ndarray, n_
             for q in out:
                 v = v - q * jet_dot(q, Gw)[..., None]
         nrm2 = _g_dot(v, v, G)
+        _refuse_non_finite(f"Gram-Schmidt norm of vector {k + 1}", nrm2, u, 0)
         bad = nrm2.val < GS_BREAKDOWN**2
         if np.any(bad):
             at = first_point(u, bad)
@@ -149,24 +161,34 @@ class ImmersedSubmanifold:
 
     # -- pivots, frozen at the domain center --------------------------------
 
+    # an overflow shows as a value that is not finite, refused below
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def _select_pivots(self) -> tuple[int, ...]:
         p, d = self.p, self.ambient.dim
         u_c = self.chart_domain.mean(axis=1)
         space = get_space(p, 1)
         uv = space.variables(u_c)
         phi = jstack([eval_expr(c, uv, space) for c in self.components], axis=-1)
+        if not np.all(np.isfinite(phi.coeffs)):
+            raise FrameError("immersion or its Jacobian not finite at the domain center")
         J = np.stack([phi.d(a).val for a in range(p)], axis=-1)
         G = self.ambient.metric_jets(phi.val, 0).val
 
         def gdot(a, b):
             return a @ G @ b
 
+        def norm(v):
+            nrm = np.sqrt(gdot(v, v))
+            if not np.isfinite(nrm):
+                raise FrameError("Gram-Schmidt norm not finite at the domain center")
+            return nrm
+
         basis = []
         for k in range(p):
             v = J[:, k].copy()
             for q in basis:
                 v -= gdot(q, v) * q
-            nrm = np.sqrt(gdot(v, v))
+            nrm = norm(v)
             if nrm < GS_BREAKDOWN:
                 raise FrameError("Jacobian rank-deficient at the domain center")
             basis.append(v / nrm)
@@ -179,7 +201,7 @@ class ImmersedSubmanifold:
                 v[ax] = 1.0
                 for q in basis:
                     v -= gdot(q, v) * q
-                nrm = np.sqrt(gdot(v, v))
+                nrm = norm(v)
                 if nrm > best_nrm:
                     best_ax, best_nrm, best_vec = ax, nrm, v
             if best_nrm < GS_BREAKDOWN:
@@ -309,16 +331,20 @@ class FramePointData:
 
     `phi`, `J`, `G` and `E` are built in the constructor, so an immersion,
     metric or frame that fails at any of the points raises from `frame_data`
-    at once. Every other attribute in the table is built on first use and
-    then kept; many callers read only a few of them (a finite-difference
-    oracle reads just `g_chart` or `gt_chart` at its shifted points). Each
-    one depends only on the eager jets and on other attributes, so the
-    values do not depend on the order in which they are read.
+    at once; so does one that is not finite there (an overflow). Every other
+    attribute in the table is built on first use and then kept; many callers
+    read only a few of them (a finite-difference oracle reads just `g_chart`
+    or `gt_chart` at its shifted points). Each one depends only on the eager
+    jets and on other attributes, so the values do not depend on the order
+    in which they are read.
 
     The frame-block masks `hmask`/`mmask` select the diagonal/off-diagonal
     blocks of a (d, d) frame matrix with respect to the tangent/normal split.
     """
 
+    # an overflow shows as a coefficient or a norm that is not finite, refused
+    # where it is made
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def __init__(self, sub: ImmersedSubmanifold, u0: np.ndarray, order: int):
         p, d = sub.p, sub.ambient.dim
         self.u0 = u0.copy()
@@ -334,6 +360,8 @@ class FramePointData:
         self.phi = phi
         self.x0 = phi.val.copy()
         self.J = jstack([phi.d(a) for a in range(p)], axis=-1)
+        _refuse_non_finite("immersion", phi, u0, 1)
+        _refuse_non_finite("Jacobian", self.J, u0, 2)
 
         ambient = sub.ambient
         if ambient.constant_metric is None:
@@ -352,6 +380,7 @@ class FramePointData:
             onehot[ax] = 1.0
             cols.append(uspace.constant(onehot))
         self.E = gram_schmidt_jets(cols, form, self.u0, n_given=p)
+        _refuse_non_finite("adapted frame", self.E, u0, 2)
 
         self.hmask = np.zeros((d, d))
         self.hmask[:p, :p] = 1.0

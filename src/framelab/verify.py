@@ -15,8 +15,9 @@ the frame at those points (p, n, S, the ambient curvature), never from a name.
 The registry is the one test home of each identity it states.
 
 A second, separate oracle checks the jet arithmetic: FD_QUANTITIES pairs the
-jet route (jet_value) of seven connection and curvature quantities with one
-(fd_oracle) through finite_diff, which sees point values of metrics and fields.
+jet route (jet_value) of seven connection and curvature quantities with an
+FD route of `oracles` (fd_oracle), which hands finite_diff point values of
+frames, of the ambient metric and of the default fields' expressions.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from . import finite_diff
 from . import frame_bundle as fb
 from . import gauss_map as gm
 from . import omn_geometry as og
 from . import operators as ops
-from .ambient import AmbientError, is_int, metric_at
+from . import oracles
+from .ambient import AmbientError, is_int
 from .expr import ExprError, first_point
 from .frame_bundle import (
     decompose_OMN,
@@ -1075,27 +1076,23 @@ def _run_case(case, ci, name, bi, M, samples, seed, points, frame, live):
 
 # -- finite-difference oracles -------------------------------------------------
 
-# Chart fields X, Y of the oracles; a p-chart takes the first p, so entry k uses only u1..u(k+1).
-_DEFAULT_X = ["0.7+0.3*u1", "u2-0.4", "0.5*u1"] + [f"0.3+0.2*u{k}" for k in range(4, 9)]
-_DEFAULT_Y = ["u1*u1-0.2", "0.6", "u2+0.1*u1"] + [f"u{k - 1}*u{k}-0.1" for k in range(4, 9)]
-
 
 class FDQuantity(NamedTuple):
     """A quantity of the FD check: its step h; the jet order of the frame
     its FD route reads on its chart stencil, the lowest whose values it
     needs; the reach of that stencil from u in steps h (0 for a route that
     differences only in the ambient chart); its FD route
-    fd_route(M, u, h, frame), which hands finite_diff metric and field
-    functions that read frame(U), the frame at a batch U built to that
-    order, or metric_at(M.ambient, X); its jet route jet_route(fd) at the
-    frame fd of u, which jet_value builds to order 3: Gamt.val and Rfr.val,
-    the deepest reads of any jet route, are valid there and not at order 2.
-    finite_diff calls each function once, on u and its whole stencil tree,
-    so a route's chart stencil is one frame, shared by every quantity of
-    the same step; its reads of x0, E and the fields at u are served by the
-    frame at u. Both routes take u of shape (p,) or (n, p), and their values
-    lead with u's batch axes, () at one point (submanifold's batch
-    convention)."""
+    fd_route(M, u, h, frame), a route of `oracles` whose frame(U) is the
+    frame at a batch U built to that order; its jet route jet_route(fd) at
+    the frame fd of u, which jet_value builds to order 3: Gamt.val and
+    Rfr.val, the deepest reads of any jet route, are valid there and not at
+    order 2. finite_diff calls each function once, on u and its whole
+    stencil tree, so a route's chart stencil is one frame, shared by every
+    quantity of the same step; its reads of x0, J and E at u are served by
+    the frame at u, and it evaluates the default fields' expressions at u
+    and on the stencil itself. Both routes take u of shape (p,) or (n, p),
+    and their values lead with u's batch axes, () at one point
+    (submanifold's batch convention)."""
 
     h: float
     order: int
@@ -1104,49 +1101,14 @@ class FDQuantity(NamedTuple):
     jet_route: Callable
 
 
-def _xy(fd, order: int):
-    """The default fields X, Y as chart-coefficient jets on the frame fd, of
-    the order the reader differentiates them to: 1 on the jet routes, 0 where
-    an FD route reads their values."""
-    return tuple(ops.as_chart_field(fd, f[: fd.p], order) for f in (_DEFAULT_X, _DEFAULT_Y))
-
-
-def _fd_connection(M, u, h, frame, attr: str):
-    """FD route of nabla_X Y in chart components for the Levi-Civita
-    connection of the chart metric attr ("g_chart" or "gt_chart")."""
-    x0, y0 = (j.val for j in _xy(frame(u), 0))
-    Y = lambda U: ops.as_chart_field(frame(U), _DEFAULT_Y[: M.p], 0).val
-    dY = finite_diff.central_diff(Y, u, h)
-    gam = finite_diff.christoffels(lambda U: getattr(frame(U), attr).val, u, h)
-    return np.einsum("...a,...ac->...c", x0, dY) + np.einsum("...cab,...a,...b->...c", gam, x0, y0)
-
-
-def _fd_nabla_vec(M, u, h, frame):
-    """FD route of nabla_X Y in ambient components: the derivative of Y's
-    ambient components along X plus the ambient Christoffels at phi(u)."""
-    fd0 = frame(u)
-    x0 = ops.as_chart_field(fd0, _DEFAULT_X[: M.p], 0).val
-
-    def yamb(U):
-        at = frame(U)
-        return np.matmul(at.J.val, ops.as_chart_field(at, _DEFAULT_Y[: M.p], 0).val[..., None])[..., 0]
-
-    gam = finite_diff.christoffels(lambda X: metric_at(M.ambient, X), fd0.x0, h)
-    dY = np.matmul(x0[..., None, :], finite_diff.central_diff(yamb, u, h))[..., 0, :]
-    Jx = np.matmul(fd0.J.val, x0[..., None])[..., 0]
-    return dY + np.einsum("...ijk,...j,...k->...i", gam, Jx, yamb(u))
-
-
-def _fd_curvature_ambient(M, u, h, frame):
-    """FD route of the ambient curvature in frame components, g(R(e_k, e_l) e_j, e_i)."""
-    fd0 = frame(u)
-    low = finite_diff.lowered_curvature(lambda X: metric_at(M.ambient, X), fd0.x0, h)
-    E = fd0.E.val
-    return np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", low, E, E, E, E)
+def _xy(fd):
+    """The default fields X, Y as chart-coefficient jets of order 1 on the
+    frame fd: the jet routes differentiate them once."""
+    return tuple(ops.as_chart_field(fd, f[: fd.p], 1) for f in (oracles.DEFAULT_X, oracles.DEFAULT_Y))
 
 
 def _jet_nabla_vec(fd):
-    Xc, Yc = _xy(fd, 1)
+    Xc, Yc = _xy(fd)
     yF = ops.ambient_deriv_frame(fd, Xc, ops.full_frame_field(fd, Yc)).val
     return np.matmul(fd.E.val, yF[..., None])[..., 0]
 
@@ -1173,46 +1135,32 @@ FD_QUANTITIES = {
     # needs it, and one order for all six readers (christoffel-jets-vs-fd
     # too) keeps it one build
     "gamma_chart": FDQuantity(
-        1e-4,
-        2,
-        1,
-        lambda M, u, h, frame: finite_diff.christoffels(lambda U: frame(U).g_chart.val, u, h),
-        lambda fd: fd.Gam_chart.val,
+        1e-4, 2, 1, partial(oracles.fd_christoffels, attr="g_chart"), lambda fd: fd.Gam_chart.val
     ),
     "gamma_tilde": FDQuantity(
-        1e-4,
-        2,
-        1,
-        lambda M, u, h, frame: finite_diff.christoffels(lambda U: frame(U).gt_chart.val, u, h),
-        lambda fd: fd.Gamt.val,
+        1e-4, 2, 1, partial(oracles.fd_christoffels, attr="gt_chart"), lambda fd: fd.Gamt.val
     ),
-    "nabla_vec": FDQuantity(1e-4, 2, 1, _fd_nabla_vec, _jet_nabla_vec),
+    "nabla_vec": FDQuantity(1e-4, 2, 1, oracles.fd_nabla_vec, _jet_nabla_vec),
     "nabla_prime_vec": FDQuantity(
         1e-4,
         2,
         1,
-        partial(_fd_connection, attr="g_chart"),
-        lambda fd: ops.vec_nabla_prime_jet(fd, *_xy(fd, 1)).val,
+        partial(oracles.fd_connection, attr="g_chart"),
+        lambda fd: ops.vec_nabla_prime_jet(fd, *_xy(fd)).val,
     ),
     "nabla_tilde_vec": FDQuantity(
         1e-4,
         2,
         1,
-        partial(_fd_connection, attr="gt_chart"),
-        lambda fd: ops.vec_tilde_nabla_jet(fd, *_xy(fd, 1)).val,
+        partial(oracles.fd_connection, attr="gt_chart"),
+        lambda fd: ops.vec_tilde_nabla_jet(fd, *_xy(fd)).val,
     ),
     # order 1: E.val and x0 at u are all this route reads of a frame; it
     # differences the ambient metric about x0, so no chart stencil
-    "curvature_ambient": FDQuantity(1e-3, 1, 0, _fd_curvature_ambient, lambda fd: fd.Rfr.val),
+    "curvature_ambient": FDQuantity(1e-3, 1, 0, oracles.fd_curvature_ambient, lambda fd: fd.Rfr.val),
     # order 1 for the whole h = 1e-3 tree, one frame of 1 + 2p + 4p^2
     # points: it reads only g_chart.val
-    "curvature_prime": FDQuantity(
-        1e-3,
-        1,
-        2,
-        lambda M, u, h, frame: finite_diff.curvature(lambda U: frame(U).g_chart.val, u, h),
-        _jet_curvature_prime,
-    ),
+    "curvature_prime": FDQuantity(1e-3, 1, 2, oracles.fd_curvature_prime, _jet_curvature_prime),
 }
 
 
@@ -1256,8 +1204,8 @@ def jet_value(M: ImmersedSubmanifold, quantity: str, u):
     """The jet-route value matching fd_oracle's conventions, at u of shape
     (p,) or (n, p), read from the frame at u built to order 3 (see
     FDQuantity). fd_relative_error takes this route first, so that frame
-    also serves the FD routes' reads at u of x0, E and the fields, of
-    orders 2 and 1; their stencils are one frame per step, the h = 1e-4
+    also serves the FD routes' reads at u of x0, J and E, of orders 2 and
+    1; their stencils are one frame per step, the h = 1e-4
     stencil of order 2 and the h = 1e-3 tree of order 1."""
     return _fd_quantity(quantity).jet_route(M.frame_data(np.asarray(u, dtype=float), 3))
 

@@ -5,8 +5,9 @@ A module, and a test module, uses a framelab module's public names only: no
 and every public name it imports from a framelab module, or reads as
 `mod.name` on one, is in that module's `__all__`. Every name a module lists
 in `__all__` exists. Only `jets` calls `Jet(...)`, `finite_diff`
-imports no framelab module, and `verify` names no builtin submanifold
-outside `DEFAULT_BUILTINS`.
+imports no framelab module, `oracles` imports only the value layers
+(`finite_diff`, `jets`, `expr`, `ambient` and `submanifold`), and `verify`
+names no builtin submanifold outside `DEFAULT_BUILTINS`.
 A framelab module reads every name it imports with `from ... import`, or
 re-exports it in `__all__`. Only the few functions that turn a submanifold
 and its points into a frame read `.frame_data`; every other function is
@@ -199,6 +200,50 @@ def test_scan_sees_framelab_imports():
     src = "import numpy as np\nfrom . import jets\nfrom .expr import parse\nimport framelab.ambient"
     found = _framelab_imports(ast.parse(src))
     assert found == ["line 2: from .", "line 3: from .expr", "line 4: import framelab.ambient"]
+
+
+# The framelab modules the FD routes may import: those that give values at
+# points. The jet routes they check live in operators and above.
+ORACLE_IMPORTS = {"finite_diff", "jets", "expr", "ambient", "submanifold"}
+
+
+def _imports_outside(tree: ast.Module, allowed: set) -> list[str]:
+    """The framelab modules a source imports that are not in allowed, one
+    entry per module; an import of the package itself is an entry too."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_framelab(node):
+            mod = _framelab_module(node)
+            mods = [mod] if mod is not None else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [alias.name.split(".") for alias in node.names]
+            mods = [p[1] if len(p) > 1 else p[0] for p in parts if p[0] == "framelab"]
+        else:
+            continue
+        found.extend(f"line {node.lineno}: {mod}" for mod in mods if mod not in allowed)
+    return found
+
+
+def test_oracles_import_only_value_layers():
+    """The FD routes read frame values, metric values and field expressions
+    only, so they share no code with the jet routes of operators,
+    frame_bundle, omn_geometry, gauss_map and verify that they check."""
+    assert _imports_outside(ast.parse(SOURCES["oracles"].read_text()), ORACLE_IMPORTS) == []
+
+
+def test_scan_sees_imports_outside_the_value_layers():
+    src = (
+        "import numpy as np\n"
+        "from . import finite_diff\n"
+        "from .expr import eval_expr, parse\n"
+        "from .operators import as_chart_field\n"
+        "from . import jets, verify\n"
+        "import framelab.gauss_map as gm\n"
+        "from framelab.submanifold import FrameError\n"
+        "import framelab\n"
+    )
+    found = _imports_outside(ast.parse(src), ORACLE_IMPORTS)
+    assert found == ["line 4: operators", "line 5: verify", "line 6: gauss_map", "line 8: framelab"]
 
 
 def _builtin_names(tree: ast.Module) -> list[str]:

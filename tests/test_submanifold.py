@@ -110,6 +110,31 @@ def test_pivot_breakdown_away_from_centre_raises_on_call():
         M.frame_data([np.pi / 2])
 
 
+@pytest.mark.parametrize(
+    "domain, point, message",
+    [
+        # exp(712) overflows: phi itself is not finite
+        ([[-10, 715]], 712.0, "immersion not finite"),
+        # phi and J are finite, but |J|^2 = 1 + exp(1400) overflows and E would be NaN
+        ([[-1, 700]], 700.0, "Gram-Schmidt norm of vector 1 not finite"),
+    ],
+)
+def test_frame_that_overflows_is_refused_at_its_point(domain, point, message):
+    """A non-finite norm passes the breakdown test nrm2 < GS_BREAKDOWN**2,
+    so an overflow is refused on its own, naming the first point where it
+    happens, and no warning escapes."""
+    M = ImmersedSubmanifold(1, domain, ["u1", "exp(u1)"], euclidean(2))
+    M.frame_data([[0.5]])
+    with pytest.raises(FrameError, match=re.escape(f"{message} at [{point}]")):
+        M.frame_data([[0.5], [point]])
+
+
+def test_pivots_that_overflow_at_the_domain_centre_are_refused():
+    # |J|^2 = 1 + exp(799) at the centre u1 = 399.5
+    with pytest.raises(FrameError, match="not finite at the domain center"):
+        ImmersedSubmanifold(1, [[-1, 800]], ["u1", "exp(u1)"], euclidean(2))
+
+
 # Attributes of FramePointData that are built on first use.
 LAZY_ATTRIBUTES = (
     "Gam", "R", "Einv", "omega", "g_chart", "C", "Dmat", "Smats", "Pfr",

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from framelab import omn_geometry as og
-from framelab import verify
+from framelab import oracles, verify
 from framelab.ambient import euclidean, metric_at, sphere_chart
 from framelab.omn_geometry import domain_samples
 from framelab.submanifold import FrameError, FramePointData, ImmersedSubmanifold, builtin_submanifold
@@ -342,7 +342,7 @@ def test_ambient_curvature_oracle_evaluates_the_metric_once(monkeypatch):
         calls.append(np.shape(X))
         return metric_at(N, X)
 
-    monkeypatch.setattr(verify, "metric_at", counting)
+    monkeypatch.setattr(oracles, "metric_at", counting)
     M = builtin_submanifold("sphere2")
     for u in ([1.1, 0.6], [[1.1, 0.6], [0.8, -0.3]]):
         calls.clear()

@@ -30,10 +30,11 @@ many rounds the change was faster. The rows:
 
 fd_pass_counts holds, per tree, exact counts over one such pass:
 FramePointData builds, AmbientSpace.metric_jets calls, the metric_at calls
-of verify among them, ImmersedSubmanifold.frame_data lookups, the
-jet_pullback calls of submanifold (the frame's G, Gam and R) and the
-metric entries ambient evaluates (its eval_expr calls, those made when an
-ambient is made included).
+of the FD routes among them (of oracles, or of verify in a tree that has no
+oracles module), ImmersedSubmanifold.frame_data lookups,
+operators.as_chart_field calls, the jet_pullback calls of submanifold (the
+frame's G, Gam and R) and the metric entries ambient evaluates (its
+eval_expr calls, those made when an ambient is made included).
 
 parity holds, per tree, SHA-256 digests of run_suite(samples=s,
 seed=k).canonical_json() for s in {5, 25} and k in {0, 1}; of the 490
@@ -81,13 +82,16 @@ FD_CHECK_BUILTINS = ("plane", "plane3", "circle", "sphere2", "catenoid", "great2
 
 
 def load_tree(src: Path, name: str) -> SimpleNamespace:
-    """The framelab package under src, imported as the package `name`."""
+    """The framelab package under src, imported as the package `name`, with
+    its oracles module where the tree has one."""
     init = src.resolve() / "framelab" / "__init__.py"
     spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    modules = ("jets", "ambient", "submanifold", "omn_geometry", "gauss_map", "verify")
+    modules = ["jets", "ambient", "submanifold", "operators", "omn_geometry", "gauss_map", "verify"]
+    if (init.parent / "oracles.py").exists():
+        modules.append("oracles")
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in modules})
 
 
@@ -243,8 +247,9 @@ def fd_pass_counts(ns) -> dict:
     sites = {
         "frame_builds": (sm.FramePointData, "__init__"),
         "metric_jets_calls": (ns.ambient.AmbientSpace, "metric_jets"),
-        "metric_at_calls": (verify, "metric_at"),
+        "metric_at_calls": (getattr(ns, "oracles", verify), "metric_at"),
         "frame_data_lookups": (sm.ImmersedSubmanifold, "frame_data"),
+        "as_chart_field_calls": (ns.operators, "as_chart_field"),
         "jet_pullback_calls": (sm, "jet_pullback"),
         "metric_evaluations": (ns.ambient, "eval_expr"),
     }
