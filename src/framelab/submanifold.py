@@ -116,9 +116,13 @@ def gram_schmidt_jets(vectors: list[Jet], G: Jet | np.ndarray, u: np.ndarray, n_
             for q in out:
                 v = v - q * jet_dot(q, Gw)[..., None]
         nrm2 = _g_dot(v, v, G)
-        _refuse_non_finite(f"Gram-Schmidt norm of vector {k + 1}", nrm2, u, 0)
-        bad = nrm2.val < GS_BREAKDOWN**2
+        n2 = nrm2.val
+        # NaN passes n2 < GS_BREAKDOWN**2, and inf is no breakdown: refuse both
+        bad = ~((n2 >= GS_BREAKDOWN**2) & (n2 < np.inf))
         if np.any(bad):
+            over = ~np.isfinite(n2)
+            if np.any(over):
+                raise FrameError(f"Gram-Schmidt norm of vector {k + 1} not finite at {first_point(u, over)}")
             at = first_point(u, bad)
             if k < n_given:
                 raise FrameError(f"Jacobian rank-deficient (column {k + 1}) at {at}")
