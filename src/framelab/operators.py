@@ -207,8 +207,8 @@ def as_chart_field(fd: FramePointData, field, order: int) -> Jet:
     callables are evaluated on the coordinates cut to order, and constants
     built at order; a jet, or a callable's result, is cut to order when it
     is valid to more. The frame's order bounds the order. A constant may
-    lead with stack axes ahead of the batch axes; any other shape raises
-    OperatorError.
+    lead with stack axes ahead of the batch axes; any other shape, or a list
+    of other than p strings, raises OperatorError.
     """
     from .expr import eval_expr, parse
 
@@ -218,6 +218,10 @@ def as_chart_field(fd: FramePointData, field, order: int) -> Jet:
     if callable(field):
         return _at_most(field([v.cut(order) for v in fd.uv]), order)
     if all(isinstance(c, str) for c in field):
+        if len(field) != fd.p:
+            raise OperatorError(
+                f"chart coefficients must have shape {fd.shape_rule((fd.p,))}, got {len(field)} expressions"
+            )
         uv = [v.cut(order) for v in fd.uv]
         sp = get_space(fd.p, order)
         return jstack([eval_expr(parse(c, fd.p, var_prefix="u"), uv, sp) for c in field], axis=-1)

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ from framelab.ambient import curvature_at, euclidean
 from framelab.gauss_map import theorem_check
 from framelab.frame_bundle import FrameBundleError, decompose_OMN, horizontal_lift, lifted
 from framelab.jets import jet_einsum, jstack
-from framelab.omn_geometry import mean_curvature_OMN, second_fundamental_OMN
+from framelab.omn_geometry import mean_curvature_OMN, nabla_OMN, second_fundamental_OMN
 from framelab.operators import L_op, OperatorError, basis_T, hm_split_mat, skew_inner
 from framelab.submanifold import FramePointData, ImmersedSubmanifold, builtin_submanifold
 from framelab.verify import run_suite
@@ -97,6 +98,16 @@ def test_P_singularity_is_tested_once_per_frame(monkeypatch):
     monkeypatch.setattr(FramePointData, "__init__", counted("frames", init))
     run_suite(builtins=["sphere2"], samples=3)
     assert 0 < counts["cond"] <= counts["frames"] < counts["solve_P"], counts
+
+
+@pytest.mark.parametrize("X", [["u1"], ["u1", "u2", "0.5"], []], ids=["one", "three", "none"])
+def test_expression_list_of_wrong_length_is_refused(X):
+    """On a surface a field of expressions takes one per chart coordinate:
+    a list of any other length is refused as a wrong-length array is, not
+    read as a shorter field or left to fail inside numpy."""
+    fd = builtin_submanifold("sphere2").frame_data(np.array([1.0, 0.5]))
+    with pytest.raises(OperatorError, match=re.escape(f"shape {fd.shape_rule((2,))}, got {len(X)} expressions")):
+        nabla_OMN(fd, "hh", X, ["u2", "0.5"])
 
 
 def test_skew_endo_rejects_non_antisymmetric():

@@ -1,7 +1,6 @@
-"""The benchmark scripts under tools/ start: each parses its arguments and
-prints its help. tools/bench_registry.py imports its loader, timer and
-parity digests from tools/bench_fd.py, so an edit to one can break both.
-The FD pass counts of tools/bench_fd.py see a call at every site they wrap."""
+"""tools/bench.py, the harness that times a base tree against this one:
+it starts and prints its help, runs the benchmark's pinned work, times the
+two trees interleaved, and its counts see a call at every site they wrap."""
 
 import importlib.util
 import subprocess
@@ -13,22 +12,69 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["bench_fd.py", "bench_registry.py"])
-def test_bench_script_prints_its_help(script):
+def load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return load_by_path("bench", ROOT / "tools" / "bench.py")
+
+
+def test_bench_prints_its_help():
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / script), "--help"],
+        [sys.executable, str(ROOT / "tools" / "bench.py"), "--help"],
         cwd=ROOT, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert "--base" in done.stdout
 
 
-def test_fd_pass_counts_see_a_call_at_every_site():
-    """Each count of tools/bench_fd.py's fd_pass_counts wraps a name where
-    the FD check's callers look it up; a site that no call reaches reads 0
-    and would hide the work it is meant to count."""
-    spec = importlib.util.spec_from_file_location("bench_fd", ROOT / "tools" / "bench_fd.py")
-    bench_fd = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_fd)
-    counts = bench_fd.fd_pass_counts(bench_fd.load_tree(ROOT / "src", "framelab_counted"))
+def test_harness_runs_the_benchmark_work(bench):
+    """The harness times and digests the work the benchmark runs: the same
+    builtins in the same order, sample counts and FD quantities."""
+    workload = load_by_path("perfbench_workload", ROOT / "perfbench" / "workload.py")
+    assert bench.BUILTINS == workload.BUILTINS
+    assert bench.FD_QUANTITIES == tuple(workload.FD_TOL)
+    for name in ("REGISTRY_SAMPLES", "THEOREM_SAMPLES", "FD_POINTS"):
+        assert getattr(bench, name) == getattr(workload, name), name
+
+
+def test_interleaved_swaps_the_first_tree_and_compares_round_by_round(bench, monkeypatch):
+    """The tree that goes first swaps every round; the ratio is the median of
+    the per-round ratios, not the ratio of the medians; a tie is no win."""
+    base = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
+    change = [2.0, 1.0, 3.0, 8.0, 1.0, 12.0, 7.0, 4.0, 9.0]
+    monkeypatch.setattr(bench, "ROUNDS", len(base))
+    order = []
+
+    def timer(tree, times, row=None):
+        values = iter(times)
+
+        def once():
+            order.append(tree)
+            return next(values) if row is None else {row: next(values)}
+
+        return once
+
+    got = bench.interleaved({"base": timer("base", base), "change": timer("change", change)}, 1e3)
+    assert order == ["base", "change", "change", "base"] * 4 + ["base", "change"]
+    assert got == {"base": 5e3, "change": 4e3, "ratio": 1.0, "change_faster": 3}
+
+    got = bench.interleaved({"base": timer("base", base, "pass"), "change": timer("change", change, "pass")}, 1.0)
+    assert got == {"pass": bench.compared(base, change, 1.0)}
+
+
+def test_counts_see_a_call_at_every_site(bench):
+    """Each count wraps a callable where the work's callers look it up; a
+    site that no call reaches reads 0 and would hide the work it is meant to
+    count. Both the registry and the theorem pass make products at order 1
+    or more, the ones the kernel's order rules save."""
+    ns = bench.load_tree(ROOT / "src", "framelab_counted")
+    counts = bench.fd_pass_counts(ns)
     assert counts and all(n > 0 for n in counts.values()), counts
+    products = bench.product_counts(ns)
+    assert all(products[row]["order_1_or_more"] > 0 for row in ("registry", "theorem")), products
