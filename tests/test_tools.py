@@ -24,13 +24,22 @@ def bench():
     return load_by_path("bench", ROOT / "tools" / "bench.py")
 
 
-def test_bench_prints_its_help():
+# tools/bench.py took over the work of the two former scripts, each named
+# here with the file it wrote: the one script prints its help, which names
+# that file, and the former script does not come back beside it.
+@pytest.mark.parametrize("script, writes", [
+    pytest.param("bench_fd.py", "BENCH_fd_check.json", id="bench_fd.py"),
+    pytest.param("bench_registry.py", "BENCH_registry.json", id="bench_registry.py"),
+])
+def test_bench_script_prints_its_help(script, writes):
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench.py"), "--help"],
         cwd=ROOT, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert "--base" in done.stdout
+    assert writes in done.stdout
+    assert not (ROOT / "tools" / script).exists()
 
 
 def test_harness_runs_the_benchmark_work(bench):

@@ -431,7 +431,7 @@ def source_commit(src: Path) -> str:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap = argparse.ArgumentParser(description=" ".join(__doc__.split("\n\n")[0].split()))
     ap.add_argument("--base", type=Path, required=True,
                     help="framelab source tree to compare against, e.g. the parent's src/")
     args = ap.parse_args(argv)
