@@ -447,13 +447,14 @@ def jet_solve(a: Jet, b) -> Jet:
         a = a.cut(b.space.order)
     a0 = a.val
     b0inv = np.linalg.inv(a0)
-    n = a - a.space.constant(a0)
-    # (a0 + n)^{-1} = sum_k (-a0^{-1} n)^k a0^{-1}
+    # (a0 + n)^{-1} = sum_k (-a0^{-1} n)^k a0^{-1}, n = a - a0 nilpotent
     term = a.space.constant(b0inv)
     inv = term
-    for _ in range(a.space.order):
-        term = jet_matmul(jet_matmul(-b0inv, n), term)
-        inv = inv + term
+    if a.space.order:
+        step = jet_matmul(-b0inv, a - a.space.constant(a0))
+        for _ in range(a.space.order):
+            term = jet_matmul(step, term)
+            inv = inv + term
     b_ndim = len(b.shape) if isinstance(b, Jet) else np.ndim(b)
     if b_ndim == len(a.shape):
         return jet_matmul(inv, b)

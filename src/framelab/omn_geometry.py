@@ -38,11 +38,11 @@ sampled verdicts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import operators as ops
 from .ambient import is_int
@@ -94,19 +94,53 @@ VERDICT_TOL = 1e-6
 _SAMPLE_PAD = 0.05  # share of the chart domain's width left out at each rim
 
 
+def _first_primes(k: int) -> list[int]:
+    """The first k primes: the Halton bases of k coordinates."""
+    primes = []
+    c = 2
+    while len(primes) < k:
+        if all(c % q for q in primes):
+            primes.append(c)
+        c += 1
+    return primes
+
+
 @lru_cache(maxsize=256)
 def _unit_draw(p: int, n: int, seed: int) -> np.ndarray:
     """The scrambled Halton draw of n points in the unit p-cube for seed,
     read-only: it is drawn once and shared by every call with these
-    arguments, which scales a fresh copy."""
-    pts = qmc.Halton(d=p, scramble=True, seed=seed).random(n)
+    arguments, which scales a fresh copy.
+
+    The scheme is Owen's randomized Halton (A. B. Owen, "A randomized
+    Halton algorithm in R", arXiv:1706.02808, 2017), as scipy.stats.qmc
+    draws it: coordinate k is the van der Corput sequence in base b, the
+    k-th prime, whose j-th digit goes through the j-th of ceil(54/log2 b) - 1
+    random permutations of range(b), shuffled in turn from
+    np.random.default_rng(seed), prime by prime. The draw equals
+    qmc.Halton(d=p, scramble=True, seed=seed).random(n) byte for byte,
+    which tests/test_omn_geometry.py checks over a grid of p, n and seed."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((p, n))
+    for k, b in enumerate(_first_primes(p)):
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = np.arange(n)
+        b2r = 1.0 / b
+        for perm in perms:
+            out[k] += perm[q % b] * b2r
+            q //= b
+            b2r /= b
+    pts = out.T
     pts.flags.writeable = False
     return pts
 
 
 def domain_samples(M: ImmersedSubmanifold, n: int, seed: int = 0):
     """Low-discrepancy sample points in the chart domain, shrunk at the rim,
-    as a fresh array.
+    as a fresh array: Owen's scrambled Halton draw in the unit cube (see
+    _unit_draw; byte-equal to scipy.stats.qmc.Halton's, as a test checks),
+    scaled to the domain.
 
     n must be an integer >= 1: a sweep over no points would report its
     verdict on no evidence. seed must be an integer >= 0. The unit-cube

@@ -196,6 +196,15 @@ def _batched(fd: FramePointData, value, per_point: tuple, order: int, what: str)
     return get_space(fd.p, order).constant(np.broadcast_to(value, stack + fd.batch + per_point))
 
 
+def _chart_coefficients(fd: FramePointData, j, order: int):
+    """A jet field, or a callable's result, cut by _at_most; OperatorError
+    unless its last axis holds the p chart coefficients."""
+    shape = j.shape if isinstance(j, Jet) else np.shape(j)
+    if shape[-1:] != (fd.p,):
+        raise OperatorError(f"chart coefficients must have shape {fd.shape_rule((fd.p,))}, got {shape}")
+    return _at_most(j, order)
+
+
 def as_chart_field(fd: FramePointData, field, order: int) -> Jet:
     """Normalize a tangent-field spec to a (..., p) chart-coefficient jet
     with the frame's batch axes, of the order its caller differentiates it
@@ -207,16 +216,17 @@ def as_chart_field(fd: FramePointData, field, order: int) -> Jet:
     callables are evaluated on the coordinates cut to order, and constants
     built at order; a jet, or a callable's result, is cut to order when it
     is valid to more. The frame's order bounds the order. A constant may
-    lead with stack axes ahead of the batch axes; any other shape, or a list
-    of other than p strings, raises OperatorError.
+    lead with stack axes ahead of the batch axes; any other shape, a list of
+    other than p strings, or a jet or callable result whose last axis is not
+    of length p, raises OperatorError.
     """
     from .expr import eval_expr, parse
 
     if isinstance(field, Jet):
-        return _at_most(field, order)
+        return _chart_coefficients(fd, field, order)
     order = min(order, fd.order)
     if callable(field):
-        return _at_most(field([v.cut(order) for v in fd.uv]), order)
+        return _chart_coefficients(fd, field([v.cut(order) for v in fd.uv]), order)
     if all(isinstance(c, str) for c in field):
         if len(field) != fd.p:
             raise OperatorError(

@@ -6,8 +6,9 @@ and every public name it imports from a framelab module, or reads as
 `mod.name` on one, is in that module's `__all__`. Every name a module lists
 in `__all__` exists. Only `jets` calls `Jet(...)`, `finite_diff`
 imports no framelab module, `oracles` imports only the value layers
-(`finite_diff`, `jets`, `expr`, `ambient` and `submanifold`), and `verify`
-names no builtin submanifold outside `DEFAULT_BUILTINS`.
+(`finite_diff`, `jets`, `expr`, `ambient` and `submanifold`), no module
+loads scipy, and `verify` names no builtin submanifold outside
+`DEFAULT_BUILTINS`.
 A framelab module reads every name it imports with `from ... import`, or
 re-exports it in `__all__`. Only the few functions that turn a submanifold
 and its points into a frame read `.frame_data`; every other function is
@@ -17,6 +18,9 @@ handed its frame.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,6 +233,23 @@ def test_oracles_import_only_value_layers():
     only, so they share no code with the jet routes of operators,
     frame_bundle, omn_geometry, gauss_map and verify that they check."""
     assert _imports_outside(ast.parse(SOURCES["oracles"].read_text()), ORACLE_IMPORTS) == []
+
+
+def test_no_module_loads_scipy():
+    """Importing every framelab module, in a fresh interpreter, loads no
+    scipy module: the sampler draws its Halton points in numpy, so the
+    package starts without the cost of scipy.stats. scipy serves the tests
+    as an oracle only."""
+    code = (
+        "import importlib, sys\n"
+        f"for name in {MODULES!r}:\n"
+        "    importlib.import_module('framelab.' + name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_scan_sees_imports_outside_the_value_layers():

@@ -1,5 +1,6 @@
 import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -431,6 +432,24 @@ def test_sample_draws_are_memoised_and_returned_fresh():
         lo, hi = S.chart_domain[:, 0], S.chart_domain[:, 1]
         width = hi - lo
         assert np.array_equal(got, lo + 0.05 * width + unit * (1.0 - 2.0 * 0.05) * width)
+
+
+@pytest.mark.parametrize("p", range(1, 10))
+def test_sample_draw_is_scipy_scrambled_halton_byte_for_byte(p):
+    """The sampler draws Owen's scrambled Halton points itself, in numpy;
+    scipy.stats.qmc, which the package does not import, is the oracle here.
+    Over a grid of sample counts and seeds the points are byte-equal to
+    scipy's draw scaled to the domain, in the same memory layout, so a
+    change to either scramble fails here before it moves a report. The
+    domain is a stand-in box, as the sampler reads only p and the box."""
+    box = SimpleNamespace(p=p, chart_domain=np.array([[-1.0 - 0.25 * k, 2.0 + k] for k in range(p)]))
+    lo, width = box.chart_domain[:, 0], box.chart_domain[:, 1] - box.chart_domain[:, 0]
+    for n in (1, 2, 7, 25, 400, 4096):
+        for seed in (0, 1, 4, 301, 2**40):
+            unit = qmc.Halton(d=p, scramble=True, seed=seed).random(n)
+            want = lo + 0.05 * width + unit * (1.0 - 2.0 * 0.05) * width
+            got = domain_samples(box, n, seed=seed)
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides, (n, seed)
 
 
 # Every attribute of a frame, read before a product is counted, so that only

@@ -110,6 +110,21 @@ def test_expression_list_of_wrong_length_is_refused(X):
         nabla_OMN(fd, "hh", X, ["u2", "0.5"])
 
 
+@pytest.mark.parametrize("make, got", [
+    (lambda fd: lambda uv: jstack([uv[0]], axis=-1), (1,)),
+    (lambda fd: lambda uv: jstack([uv[0], uv[1], uv[0] * uv[1]], axis=-1), (3,)),
+    (lambda fd: jstack([fd.uv[0]], axis=-1), (1,)),
+], ids=["callable-one", "callable-three", "jet-one"])
+def test_jet_or_callable_field_of_wrong_length_is_refused(make, got):
+    """A jet field, or a callable's result, holds one coefficient per chart
+    coordinate as its last axis: any other length is refused as a list of
+    expressions is, not broadcast over the coordinates or left to fail
+    inside numpy."""
+    fd = builtin_submanifold("sphere2").frame_data(np.array([1.0, 0.5]))
+    with pytest.raises(OperatorError, match=re.escape(f"shape {fd.shape_rule((2,))}, got {got}")):
+        nabla_OMN(fd, "hh", make(fd), ["u2", "0.5"])
+
+
 def test_skew_endo_rejects_non_antisymmetric():
     """A vertical part is a skew endomorphism: one entry off by 1e-9 from a
     skew matrix is refused, the skew matrix itself is taken as given."""

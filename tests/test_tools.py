@@ -1,6 +1,7 @@
 """tools/bench.py, the harness that times a base tree against this one:
 it starts and prints its help, runs the benchmark's pinned work, times the
-two trees interleaved, and its counts see a call at every site they wrap."""
+two trees interleaved, its counts see a call at every site they wrap, and
+its start-up row imports the tree it names."""
 
 import importlib.util
 import subprocess
@@ -87,3 +88,18 @@ def test_counts_see_a_call_at_every_site(bench):
     assert counts and all(n > 0 for n in counts.values()), counts
     products = bench.product_counts(ns)
     assert all(products[row]["order_1_or_more"] > 0 for row in ("registry", "theorem")), products
+
+
+def test_startup_imports_the_tree_it_names(bench, tmp_path):
+    """A start imports framelab from the tree it is given and no other, and
+    gives the import's wall time and the interpreter's own peak memory, not
+    that of the process that started it (here 128 MB of ballast, which
+    ru_maxrss would report); a tree with no framelab fails rather than
+    timing a different one."""
+    ballast = b"\1" * (128 << 20)
+    got = bench.startup(ROOT / "src")()
+    assert set(got) == {"startup_ms", "startup_rss_mb"}
+    assert got["startup_ms"] > 0 and 0 < got["startup_rss_mb"] < len(ballast) / 2**20
+    del ballast
+    with pytest.raises(subprocess.CalledProcessError):
+        bench.startup(tmp_path)()

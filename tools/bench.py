@@ -66,7 +66,12 @@ BENCH_registry.json:
   built in the pass;
 - products: per tree, the jet x jet products (Jet.__mul__ and jet_einsum of
   two jets) of one registry pass and one theorem pass at seed COUNT_SEED, by
-  the order they land at, the lower of their operands' orders.
+  the order they land at, the lower of their operands' orders;
+- startup_ms and startup_rss_mb: a fresh interpreter with the tree's src on
+  PYTHONPATH imports framelab.verify; the wall time of that import, and the
+  interpreter's peak resident set (VmHWM) after it. One untimed start
+  of each tree, then ROUNDS starts each, alternated as the other rows are;
+  change_faster counts the rounds in which the change was lower.
 
 Each count wraps a callable where its callers look it up: on its owner, and
 jet_einsum in every module of the tree that binds it.
@@ -386,6 +391,47 @@ def product_counts(ns) -> dict:
     return out
 
 
+# The peak resident set is the interpreter's VmHWM, not its ru_maxrss: Linux
+# carries the resident set of the process that forked it across exec into
+# ru_maxrss, and this harness holds both trees.
+STARTUP = (
+    "import json, pathlib, time\n"
+    "t0 = time.perf_counter()\n"
+    "import framelab.verify\n"
+    "ms = (time.perf_counter() - t0) * 1e3\n"
+    "status = pathlib.Path('/proc/self/status').read_text().splitlines()\n"
+    "kb = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+    "print(json.dumps({'file': framelab.__file__, 'startup_ms': ms, 'startup_rss_mb': kb / 1024}))\n"
+)
+
+
+def startup(src: Path):
+    """One start of the tree under src: a fresh interpreter with src on
+    PYTHONPATH imports framelab.verify and gives the import's wall time in
+    ms and its peak resident set in MB, by row."""
+    src = src.resolve()
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def once() -> dict:
+        done = subprocess.run([sys.executable, "-c", STARTUP], cwd=ROOT, env=env,
+                              capture_output=True, text=True, check=True)
+        out = json.loads(done.stdout)
+        if not Path(out.pop("file")).is_relative_to(src):
+            raise RuntimeError(f"framelab was not imported from {src}")
+        return out
+
+    return once
+
+
+def startup_rows(srcs: dict) -> dict:
+    """startup_ms and startup_rss_mb of the trees, after one untimed start
+    of each."""
+    starts = {tree: startup(src) for tree, src in srcs.items()}
+    for once in starts.values():
+        once()
+    return interleaved(starts, 1.0)
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -475,6 +521,7 @@ def main(argv=None) -> int:
         "theorem_pass_ms": interleaved(timers(each(theorem_pass)), 1e3),
         "case_ms": cases,
         "products": each(product_counts),
+        **startup_rows(srcs),
     }
     digests = each(parity)
     measured_s = time.perf_counter() - t0
@@ -482,7 +529,7 @@ def main(argv=None) -> int:
         doc.update(parity=digests, parity_equal=digests["base"] == digests["change"], measured_s=measured_s)
         (ROOT / name).write_text(json.dumps(doc, indent=2) + "\n")
     ratios = {"fd_pass": fd_doc["fd_pass_ms"], "registry_pass": registry_doc["pass_ms"],
-              "theorem_pass": registry_doc["theorem_pass_ms"]}
+              "theorem_pass": registry_doc["theorem_pass_ms"], "startup": registry_doc["startup_ms"]}
     print(json.dumps({"parity_equal": fd_doc["parity_equal"], **{k: round(r["ratio"], 3) for k, r in ratios.items()}}))
     return 0
 
