@@ -42,9 +42,20 @@ product of the values, which is what its doubled and halved pair gives.
 These results are laid out C-contiguous, as reduceat lays out its sum when
 the operands' leading axes are in C order: an elementwise result would keep
 the strides of e, where the pair axis is often the slowest, and a later
-einsum over it would sum in another order and round differently. An
-order-0 jet_einsum keeps its doubled pair axis: one einsum over the
-coefficient axis of size 1 rounds some sums differently, too.
+einsum over it would sum in another order and round differently.
+
+An order-0 jet_einsum keeps its two gathers a[..., left] and b[..., right]
+and its einsum over the doubled pair axis: the gathers come out with the
+pair axis slowest, and that layout fixes the order in which the einsum
+sums. An einsum over the values alone, over a pair axis of size 1 or over a
+stride-0 doubled view sums in other orders and rounds some sums
+differently. The two halves of e are the pair (0, 0) and its swap, formed
+alike, so they are equal to the last bit, and the first half, copied
+C-contiguous, is the coefficient: w * (e[:1] + e[1:]) is the same value
+short of overflow, where e[:1] + e[1:] is inf for |e| above half the
+largest double (8.99e307). Every einsum of jet_einsum is numpy's c_einsum,
+the function np.einsum calls when it is not asked to optimize, so each call
+skips np.einsum's Python wrapper and its argument dispatch.
 
 jet_solve(a, b) lands in the lower of the two orders: a right-hand side jet
 b of lower order cuts a to b's order before the inverse of a is built, so
@@ -60,6 +71,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
+from numpy.lib.array_utils import normalize_axis_index
 
 __all__ = [
     "JetSpace",
@@ -185,6 +198,13 @@ class JetSpace:
 @lru_cache(maxsize=None)
 def get_space(nvars: int, order: int) -> JetSpace:
     return JetSpace(nvars, order)
+
+
+def _lower(sp: JetSpace) -> JetSpace:
+    """The space one order below sp, where a derivative lands."""
+    if sp.order == 0:
+        raise ValueError("jet differentiated beyond its valid order")
+    return get_space(sp.nvars, sp.order - 1)
 
 
 def _lowest(jets) -> JetSpace:
@@ -327,9 +347,7 @@ class Jet:
     def d(self, a: int) -> Jet:
         """Derivative with respect to variable a, in the space one order lower."""
         sp = self.space
-        if sp.order == 0:
-            raise ValueError("jet differentiated beyond its valid order")
-        return Jet(get_space(sp.nvars, sp.order - 1), self.coeffs[..., sp._dsrc[a]] * sp._dfac[a])
+        return Jet(_lower(sp), self.coeffs[..., sp._dsrc[a]] * sp._dfac[a])
 
     # -- structure ---------------------------------------------------------
 
@@ -363,13 +381,20 @@ class Jet:
 def jstack(jets: list[Jet], axis: int = -1) -> Jet:
     """Stack jets along a new leading axis, in the space of the lowest order
     among them; their shapes broadcast first, so a constant stacks with a
-    batch of points."""
+    batch of points.
+
+    The coefficients are np.stack's, values and strides alike: each part is
+    given the new axis as a view and the parts are concatenated along it,
+    which is np.stack without its Python wrapper. np.concatenate lays its
+    result out in the memory order of its parts, so the stack is not always
+    C-contiguous, and a later einsum over it sums in that order."""
     sp = _lowest(jets)
-    axis = axis if axis >= 0 else axis - 1
     cs = [_cut(j, sp) for j in jets]
     if len({c.shape for c in cs}) > 1:
         cs = np.broadcast_arrays(*cs)
-    return Jet(sp, np.stack(cs, axis=axis))
+    axis = normalize_axis_index(axis if axis >= 0 else axis - 1, cs[0].ndim + 1)
+    expand = (slice(None),) * axis + (None,)
+    return Jet(sp, np.concatenate([c[expand] for c in cs], axis=axis))
 
 
 @lru_cache(maxsize=256)
@@ -392,12 +417,15 @@ def jet_einsum(sub: str, a, b) -> Jet:
     if isinstance(a, Jet) and isinstance(b, Jet):
         sp, ca, cb = _common(a, b)
         left, right, pw, starts = sp._product
-        e = np.einsum(jet_jet, ca[..., left], cb[..., right])
+        e = c_einsum(jet_jet, ca[..., left], cb[..., right])
+        if sp.order == 0:
+            # the pair (0, 0) and its swap: two equal halves, the first read
+            return Jet(sp, e[..., :1].copy())
         return Jet(sp, _pair_sum(e, pw, starts))
     if isinstance(a, Jet):
-        return Jet(a.space, np.einsum(jet_arr, a.coeffs, np.asarray(b, dtype=float)))
+        return Jet(a.space, c_einsum(jet_arr, a.coeffs, np.asarray(b, dtype=float)))
     if isinstance(b, Jet):
-        return Jet(b.space, np.einsum(arr_jet, np.asarray(a, dtype=float), b.coeffs))
+        return Jet(b.space, c_einsum(arr_jet, np.asarray(a, dtype=float), b.coeffs))
     raise TypeError("at least one operand must be a Jet")
 
 
@@ -409,8 +437,17 @@ def jet_along(X, F: Jet) -> Jet:
     jet-by-array). Its other axes are batch axes, and F leads with the same
     ones (an unbatched X is one direction for every point of F). The result
     is valid to min(X.valid, F.valid - 1), or F.valid - 1 for an array.
+
+    The stack of the d_a F that the einsum contracts is
+    jstack([F.d(a) for a in range(nvars)], axis=-1) in values and strides
+    alike, not C-contiguous: one gather over every (a, k) forms all d_a F at
+    once, and its slices by a are concatenated as jstack concatenates the
+    d_a F, whose memory order (the gather's: the coefficient axis slowest)
+    they share, so the einsum sums in the order it did over that stack.
     """
-    dF = jstack([F.d(a) for a in range(F.space.nvars)], axis=-1)
+    sp = F.space
+    g = F.coeffs[..., sp._dsrc] * sp._dfac
+    dF = Jet(_lower(sp), np.concatenate([g[..., a, None, :] for a in range(sp.nvars)], axis=-2))
     shape = X.shape if isinstance(X, Jet) else np.shape(X)
     # X's batch axes, then one unit axis per tensor axis of F, then a
     lift = shape[:-1] + (1,) * (len(F.shape) + 1 - len(shape)) + shape[-1:]

@@ -113,10 +113,14 @@ class _PointGenerators(Sequence):
         return len(self._rngs)
 
     def __getitem__(self, pi: int) -> np.random.Generator:
-        pi = range(len(self._rngs))[pi]
-        if self._rngs[pi] is None:
-            self._rngs[pi] = np.random.default_rng(np.random.SeedSequence(self._key + (pi,)))
-        return self._rngs[pi]
+        rng = self._rngs[pi]
+        if rng is None:
+            pi = range(len(self._rngs))[pi]
+            rng = self._rngs[pi] = np.random.default_rng(np.random.SeedSequence(self._key + (pi,)))
+        return rng
+
+    def __iter__(self):
+        return (self[pi] for pi in range(len(self._rngs)))
 
 
 def _draw(rngs, *shape) -> np.ndarray:

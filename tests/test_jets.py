@@ -437,6 +437,8 @@ PAIR_KERNEL_CALLS = {
     "*": (None, (5, 3, 3), (5, 3, 3)),
     "...ik,...kj->...ij": ("...ik,...kj->...ij", (5, 3, 3), (5, 3, 3)),
     "...ij,...k->...ijk": ("...ij,...k->...ijk", (5, 3, 2), (5, 3)),
+    "...k,...k->...": ("...k,...k->...", (5, 3), (5, 3)),
+    "...a,...aij->...ij": ("...a,...aij->...ij", (5, 2), (5, 2, 3, 3)),
 }
 
 
@@ -471,3 +473,41 @@ def test_one_pair_products_commute_bitwise(nvars, order):
     for _ in range(10):
         a, b = (Jet(sp, rng.standard_normal((4, 3, sp.ncoeff))) for _ in range(2))
         assert np.array_equal((a * b).coeffs, (b * a).coeffs)
+
+
+@pytest.mark.parametrize("axis", [0, -1, -2])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+@pytest.mark.parametrize("shapes", ["equal", "broadcast"])
+def test_jstack_is_np_stack(axis, layout, shapes):
+    """jstack's coefficients are np.stack's of its parts, cut to the lowest
+    order and broadcast, in values and in strides alike: an einsum over a
+    stack sums in its memory order."""
+    rng = np.random.default_rng([axis % 7, len(layout), len(shapes)])
+    high, low = get_space(2, 3), get_space(2, 2)
+    parts = [_laid_out(rng, high, (4, 3), layout), _laid_out(rng, low, (4, 3) if shapes == "equal" else (3,), layout)]
+    got = jstack(parts, axis=axis).coeffs
+    cut = np.broadcast_arrays(*(p.coeffs[..., : low.ncoeff] for p in parts))
+    want = np.stack(cut, axis=axis if axis >= 0 else axis - 1)
+    assert np.array_equal(got, want) and got.strides == want.strides
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided", "broadcast"])
+def test_jet_along_stacks_derivatives_as_jstack(monkeypatch, nvars, order, layout):
+    """The derivative stack jet_along contracts is jstack([F.d(a) ...],
+    axis=-1), in values and in strides alike; the jet x array einsum over it
+    sums in its memory order."""
+    rng = np.random.default_rng([nvars, order, len(layout)])
+    sp = get_space(nvars, order)
+    if layout == "broadcast":
+        F = Jet(sp, rng.uniform(-1.0, 1.0, (3, sp.ncoeff))).broadcast_to((4, 3))
+    else:
+        F = _laid_out(rng, sp, (4, 3), layout)
+    stacks = []
+    monkeypatch.setattr("framelab.jets.jet_einsum", lambda sub, X, dF: stacks.append(dF) or jet_einsum(sub, X, dF))
+    jet_along(rng.uniform(-1.0, 1.0, nvars), F)
+    (got,) = stacks
+    want = jstack([F.d(a) for a in range(nvars)], axis=-1)
+    assert got.space is want.space
+    assert np.array_equal(got.coeffs, want.coeffs) and got.coeffs.strides == want.coeffs.strides

@@ -103,3 +103,18 @@ def test_startup_imports_the_tree_it_names(bench, tmp_path):
     del ballast
     with pytest.raises(subprocess.CalledProcessError):
         bench.startup(tmp_path)()
+
+
+def test_a_timing_runs_at_least_min_passes(bench, monkeypatch):
+    """A pass longer than TIMING_S is still timed MIN_PASSES times per
+    timing, each on inputs of its own, so one timing does not rest on one
+    fast or slow spell of the host."""
+    monkeypatch.setattr(bench, "TIMING_S", 1e-9)
+    made, ran = [], []
+    rows = {tree: (lambda: made.append(1) or len(made), ran.append) for tree in bench.TREES}
+    once = bench.timers(rows)["change"]
+    made.clear()
+    ran.clear()
+    once()
+    assert len(ran) == len(made) == bench.MIN_PASSES == 3
+    assert sorted(ran) == [1, 2, 3]

@@ -20,13 +20,16 @@ The timing rule, one for every row. A row is a pass, (fresh, run): fresh()
 makes the inputs of one pass and run(inputs) is the pass. One untimed pass
 of each tree warms the process. A timing makes the inputs of its passes
 before the clock starts and runs as many passes as take about TIMING_S on
-the base tree, at least one, so that a row resolves a change of a few
-percent; the number is scaled from a first timing on the base tree that
-doubles the passes from one until they take TIMING_S / 10 or more. Each row is timed ROUNDS times per tree, the two
-trees alternated and the one that goes first swapped every round, so drift
-of a shared host over seconds falls on both alike. For each row the files
-hold each tree's median over the rounds, the median over rounds of the ratio
-change / base, and in how many rounds the change was faster.
+the base tree, at least MIN_PASSES, so that a row resolves a change of a
+few percent and a pass longer than TIMING_S / MIN_PASSES, such as a
+registry pass, is not timed alone in one fast or slow spell of a shared
+host; the number is scaled from a first timing on the base tree that
+doubles the passes from one until they take TIMING_S / 10 or more. Each row
+is timed ROUNDS times per tree, the two trees alternated and the one that
+goes first swapped every round, so drift of a shared host over seconds
+falls on both alike. For each row the files hold each tree's median over
+the rounds, the median over rounds of the ratio change / base, and in how
+many rounds the change was faster.
 
 BENCH_fd_check.json:
 
@@ -66,7 +69,8 @@ BENCH_registry.json:
   built in the pass;
 - products: per tree, the jet x jet products (Jet.__mul__ and jet_einsum of
   two jets) of one registry pass and one theorem pass at seed COUNT_SEED, by
-  the order they land at, the lower of their operands' orders;
+  the order they land at, the lower of their operands' orders, and
+  products_equal, whether the two trees' counts agree;
 - startup_ms and startup_rss_mb: a fresh interpreter with the tree's src on
   PYTHONPATH imports framelab.verify; the wall time of that import, and the
   interpreter's peak resident set (VmHWM) after it. One untimed start
@@ -82,9 +86,10 @@ run_suite(builtins=BUILTINS, samples=s, seed=k).canonical_json() for s in
 FD_POINTS points x FD quantities, seeds 0 and 1) as float64 bytes; and of
 every theorem_check field on the builtins at 25 samples, seeds 0 and 3, with
 floats written by float.hex. parity_equal says whether the two trees'
-digests agree, and measured_s is the wall time of the whole run. Only public
-framelab names are used. BLAS and OpenMP pools are pinned to one thread, as
-in the benchmark.
+digests agree, and measured_s is the wall time of the whole run. The last
+line printed holds parity_equal, products_equal and the ratio change / base
+of each pass row. Only public framelab names are used. BLAS and OpenMP
+pools are pinned to one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -117,6 +122,7 @@ KERNEL_ORDERS = range(5)
 FRAME_ORDERS = range(1, 5)
 ROUNDS = 9
 TIMING_S = 0.2
+MIN_PASSES = 3
 # The benchmark's work, as perfbench/workload.py pins it: its builtins in its
 # order, its sample counts and the FD quantities of its FD_TOL.
 BUILTINS = ("plane", "plane3", "circle", "sphere2", "catenoid", "great2(0.5)", "clifford")
@@ -192,7 +198,7 @@ def timers(rows: dict, calls: int = 1) -> dict:
     number = 1
     while (elapsed := passes(*rows["base"], number)[0]) < TIMING_S / 10:
         number *= 2
-    number = max(1, round(number * TIMING_S / elapsed))
+    number = max(MIN_PASSES, round(number * TIMING_S / elapsed))
 
     def timer(fresh, run):
         def once():
@@ -520,7 +526,8 @@ def main(argv=None) -> int:
         "pass_ms": cases.pop("pass"),
         "theorem_pass_ms": interleaved(timers(each(theorem_pass)), 1e3),
         "case_ms": cases,
-        "products": each(product_counts),
+        "products": (products := each(product_counts)),
+        "products_equal": products["base"] == products["change"],
         **startup_rows(srcs),
     }
     digests = each(parity)
@@ -530,7 +537,8 @@ def main(argv=None) -> int:
         (ROOT / name).write_text(json.dumps(doc, indent=2) + "\n")
     ratios = {"fd_pass": fd_doc["fd_pass_ms"], "registry_pass": registry_doc["pass_ms"],
               "theorem_pass": registry_doc["theorem_pass_ms"], "startup": registry_doc["startup_ms"]}
-    print(json.dumps({"parity_equal": fd_doc["parity_equal"], **{k: round(r["ratio"], 3) for k, r in ratios.items()}}))
+    print(json.dumps({"parity_equal": fd_doc["parity_equal"], "products_equal": registry_doc["products_equal"],
+                      **{k: round(r["ratio"], 3) for k, r in ratios.items()}}))
     return 0
 
 
