@@ -9,8 +9,10 @@ frame (operators.ambient_deriv_frame), not in the chart.
 
 A metric whose entries read no variable, as euclidean(d)'s, is constant:
 AmbientSpace decides this once, when it is made, and keeps the values as
-`constant_metric`. Its metric jet is the jet of those values, with no
-derivative coefficients, and its Christoffel and curvature jets are zero.
+`constant_metric`; whether they are finite and positive definite is decided
+then too, and a call that would refuse them still does, at its first point.
+Its metric jet is the jet of those values, with no derivative coefficients,
+and its Christoffel and curvature jets are zero.
 A submanifold's frame takes its metric, Christoffels and curvature as those
 constants in its own variables (submanifold.FramePointData), not as
 pullbacks of x-space jets; truncated Taylor arithmetic makes the two
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import DomainError, Expression, eval_expr, first_point, free_of_variables, parse
+from .expr import DomainError, Expression, eval_expr, first_point, free_of_variables, intern, parse
 from .jets import Jet, get_space, jet_einsum, jet_inv, jstack
 
 __all__ = [
@@ -79,7 +81,13 @@ class AmbientSpace:
     constant_metric is the (d, d) array of the metric's values when no entry
     reads a variable, decided once here, and None otherwise. A constant
     entry outside its domain (1/0, say) leaves the metric to be evaluated
-    per call, which refuses it at the points asked for.
+    per call, which refuses it at the points asked for. Whether a constant
+    metric is finite and positive definite is decided here too, once: one
+    that is not is still refused by every metric_jets call, at the first
+    point asked for.
+
+    The distinct entries are interned once here (expr.intern), so that a
+    subexpression they share is evaluated once per metric_jets call.
     """
 
     def __init__(self, dim: int, entries: list[list[Expression]], tag: str = "custom"):
@@ -99,18 +107,27 @@ class AmbientSpace:
         # the distinct entries (a diagonal metric has two), each evaluated once
         # per metric_jets call of a metric that is not constant, and every
         # entry's index among them
-        self._distinct = list(dict.fromkeys(e for row in entries for e in row))
-        self._where = [[self._distinct.index(e) for e in row] for row in entries]
+        distinct = list(dict.fromkeys(e for row in entries for e in row))
+        self._where = [[distinct.index(e) for e in row] for row in entries]
+        self._distinct = intern(distinct)
         self.constant_metric = self._constant_values()
+        # why every call refuses a constant metric, or None
+        self._constant_refusal = None
+        if self.constant_metric is not None:
+            if not np.isfinite(self.constant_metric).all():
+                self._constant_refusal = "not finite"
+            elif _not_positive_definite(self.constant_metric):
+                self._constant_refusal = "not positive definite"
 
     def _constant_values(self) -> np.ndarray | None:
         if not all(free_of_variables(e) for e in self._distinct):
             return None
         space = get_space(self.dim, 0)
         varjets = space.variables(np.zeros(self.dim))
+        memo = {}
         try:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                values = [eval_expr(e, varjets, space).val for e in self._distinct]
+                values = [eval_expr(e, varjets, space, memo).val for e in self._distinct]
         except DomainError:
             return None
         return np.array([[values[k] for k in row] for row in self._where])
@@ -126,10 +143,10 @@ class AmbientSpace:
         """The metric as a (..., d, d) jet of integer order `order` >= 0 in
         chart coordinates at the points x0 of shape (..., d), one expansion
         per point. A constant metric is the jet of constant_metric at every
-        point, built without evaluating an entry; any other evaluates each
-        distinct entry once per call. Either is refused, naming the first
-        point of x0 where it fails, when it is not finite or not positive
-        definite."""
+        point, built without evaluating an entry or testing it again; any
+        other evaluates each distinct entry once per call, with one memo.
+        Either is refused, naming the first point of x0 where it fails, when
+        it is not finite or not positive definite."""
         if not is_int(order) or order < 0:
             raise AmbientError(f"metric jets need an integer order 0 or more, got {order!r}")
         x0 = np.asarray(x0, dtype=float)
@@ -138,18 +155,22 @@ class AmbientSpace:
         space = get_space(self.dim, order)
         batch = x0.shape[:-1]
         if self.constant_metric is not None:
-            G = space.constant(np.broadcast_to(self.constant_metric, batch + (self.dim, self.dim)))
-        else:
-            varjets = space.variables(x0)
-            # an overflow or a pole shows as a non-finite entry, refused below
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                jets = [eval_expr(e, varjets, space) for e in self._distinct]
-            rows = [jstack([jets[k] for k in row], axis=-1) for row in self._where]
-            # an entry that is a constant carries no batch axes yet: broadcast
-            G = jstack(rows, axis=-2) * np.ones(batch + (1, 1))
+            # the same at every point, so refused at the first (a batch of no
+            # points holds none to refuse)
+            if self._constant_refusal is not None and x0.size:
+                raise AmbientError(f"metric {self._constant_refusal} at {first_point(x0, True)}")
+            return space.constant(np.broadcast_to(self.constant_metric, batch + (self.dim, self.dim)))
+        varjets = space.variables(x0)
+        memo = {}
+        # an overflow or a pole shows as a non-finite entry, refused below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            jets = [eval_expr(e, varjets, space, memo) for e in self._distinct]
+        rows = [jstack([jets[k] for k in row], axis=-1) for row in self._where]
+        # an entry that is a constant carries no batch axes yet: broadcast
+        G = jstack(rows, axis=-2) * np.ones(batch + (1, 1))
         # symmetric by construction (__init__ equates the mirrored entries)
-        finite = np.all(np.isfinite(G.coeffs), axis=(-3, -2, -1))
-        if not np.all(finite):
+        finite = np.isfinite(G.coeffs).all(axis=(-3, -2, -1))
+        if not finite.all():
             raise AmbientError(f"metric not finite at {first_point(x0, ~finite)}")
         try:
             np.linalg.cholesky(G.val)
@@ -176,8 +197,7 @@ class AmbientSpace:
 def christoffel_jets(G: Jet) -> Jet:
     """Gamma^i_{jk} as a jet from (..., d, d) metric jets; valid order drops
     by one. Leading batch axes pass through."""
-    d = G.shape[-1]
-    dg = jstack([G.d(a) for a in range(d)], axis=-3)  # [..., a, l, k] = d_a g_{lk}
+    dg = G.grad(-3)  # [..., a, l, k] = d_a g_{lk}
     Ginv = jet_inv(G)
     # C[l, j, k] = d_j g_{lk} + d_k g_{lj} - d_l g_{jk}
     C = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
@@ -187,12 +207,11 @@ def christoffel_jets(G: Jet) -> Jet:
 def curvature_jets(Gamma: Jet) -> Jet:
     """R^i_{jkl} as a jet from (..., d, d, d) Christoffel jets; valid order
     drops by one. Leading batch axes pass through."""
-    d = Gamma.shape[-1]
     # A[i,j,k,l] = Gamma^m_{lj} Gamma^i_{km} + d_k Gamma^i_{lj}; the other two
     # terms of R^i_{jkl} are A with k and l swapped
     A = jet_einsum("...mlj,...ikm->...ijkl", Gamma, Gamma)
     # d_a Gamma^i_{mn} stacked at [..., a, i, m, n], read as d_k Gamma^i_{lj}
-    A = A + jstack([Gamma.d(a) for a in range(d)], axis=-4).transpose(1, 3, 0, 2)
+    A = A + Gamma.grad(-4).transpose(1, 3, 0, 2)
     return A - A.transpose(0, 1, 3, 2)
 
 

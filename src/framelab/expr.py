@@ -14,6 +14,16 @@ Grammar:
 
 Functions: sin cos tan exp log sqrt sinh cosh tanh. Variables are the
 declared prefix followed by an index, e.g. u1..u3 or x1..x5.
+
+Shared subexpressions. A list of expressions evaluated on the same
+variables, as an immersion's components or a metric's distinct entries,
+is interned once, when its owner is made: intern rebuilds it so that
+equal subtrees are one node. eval_expr then takes a memo, a dict shared
+by the calls that evaluate that list on the same variables, and evaluates
+each node once: a node met again is handed the jet it gave the first time.
+Those jets are shared, so no caller changes one in place. Every jet is the
+one a separate evaluation gives, bitwise, and a value outside a domain is
+refused at the same node, with the same message and span.
 """
 
 from __future__ import annotations
@@ -54,6 +64,7 @@ __all__ = [
     "parse",
     "to_source",
     "free_of_variables",
+    "intern",
     "eval_expr",
     "first_point",
     "FUNCTIONS",
@@ -372,11 +383,50 @@ def free_of_variables(e: Expression) -> bool:
 # -- evaluation ----------------------------------------------------------------
 
 
+def intern(exprs) -> list[Expression]:
+    """The expressions of the list rebuilt so that equal subtrees are one
+    node, shared across the list: what a memo of eval_expr evaluates once.
+
+    Subtrees are equal as the AST compares them, spans aside, except that
+    the numbers 0.0 and -0.0 stay apart. A shared node keeps the span of its
+    first occurrence in the order eval_expr evaluates the list (each
+    expression in turn, a node after its operands), which is where a
+    separate evaluation of the list would refuse it first."""
+    nodes: dict[tuple, Expression] = {}
+
+    def one(e: Expression) -> Expression:
+        if isinstance(e, Num):
+            key = (Num, e.value, math.copysign(1.0, e.value))
+        elif isinstance(e, Var):
+            key = (Var, e.name, e.index)
+        elif isinstance(e, PiConst):
+            key = (PiConst,)
+        elif isinstance(e, Neg):
+            arg = one(e.arg)
+            key = (Neg, id(arg))
+            if arg is not e.arg:
+                e = Neg(arg, e.span)
+        elif isinstance(e, Call):
+            arg = one(e.arg)
+            key = (Call, e.fn, id(arg))
+            if arg is not e.arg:
+                e = Call(e.fn, arg, e.span)
+        else:
+            left, right = one(e.left), one(e.right)
+            key = (Bin, e.op, id(left), id(right))
+            if left is not e.left or right is not e.right:
+                e = Bin(e.op, left, right, e.span)
+        # a node's key holds its operands' ids: those stay alive in nodes
+        return nodes.setdefault(key, e)
+
+    return [one(e) for e in exprs]
+
+
 _TAN_POLE_EPS = 4.0 * np.finfo(float).eps
 
 
 def _is_constant(j: Jet) -> bool:
-    return not np.any(j.coeffs[..., 1:])
+    return not j.coeffs[..., 1:].any()
 
 
 def first_point(points: np.ndarray, mask) -> list[float]:
@@ -388,85 +438,105 @@ def first_point(points: np.ndarray, mask) -> list[float]:
     batch = points.shape[:-1]
     mask = np.asarray(mask)
     if mask.ndim > len(batch):
-        mask = np.any(mask, axis=tuple(range(mask.ndim - len(batch))))
+        mask = mask.any(axis=tuple(range(mask.ndim - len(batch))))
     return points[tuple(np.argwhere(np.broadcast_to(mask, batch))[0])].tolist()
 
 
 def _refuse_where(bad, message: str, e: Expression, varjets: list[Jet]) -> None:
     """Raise the DomainError of e if bad holds anywhere, naming the first of
     the variables' points (their batch, of shape (..., dim)) where it does."""
-    if np.any(bad):
+    if bad.any():
         points = np.stack([v.val for v in varjets], axis=-1)
         raise DomainError(f"{message} at {first_point(points, bad)}", e.span)
 
 
-def eval_expr(e: Expression, varjets: list[Jet], space: JetSpace) -> Jet:
+def eval_expr(e: Expression, varjets: list[Jet], space: JetSpace, memo: dict | None = None) -> Jet:
     """Evaluate to a raw jet over pre-built variable jets (any order).
 
     A value outside the domain of a sub-expression raises DomainError naming
-    the first point of the variables' batch where it happens."""
-    if isinstance(e, Num):
-        return space.constant(e.value)
-    if isinstance(e, PiConst):
-        return space.constant(math.pi)
+    the first point of the variables' batch where it happens.
+
+    memo, where given, is shared by the calls that evaluate one list of
+    expressions (best interned, see intern) on the same varjets and space,
+    and by no others: it holds the jet of each node evaluated so far, keyed
+    by the node's identity, and a node met again is handed that jet (a
+    variable, which costs no work, is not kept)."""
     if isinstance(e, Var):
         if e.index > len(varjets):
             raise DomainError(
                 f"variable {e.name} exceeds the evaluation dimension", e.span
             )
         return varjets[e.index - 1]
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, varjets, space)
-    if isinstance(e, Call):
-        a = eval_expr(e.arg, varjets, space)
-        if e.fn == "sin":
-            return jsin(a)
-        if e.fn == "cos":
-            return jcos(a)
-        if e.fn == "exp":
-            return jexp(a)
-        if e.fn == "sinh":
-            return jsinh(a)
-        if e.fn == "cosh":
-            return jcosh(a)
-        if e.fn == "tan":
-            c = jcos(a)
-            # cos of a double is never exactly 0: refuse where it is within
-            # its own roundoff at a, a few eps times max(1, |a|)
-            pole = np.abs(c.val) <= _TAN_POLE_EPS * np.maximum(1.0, np.abs(a.val))
-            _refuse_where(pole, "tan at a pole", e, varjets)
-            return jsin(a) / c
-        if e.fn == "tanh":
-            return jsinh(a) / jcosh(a)
-        if e.fn == "log":
-            _refuse_where(a.val <= 0.0, "log of a non-positive value", e, varjets)
-            return jlog(a)
-        if e.fn == "sqrt":
-            _refuse_where(a.val < 0.0, "sqrt of a negative value", e, varjets)
-            if space.order >= 1:
-                _refuse_where(a.val == 0.0, "sqrt is not differentiable at zero", e, varjets)
-            return jsqrt(a)
-        raise AssertionError(f"unhandled function {e.fn}")
-    # binary
-    l = eval_expr(e.left, varjets, space)
+    if memo is not None:
+        jet = memo.get(id(e))
+        if jet is not None:
+            return jet
+    if isinstance(e, Num):
+        jet = space.constant(e.value)
+    elif isinstance(e, PiConst):
+        jet = space.constant(math.pi)
+    elif isinstance(e, Neg):
+        jet = -eval_expr(e.arg, varjets, space, memo)
+    elif isinstance(e, Call):
+        jet = _call(e, eval_expr(e.arg, varjets, space, memo), varjets, space)
+    else:
+        jet = _binary(e, eval_expr(e.left, varjets, space, memo), varjets, space, memo)
+    if memo is not None:
+        memo[id(e)] = jet
+    return jet
+
+
+def _call(e: Call, a: Jet, varjets: list[Jet], space: JetSpace) -> Jet:
+    """The jet of the call e on its argument's jet a."""
+    if e.fn == "sin":
+        return jsin(a)
+    if e.fn == "cos":
+        return jcos(a)
+    if e.fn == "exp":
+        return jexp(a)
+    if e.fn == "sinh":
+        return jsinh(a)
+    if e.fn == "cosh":
+        return jcosh(a)
+    if e.fn == "tan":
+        c = jcos(a)
+        # cos of a double is never exactly 0: refuse where it is within
+        # its own roundoff at a, a few eps times max(1, |a|)
+        pole = np.abs(c.val) <= _TAN_POLE_EPS * np.maximum(1.0, np.abs(a.val))
+        _refuse_where(pole, "tan at a pole", e, varjets)
+        return jsin(a) / c
+    if e.fn == "tanh":
+        return jsinh(a) / jcosh(a)
+    if e.fn == "log":
+        _refuse_where(a.val <= 0.0, "log of a non-positive value", e, varjets)
+        return jlog(a)
+    if e.fn == "sqrt":
+        _refuse_where(a.val < 0.0, "sqrt of a negative value", e, varjets)
+        if space.order >= 1:
+            _refuse_where(a.val == 0.0, "sqrt is not differentiable at zero", e, varjets)
+        return jsqrt(a)
+    raise AssertionError(f"unhandled function {e.fn}")
+
+
+def _binary(e: Bin, l: Jet, varjets: list[Jet], space: JetSpace, memo: dict | None) -> Jet:
+    """The jet of the binary node e, its left operand's jet l given and its
+    right operand evaluated here, after it."""
+    r = eval_expr(e.right, varjets, space, memo)
     if e.op == "+":
-        return l + eval_expr(e.right, varjets, space)
+        return l + r
     if e.op == "-":
-        return l - eval_expr(e.right, varjets, space)
+        return l - r
     if e.op == "*":
-        return l * eval_expr(e.right, varjets, space)
+        return l * r
     if e.op == "/":
-        r = eval_expr(e.right, varjets, space)
         _refuse_where(r.val == 0.0, "division by zero", e, varjets)
         return l / r
     if e.op == "^":
-        r = eval_expr(e.right, varjets, space)
         rv = r.val
-        if _is_constant(r) and np.all(rv == np.floor(rv)) and np.all(np.abs(rv) < 2**31):
-            n = int(np.asarray(rv).flat[0])
-            if n < 0:
-                _refuse_where(l.val == 0.0, "zero raised to a negative power", e, varjets)
-            return jpow_int(l, n)
+        if _is_constant(r) and (rv == np.floor(rv)).all() and (np.abs(rv) < 2**31).all():
+            # an integer at every point, not always the same one
+            _refuse_where((l.val == 0.0) & (rv < 0), "zero raised to a negative power", e, varjets)
+            return jpow_int(l, rv)
         # non-integer exponent: b^r = exp(r log b), requires b > 0
         _refuse_where(l.val <= 0.0, "non-positive base raised to a non-integer power", e, varjets)
         return jexp(r * jlog(l))

@@ -18,6 +18,7 @@ d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} G
 from __future__ import annotations
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 __all__ = ["central_diff", "christoffels", "curvature", "lowered_curvature"]
 
@@ -26,7 +27,7 @@ def _shifted(u: np.ndarray, h: float) -> np.ndarray:
     """The 2k shifts of each point u (..., k): [0] holds u + h e_a and [1]
     u - h e_a, shape (2, ..., k, k) with a on the second-last axis."""
     shift = h * np.eye(u.shape[-1])
-    return np.stack([u[..., None, :] + shift, u[..., None, :] - shift])
+    return np.concatenate([(u[..., None, :] + shift)[None], (u[..., None, :] - shift)[None]])
 
 
 def _one_call(f, levels: list) -> list:
@@ -35,11 +36,12 @@ def _one_call(f, levels: list) -> list:
     leading with its level's point axes."""
     k = levels[0].shape[-1]
     vals = np.asarray(f(np.concatenate([x.reshape(-1, k) for x in levels])))
-    ends = np.cumsum([x.size // k for x in levels])
-    return [
-        np.ascontiguousarray(part).reshape(x.shape[:-1] + vals.shape[1:])
-        for x, part in zip(levels, np.split(vals, ends[:-1]))
-    ]
+    out, start = [], 0
+    for x in levels:
+        end = start + x.size // k
+        out.append(np.ascontiguousarray(vals[start:end]).reshape(x.shape[:-1] + vals.shape[1:]))
+        start = end
+    return out
 
 
 def _diff(shifted_vals: np.ndarray, h: float) -> np.ndarray:
@@ -50,8 +52,8 @@ def _diff(shifted_vals: np.ndarray, h: float) -> np.ndarray:
 def _gamma(g0: np.ndarray, g1: np.ndarray, h: float) -> np.ndarray:
     """Gamma^i_{jk} from the metric g0 (..., k, k) at the points and g1 at their shifts."""
     dg = _diff(g1, h)  # [..., a, b, c] = d_a g_bc
-    low = 0.5 * (np.einsum("...abc->...cab", dg) + np.einsum("...abc->...cba", dg) - dg)
-    return np.einsum("...dc,...cab->...dab", np.linalg.inv(g0), low)
+    low = 0.5 * (c_einsum("...abc->...cab", dg) + c_einsum("...abc->...cba", dg) - dg)
+    return c_einsum("...dc,...cab->...dab", np.linalg.inv(g0), low)
 
 
 def central_diff(f, u, h: float) -> np.ndarray:
@@ -83,7 +85,7 @@ def lowered_curvature(g, u, h: float) -> np.ndarray:
     tensor with its first index lowered by g at u, the root of the same one
     call."""
     g0, R = _curvature(g, u, h)
-    return np.einsum("...im,...mjkl->...ijkl", g0, R)
+    return c_einsum("...im,...mjkl->...ijkl", g0, R)
 
 
 def _curvature(g, u, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -95,6 +97,6 @@ def _curvature(g, u, h: float) -> tuple[np.ndarray, np.ndarray]:
     G0 = _gamma(g0, g1, h)
     G1 = _gamma(g1.reshape((-1,) + g1.shape[-2:]), g2, h)
     dG = _diff(G1.reshape(level1.shape[:-1] + G1.shape[1:]), h)
-    dG = np.einsum("...kilj->...ijkl", dG)  # d_k Gamma^i_{lj}
-    GG = np.einsum("...ikm,...mlj->...ijkl", G0, G0)  # Gamma^i_{km} Gamma^m_{lj}
+    dG = c_einsum("...kilj->...ijkl", dG)  # d_k Gamma^i_{lj}
+    GG = c_einsum("...ikm,...mlj->...ijkl", G0, G0)  # Gamma^i_{km} Gamma^m_{lj}
     return g0, dG - np.swapaxes(dG, -1, -2) + GG - np.swapaxes(GG, -1, -2)

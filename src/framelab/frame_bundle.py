@@ -127,11 +127,11 @@ def lifted(fd: FramePointData, horizontal=None, vertical=None) -> LiftedVector:
     names the first point where it fails."""
     h = _part(fd, horizontal, (fd.d,), "horizontal part")
     vmat = _part(fd, vertical, (fd.d, fd.d), "vertical part")
-    finite = np.all(np.isfinite(h), axis=-1) & np.all(np.isfinite(vmat), axis=(-2, -1))
-    if not np.all(finite):
+    finite = np.isfinite(h).all(axis=-1) & np.isfinite(vmat).all(axis=(-2, -1))
+    if not finite.all():
         raise FrameBundleError(f"horizontal or vertical part is not finite at u = {fd.point_where(~finite)}")
     skew = np.max(np.abs(vmat + np.swapaxes(vmat, -1, -2)), axis=(-2, -1)) <= 1e-12
-    if not np.all(skew):
+    if not skew.all():
         raise FrameBundleError(f"vertical part is not antisymmetric at u = {fd.point_where(~skew)}")
     return LiftedVector(fd, h, vmat)
 
@@ -164,7 +164,7 @@ def horizontal_lift_prime(fd: FramePointData, X) -> LiftedVector:
         hfr = fd.frame_components(X)
         xc = matvec(fd.C.val, hfr[..., : fd.p])
         normal = np.max(np.abs(matvec(fd.J.val, xc) - X), axis=-1) > 1e-8
-        if np.any(normal):
+        if normal.any():
             at = fd.point_where(normal)
             raise FrameBundleError(f"horizontal_lift_prime needs a tangent vector, not at u = {at}")
     return lifted(fd, horizontal=hfr, vertical=ops.s_field_matrix(fd, xc).val)

@@ -75,7 +75,7 @@ def grassmann_vector(fd: FramePointData, horizontal=None, vertical=None) -> Lift
     v = lifted(fd, horizontal=horizontal, vertical=vertical)
     h_part, m_part = hm_split_mat(v.vertical, fd.p)
     diagonal = np.max(np.abs(h_part), axis=(-2, -1)) > 1e-10
-    if np.any(diagonal):
+    if diagonal.any():
         raise GaussMapError(f"vertical part must have zero diagonal blocks, not at u = {fd.point_where(diagonal)}")
     return lifted(fd, horizontal=v.horizontal, vertical=m_part)
 
@@ -264,8 +264,8 @@ def theorem_check(M: ImmersedSubmanifold, samples: int = 50, seed: int = 0) -> T
     data = residual_data(fd, trace)
     r_max = np.maximum(np.maximum(data.r_h1, data.r_h2), data.r_h3)
     residuals = np.stack([h_norm, r_max, *implication_residuals(data)])
-    bad = ~np.all(np.isfinite(residuals), axis=0)
-    if np.any(bad):
+    bad = ~np.isfinite(residuals).all(axis=0)
+    if bad.any():
         raise GaussMapError(f"non-finite residual at sample point {fd.point_where(bad)}")
     max_h, max_r, id_m2, id_h2 = (float(x) for x in residuals.max(axis=1))
     minimal, harmonic = max_h < tol, max_r < tol

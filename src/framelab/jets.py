@@ -57,6 +57,19 @@ largest double (8.99e307). Every einsum of jet_einsum is numpy's c_einsum,
 the function np.einsum calls when it is not asked to optimize, so each call
 skips np.einsum's Python wrapper and its argument dispatch.
 
+The elementary functions are Taylor series in jet - jet.val, summed by
+Horner's rule. Each step, out * h + constant(c), adds the constant in place
+into the product, a fresh array, from one array holding every step's
+constant, and h is a copy of the jet with its value subtracted in place:
+the same floating-point operations as adding and subtracting constant jets,
+so the same bits, without a constant jet made per step. jet_solve's Neumann
+step subtracts its value in place alike.
+
+Jet.grad(axis) stacks every derivative d_a of a jet along a new axis from
+one gather: jstack of the Jet.d in values and in strides. The Christoffel
+and curvature jets (ambient), a frame's Jacobian (submanifold) and jet_along
+take their derivative stacks from it.
+
 jet_solve(a, b) lands in the lower of the two orders: a right-hand side jet
 b of lower order cuts a to b's order before the inverse of a is built, so
 no coefficient of the inverse above the result's order is formed (an array
@@ -188,8 +201,18 @@ class JetSpace:
         return Jet(self, c)
 
     def variables(self, point) -> list[Jet]:
+        """The nvars variable jets at the points (..., nvars): each as
+        variable(a, point[..., a]) gives it, C-contiguous, all of them views
+        of one array filled at once."""
         point = np.asarray(point, dtype=float)
-        return [self.variable(a, point[..., a]) for a in range(self.nvars)]
+        if point.shape[-1:] < (self.nvars,):
+            raise ValueError(f"a point needs {self.nvars} coordinates, got shape {point.shape}")
+        c = np.zeros((self.nvars,) + point.shape[:-1] + (self.ncoeff,))
+        c[..., 0] = point[..., : self.nvars].transpose((-1,) + tuple(range(point.ndim - 1)))
+        if self.order >= 1:
+            # the degree-1 coefficients follow the value, one per variable
+            c[np.arange(self.nvars), ..., np.arange(1, self.nvars + 1)] = 1.0
+        return [Jet(self, c[a]) for a in range(self.nvars)]
 
     def __repr__(self) -> str:
         return f"JetSpace(nvars={self.nvars}, order={self.order})"
@@ -349,6 +372,27 @@ class Jet:
         sp = self.space
         return Jet(_lower(sp), self.coeffs[..., sp._dsrc[a]] * sp._dfac[a])
 
+    def grad(self, axis: int = -1) -> Jet:
+        """Every derivative d_a, stacked along a new leading axis at axis:
+        jstack([self.d(a) for a in range(nvars)], axis) in values and strides
+        alike, from one gather over every (a, k) in place of nvars.
+
+        The gather's slice by a has the strides of self.d(a) (the fancy-indexed
+        axes are the gather's slowest), and the slices are concatenated as
+        jstack concatenates the d(a), so the stack has jstack's memory order:
+        not always C-contiguous, and a later einsum over it sums in that order.
+        """
+        sp = self.space
+        g = self.coeffs[..., sp._dsrc] * sp._dfac
+        # the stack has nd leading axes: the jet's and the new one, at axis
+        nd = self.coeffs.ndim
+        axis = normalize_axis_index(axis, nd)
+        # g's slice by a with the new axis at axis, in one index counted from
+        # the end: the leading axes after the new one, then a, then the
+        # coefficients
+        head = (Ellipsis, None) + (slice(None),) * (nd - 1 - axis)
+        return Jet(_lower(sp), np.concatenate([g[head + (a, slice(None))] for a in range(sp.nvars)], axis=axis))
+
     # -- structure ---------------------------------------------------------
 
     def __getitem__(self, idx) -> Jet:
@@ -438,16 +482,11 @@ def jet_along(X, F: Jet) -> Jet:
     ones (an unbatched X is one direction for every point of F). The result
     is valid to min(X.valid, F.valid - 1), or F.valid - 1 for an array.
 
-    The stack of the d_a F that the einsum contracts is
-    jstack([F.d(a) for a in range(nvars)], axis=-1) in values and strides
-    alike, not C-contiguous: one gather over every (a, k) forms all d_a F at
-    once, and its slices by a are concatenated as jstack concatenates the
-    d_a F, whose memory order (the gather's: the coefficient axis slowest)
-    they share, so the einsum sums in the order it did over that stack.
+    The stack of the d_a F that the einsum contracts is F.grad(-1), in the
+    strides of jstack([F.d(a) for a in range(nvars)], axis=-1): not
+    C-contiguous, so the einsum sums in the order it did over that stack.
     """
-    sp = F.space
-    g = F.coeffs[..., sp._dsrc] * sp._dfac
-    dF = Jet(_lower(sp), np.concatenate([g[..., a, None, :] for a in range(sp.nvars)], axis=-2))
+    dF = F.grad(-1)
     shape = X.shape if isinstance(X, Jet) else np.shape(X)
     # X's batch axes, then one unit axis per tensor axis of F, then a
     lift = shape[:-1] + (1,) * (len(F.shape) + 1 - len(shape)) + shape[-1:]
@@ -488,7 +527,7 @@ def jet_solve(a: Jet, b) -> Jet:
     term = a.space.constant(b0inv)
     inv = term
     if a.space.order:
-        step = jet_matmul(-b0inv, a - a.space.constant(a0))
+        step = jet_matmul(-b0inv, _minus_value(a))
         for _ in range(a.space.order):
             term = jet_matmul(step, term)
             inv = inv + term
@@ -507,14 +546,31 @@ def jet_inv(a: Jet) -> Jet:
 # -- scalar elementary functions ------------------------------------------
 
 
+def _minus_value(jet: Jet) -> Jet:
+    """jet - jet.space.constant(jet.val), bitwise, as a copy of the jet with
+    its value subtracted in place: x - 0.0 is x for every double, -0.0 and
+    NaN included, so only the value slot changes."""
+    c = np.positive(jet.coeffs)  # a copy, in the memory order of that difference
+    c[..., 0] -= jet.coeffs[..., 0]
+    return Jet(jet.space, c)
+
+
 def _horner(jet: Jet, dcoef: np.ndarray) -> Jet:
-    """Evaluate sum_k dcoef[k] (jet - jet.val)^k with Horner's rule."""
+    """Evaluate sum_k dcoef[k] (jet - jet.val)^k with Horner's rule.
+
+    Each step is out * h + constant(dcoef[k]), bitwise: the coefficients of
+    every constant(dcoef[k]) are made at once, in one array, and each is
+    added in place into the product, a fresh array. The other slots get
+    0.0 added, as the constant jet adds it: x + 0.0 turns -0.0 into +0.0."""
     sp = jet.space
-    h = jet - sp.constant(jet.val)
+    h = _minus_value(jet)
+    consts = np.zeros(dcoef.shape + (sp.ncoeff,))
+    consts[..., 0] = dcoef
     K = dcoef.shape[0] - 1
-    out = sp.constant(dcoef[K])
+    out = Jet(sp, consts[K])
     for k in range(K - 1, -1, -1):
-        out = out * h + sp.constant(dcoef[k])
+        out = out * h
+        np.add(out.coeffs, consts[k], out=out.coeffs)
     return out
 
 
@@ -542,7 +598,7 @@ def jlog(jet: Jet) -> Jet:
         rows = [np.log(c)]
         for k in range(1, K + 1):
             rows.append((-1.0) ** (k + 1) / (k * c**k))
-        return np.array([np.broadcast_to(r, np.shape(c)) for r in rows])
+        return np.array(rows)
 
     return _series(jet, table)
 
@@ -559,12 +615,28 @@ def jpow_real(jet: Jet, r: float) -> Jet:
             if k > 0:
                 binom *= (r - (k - 1)) / k
             rows.append(binom * c ** (r - k))
-        return np.array([np.broadcast_to(row, np.shape(c)) for row in rows])
+        return np.array(rows)
 
     return _series(jet, table)
 
 
-def jpow_int(jet: Jet, n: int) -> Jet:
+def jpow_int(jet: Jet, n) -> Jet:
+    """jet^n for an integer n, or for n an array of integers (integer-valued
+    floats, say) that broadcasts against the jet's shape, one exponent per
+    point: then jet^k is formed once per distinct k, and each point takes the
+    coefficients of its own k. A power a point does not take is discarded,
+    so an overflow or a division by zero in it goes unreported."""
+    if isinstance(n, np.ndarray) and n.ndim:
+        ks = np.unique(n)
+        if ks.size > 1:
+            out = None
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                for k in ks:
+                    c = jpow_int(jet, int(k)).coeffs
+                    out = c if out is None else np.where((n == k)[..., None], c, out)
+            return Jet(jet.space, out)
+        n = ks[0]
+    n = int(n)
     if n == 0:
         return jet.space.constant(np.ones(jet.shape))
     if n < 0:
@@ -658,5 +730,5 @@ def jet_pullback(xjet: Jet, phi: Jet, x0: np.ndarray) -> Jet:
     pw = jstack(cols, axis=-1).coeffs  # (batch..., K, u-coefficients)
     tensor = xjet.shape[len(batch):]
     coef = xjet.coeffs[..., :K].reshape(batch + (-1, K))
-    out = np.einsum("...kc,...tk->...tc", pw, coef).reshape(batch + tensor + (usp.ncoeff,))
+    out = c_einsum("...kc,...tk->...tc", pw, coef).reshape(batch + tensor + (usp.ncoeff,))
     return Jet(usp, out)

@@ -164,7 +164,7 @@ def _h_endo_field(fd: FramePointData, spec, order: int) -> Jet:
     differentiates it to; OmnError where it has an m-part."""
     j = ops.as_endo_field(fd, spec, order)
     mixed = np.max(np.abs(hm_split_mat(j.val, fd.p)[1]), axis=(-2, -1)) > 1e-10
-    if np.any(mixed):
+    if mixed.any():
         raise OmnError(f"vertical field must be block-diagonal (h-type), not at u = {fd.point_where(mixed)}")
     return j
 
@@ -360,7 +360,7 @@ def _unit(fd, x, sq, what: str):
     points where it fails, when a norm is below 1e-12 or not a number."""
     n = np.sqrt(np.maximum(sq, 0.0))
     bad = ~(n >= 1e-12)
-    if np.any(bad):
+    if bad.any():
         raise OmnError(f"{what} at u = {fd.point_where(bad)}", where=bad)
     return x / np.reshape(n, np.shape(n) + (1,) * (np.ndim(x) - np.ndim(n)))
 
@@ -422,7 +422,7 @@ def omn_plane(fd: FramePointData, spec1, spec2) -> OmnPlane:
     bad = np.zeros(stack + fd.batch, dtype=bool)
     for a, b, want in ((plane.v1, plane.v1, 1.0), (plane.v2, plane.v2, 1.0), (plane.v1, plane.v2, 0.0)):
         bad |= ~(np.abs(sasaki_mok_inner(a, b) - want) <= 1e-10)
-    if np.any(bad):
+    if bad.any():
         raise OmnError(f"plane failed to orthonormalize at u = {fd.point_where(bad)}", where=bad)
     return plane
 
@@ -615,7 +615,7 @@ def _finite_sup(fd: FramePointData, x: np.ndarray) -> float:
     any stack; a NaN or infinite residual raises naming its first point, as
     max would drop a NaN silently."""
     finite = np.isfinite(x)
-    if not np.all(finite):
+    if not finite.all():
         raise OmnError(f"non-finite residual at sample point {fd.point_where(~finite)}")
     return float(np.max(x))
 

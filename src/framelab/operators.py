@@ -281,7 +281,7 @@ def solve_P(fd: FramePointData, rhs):
     huge, and names the first such point. The test is the frame's
     P_singular, made once per frame.
     """
-    if np.any(fd.P_singular):
+    if fd.P_singular.any():
         raise OperatorError(f"operator P is numerically singular at {fd.point_where(fd.P_singular)}")
     if isinstance(rhs, Jet):
         # P lifted to rhs's stack axes, so that rhs is a vector to jet_solve

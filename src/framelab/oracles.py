@@ -20,10 +20,11 @@ that.
 from __future__ import annotations
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from . import finite_diff
 from .ambient import metric_at
-from .expr import eval_expr, parse
+from .expr import eval_expr, intern, parse
 from .jets import get_space, jstack
 
 __all__ = [
@@ -40,15 +41,20 @@ __all__ = [
 # k uses only u1..u(k+1).
 DEFAULT_X = ["0.7+0.3*u1", "u2-0.4", "0.5*u1"] + [f"0.3+0.2*u{k}" for k in range(4, 9)]
 DEFAULT_Y = ["u1*u1-0.2", "0.6", "u2+0.1*u1"] + [f"u{k - 1}*u{k}-0.1" for k in range(4, 9)]
+# Both fields parsed and interned once; a p-chart evaluates the first p of
+# each, whose entries read only u1..up.
+_X = intern([parse(c, len(DEFAULT_X), var_prefix="u") for c in DEFAULT_X])
+_Y = intern([parse(c, len(DEFAULT_Y), var_prefix="u") for c in DEFAULT_Y])
 
 
 def _field_values(field, u) -> np.ndarray:
-    """The values (..., p) of a chart field, given by its p coefficient
-    expressions in u1..up, at the points u (..., p)."""
+    """The values (..., p) of a chart field, _X or _Y, at the points u
+    (..., p): its first p coefficient expressions evaluated at order 0."""
     p = u.shape[-1]
     space = get_space(p, 0)
     uv = space.variables(u)
-    return jstack([eval_expr(parse(c, p, var_prefix="u"), uv, space) for c in field], axis=-1).val
+    memo = {}
+    return jstack([eval_expr(c, uv, space, memo) for c in field[:p]], axis=-1).val
 
 
 def fd_christoffels(M, u, h, frame, attr: str):
@@ -63,25 +69,24 @@ def fd_connection(M, u, h, frame, attr: str):
     # the stencil frames come first: frame_data refuses points that are not
     # the chart's before a field is evaluated at them
     gam = fd_christoffels(M, u, h, frame, attr)
-    X, Y = DEFAULT_X[: M.p], DEFAULT_Y[: M.p]
-    x0, y0 = _field_values(X, u), _field_values(Y, u)
-    dY = finite_diff.central_diff(lambda U: _field_values(Y, U), u, h)
-    return np.einsum("...a,...ac->...c", x0, dY) + np.einsum("...cab,...a,...b->...c", gam, x0, y0)
+    x0, y0 = _field_values(_X, u), _field_values(_Y, u)
+    dY = finite_diff.central_diff(lambda U: _field_values(_Y, U), u, h)
+    return c_einsum("...a,...ac->...c", x0, dY) + c_einsum("...cab,...a,...b->...c", gam, x0, y0)
 
 
 def fd_nabla_vec(M, u, h, frame):
     """FD route of nabla_X Y in ambient components: the derivative of Y's
     ambient components along X plus the ambient Christoffels at phi(u)."""
     fd0 = frame(u)
-    x0 = _field_values(DEFAULT_X[: M.p], u)
+    x0 = _field_values(_X, u)
 
     def yamb(U):
-        return np.matmul(frame(U).J.val, _field_values(DEFAULT_Y[: M.p], U)[..., None])[..., 0]
+        return np.matmul(frame(U).J.val, _field_values(_Y, U)[..., None])[..., 0]
 
     gam = finite_diff.christoffels(lambda X: metric_at(M.ambient, X), fd0.x0, h)
     dY = np.matmul(x0[..., None, :], finite_diff.central_diff(yamb, u, h))[..., 0, :]
     Jx = np.matmul(fd0.J.val, x0[..., None])[..., 0]
-    return dY + np.einsum("...ijk,...j,...k->...i", gam, Jx, yamb(u))
+    return dY + c_einsum("...ijk,...j,...k->...i", gam, Jx, yamb(u))
 
 
 def fd_curvature_ambient(M, u, h, frame):
@@ -89,7 +94,7 @@ def fd_curvature_ambient(M, u, h, frame):
     fd0 = frame(u)
     low = finite_diff.lowered_curvature(lambda X: metric_at(M.ambient, X), fd0.x0, h)
     E = fd0.E.val
-    return np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", low, E, E, E, E)
+    return c_einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", low, E, E, E, E)
 
 
 def fd_curvature_prime(M, u, h, frame):

@@ -52,7 +52,7 @@ from functools import cached_property, wraps
 import numpy as np
 
 from .ambient import AmbientSpace, christoffel_jets, curvature_jets, euclidean, is_int, sphere_chart
-from .expr import Expression, eval_expr, first_point, parse
+from .expr import Expression, eval_expr, first_point, intern, parse
 from .jets import (
     Jet,
     get_space,
@@ -91,7 +91,7 @@ def _refuse_non_finite(name: str, jet: Jet, u: np.ndarray, per_point: int) -> No
     of the jet, of per_point axes after the batch axes, is not finite."""
     finite = np.isfinite(jet.coeffs)
     if not finite.all():
-        bad = ~np.all(finite, axis=tuple(range(-per_point - 1, 0)))
+        bad = ~finite.all(axis=tuple(range(-per_point - 1, 0)))
         raise FrameError(f"{name} not finite at {first_point(u, bad)}")
 
 
@@ -119,9 +119,9 @@ def gram_schmidt_jets(vectors: list[Jet], G: Jet | np.ndarray, u: np.ndarray, n_
         n2 = nrm2.val
         # NaN passes n2 < GS_BREAKDOWN**2, and inf is no breakdown: refuse both
         bad = ~((n2 >= GS_BREAKDOWN**2) & (n2 < np.inf))
-        if np.any(bad):
+        if bad.any():
             over = ~np.isfinite(n2)
-            if np.any(over):
+            if over.any():
                 raise FrameError(f"Gram-Schmidt norm of vector {k + 1} not finite at {first_point(u, over)}")
             at = first_point(u, bad)
             if k < n_given:
@@ -146,7 +146,7 @@ class ImmersedSubmanifold:
         if not 1 <= p < d:
             raise FrameError(f"need 1 <= p < ambient dim, got p={p}, dim={d}")
         domain = np.asarray(chart_domain, dtype=float)
-        if domain.shape != (p, 2) or np.any(domain[:, 0] >= domain[:, 1]):
+        if domain.shape != (p, 2) or (domain[:, 0] >= domain[:, 1]).any():
             raise FrameError("chart_domain must be a (p, 2) box with lo < hi")
         comps = [parse(c, p, var_prefix="u") if isinstance(c, str) else c for c in components]
         for i, c in enumerate(comps):
@@ -158,7 +158,9 @@ class ImmersedSubmanifold:
         self.n = d - p
         self.ambient = ambient
         self.chart_domain = domain
-        self.components: list[Expression] = comps
+        # interned once, so that a subexpression the components share is
+        # evaluated once per frame (expr.intern)
+        self.components: list[Expression] = intern(comps)
         self.name = name
         self._cache: dict[bytes, FramePointData] = {}
         self.pivots = self._select_pivots()
@@ -172,8 +174,9 @@ class ImmersedSubmanifold:
         u_c = self.chart_domain.mean(axis=1)
         space = get_space(p, 1)
         uv = space.variables(u_c)
-        phi = jstack([eval_expr(c, uv, space) for c in self.components], axis=-1)
-        if not np.all(np.isfinite(phi.coeffs)):
+        memo = {}
+        phi = jstack([eval_expr(c, uv, space, memo) for c in self.components], axis=-1)
+        if not np.isfinite(phi.coeffs).all():
             raise FrameError("immersion or its Jacobian not finite at the domain center")
         J = np.stack([phi.d(a).val for a in range(p)], axis=-1)
         G = self.ambient.metric_jets(phi.val, 0).val
@@ -239,8 +242,8 @@ class ImmersedSubmanifold:
         if hit is None:
             # cached points passed this check when their frame was built
             lo, hi = self.chart_domain[:, 0], self.chart_domain[:, 1]
-            outside = ~np.all((u >= lo - _DOMAIN_SLACK) & (u <= hi + _DOMAIN_SLACK), axis=-1)
-            if np.any(outside):
+            outside = ~((u >= lo - _DOMAIN_SLACK) & (u <= hi + _DOMAIN_SLACK)).all(axis=-1)
+            if outside.any():
                 at = first_point(u, outside)
                 raise FrameError(f"parameter point {at} outside the chart domain")
             if len(self._cache) >= 4096:
@@ -333,6 +336,11 @@ class FramePointData:
     Rfr         (d,d,d,d)  Rfr[i,j,k,l] = g(R(e_k,e_l) e_j, e_i), valid 1
     ==========  =========  ==================================================
 
+    phi is the stack of the immersion's components, interned when the
+    submanifold is made and evaluated with one memo (expr.intern), so that a
+    subexpression they share is evaluated once per frame; J is phi.grad(-1),
+    every derivative from one gather.
+
     `phi`, `J`, `G` and `E` are built in the constructor, so an immersion,
     metric or frame that fails at any of the points raises from `frame_data`
     at once; so does one that is not finite there (an overflow). Every other
@@ -360,10 +368,11 @@ class FramePointData:
         uv = uspace.variables(u0)
         self.uv = uv
 
-        phi = jstack([eval_expr(c, uv, uspace) for c in sub.components], axis=-1)
+        memo = {}
+        phi = jstack([eval_expr(c, uv, uspace, memo) for c in sub.components], axis=-1)
         self.phi = phi
         self.x0 = phi.val.copy()
-        self.J = jstack([phi.d(a) for a in range(p)], axis=-1)
+        self.J = phi.grad(-1)
         _refuse_non_finite("immersion", phi, u0, 1)
         _refuse_non_finite("Jacobian", self.J, u0, 2)
 

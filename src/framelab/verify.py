@@ -226,15 +226,15 @@ def _sectional_at(fd, mask, spec1, spec2, skip_refused=False) -> np.ndarray:
     mask = mask.reshape((-1,) + fd.batch).copy()
     out = np.full(mask.shape, np.nan)
     dirs = [np.reshape(a, mask.shape + np.shape(a)[len(shape) :]) for _, a in (spec1, spec2)]
-    while np.any(mask):
-        rows = np.flatnonzero(np.any(mask, axis=1))
+    while mask.any():
+        rows = np.flatnonzero(mask.any(axis=1))
         at = mask[rows]
         first = np.argmax(at, axis=1)
         fill = lambda a: np.where(at.reshape(at.shape + (1,) * (a.ndim - 2)), a[rows], a[rows, first][:, None])
         try:
             plane = og.omn_plane(fd, (spec1[0], fill(dirs[0])), (spec2[0], fill(dirs[1])))
         except og.OmnError as exc:
-            if not skip_refused or exc.where is None or not np.any(exc.where & at):
+            if not skip_refused or exc.where is None or not (exc.where & at).any():
                 raise
             mask[rows] = at & ~exc.where
             continue
@@ -1196,8 +1196,8 @@ def fd_oracle(M: ImmersedSubmanifold, quantity: str, u):
     if q.reach and u.shape[-1:] == (M.p,):
         reach = q.reach * q.h
         lo, hi = M.chart_domain[:, 0], M.chart_domain[:, 1]
-        leaves = np.any((u - reach < lo) | (u + reach > hi), axis=-1)
-        if np.any(leaves):
+        leaves = ((u - reach < lo) | (u + reach > hi)).any(axis=-1)
+        if leaves.any():
             raise VerifyError(
                 f"{quantity} stencil of reach {reach:g} about {first_point(u, leaves)} leaves the chart domain"
             )

@@ -14,7 +14,7 @@ from framelab.ambient import (
     sphere_chart,
 )
 from framelab.expr import DomainError, eval_expr
-from framelab.jets import get_space, jstack
+from framelab.jets import get_space, jpow_int, jstack
 from framelab.submanifold import ImmersedSubmanifold
 
 
@@ -133,6 +133,32 @@ def test_metric_jets_evaluates_each_distinct_entry_once(N, x, monkeypatch):
     G = N.metric_jets(x, 2)
     assert len(calls) == (0 if N.tag == "euclidean" else 2)
     assert G.coeffs.shape == want.coeffs.shape and np.array_equal(G.coeffs, want.coeffs)
+
+
+def test_a_constant_metric_is_tested_once_when_made(monkeypatch):
+    """A constant metric's finiteness and positive definiteness are decided
+    when it is made: a metric_jets call factors no matrix for it, while a
+    metric that reads its point factors one per call."""
+    flat, sphere = euclidean(3), sphere_chart(1.0, 3)
+    cholesky = np.linalg.cholesky
+    calls = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda g: calls.append(g.shape) or cholesky(g))
+    points = np.array([[0.3, -0.2, 0.5], [1.0, 0.4, -0.7]])
+    for order in range(3):
+        flat.metric_jets(points, order)
+    assert calls == []
+    sphere.metric_jets(points, 1)
+    assert calls == [(2, 3, 3)]
+
+
+def test_the_sphere_metric_shares_its_radius_term(monkeypatch):
+    """sphere_chart's diagonal entry holds 1.0^2 twice; evaluated once per
+    call, with x1^2, x2^2, x3^2 and the outer square: five powers."""
+    N = sphere_chart(1.0, 3)
+    calls = []
+    monkeypatch.setattr("framelab.expr.jpow_int", lambda a, n: calls.append(n) or jpow_int(a, n))
+    N.metric_jets([0.3, -0.2, 0.5], 2)
+    assert len(calls) == 5
 
 
 def test_non_finite_metric_rejected():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab.expr import (
+    FUNCTIONS,
     Bin,
     Call,
     DomainError,
@@ -17,6 +18,7 @@ from framelab.expr import (
     Span,
     Var,
     eval_expr,
+    intern,
     parse,
     to_source,
 )
@@ -353,3 +355,114 @@ def test_parser_total_over_arbitrary_text(s):
         parse(s, 2)
     except (ParseError, ValueError):
         pass
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_a_variable_integer_exponent_is_taken_per_point(order):
+    """An exponent that is an integer at every point, not the same one
+    everywhere, is each point's own: at order 0 the integer power, exact; at
+    order 1 the exponent has a derivative, so b^r is exp(r log b), which
+    needs b > 0."""
+    space = get_space(2, order)
+    pts = np.array([[2.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    j = eval_expr(parse("u1^u2", 2), space.variables(pts), space)
+    space1 = get_space(1, order)
+    neg = parse("(-2)^u1", 1)
+    if order == 0:
+        assert np.array_equal(j.val, [2.0, 4.0, 27.0])
+        assert np.array_equal(eval_expr(neg, space1.variables(np.array([[1.0], [2.0]])), space1).val, [-2.0, 4.0])
+    else:
+        assert np.allclose(j.val, [2.0, 4.0, 27.0], rtol=1e-14, atol=0)
+        # d/du1 u1^u2 = u2 u1^(u2-1), d/du2 u1^u2 = u1^u2 log u1
+        assert np.allclose(j.partial((1, 0)), [1.0, 4.0, 27.0], rtol=1e-14, atol=0)
+        assert np.allclose(j.partial((0, 1)), [2 * math.log(2), 4 * math.log(2), 27 * math.log(3)], rtol=1e-14, atol=0)
+        with pytest.raises(DomainError, match=r"^non-positive base raised to a non-integer power at \[1\.0\]"):
+            eval_expr(neg, space1.variables(np.array([[1.0], [2.0]])), space1)
+
+
+def test_zero_to_a_negative_exponent_is_refused_at_its_own_point():
+    """A zero base is refused where its exponent is negative and nowhere
+    else; the powers a point does not take are not reported."""
+    space = get_space(2, 0)
+    ok = np.array([[2.0, -1.0], [0.0, 2.0], [-3.0, -2.0]])
+    j = eval_expr(parse("u1^u2", 2), space.variables(ok), space)
+    assert np.array_equal(j.val, [0.5, 0.0, 1.0 / 9.0])
+    bad = np.array([[2.0, -1.0], [0.0, 2.0], [0.0, -1.0]])
+    with pytest.raises(DomainError, match=r"^zero raised to a negative power at \[0\.0, -1\.0\]"):
+        eval_expr(parse("u1^u2", 2), space.variables(bad), space)
+
+
+def test_intern_makes_equal_subtrees_one_node():
+    """Equal subtrees across the list become one node, which keeps the span
+    of its first occurrence; 0.0 and -0.0 stay apart, and the list is equal
+    to the one it was made from."""
+    den = "(sqrt(2)-sin(u2))"
+    comps = [parse(f"{f}(u1)/{den}", 2) for f in ("cos", "sin")] + [parse(f"cos(u2)/{den}", 2)]
+    shared = intern(comps)
+    assert shared == comps
+    assert shared[0].right is shared[1].right is shared[2].right
+    assert shared[0].left is not shared[2].left
+    alone = parse("sin(u2)", 2)
+    first = intern([alone] + comps)
+    assert first[0] is alone and first[1].right.right is alone and alone.span == Span(0, 7)
+    zeros = intern([Num(0.0, DUMMY), Num(-0.0, DUMMY), Num(0.0, Span(1, 2))])
+    assert zeros[0] is not zeros[1] and zeros[2] is zeros[0]
+
+
+def _lists_sharing_subtrees(dim):
+    """Lists of 2 to 4 expressions over a pool of 1 to 3 subtrees: each one
+    a subtree of the pool, or one operation on subtrees of it."""
+
+    def over(pool):
+        part = st.sampled_from(pool)
+        return st.lists(
+            st.one_of(
+                part,
+                st.builds(Neg, part, st.just(DUMMY)),
+                st.builds(Bin, st.sampled_from("+-*/^"), part, part, st.just(DUMMY)),
+                st.builds(Call, st.sampled_from(FUNCTIONS), part, st.just(DUMMY)),
+            ),
+            min_size=2,
+            max_size=4,
+        )
+
+    return st.lists(_ast_strategy(dim), min_size=1, max_size=3).flatmap(over)
+
+
+def _evaluated(exprs, pts, order, memo):
+    """Each expression's jet at the points, or the DomainError raised first."""
+    space = get_space(2, order)
+    uv = space.variables(pts)
+    try:
+        with np.errstate(all="ignore"):
+            return [eval_expr(e, uv, space, memo) for e in exprs]
+    except DomainError as exc:
+        return exc
+
+
+_COORD = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _lists_sharing_subtrees(2),
+    st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=3),
+    st.integers(0, 3),
+)
+def test_shared_evaluation_equals_one_at_a_time(drawn, pts, order):
+    """A list interned and evaluated with one memo gives, for each
+    expression, the jet that evaluating it alone gives, bitwise (NaN equal
+    to NaN); where one way refuses a point, both raise the same DomainError,
+    message and span alike. The expressions are parsed from their source,
+    so that each node has a span of its own."""
+    exprs = [parse(to_source(e), 2) for e in drawn]
+    pts = np.array(pts)
+    alone = _evaluated(exprs, pts, order, None)
+    shared = _evaluated(intern(exprs), pts, order, {})
+    if isinstance(alone, DomainError) or isinstance(shared, DomainError):
+        assert type(alone) is type(shared)
+        assert str(alone) == str(shared) and alone.span == shared.span
+        return
+    for a, b in zip(alone, shared):
+        assert a.space is b.space and a.coeffs.shape == b.coeffs.shape
+        assert np.array_equal(a.coeffs, b.coeffs, equal_nan=True)

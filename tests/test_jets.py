@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -511,3 +512,142 @@ def test_jet_along_stacks_derivatives_as_jstack(monkeypatch, nvars, order, layou
     want = jstack([F.d(a) for a in range(nvars)], axis=-1)
     assert got.space is want.space
     assert np.array_equal(got.coeffs, want.coeffs) and got.coeffs.strides == want.coeffs.strides
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided", "broadcast"])
+@pytest.mark.parametrize("axis", [0, 2, -1, -2, -3])
+def test_grad_is_jstack_of_derivatives(nvars, order, layout, axis):
+    """F.grad(axis) is jstack([F.d(a) ...], axis) in values and in strides
+    alike, whatever the memory order of F's coefficients."""
+    rng = np.random.default_rng([nvars, order, len(layout), axis % 5])
+    sp = get_space(nvars, order)
+    if layout == "broadcast":
+        F = Jet(sp, rng.uniform(-1.0, 1.0, (3, sp.ncoeff))).broadcast_to((4, 3))
+    else:
+        F = _laid_out(rng, sp, (4, 3), layout)
+    got = F.grad(axis)
+    want = jstack([F.d(a) for a in range(nvars)], axis=axis)
+    assert got.space is want.space
+    assert np.array_equal(got.coeffs, want.coeffs) and got.coeffs.strides == want.coeffs.strides
+
+
+def test_grad_serves_every_derivative_stack(monkeypatch):
+    """christoffel_jets, curvature_jets, a frame's J and jet_along each stack
+    their derivatives with one Jet.grad, equal to the jstack of the Jet.d it
+    replaced in values and in strides: an einsum over a stack sums in its
+    memory order."""
+    from framelab.submanifold import builtin_submanifold
+
+    grad = Jet.grad
+    seen = set()
+
+    def checked(F, axis=-1):
+        got = grad(F, axis)
+        want = jstack([F.d(a) for a in range(F.space.nvars)], axis=axis)
+        assert np.array_equal(got.coeffs, want.coeffs) and got.coeffs.strides == want.coeffs.strides
+        seen.add(sys._getframe(1).f_code.co_name)
+        return got
+
+    monkeypatch.setattr(Jet, "grad", checked)
+    for name in ("sphere2", "clifford"):
+        M = builtin_submanifold(name)
+        fd = M.frame_data(np.array([M.chart_domain.mean(axis=1), M.chart_domain[:, 0] + 0.1]), 4)
+        fd.R, fd.Rt_chart
+        jet_along(jstack(fd.uv, axis=-1).cut(2), fd.E)
+    assert seen == {"christoffel_jets", "curvature_jets", "__init__", "jet_along"}
+
+
+def _reference_horner(jet: Jet, dcoef) -> Jet:
+    """Horner's rule as out * h + constant(c), one new jet per step."""
+    sp = jet.space
+    h = jet - sp.constant(jet.val)
+    out = sp.constant(dcoef[-1])
+    for c in dcoef[-2::-1]:
+        out = out * h + sp.constant(c)
+    return out
+
+
+# A jet at value 0 in 2 variables, by order, whose cosine series meets a
+# product with -0.0 in a derivative slot: adding the constant jet makes it
+# +0.0, which adding into the value slot alone would not.
+LIVE_NEGATIVE_ZERO = {
+    2: [0.0, -1.0, 1.0, 0.0, 0.0, -0.0],
+    3: [0.0, 1.0, 1.0, 1.0, -1.0, 0.5, -0.0, -1.0, 0.0, -0.0],
+}
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_series_add_their_constants_in_place_bitwise(order):
+    """The series are Horner's rule with each constant added in place into
+    the product; they equal out * h + constant(c) to the last bit, the sign
+    of a zero included, on a jet that holds -0.0 coefficients."""
+    sp = get_space(2, order)
+    c = np.random.default_rng(order).uniform(0.2, 0.9, (3, sp.ncoeff))
+    c[1] = LIVE_NEGATIVE_ZERO[order]
+    c[2, 1:] = -0.0
+    x = Jet(sp, c)
+    v, K = x.val, order
+    cases = {
+        jexp: [np.exp(v) / math.factorial(k) for k in range(K + 1)],
+        jsin: [[np.sin(v), np.cos(v), -np.sin(v), -np.cos(v)][k % 4] / math.factorial(k) for k in range(K + 1)],
+        jcos: [[np.cos(v), -np.sin(v), -np.cos(v), np.sin(v)][k % 4] / math.factorial(k) for k in range(K + 1)],
+    }
+    for fn, dcoef in cases.items():
+        got, want = fn(x), _reference_horner(x, np.array(dcoef))
+        assert got.coeffs.tobytes() == want.coeffs.tobytes() and got.coeffs.strides == want.coeffs.strides
+    # the case is live: steps that add into the value slot alone differ
+    h = x - sp.constant(v)
+    out = sp.constant(cases[jcos][-1])
+    for dk in cases[jcos][-2::-1]:
+        out = out * h
+        out.coeffs[..., 0] += dk
+    assert out.coeffs.tobytes() != jcos(x).coeffs.tobytes()
+
+
+def test_solve_subtracts_the_value_in_place_bitwise():
+    """jet_solve's Neumann step reads a minus its value as a copy of a with
+    the value slot subtracted in place: bitwise a - constant(a.val), -0.0
+    derivative coefficients kept."""
+    sp = get_space(2, 2)
+    rng = np.random.default_rng(3)
+    c = rng.uniform(-0.2, 0.2, (4, 3, 3, sp.ncoeff))
+    c[..., 0] += 2.0 * np.eye(3)
+    c[1, :, :, 1:] = -0.0
+    a, b = Jet(sp, c), Jet(sp, rng.uniform(-1.0, 1.0, (4, 3, sp.ncoeff)))
+    a0 = a.val
+    b0inv = np.linalg.inv(a0)
+    step = jet_matmul(-b0inv, a - sp.constant(a0))
+    term = inv = sp.constant(b0inv)
+    for _ in range(sp.order):
+        term = jet_matmul(step, term)
+        inv = inv + term
+    want = jet_matvec(inv, b)
+    assert jet_solve(a, b).coeffs.tobytes() == want.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 4, 3)])
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_variables_fill_one_array(shape, order):
+    """variables gives each variable(a, point[..., a]) in values and strides,
+    and refuses a point with too few coordinates."""
+    sp = get_space(3, order)
+    pt = np.random.default_rng(len(shape)).uniform(-1.0, 1.0, shape)
+    for got, a in zip(sp.variables(pt), range(3)):
+        want = sp.variable(a, pt[..., a])
+        assert np.array_equal(got.coeffs, want.coeffs) and got.coeffs.strides == want.coeffs.strides
+    with pytest.raises(ValueError, match="needs 3 coordinates"):
+        sp.variables(pt[..., :1])
+
+
+def test_pow_int_takes_each_point_its_own_exponent():
+    """An array of integer exponents gives each point the power of its own
+    exponent, bitwise that power formed alone; a power a point does not
+    take is discarded silently, even where it divides by zero."""
+    sp = get_space(1, 2)
+    x = Jet(sp, np.array([[2.0, 1.0, 0.5], [0.0, 1.0, 0.0], [1.5, -1.0, 0.25]]))
+    n = np.array([3.0, 2.0, -2.0])
+    got = jpow_int(x, n)
+    for i, k in enumerate(n):
+        assert np.array_equal(got.coeffs[i], jpow_int(x[i], int(k)).coeffs)

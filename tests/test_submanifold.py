@@ -142,6 +142,28 @@ LAZY_ATTRIBUTES = (
 )
 
 
+@pytest.mark.parametrize("order", [1, 4])
+def test_a_frame_evaluates_each_shared_subexpression_once(order, monkeypatch):
+    """clifford's three components share (sqrt(2)-sin(u2)): a frame
+    evaluates it, and so sin(u2) and sqrt(2), once; sin(u1), cos(u1) and
+    cos(u2) once each. Its phi is the jet that evaluating each component
+    alone gives, bitwise."""
+    from framelab import expr
+
+    M = builtin_submanifold("clifford")
+    calls = []
+    for fn in ("jsin", "jcos", "jsqrt"):
+        monkeypatch.setattr(expr, fn, lambda a, _f=getattr(expr, fn), _n=fn: calls.append(_n) or _f(a))
+    u = np.array([[0.3, -0.4], [-0.5, 0.1]])
+    fd = M.frame_data(u, order)
+    assert sorted(calls) == ["jcos", "jcos", "jsin", "jsin", "jsqrt"]
+    monkeypatch.undo()
+    space = get_space(2, order)
+    uv = space.variables(u)
+    alone = jstack([eval_expr(c, uv, space) for c in M.components], axis=-1)
+    assert np.array_equal(fd.phi.coeffs, alone.coeffs)
+
+
 def test_frame_attributes_built_on_first_use():
     fd = builtin_submanifold("sphere2").frame_data([1.1, 0.2])
     assert not set(LAZY_ATTRIBUTES) & set(vars(fd))

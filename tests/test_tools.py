@@ -1,13 +1,15 @@
 """tools/bench.py, the harness that times a base tree against this one:
 it starts and prints its help, runs the benchmark's pinned work, times the
-two trees interleaved, its counts see a call at every site they wrap, and
-its start-up row imports the tree it names."""
+two trees interleaved, its counts see a call at every site they wrap, its
+expression rows evaluate as the trees do, and its start-up row imports the
+tree it names."""
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,6 +90,23 @@ def test_counts_see_a_call_at_every_site(bench):
     assert counts and all(n > 0 for n in counts.values()), counts
     products = bench.product_counts(ns)
     assert all(products[row]["order_1_or_more"] > 0 for row in ("registry", "theorem")), products
+
+
+def test_expr_rows_evaluate_each_list_as_one_at_a_time(bench):
+    """The expr_eval_us rows time every builtin's components and the sphere
+    chart's entry, and the way a tree evaluates a list (interned, with one
+    memo, where the tree has expr.intern) gives the jets that evaluating
+    each expression alone gives."""
+    ns = bench.load_tree(ROOT / "src", "framelab_expr_rows")
+    lists = bench.expr_lists(ns)
+    assert list(lists) == [*bench.BUILTINS, "sphere_chart_entry"]
+    for exprs, point, orders in lists.values():
+        for order in orders:
+            sp = ns.jets.get_space(len(point), order)
+            uv = sp.variables(np.asarray(point))
+            got = bench.evaluating(ns, exprs)(uv, sp)
+            want = [ns.expr.eval_expr(e, uv, sp) for e in exprs]
+            assert all(np.array_equal(g.coeffs, w.coeffs) for g, w in zip(got, want, strict=True))
 
 
 def test_startup_imports_the_tree_it_names(bench, tmp_path):

@@ -36,6 +36,11 @@ BENCH_fd_check.json:
 - kernel_us: the time per call of Jet.__mul__ on (5,) jets and of
   jet_einsum("...ik,...kj->...ij") on (5, 3, 3) jets, in 2 variables, at
   orders 0-4;
+- expr_eval_us: the time per evaluation of an expression list at one
+  point, as a frame evaluates it: each builtin's immersion components at
+  its first sample point (seed 0) at orders 1-4, and the diagonal entry of
+  sphere_chart(1.0, 3) at order 3 at one point; a tree with expr.intern
+  evaluates the list interned, with one memo per evaluation;
 - frame_build_ms: one FramePointData build at the first sample point of
   each builtin, at orders 1-4, with every attribute that order serves read
   once (the attributes are built on first read);
@@ -143,7 +148,7 @@ def load_tree(src: Path, name: str) -> SimpleNamespace:
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    modules = ["jets", "ambient", "submanifold", "operators", "omn_geometry", "gauss_map", "verify"]
+    modules = ["expr", "jets", "ambient", "submanifold", "operators", "omn_geometry", "gauss_map", "verify"]
     if (init.parent / "oracles.py").exists():
         modules.append("oracles")
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in modules})
@@ -258,6 +263,65 @@ def kernel_timings(fl: dict) -> dict:
         rows = {tree: kernel_rows(ns, order) for tree, ns in fl.items()}
         for kernel, by_order in out.items():
             by_order[str(order)] = interleaved(timers({t: r[kernel] for t, r in rows.items()}), 1e6)
+    return out
+
+
+EXPR_ORDERS = range(1, 5)
+# the sphere chart's diagonal entry: radius, dimension, point, order
+SPHERE_ENTRY = (1.0, 3, (0.3, -0.2, 0.5), 3)
+
+
+def evaluating(ns, exprs):
+    """A function of (varjets, space) that evaluates the expression list as
+    the tree ns evaluates a frame's or a metric's list: interned, with one
+    memo per call, where the tree has expr.intern, and one at a time where
+    it has not."""
+    expr = ns.expr
+    if not hasattr(expr, "intern"):
+        return lambda uv, sp: [expr.eval_expr(e, uv, sp) for e in exprs]
+    exprs = expr.intern(exprs)
+
+    def shared(uv, sp):
+        memo = {}
+        return [expr.eval_expr(e, uv, sp, memo) for e in exprs]
+
+    return shared
+
+
+def expr_row(ns, exprs, point, order: int) -> tuple:
+    """A pass that evaluates the expression list at the point to `order`."""
+    point = np.asarray(point, dtype=float)
+    sp = ns.jets.get_space(point.shape[-1], order)
+    uv = sp.variables(point)
+    run = evaluating(ns, exprs)
+
+    def evaluate(_):
+        run(uv, sp)
+
+    return nothing, evaluate
+
+
+def expr_lists(ns) -> dict:
+    """The rows of expr_eval_us, (expressions, point, orders) by row: each
+    builtin's components at its first sample point, and the sphere chart's
+    diagonal entry."""
+    sm = ns.submanifold
+    out = {}
+    for name in BUILTINS:
+        M = sm.builtin_submanifold(name)
+        out[name] = (M.components, ns.omn_geometry.domain_samples(M, 1, seed=0)[0], EXPR_ORDERS)
+    radius, dim, x, order = SPHERE_ENTRY
+    out["sphere_chart_entry"] = ([ns.ambient.sphere_chart(radius, dim).entries[0][0]], x, [order])
+    return out
+
+
+def expr_timings(fl: dict) -> dict:
+    lists = {tree: expr_lists(ns) for tree, ns in fl.items()}
+    out = {}
+    for row, (_, _, orders) in lists["base"].items():
+        out[row] = {str(order): interleaved(timers({tree: expr_row(ns, *lists[tree][row][:2], order)
+                                                    for tree, ns in fl.items()}), 1e6)
+                    for order in orders}
     return out
 
 
@@ -508,6 +572,7 @@ def main(argv=None) -> int:
         "rounds": ROUNDS,
         "timing_s": TIMING_S,
         "kernel_us": kernel_timings(fl),
+        "expr_eval_us": expr_timings(fl),
         "frame_build_ms": {name: {str(order): interleaved(timers(each(frame_build, name, order)), 1e3)
                                   for order in FRAME_ORDERS} for name in BUILTINS},
         "fd_relative_error_ms": {q: interleaved(timers(each(fd_pass, [q]), calls), 1e3) for q in FD_QUANTITIES},
