@@ -30,32 +30,37 @@ table of the space it lands in. The table lists the P unordered coefficient
 pairs (i, j), i <= j, whose degrees sum to at most the order, grouped by
 target, and then the same P pairs swapped. Each operand is gathered once
 over these 2P ordered pairs, one elementwise product or one einsum forms
-their terms e, and the coefficients are w * (e[:P] + e[P:]) summed by
-target, with the weight w = 1/2 on the diagonal i == j and 1 elsewhere.
-Swapping the operands swaps the two halves of e, floating-point addition
-commutes, and w scales exactly, so a * b and b * a agree to the last bit.
+their terms e, and the coefficients are e[:P] + e[P:] off the diagonal and
+e[:P] on it (i == j), summed by target. Swapping the operands swaps the two
+halves of e, floating-point addition commutes, and the two halves of a
+diagonal pair are the same product, equal to the last bit, so a * b and
+b * a agree to the last bit. Keeping the first half is (e + e) * 0.5 for
+every finite e, subnormals included, except where e + e overflows (|e|
+above half the largest double, 8.99e307): there the coefficient stays
+finite where the halved sum was inf.
 
 Where every target has exactly one pair (the tables of orders 0 and 1:
-the pairs (0, k)), the sum by target adds nothing, and the weighted terms
-are the coefficients: np.add.reduceat is skipped. An order-0 `*` is the
-product of the values, which is what its doubled and halved pair gives.
-These results are laid out C-contiguous, as reduceat lays out its sum when
-the operands' leading axes are in C order: an elementwise result would keep
-the strides of e, where the pair axis is often the slowest, and a later
-einsum over it would sum in another order and round differently.
+the pairs (0, k)), the sum by target adds nothing, and the terms are the
+coefficients: np.add.reduceat is skipped. An order-0 `*` is the product of
+the values, which is what its one pair gives. These results are laid out
+C-contiguous, as reduceat lays out its sum when the operands' leading axes
+are in C order: an elementwise result would keep the strides of e, where
+the pair axis is often the slowest, and a later einsum over it would sum in
+another order and round differently.
 
-An order-0 jet_einsum keeps its two gathers a[..., left] and b[..., right]
-and its einsum over the doubled pair axis: the gathers come out with the
-pair axis slowest, and that layout fixes the order in which the einsum
-sums. An einsum over the values alone, over a pair axis of size 1 or over a
-stride-0 doubled view sums in other orders and rounds some sums
-differently. The two halves of e are the pair (0, 0) and its swap, formed
-alike, so they are equal to the last bit, and the first half, copied
-C-contiguous, is the coefficient: w * (e[:1] + e[1:]) is the same value
-short of overflow, where e[:1] + e[1:] is inf for |e| above half the
-largest double (8.99e307). Every einsum of jet_einsum is numpy's c_einsum,
-the function np.einsum calls when it is not asked to optimize, so each call
-skips np.einsum's Python wrapper and its argument dispatch.
+An order-0 jet_einsum forms the pair (0, 0) alone, not the pair and its
+swap. Each operand's value slice c[..., :1] is copied in its own memory
+order (copy(order="K")), the layout of one half of the doubled gather
+c[..., [0, 0]]; the einsum runs over that size-1 pair axis in numpy's
+default output order, and its result is copied C-contiguous. An einsum sums
+in an order its operands' strides fix, so this sums as the einsum over the
+doubled gather did, and gives its first half to the last bit, for every
+pairing of operand layouts the tests try. An einsum on the strided .val, on
+C-order copies, or asked for a C-order output sums some contractions in
+another order and rounds them differently. Every einsum of jet_einsum is
+numpy's c_einsum, the function np.einsum calls when it is not asked to
+optimize, so each call skips np.einsum's Python wrapper and its argument
+dispatch.
 
 The elementary functions are Taylor series in jet - jet.val, summed by
 Horner's rule. Each step, out * h + constant(c), adds the constant in place
@@ -155,16 +160,16 @@ class JetSpace:
                     continue
                 tgt = self.index_of[tuple(x + y for x, y in zip(a, b))]
                 by_target.setdefault(tgt, []).append((i, j))
-        pi, pj, w, starts = [], [], [], []
+        pi, pj, starts = [], [], []
         for k in range(self.ncoeff):
             starts.append(len(pi))
             for i, j in sorted(by_target[k]):
                 pi.append(i)
                 pj.append(j)
-                w.append(0.5 if i == j else 1.0)
-        # (left index, right index, weight of each unordered pair, segment
-        # start of each target); the indices run over the 2P ordered pairs
-        self._product = (np.array(pi + pj), np.array(pj + pi), np.array(w), np.array(starts))
+        # (left index, right index, whether each unordered pair is off the
+        # diagonal i == j, segment start of each target); the indices run
+        # over the 2P ordered pairs
+        self._product = (np.array(pi + pj), np.array(pj + pi), np.array(pi) != np.array(pj), np.array(starts))
 
     def _build_derivative_table(self) -> None:
         # (d_a f)_alpha = (alpha_a + 1) * f_{alpha + e_a}, for the alpha of
@@ -256,17 +261,16 @@ def _common(a: Jet, b: Jet) -> tuple[JetSpace, np.ndarray, np.ndarray]:
     return sp, _cut(a, sp), _cut(b, sp)
 
 
-def _pair_sum(e: np.ndarray, pw: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _pair_sum(e: np.ndarray, offdiag: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Coefficients of a product from its terms e (..., 2P) over the ordered
-    pair table: the two orders of each pair weighted, then summed by target;
-    a table with one pair per target needs no sum (see the module docstring)."""
-    P = pw.shape[0]
-    terms = e[..., :P] + e[..., P:]
-    if len(starts) == P:
-        return np.multiply(pw, terms, order="C")
-    # weighted in place: a second array of terms would be live during the sum
-    terms *= pw
-    return np.add.reduceat(terms, starts, axis=-1)
+    pair table: the two orders of each pair added off the diagonal, the first
+    kept on it, then summed by target; a table with one pair per target
+    needs no sum (see the module docstring)."""
+    P = offdiag.shape[0]
+    one = len(starts) == P
+    terms = e[..., :P].copy(order="C" if one else "K")
+    np.add(terms, e[..., P:], out=terms, where=offdiag)
+    return terms if one else np.add.reduceat(terms, starts, axis=-1)
 
 
 class Jet:
@@ -350,9 +354,9 @@ class Jet:
         if sp.order == 0:
             # one coefficient: the product of the values
             return Jet(sp, np.multiply(a, b, order="C"))
-        left, right, pw, starts = sp._product
+        left, right, offdiag, starts = sp._product
         e = a[..., left] * b[..., right]
-        return Jet(sp, _pair_sum(e, pw, starts))
+        return Jet(sp, _pair_sum(e, offdiag, starts))
 
     __rmul__ = __mul__
 
@@ -460,12 +464,13 @@ def jet_einsum(sub: str, a, b) -> Jet:
     jet_jet, jet_arr, arr_jet = _einsum_subscripts(sub)
     if isinstance(a, Jet) and isinstance(b, Jet):
         sp, ca, cb = _common(a, b)
-        left, right, pw, starts = sp._product
-        e = c_einsum(jet_jet, ca[..., left], cb[..., right])
         if sp.order == 0:
-            # the pair (0, 0) and its swap: two equal halves, the first read
-            return Jet(sp, e[..., :1].copy())
-        return Jet(sp, _pair_sum(e, pw, starts))
+            # the pair (0, 0) alone, each value slice laid out as one half of
+            # the doubled gather (see the module docstring)
+            e = c_einsum(jet_jet, ca[..., :1].copy(order="K"), cb[..., :1].copy(order="K"))
+            return Jet(sp, np.ascontiguousarray(e))
+        left, right, offdiag, starts = sp._product
+        return Jet(sp, _pair_sum(c_einsum(jet_jet, ca[..., left], cb[..., right]), offdiag, starts))
     if isinstance(a, Jet):
         return Jet(a.space, c_einsum(jet_arr, a.coeffs, np.asarray(b, dtype=float)))
     if isinstance(b, Jet):

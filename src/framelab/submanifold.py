@@ -486,6 +486,15 @@ class FramePointData:
 
     @_built_on_read(2)
     def Pfr(self) -> Jet:
+        """P = I - 2 sum_A (S_A S_A)[:p, :p] in the tangent frame: the
+        deformed metric g(P X, Y) is <X^{h'}, Y^{h'}>, whose vertical part
+        pairs S_X and S_Y by skew_inner, <T, T'> = -tr(T T'), so an off-block
+        T with block h has |T|^2 = 2|h|^2, and that is the factor 2. For a
+        hypersurface in flat space the tangent blocks of -S_A S_A, summed
+        over A, are the frame matrix of the third fundamental form
+        III = II g^-1 II, so gt_chart = g + 2 III in chart terms and
+        h1 = |sum_i k_i / (1 + 2 k_i^2)| over the principal curvatures k_i
+        (a test checks it on a torus of revolution)."""
         p = self.p
         S2 = jet_einsum("...Aij,...Ajk->...ik", self.Smats, self.Smats)
         return self.uspace.constant(np.eye(p)) - 2.0 * S2[..., :p, :p]
@@ -544,6 +553,7 @@ SUBMANIFOLD_BUILTINS = (
     "catenoid",
     "great2(kappa)",
     "clifford",
+    "pseudosphere",
 )
 
 
@@ -605,6 +615,17 @@ def builtin_submanifold(name: str) -> ImmersedSubmanifold:
             [f"cos(u1)/{den}", f"sin(u1)/{den}", f"cos(u2)/{den}"],
             sphere_chart(1.0, 3),
             name="CLIFFORD",
+        )
+    if key == "pseudosphere":
+        # the tractroid of a = sqrt(2), Gauss curvature K = -1/a^2 = -1/2:
+        # a general-position input for the main theorem, not minimal, with
+        # h1 = 0 and h2, h3, m2 of order 1
+        return ImmersedSubmanifold(
+            2,
+            [[0.4, 1.6], [-1.2, 1.2]],
+            ["sqrt(2)*cos(u2)/cosh(u1)", "sqrt(2)*sin(u2)/cosh(u1)", "sqrt(2)*(u1-tanh(u1))"],
+            euclidean(3),
+            name="PSEUDOSPHERE",
         )
     raise FrameError(
         f"unknown submanifold {name!r}; builtins: {', '.join(SUBMANIFOLD_BUILTINS)}"

@@ -5,7 +5,7 @@ import pytest
 
 from framelab import gauss_map as gm
 from framelab import omn_geometry as og
-from framelab.ambient import sphere_chart
+from framelab.ambient import euclidean, sphere_chart
 from framelab.frame_bundle import FrameBundleError, nabla_ON, sasaki_mok_inner
 from framelab.gauss_map import (
     GaussMapError,
@@ -28,6 +28,7 @@ ALL_BUILTINS = [
     ("catenoid", np.array([0.35, -0.2])),
     ("great2(0.5)", np.array([0.2, -0.4])),
     ("clifford", np.array([0.4, -0.7])),
+    ("pseudosphere", np.array([0.9, 0.3])),
 ]
 
 CURVED = [
@@ -237,6 +238,38 @@ def test_residuals_sphere2_first_condition():
     data = residuals_at(builtin_submanifold("sphere2"), [1.1, 0.3])
     assert abs(data.r_h1 - 2.0 / 3.0) < 1e-12
     assert max(data.r_h2, data.r_h3, data.r_m2) < 1e-12
+
+
+def test_torus_h1_is_the_closed_form():
+    """For a hypersurface in flat space the deformed metric is g + 2 III, so
+    h1 = |sum_i k_i / (1 + 2 k_i^2)| over the principal curvatures: on a
+    torus of revolution k1 = cos u2 / (R + r cos u2) along the parallels and
+    k2 = 1 / r along the meridians."""
+    R, r = 2.0, 0.7
+    M = ImmersedSubmanifold(
+        2,
+        [[-1.0, 1.0], [-1.2, 1.2]],
+        [f"({R}+{r}*cos(u2))*cos(u1)", f"({R}+{r}*cos(u2))*sin(u1)", f"{r}*sin(u2)"],
+        euclidean(3),
+    )
+    u = og.domain_samples(M, 7, seed=0)
+    fd = M.frame_data(u)
+    k1, k2 = np.cos(u[:, 1]) / (R + r * np.cos(u[:, 1])), 1.0 / r
+    want = np.abs(k1 / (1 + 2 * k1**2) + k2 / (1 + 2 * k2**2))
+    assert np.max(np.abs(residual_data(fd, og.frame_trace(fd)).r_h1 - want)) <= 1e-13
+
+
+def test_pseudosphere_is_live_in_h2_h3_and_m2_only():
+    """The pseudosphere of K = -1/2 has k1 k2 = -1/2, so k_i / (1 + 2 k_i^2)
+    cancel and h1 vanishes, while h2, h3 and m2 are of order 1: neither
+    minimal nor harmonic, and the verdicts agree by a wide margin."""
+    M = builtin_submanifold("pseudosphere")
+    fd = M.frame_data(og.domain_samples(M, 25, seed=0))
+    data = residual_data(fd, og.frame_trace(fd))
+    assert data.r_h1.max() <= 1e-13
+    assert min(data.r_h2.min(), data.r_h3.min(), data.r_m2.min()) >= 0.1
+    report = theorem_check(M, samples=25, seed=0)
+    assert (report.minimal, report.harmonic, report.agree, report.separated) == (False, False, True, True)
 
 
 @pytest.mark.parametrize("name,u0", ALL_BUILTINS)

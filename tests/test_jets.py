@@ -423,16 +423,28 @@ def _pre_change_kernel(a: Jet, b: Jet, sub=None) -> np.ndarray:
 
 def _laid_out(rng, sp, shape, layout: str) -> Jet:
     """A jet of the given shape whose coefficients are C-contiguous, have
-    their leading axes reversed in memory, or sit at every other entry of
-    a wider array (a non-contiguous coefficient axis)."""
+    their leading axes reversed in memory, sit at every other entry of a
+    wider array (a non-contiguous coefficient axis), repeat along a stride-0
+    first axis (as Jet.broadcast_to lays them out), have negative strides
+    along every leading axis, or have the last leading axis slowest in
+    memory and the others in order (not a reversal from three axes on)."""
+    nd = len(shape)
     if layout == "contiguous":
         return Jet(sp, rng.uniform(-1.0, 1.0, shape + (sp.ncoeff,)))
     if layout == "transposed":
-        nd = len(shape)
         c = rng.uniform(-1.0, 1.0, shape[::-1] + (sp.ncoeff,))
         return Jet(sp, c.transpose(tuple(range(nd - 1, -1, -1)) + (nd,)))
+    if layout == "broadcast":
+        return Jet(sp, rng.uniform(-1.0, 1.0, shape[1:] + (sp.ncoeff,))).broadcast_to(shape)
+    if layout == "negative-stride":
+        return Jet(sp, np.flip(rng.uniform(-1.0, 1.0, shape + (sp.ncoeff,)), axis=tuple(range(nd))))
+    if layout == "permuted":
+        c = rng.uniform(-1.0, 1.0, shape[-1:] + shape[:-1] + (sp.ncoeff,))
+        return Jet(sp, np.moveaxis(c, 0, nd - 1))
     return Jet(sp, rng.uniform(-1.0, 1.0, shape + (2 * sp.ncoeff,))[..., ::2])
 
+
+KERNEL_LAYOUTS = ["contiguous", "transposed", "strided", "broadcast", "negative-stride", "permuted"]
 
 PAIR_KERNEL_CALLS = {
     "*": (None, (5, 3, 3), (5, 3, 3)),
@@ -440,12 +452,18 @@ PAIR_KERNEL_CALLS = {
     "...ij,...k->...ijk": ("...ij,...k->...ijk", (5, 3, 2), (5, 3)),
     "...k,...k->...": ("...k,...k->...", (5, 3), (5, 3)),
     "...a,...aij->...ij": ("...a,...aij->...ij", (5, 2), (5, 2, 3, 3)),
+    # the highest-rank contractions of the program, each at its shapes there
+    "...abij,...ji->...ab": ("...abij,...ji->...ab", (5, 3, 3, 3, 3), (5, 3, 3)),
+    "...ijkl,...k->...ijl": ("...ijkl,...k->...ijl", (5, 3, 3, 3, 3), (5, 3)),
+    "...mnqr,...nj->...mjqr": ("...mnqr,...nj->...mjqr", (5, 3, 3, 3, 3), (5, 3, 3)),
+    "...il,...ljk->...ijk": ("...il,...ljk->...ijk", (5, 3, 3), (5, 3, 3, 3)),
+    "...mlj,...ikm->...ijkl": ("...mlj,...ikm->...ijkl", (5, 3, 3, 3), (5, 3, 3, 3)),
 }
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3])
 @pytest.mark.parametrize("order", range(5))
-@pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+@pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
 @pytest.mark.parametrize("call", PAIR_KERNEL_CALLS)
 def test_pair_kernel_matches_pre_change_kernel(nvars, order, layout, call):
     """Jet * and jet_einsum are bitwise the pre-change kernel. Where every
@@ -464,6 +482,24 @@ def test_pair_kernel_matches_pre_change_kernel(nvars, order, layout, call):
         assert got.strides == want.strides
 
 
+@pytest.mark.parametrize("layout_b", KERNEL_LAYOUTS)
+@pytest.mark.parametrize("layout_a", KERNEL_LAYOUTS)
+@pytest.mark.parametrize("call", PAIR_KERNEL_CALLS)
+def test_order_0_kernel_matches_pre_change_kernel_across_layouts(call, layout_a, layout_b):
+    """At order 0, where jet_einsum contracts the one pair (0, 0) in place of
+    the pair and its swap, each operand in its own layout: an einsum sums in
+    an order its operands' strides fix, and the one-pair form has to sum as
+    the doubled gather does for every pairing of layouts."""
+    sub, sa, sb = PAIR_KERNEL_CALLS[call]
+    rng = np.random.default_rng([len(layout_a), len(layout_b), len(call)])
+    sp = get_space(2, 0)
+    a, b = _laid_out(rng, sp, sa, layout_a), _laid_out(rng, sp, sb, layout_b)
+    got = (a * b if sub is None else jet_einsum(sub, a, b)).coeffs
+    want = _pre_change_kernel(a, b, sub)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.flags.c_contiguous
+
+
 @pytest.mark.parametrize("nvars", [1, 2, 3])
 @pytest.mark.parametrize("order", [0, 1])
 def test_one_pair_products_commute_bitwise(nvars, order):
@@ -474,6 +510,20 @@ def test_one_pair_products_commute_bitwise(nvars, order):
     for _ in range(10):
         a, b = (Jet(sp, rng.standard_normal((4, 3, sp.ncoeff))) for _ in range(2))
         assert np.array_equal((a * b).coeffs, (b * a).coeffs)
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+@pytest.mark.parametrize("order", range(5))
+def test_diagonal_pairs_do_not_overflow(nvars, order):
+    """A diagonal pair (i, i) is one term, not the halved sum of two: with
+    value 1e154 the product's value is 1e308, finite, where e + e would be
+    inf (an overflow warning fails the test)."""
+    sp = get_space(nvars, order)
+    c = np.ones((1, sp.ncoeff))
+    c[..., 0] = 1e154
+    a = Jet(sp, c)
+    assert (a * a).coeffs[0, 0] == 1e308
+    assert jet_dot(a, a).coeffs[0] == 1e308
 
 
 @pytest.mark.parametrize("axis", [0, -1, -2])
@@ -501,10 +551,7 @@ def test_jet_along_stacks_derivatives_as_jstack(monkeypatch, nvars, order, layou
     sums in its memory order."""
     rng = np.random.default_rng([nvars, order, len(layout)])
     sp = get_space(nvars, order)
-    if layout == "broadcast":
-        F = Jet(sp, rng.uniform(-1.0, 1.0, (3, sp.ncoeff))).broadcast_to((4, 3))
-    else:
-        F = _laid_out(rng, sp, (4, 3), layout)
+    F = _laid_out(rng, sp, (4, 3), layout)
     stacks = []
     monkeypatch.setattr("framelab.jets.jet_einsum", lambda sub, X, dF: stacks.append(dF) or jet_einsum(sub, X, dF))
     jet_along(rng.uniform(-1.0, 1.0, nvars), F)
@@ -523,10 +570,7 @@ def test_grad_is_jstack_of_derivatives(nvars, order, layout, axis):
     alike, whatever the memory order of F's coefficients."""
     rng = np.random.default_rng([nvars, order, len(layout), axis % 5])
     sp = get_space(nvars, order)
-    if layout == "broadcast":
-        F = Jet(sp, rng.uniform(-1.0, 1.0, (3, sp.ncoeff))).broadcast_to((4, 3))
-    else:
-        F = _laid_out(rng, sp, (4, 3), layout)
+    F = _laid_out(rng, sp, (4, 3), layout)
     got = F.grad(axis)
     want = jstack([F.d(a) for a in range(nvars)], axis=axis)
     assert got.space is want.space

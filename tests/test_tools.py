@@ -1,16 +1,22 @@
 """tools/bench.py, the harness that times a base tree against this one:
 it starts and prints its help, runs the benchmark's pinned work, times the
 two trees interleaved, its counts see a call at every site they wrap, its
-expression rows evaluate as the trees do, and its start-up row imports the
-tree it names."""
+expression rows evaluate as the trees do, its start-up row imports the
+tree it names and says whether it was compiled from source, and its parity
+digests the pseudosphere builtin on a tree that predates it."""
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from framelab.ambient import euclidean
+from framelab.gauss_map import theorem_check
+from framelab.submanifold import ImmersedSubmanifold, builtin_submanifold
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -117,11 +123,36 @@ def test_startup_imports_the_tree_it_names(bench, tmp_path):
     timing a different one."""
     ballast = b"\1" * (128 << 20)
     got = bench.startup(ROOT / "src")()
-    assert set(got) == {"startup_ms", "startup_rss_mb"}
+    assert set(got) == {"startup_ms", "startup_rss_mb", *bench.BYTECODE_KEYS}
     assert got["startup_ms"] > 0 and 0 < got["startup_rss_mb"] < len(ballast) / 2**20
     del ballast
     with pytest.raises(subprocess.CalledProcessError):
         bench.startup(tmp_path)()
+
+
+@pytest.mark.parametrize("dont_write", [False, True])
+def test_startup_says_whether_framelab_was_compiled_from_source(bench, tmp_path, monkeypatch, dont_write):
+    """A start records the interpreter's dont_write_bytecode flag and whether
+    framelab/verify.py had bytecode before the import: a tree with none has
+    none at its first start, and has it at the next only where the
+    interpreter writes bytecode."""
+    shutil.copytree(ROOT / "src" / "framelab", tmp_path / "framelab", ignore=shutil.ignore_patterns("__pycache__"))
+    if dont_write:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    else:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    once = bench.startup(tmp_path)
+    first, second = once(), once()
+    assert first["dont_write_bytecode"] is second["dont_write_bytecode"] is dont_write
+    assert first["bytecode_present"] is False
+    assert second["bytecode_present"] is not dont_write
+
+
+def test_parity_pseudosphere_is_the_builtin(bench):
+    """The pseudosphere parity digests, built from its arguments, is the
+    builtin of that name: their theorem reports agree field by field."""
+    built = ImmersedSubmanifold(*bench.PSEUDOSPHERE, euclidean(3))
+    assert theorem_check(built, samples=5) == theorem_check(builtin_submanifold("pseudosphere"), samples=5)
 
 
 def test_a_timing_runs_at_least_min_passes(bench, monkeypatch):

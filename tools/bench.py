@@ -80,7 +80,12 @@ BENCH_registry.json:
   PYTHONPATH imports framelab.verify; the wall time of that import, and the
   interpreter's peak resident set (VmHWM) after it. One untimed start
   of each tree, then ROUNDS starts each, alternated as the other rows are;
-  change_faster counts the rounds in which the change was lower.
+  change_faster counts the rounds in which the change was lower;
+- startup_bytecode: per tree, whether the interpreter writes no bytecode
+  (sys.flags.dont_write_bytecode, set by PYTHONDONTWRITEBYTECODE) and
+  whether framelab/verify.py had bytecode before the import, at every timed
+  start. Without bytecode each start compiles framelab from source, so part
+  of the start-up time depends on the environment, not on the code.
 
 Each count wraps a callable where its callers look it up: on its owner, and
 jet_einsum in every module of the tree that binds it.
@@ -89,12 +94,12 @@ Both files hold parity, per tree, computed once: SHA-256 digests of
 run_suite(builtins=BUILTINS, samples=s, seed=k).canonical_json() for s in
 {5, 25} and k in {0, 1}; of the 490 fd_relative_error values (the builtins x
 FD_POINTS points x FD quantities, seeds 0 and 1) as float64 bytes; and of
-every theorem_check field on the builtins at 25 samples, seeds 0 and 3, with
-floats written by float.hex. parity_equal says whether the two trees'
-digests agree, and measured_s is the wall time of the whole run. The last
-line printed holds parity_equal, products_equal and the ratio change / base
-of each pass row. Only public framelab names are used. BLAS and OpenMP
-pools are pinned to one thread, as in the benchmark.
+every theorem_check field on the builtins and on PSEUDOSPHERE at 25
+samples, seeds 0 and 3, with floats written by float.hex. parity_equal says
+whether the two trees' digests agree, and measured_s is the wall time of the
+whole run. The last line printed holds parity_equal, products_equal and the
+ratio change / base of each pass row. Only public framelab names are used.
+BLAS and OpenMP pools are pinned to one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -136,6 +141,11 @@ FD_QUANTITIES = ("gamma_chart", "gamma_tilde", "nabla_vec", "nabla_prime_vec", "
 REGISTRY_SAMPLES = 5
 THEOREM_SAMPLES = 25
 FD_POINTS = 5
+# The pseudosphere builtin of K = -1/2, where h2, h3 and m2 are of order 1 as
+# on no benchmark builtin, by its arguments to ImmersedSubmanifold in
+# euclidean(3): a tree without the builtin is digested on it too.
+PSEUDOSPHERE = (2, [[0.4, 1.6], [-1.2, 1.2]],
+                ["sqrt(2)*cos(u2)/cosh(u1)", "sqrt(2)*sin(u2)/cosh(u1)", "sqrt(2)*(u1-tanh(u1))"])
 SEED = 0
 COUNT_SEED = 301
 
@@ -464,21 +474,28 @@ def product_counts(ns) -> dict:
 # The peak resident set is the interpreter's VmHWM, not its ru_maxrss: Linux
 # carries the resident set of the process that forked it across exec into
 # ru_maxrss, and this harness holds both trees.
+# Whether the import compiles framelab from source shows in its time: the
+# interpreter's dont_write_bytecode flag, and whether framelab/verify.py had
+# bytecode before the import, looked up by path so as not to import first.
 STARTUP = (
-    "import json, pathlib, time\n"
+    "import importlib.util, json, os, pathlib, sys, time\n"
+    "verify_py = pathlib.Path(os.environ['PYTHONPATH'], 'framelab', 'verify.py')\n"
+    "bytecode = pathlib.Path(importlib.util.cache_from_source(str(verify_py))).exists()\n"
     "t0 = time.perf_counter()\n"
     "import framelab.verify\n"
     "ms = (time.perf_counter() - t0) * 1e3\n"
     "status = pathlib.Path('/proc/self/status').read_text().splitlines()\n"
     "kb = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
-    "print(json.dumps({'file': framelab.__file__, 'startup_ms': ms, 'startup_rss_mb': kb / 1024}))\n"
+    "print(json.dumps({'file': framelab.__file__, 'startup_ms': ms, 'startup_rss_mb': kb / 1024,\n"
+    "                  'dont_write_bytecode': bool(sys.flags.dont_write_bytecode), 'bytecode_present': bytecode}))\n"
 )
+BYTECODE_KEYS = ("dont_write_bytecode", "bytecode_present")
 
 
 def startup(src: Path):
     """One start of the tree under src: a fresh interpreter with src on
     PYTHONPATH imports framelab.verify and gives the import's wall time in
-    ms and its peak resident set in MB, by row."""
+    ms and its peak resident set in MB, by row, and the BYTECODE_KEYS."""
     src = src.resolve()
     env = {**os.environ, "PYTHONPATH": str(src)}
 
@@ -495,11 +512,25 @@ def startup(src: Path):
 
 def startup_rows(srcs: dict) -> dict:
     """startup_ms and startup_rss_mb of the trees, after one untimed start
-    of each."""
+    of each, and startup_bytecode: per tree, each of the BYTECODE_KEYS held
+    at every timed start."""
     starts = {tree: startup(src) for tree, src in srcs.items()}
     for once in starts.values():
         once()
-    return interleaved(starts, 1.0)
+    seen = {tree: [] for tree in starts}
+
+    def timed(tree):
+        def once() -> dict:
+            out = starts[tree]()
+            seen[tree].append({key: out.pop(key) for key in BYTECODE_KEYS})
+            return out
+
+        return once
+
+    rows = interleaved({tree: timed(tree) for tree in starts}, 1.0)
+    rows["startup_bytecode"] = {tree: {key: all(s[key] for s in flags) for key in BYTECODE_KEYS}
+                                for tree, flags in seen.items()}
+    return rows
 
 
 def _sha(data: bytes) -> str:
@@ -522,10 +553,12 @@ def parity(ns) -> dict:
     out["fd_errors"] = _sha(np.array(errors, dtype=np.float64).tobytes())
     out["fd_errors_count"] = len(errors)
     out["fd_errors_max"] = max(errors)
+    inputs = {name: sm.builtin_submanifold for name in BUILTINS}
+    inputs["pseudosphere"] = lambda _: sm.ImmersedSubmanifold(*PSEUDOSPHERE, ns.ambient.euclidean(3))
     fields = []
     for seed in (0, 3):
-        for name in BUILTINS:
-            rep = ns.gauss_map.theorem_check(sm.builtin_submanifold(name), samples=25, seed=seed)
+        for name, make in inputs.items():
+            rep = ns.gauss_map.theorem_check(make(name), samples=25, seed=seed)
             for f in dataclasses.fields(rep):
                 v = getattr(rep, f.name)
                 fields.append(f"{name}/{seed}/{f.name}=" + (v.hex() if isinstance(v, float) else repr(v)))
