@@ -240,23 +240,63 @@ def test_residuals_sphere2_first_condition():
     assert max(data.r_h2, data.r_h3, data.r_m2) < 1e-12
 
 
-def test_torus_h1_is_the_closed_form():
-    """For a hypersurface in flat space the deformed metric is g + 2 III, so
-    h1 = |sum_i k_i / (1 + 2 k_i^2)| over the principal curvatures: on a
+TORUS_R, TORUS_r = 2.0, 0.7
+# S^2(0.8) x R: principal curvatures 1/0.8, 1/0.8 and 0.
+K_SPHERE = 1.25
+# The helix (cos t, sin t, t / 2) has curvature 1 / (1 + 1/4) = 0.8.
+HELIX = ["cos(u1)", "sin(u1)", "0.5*u1"]
+
+
+def torus_h1(u):
+    k1, k2 = np.cos(u[:, 1]) / (TORUS_R + TORUS_r * np.cos(u[:, 1])), 1.0 / TORUS_r
+    return np.abs(k1 / (1 + 2 * k1**2) + k2 / (1 + 2 * k2**2))
+
+
+@pytest.mark.parametrize("components,domain,want", [
+    pytest.param(
+        [f"({TORUS_R}+{TORUS_r}*cos(u2))*cos(u1)", f"({TORUS_R}+{TORUS_r}*cos(u2))*sin(u1)", f"{TORUS_r}*sin(u2)"],
+        [[-1.0, 1.0], [-1.2, 1.2]], torus_h1, id="torus"),
+    pytest.param(
+        ["0.8*cos(u1)*sin(u2)", "0.8*sin(u1)*sin(u2)", "0.8*cos(u2)", "u3"],
+        [[-1.0, 1.0], [0.4, 2.6], [-1.0, 1.0]], lambda u: 2 * K_SPHERE / (1 + 2 * K_SPHERE**2), id="sphere-x-line"),
+    pytest.param(HELIX, [[-1.0, 1.0]], lambda u: 20 / 57, id="helix"),
+])
+def test_torus_h1_is_the_closed_form(components, domain, want):
+    """In flat space the deformed metric is g + 2 III, so h1 = |sum_i k_i /
+    (1 + 2 k_i^2)| over the principal curvatures of a hypersurface: on a
     torus of revolution k1 = cos u2 / (R + r cos u2) along the parallels and
-    k2 = 1 / r along the meridians."""
-    R, r = 2.0, 0.7
-    M = ImmersedSubmanifold(
-        2,
-        [[-1.0, 1.0], [-1.2, 1.2]],
-        [f"({R}+{r}*cos(u2))*cos(u1)", f"({R}+{r}*cos(u2))*sin(u1)", f"{r}*sin(u2)"],
-        euclidean(3),
-    )
+    k2 = 1 / r along the meridians; on S^2(r) x R in R^4 (p = 3) they are
+    1/r, 1/r and 0. A curve has one principal curvature, its curvature k
+    along its principal normal, so on the helix in R^3 (codimension 2)
+    h1 = k / (1 + 2 k^2) = 20/57."""
+    M = ImmersedSubmanifold(len(domain), domain, components, euclidean(len(components)))
     u = og.domain_samples(M, 7, seed=0)
     fd = M.frame_data(u)
-    k1, k2 = np.cos(u[:, 1]) / (R + r * np.cos(u[:, 1])), 1.0 / r
-    want = np.abs(k1 / (1 + 2 * k1**2) + k2 / (1 + 2 * k2**2))
-    assert np.max(np.abs(residual_data(fd, og.frame_trace(fd)).r_h1 - want)) <= 1e-13
+    assert np.max(np.abs(residual_data(fd, og.frame_trace(fd)).r_h1 - want(u))) <= 1e-13
+
+
+def test_holomorphic_graph_in_r4_is_minimal_and_harmonic():
+    """The graph of z -> z^2 in C^2 = R^4 is a complex curve, so minimal, with
+    a normal bundle of rank 2: every residual vanishes and the theorem's
+    verdicts agree."""
+    M = ImmersedSubmanifold(2, [[-0.5, 0.5], [-0.5, 0.5]], ["u1", "u2", "u1*u1-u2*u2", "2*u1*u2"], euclidean(4))
+    report = theorem_check(M, samples=25, seed=0)
+    assert (report.minimal, report.harmonic, report.agree, report.separated) == (True, True, True, True)
+    fd = M.frame_data(og.domain_samples(M, 25, seed=0))
+    data = residual_data(fd, og.frame_trace(fd))
+    assert max(data.r_h1.max(), data.r_h2.max(), data.r_h3.max(), data.r_m2.max()) <= 1e-13
+
+
+def test_helix_is_live_in_the_normal_block():
+    """The helix in R^3 has n = 2, so so(n) is not 0, as on no builtin (each
+    has n = 1): neither minimal nor harmonic, with h3 and m2 of order 1
+    (0.198 at every point)."""
+    M = ImmersedSubmanifold(1, [[-1.0, 1.0]], HELIX, euclidean(3))
+    report = theorem_check(M, samples=25, seed=0)
+    assert (report.minimal, report.harmonic) == (False, False)
+    fd = M.frame_data(og.domain_samples(M, 25, seed=0))
+    data = residual_data(fd, og.frame_trace(fd))
+    assert min(data.r_h3.min(), data.r_m2.min()) >= 0.1
 
 
 def test_pseudosphere_is_live_in_h2_h3_and_m2_only():

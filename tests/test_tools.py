@@ -1,9 +1,9 @@
-"""tools/bench.py, the harness that times a base tree against this one:
-it starts and prints its help, runs the benchmark's pinned work, times the
-two trees interleaved, its counts see a call at every site they wrap, its
-expression rows evaluate as the trees do, its start-up row imports the
-tree it names and says whether it was compiled from source, and its parity
-digests the pseudosphere builtin on a tree that predates it."""
+"""tools/bench.py, the parity gate that compares a base tree with this one:
+it starts and prints its help, runs the benchmark's pinned work, its counts
+see a call at every site they wrap, its start-up row alternates the two
+trees, imports the tree it names and says whether it was compiled from
+source, and its parity digests the pseudosphere builtin on a tree that
+predates it."""
 
 import importlib.util
 import shutil
@@ -11,7 +11,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from framelab.ambient import euclidean
@@ -52,7 +51,7 @@ def test_bench_script_prints_its_help(script, writes):
 
 
 def test_harness_runs_the_benchmark_work(bench):
-    """The harness times and digests the work the benchmark runs: the same
+    """The harness counts and digests the work the benchmark runs: the same
     builtins in the same order, sample counts and FD quantities."""
     workload = load_by_path("perfbench_workload", ROOT / "perfbench" / "workload.py")
     assert bench.BUILTINS == workload.BUILTINS
@@ -62,8 +61,9 @@ def test_harness_runs_the_benchmark_work(bench):
 
 
 def test_interleaved_swaps_the_first_tree_and_compares_round_by_round(bench, monkeypatch):
-    """The tree that goes first swaps every round; the ratio is the median of
-    the per-round ratios, not the ratio of the medians; a tie is no win."""
+    """The start-up row alternates the trees: the tree that goes first swaps
+    every round; the ratio is the median of the per-round ratios, not the
+    ratio of the medians; a tie is no win."""
     base = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
     change = [2.0, 1.0, 3.0, 8.0, 1.0, 12.0, 7.0, 4.0, 9.0]
     monkeypatch.setattr(bench, "ROUNDS", len(base))
@@ -96,23 +96,6 @@ def test_counts_see_a_call_at_every_site(bench):
     assert counts and all(n > 0 for n in counts.values()), counts
     products = bench.product_counts(ns)
     assert all(products[row]["order_1_or_more"] > 0 for row in ("registry", "theorem")), products
-
-
-def test_expr_rows_evaluate_each_list_as_one_at_a_time(bench):
-    """The expr_eval_us rows time every builtin's components and the sphere
-    chart's entry, and the way a tree evaluates a list (interned, with one
-    memo, where the tree has expr.intern) gives the jets that evaluating
-    each expression alone gives."""
-    ns = bench.load_tree(ROOT / "src", "framelab_expr_rows")
-    lists = bench.expr_lists(ns)
-    assert list(lists) == [*bench.BUILTINS, "sphere_chart_entry"]
-    for exprs, point, orders in lists.values():
-        for order in orders:
-            sp = ns.jets.get_space(len(point), order)
-            uv = sp.variables(np.asarray(point))
-            got = bench.evaluating(ns, exprs)(uv, sp)
-            want = [ns.expr.eval_expr(e, uv, sp) for e in exprs]
-            assert all(np.array_equal(g.coeffs, w.coeffs) for g, w in zip(got, want, strict=True))
 
 
 def test_startup_imports_the_tree_it_names(bench, tmp_path):
@@ -154,17 +137,3 @@ def test_parity_pseudosphere_is_the_builtin(bench):
     built = ImmersedSubmanifold(*bench.PSEUDOSPHERE, euclidean(3))
     assert theorem_check(built, samples=5) == theorem_check(builtin_submanifold("pseudosphere"), samples=5)
 
-
-def test_a_timing_runs_at_least_min_passes(bench, monkeypatch):
-    """A pass longer than TIMING_S is still timed MIN_PASSES times per
-    timing, each on inputs of its own, so one timing does not rest on one
-    fast or slow spell of the host."""
-    monkeypatch.setattr(bench, "TIMING_S", 1e-9)
-    made, ran = [], []
-    rows = {tree: (lambda: made.append(1) or len(made), ran.append) for tree in bench.TREES}
-    once = bench.timers(rows)["change"]
-    made.clear()
-    ran.clear()
-    once()
-    assert len(ran) == len(made) == bench.MIN_PASSES == 3
-    assert sorted(ran) == [1, 2, 3]
