@@ -258,6 +258,5 @@ class CurvatureAtPoint:
 
 
 def curvature_at(N: AmbientSpace, x) -> CurvatureAtPoint:
-    G = N.metric_jets(x, 2)
-    R = curvature_jets(christoffel_jets(G))
+    _, _, R = N.geometry_jets(x, 2)
     return CurvatureAtPoint(np.asarray(x, dtype=float), R.val.copy())

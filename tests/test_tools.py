@@ -1,21 +1,15 @@
 """tools/bench.py, the parity gate that compares a base tree with this one:
 it starts and prints its help, runs the benchmark's pinned work, its counts
-see a call at every site they wrap, its start-up row alternates the two
-trees, imports the tree it names and says whether it was compiled from
-source, and its parity digests the pseudosphere builtin on a tree that
-predates it."""
+see a call at every site they wrap, and main writes the documented keys to
+both BENCH files and prints the three gates alone."""
 
 import importlib.util
-import shutil
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-from framelab.ambient import euclidean
-from framelab.gauss_map import theorem_check
-from framelab.submanifold import ImmersedSubmanifold, builtin_submanifold
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,32 +54,6 @@ def test_harness_runs_the_benchmark_work(bench):
         assert getattr(bench, name) == getattr(workload, name), name
 
 
-def test_interleaved_swaps_the_first_tree_and_compares_round_by_round(bench, monkeypatch):
-    """The start-up row alternates the trees: the tree that goes first swaps
-    every round; the ratio is the median of the per-round ratios, not the
-    ratio of the medians; a tie is no win."""
-    base = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
-    change = [2.0, 1.0, 3.0, 8.0, 1.0, 12.0, 7.0, 4.0, 9.0]
-    monkeypatch.setattr(bench, "ROUNDS", len(base))
-    order = []
-
-    def timer(tree, times, row=None):
-        values = iter(times)
-
-        def once():
-            order.append(tree)
-            return next(values) if row is None else {row: next(values)}
-
-        return once
-
-    got = bench.interleaved({"base": timer("base", base), "change": timer("change", change)}, 1e3)
-    assert order == ["base", "change", "change", "base"] * 4 + ["base", "change"]
-    assert got == {"base": 5e3, "change": 4e3, "ratio": 1.0, "change_faster": 3}
-
-    got = bench.interleaved({"base": timer("base", base, "pass"), "change": timer("change", change, "pass")}, 1.0)
-    assert got == {"pass": bench.compared(base, change, 1.0)}
-
-
 def test_counts_see_a_call_at_every_site(bench):
     """Each count wraps a callable where the work's callers look it up; a
     site that no call reaches reads 0 and would hide the work it is meant to
@@ -98,42 +66,20 @@ def test_counts_see_a_call_at_every_site(bench):
     assert all(products[row]["order_1_or_more"] > 0 for row in ("registry", "theorem")), products
 
 
-def test_startup_imports_the_tree_it_names(bench, tmp_path):
-    """A start imports framelab from the tree it is given and no other, and
-    gives the import's wall time and the interpreter's own peak memory, not
-    that of the process that started it (here 128 MB of ballast, which
-    ru_maxrss would report); a tree with no framelab fails rather than
-    timing a different one."""
-    ballast = b"\1" * (128 << 20)
-    got = bench.startup(ROOT / "src")()
-    assert set(got) == {"startup_ms", "startup_rss_mb", *bench.BYTECODE_KEYS}
-    assert got["startup_ms"] > 0 and 0 < got["startup_rss_mb"] < len(ballast) / 2**20
-    del ballast
-    with pytest.raises(subprocess.CalledProcessError):
-        bench.startup(tmp_path)()
-
-
-@pytest.mark.parametrize("dont_write", [False, True])
-def test_startup_says_whether_framelab_was_compiled_from_source(bench, tmp_path, monkeypatch, dont_write):
-    """A start records the interpreter's dont_write_bytecode flag and whether
-    framelab/verify.py had bytecode before the import: a tree with none has
-    none at its first start, and has it at the next only where the
-    interpreter writes bytecode."""
-    shutil.copytree(ROOT / "src" / "framelab", tmp_path / "framelab", ignore=shutil.ignore_patterns("__pycache__"))
-    if dont_write:
-        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    else:
-        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
-    once = bench.startup(tmp_path)
-    first, second = once(), once()
-    assert first["dont_write_bytecode"] is second["dont_write_bytecode"] is dont_write
-    assert first["bytecode_present"] is False
-    assert second["bytecode_present"] is not dont_write
-
-
-def test_parity_pseudosphere_is_the_builtin(bench):
-    """The pseudosphere parity digests, built from its arguments, is the
-    builtin of that name: their theorem reports agree field by field."""
-    built = ImmersedSubmanifold(*bench.PSEUDOSPHERE, euclidean(3))
-    assert theorem_check(built, samples=5) == theorem_check(builtin_submanifold("pseudosphere"), samples=5)
-
+def test_main_writes_the_documented_keys_and_prints_the_gates(bench, tmp_path, monkeypatch, capsys):
+    """main writes both BENCH files with exactly the keys its docstring
+    names, no timed row among them, and its last printed line holds the
+    three gates and nothing else. The passes are stubbed, so only main's
+    own assembly runs."""
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "load_tree", lambda src, name: name)
+    for row in ("fd_pass_counts", "product_counts", "parity"):
+        monkeypatch.setattr(bench, row, lambda ns: {"stub": 1})
+    assert bench.main(["--base", str(tmp_path / "base")]) == 0
+    common = {"command", "source", "parity", "parity_equal", "measured_s"}
+    fd_doc = json.loads((tmp_path / "BENCH_fd_check.json").read_text())
+    assert set(fd_doc) == common | {"fd_pass_counts", "counts_equal"}
+    registry_doc = json.loads((tmp_path / "BENCH_registry.json").read_text())
+    assert set(registry_doc) == common | {"samples", "theorem_samples", "count_seed", "products", "products_equal"}
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert json.loads(last) == {"parity_equal": True, "products_equal": True, "counts_equal": True}

@@ -1,20 +1,18 @@
-"""Parity digests, exact work counts and the start-up row of a base framelab
-tree against this one, written to BENCH_fd_check.json and
-BENCH_registry.json.
+"""Parity digests and exact work counts of a base framelab tree against this
+one, written to BENCH_fd_check.json and BENCH_registry.json.
 
     git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
     python tools/bench.py --base ../parent/src
 
 An A/A run, `python tools/bench.py --base src`, compares the checkout with
-itself: its parity_equal, products_equal and counts_equal read true, and its
-start-up ratio shows the noise of the host.
+itself: its parity_equal, products_equal and counts_equal read true.
 
 This is a gate, not a timer: a refactor that should leave every report, FD
 error and theorem field bitwise equal shows here whether it did, and a
-change to the work it does shows in exact counts. Speed is measured by
-perfbench/run.py, in alternated pairs of runs; only the start-up row is
-timed here, because its effects are large enough to resolve on a shared
-host.
+change to the work it does shows in exact counts. Speed, start-up included,
+is measured by perfbench/run.py, in alternated pairs of runs. --base takes
+a tree from commit 16b82fd on: one with the oracles module and the
+pseudosphere builtin.
 
 Both framelab source trees, the one under --base and the repository's src/,
 are loaded into one process under two package names. Both do the same work,
@@ -28,13 +26,12 @@ BENCH_fd_check.json:
   fd_check workload (fd_relative_error of every FD quantity at the FD_POINTS
   sample points, seed 0, of each builtin, on fresh submanifolds), the making
   of its submanifolds included: FramePointData builds,
-  AmbientSpace.metric_jets calls, the metric_at calls of the FD routes among
-  them (of oracles, or of verify in a tree that has no oracles module),
-  ImmersedSubmanifold.frame_data lookups, operators.as_chart_field calls,
-  the jet_pullback calls of submanifold (the frame's G, Gam and R) and the
-  metric entries ambient evaluates (its eval_expr calls, those made when an
-  ambient is made included); counts_equal, whether the two trees' counts
-  agree.
+  AmbientSpace.metric_jets calls, the oracles.metric_at calls of the FD
+  routes among them, ImmersedSubmanifold.frame_data lookups,
+  operators.as_chart_field calls, the jet_pullback calls of submanifold (the
+  frame's G, Gam and R) and the metric entries ambient evaluates (its
+  eval_expr calls, those made when an ambient is made included);
+  counts_equal, whether the two trees' counts agree.
 
 BENCH_registry.json:
 
@@ -45,20 +42,7 @@ BENCH_registry.json:
   (theorem_check on each builtin at THEOREM_SAMPLES samples, on submanifolds
   whose frames a first check has built), both at seed COUNT_SEED, by the
   order they land at, the lower of their operands' orders, and
-  products_equal, whether the two trees' counts agree;
-- startup_ms and startup_rss_mb: a fresh interpreter with the tree's src on
-  PYTHONPATH imports framelab.verify; the wall time of that import, and the
-  interpreter's peak resident set (VmHWM) after it. One untimed start of
-  each tree, then ROUNDS starts each, the two trees alternated and the one
-  that goes first swapped every round, so drift of a shared host falls on
-  both alike. The row holds each tree's median, the median over rounds of
-  the ratio change / base, and change_faster, the rounds in which the
-  change was lower;
-- startup_bytecode: per tree, whether the interpreter writes no bytecode
-  (sys.flags.dont_write_bytecode, set by PYTHONDONTWRITEBYTECODE) and
-  whether framelab/verify.py had bytecode before the import, at every timed
-  start. Without bytecode each start compiles framelab from source, so part
-  of the start-up time depends on the environment, not on the code.
+  products_equal, whether the two trees' counts agree.
 
 Each count wraps a callable where its callers look it up: on its owner, and
 jet_einsum in every module of the tree that binds it.
@@ -67,13 +51,12 @@ Both files hold parity, per tree: SHA-256 digests of
 run_suite(builtins=BUILTINS, samples=s, seed=k).canonical_json() for s in
 {5, 25} and k in {0, 1}; of the 490 fd_relative_error values (the builtins x
 FD_POINTS points x FD quantities, seeds 0 and 1) as float64 bytes; and of
-every theorem_check field on the builtins and on PSEUDOSPHERE at 25
-samples, seeds 0 and 3, with floats written by float.hex. parity_equal says
-whether the two trees' digests agree, and measured_s is the wall time of the
-whole run. The last line printed holds parity_equal, products_equal,
-counts_equal and the start-up ratio change / base. Only public framelab
-names are used. BLAS and OpenMP pools are pinned to one thread, as in the
-benchmark.
+every theorem_check field on the builtins and on the pseudosphere builtin
+at 25 samples, seeds 0 and 3, with floats written by float.hex.
+parity_equal says whether the two trees' digests agree, and measured_s is
+the wall time of the whole run. The last line printed holds parity_equal,
+products_equal and counts_equal. Only public framelab names are used. BLAS
+and OpenMP pools are pinned to one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -86,7 +69,6 @@ import importlib
 import importlib.util
 import json
 import os
-import statistics
 import subprocess
 import sys
 import time
@@ -100,8 +82,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-TREES = ("base", "change")
-ROUNDS = 9
 # The benchmark's work, as perfbench/workload.py pins it: its builtins in its
 # order, its sample counts and the FD quantities of its FD_TOL.
 BUILTINS = ("plane", "plane3", "circle", "sphere2", "catenoid", "great2(0.5)", "clifford")
@@ -110,51 +90,19 @@ FD_QUANTITIES = ("gamma_chart", "gamma_tilde", "nabla_vec", "nabla_prime_vec", "
 REGISTRY_SAMPLES = 5
 THEOREM_SAMPLES = 25
 FD_POINTS = 5
-# The pseudosphere builtin of K = -1/2, where h2, h3 and m2 are of order 1 as
-# on no benchmark builtin, by its arguments to ImmersedSubmanifold in
-# euclidean(3): a tree without the builtin is digested on it too.
-PSEUDOSPHERE = (2, [[0.4, 1.6], [-1.2, 1.2]],
-                ["sqrt(2)*cos(u2)/cosh(u1)", "sqrt(2)*sin(u2)/cosh(u1)", "sqrt(2)*(u1-tanh(u1))"])
 COUNT_SEED = 301
 
 
 def load_tree(src: Path, name: str) -> SimpleNamespace:
-    """The framelab package under src, imported as the package `name`, with
-    its oracles module where the tree has one."""
+    """The framelab package under src, imported as the package `name`."""
     init = src.resolve() / "framelab" / "__init__.py"
     spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    modules = ["expr", "jets", "ambient", "submanifold", "operators", "omn_geometry", "gauss_map", "verify"]
-    if (init.parent / "oracles.py").exists():
-        modules.append("oracles")
+    modules = ["expr", "jets", "ambient", "submanifold", "operators", "omn_geometry", "gauss_map", "verify",
+               "oracles"]
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in modules})
-
-
-def interleaved(time_once: dict, unit: float) -> dict:
-    """Time both trees ROUNDS times each, alternated; time_once[tree]() is
-    the seconds of one timing, or a dict of them by row, and then the result
-    is by row too. Times are scaled by unit."""
-    times = {tree: [] for tree in TREES}
-    for r in range(ROUNDS):
-        for tree in TREES if r % 2 == 0 else TREES[::-1]:
-            times[tree].append(time_once[tree]())
-    base, change = times["base"], times["change"]
-    if isinstance(base[0], dict):
-        return {row: compared([b[row] for b in base], [c[row] for c in change], unit) for row in base[0]}
-    return compared(base, change, unit)
-
-
-def compared(base: list, change: list, unit: float) -> dict:
-    """Each tree's median over the rounds, scaled by unit, the median ratio
-    change / base of a round, and the rounds in which the change was faster."""
-    return {
-        "base": statistics.median(base) * unit,
-        "change": statistics.median(change) * unit,
-        "ratio": statistics.median(c / b for b, c in zip(base, change)),
-        "change_faster": sum(c < b for b, c in zip(base, change)),
-    }
 
 
 @contextlib.contextmanager
@@ -198,7 +146,7 @@ def fd_pass_counts(ns) -> dict:
     sites = [
         ("frame_builds", sm.FramePointData, "__init__"),
         ("metric_jets_calls", ns.ambient.AmbientSpace, "metric_jets"),
-        ("metric_at_calls", getattr(ns, "oracles", ns.verify), "metric_at"),
+        ("metric_at_calls", ns.oracles, "metric_at"),
         ("frame_data_lookups", sm.ImmersedSubmanifold, "frame_data"),
         ("as_chart_field_calls", ns.operators, "as_chart_field"),
         ("jet_pullback_calls", sm, "jet_pullback"),
@@ -255,68 +203,6 @@ def product_counts(ns) -> dict:
     return out
 
 
-# The peak resident set is the interpreter's VmHWM, not its ru_maxrss: Linux
-# carries the resident set of the process that forked it across exec into
-# ru_maxrss, and this harness holds both trees.
-# Whether the import compiles framelab from source shows in its time: the
-# interpreter's dont_write_bytecode flag, and whether framelab/verify.py had
-# bytecode before the import, looked up by path so as not to import first.
-STARTUP = (
-    "import importlib.util, json, os, pathlib, sys, time\n"
-    "verify_py = pathlib.Path(os.environ['PYTHONPATH'], 'framelab', 'verify.py')\n"
-    "bytecode = pathlib.Path(importlib.util.cache_from_source(str(verify_py))).exists()\n"
-    "t0 = time.perf_counter()\n"
-    "import framelab.verify\n"
-    "ms = (time.perf_counter() - t0) * 1e3\n"
-    "status = pathlib.Path('/proc/self/status').read_text().splitlines()\n"
-    "kb = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
-    "print(json.dumps({'file': framelab.__file__, 'startup_ms': ms, 'startup_rss_mb': kb / 1024,\n"
-    "                  'dont_write_bytecode': bool(sys.flags.dont_write_bytecode), 'bytecode_present': bytecode}))\n"
-)
-BYTECODE_KEYS = ("dont_write_bytecode", "bytecode_present")
-
-
-def startup(src: Path):
-    """One start of the tree under src: a fresh interpreter with src on
-    PYTHONPATH imports framelab.verify and gives the import's wall time in
-    ms and its peak resident set in MB, by row, and the BYTECODE_KEYS."""
-    src = src.resolve()
-    env = {**os.environ, "PYTHONPATH": str(src)}
-
-    def once() -> dict:
-        done = subprocess.run([sys.executable, "-c", STARTUP], cwd=ROOT, env=env,
-                              capture_output=True, text=True, check=True)
-        out = json.loads(done.stdout)
-        if not Path(out.pop("file")).is_relative_to(src):
-            raise RuntimeError(f"framelab was not imported from {src}")
-        return out
-
-    return once
-
-
-def startup_rows(srcs: dict) -> dict:
-    """startup_ms and startup_rss_mb of the trees, after one untimed start
-    of each, and startup_bytecode: per tree, each of the BYTECODE_KEYS held
-    at every timed start."""
-    starts = {tree: startup(src) for tree, src in srcs.items()}
-    for once in starts.values():
-        once()
-    seen = {tree: [] for tree in starts}
-
-    def timed(tree):
-        def once() -> dict:
-            out = starts[tree]()
-            seen[tree].append({key: out.pop(key) for key in BYTECODE_KEYS})
-            return out
-
-        return once
-
-    rows = interleaved({tree: timed(tree) for tree in starts}, 1.0)
-    rows["startup_bytecode"] = {tree: {key: all(s[key] for s in flags) for key in BYTECODE_KEYS}
-                                for tree, flags in seen.items()}
-    return rows
-
-
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -337,12 +223,12 @@ def parity(ns) -> dict:
     out["fd_errors"] = _sha(np.array(errors, dtype=np.float64).tobytes())
     out["fd_errors_count"] = len(errors)
     out["fd_errors_max"] = max(errors)
-    inputs = {name: sm.builtin_submanifold for name in BUILTINS}
-    inputs["pseudosphere"] = lambda _: sm.ImmersedSubmanifold(*PSEUDOSPHERE, ns.ambient.euclidean(3))
     fields = []
     for seed in (0, 3):
-        for name, make in inputs.items():
-            rep = ns.gauss_map.theorem_check(make(name), samples=25, seed=seed)
+        # Beside them the pseudosphere builtin of K = -1/2, where h2, h3 and
+        # m2 are of order 1 as on no benchmark builtin.
+        for name in BUILTINS + ("pseudosphere",):
+            rep = ns.gauss_map.theorem_check(sm.builtin_submanifold(name), samples=25, seed=seed)
             for f in dataclasses.fields(rep):
                 v = getattr(rep, f.name)
                 fields.append(f"{name}/{seed}/{f.name}=" + (v.hex() if isinstance(v, float) else repr(v)))
@@ -382,13 +268,11 @@ def main(argv=None) -> int:
     products = each(product_counts)
     registry_doc = {
         **head,
-        "rounds": ROUNDS,
         "samples": REGISTRY_SAMPLES,
         "theorem_samples": THEOREM_SAMPLES,
         "count_seed": COUNT_SEED,
         "products": products,
         "products_equal": products["base"] == products["change"],
-        **startup_rows(srcs),
     }
     digests = each(parity)
     measured_s = time.perf_counter() - t0
@@ -396,8 +280,7 @@ def main(argv=None) -> int:
         doc.update(parity=digests, parity_equal=digests["base"] == digests["change"], measured_s=measured_s)
         (ROOT / name).write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps({"parity_equal": fd_doc["parity_equal"], "products_equal": registry_doc["products_equal"],
-                      "counts_equal": fd_doc["counts_equal"],
-                      "startup": round(registry_doc["startup_ms"]["ratio"], 3)}))
+                      "counts_equal": fd_doc["counts_equal"]}))
     return 0
 
 
