@@ -9,6 +9,7 @@ from framelab.ambient import (
     AmbientSpace,
     christoffel_jets,
     curvature_at,
+    curvature_jets,
     euclidean,
     metric_at,
     sphere_chart,
@@ -28,6 +29,21 @@ def test_euclidean_is_flat():
     assert np.array_equal(metric_at(N, x), np.eye(3))
     assert np.max(np.abs(christoffels(N, x))) == 0.0
     assert np.max(np.abs(curvature_at(N, x).components)) == 0.0
+
+
+def test_curvature_at_is_the_curvature_jet_of_the_metric():
+    """curvature_at reads R off geometry_jets at order 2, bitwise the value
+    of the metric -> Christoffel -> curvature chain, and hands out a copy
+    that a caller may change without changing the next reading."""
+    rng = np.random.default_rng(11)
+    for N in (sphere_chart(1.3, 3), euclidean(2)):
+        for _ in range(5):
+            x = rng.uniform(-1, 1, N.dim)
+            chain = curvature_jets(christoffel_jets(N.metric_jets(x, 2))).val
+            got = curvature_at(N, x).components
+            assert np.array_equal(got, chain)
+            got += 1.0
+            assert np.array_equal(curvature_at(N, x).components, chain)
 
 
 def test_sphere_chart_metric_values():

@@ -1,7 +1,9 @@
 """tools/bench.py, the parity gate that compares a base tree with this one:
 it starts and prints its help, runs the benchmark's pinned work, its counts
-see a call at every site they wrap, and main writes the documented keys to
-both BENCH files and prints the three gates alone."""
+see a call at every site they wrap and are taken off again, it loads the
+tree it names and no other, names the commit of a tree, and main writes the
+documented keys to both BENCH files, prints the three gates alone and
+reports a tree that differs."""
 
 import importlib.util
 import json
@@ -64,6 +66,67 @@ def test_counts_see_a_call_at_every_site(bench):
     assert counts and all(n > 0 for n in counts.values()), counts
     products = bench.product_counts(ns)
     assert all(products[row]["order_1_or_more"] > 0 for row in ("registry", "theorem")), products
+
+
+def test_load_tree_imports_the_tree_it_names(bench, tmp_path):
+    """A tree loads under the package name it is given, every module the
+    passes use from its own src, oracles among them; a tree with no
+    framelab fails rather than loading a different one."""
+    src = (ROOT / "src").resolve()
+    ns = bench.load_tree(ROOT / "src", "framelab_named")
+    for name, module in vars(ns).items():
+        assert module.__name__ == f"framelab_named.{name}"
+        assert Path(module.__file__).resolve().is_relative_to(src), module.__file__
+    assert ns.oracles.metric_at is not None
+    with pytest.raises(FileNotFoundError):
+        bench.load_tree(tmp_path, "framelab_missing")
+
+
+def test_counting_takes_its_wrappers_off_again(bench):
+    """Within the block each wrapped site calls count with its row and the
+    call's arguments before the callable; after it, even when the block
+    raises, every site holds its own callable again."""
+    class Owner:
+        @staticmethod
+        def double(x):
+            return 2 * x
+
+    original = Owner.double
+    seen = []
+    with pytest.raises(RuntimeError):
+        with bench.counting([("doubles", Owner, "double")], lambda row, *args: seen.append((row, args))):
+            assert Owner.double(3) == 6
+            raise RuntimeError
+    assert seen == [("doubles", (3,))]
+    assert Owner.double is original
+
+
+def test_source_commit_names_the_tree(bench, tmp_path):
+    """The commit of the repository's src is its HEAD, marked dirty or not;
+    a directory outside any repository reads unknown."""
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+    assert bench.source_commit(ROOT / "src") in (head, head + "+dirty")
+    assert bench.source_commit(tmp_path) == "unknown"
+
+
+def test_main_reports_a_tree_that_differs(bench, tmp_path, monkeypatch, capsys):
+    """Where the base tree's counts, products and digests differ from the
+    change's, both files and the last printed line say so: every gate
+    reads false."""
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "load_tree", lambda src, name: name)
+    for row in ("fd_pass_counts", "product_counts", "parity"):
+        monkeypatch.setattr(bench, row, lambda ns: {"tree": ns})
+    assert bench.main(["--base", str(tmp_path / "base")]) == 0
+    fd_doc = json.loads((tmp_path / "BENCH_fd_check.json").read_text())
+    registry_doc = json.loads((tmp_path / "BENCH_registry.json").read_text())
+    assert fd_doc["counts_equal"] is fd_doc["parity_equal"] is False
+    assert registry_doc["products_equal"] is registry_doc["parity_equal"] is False
+    assert fd_doc["parity"] == registry_doc["parity"] == {"base": {"tree": "framelab_base"},
+                                                          "change": {"tree": "framelab_change"}}
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert json.loads(last) == {"parity_equal": False, "products_equal": False, "counts_equal": False}
 
 
 def test_main_writes_the_documented_keys_and_prints_the_gates(bench, tmp_path, monkeypatch, capsys):
