@@ -227,10 +227,11 @@ def sphere_chart(radius: float, dim: int) -> AmbientSpace:
     """Round sphere of the given radius as a conformal chart on R^d.
 
     g = lambda^2 delta with lambda = 2R^2/(R^2 + |x|^2); constant sectional
-    curvature 1/R^2.
+    curvature 1/R^2. The radius must be positive and finite: it is written
+    into the metric's expression text.
     """
-    if radius <= 0:
-        raise AmbientError("sphere radius must be positive")
+    if not 0 < radius < np.inf:
+        raise AmbientError(f"sphere radius must be positive and finite, got {radius!r}")
     R = repr(float(radius))
     sumsq = "+".join(f"x{i + 1}^2" for i in range(dim))
     lam2 = f"(2*{R}^2/({R}^2+{sumsq}))^2"

@@ -24,10 +24,13 @@ condition), and their norms r_h1, r_h2, r_h3 and r_m2.
 The closed-form tension and the residuals take the frame sums of
 omn_geometry.frame_trace as an argument, the same sums the subbundle's mean
 curvature is assembled from, so a caller that reads several of them traces
-the frame once. theorem_check is the one sampled sweep of the main theorem:
-the subbundle is minimal exactly when the map is harmonic. It builds one
-frame holding all its sample points and takes one frame trace there, which
-the mean curvature and the residuals both read.
+the frame once. implication_residuals evaluates the two identities of the
+proof that link the condition sets; the registry case
+condition-set-implications is where they are checked. theorem_check is the
+one sampled sweep of the main theorem: the subbundle is minimal exactly when
+the map is harmonic. It builds one frame holding all its sample points and
+takes one frame trace there, which the mean curvature
+(omn_geometry.mean_curvature_OMN) and the residuals both read.
 """
 
 from __future__ import annotations
@@ -235,8 +238,6 @@ class TheoremReport:
     separated: bool
     max_mean_curvature: float
     max_harmonicity_residual: float
-    m2_identity_residual: float
-    h2_recovery_residual: float
     samples: int
     tol: float
 
@@ -246,28 +247,28 @@ def theorem_check(M: ImmersedSubmanifold, samples: int = 50, seed: int = 0) -> T
     sweep over the sampled points.
 
     It builds one frame holding all the sample points and takes one frame
-    trace there. From that trace it reads, at every point, the
-    mean-curvature norm, the three harmonicity residuals and the two
-    identities of implication_residuals; a residual that is not a finite
-    number raises GaussMapError naming its point. The subbundle is minimal
-    (the plane map harmonic) when the sup of the mean-curvature norm (of the
-    largest harmonicity residual) is below og.VERDICT_TOL. The two verdicts
-    must agree. The separated flag asks the outcome to be decisive: both
-    sups below the tolerance, or both at least 1e3 times it.
+    trace there. From that trace it reads, at every point, the norm of the
+    mean curvature og.mean_curvature_OMN and the three harmonicity
+    residuals; a residual that is not a finite number raises GaussMapError
+    naming its point. The subbundle is minimal (the plane map harmonic) when
+    the sup of the mean-curvature norm (of the largest harmonicity residual)
+    is below og.VERDICT_TOL. The two verdicts must agree. The separated flag
+    asks the outcome to be decisive: both sups below the tolerance, or both
+    at least 1e3 times it. The two identities of the proof that link the
+    condition sets (implication_residuals) are checked by the registry case
+    condition-set-implications, not here.
     """
     tol = og.VERDICT_TOL
     fd = M.frame_data(og.domain_samples(M, samples, seed=seed))
     trace = og.frame_trace(fd)
-    hval, vval = og.mean_curvature_parts(fd, trace)
-    # not lifted(): a non-finite H is refused below with the residuals, by point
-    h_norm = LiftedVector(fd, hval, vval).norm()
+    h_norm = og.mean_curvature_OMN(fd, trace).norm()
     data = residual_data(fd, trace)
     r_max = np.maximum(np.maximum(data.r_h1, data.r_h2), data.r_h3)
-    residuals = np.stack([h_norm, r_max, *implication_residuals(data)])
+    residuals = np.stack([h_norm, r_max])
     bad = ~np.isfinite(residuals).all(axis=0)
     if bad.any():
         raise GaussMapError(f"non-finite residual at sample point {fd.point_where(bad)}")
-    max_h, max_r, id_m2, id_h2 = (float(x) for x in residuals.max(axis=1))
+    max_h, max_r = (float(x) for x in residuals.max(axis=1))
     minimal, harmonic = max_h < tol, max_r < tol
     lo, hi = min(max_h, max_r), max(max_h, max_r)
     return TheoremReport(
@@ -277,8 +278,6 @@ def theorem_check(M: ImmersedSubmanifold, samples: int = 50, seed: int = 0) -> T
         separated=hi < tol or lo >= 1e3 * tol,
         max_mean_curvature=max_h,
         max_harmonicity_residual=max_r,
-        m2_identity_residual=id_m2,
-        h2_recovery_residual=id_h2,
         samples=samples,
         tol=tol,
     )

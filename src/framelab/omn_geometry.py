@@ -10,9 +10,10 @@ the operator algebra; each one is cross-checked elsewhere against the
 tangent/normal projection of the ambient bundle connection.
 
 The second fundamental form Pi(X^{h'}, Y^{h'}) is a linear assembly of four
-pieces bilinear in X and Y. The mean curvature is that assembly applied once
-to the sums over a deformed-orthonormal frame given by frame_trace, which
-the plane map's tension (gauss_map) reads too.
+pieces bilinear in X and Y. The mean curvature H is that assembly applied
+once to the sums over a deformed-orthonormal frame given by frame_trace, which
+the plane map's tension (gauss_map) reads too: mean_curvature_OMN(fd, trace)
+takes that trace as an argument and is the one route to H.
 
 Every function here takes the frame fd (a FramePointData) at which it
 evaluates, of one point or of a batch of points, and passes the batch axes
@@ -61,7 +62,6 @@ __all__ = [
     "OmnError",
     "OmnPlane",
     "omn_plane",
-    "MeanCurvatureReport",
     "TotallyGeodesicReport",
     "nabla_OMN",
     "curvature_OMN",
@@ -72,7 +72,6 @@ __all__ = [
     "domain_samples",
     "tilde_frame_fields",
     "frame_trace",
-    "mean_curvature_parts",
     "VERDICT_TOL",
 ]
 
@@ -518,20 +517,6 @@ def second_fundamental_OMN(fd: FramePointData, case: str, *args) -> LiftedVector
 # -- mean curvature and verdicts -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeanCurvatureReport:
-    """Mean curvature of the subbundle at one frame, or at each frame of a
-    batch, resolved against the normal generators: pairings with the normal
-    horizontal lifts and with the corrected off-diagonal verticals. The
-    arrays lead with the batch axes, and norm has the batch shape, a numpy
-    scalar at one point. H holds the frame."""
-
-    H: LiftedVector
-    z_pairings: np.ndarray  # (..., n) g_SM(H, e_alpha^h)
-    t_pairings: np.ndarray  # (..., p, n) g_SM(H, bar(T_{A alpha}) + (S_.)^h)
-    norm: np.ndarray
-
-
 def tilde_frame_fields(fd) -> list[Jet]:
     """Chart-coefficient jets of the deformed-metric orthonormal frame."""
     return [fd.Wchart[..., A] for A in range(fd.p)]
@@ -568,36 +553,21 @@ def frame_trace(fd: FramePointData) -> tuple[Jet, Jet, Jet, Jet, Jet]:
     return tuple(sum((t[A] for A in range(1, fd.p)), t[0]) for t in terms)
 
 
-def mean_curvature_parts(fd: FramePointData, trace) -> tuple[np.ndarray, np.ndarray]:
-    """The mean curvature at the frame's points from their frame trace: the
-    horizontal part in frame components (..., d) and the vertical skew
-    matrix (..., d, d).
+def mean_curvature_OMN(fd: FramePointData, trace) -> LiftedVector:
+    """The mean curvature H of the subbundle at the frame's points from
+    their frame trace: the trace of the second fundamental form over a
+    deformed-orthonormal horizontal frame (vertical directions contribute
+    nothing), its horizontal part in frame components (..., d) and its
+    vertical part a skew matrix (..., d, d).
 
     Pi is linear in its pieces, and the pieces of Pi(e, e) are nabla_e e,
     2 R_{S_e}(e), 2 nabla'_e e and 2 nabla'_e S_e, so H is Pi assembled once
-    from the frame trace.
+    from the frame trace. The parts are taken as they come, not through
+    lifted(), so that a caller refuses a non-finite H by point.
     """
     amb, rterm, prime, _, dS = trace
     horiz, vert = _pi_hh_assemble(fd, amb, 2.0 * rterm, 2.0 * prime, 2.0 * dS)
-    return horiz.val, 0.5 * (vert.val - np.swapaxes(vert.val, -1, -2))
-
-
-def mean_curvature_OMN(fd: FramePointData) -> MeanCurvatureReport:
-    """Trace of the second fundamental form over a deformed-orthonormal
-    horizontal frame (vertical directions contribute nothing), at one point
-    or at each point of a batch.
-    """
-    p, d = fd.p, fd.d
-    hval, vval = mean_curvature_parts(fd, frame_trace(fd))
-    H = lifted(fd, horizontal=hval, vertical=vval)
-    z = hval[..., p:].copy()
-    t = np.zeros(fd.batch + (p, d - p))
-    for A in range(p):
-        for j, al in enumerate(range(p, d)):
-            Tm = ops.basis_T(d, A, al)
-            svec = ops.s_tm_tangent_jet(fd, Tm).val
-            t[..., A, j] = skew_inner(vval, Tm) + np.einsum("...a,...a->...", hval[..., :p], svec)
-    return MeanCurvatureReport(H, z, t, H.norm())
+    return LiftedVector(fd, horiz.val, 0.5 * (vert.val - np.swapaxes(vert.val, -1, -2)))
 
 
 @dataclass(frozen=True)

@@ -146,8 +146,8 @@ class ImmersedSubmanifold:
         if not 1 <= p < d:
             raise FrameError(f"need 1 <= p < ambient dim, got p={p}, dim={d}")
         domain = np.asarray(chart_domain, dtype=float)
-        if domain.shape != (p, 2) or (domain[:, 0] >= domain[:, 1]).any():
-            raise FrameError("chart_domain must be a (p, 2) box with lo < hi")
+        if domain.shape != (p, 2) or not (domain[:, 0] < domain[:, 1]).all() or not np.isfinite(domain).all():
+            raise FrameError("chart_domain must be a (p, 2) box with finite lo < hi")
         comps = [parse(c, p, var_prefix="u") if isinstance(c, str) else c for c in components]
         for i, c in enumerate(comps):
             if not isinstance(c, Expression):

@@ -582,8 +582,7 @@ def _ev_minimality_harmonicity_equivalence(M, samples, seed):
         "max_mean_curvature": rep.max_mean_curvature,
         "max_harmonicity_residual": rep.max_harmonicity_residual,
     }
-    indicator = 0.0 if (rep.agree and rep.separated) else 1.0
-    res = max(indicator, rep.m2_identity_residual, rep.h2_recovery_residual)
+    res = 0.0 if (rep.agree and rep.separated) else 1.0
     wit = rep.max_mean_curvature + rep.max_harmonicity_residual
     return res, wit, detail
 

@@ -63,6 +63,14 @@ def test_christoffel_symmetric_lower_indices():
         assert np.max(np.abs(Gam - Gam.transpose(0, 2, 1))) < 1e-14
 
 
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
+def test_sphere_radius_must_be_positive_and_finite(radius):
+    """A NaN or infinite radius is refused before it is written into the
+    metric's expression text, where it would not parse."""
+    with pytest.raises(AmbientError, match="sphere radius must be positive and finite"):
+        sphere_chart(radius, 3)
+
+
 @pytest.mark.parametrize("radius", [1.0, 2.0, 0.5])
 def test_sphere_sectional_curvature(radius):
     S = sphere_chart(radius, 3)

@@ -13,7 +13,7 @@ from framelab import verify
 from framelab.ambient import euclidean
 from framelab.frame_bundle import LiftedVector, horizontal_lift_prime, lifted
 from framelab.jets import Jet, jet_along, jet_einsum, jstack
-from framelab.omn_geometry import domain_samples, frame_trace, mean_curvature_parts, tilde_frame_fields
+from framelab.omn_geometry import domain_samples, frame_trace, mean_curvature_OMN, tilde_frame_fields
 from framelab.submanifold import FrameError, ImmersedSubmanifold, builtin_submanifold
 
 ALL_BUILTINS = ("plane", "plane3", "circle", "sphere2", "catenoid", "great2(0.5)", "clifford")
@@ -76,8 +76,8 @@ def primitives(fd):
         "solve_P": ops.solve_P(fd, ops.frame_of_chart(fd, Ec)),
         "solve_P_values": ops.solve_P(fd, ops.frame_of_chart(fd, Ec).val),
         **{f"frame_trace_{k}": s for k, s in enumerate(trace)},
-        "mean_curvature_horizontal": mean_curvature_parts(fd, trace)[0],
-        "mean_curvature_vertical": mean_curvature_parts(fd, trace)[1],
+        "mean_curvature_horizontal": mean_curvature_OMN(fd, trace).horizontal,
+        "mean_curvature_vertical": mean_curvature_OMN(fd, trace).vertical,
     }
 
 

@@ -431,8 +431,8 @@ BATCH_CALLS = {
     "nabla_OMN": lambda fd: lifted_parts(nabla_OMN(fd, "hv", ["u2", "1-u1*u2"], T3)),
     "curvature_OMN": lambda fd: lifted_parts(curvature_OMN(fd, "hhh", X2, ["u1", "u2"], [0.5, 0.2])),
     "mean_curvature_OMN": lambda fd: (
-        lambda r: lifted_parts(r.H) + (r.z_pairings, r.t_pairings, r.norm)
-    )(mean_curvature_OMN(fd)),
+        lambda H: lifted_parts(H) + (H.norm(),)
+    )(mean_curvature_OMN(fd, frame_trace(fd))),
     "tension_field": lambda fd: lifted_parts(tension_field(fd, frame_trace(fd))),
     "omn_plane": lambda fd: (
         lambda pl: lifted_parts(pl.v1) + lifted_parts(pl.v2) + (sectional_OMN(pl),)
@@ -458,9 +458,10 @@ def _scalars(fd):
     v = lifted(fd, horizontal=[0.3, -1.0, 2.0], vertical=T3)
     T = np.broadcast_to(T3, fd.batch + T3.shape)
     planes = [omn_plane(fd, ("hprime", X2), spec) for spec in (("hprime", [0.3, 1.0]), ("vertical", T3))]
-    data = residual_data(fd, frame_trace(fd))
+    trace = frame_trace(fd)
+    data = residual_data(fd, trace)
     return (
-        [skew_inner(T, T), sasaki_mok_inner(v, v), v.norm(), mean_curvature_OMN(fd).norm]
+        [skew_inner(T, T), sasaki_mok_inner(v, v), v.norm(), mean_curvature_OMN(fd, trace).norm()]
         + [sectional_OMN(pl) for pl in planes]
         + [data.r_h1, data.r_h2, data.r_h3, data.r_m2, *implication_residuals(data)]
     )

@@ -9,7 +9,7 @@ from framelab.ambient import curvature_at, euclidean
 from framelab.gauss_map import theorem_check
 from framelab.frame_bundle import FrameBundleError, decompose_OMN, horizontal_lift, lifted
 from framelab.jets import jet_einsum, jstack
-from framelab.omn_geometry import mean_curvature_OMN, nabla_OMN, second_fundamental_OMN
+from framelab.omn_geometry import frame_trace, mean_curvature_OMN, nabla_OMN, second_fundamental_OMN
 from framelab.operators import L_op, OperatorError, basis_T, hm_split_mat, skew_inner
 from framelab.submanifold import FramePointData, ImmersedSubmanifold, builtin_submanifold
 from framelab.verify import run_suite
@@ -58,7 +58,7 @@ def _thin_cylinder():
         lambda M, fd, X: ops.solve_P(fd, [1.0, 0.5]),
         lambda M, fd, X: decompose_OMN(horizontal_lift(fd, X)),
         lambda M, fd, X: second_fundamental_OMN(fd, "hh", [1.0, 0.0], [0.0, 1.0]),
-        lambda M, fd, X: mean_curvature_OMN(fd),
+        lambda M, fd, X: mean_curvature_OMN(fd, frame_trace(fd)),
         lambda M, fd, X: theorem_check(M, samples=4),
     ],
     ids=[

@@ -129,6 +129,13 @@ def test_frame_that_overflows_is_refused_at_its_point(domain, point, message):
         M.frame_data([[0.5], [point]])
 
 
+@pytest.mark.parametrize("bound", [[np.nan, 1.0], [-np.inf, 1.0], [0.0, np.inf]])
+def test_a_chart_domain_with_a_non_finite_bound_is_refused(bound):
+    """The box check refuses it, before the pivots would blame the immersion."""
+    with pytest.raises(FrameError, match="finite lo < hi"):
+        ImmersedSubmanifold(2, [bound, [0.0, 1.0]], ["u1", "u2", "u1*u2"], euclidean(3))
+
+
 def test_pivots_that_overflow_at_the_domain_centre_are_refused():
     # |J|^2 = 1 + exp(799) at the centre u1 = 399.5
     with pytest.raises(FrameError, match="not finite at the domain center"):

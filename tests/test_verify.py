@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+from framelab import gauss_map as gm
 from framelab import omn_geometry as og
 from framelab import oracles, verify
 from framelab.ambient import euclidean, metric_at, sphere_chart
@@ -284,6 +285,21 @@ def test_one_frame_trace_per_evaluation(monkeypatch):
     cases = sorted({r.case_id for r in report.results})
     assert cases == ["condition-set-implications", "minimality-harmonicity-equivalence"]
     assert traces == [(5, 2), (5, 2)]
+
+
+def test_the_proofs_identities_are_checked_by_one_case(monkeypatch):
+    """The two identities m2 = h3 - S_{h2} and P(h2) = S_{m2} are checked by
+    condition-set-implications alone: broken by 1.0 everywhere, they fail
+    every row of that case and none of the theorem case's."""
+    implication = gm.implication_residuals
+    monkeypatch.setattr(gm, "implication_residuals", lambda data: tuple(r + 1.0 for r in implication(data)))
+    rows = verify.run_suite("sphere2", samples=5).results
+    by_case = lambda cid: [r for r in rows if r.case_id == cid]
+    implications = by_case("condition-set-implications")
+    theorem = by_case("minimality-harmonicity-equivalence")
+    assert len(implications) == 5 and theorem
+    assert all(r.error_kind == "over_tol" for r in implications)
+    assert all(r.passed for r in theorem)
 
 
 def test_fd_sweep_builds_stencil_frames_to_the_order_they_read(monkeypatch):
