@@ -8,12 +8,12 @@ blocks: the diagonal blocks are quotiented away. So the bundle metric is
 sasaki_mok_inner, and the bundle connection is the m-projection of nabla_ON:
 nabla_ON evaluated on off-diagonal ("m"-masked) endomorphism fields, with the
 diagonal blocks of the result's vertical part dropped. The pushforward of a
-tangent vector X is its primed lift X^{h'} = X^h + bar(S_X) of
-frame_bundle.horizontal_lift_prime, whose vertical part S_X has zero diagonal
-blocks already. The deformed metric on M is exactly the pullback of the
-bundle metric under the map, which is why the tension field is taken with
-respect to it. The module evaluates the pushforward, the bundle connection
-and the tension field in two ways. Each takes the frame fd (a
+tangent vector X, given by its chart coefficients, is its primed lift
+X^{h'} = X^h + bar(S_X) of frame_bundle.horizontal_lift_prime, whose
+vertical part S_X has zero diagonal blocks already. The deformed metric on
+M is exactly the pullback of the bundle metric under the map, which is why
+the tension field is taken with respect to it. The module evaluates the
+pushforward, and the tension field in two ways. Each takes the frame fd (a
 FramePointData) at which it evaluates, of one point or of a batch of
 points, and passes the batch axes through, as the frame_bundle functions
 do; a norm or a residual is an array of the frame's batch shape, a numpy
@@ -41,21 +41,13 @@ import numpy as np
 
 from . import omn_geometry as og
 from . import operators as ops
-from .frame_bundle import (
-    LiftedVector,
-    case_pairs,
-    horizontal_lift_prime,
-    lifted,
-    nabla_ON,
-    nabla_ON_primed,
-)
+from .frame_bundle import LiftedVector, horizontal_lift_prime, lifted, nabla_ON_primed
 from .operators import hm_split_mat, matvec
 from .submanifold import FramePointData, ImmersedSubmanifold
 
 __all__ = [
     "GaussMapError",
     "grassmann_vector",
-    "grassmann_nabla",
     "gauss_pushforward",
     "tension_field",
     "tension_field_pullback",
@@ -80,10 +72,10 @@ def grassmann_vector(fd: FramePointData, horizontal=None, vertical=None) -> Lift
     diagonal = np.max(np.abs(h_part), axis=(-2, -1)) > 1e-10
     if diagonal.any():
         raise GaussMapError(f"vertical part must have zero diagonal blocks, not at u = {fd.point_where(diagonal)}")
-    return lifted(fd, horizontal=v.horizontal, vertical=m_part)
+    return LiftedVector(fd, v.horizontal, m_part)
 
 
-# -- connection --------------------------------------------------------------
+# -- pushforward -------------------------------------------------------------
 
 
 def _m_projection(v: LiftedVector) -> LiftedVector:
@@ -91,25 +83,8 @@ def _m_projection(v: LiftedVector) -> LiftedVector:
     return grassmann_vector(v.fd, horizontal=v.horizontal, vertical=v.vertical * v.fd.mmask)
 
 
-def grassmann_nabla(fd: FramePointData, case: str, *args) -> LiftedVector:
-    """Levi-Civita connection of the plane bundle on lifted fields.
-
-    The m-projection of nabla_ON: nabla_ON on the m-parts of the
-    endomorphism fields, keeping the m-part of the result's vertical part.
-
-    case "hh", (Xf, Yf): (nabla_X Y)^{hGr} - 1/2 hat(R(X,Y))
-    case "hv", (Xf, T):  hat(nabla'_X T_m) + 1/2 R_{T_m}(X)^{hGr}
-    case "vh", (T, Yf):  1/2 R_{T_m}(Y)^{hGr}
-    case "vv", (T, Tp):  0
-    """
-    X, A, Y, B = case_pairs(case, args)
-    m_part = lambda T: None if T is None else (lambda q: ops.as_endo_field(q, T, 1) * q.mmask)
-    masked = [f for f in (X, m_part(A), Y, m_part(B)) if f is not None]
-    return _m_projection(nabla_ON(fd, case, *masked))
-
-
 def gauss_pushforward(fd: FramePointData, X) -> LiftedVector:
-    """Pushforward of a tangent vector (or its chart coefficients): the
+    """Pushforward of a tangent vector given by its chart coefficients: the
     primed lift X^{h'} = X^{hGr} + hat(S_X)."""
     return _m_projection(horizontal_lift_prime(fd, X))
 

@@ -21,11 +21,11 @@ is S on tangent vectors, read from Smats (operators.s_field_matrix along a
 tangent field): no vector is extended to a field to differentiate it.
 
 A vector at a frame is handled by its frame components: the adapted frame
-is orthonormal, so the metric is the identity in them. frame_components
-converts ambient vectors at the frame's points, and E.val @ yfr converts frame
-components yfr back; the frame-bundle modules convert only where an
-ambient vector enters (frame_bundle.horizontal_lift and
-horizontal_lift_prime).
+is orthonormal, so the metric is the identity in them. Einv.val @ Y converts
+ambient vectors Y at the frame's points to frame components, and
+E.val @ yfr converts frame components yfr back; a tangent vector of M
+enters the frame-bundle modules as its chart coefficients
+(frame_bundle.horizontal_lift_prime), which need no ambient conversion.
 
 Batch convention: one point is the batch of shape (). `frame_data(u)` takes
 u of shape (p,) or (n, p); every jet of the frame leads with its batch shape
@@ -535,12 +535,6 @@ class FramePointData:
         t = jet_einsum("...mjqr,...qk->...mjkr", t, self.E)
         t = jet_einsum("...mjkr,...rl->...mjkl", t, self.E)
         return jet_einsum("...im,...mjkl->...ijkl", self.Einv, t)
-
-    def frame_components(self, Y) -> np.ndarray:
-        """Frame components of ambient vectors Y (..., d), one per point of
-        the frame; the ambient components of frame components yfr are
-        E.val @ yfr."""
-        return np.einsum("...ij,...j->...i", self.Einv.val, np.asarray(Y, dtype=float))
 
 
 # -- builtin catalog -------------------------------------------------------------

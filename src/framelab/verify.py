@@ -295,8 +295,8 @@ def _ev_deformed_metric_pairing(M, fd, rngs):
 def _ev_adapted_lift_isometry(M, fd, rngs):
     x = _unit_chart(fd, _draw(rngs, fd.p))
     y = _unit_chart(fd, _draw(rngs, fd.p))
-    lx = horizontal_lift_prime(fd, matvec(fd.J.val, x))
-    ly = horizontal_lift_prime(fd, matvec(fd.J.val, y))
+    lx = horizontal_lift_prime(fd, x)
+    ly = horizontal_lift_prime(fd, y)
     rhs = _dot(x, matvec(fd.gt_chart.val, y))
     return np.abs(sasaki_mok_inner(lx, ly) - rhs), _sup_each(fd.Smats.val)
 

@@ -12,7 +12,9 @@ loads scipy, and `verify` names no builtin submanifold outside
 A framelab module reads every name it imports with `from ... import`, or
 re-exports it in `__all__`. Only the few functions that turn a submanifold
 and its points into a frame read `.frame_data`; every other function is
-handed its frame.
+handed its frame. Every function a module lists in `__all__` is read by
+package code outside its own definition, or is an entry point or a route
+the tests check against, on a commented list.
 """
 
 import ast
@@ -329,6 +331,78 @@ def test_scan_sees_unused_imports():
     )
     found = _unused_imports(ast.parse(src))
     assert found == ["line 2: Jet", "line 2: gs", "line 6: euclidean"]
+
+
+# Exported functions that no package code reads, and why each stays. The
+# entry points: a caller of the package, and the benchmark, start there.
+# The rest are read by the tests, which check the package's routes against
+# them from another side.
+UNREFERENCED_EXPORTS = [
+    ("ambient", "curvature_at"),  # tests: R read off geometry_jets at one point
+    ("expr", "to_source"),  # tests: the printer's round trip through parse
+    ("frame_bundle", "normal_generators"),  # tests: decompose_OMN's normal space
+    ("frame_bundle", "tangent_generators"),  # tests: decompose_OMN's tangent space
+    ("gauss_map", "tension_field_pullback"),  # tests: the tension from the connection
+    ("verify", "fd_relative_error"),  # entry point: the finite-difference check
+    ("verify", "registry_ids"),  # entry point: the registry's case ids
+    ("verify", "run_suite"),  # entry point: the registry run
+]
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """The names a subtree reads, as a name or as an attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def _unreferenced_exports(trees: dict) -> list[tuple[str, str]]:
+    """(module, name) of each module-level function a module lists in
+    `__all__` that no source of trees reads outside that function's own
+    definition."""
+    reads = []
+    for mod, tree in trees.items():
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            reads.append((mod, owner, _reads(top)))
+    found = []
+    for mod, tree in trees.items():
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported = {e.value for e in node.value.elts}
+        for fn in tree.body:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name in exported:
+                if not any(fn.name in names and (m, owner) != (mod, fn.name) for m, owner, names in reads):
+                    found.append((mod, fn.name))
+    return sorted(found)
+
+
+def test_every_exported_function_is_read_or_listed():
+    """A public function that nothing in the package reads is dead code
+    unless it is an entry point or a route the tests check against."""
+    trees = {name: ast.parse(SOURCES[name].read_text()) for name in MODULES}
+    assert _unreferenced_exports(trees) == UNREFERENCED_EXPORTS
+
+
+def test_scan_sees_unreferenced_exports():
+    a = (
+        "__all__ = ['named', 'attributed', 'recursive', 'alone', 'CONST', 'Cls']\n"
+        "def named(): pass\n"
+        "def attributed(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def alone(): return named()\n"
+        "def hidden(): pass\n"
+        "CONST = 1\n"
+        "class Cls: pass\n"
+    )
+    b = "from . import a\nx = a.attributed\ndef recursive(): return 'alone'\n"
+    found = _unreferenced_exports({"a": ast.parse(a), "b": ast.parse(b)})
+    assert found == [("a", "alone"), ("a", "recursive")]
 
 
 # The functions that turn (M, points) into a frame, by module: the registry

@@ -9,8 +9,9 @@ from scipy.stats import qmc
 from framelab import frame_bundle as fb
 from framelab import jets
 from framelab import omn_geometry as og
+from framelab import operators as ops
 from framelab import verify
-from framelab.ambient import sphere_chart
+from framelab.ambient import euclidean, sphere_chart
 from framelab.frame_bundle import (
     LiftedVector,
     horizontal_lift_prime,
@@ -199,6 +200,61 @@ def test_curvature_antisymmetry(name, u):
     a = curvature_OMN(fd, "vvv", T, Tp, T)
     b = curvature_OMN(fd, "vvv", Tp, T, T)
     assert (a + b).norm() < 1e-12
+
+
+# S^2(0.8) x R in R^4, p = 3: so(3) is not abelian, so the vertical-vertical
+# curvature cases vvh and vvv are nonzero here. so(2) is, so both vanish on
+# every input with p <= 2 and n <= 2.
+SPHERE_X_LINE = ImmersedSubmanifold(
+    3,
+    [[-1.0, 1.0], [0.4, 2.6], [-1.0, 1.0]],
+    ["0.8*cos(u1)*sin(u2)", "0.8*sin(u1)*sin(u2)", "0.8*cos(u2)", "u3"],
+    euclidean(4),
+    name="sphere-x-line",
+)
+
+
+def curvature_symmetry_sides(fd):
+    """Both sides of the curvature tensor's symmetries that tie the cases no
+    registry case reads (hhv, hvh, vvh, vvv) to hhh and hvv, on varying
+    tangent fields X, Y, Z and block-diagonal fields T, T', T'', T''':
+
+    <R(X,Y)T, Z> = -<R(X,Y)Z, T> = -<R(Z,T)X, Y>,
+    <R(X,T)T', Z> = -<R(X,T)Z, T'>,
+    <R(T,T')Z, X> = <R(Z,X)T, T'>,
+    <R(T,T')T'', T'''> = <R(T'',T''')T, T'>.
+    """
+    p, d = fd.p, fd.d
+    X, Y, Z = (tangent_exprs(p, which) for which in "xyz")
+    T, Tp, Tpp, Tppp = (h_endo_field(p, d, seed=s) for s in (3, 5, 7, 9))
+    R = lambda case, *args: curvature_OMN(fd, case, *args)
+    hp = lambda F: horizontal_lift_prime(fd, ops.as_chart_field(fd, F, 0).val)
+    bar = lambda S: fb.lifted(fd, vertical=ops.as_endo_field(fd, S, 0).val)
+    ip = sasaki_mok_inner
+    rxyt = ip(R("hhv", X, Y, T), hp(Z))
+    return {
+        "hhv-hhh": (rxyt, -ip(R("hhh", X, Y, Z), bar(T))),
+        "hvh-hhv": (rxyt, -ip(R("hvh", Z, T, X), hp(Y))),
+        "hvv-hvh": (ip(R("hvv", X, T, Tp), hp(Z)), -ip(R("hvh", X, T, Z), bar(Tp))),
+        "vvh-hhv": (ip(R("vvh", T, Tp, Z), hp(X)), ip(R("hhv", Z, X, T), bar(Tp))),
+        "vvv-pairs": (ip(R("vvv", T, Tp, Tpp), bar(Tppp)), ip(R("vvv", Tpp, Tppp, T), bar(Tp))),
+    }
+
+
+def test_curvature_cases_meet_through_the_tensor_symmetries():
+    """Each symmetry holds at roundoff relative to its size at 4 points of
+    every input, and each is live, |lhs| >= 1e-3, on at least one input:
+    vvh and vvv only on S^2(0.8) x R."""
+    inputs = [builtin_submanifold(n) for n in ("sphere2", "catenoid", "clifford", "great2(0.5)", "pseudosphere")]
+    over, live = [], {}
+    for M in inputs + [SPHERE_X_LINE]:
+        for u in og.domain_samples(M, 4, seed=1):
+            for rel, (lhs, rhs) in curvature_symmetry_sides(M.frame_data(u)).items():
+                if not abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs)):
+                    over.append((M.name, rel, u.tolist(), lhs - rhs))
+                live[rel] = max(live.get(rel, 0.0), abs(lhs))
+    assert over == []
+    assert min(live.values()) >= 1e-3, live
 
 
 # -- sectional curvature -------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from framelab import operators as ops
 from framelab.ambient import curvature_at, euclidean
 from framelab.gauss_map import theorem_check
-from framelab.frame_bundle import FrameBundleError, decompose_OMN, horizontal_lift, lifted
+from framelab.frame_bundle import FrameBundleError, decompose_OMN, lifted
 from framelab.jets import jet_einsum, jstack
 from framelab.omn_geometry import frame_trace, mean_curvature_OMN, nabla_OMN, second_fundamental_OMN
 from framelab.operators import L_op, OperatorError, basis_T, hm_split_mat, skew_inner
@@ -56,7 +56,7 @@ def _thin_cylinder():
     [
         lambda M, fd, X: L_op(fd, [1.0, 0.5], [0.2, 1.0]),
         lambda M, fd, X: ops.solve_P(fd, [1.0, 0.5]),
-        lambda M, fd, X: decompose_OMN(horizontal_lift(fd, X)),
+        lambda M, fd, X: decompose_OMN(lifted(fd, horizontal=fd.Einv.val @ X)),
         lambda M, fd, X: second_fundamental_OMN(fd, "hh", [1.0, 0.0], [0.0, 1.0]),
         lambda M, fd, X: mean_curvature_OMN(fd, frame_trace(fd)),
         lambda M, fd, X: theorem_check(M, samples=4),

@@ -41,7 +41,7 @@ def chart_coeffs(fd, vfr):
 
 def tangent_normal_parts(fd, Y):
     """(tangent part, normal part) of an ambient vector, ambient components."""
-    yfr = fd.frame_components(Y)
+    yfr = fd.Einv.val @ Y
     return fd.E.val[:, : fd.p] @ yfr[: fd.p], fd.E.val[:, fd.p:] @ yfr[fd.p:]
 
 
@@ -435,7 +435,7 @@ def test_sphere2_shape_operator():
     E = fd.E.val
     e1, e2, e3 = E.T
     nu = e3 if e3[0] > 0 else -e3  # outward radial at (1,0,0)
-    nu_fr = fd.frame_components(nu)
+    nu_fr = fd.Einv.val @ nu
     for A, X in enumerate((e1, e2)):
         S = fd.Smats.val[A]
         # Pi(e_A, e_B) = -delta_AB nu, and A_nu = -identity on the tangent space
@@ -557,7 +557,7 @@ def test_nabla_minus_nabla_prime_is_S(name):
         yfr = rng.standard_normal(fd.d)
         Y = jet_einsum("ij,j->i", fd.E, yfr)
         gam_x = jet_einsum("ikl,k->il", fd.Gam, jet_einsum("ka,a->k", fd.J, xc)).val
-        full = fd.frame_components(jet_along(xc, Y).val + gam_x @ Y.val)
+        full = fd.Einv.val @ (jet_along(xc, Y).val + gam_x @ Y.val)
         prime = ops.omega_along(fd, xc, "prime").val @ yfr
         S = jet_einsum("A,Aij->ij", ops.frame_of_chart(fd, xc), fd.Smats).val
         assert np.max(np.abs(full - prime - S @ yfr)) < 1e-9

@@ -136,6 +136,28 @@ def test_great_spheres_get_the_cases_their_curvature_admits():
         assert max(r.witness for r in rows if r.case_id == cid and r.builtin == names[2]) >= 1e-3
 
 
+# Dini's surface, K = -1/2: the vertical parts the subbundle cases lift are
+# of order 1 there, so their antisymmetry holds to roundoff of that size.
+DINI = ImmersedSubmanifold(
+    2,
+    [[-1.0, 1.0], [0.5, 1.2]],
+    ["cos(u1)*sin(u2)", "sin(u1)*sin(u2)", "cos(u2)+log(tan(u2/2))+u1"],
+    euclidean(3),
+    name="dini",
+)
+
+
+def test_dini_surface_lifts_its_vertical_parts():
+    """lifted bounds a vertical part's asymmetry relative to its size, so
+    the cases that lift the connection's vertical parts run on Dini's
+    surface and hold at every point."""
+    groups = ["subbundle-second-fundamental", "condition-algebra"]
+    rows = verify.run_suite(DINI, samples=25, seed=0, groups=groups).results
+    assert len(rows) == 50
+    assert [(r.case_id, r.point, r.error) for r in rows if not r.passed] == []
+    assert max(r.residual for r in rows) < EXACT_TOL
+
+
 def test_unbuildable_sample_frame_runs_every_case():
     """A point outside sqrt's domain stops the frame at the sample points, so
     every case runs, needs no witness, and crashes at every point: each row

@@ -49,7 +49,9 @@ jet_einsum in every module of the tree that binds it.
 
 Both files hold parity, per tree: SHA-256 digests of
 run_suite(builtins=BUILTINS, samples=s, seed=k).canonical_json() for s in
-{5, 25} and k in {0, 1}; of the 490 fd_relative_error values (the builtins x
+{5, 25} and k in {0, 1}; of run_suite(builtins=["pseudosphere", DINI],
+samples=25, seed=k).canonical_json() for k in {0, 1}, Dini's surface in
+euclidean(3) built from the tree's own classes; of the 490 fd_relative_error values (the builtins x
 FD_POINTS points x FD quantities, seeds 0 and 1) as float64 bytes; and of
 every theorem_check field on the builtins and on the pseudosphere builtin
 at 25 samples, seeds 0 and 3, with floats written by float.hex.
@@ -91,6 +93,10 @@ REGISTRY_SAMPLES = 5
 THEOREM_SAMPLES = 25
 FD_POINTS = 5
 COUNT_SEED = 301
+# Dini's surface on [-1, 1] x [0.5, 1.2]: K = -1/2, as on the pseudosphere
+# builtin, so h2, h3 and m2 are of order 1 on both, as on no benchmark
+# builtin, and the vertical parts the registry lifts are of order 1.
+DINI = ["cos(u1)*sin(u2)", "sin(u1)*sin(u2)", "cos(u2)+log(tan(u2/2))+u1"]
 
 
 def load_tree(src: Path, name: str) -> SimpleNamespace:
@@ -214,6 +220,10 @@ def parity(ns) -> dict:
         for seed in (0, 1):
             report = verify.run_suite(builtins=BUILTINS, samples=samples, seed=seed)
             out[f"canonical_json_s{samples}_k{seed}"] = _sha(report.canonical_json().encode())
+    dini = sm.ImmersedSubmanifold(2, [[-1.0, 1.0], [0.5, 1.2]], DINI, ns.ambient.euclidean(3), name="dini")
+    for seed in (0, 1):
+        report = verify.run_suite(builtins=["pseudosphere", dini], samples=25, seed=seed)
+        out[f"general_position_k{seed}"] = _sha(report.canonical_json().encode())
     errors = []
     for seed in (0, 1):
         for name in BUILTINS:
