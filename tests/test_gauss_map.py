@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from framelab import omn_geometry as og
+from framelab import operators as ops
 from framelab.ambient import euclidean, sphere_chart
-from framelab.frame_bundle import FrameBundleError, nabla_ON, normal_generators, sasaki_mok_inner
+from framelab.frame_bundle import FrameBundleError, nabla_ON, nabla_ON_primed, normal_generators, sasaki_mok_inner
 from framelab.gauss_map import (
     GaussMapError,
     gauss_pushforward,
@@ -15,6 +16,7 @@ from framelab.gauss_map import (
     tension_field_pullback,
     theorem_check,
 )
+from framelab.jets import jet_einsum
 from framelab.operators import basis_T, hm_split_mat, skew_inner
 from framelab.submanifold import FramePointData, ImmersedSubmanifold, builtin_submanifold
 
@@ -154,6 +156,32 @@ def test_nabla_mixed_horizontal_space_form_value(name):
     xF = np.concatenate([fd.Dmat.val @ x, np.zeros(fd.d - fd.p)])
     want = -kap * (T @ xF)
     assert np.max(np.abs(out.horizontal - want)) < 1e-7
+
+
+@pytest.mark.parametrize("name,u0", CURVED)
+def test_plane_connection_is_metric_and_torsion_free_along_the_pushforward(name, u0):
+    """The plane-bundle connection, the m-projection of nabla_ON_primed as
+    tension_field_pullback takes it, pulled back along the plane map: the
+    derivative of the deformed metric g~(Y, Z) along X is the sum of its
+    pairings with the pushforwards, and the derivatives of Y along X and of X
+    along Y differ by the pushforward of [X, Y]."""
+    fd = builtin_submanifold(name).frame_data(u0)
+    p = fd.p
+    Xf, Yf, Zf = ["u2", "1-u1", "u1*u2"][:p], ["u1*u2", "sin(u2)", "1"][:p], ["cos(u1)", "1-u1", "u2"][:p]
+    plane_part = lambda v: grassmann_vector(fd, horizontal=v.horizontal, vertical=v.vertical * fd.mmask)
+    along_X = lambda Yf: plane_part(nabla_ON_primed(fd, "hh", Xf, Yf))
+    Xc, Yc, Zc = (ops.as_chart_field(fd, f, 1) for f in (Xf, Yf, Zf))
+
+    f = (jet_einsum("i,ij->j", Yc, fd.gt_chart) * Zc).sum(-1)
+    lhs = sum(Xc.val[a] * f.d(a).val for a in range(p))
+    rhs = sasaki_mok_inner(along_X(Yf), gauss_pushforward(fd, Zc.val))
+    rhs = rhs + sasaki_mok_inner(gauss_pushforward(fd, Yc.val), along_X(Zf))
+    assert abs(lhs) > 1e-2
+    assert abs(lhs - rhs) < 1e-12
+
+    swapped = along_X(Yf) - plane_part(nabla_ON_primed(fd, "hh", Yf, Xf))
+    assert swapped.norm() > 1e-2
+    assert (swapped - gauss_pushforward(fd, ops.bracket_jet(fd, Xc, Yc).val)).norm() < 1e-12
 
 
 # -- tension field ------------------------------------------------------------
