@@ -76,7 +76,8 @@ def _not_positive_definite(g: np.ndarray) -> np.ndarray:
 
 
 class AmbientSpace:
-    """A chart with expression-valued metric entries g_ij(x1..x_d).
+    """A chart with expression-valued metric entries g_ij(x1..x_d), each
+    given as an expression or as a string that is parsed in x1..x_d.
 
     constant_metric is the (d, d) array of the metric's values when no entry
     reads a variable, decided once here, and None otherwise. A constant
@@ -90,11 +91,16 @@ class AmbientSpace:
     subexpression they share is evaluated once per metric_jets call.
     """
 
-    def __init__(self, dim: int, entries: list[list[Expression]], tag: str = "custom"):
-        if not 2 <= dim <= 9:
-            raise AmbientError(f"ambient dimension must be 2..9, got {dim}")
+    def __init__(self, dim: int, entries: list[list[Expression | str]], tag: str = "custom"):
+        if not is_int(dim) or not 2 <= dim <= 9:
+            raise AmbientError(f"ambient dimension must be an integer 2..9, got {dim!r}")
         if len(entries) != dim or any(len(row) != dim for row in entries):
             raise AmbientError("metric grid must be dim x dim")
+        entries = [[parse(e, dim, var_prefix="x") if isinstance(e, str) else e for e in row] for row in entries]
+        for i, row in enumerate(entries):
+            for j, e in enumerate(row):
+                if not isinstance(e, Expression):
+                    raise AmbientError(f"metric entry ({i + 1},{j + 1}) is {e!r}, not an expression or a string")
         for i in range(dim):
             for j in range(i):
                 if entries[i][j] != entries[j][i]:
@@ -131,13 +137,6 @@ class AmbientSpace:
         except DomainError:
             return None
         return np.array([[values[k] for k in row] for row in self._where])
-
-    @classmethod
-    def from_strings(cls, dim: int, grid: list[list[str]], tag: str = "custom") -> "AmbientSpace":
-        if not 2 <= dim <= 9:
-            raise AmbientError(f"ambient dimension must be 2..9, got {dim}")
-        entries = [[parse(src, dim, var_prefix="x") for src in row] for row in grid]
-        return cls(dim, entries, tag)
 
     def metric_jets(self, x0, order: int) -> Jet:
         """The metric as a (..., d, d) jet of integer order `order` >= 0 in
@@ -220,7 +219,7 @@ def curvature_jets(Gamma: Jet) -> Jet:
 
 def euclidean(dim: int) -> AmbientSpace:
     grid = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
-    return AmbientSpace.from_strings(dim, grid, tag="euclidean")
+    return AmbientSpace(dim, grid, tag="euclidean")
 
 
 def sphere_chart(radius: float, dim: int) -> AmbientSpace:
@@ -236,7 +235,7 @@ def sphere_chart(radius: float, dim: int) -> AmbientSpace:
     sumsq = "+".join(f"x{i + 1}^2" for i in range(dim))
     lam2 = f"(2*{R}^2/({R}^2+{sumsq}))^2"
     grid = [[lam2 if i == j else "0" for j in range(dim)] for i in range(dim)]
-    return AmbientSpace.from_strings(dim, grid, tag=f"sphere({radius:g})")
+    return AmbientSpace(dim, grid, tag=f"sphere({radius:g})")
 
 
 # -- pointwise queries ---------------------------------------------------------

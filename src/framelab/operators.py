@@ -47,8 +47,8 @@ degree k never reads a higher one, so a formula that differentiates its
 fields k times and keeps values reads no coefficient above order k, and
 every product it forms lands at order k or below; the frame's own jets are
 cut where they meet the field. The depths: 1 for the connections along a
-direction with a tangent part (frame_bundle.nabla_ON and its primed and
-section forms, nabla_OMN, second_fundamental_OMN, L_op), 1 for tangent
+direction with a tangent part (frame_bundle.nabla_ON and nabla_ON_primed,
+nabla_OMN, second_fundamental_OMN, L_op), 1 for tangent
 fields and 2 for T in the cases of curvature_OMN that differentiate Q_T(Y),
 and 0 where only a field's values are read.
 

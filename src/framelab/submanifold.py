@@ -143,8 +143,8 @@ class ImmersedSubmanifold:
         name: str = "custom",
     ):
         d = ambient.dim
-        if not 1 <= p < d:
-            raise FrameError(f"need 1 <= p < ambient dim, got p={p}, dim={d}")
+        if not is_int(p) or not 1 <= p < d:
+            raise FrameError(f"need an integer 1 <= p < ambient dim, got p={p!r}, dim={d}")
         domain = np.asarray(chart_domain, dtype=float)
         if domain.shape != (p, 2) or not (domain[:, 0] < domain[:, 1]).all() or not np.isfinite(domain).all():
             raise FrameError("chart_domain must be a (p, 2) box with finite lo < hi")

@@ -123,13 +123,13 @@ def test_christoffel_against_fd_of_metric():
 
 
 def test_non_positive_definite_rejected():
-    bad = AmbientSpace.from_strings(2, [["x1", "0"], ["0", "1"]])
+    bad = AmbientSpace(2, [["x1", "0"], ["0", "1"]])
     with pytest.raises(AmbientError, match="positive definite"):
         metric_at(bad, [-1.0, 0.0])
 
 
 def test_batch_names_its_first_bad_point():
-    bad = AmbientSpace.from_strings(2, [["x1", "0"], ["0", "1"]])
+    bad = AmbientSpace(2, [["x1", "0"], ["0", "1"]])
     points = np.array([[1.0, 0.0], [2.0, 0.5], [-1.0, 3.0]])
     with pytest.raises(AmbientError, match=r"positive definite at \[-1\.0, 3\.0\]"):
         bad.metric_jets(points, 2)
@@ -186,7 +186,7 @@ def test_the_sphere_metric_shares_its_radius_term(monkeypatch):
 
 
 def test_non_finite_metric_rejected():
-    steep = AmbientSpace.from_strings(2, [["exp(x1)", "0"], ["0", "1"]])
+    steep = AmbientSpace(2, [["exp(x1)", "0"], ["0", "1"]])
     with pytest.raises(AmbientError, match=r"not finite at \[800\.0, 0\.0\]"):
         metric_at(steep, [800.0, 0.0])
 
@@ -194,15 +194,15 @@ def test_non_finite_metric_rejected():
 def test_constant_metric_is_decided_when_the_metric_is_made():
     assert np.array_equal(euclidean(3).constant_metric, np.eye(3))
     assert sphere_chart(1.0, 3).constant_metric is None
-    assert AmbientSpace.from_strings(2, [["1", "x2-x2"], ["x2-x2", "1"]]).constant_metric is None
-    grid = AmbientSpace.from_strings(2, [["2*pi", "sqrt(2)"], ["sqrt(2)", "exp(1)"]])
+    assert AmbientSpace(2, [["1", "x2-x2"], ["x2-x2", "1"]]).constant_metric is None
+    grid = AmbientSpace(2, [["2*pi", "sqrt(2)"], ["sqrt(2)", "exp(1)"]])
     assert np.array_equal(grid.constant_metric, [[2 * np.pi, np.sqrt(2)], [np.sqrt(2), np.exp(1)]])
 
 
 def test_constant_entry_outside_its_domain_is_refused_per_call():
     """A constant entry that cannot be evaluated leaves the metric to the
     per-call evaluation, which names the point asked for."""
-    N = AmbientSpace.from_strings(2, [["1/0", "0"], ["0", "1"]])
+    N = AmbientSpace(2, [["1/0", "0"], ["0", "1"]])
     assert N.constant_metric is None
     with pytest.raises(DomainError, match=r"division by zero at \[0\.5, 2\.0\]"):
         metric_at(N, [[0.5, 2.0], [1.0, 1.0]])
@@ -224,7 +224,7 @@ def test_constant_metric_refused_at_the_first_point(case):
     submanifold in it is made (its pivots are chosen on the metric) or
     framed."""
     grid, message = BAD_CONSTANT_GRIDS[case]
-    N = AmbientSpace.from_strings(2, grid)
+    N = AmbientSpace(2, grid)
     assert N.constant_metric is not None
     points = np.array([[0.5, -1.0], [2.0, 0.25], [-1.0, 3.0]])
     with pytest.raises(AmbientError, match=rf"^{message} at \[0\.5, -1\.0\]$"):
@@ -252,7 +252,7 @@ def test_metric_jets_order_must_be_an_integer_0_or_more(order):
 
 def test_asymmetric_grid_rejected():
     with pytest.raises(AmbientError, match="differ"):
-        AmbientSpace.from_strings(2, [["1", "x1"], ["x2", "1"]])
+        AmbientSpace(2, [["1", "x1"], ["x2", "1"]])
 
 
 def test_dimension_bounds():
@@ -260,3 +260,25 @@ def test_dimension_bounds():
         euclidean(1)
     with pytest.raises(AmbientError):
         euclidean(10)
+
+
+@pytest.mark.parametrize("dim", [1, 10, 3.0, True, "3"])
+def test_a_dimension_that_is_not_an_integer_2_to_9_is_refused(dim):
+    with pytest.raises(AmbientError, match=rf"^ambient dimension must be an integer 2..9, got {re.escape(repr(dim))}$"):
+        AmbientSpace(dim, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+
+
+def test_string_entries_are_parsed_as_expressions():
+    """A string entry is parsed in x1..x_d, so a grid of strings makes the
+    same metric as one of their expressions."""
+    from_text = AmbientSpace(3, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "exp(x1)"]])
+    parsed = AmbientSpace(3, from_text.entries)
+    x = [0.3, -0.2, 0.5]
+    assert np.array_equal(metric_at(from_text, x), metric_at(parsed, x))
+    assert metric_at(from_text, x)[2, 2] == np.exp(0.3)
+
+
+@pytest.mark.parametrize("bad", [1, 1.0, None])
+def test_an_entry_that_is_not_an_expression_or_a_string_is_refused(bad):
+    with pytest.raises(AmbientError, match=rf"^metric entry \(2,3\) is {re.escape(repr(bad))}, not an expression or a string$"):
+        AmbientSpace(3, [["1", "0", "0"], ["0", "1", bad], ["0", bad, "1"]])

@@ -136,6 +136,14 @@ def test_a_chart_domain_with_a_non_finite_bound_is_refused(bound):
         ImmersedSubmanifold(2, [bound, [0.0, 1.0]], ["u1", "u2", "u1*u2"], euclidean(3))
 
 
+@pytest.mark.parametrize("p", [2.0, True, "2", 0, 3])
+def test_a_chart_dimension_that_is_not_an_integer_1_to_n_is_refused(p):
+    """p is checked as every integer argument is, before it reaches the box
+    check or the parser."""
+    with pytest.raises(FrameError, match=rf"^need an integer 1 <= p < ambient dim, got p={re.escape(repr(p))}, dim=3$"):
+        ImmersedSubmanifold(p, [[-1.0, 1.0]] * 2, ["u1", "u2", "u1*u2"], euclidean(3))
+
+
 def test_pivots_that_overflow_at_the_domain_centre_are_refused():
     # |J|^2 = 1 + exp(799) at the centre u1 = 399.5
     with pytest.raises(FrameError, match="not finite at the domain center"):

@@ -1,9 +1,10 @@
 """tools/bench.py, the parity gate that compares a base tree with this one:
 it starts and prints its help, runs the benchmark's pinned work, its counts
 see a call at every site they wrap and are taken off again, it loads the
-tree it names and no other, names the commit of a tree, and main writes the
-documented keys to both BENCH files, prints the three gates alone and
-reports a tree that differs."""
+tree it names and no other, names the commit of a tree, compare finds the
+values that moved and bounds them, and main writes the documented keys to
+both BENCH files, prints the three gates alone and reports a tree that
+differs."""
 
 import importlib.util
 import json
@@ -47,7 +48,7 @@ def test_bench_script_prints_its_help(script, writes):
 
 
 def test_harness_runs_the_benchmark_work(bench):
-    """The harness counts and digests the work the benchmark runs: the same
+    """The harness counts and compares the work the benchmark runs: the same
     builtins in the same order, sample counts and FD quantities."""
     workload = load_by_path("perfbench_workload", ROOT / "perfbench" / "workload.py")
     assert bench.BUILTINS == workload.BUILTINS
@@ -110,21 +111,67 @@ def test_source_commit_names_the_tree(bench, tmp_path):
     assert bench.source_commit(tmp_path) == "unknown"
 
 
+def test_compare_finds_equal_maps_equal(bench):
+    """Two maps of the same values, a NaN among them, are equal and within
+    the bound; compared counts each tree's values."""
+    values = {"run/case/plane/0/residual": 1e-16, "run/case/plane/0/passed": True, "x": float("nan"), "e": None}
+    got = bench.compare(values, dict(values))
+    assert got == {"parity": {"compared": {"base": 4, "change": 4}, "moved_count": 0, "moved": [], "tally": {}},
+                   "parity_equal": True, "parity_within": True}
+
+
+@pytest.mark.parametrize("step, within", [(1e-15, True), (1e-13, False)])
+def test_compare_bounds_a_float_move(bench, step, within):
+    """A float that moves by 1e-15 keeps within WITHIN * (1 + |base|); one
+    that moves by 1e-13 does not. Either is a move, and parity_equal is
+    false."""
+    base = {"run/case/plane/0/residual": 0.5, "run/case/plane/1/residual": 0.25}
+    change = {**base, "run/case/plane/1/residual": 0.25 + step}
+    got = bench.compare(base, change)
+    assert got["parity_equal"] is False
+    assert got["parity_within"] is within
+    [move] = got["parity"]["moved"]
+    assert move["key"] == "run/case/plane/1/residual"
+    assert (move["base"], move["change"]) == (0.25, 0.25 + step)
+    assert move["abs_delta"] == pytest.approx(step, rel=1e-2)
+    assert got["parity"]["tally"] == {"run/case/plane/*/residual": {"moved": 1, "max_abs_delta": move["abs_delta"]}}
+
+
+def test_compare_lists_a_flipped_verdict_and_a_missing_row_first(bench):
+    """A passed that flips and a row one tree lacks are outside the bound,
+    however small the float moves beside them, and come before the largest
+    of those; the missing side's value is left out of its move."""
+    base = {"run/case/plane/0/passed": True, "run/case/plane/0/residual": 1.0,
+            "run/case/plane/1/residual": 2.0}
+    change = {"run/case/plane/0/passed": False, "run/case/plane/0/residual": 1.0 + 2e-15}
+    got = bench.compare(base, change)
+    assert (got["parity_equal"], got["parity_within"]) == (False, False)
+    assert got["parity"]["moved"] == [
+        {"key": "run/case/plane/0/passed", "base": True, "change": False, "abs_delta": None},
+        {"key": "run/case/plane/1/residual", "base": 2.0, "abs_delta": None},
+        {"key": "run/case/plane/0/residual", "base": 1.0, "change": 1.0 + 2e-15, "abs_delta": pytest.approx(2e-15)},
+    ]
+    assert got["parity"]["moved_count"] == 3
+    assert got["parity"]["compared"] == {"base": 3, "change": 2}
+
+
 def test_main_reports_a_tree_that_differs(bench, tmp_path, monkeypatch, capsys):
-    """Where the base tree's counts, products and digests differ from the
+    """Where the base tree's counts, products and values differ from the
     change's, both files and the last printed line say so: every gate
-    reads false."""
+    reads false, and each file lists the moves of its own values."""
     monkeypatch.setattr(bench, "ROOT", tmp_path)
     monkeypatch.setattr(bench, "load_tree", lambda src, name: name)
-    for row in ("fd_pass_counts", "product_counts", "parity"):
+    for row in ("fd_pass_counts", "product_counts"):
         monkeypatch.setattr(bench, row, lambda ns: {"tree": ns})
+    monkeypatch.setattr(bench, "parity", lambda ns: {f"{bench.FD_KEY}_k0/e": ns, "theorem_check_k0/f": ns})
     assert bench.main(["--base", str(tmp_path / "base")]) == 0
     fd_doc = json.loads((tmp_path / "BENCH_fd_check.json").read_text())
     registry_doc = json.loads((tmp_path / "BENCH_registry.json").read_text())
-    assert fd_doc["counts_equal"] is fd_doc["parity_equal"] is False
-    assert registry_doc["products_equal"] is registry_doc["parity_equal"] is False
-    assert fd_doc["parity"] == registry_doc["parity"] == {"base": {"tree": "framelab_base"},
-                                                          "change": {"tree": "framelab_change"}}
+    assert fd_doc["counts_equal"] is fd_doc["parity_equal"] is fd_doc["parity_within"] is False
+    assert registry_doc["products_equal"] is registry_doc["parity_equal"] is registry_doc["parity_within"] is False
+    for doc, key in ((fd_doc, f"{bench.FD_KEY}_k0/e"), (registry_doc, "theorem_check_k0/f")):
+        assert doc["parity"]["moved"] == [{"key": key, "base": "framelab_base", "change": "framelab_change",
+                                           "abs_delta": None}]
     last = capsys.readouterr().out.splitlines()[-1]
     assert json.loads(last) == {"parity_equal": False, "products_equal": False, "counts_equal": False}
 
@@ -139,10 +186,14 @@ def test_main_writes_the_documented_keys_and_prints_the_gates(bench, tmp_path, m
     for row in ("fd_pass_counts", "product_counts", "parity"):
         monkeypatch.setattr(bench, row, lambda ns: {"stub": 1})
     assert bench.main(["--base", str(tmp_path / "base")]) == 0
-    common = {"command", "source", "parity", "parity_equal", "measured_s"}
+    common = {"command", "source", "parity", "parity_equal", "parity_within", "measured_s"}
     fd_doc = json.loads((tmp_path / "BENCH_fd_check.json").read_text())
     assert set(fd_doc) == common | {"fd_pass_counts", "counts_equal"}
     registry_doc = json.loads((tmp_path / "BENCH_registry.json").read_text())
     assert set(registry_doc) == common | {"samples", "theorem_samples", "count_seed", "products", "products_equal"}
+    for doc in (fd_doc, registry_doc):
+        assert set(doc["parity"]) == {"compared", "moved_count", "moved", "tally"}
+    assert fd_doc["parity"]["compared"] == {"base": 0, "change": 0}
+    assert registry_doc["parity"]["compared"] == {"base": 1, "change": 1}
     last = capsys.readouterr().out.splitlines()[-1]
     assert json.loads(last) == {"parity_equal": True, "products_equal": True, "counts_equal": True}
