@@ -4,12 +4,14 @@ checks the exact-jet route to connection and curvature data.
 A point function f maps points u of shape (..., k) to values of shape
 (..., *value shape); `M.frame_data(U).g_chart.val` and `metric_at(N, X)`
 are such functions. Each function here calls f exactly once, on u and its
-whole stencil tree: central_diff and christoffels on [u; u ± h e_a],
-curvature on [u; u ± h e_a; u ± h e_a ± h e_b]. The values are split back
-by level as C-contiguous arrays, so a metric function's values at u serve
-the inverse metric there, and curvature takes the Christoffels at u and at
-its first level from the one call; lowered_curvature lowers R's first index
-with the metric at u from that call too. The module imports numpy only, so it
+whole stencil tree: value_and_diff, central_diff and christoffels on
+[u; u ± h e_a], curvature on [u; u ± h e_a; u ± h e_a ± h e_b]. The values
+are split back by level as C-contiguous arrays, so f's values at u are
+read from the same call: value_and_diff returns them beside the
+differences, a metric function's values at u serve the inverse metric
+there, and curvature takes the Christoffels at u and at its first level
+from the one call; lowered_curvature lowers R's first index with the
+metric at u from that call too. The module imports numpy only, so it
 shares no code with the route it checks. Conventions are those of the
 ambient module: R^i_{jkl} =
 d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from numpy._core.multiarray import c_einsum
 
-__all__ = ["central_diff", "christoffels", "curvature", "lowered_curvature"]
+__all__ = ["value_and_diff", "central_diff", "christoffels", "curvature", "lowered_curvature"]
 
 
 def _shifted(u: np.ndarray, h: float) -> np.ndarray:
@@ -49,27 +51,35 @@ def _diff(shifted_vals: np.ndarray, h: float) -> np.ndarray:
     return (shifted_vals[0] - shifted_vals[1]) / (2.0 * h)
 
 
-def _gamma(g0: np.ndarray, g1: np.ndarray, h: float) -> np.ndarray:
-    """Gamma^i_{jk} from the metric g0 (..., k, k) at the points and g1 at their shifts."""
-    dg = _diff(g1, h)  # [..., a, b, c] = d_a g_bc
+def _gamma(g0: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^i_{jk} from the metric g0 (..., k, k) at the points and its
+    central differences dg there, dg[..., a, b, c] = d_a g_bc."""
     low = 0.5 * (c_einsum("...abc->...cab", dg) + c_einsum("...abc->...cba", dg) - dg)
     return c_einsum("...dc,...cab->...dab", np.linalg.inv(g0), low)
 
 
-def central_diff(f, u, h: float) -> np.ndarray:
-    """(f(u + h e_a) - f(u - h e_a)) / 2h for each coordinate a, stacked after
+def value_and_diff(f, u, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """f(u), shape (..., *value shape), and its central differences
+    (f(u + h e_a) - f(u - h e_a)) / 2h for each coordinate a, stacked after
     u's batch axes: shape (..., k, *value shape). f gets u and all 2k shifted
-    copies of every point in one call (the value at u goes unread, and a frame
-    function builds one frame for the stencil that christoffels builds)."""
+    copies of every point in one call, so a frame function builds one frame
+    for the stencil that christoffels builds and the value at u is that
+    frame's."""
     u = np.asarray(u, dtype=float)
-    return _diff(_one_call(f, [u, _shifted(u, h)])[1], h)
+    f0, f1 = _one_call(f, [u, _shifted(u, h)])
+    return f0, _diff(f1, h)
+
+
+def central_diff(f, u, h: float) -> np.ndarray:
+    """The central differences of value_and_diff, from its one call of f on
+    u and its 2k shifts; the value at u is dropped."""
+    return value_and_diff(f, u, h)[1]
 
 
 def christoffels(g, u, h: float) -> np.ndarray:
     """Gamma^i_{jk} of the metric function g at u, shape (..., k, k, k):
     one call of g on u and its 2k shifts."""
-    u = np.asarray(u, dtype=float)
-    return _gamma(*_one_call(g, [u, _shifted(u, h)]), h)
+    return _gamma(*value_and_diff(g, u, h))
 
 
 def curvature(g, u, h: float) -> np.ndarray:
@@ -94,8 +104,8 @@ def _curvature(g, u, h: float) -> tuple[np.ndarray, np.ndarray]:
     k = u.shape[-1]
     level1 = _shifted(u, h)
     g0, g1, g2 = _one_call(g, [u, level1, _shifted(level1.reshape(-1, k), h)])
-    G0 = _gamma(g0, g1, h)
-    G1 = _gamma(g1.reshape((-1,) + g1.shape[-2:]), g2, h)
+    G0 = _gamma(g0, _diff(g1, h))
+    G1 = _gamma(g1.reshape((-1,) + g1.shape[-2:]), _diff(g2, h))
     dG = _diff(G1.reshape(level1.shape[:-1] + G1.shape[1:]), h)
     dG = c_einsum("...kilj->...ijkl", dG)  # d_k Gamma^i_{lj}
     GG = c_einsum("...ikm,...mlj->...ijkl", G0, G0)  # Gamma^i_{km} Gamma^m_{lj}

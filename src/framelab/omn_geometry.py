@@ -539,17 +539,19 @@ def frame_trace(fd: FramePointData) -> tuple[Jet, Jet, Jet, Jet, Jet]:
     The shapes are per point: on the frame of a batch of points each sum
     leads with the batch axes, and one call traces every point. The p frame
     fields are one stack, and each sum adds its p terms in frame order.
+
+    Terms that share a piece form it once: nabla_e e and nabla'_e S_e one
+    omega_e (operators.frame_derivs_jet), and nabla'_e e and tilde_e e one
+    derivative of e along e and one e (x) e (operators.vec_connections_jet).
+    Each term is bitwise the one its own primitive gives.
     """
     Ec = ops.as_chart_field(fd, jstack(tilde_frame_fields(fd), axis=0), 1)
     EF = ops.full_frame_field(fd, Ec)
     SE = ops.s_field_matrix(fd, Ec)
-    terms = (
-        ops.ambient_deriv_frame(fd, Ec, EF),
-        jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, SE.cut(0)), EF.cut(0)),
-        ops.vec_nabla_prime_jet(fd, Ec, Ec),
-        ops.vec_tilde_nabla_jet(fd, Ec, Ec),
-        ops.nabla_t_field_jet(fd, SE, Ec, "prime"),
-    )
+    amb, dS = ops.frame_derivs_jet(fd, Ec, EF, SE)
+    prime, tilde = ops.vec_connections_jet(fd, Ec, Ec)
+    rterm = jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, SE.cut(0)), EF.cut(0))
+    terms = (amb, rterm, prime, tilde, dS)
     return tuple(sum((t[A] for A in range(1, fd.p)), t[0]) for t in terms)
 
 

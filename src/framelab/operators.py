@@ -37,8 +37,13 @@ and solve_P (P^{-1}, refusing a numerically singular P). The operator P and
 the deformed metric are read off the frame itself (FramePointData.Pfr and
 gt_chart), and the connections nabla' and tilde-nabla on tangent fields are
 vec_nabla_prime_jet and vec_tilde_nabla_jet; Q_T and R' are q_t_chart_jet
-and curvature_prime_jet. Field specs are normalised by as_chart_field
-(tangent fields) and as_endo_field (endomorphism fields).
+and curvature_prime_jet. Where a caller needs two of these along one X, a
+pair shares its common pieces and gives each bitwise as its own primitive
+does: frame_derivs_jet (ambient_deriv_frame and the primed
+nabla_t_field_jet, one omega_X) and vec_connections_jet (nabla' and
+tilde-nabla, one derivative of Y along X and one X (x) Y). Field specs
+are normalised by as_chart_field (tangent fields) and as_endo_field
+(endomorphism fields).
 
 Depth rule: both normalisers take an order, the number of derivatives the
 caller's formula takes of the field, and return the field as a jet of that
@@ -96,6 +101,7 @@ __all__ = [
     "omega_along",
     "vec_nabla_prime_jet",
     "vec_tilde_nabla_jet",
+    "vec_connections_jet",
     "bracket_jet",
     "nabla_t_field_jet",
     "q_t_chart_jet",
@@ -103,6 +109,7 @@ __all__ = [
     "frame_of_chart",
     "full_frame_field",
     "ambient_deriv_frame",
+    "frame_derivs_jet",
     "curvature_matrix",
     "solve_P",
     "commutator_jet",
@@ -168,11 +175,34 @@ def omega_along(fd: FramePointData, Xc, which: str = "ambient") -> Jet:
     return om * fd.hmask if which == "prime" else om
 
 
+def _vec_deriv(dY: Jet, om: Jet, yF: Jet) -> Jet:
+    """nabla_X Y = dY + omega_X Y in frame components, from dY = jet_along(X,
+    yF) and the connection matrix om along X: the term is formed at dY's
+    order, to which om and yF are cut."""
+    return dY + jet_einsum("...ij,...j->...i", _at_most(om, dY.valid), _at_most(yF, dY.valid))
+
+
+def _endo_deriv(dT: Jet, om: Jet, Tj: Jet) -> Jet:
+    """nabla_X T = dT + [omega_X, T] in frame components, from dT =
+    jet_along(X, T) and the connection matrix om along X: the term is formed
+    at dT's order, to which om and T are cut."""
+    return dT + commutator_jet(_at_most(om, dT.valid), _at_most(Tj, dT.valid))
+
+
 def ambient_deriv_frame(fd: FramePointData, Xc, yF: Jet) -> Jet:
     """Frame components of nabla_X Y for a full frame-component field yF."""
     dY = jet_along(Xc, yF)
-    Xc, yF = _at_most(Xc, dY.valid), _at_most(yF, dY.valid)
-    return dY + jet_einsum("...ij,...j->...i", omega_along(fd, Xc), yF)
+    return _vec_deriv(dY, omega_along(fd, _at_most(Xc, dY.valid)), yF)
+
+
+def frame_derivs_jet(fd: FramePointData, Xc, yF: Jet, Tj: Jet) -> tuple[Jet, Jet]:
+    """(nabla_X Y, nabla'_X T) in frame components for a full frame-component
+    field yF and an endomorphism field Tj along one X: ambient_deriv_frame and
+    nabla_t_field_jet(..., "prime"), bitwise, with one omega_X between them,
+    formed at the higher of the two derivatives' orders and cut to each."""
+    dY, dT = jet_along(Xc, yF), jet_along(Xc, Tj)
+    om = omega_along(fd, _at_most(Xc, max(dY.valid, dT.valid)))
+    return _vec_deriv(dY, om, yF), _endo_deriv(dT, om * fd.hmask, Tj)
 
 
 def curvature_matrix(fd: FramePointData, xF: Jet, yF: Jet) -> Jet:
@@ -290,21 +320,29 @@ def solve_P(fd: FramePointData, rhs):
     return np.linalg.solve(fd.Pfr.val, np.asarray(rhs, dtype=float)[..., None])[..., 0]
 
 
-def _connection_jet(fd: FramePointData, gam: Jet, Xc, Yc: Jet) -> Jet:
-    """Chart coefficients of nabla_X Y for the connection with Christoffels gam."""
+def _connection_jets(gams: tuple, Xc, Yc: Jet) -> tuple:
+    """Chart coefficients of nabla_X Y for the connection with Christoffels
+    gam, for each gam of gams, from one jet_along(X, Y) and one X (x) Y."""
     dY = jet_along(Xc, Yc)
     XY = jet_einsum("...a,...b->...ab", _at_most(Xc, dY.valid), _at_most(Yc, dY.valid))
-    return dY + jet_einsum("...cab,...ab->...c", gam, XY)
+    return tuple(dY + jet_einsum("...cab,...ab->...c", gam, XY) for gam in gams)
 
 
 def vec_nabla_prime_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
     """Chart coefficients of nabla'_X Y for tangent fields (jets)."""
-    return _connection_jet(fd, fd.Gam_chart, Xc, Yc)
+    return _connection_jets((fd.Gam_chart,), Xc, Yc)[0]
 
 
 def vec_tilde_nabla_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
     """Chart coefficients of the deformed-metric connection applied to fields."""
-    return _connection_jet(fd, fd.Gamt, Xc, Yc)
+    return _connection_jets((fd.Gamt,), Xc, Yc)[0]
+
+
+def vec_connections_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> tuple[Jet, Jet]:
+    """(nabla'_X Y, tilde-nabla_X Y) in chart coefficients:
+    vec_nabla_prime_jet and vec_tilde_nabla_jet, bitwise, from one
+    derivative of Y along X and one X (x) Y."""
+    return _connection_jets((fd.Gam_chart, fd.Gamt), Xc, Yc)
 
 
 def bracket_jet(fd: FramePointData, Xc: Jet, Yc: Jet) -> Jet:
@@ -316,8 +354,7 @@ def nabla_t_field_jet(fd: FramePointData, Tj: Jet, Xc, which: str = "ambient") -
     """(nabla_X T) for an endo field along a tangent field, frame components,
     full or primed (which = "ambient" or "prime")."""
     dT = jet_along(Xc, Tj)
-    Xc, Tj = _at_most(Xc, dT.valid), _at_most(Tj, dT.valid)
-    return dT + commutator_jet(omega_along(fd, Xc, which), Tj)
+    return _endo_deriv(dT, omega_along(fd, _at_most(Xc, dT.valid), which), Tj)
 
 
 def q_t_chart_jet(fd: FramePointData, Tj: Jet, Xc) -> Jet:

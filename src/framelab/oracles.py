@@ -69,8 +69,8 @@ def fd_connection(M, u, h, frame, attr: str):
     # the stencil frames come first: frame_data refuses points that are not
     # the chart's before a field is evaluated at them
     gam = fd_christoffels(M, u, h, frame, attr)
-    x0, y0 = _field_values(_X, u), _field_values(_Y, u)
-    dY = finite_diff.central_diff(lambda U: _field_values(_Y, U), u, h)
+    x0 = _field_values(_X, u)
+    y0, dY = finite_diff.value_and_diff(lambda U: _field_values(_Y, U), u, h)
     return c_einsum("...a,...ac->...c", x0, dY) + c_einsum("...cab,...a,...b->...c", gam, x0, y0)
 
 
@@ -84,17 +84,22 @@ def fd_nabla_vec(M, u, h, frame):
         return np.matmul(frame(U).J.val, _field_values(_Y, U)[..., None])[..., 0]
 
     gam = finite_diff.christoffels(lambda X: metric_at(M.ambient, X), fd0.x0, h)
-    dY = np.matmul(x0[..., None, :], finite_diff.central_diff(yamb, u, h))[..., 0, :]
+    y0, diffs = finite_diff.value_and_diff(yamb, u, h)
+    dY = np.matmul(x0[..., None, :], diffs)[..., 0, :]
     Jx = np.matmul(fd0.J.val, x0[..., None])[..., 0]
-    return dY + c_einsum("...ijk,...j,...k->...i", gam, Jx, yamb(u))
+    return dY + c_einsum("...ijk,...j,...k->...i", gam, Jx, y0)
 
 
 def fd_curvature_ambient(M, u, h, frame):
-    """FD route of the ambient curvature in frame components, g(R(e_k, e_l) e_j, e_i)."""
+    """FD route of the ambient curvature in frame components, g(R(e_k, e_l) e_j, e_i):
+    the lowered tensor contracted with the frame E one index at a time."""
     fd0 = frame(u)
     low = finite_diff.lowered_curvature(lambda X: metric_at(M.ambient, X), fd0.x0, h)
     E = fd0.E.val
-    return c_einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", low, E, E, E, E)
+    t = c_einsum("...ijkl,...ia->...ajkl", low, E)
+    t = c_einsum("...ajkl,...jb->...abkl", t, E)
+    t = c_einsum("...abkl,...kc->...abcl", t, E)
+    return c_einsum("...abcl,...ld->...abcd", t, E)
 
 
 def fd_curvature_prime(M, u, h, frame):

@@ -1092,9 +1092,11 @@ class FDQuantity(NamedTuple):
     order 2. finite_diff calls each function once, on u and its whole
     stencil tree, so a route's chart stencil is one frame, shared by every
     quantity of the same step; its reads of x0, J and E at u are served by
-    the frame at u, and it evaluates the default fields' expressions at u
-    and on the stencil itself. Both routes take u of shape (p,) or (n, p),
-    and their values lead with u's batch axes, () at one point
+    the frame at u. It evaluates X's expressions at u, and Y's on u and the
+    stencil in the one call that differences Y, whose value at u it reads
+    (finite_diff.value_and_diff), so nabla_vec reads Y's ambient
+    components at u off the stencil frame. Both routes take u of shape (p,)
+    or (n, p), and their values lead with u's batch axes, () at one point
     (submanifold's batch convention)."""
 
     h: float

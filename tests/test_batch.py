@@ -442,6 +442,34 @@ def test_frame_fields_and_pairs_are_one_stack(name):
         assert_same(list(og.second_fundamental_OMN(fd, "hv", X, T).norm()), hv, "hv norms")
 
 
+def pre_change_frame_trace(fd):
+    """frame_trace as it was, each term from its own primitive: both chart
+    connections form their own derivative of e along e and e (x) e, and
+    nabla_e e and nabla'_e S_e their own omega_e."""
+    Ec = ops.as_chart_field(fd, jstack(tilde_frame_fields(fd), axis=0), 1)
+    EF = ops.full_frame_field(fd, Ec)
+    SE = ops.s_field_matrix(fd, Ec)
+    terms = (
+        ops.ambient_deriv_frame(fd, Ec, EF),
+        jet_einsum("...ij,...j->...i", ops.rt_matrix_jet(fd, SE.cut(0)), EF.cut(0)),
+        ops.vec_nabla_prime_jet(fd, Ec, Ec),
+        ops.vec_tilde_nabla_jet(fd, Ec, Ec),
+        ops.nabla_t_field_jet(fd, SE, Ec, "prime"),
+    )
+    return tuple(sum((t[A] for A in range(1, fd.p)), t[0]) for t in terms)
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS + ("pseudosphere",))
+def test_frame_trace_shares_its_pieces_bitwise(name):
+    """frame_trace forms omega_e, the derivative of e along e and e (x) e
+    once each, and its five sums equal those of one primitive per term
+    bitwise, at a batch and at one point."""
+    M, fd = run_frame(name)
+    assert_same(frame_trace(fd), pre_change_frame_trace(fd), "frame trace")
+    single = M.frame_data(fd.u0[0])
+    assert_same(frame_trace(single), pre_change_frame_trace(single), "frame trace at one point")
+
+
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_registry_sweeps_are_one_stack(name):
     """The sectional rounds of space-form-sectional-nonnegative and

@@ -59,13 +59,22 @@ def test_round_sphere_sectional_curvature_is_one():
 def test_one_call_per_stencil_level():
     """All stencil levels go into one call: each function calls its point
     function once, on u and its whole stencil tree, 1 + 2k points for
-    central_diff and christoffels and 1 + 2k + 4k^2 for curvature."""
+    value_and_diff, central_diff and christoffels and 1 + 2k + 4k^2 for
+    curvature. value_and_diff's value at u is bitwise f(u) alone, and its
+    differences are central_diff's, at one point and at a batch."""
     shapes = []
 
     def metric(U):
         shapes.append(np.shape(U))
         return polar(U)
 
+    for u, points in ((POINTS[0], 5), (POINTS, 15)):
+        shapes.clear()
+        value, diffs = finite_diff.value_and_diff(metric, u, 1e-4)
+        assert shapes == [(points, 2)]
+        assert value.shape == polar(u).shape and np.array_equal(value, polar(u))
+        assert np.array_equal(diffs, finite_diff.central_diff(polar, u, 1e-4))
+    shapes.clear()
     finite_diff.central_diff(metric, POINTS[0], 1e-4)
     assert shapes == [(5, 2)]
     shapes.clear()

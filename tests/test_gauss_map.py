@@ -256,6 +256,8 @@ def test_residuals_sphere2_first_condition():
 
 
 TORUS_R, TORUS_r = 2.0, 0.7
+TORUS = [f"({TORUS_R}+{TORUS_r}*cos(u2))*cos(u1)", f"({TORUS_R}+{TORUS_r}*cos(u2))*sin(u1)", f"{TORUS_r}*sin(u2)"]
+TORUS_DOMAIN = [[-1.0, 1.0], [-1.2, 1.2]]
 # S^2(0.8) x R: principal curvatures 1/0.8, 1/0.8 and 0.
 K_SPHERE = 1.25
 # The helix (cos t, sin t, t / 2) has curvature 1 / (1 + 1/4) = 0.8.
@@ -268,9 +270,7 @@ def torus_h1(u):
 
 
 @pytest.mark.parametrize("components,domain,want", [
-    pytest.param(
-        [f"({TORUS_R}+{TORUS_r}*cos(u2))*cos(u1)", f"({TORUS_R}+{TORUS_r}*cos(u2))*sin(u1)", f"{TORUS_r}*sin(u2)"],
-        [[-1.0, 1.0], [-1.2, 1.2]], torus_h1, id="torus"),
+    pytest.param(TORUS, TORUS_DOMAIN, torus_h1, id="torus"),
     pytest.param(
         ["0.8*cos(u1)*sin(u2)", "0.8*sin(u1)*sin(u2)", "0.8*cos(u2)", "u3"],
         [[-1.0, 1.0], [0.4, 2.6], [-1.0, 1.0]], lambda u: 2 * K_SPHERE / (1 + 2 * K_SPHERE**2), id="sphere-x-line"),
@@ -288,6 +288,36 @@ def test_torus_h1_is_the_closed_form(components, domain, want):
     u = og.domain_samples(M, 7, seed=0)
     fd = M.frame_data(u)
     assert np.max(np.abs(residual_data(fd, og.frame_trace(fd)).r_h1 - want(u))) <= 1e-13
+
+
+def torus_m2(u):
+    c = np.cos(u[:, 1])
+    k1 = c / (TORUS_R + TORUS_r * c)
+    return np.sqrt(2) * TORUS_R * np.abs(np.sin(u[:, 1])) / (TORUS_r * (TORUS_R + TORUS_r * c) ** 2 * (1 + 2 * k1**2))
+
+
+def pseudosphere_m2(u):
+    s = np.sinh(u[:, 0])
+    H = (s**2 - 1) / (2 * np.sqrt(2) * s)
+    return np.sqrt(2) * np.cosh(u[:, 0]) ** 4 / (4 * s**3 * (1 + 2 * H**2))
+
+
+@pytest.mark.parametrize("make,want,bound", [
+    pytest.param(lambda: ImmersedSubmanifold(2, TORUS_DOMAIN, TORUS, euclidean(3)), torus_m2, 1e-13, id="torus"),
+    pytest.param(lambda: builtin_submanifold("pseudosphere"), pseudosphere_m2, 1e-12, id="pseudosphere"),
+])
+def test_m2_is_the_closed_form(make, want, bound):
+    """On a surface in R^3, r_m2 = |grad_g sum_i arctan(sqrt(2) k_i)| over
+    the principal curvatures. On the torus of revolution only k1 = cos u2 /
+    (R + r cos u2) varies, along the meridians, where |d k1/ds| = R |sin u2|
+    / (r (R + r cos u2)^2), so r_m2 = sqrt(2) R |sin u2| / (r (R + r cos
+    u2)^2 (1 + 2 k1^2)). On the pseudosphere K = -1/2, so the sum is
+    arctan(sqrt(2) H_M) with H_M = (sinh^2 u1 - 1) / (2 sqrt(2) sinh u1),
+    and r_m2 = sqrt(2) cosh^4 u1 / (4 sinh^3 u1 (1 + 2 H_M^2))."""
+    M = make()
+    u = og.domain_samples(M, 25, seed=0)
+    fd = M.frame_data(u)
+    assert np.max(np.abs(residual_data(fd, og.frame_trace(fd)).r_m2 - want(u))) <= bound
 
 
 def test_holomorphic_graph_in_r4_is_minimal_and_harmonic():

@@ -538,8 +538,9 @@ PRODUCTS_BY_ORDER = {
     (second_fundamental_OMN, "hv"): [19, 2],
     (L_op, None): [15, 5],
     # of the frame trace, only the frame fields' frame components EF and
-    # S_e, which jet_along differentiates, above order 0
-    (og.mean_curvature_OMN, None): [21, 2],
+    # S_e, which jet_along differentiates, above order 0; the trace forms
+    # omega_e, jet_along(e, e) and e (x) e once each
+    (og.mean_curvature_OMN, None): [18, 2],
     (curvature_OMN, "hhh"): [39, 20],
     (curvature_OMN, "hhv"): [98, 34],
     (curvature_OMN, "hvh"): [54, 17],

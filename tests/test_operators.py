@@ -472,6 +472,29 @@ def test_omega_along_prime_is_the_block_diagonal_part():
 
 
 @pytest.mark.parametrize("name,u", CURVED)
+def test_shared_piece_primitives_are_the_single_ones(name, u):
+    """frame_derivs_jet and vec_connections_jet give bitwise what
+    ambient_deriv_frame, nabla_t_field_jet(..., "prime"), vec_nabla_prime_jet
+    and vec_tilde_nabla_jet give one by one: along a jet field whose
+    derivatives of Y and T land at different orders, and along a constant
+    direction given as an array."""
+    rng = np.random.default_rng(29)
+    fd = builtin_submanifold(name).frame_data(u)
+    X = ops.as_chart_field(fd, ["u2", "1+u1*u2"], 2)
+    Y = ops.as_chart_field(fd, ["sin(u1)", "u2-u1"], 3)
+    yF = ops.full_frame_field(fd, Y)
+    Tj = (1.0 + 0.3 * fd.uv[0].cut(2))[..., None, None] * hm_split_mat(random_skew(rng, fd.d), fd.p)[0]
+    for Xc in (X, rng.normal(size=fd.p)):
+        nab, dT = ops.frame_derivs_jet(fd, Xc, yF, Tj)
+        for got, want in ((nab, ops.ambient_deriv_frame(fd, Xc, yF)), (dT, ops.nabla_t_field_jet(fd, Tj, Xc, "prime"))):
+            assert got.valid == want.valid and np.array_equal(got.coeffs, want.coeffs)
+    assert (nab.valid, dT.valid) == (2, 1)
+    prime, tilde = ops.vec_connections_jet(fd, X, Y)
+    for got, want in ((prime, ops.vec_nabla_prime_jet(fd, X, Y)), (tilde, ops.vec_tilde_nabla_jet(fd, X, Y))):
+        assert got.valid == want.valid and np.array_equal(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("name,u", CURVED)
 def test_constant_directions_pass_as_arrays(name, u):
     """A constant direction gives the same value as an array as it does as a
     constant jet."""

@@ -3,7 +3,7 @@ it starts and prints its help, runs the benchmark's pinned work, its counts
 see a call at every site they wrap and are taken off again, it loads the
 tree it names and no other, names the commit of a tree, compare finds the
 values that moved and bounds them, and main writes the documented keys to
-both BENCH files, prints the three gates alone and reports a tree that
+both BENCH files, prints the four gates alone and reports a tree that
 differs."""
 
 import importlib.util
@@ -173,13 +173,14 @@ def test_main_reports_a_tree_that_differs(bench, tmp_path, monkeypatch, capsys):
         assert doc["parity"]["moved"] == [{"key": key, "base": "framelab_base", "change": "framelab_change",
                                            "abs_delta": None}]
     last = capsys.readouterr().out.splitlines()[-1]
-    assert json.loads(last) == {"parity_equal": False, "products_equal": False, "counts_equal": False}
+    assert json.loads(last) == {"parity_equal": False, "parity_within": False, "products_equal": False,
+                                "counts_equal": False}
 
 
 def test_main_writes_the_documented_keys_and_prints_the_gates(bench, tmp_path, monkeypatch, capsys):
     """main writes both BENCH files with exactly the keys its docstring
     names, no timed row among them, and its last printed line holds the
-    three gates and nothing else. The passes are stubbed, so only main's
+    four gates and nothing else. The passes are stubbed, so only main's
     own assembly runs."""
     monkeypatch.setattr(bench, "ROOT", tmp_path)
     monkeypatch.setattr(bench, "load_tree", lambda src, name: name)
@@ -196,4 +197,5 @@ def test_main_writes_the_documented_keys_and_prints_the_gates(bench, tmp_path, m
     assert fd_doc["parity"]["compared"] == {"base": 0, "change": 0}
     assert registry_doc["parity"]["compared"] == {"base": 1, "change": 1}
     last = capsys.readouterr().out.splitlines()[-1]
-    assert json.loads(last) == {"parity_equal": True, "products_equal": True, "counts_equal": True}
+    assert json.loads(last) == {"parity_equal": True, "parity_within": True, "products_equal": True,
+                                "counts_equal": True}

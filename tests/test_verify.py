@@ -10,14 +10,17 @@ registry does not take.
 import dataclasses
 import json
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 from framelab import gauss_map as gm
 from framelab import omn_geometry as og
-from framelab import oracles, verify
+from framelab import finite_diff, oracles, verify
 from framelab.ambient import euclidean, metric_at, sphere_chart
+from framelab.expr import eval_expr, parse
+from framelab.jets import get_space, jstack
 from framelab.omn_geometry import domain_samples
 from framelab.submanifold import FrameError, FramePointData, ImmersedSubmanifold, builtin_submanifold
 
@@ -386,6 +389,78 @@ def test_ambient_curvature_oracle_evaluates_the_metric_once(monkeypatch):
         calls.clear()
         verify.fd_oracle(M, "curvature_ambient", u)
         assert len(calls) == 1, calls
+
+
+@pytest.mark.parametrize("name", verify.DEFAULT_BUILTINS)
+def test_pairwise_ambient_contraction_is_the_five_operand_einsum(name):
+    """curvature_ambient's FD route contracts the lowered tensor with E one
+    index at a time; it sums in another order than the one five-operand
+    einsum it replaced, and lands within a few ulp of the tensor's largest
+    entry of it, at a batch and at one point."""
+    M = builtin_submanifold(name)
+    U = domain_samples(M, 5, seed=0)
+    for u in (U, U[0]):
+        fd0 = M.frame_data(u, 1)
+        low = finite_diff.lowered_curvature(lambda X: metric_at(M.ambient, X), fd0.x0, 1e-3)
+        E = fd0.E.val
+        want = np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", low, E, E, E, E)
+        got = verify.fd_oracle(M, "curvature_ambient", u)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
+
+
+def field_values(field, u):
+    """The values (..., p) at the points u of a field of oracles, its first
+    p coefficient expressions evaluated at order 0, as the routes evaluate them."""
+    p = u.shape[-1]
+    space = get_space(p, 0)
+    uv = space.variables(u)
+    return jstack([eval_expr(parse(c, len(field), var_prefix="u"), uv, space) for c in field[:p]], axis=-1).val
+
+
+def _pre_change_fd_connection(M, u, h, frame, attr):
+    """fd_connection as it was: the field Y at u from a second evaluation."""
+    gam = oracles.fd_christoffels(M, u, h, frame, attr)
+    x0, y0 = field_values(oracles.DEFAULT_X, u), field_values(oracles.DEFAULT_Y, u)
+    dY = finite_diff.central_diff(lambda U: field_values(oracles.DEFAULT_Y, U), u, h)
+    return np.einsum("...a,...ac->...c", x0, dY) + np.einsum("...cab,...a,...b->...c", gam, x0, y0)
+
+
+def _pre_change_fd_nabla_vec(M, u, h, frame):
+    """fd_nabla_vec as it was: Y's ambient components at u from a second
+    frame lookup and field evaluation at u."""
+    fd0 = frame(u)
+    x0 = field_values(oracles.DEFAULT_X, u)
+
+    def yamb(U):
+        return np.matmul(frame(U).J.val, field_values(oracles.DEFAULT_Y, U)[..., None])[..., 0]
+
+    gam = finite_diff.christoffels(lambda X: metric_at(M.ambient, X), fd0.x0, h)
+    dY = np.matmul(x0[..., None, :], finite_diff.central_diff(yamb, u, h))[..., 0, :]
+    Jx = np.matmul(fd0.J.val, x0[..., None])[..., 0]
+    return dY + np.einsum("...ijk,...j,...k->...i", gam, Jx, yamb(u))
+
+
+PRE_CHANGE_FD_ROUTES = {
+    "nabla_vec": _pre_change_fd_nabla_vec,
+    "nabla_prime_vec": lambda *args: _pre_change_fd_connection(*args, attr="g_chart"),
+    "nabla_tilde_vec": lambda *args: _pre_change_fd_connection(*args, attr="gt_chart"),
+}
+
+
+@pytest.mark.parametrize("name", verify.DEFAULT_BUILTINS + ("pseudosphere",))
+def test_connection_routes_read_y_at_u_from_their_stencil_call(name):
+    """The connection routes take Y at u from the one call that differences
+    it, and give bitwise the values of the routes that evaluated it at u a
+    second time, at a batch and at one point."""
+    M = builtin_submanifold(name)
+    U = domain_samples(M, 5, seed=0)
+    for q, reference in PRE_CHANGE_FD_ROUTES.items():
+        quantity = verify.FD_QUANTITIES[q]
+        for u in (U, U[0]):
+            want = reference(M, u, quantity.h, partial(M.frame_data, order=quantity.order))
+            got = verify.fd_oracle(M, q, u)
+            assert got.shape == want.shape and np.array_equal(got, want), q
 
 
 @pytest.mark.parametrize("name", verify.DEFAULT_BUILTINS)

@@ -69,8 +69,8 @@ written *, the count of its moves and their largest |delta| (parity.tally).
 parity_equal says that no value moved, bit for bit, and parity_within that
 every move is a float change of at most WITHIN * (1 + |base|), the quality
 aim's bound on a refactor. measured_s is the wall time of the whole run. The
-last line printed holds parity_equal, of both files, products_equal and
-counts_equal. Only public framelab names are used. BLAS and OpenMP pools are
+last line printed holds parity_equal and parity_within, each of both files,
+products_equal and counts_equal. Only public framelab names are used. BLAS and OpenMP pools are
 pinned to one thread, as in the benchmark.
 """
 
@@ -382,7 +382,9 @@ def main(argv=None) -> int:
         base, change = ({k: v for k, v in values[tree].items() if k.startswith(FD_KEY) is fd} for tree in fl)
         doc.update(compare(base, change), measured_s=measured_s)
         (ROOT / name).write_text(json.dumps(doc, indent=2) + "\n")
-    print(json.dumps({"parity_equal": fd_doc["parity_equal"] and registry_doc["parity_equal"],
+    docs = (fd_doc, registry_doc)
+    print(json.dumps({"parity_equal": all(doc["parity_equal"] for doc in docs),
+                      "parity_within": all(doc["parity_within"] for doc in docs),
                       "products_equal": registry_doc["products_equal"], "counts_equal": fd_doc["counts_equal"]}))
     return 0
 
