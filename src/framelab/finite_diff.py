@@ -2,18 +2,17 @@
 checks the exact-jet route to connection and curvature data.
 
 A point function f maps points u of shape (..., k) to values of shape
-(..., *value shape); `M.frame_data(U).g_chart.val` and `metric_at(N, X)`
-are such functions. Each function here calls f exactly once, on u and its
-whole stencil tree: value_and_diff, central_diff and christoffels on
-[u; u ± h e_a], curvature on [u; u ± h e_a; u ± h e_a ± h e_b]. The values
-are split back by level as C-contiguous arrays, so f's values at u are
-read from the same call: value_and_diff returns them beside the
-differences, a metric function's values at u serve the inverse metric
-there, and curvature takes the Christoffels at u and at its first level
-from the one call; lowered_curvature lowers R's first index with the
-metric at u from that call too. The module imports numpy only, so it
-shares no code with the route it checks. Conventions are those of the
-ambient module: R^i_{jkl} =
+(..., *value shape); `M.frame_data(U).g_chart.val` and `metric_at(N, X)` are
+such functions. Each function here calls f exactly once, on u and its whole
+stencil tree: value_and_diff and christoffels on [u; u ± h e_a], curvature
+on [u; u ± h e_a; u ± h e_a ± h e_b]. The values are split back by level as
+C-contiguous arrays, so f's values at u are read from the same call:
+value_and_diff returns them beside the differences, a metric function's
+values at u serve the inverse metric there, and curvature takes the
+Christoffels at u and at its first level from the one call;
+lowered_curvature lowers R's first index with the metric at u from that
+call too. The module imports numpy only, so it shares no code with the
+route it checks. Conventions are those of the ambient module: R^i_{jkl} =
 d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}.
 """
 
@@ -22,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 from numpy._core.multiarray import c_einsum
 
-__all__ = ["value_and_diff", "central_diff", "christoffels", "curvature", "lowered_curvature"]
+__all__ = ["value_and_diff", "christoffels", "curvature", "lowered_curvature"]
 
 
 def _shifted(u: np.ndarray, h: float) -> np.ndarray:
@@ -68,12 +67,6 @@ def value_and_diff(f, u, h: float) -> tuple[np.ndarray, np.ndarray]:
     u = np.asarray(u, dtype=float)
     f0, f1 = _one_call(f, [u, _shifted(u, h)])
     return f0, _diff(f1, h)
-
-
-def central_diff(f, u, h: float) -> np.ndarray:
-    """The central differences of value_and_diff, from its one call of f on
-    u and its 2k shifts; the value at u is dropped."""
-    return value_and_diff(f, u, h)[1]
 
 
 def christoffels(g, u, h: float) -> np.ndarray:

@@ -221,7 +221,7 @@ def test_constant_metric_refused_at_the_first_point(case):
     """A constant metric that is not finite or not positive definite is
     refused as any metric is, naming the first point asked for: by
     metric_at on a batch, by metric_jets at every order, and when a
-    submanifold in it is made (its pivots are chosen on the metric) or
+    submanifold in it is made (its centre normals are taken in the metric) or
     framed."""
     grid, message = BAD_CONSTANT_GRIDS[case]
     N = AmbientSpace(2, grid)
@@ -235,7 +235,7 @@ def test_constant_metric_refused_at_the_first_point(case):
     with pytest.raises(AmbientError, match=rf"^{message} at \[0\.0, 0\.0\]$"):
         ImmersedSubmanifold(1, [[-1.0, 1.0]], ["u1", "0"], N)
     # a frame reads the metric at its own points: swap in the bad metric
-    # after the pivots are chosen
+    # after the centre normals are taken
     M = ImmersedSubmanifold(1, [[-1.0, 1.0]], ["u1", "0"], euclidean(2))
     M.ambient = N
     with pytest.raises(AmbientError, match=rf"^{message} at \[0\.25, 0\.0\]$"):

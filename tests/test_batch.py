@@ -104,11 +104,11 @@ def test_batch_point_outside_chart_is_named():
 def test_circle_batch_through_quarter_turn_raises():
     with pytest.raises(FrameError):
         builtin_submanifold("circle").frame_data(np.array([[0.0], [np.pi / 2]]))
-    # On a chart wide enough to hold u = pi/2 the frozen pivot e_1 is
+    # On a chart wide enough to hold u = pi/2 the center normal e_1 is
     # parallel to the tangent there, and the breakdown names that point.
     M = ImmersedSubmanifold(1, [[-1.6, 1.6]], ["cos(u1)", "sin(u1)"], euclidean(2))
     U = np.array([[0.0], [0.5], [np.pi / 2], [-0.5]])
-    with pytest.raises(FrameError, match=re.escape(f"pivot failure at vector 2 at {[np.pi / 2]}")):
+    with pytest.raises(FrameError, match=re.escape(f"completion failure at vector 2 at {[np.pi / 2]}")):
         M.frame_data(U)
 
 

@@ -59,9 +59,9 @@ def test_round_sphere_sectional_curvature_is_one():
 def test_one_call_per_stencil_level():
     """All stencil levels go into one call: each function calls its point
     function once, on u and its whole stencil tree, 1 + 2k points for
-    value_and_diff, central_diff and christoffels and 1 + 2k + 4k^2 for
-    curvature. value_and_diff's value at u is bitwise f(u) alone, and its
-    differences are central_diff's, at one point and at a batch."""
+    value_and_diff and christoffels and 1 + 2k + 4k^2 for curvature.
+    value_and_diff's value at u is bitwise f(u) alone, and its differences
+    are the pre-change function's, at one point and at a batch."""
     shapes = []
 
     def metric(U):
@@ -73,10 +73,7 @@ def test_one_call_per_stencil_level():
         value, diffs = finite_diff.value_and_diff(metric, u, 1e-4)
         assert shapes == [(points, 2)]
         assert value.shape == polar(u).shape and np.array_equal(value, polar(u))
-        assert np.array_equal(diffs, finite_diff.central_diff(polar, u, 1e-4))
-    shapes.clear()
-    finite_diff.central_diff(metric, POINTS[0], 1e-4)
-    assert shapes == [(5, 2)]
+        assert np.array_equal(diffs, _pre_change_central_diff(polar, u, 1e-4))
     shapes.clear()
     finite_diff.christoffels(metric, POINTS[0], 1e-4)
     assert shapes == [(5, 2)]
@@ -134,16 +131,18 @@ def _pre_change_curvature(g, u, h):
     return dG - np.swapaxes(dG, -1, -2) + GG - np.swapaxes(GG, -1, -2)
 
 
+# Each one-call function beside its reference; the differences alone are
+# value_and_diff's second value.
 PRE_CHANGE = {
-    "central_diff": _pre_change_central_diff,
-    "christoffels": _pre_change_christoffels,
-    "curvature": _pre_change_curvature,
+    "differences": (lambda f, u, h: finite_diff.value_and_diff(f, u, h)[1], _pre_change_central_diff),
+    "christoffels": (finite_diff.christoffels, _pre_change_christoffels),
+    "curvature": (finite_diff.curvature, _pre_change_curvature),
 }
 
 
 def _assert_pre_change_values(g, u, h):
-    for name, reference in PRE_CHANGE.items():
-        got, want = getattr(finite_diff, name)(g, u, h), reference(g, u, h)
+    for name, (function, reference) in PRE_CHANGE.items():
+        got, want = function(g, u, h), reference(g, u, h)
         assert got.shape == want.shape and np.array_equal(got, want), name
 
 

@@ -357,6 +357,41 @@ def test_pseudosphere_is_live_in_h2_h3_and_m2_only():
     assert (report.minimal, report.harmonic, report.agree, report.separated) == (False, False, True, True)
 
 
+# Inputs of codimension 2, where the completion picks one of a circle of
+# frames of the normal plane: the helix, the holomorphic graph of z -> z^2
+# and a graph of no symmetry.
+CODIM2 = {
+    "helix": lambda: ImmersedSubmanifold(1, [[-1.0, 1.0]], HELIX, euclidean(3)),
+    "holomorphic-graph": lambda: ImmersedSubmanifold(
+        2, [[-0.5, 0.5]] * 2, ["u1", "u2", "u1*u1-u2*u2", "2*u1*u2"], euclidean(4)),
+    "codim2-graph": lambda: ImmersedSubmanifold(
+        2, [[-0.5, 0.5]] * 2, ["u1", "u2", "0.3*u1*u1+0.2*u1*u2", "0.25*u1*u2-0.1*u2^3+0.2*u2*u2"], euclidean(4)),
+}
+
+
+@pytest.mark.parametrize("name", CODIM2)
+def test_residuals_do_not_see_the_normal_completion(name):
+    """The structure group of O(M,N) is O(p) x O(n), so how the normal block
+    is completed is a choice of gauge: the centre normals turned by a fixed
+    angle, before any frame is built, turn every frame's normal block and
+    move |H| and the four residual norms only at roundoff."""
+
+    def frame_and_norms(M):
+        fd = M.frame_data(og.domain_samples(M, 25, seed=0))
+        trace = og.frame_trace(fd)
+        data = residual_data(fd, trace)
+        norms = [og.mean_curvature_OMN(fd, trace).norm(), data.r_h1, data.r_h2, data.r_h3, data.r_m2]
+        return fd, np.stack(norms)
+
+    M, turned = CODIM2[name](), CODIM2[name]()
+    c, s = np.cos(0.7), np.sin(0.7)
+    turned.normals = turned.normals @ np.array([[c, -s], [s, c]])
+    fd, want = frame_and_norms(M)
+    fd_turned, got = frame_and_norms(turned)
+    assert np.min(np.abs(fd_turned.E.val[..., M.p:] - fd.E.val[..., M.p:]).max(axis=(-2, -1))) > 0.1
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("name,u0", ALL_BUILTINS)
 def test_first_residuals_are_the_same_expression(name, u0):
     """The first minimality condition, the normal part of the mean

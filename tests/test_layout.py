@@ -340,7 +340,6 @@ def test_scan_sees_unused_imports():
 UNREFERENCED_EXPORTS = [
     ("ambient", "curvature_at"),  # tests: R read off geometry_jets at one point
     ("expr", "to_source"),  # tests: the printer's round trip through parse
-    ("finite_diff", "central_diff"),  # tests: the differences alone, against closed forms
     ("frame_bundle", "normal_generators"),  # tests: decompose_OMN's normal space
     ("frame_bundle", "tangent_generators"),  # tests: decompose_OMN's tangent space
     ("gauss_map", "tension_field_pullback"),  # tests: the tension from the connection

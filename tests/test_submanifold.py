@@ -49,7 +49,7 @@ def test_plane_frame_is_standard_basis():
     M = builtin_submanifold("plane")
     E = M.frame_data([0.3, -0.5]).E.val
     assert np.allclose(E, np.eye(3), atol=1e-14)
-    assert M.pivots == (2,)
+    assert np.array_equal(M.normals, [[0.0], [0.0], [1.0]])
 
 
 def test_circle_frame_at_zero():
@@ -80,12 +80,15 @@ def test_frame_orthonormal_and_adapted(name):
         assert np.max(np.abs(E[:, : M.p] @ coeff - J)) < 1e-9
         # normal block orthogonal to the image
         assert np.max(np.abs(E[:, M.p:].T @ G @ J)) < 1e-10
+    # the centre normals complete the frame at the domain centre
+    E = M.frame_data(M.chart_domain.mean(axis=1)).E.val
+    assert np.max(np.abs(E[:, M.p:] - M.normals)) < 1e-14
 
 
-def test_pivots_deterministic_and_frozen():
+def test_normals_deterministic_and_frozen():
     M1 = builtin_submanifold("clifford")
     M2 = builtin_submanifold("clifford")
-    assert M1.pivots == M2.pivots
+    assert np.array_equal(M1.normals, M2.normals)
     u = [0.7, -1.1]
     assert np.array_equal(M1.frame_data(u).E.val, M2.frame_data(u).E.val)
 
@@ -101,12 +104,12 @@ def test_out_of_domain_rejected():
         M.frame_data([2.0])
 
 
-def test_pivot_breakdown_away_from_centre_raises_on_call():
-    # Pivots are frozen at u = 0, where the tangent is e_2 and the pivot is
-    # e_1; at u = pi/2 the tangent is parallel to e_1.
+def test_completion_breakdown_away_from_centre_raises_on_call():
+    # The normal is frozen at u = 0, where the tangent is e_2 and the normal
+    # is e_1; at u = pi/2 the tangent is parallel to e_1.
     M = ImmersedSubmanifold(1, [[-1.6, 1.6]], ["cos(u1)", "sin(u1)"], euclidean(2))
     M.frame_data([0.0])
-    with pytest.raises(FrameError, match="pivot failure"):
+    with pytest.raises(FrameError, match="completion failure"):
         M.frame_data([np.pi / 2])
 
 
@@ -131,7 +134,7 @@ def test_frame_that_overflows_is_refused_at_its_point(domain, point, message):
 
 @pytest.mark.parametrize("bound", [[np.nan, 1.0], [-np.inf, 1.0], [0.0, np.inf]])
 def test_a_chart_domain_with_a_non_finite_bound_is_refused(bound):
-    """The box check refuses it, before the pivots would blame the immersion."""
+    """The box check refuses it, before the centre normals would blame the immersion."""
     with pytest.raises(FrameError, match="finite lo < hi"):
         ImmersedSubmanifold(2, [bound, [0.0, 1.0]], ["u1", "u2", "u1*u2"], euclidean(3))
 
@@ -144,7 +147,7 @@ def test_a_chart_dimension_that_is_not_an_integer_1_to_n_is_refused(p):
         ImmersedSubmanifold(p, [[-1.0, 1.0]] * 2, ["u1", "u2", "u1*u2"], euclidean(3))
 
 
-def test_pivots_that_overflow_at_the_domain_centre_are_refused():
+def test_normals_that_overflow_at_the_domain_centre_are_refused():
     # |J|^2 = 1 + exp(799) at the centre u1 = 399.5
     with pytest.raises(FrameError, match="not finite at the domain center"):
         ImmersedSubmanifold(1, [[-1, 800]], ["u1", "exp(u1)"], euclidean(2))
@@ -258,13 +261,13 @@ def _pre_change_gram_schmidt(vectors, G):
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_gram_schmidt_matches_the_pre_change_loop(name, order):
     """The frame E, Gram-Schmidt on the frame's own columns (the Jacobian,
-    then the frozen pivot axes) and metric, is bitwise the pre-change loop on
-    them, at a batch of points and at one."""
+    then the frozen centre normals) and metric, is bitwise the pre-change
+    loop on them, at a batch of points and at one."""
     M = builtin_submanifold(name)
     for u in (sample_points(M, 3, seed=order), sample_points(M, 1, seed=order)[0]):
         fd = FramePointData(M, u, order)
         cols = [fd.J[..., a] for a in range(fd.p)]
-        cols += [fd.uspace.constant(np.eye(fd.d)[ax]) for ax in M.pivots]
+        cols += [fd.uspace.constant(col) for col in M.normals.T]
         want = _pre_change_gram_schmidt(cols, fd.G)
         assert fd.E.coeffs.shape == want.coeffs.shape and np.array_equal(fd.E.coeffs, want.coeffs)
 

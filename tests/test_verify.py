@@ -140,7 +140,11 @@ def test_great_spheres_get_the_cases_their_curvature_admits():
 
 
 # Dini's surface, K = -1/2: the vertical parts the subbundle cases lift are
-# of order 1 there, so their antisymmetry holds to roundoff of that size.
+# of order 1 there, so their antisymmetry holds to roundoff of that size. Its
+# frames are completed by the normal at the domain centre, which keeps a
+# residual of 0.65 near the rim at DINI_RIM; the y axis, the centre's best
+# coordinate axis, keeps only 1.6e-3 there, and the connection forms of a
+# frame completed by it are skew only to 7.4e-11.
 DINI = ImmersedSubmanifold(
     2,
     [[-1.0, 1.0], [0.5, 1.2]],
@@ -148,17 +152,21 @@ DINI = ImmersedSubmanifold(
     euclidean(3),
     name="dini",
 )
+DINI_RIM = [-0.8998537973983592, 0.6489068959718897]
 
 
 def test_dini_surface_lifts_its_vertical_parts():
     """lifted bounds a vertical part's asymmetry relative to its size, so
-    the cases that lift the connection's vertical parts run on Dini's
-    surface and hold at every point."""
-    groups = ["subbundle-second-fundamental", "condition-algebra"]
-    rows = verify.run_suite(DINI, samples=25, seed=0, groups=groups).results
-    assert len(rows) == 50
-    assert [(r.case_id, r.point, r.error) for r in rows if not r.passed] == []
-    assert max(r.residual for r in rows) < EXACT_TOL
+    every case runs on Dini's surface and holds at every point, at three
+    seeds; seed 2 samples DINI_RIM. The connection forms there are skew to
+    roundoff."""
+    for seed in (0, 1, 2):
+        rows = verify.run_suite(DINI, samples=25, seed=seed).results
+        assert len(rows) == 527
+        assert [(r.case_id, r.point, r.error) for r in rows if not r.passed] == []
+        assert max(r.residual / _bound(r.case_id, r.tol) for r in rows) < 1
+    omega = DINI.frame_data(DINI_RIM).omega.val
+    assert np.max(np.abs(omega + np.swapaxes(omega, -1, -2))) < 1e-14
 
 
 def test_unbuildable_sample_frame_runs_every_case():
@@ -422,7 +430,7 @@ def _pre_change_fd_connection(M, u, h, frame, attr):
     """fd_connection as it was: the field Y at u from a second evaluation."""
     gam = oracles.fd_christoffels(M, u, h, frame, attr)
     x0, y0 = field_values(oracles.DEFAULT_X, u), field_values(oracles.DEFAULT_Y, u)
-    dY = finite_diff.central_diff(lambda U: field_values(oracles.DEFAULT_Y, U), u, h)
+    dY = finite_diff.value_and_diff(lambda U: field_values(oracles.DEFAULT_Y, U), u, h)[1]
     return np.einsum("...a,...ac->...c", x0, dY) + np.einsum("...cab,...a,...b->...c", gam, x0, y0)
 
 
@@ -436,7 +444,7 @@ def _pre_change_fd_nabla_vec(M, u, h, frame):
         return np.matmul(frame(U).J.val, field_values(oracles.DEFAULT_Y, U)[..., None])[..., 0]
 
     gam = finite_diff.christoffels(lambda X: metric_at(M.ambient, X), fd0.x0, h)
-    dY = np.matmul(x0[..., None, :], finite_diff.central_diff(yamb, u, h))[..., 0, :]
+    dY = np.matmul(x0[..., None, :], finite_diff.value_and_diff(yamb, u, h)[1])[..., 0, :]
     Jx = np.matmul(fd0.J.val, x0[..., None])[..., 0]
     return dY + np.einsum("...ijk,...j,...k->...i", gam, Jx, yamb(u))
 

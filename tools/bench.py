@@ -46,14 +46,16 @@ BENCH_registry.json:
   whose frames a first check has built), both at seed COUNT_SEED, by the
   order they land at, the lower of their operands' orders, and
   products_equal, whether the two trees' counts agree.
-- The parity of every value of 6 reports' canonical JSON:
+- The parity of every value of 7 reports' canonical JSON:
   run_suite(builtins=BUILTINS, samples=s, seed=k) for s in {5, 25} and k in
   {0, 1}, keyed run_suite_s{s}_k{k}, and run_suite(builtins=["pseudosphere",
-  DINI], samples=25, seed=k) for k in {0, 1}, Dini's surface in
+  DINI], samples=25, seed=k) for k in {0, 1, 2}, Dini's surface in
   euclidean(3) built from the tree's own classes, keyed
-  general_position_k{k}. A row's values are keyed by its run, case_id,
-  builtin and ordinal among the rows of that (case, builtin) pair, then its
-  field; a case's summary by run/summary/case_id and its field.
+  general_position_k{k}. Seed 2 samples a point near Dini's rim where a
+  frame completed by a coordinate axis is ill conditioned. A row's values
+  are keyed by its run, case_id, builtin and ordinal among the rows of that
+  (case, builtin) pair, then its field; a case's summary by
+  run/summary/case_id and its field.
 - The parity of the 128 theorem_check fields on the builtins and on the
   pseudosphere builtin at 25 samples, seeds 0 and 3, keyed
   theorem_check_k{seed}/{builtin}/{field}.
@@ -263,7 +265,7 @@ def report_values(run: str, report, out: dict) -> None:
 
 def parity(ns) -> dict:
     """Every value the parity gate compares of the tree ns, flat and keyed by
-    where it comes from: the 6 reports, the fd_relative_error values under
+    where it comes from: the 7 reports, the fd_relative_error values under
     FD_KEY and the theorem_check fields."""
     sm, og, verify = ns.submanifold, ns.omn_geometry, ns.verify
     out = {}
@@ -272,7 +274,7 @@ def parity(ns) -> dict:
             report = verify.run_suite(builtins=BUILTINS, samples=samples, seed=seed)
             report_values(f"run_suite_s{samples}_k{seed}", report, out)
     dini = sm.ImmersedSubmanifold(2, [[-1.0, 1.0], [0.5, 1.2]], DINI, ns.ambient.euclidean(3), name="dini")
-    for seed in (0, 1):
+    for seed in (0, 1, 2):
         report = verify.run_suite(builtins=["pseudosphere", dini], samples=25, seed=seed)
         report_values(f"general_position_k{seed}", report, out)
     for seed in (0, 1):
