@@ -2,16 +2,17 @@
 checks the exact-jet route to connection and curvature data.
 
 A point function f maps points u of shape (..., k) to values of shape
-(..., *value shape); `M.frame_data(U).g_chart.val` and `metric_at(N, X)` are
-such functions. Each function here calls f exactly once, on u and its whole
-stencil tree: value_and_diff and christoffels on [u; u ± h e_a], curvature
-on [u; u ± h e_a; u ± h e_a ± h e_b]. The values are split back by level as
-C-contiguous arrays, so f's values at u are read from the same call:
-value_and_diff returns them beside the differences, a metric function's
-values at u serve the inverse metric there, and curvature takes the
-Christoffels at u and at its first level from the one call;
-lowered_curvature lowers R's first index with the metric at u from that
-call too. The module imports numpy only, so it shares no code with the
+(..., *value shape); `M.frame_data(U).g_chart.val`, the chart metric read
+off the immersion without a frame (`oracles.chart_metric(M, U)`) and
+`metric_at(N, X)` are such functions. Each function here calls f exactly
+once, on u and its whole stencil tree: value_and_diff and christoffels on
+[u; u ± h e_a], curvature on [u; u ± h e_a; u ± h e_a ± h e_b]. The values
+are split back by level as C-contiguous arrays, so f's values at u are read
+from the same call: value_and_diff returns them beside the differences, a
+metric function's values at u serve the inverse metric there, and
+curvature takes the Christoffels at u and at its first level from the one
+call; lowered_curvature lowers R's first index with the metric at u from
+that call too. The module imports numpy only, so it shares no code with the
 route it checks. Conventions are those of the ambient module: R^i_{jkl} =
 d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{km} Gamma^m_{lj} - Gamma^i_{lm} Gamma^m_{kj}.
 """

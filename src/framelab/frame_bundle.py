@@ -151,7 +151,16 @@ def horizontal_lift_prime(fd: FramePointData, X) -> LiftedVector:
     coefficients, led by the frame's batch axes or the same at every point.
     """
     xc = _part(fd, X, (fd.p,), "chart coefficients")
-    return lifted(fd, horizontal=ops.full_frame_field(fd, xc).val, vertical=ops.s_field_matrix(fd, xc).val)
+    # ops.full_frame_field(fd, xc).val, on Dmat's values alone
+    horizontal = np.einsum("iA,...A->...i", np.eye(fd.d)[:, : fd.p], matvec(fd.Dmat.val, xc))
+    return lifted(fd, horizontal=horizontal, vertical=_s_values(fd, xc))
+
+
+def _s_values(fd: FramePointData, xc: np.ndarray) -> np.ndarray:
+    """ops.s_field_matrix(fd, xc).val for chart coefficients xc, an array:
+    the same contraction on omega's values, not on its full-order jet, and
+    bitwise the same values (a test pins both)."""
+    return np.einsum("...a,...aij->...ij", xc, fd.omega.val) * fd.mmask
 
 
 def case_pairs(case: str, args) -> tuple:
@@ -258,7 +267,7 @@ def decompose_OMN(v: LiftedVector) -> tuple[LiftedVector, LiftedVector]:
     p = fd.p
     Vh, Vm = hm_split_mat(v.vertical, p)
     xtan = ops.solve_P(fd, v.horizontal[..., :p] - ops.s_tm_tangent_jet(fd, Vm).val)
-    SX = ops.s_field_matrix(fd, matvec(fd.C.val, xtan)).val
+    SX = _s_values(fd, matvec(fd.C.val, xtan))
     xfull = np.zeros_like(v.horizontal)
     xfull[..., :p] = xtan
     tangent = lifted(fd, horizontal=xfull, vertical=SX + Vh)

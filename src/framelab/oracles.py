@@ -4,17 +4,20 @@ verify.FD_QUANTITIES, which pairs it with a jet route of its own.
 A route sees point values only. Each takes the submanifold M, the points u
 of shape (p,) or (n, p), the step h and frame, where frame(U) is the frame
 at a batch of points U built to the order the route reads, and hands
-finite_diff point functions of three kinds of values: those of a frame
-(g_chart, gt_chart, J, E and x0), those of the ambient metric (metric_at)
-and those of the default fields X and Y, their coefficient expressions
-evaluated at the points at order 0. Every value leads with u's batch axes,
-() at one point (submanifold's batch convention).
+finite_diff point functions of four kinds of values: those of a frame
+(g_chart, gt_chart, J, E and x0); the chart metric J^T G J read off the
+immersion (chart_metric: its components' jets of order 1 and the ambient
+metric at their values, no frame), which is all curvature_prime's tree
+reads; those of the ambient metric (metric_at); and those of the default
+fields X and Y, their coefficient expressions evaluated at the points at
+order 0. Every value leads with u's batch axes, () at one point
+(submanifold's batch convention).
 
 The module may import numpy, finite_diff, jets, expr, ambient and
 submanifold, and no other framelab module: not operators, frame_bundle,
 omn_geometry, gauss_map or verify. So a route shares no code with the jet
-route it checks beyond the frame's values; tests/test_layout.py holds it to
-that.
+route it checks beyond the frame's values, and curvature_prime's not even
+those; tests/test_layout.py holds it to that.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from numpy._core.multiarray import c_einsum
 
 from . import finite_diff
 from .ambient import metric_at
-from .expr import eval_expr, intern, parse
+from .expr import eval_expr, first_point, intern, parse
 from .jets import get_space, jstack
+from .submanifold import FrameError
 
 __all__ = [
     "DEFAULT_X",
@@ -35,6 +39,7 @@ __all__ = [
     "fd_nabla_vec",
     "fd_curvature_ambient",
     "fd_curvature_prime",
+    "chart_metric",
 ]
 
 # The chart fields X, Y of the FD check; a p-chart takes the first p, so entry
@@ -102,6 +107,31 @@ def fd_curvature_ambient(M, u, h, frame):
     return c_einsum("...abcl,...ld->...abcd", t, E)
 
 
+def chart_metric(M, U) -> np.ndarray:
+    """The induced metric J^T G J in chart coordinates at the points U
+    (..., p), shape (..., p, p), read off the immersion: J from its
+    components' jets of order 1, evaluated with one memo, and G from
+    metric_at at their values. It builds no frame. An immersion or a
+    Jacobian that is not finite at a point of U raises FrameError naming the
+    first such point ("immersion not finite at ..."), as frame_data does,
+    and metric_at refuses a metric there as frame_data's metric does."""
+    space = get_space(M.p, 1)
+    uv = space.variables(U)
+    memo = {}
+    # an overflow shows as a value that is not finite, refused below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phi = jstack([eval_expr(c, uv, space, memo) for c in M.components], axis=-1)
+    # its coefficients are the values and the Jacobian, as a frame of order 1 refuses them
+    finite = np.isfinite(phi.coeffs).all(axis=(-2, -1))
+    if not finite.all():
+        raise FrameError(f"immersion not finite at {first_point(U, ~finite)}")
+    J = phi.grad(-1).val
+    JtG = c_einsum("...ka,...kl->...al", J, metric_at(M.ambient, phi.val))
+    return c_einsum("...al,...lb->...ab", JtG, J)
+
+
 def fd_curvature_prime(M, u, h, frame):
-    """FD route of the chart curvature tensor of the induced metric, shape (p, p, p, p)."""
-    return finite_diff.curvature(lambda U: frame(U).g_chart.val, u, h)
+    """FD route of the chart curvature tensor of the induced metric, shape
+    (p, p, p, p): the tree's chart metric is chart_metric's, so the route
+    builds no frame and does not call frame."""
+    return finite_diff.curvature(lambda U: chart_metric(M, U), u, h)

@@ -71,7 +71,7 @@ from .jets import (
     jet_inv,
     jet_pullback,
     jet_solve,
-    jsqrt,
+    jpow_real,
     jstack,
 )
 
@@ -117,7 +117,9 @@ def gram_schmidt_jets(vectors: list[Jet], G: Jet | np.ndarray, u: np.ndarray, n_
     Either names the first point of u where it happens, and so does a norm
     that is not finite (an overflow, which the breakdown test would pass).
     G·w is formed once per input vector w and serves its projection on every
-    earlier vector.
+    earlier vector. Each column v, of G-norm squared n2, is scaled by
+    n2^(-1/2), one Taylor series (jpow_real), not divided by sqrt(n2), which
+    takes the square root's series and then the reciprocal's.
     """
     out: list[Jet] = []
     for k, w in enumerate(vectors):
@@ -138,7 +140,7 @@ def gram_schmidt_jets(vectors: list[Jet], G: Jet | np.ndarray, u: np.ndarray, n_
             if k < n_given:
                 raise FrameError(f"Jacobian rank-deficient (column {k + 1}) at {at}")
             raise FrameError(f"Gram-Schmidt completion failure at vector {k + 1} at {at}")
-        out.append(v / jsqrt(nrm2)[..., None])
+        out.append(v * jpow_real(nrm2, -0.5)[..., None])
     return jstack(out, axis=-1)
 
 
@@ -298,6 +300,9 @@ class FramePointData:
     orders, not pullbacks of x-space metric, Christoffel and curvature jets:
     a pullback of a jet with no derivative coefficients adds only zero terms,
     so the two are bitwise equal. Gram-Schmidt reads that G as its values.
+    The readers of Gam and R form no product with those zeros: omega is
+    Einv . d_a E, with no Christoffel term, and Rfr is the zero jet of its
+    valid order, bitwise what the products would give.
 
     Attribute conventions (d = p+n ambient dim, all jets over u-variables),
     valid orders those of a frame of order 4:
@@ -449,6 +454,9 @@ class FramePointData:
 
     @_built_on_read(2)
     def omega(self) -> Jet:
+        if self._Gx is None:
+            # Gam is zero: the covariant derivative of E is its derivative
+            return jet_einsum("...ij,...ajk->...aik", self.Einv, self.E.grad(-3))
         omegas = []
         for a in range(self.p):
             gam_a = jet_einsum("...ikl,...k->...il", self.Gam, self.J[..., a])
@@ -524,6 +532,8 @@ class FramePointData:
 
     @_built_on_read(1)
     def Rfr(self) -> Jet:
+        if self._Gx is None:
+            return self._zero(self.order - 3, (self.d,) * 4)
         t = jet_einsum("...mnqr,...nj->...mjqr", self.R, self.E)
         t = jet_einsum("...mjqr,...qk->...mjkr", t, self.E)
         t = jet_einsum("...mjkr,...rl->...mjkl", t, self.E)

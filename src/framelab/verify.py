@@ -17,7 +17,8 @@ The registry is the one test home of each identity it states.
 A second, separate oracle checks the jet arithmetic: FD_QUANTITIES pairs the
 jet route (jet_value) of seven connection and curvature quantities with an
 FD route of `oracles` (fd_oracle), which hands finite_diff point values of
-frames, of the ambient metric and of the default fields' expressions.
+frames, of the chart metric read off the immersion, of the ambient metric
+and of the default fields' expressions.
 """
 
 from __future__ import annotations
@@ -1081,26 +1082,28 @@ def _run_case(case, ci, name, bi, M, samples, seed, points, frame, live):
 
 
 class FDQuantity(NamedTuple):
-    """A quantity of the FD check: its step h; the jet order of the frame
-    its FD route reads on its chart stencil, the lowest whose values it
-    needs; the reach of that stencil from u in steps h (0 for a route that
-    differences only in the ambient chart); its FD route
+    """A quantity of the FD check: its step h; the jet order of the frames
+    its FD route reads, on its chart stencil or at u, the lowest whose
+    values it needs, or None for a route that reads no frame
+    (curvature_prime takes its tree's chart metric off the immersion,
+    oracles.chart_metric); the reach of its stencil from u in steps h (0 for
+    a route that differences only in the ambient chart); its FD route
     fd_route(M, u, h, frame), a route of `oracles` whose frame(U) is the
     frame at a batch U built to that order; its jet route jet_route(fd) at
     the frame fd of u, which jet_value builds to order 3: Gamt.val and
     Rfr.val, the deepest reads of any jet route, are valid there and not at
     order 2. finite_diff calls each function once, on u and its whole
     stencil tree, so a route's chart stencil is one frame, shared by every
-    quantity of the same step; its reads of x0, J and E at u are served by
-    the frame at u. It evaluates X's expressions at u, and Y's on u and the
-    stencil in the one call that differences Y, whose value at u it reads
-    (finite_diff.value_and_diff), so nabla_vec reads Y's ambient
-    components at u off the stencil frame. Both routes take u of shape (p,)
-    or (n, p), and their values lead with u's batch axes, () at one point
-    (submanifold's batch convention)."""
+    quantity of the same step that reads a frame; its reads of x0, J and E
+    at u are served by the frame at u. It evaluates X's expressions at u,
+    and Y's on u and the stencil in the one call that differences Y, whose
+    value at u it reads (finite_diff.value_and_diff), so nabla_vec reads
+    Y's ambient components at u off the stencil frame. Both routes take u
+    of shape (p,) or (n, p), and their values lead with u's batch axes, ()
+    at one point (submanifold's batch convention)."""
 
     h: float
-    order: int
+    order: int | None
     reach: int
     fd_route: Callable
     jet_route: Callable
@@ -1132,7 +1135,8 @@ def _jet_curvature_prime(fd):
 
 # Steps: 1e-4 for quantities of first derivatives of the metric, 1e-3 for curvatures.
 # Orders: each FD route reads only values of its frames, so they are built no
-# higher than those values need (order 3 is what the jet route reads at u).
+# higher than those values need (order 3 is what the jet route reads at u);
+# None where the route reads no frame.
 # Reach: a first derivative's stencil [u; u ± h e_a] reaches h, curvature's
 # tree [u; u ± h e_a; u ± h e_a ± h e_b] reaches 2h.
 FD_QUANTITIES = {
@@ -1163,9 +1167,10 @@ FD_QUANTITIES = {
     # order 1: E.val and x0 at u are all this route reads of a frame; it
     # differences the ambient metric about x0, so no chart stencil
     "curvature_ambient": FDQuantity(1e-3, 1, 0, oracles.fd_curvature_ambient, lambda fd: fd.Rfr.val),
-    # order 1 for the whole h = 1e-3 tree, one frame of 1 + 2p + 4p^2
-    # points: it reads only g_chart.val
-    "curvature_prime": FDQuantity(1e-3, 1, 2, oracles.fd_curvature_prime, _jet_curvature_prime),
+    # no frame: the whole h = 1e-3 tree, 1 + 2p + 4p^2 points, reads only
+    # the chart metric J^T G J, which oracles.chart_metric takes off the
+    # immersion's order-1 jets and the ambient metric's values
+    "curvature_prime": FDQuantity(1e-3, None, 2, oracles.fd_curvature_prime, _jet_curvature_prime),
 }
 
 
@@ -1210,8 +1215,8 @@ def jet_value(M: ImmersedSubmanifold, quantity: str, u):
     (p,) or (n, p), read from the frame at u built to order 3 (see
     FDQuantity). fd_relative_error takes this route first, so that frame
     also serves the FD routes' reads at u of x0, J and E, of orders 2 and
-    1; their stencils are one frame per step, the h = 1e-4
-    stencil of order 2 and the h = 1e-3 tree of order 1."""
+    1; the h = 1e-4 stencil is one frame of order 2, and the h = 1e-3 tree
+    of curvature_prime builds none (oracles.chart_metric)."""
     return _fd_quantity(quantity).jet_route(M.frame_data(np.asarray(u, dtype=float), 3))
 
 

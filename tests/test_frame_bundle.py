@@ -33,7 +33,7 @@ from framelab.omn_geometry import (
     second_fundamental_OMN,
     sectional_OMN,
 )
-from framelab.omn_geometry import frame_trace
+from framelab.omn_geometry import domain_samples, frame_trace
 from framelab.operators import basis_T, skew_inner
 from framelab.submanifold import FrameError, builtin_submanifold
 
@@ -124,6 +124,45 @@ def test_horizontal_lift_prime_of_chart_input_has_no_normal_part(name, u):
     for _ in range(5):
         v = horizontal_lift_prime(fd, rng.normal(size=fd.p))
         assert np.all(v.horizontal[fd.p :] == 0.0)
+
+
+def _pre_change_decompose(v):
+    """decompose_OMN as it was: S_X contracted on omega's full-order jet."""
+    fd, p = v.fd, v.fd.p
+    Vh, Vm = ops.hm_split_mat(v.vertical, p)
+    xtan = ops.solve_P(fd, v.horizontal[..., :p] - ops.s_tm_tangent_jet(fd, Vm).val)
+    SX = ops.s_field_matrix(fd, ops.matvec(fd.C.val, xtan)).val
+    xfull = np.zeros_like(v.horizontal)
+    xfull[..., :p] = xtan
+    tangent = lifted(fd, horizontal=xfull, vertical=SX + Vh)
+    return tangent, v - tangent
+
+
+@pytest.mark.parametrize("name", [b[0] for b in ALL_BUILTINS] + ["pseudosphere"])
+def test_value_readers_contract_the_frame_values(name):
+    """A chart direction given as an array needs only the values of Dmat and
+    omega: full_frame_field and s_field_matrix on their full-order jets give,
+    at their values, bitwise the contractions Dmat.val . xc and xc . omega.val,
+    which horizontal_lift_prime and decompose_OMN read, at 5 points and at
+    one, for a direction per point and a stack of 3 of them."""
+    rng = np.random.default_rng(4)
+    M = builtin_submanifold(name)
+    U = domain_samples(M, 5, seed=0)
+    for u in (U, U[0]):
+        fd = M.frame_data(u)
+        for xc in (rng.normal(size=fd.batch + (fd.p,)), rng.normal(size=(3,) + fd.batch + (fd.p,))):
+            horizontal = ops.full_frame_field(fd, xc).val
+            vertical = ops.s_field_matrix(fd, xc).val
+            tangent = np.einsum("...Aa,...a->...A", fd.Dmat.val, xc)
+            assert horizontal[..., : fd.p].tobytes() == tangent.tobytes()
+            assert np.all(horizontal[..., fd.p :] == 0.0)
+            assert vertical.tobytes() == (np.einsum("...a,...aij->...ij", xc, fd.omega.val) * fd.mmask).tobytes()
+            v = horizontal_lift_prime(fd, xc)
+            assert v.horizontal.tobytes() == horizontal.tobytes() and v.vertical.tobytes() == vertical.tobytes()
+            w = v + lifted(fd, vertical=np.broadcast_to(random_skew(rng, fd.d), v.vertical.shape))
+            for got, want in zip(decompose_OMN(w), _pre_change_decompose(w)):
+                assert got.horizontal.tobytes() == want.horizontal.tobytes()
+                assert got.vertical.tobytes() == want.vertical.tobytes()
 
 
 def test_vertical_basis_norm():

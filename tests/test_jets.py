@@ -579,7 +579,8 @@ def test_grad_is_jstack_of_derivatives(nvars, order, layout, axis):
 
 def test_grad_serves_every_derivative_stack(monkeypatch):
     """christoffel_jets, curvature_jets, a frame's J, the Jacobian of the
-    centre normals and jet_along each stack their derivatives with one
+    centre normals, jet_along and the derivatives of E that omega reads over
+    a constant metric (sphere2's) each stack their derivatives with one
     Jet.grad, equal to the jstack of the Jet.d it replaced in values and in
     strides: an einsum over a stack sums in its memory order."""
     from framelab.submanifold import builtin_submanifold
@@ -600,7 +601,7 @@ def test_grad_serves_every_derivative_stack(monkeypatch):
         fd = M.frame_data(np.array([M.chart_domain.mean(axis=1), M.chart_domain[:, 0] + 0.1]), 4)
         fd.R, fd.Rt_chart
         jet_along(jstack(fd.uv, axis=-1).cut(2), fd.E)
-    assert seen == {"christoffel_jets", "curvature_jets", "__init__", "_centre_normals", "jet_along"}
+    assert seen == {"christoffel_jets", "curvature_jets", "__init__", "_centre_normals", "jet_along", "omega"}
 
 
 def _reference_horner(jet: Jet, dcoef) -> Jet:

@@ -9,7 +9,7 @@ from framelab import operators as ops
 from framelab import submanifold, verify
 from framelab.ambient import AmbientSpace, christoffel_jets, curvature_jets, euclidean, is_int
 from framelab.expr import eval_expr
-from framelab.jets import get_space, jet_along, jet_dot, jet_einsum, jet_pullback, jsin, jsqrt, jstack
+from framelab.jets import get_space, jet_along, jet_dot, jet_einsum, jet_pullback, jpow_real, jsin, jsqrt, jstack
 from framelab.omn_geometry import OmnError, domain_samples
 from framelab.submanifold import FrameError, FramePointData, ImmersedSubmanifold, builtin_submanifold
 
@@ -244,16 +244,18 @@ def test_low_order_frame_is_the_leading_part_of_the_order_4_frame(name, points):
             assert np.array_equal(jet.coeffs, ref.coeffs[..., : jet.coeffs.shape[-1]]), (k, attr)
 
 
-def _pre_change_gram_schmidt(vectors, G):
+def _pre_change_gram_schmidt(vectors, G, unit=lambda v, n2: v * jpow_real(n2, -0.5)[..., None]):
     """Gram-Schmidt before it formed G w once per vector, kept as the
-    reference: G w formed again for each earlier vector q."""
+    reference: G w formed again for each earlier vector q. It scales each
+    column v of G-norm squared n2 by unit(v, n2), by default the one series
+    gram_schmidt_jets takes, so that it pins the reuse of G w alone."""
     g_dot = lambda a, b: jet_dot(a, jet_einsum("...ij,...j->...i", G, b))
     out = []
     for w in vectors:
         v = w
         for q in out:
             v = v - q * g_dot(q, w)[..., None]
-        out.append(v / jsqrt(g_dot(v, v))[..., None])
+        out.append(unit(v, g_dot(v, v)))
     return jstack(out, axis=-1)
 
 
@@ -270,6 +272,31 @@ def test_gram_schmidt_matches_the_pre_change_loop(name, order):
         cols += [fd.uspace.constant(col) for col in M.normals.T]
         want = _pre_change_gram_schmidt(cols, fd.G)
         assert fd.E.coeffs.shape == want.coeffs.shape and np.array_equal(fd.E.coeffs, want.coeffs)
+
+
+# v / sqrt(n2): the square root's series, then the reciprocal's
+_TWO_SERIES = lambda v, n2: v / jsqrt(n2)[..., None]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ALL_BUILTINS + ("pseudosphere",))
+def test_one_series_frame_is_orthonormal_and_the_two_series_frame(name, order):
+    """Each column scaled by n2^(-1/2), one series, gives a frame E that is
+    G-orthonormal to 1e-14 at its values, with every coefficient within
+    64 eps max|E| of the columns scaled by 1/sqrt(n2), two series (seen: at
+    most 21 eps), at a batch of points and at one."""
+    M = builtin_submanifold(name)
+    for u in (sample_points(M, 3, seed=order), sample_points(M, 1, seed=order)[0]):
+        fd = FramePointData(M, u, order)
+        E, G = fd.E.val, fd.G.val
+        gram = np.einsum("...ki,...kl,...lj->...ij", E, G, E)
+        assert np.max(np.abs(gram - np.eye(fd.d))) <= 1e-14
+        cols = [fd.J[..., a] for a in range(fd.p)]
+        cols += [fd.uspace.constant(col) for col in M.normals.T]
+        two = _pre_change_gram_schmidt(cols, fd.G, _TWO_SERIES)
+        bound = 64 * np.finfo(float).eps * np.max(np.abs(fd.E.coeffs))
+        assert fd.E.coeffs.shape == two.coeffs.shape
+        assert np.max(np.abs(fd.E.coeffs - two.coeffs)) <= bound
 
 
 FLAT = ("plane", "plane3", "circle", "sphere2", "catenoid")

@@ -10,6 +10,7 @@ registry does not take.
 import dataclasses
 import json
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -336,11 +337,11 @@ def test_the_proofs_identities_are_checked_by_one_case(monkeypatch):
 
 
 def test_fd_sweep_builds_stencil_frames_to_the_order_they_read(monkeypatch):
-    """Every FD quantity at one point of sphere2 makes exactly 3 frame builds:
+    """Every FD quantity at one point of sphere2 makes exactly 2 frame builds:
     the frame at u is the jet routes', order 3, and serves the FD routes'
-    reads at u; the h = 1e-4 stencil [u; u ± h e_a] is one frame of order 2,
-    and curvature_prime's whole h = 1e-3 tree, u and both levels, one frame
-    of order 1."""
+    reads at u; the h = 1e-4 stencil [u; u ± h e_a] is one frame of order 2.
+    curvature_prime's whole h = 1e-3 tree, u and both levels, builds none:
+    its chart metric is read off the immersion (oracles.chart_metric)."""
     built = []
     build = FramePointData.__init__
 
@@ -352,7 +353,49 @@ def test_fd_sweep_builds_stencil_frames_to_the_order_they_read(monkeypatch):
     M = builtin_submanifold("sphere2")
     for q in verify.FD_QUANTITIES:
         verify.fd_relative_error(M, q, [1.1, 0.6])
-    assert built == [((2,), 3), ((5, 2), 2), ((21, 2), 1)]
+    assert built == [((2,), 3), ((5, 2), 2)]
+
+
+@pytest.mark.parametrize("name", verify.DEFAULT_BUILTINS + ("pseudosphere",))
+def test_the_curvature_tree_metric_is_the_frame_metric(name, monkeypatch):
+    """curvature_prime's tree reads its chart metric off the immersion
+    (oracles.chart_metric), not off a frame: at every point of the tree,
+    about one point and about a batch of 5, it is bitwise the g_chart.val of
+    a frame of order 1 there."""
+    trees = []
+    chart_metric = oracles.chart_metric
+
+    def recording(M, U):
+        g = chart_metric(M, U)
+        trees.append((U, g))
+        return g
+
+    monkeypatch.setattr(oracles, "chart_metric", recording)
+    M = builtin_submanifold(name)
+    U = domain_samples(M, 5, seed=0)
+    for u in (U, U[0]):
+        trees.clear()
+        verify.fd_oracle(M, "curvature_prime", u)
+        [(tree, got)] = trees
+        assert tree.shape == (u.size // M.p * (1 + 2 * M.p + 4 * M.p**2), M.p)
+        want = FramePointData(M, tree, 1).g_chart.val
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_the_curvature_tree_refuses_an_overflow_as_a_frame_did():
+    """exp(u1)/1e300 overflows just past u1 = 709.7827: the h = 1e-4 stencil
+    about 709.7815 stays inside, so gamma_chart and gamma_tilde hold there,
+    while curvature_prime's h = 1e-3 tree reaches 709.7835. Its chart metric
+    is refused with the FrameError a frame built there raised, naming that
+    point, and the overflow escapes as no warning."""
+    M = ImmersedSubmanifold(1, [[700, 710]], ["u1", "exp(u1)/1e300"], euclidean(2))
+    u = [709.7815]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in ("gamma_chart", "gamma_tilde"):
+            assert verify.fd_relative_error(M, q, u) < FD_TOL[q]
+        with pytest.raises(FrameError, match=re.escape("immersion not finite at [709.7835]")):
+            verify.fd_relative_error(M, "curvature_prime", u)
 
 
 @pytest.mark.parametrize(
